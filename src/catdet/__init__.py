@@ -3,20 +3,24 @@ Catalan-style combinatorial families.
 
 The package provides exact scalar arithmetic (arbitrary-precision integers
 and rationals), a Laurent polynomial ring in q with half-integer exponents,
-exact dense linear algebra (fraction-free Bareiss, Dodgson condensation,
-inverses and null-space checks), a three-term-recurrence engine for monic
-orthogonal polynomials and their moment tables, a registry of executable
-identity checks, residue-lift determinant experiments with conjecture
-searches, and a command line front end.
+exact dense linear algebra (a determinant that picks the division-free
+Hessenberg expansion or fraction-free Bareiss from the matrix's shape,
+Dodgson condensation, inverses and null-space checks), a
+three-term-recurrence engine for monic orthogonal polynomials and their
+moment tables, a registry of executable identity checks, residue-lift
+determinant experiments with conjecture searches, and a command line front
+end.
 """
 
 from catdet.exact import ExactInt, ExactRat, binomial
 from catdet.qseries import QPoly, QRat, q_binomial, q_factorial, q_int, q_pochhammer
 from catdet.linalg import (
     Matrix,
+    det,
     det_bareiss,
     det_cofactor,
     det_condensation,
+    det_hessenberg,
     inverse,
     nullspace_vector_check,
 )
@@ -32,7 +36,9 @@ __all__ = [
     "q_binomial",
     "q_pochhammer",
     "Matrix",
+    "det",
     "det_bareiss",
+    "det_hessenberg",
     "det_condensation",
     "det_cofactor",
     "inverse",

@@ -224,16 +224,27 @@ def _cmd_conjecture(args) -> int:
 def _cmd_bench(args) -> int:
     import random
 
-    from catdet.linalg import INT, QPOLY, Matrix, det_bareiss, det_condensation
+    from catdet.linalg import (
+        INT,
+        QPOLY,
+        Matrix,
+        det_bareiss,
+        det_condensation,
+        det_hessenberg,
+    )
     from catdet.qseries import QPoly
 
     rng = random.Random(args.seed)
     rows = []
     for size in (6, 10, 14, 18):
         m = Matrix(size, size, [rng.randint(-9, 9) for _ in range(size * size)], INT)
-        for name, engine in (("bareiss", det_bareiss), ("condensation", det_condensation)):
+        # the same draws with every entry above the superdiagonal zeroed
+        h = Matrix.build(size, size, lambda i, j: m[i, j] if j <= i + 1 else 0, INT)
+        for name, engine, matrix in (("bareiss", det_bareiss, m),
+                                     ("condensation", det_condensation, m),
+                                     ("hessenberg", det_hessenberg, h)):
             t0 = time.perf_counter()
-            engine(m)
+            engine(matrix)
             rows.append({"ring": "integer", "size": size, "engine": name,
                          "seconds": round(time.perf_counter() - t0, 6)})
     for size in (4, 6):

@@ -1,10 +1,15 @@
 """Exact dense linear algebra over the scalar rings.
 
 Matrices are immutable row-major arrays tagged with a ring (integers,
-rationals, q-polynomials or q-rational functions).  Determinants come from a
-fraction-free Bareiss elimination (the workhorse), Dodgson condensation (with
-a Bareiss fallback on interior zeros, since exact arithmetic forbids
-perturbation tricks), and naive cofactor expansion (the cross-check oracle).
+rationals, q-polynomials or q-rational functions).  Identity checks call
+``det``, which picks its engine from the shape of the input: a lower
+Hessenberg matrix (every entry above the superdiagonal is zero, as in most of
+the paper's families) goes to ``det_hessenberg``, the division-free expansion
+of all leading minors along their last rows in O(n^2) ring products; any other
+matrix goes to ``det_bareiss``, the fraction-free O(n^3) elimination.  Dodgson
+condensation (with a Bareiss fallback on interior zeros, since exact
+arithmetic forbids perturbation tricks) and naive cofactor expansion (the
+cross-check oracle) serve as independent routes.
 Inverses are computed over the ring's fraction field and verified against the
 identity before being returned.
 """
@@ -25,7 +30,9 @@ __all__ = [
     "QPOLY",
     "QRAT",
     "Matrix",
+    "det",
     "det_bareiss",
+    "det_hessenberg",
     "det_condensation",
     "det_cofactor",
     "inverse",
@@ -243,6 +250,63 @@ def det_bareiss(m: Matrix):
         prev = pivot
     value = a[n - 1][n - 1]
     return value if sign == 1 else -value
+
+
+def _is_lower_hessenberg(m: Matrix) -> bool:
+    """True iff every entry above the superdiagonal is zero (zero is falsy in every ring)."""
+    n, data = m.ncols, m.data
+    return not any(any(data[i * n + i + 2:(i + 1) * n]) for i in range(n - 2))
+
+
+def _hessenberg_expansion(m: Matrix):
+    """Leading minors D_0 = 1, D_1, ..., D_n of a lower Hessenberg matrix; returns D_n.
+
+    Expanding D_k along its last row gives
+
+        D_k = sum_j (-1)^(k-1-j) a(k-1, j) * prod_{i=j}^{k-2} a(i, i+1) * D_j,
+
+    evaluated in nested (Horner) form from the left,
+    acc <- a(k-1, j) D_j - a(j-1, j) acc, so each term costs two ring products
+    and no division.  Terms left of a zero superdiagonal entry a(s-1, s)
+    vanish, so each row's sum starts at the last such s.
+    """
+    n, data = m.ncols, m.data
+    minors = [m.ring.one]
+    start = 0
+    for k in range(1, n + 1):
+        row = data[(k - 1) * n:k * n]
+        if k >= 2 and not data[(k - 2) * n + k - 1]:
+            start = k - 1
+        acc = row[start] * minors[start]
+        for j in range(start + 1, k):
+            acc = row[j] * minors[j] - data[(j - 1) * n + j] * acc
+        minors.append(acc)
+    return minors[n]
+
+
+def det_hessenberg(m: Matrix):
+    """Determinant of a lower Hessenberg matrix (a(i, j) = 0 for j > i + 1).
+
+    Computes every leading minor by last-row expansion: O(n^2) ring products,
+    no division, no pivoting, so zero leading minors need no special case.
+    Raises ``ValueError`` on a matrix that is not lower Hessenberg.
+    """
+    _square(m)
+    if not _is_lower_hessenberg(m):
+        raise ValueError("det_hessenberg needs a lower Hessenberg matrix")
+    return _hessenberg_expansion(m)
+
+
+def det(m: Matrix):
+    """Exact determinant; the engine follows from the matrix's shape.
+
+    Lower Hessenberg matrices use the division-free expansion of
+    ``det_hessenberg``; every other matrix uses ``det_bareiss``.
+    """
+    _square(m)
+    if _is_lower_hessenberg(m):
+        return _hessenberg_expansion(m)
+    return det_bareiss(m)
 
 
 def det_cofactor(m: Matrix):

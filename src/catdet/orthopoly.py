@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from catdet.linalg import INT, QPOLY, QRAT, Matrix, Ring, det_bareiss
+from catdet.linalg import INT, QPOLY, QRAT, Matrix, Ring, det
 from catdet.qseries import QPoly, QRat, q_binomial, q_int
 
 __all__ = [
@@ -183,11 +183,11 @@ def tyson_check(sys_or_tables, n: int, m: int) -> bool:
     """
     tab = sys_or_tables if isinstance(sys_or_tables, FavardTables) else sys_or_tables.tables()
     ring = tab.system.ring
-    h0 = det_bareiss(tab.hankel(0, m))
+    h0 = det(tab.hankel(0, m))
     if ring.is_zero(h0):
         raise ArithmeticError("base Hankel determinant vanishes")
-    hn = det_bareiss(tab.hankel(n, m))
-    p = det_bareiss(tab.p_matrix(m, n))
+    hn = det(tab.hankel(n, m))
+    p = det(tab.p_matrix(m, n))
     return p * h0 == hn
 
 
@@ -200,9 +200,9 @@ def hankel_shift_checks(sys_or_tables, m: int) -> bool:
     """
     tab = sys_or_tables if isinstance(sys_or_tables, FavardTables) else sys_or_tables.tables()
     t = tab.system.t
-    h0 = det_bareiss(tab.hankel(0, m))
-    h1 = det_bareiss(tab.hankel(1, m))
-    h2 = det_bareiss(tab.hankel(2, m))
+    h0 = det(tab.hankel(0, m))
+    h1 = det(tab.hankel(1, m))
+    h2 = det(tab.hankel(2, m))
     if h1 != tab.p_entry(m, 0) * h0:
         return False
     v = tab._zero

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from catdet.exact import binomial
-from catdet.linalg import FRAC, INT, Matrix, det_bareiss, inverse
+from catdet.linalg import FRAC, INT, Matrix, det, inverse
 from catdet.orthopoly import catalan_parity_moments, system_from_moments
 from catdet.registry import Bounds, kron, register
 from catdet.sequences import ballot, catalan, catalan_power
@@ -110,7 +110,7 @@ _LIFT_FAMILIES = {
 def lifted_det(family: str, params: dict, modulus: int) -> int:
     """Entry-wise residue lift of an integer family, then an exact integer det."""
     builder = _LIFT_FAMILIES[family]
-    return det_bareiss(builder(p=modulus, **params))
+    return det(builder(p=modulus, **params))
 
 
 def mod2_orthopoly_bridge(n: int, m: int) -> bool:
@@ -141,7 +141,7 @@ def mod2_orthopoly_bridge(n: int, m: int) -> bool:
     pm = Matrix.build(n, n, lambda i, j: tab.p_entry(i + m, j), FRAC)
     am = Matrix.build(m, m, lambda i, j: Fraction(moments[i + j + n]), FRAC)
     sign = -1 if (m * (m - 1) // 2) % 2 else 1
-    return det_bareiss(pm) == sign * det_bareiss(am)
+    return det(pm) == sign * det(am)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +191,7 @@ def _c13a_point(n: int, k: int) -> tuple[bool, str, str]:
 
 def _c13b_point(n: int, m: int) -> tuple[bool, str, str]:
     lhs = lifted_det("eq110", {"n": n, "m": m}, 2)
-    rhs = det_bareiss(
+    rhs = det(
         Matrix.build(
             m, m, lambda i, j: lift2(catalan_power(n - i + j, 2 * i + 1)), INT
         )
@@ -292,7 +292,7 @@ def _eq104(n: int):
     _, _, sys = system_from_moments(moments, FRAC)
     tab = sys.tables()
     pm = Matrix.build(n, n, lambda i, j: tab.p_entry(i + 1, j), FRAC)
-    lhs = det_bareiss(pm)
+    lhs = det(pm)
     rhs = Fraction(lift2(catalan(n)))
     return lhs == rhs, lhs, rhs
 

@@ -38,6 +38,13 @@ __all__ = [
 ]
 
 
+def _integer(value: Fraction, what: str) -> int:
+    """``value`` as an int; a closed form that is not integral is an arithmetic fault."""
+    if value.denominator != 1:
+        raise ArithmeticError(f"{what} is not an integer: {value}")
+    return int(value)
+
+
 @cache
 def catalan(n: int) -> int:
     """Catalan number C_n = binomial(2n, n)/(n+1); 0 for n < 0."""
@@ -60,8 +67,7 @@ def catalan_power(n: int, k: int) -> int:
     if k < 0:
         raise ValueError("catalan_power needs k >= 0")
     value = Fraction(k, 2 * n + k) * binomial(2 * n + k, n)
-    assert value.denominator == 1
-    return int(value)
+    return _integer(value, f"catalan_power({n}, {k})")
 
 
 def ballot(i: int, j: int) -> int:
@@ -72,8 +78,7 @@ def ballot(i: int, j: int) -> int:
     if i < 0 or j < 0 or j > i:
         return 0
     value = Fraction(2 * j + 1, i + j + 1) * binomial(2 * i, i - j)
-    assert value.denominator == 1
-    return int(value)
+    return _integer(value, f"ballot({i}, {j})")
 
 
 def gould(n: int, x: int, r: int) -> Fraction:
@@ -108,9 +113,8 @@ def lucas_coeff(n: int, j: int) -> int:
         return 0
     if n == 0:
         return 1
-    value = Fraction(n, n - j) * binomial(n - j, j)
-    assert value.denominator == 1
-    return -int(value) if j % 2 else int(value)
+    value = _integer(Fraction(n, n - j) * binomial(n - j, j), f"lucas_coeff({n}, {j})")
+    return -value if j % 2 else value
 
 
 @cache

@@ -3,21 +3,25 @@ from fractions import Fraction
 
 import pytest
 
+from catdet import families as fam
 from catdet.exact import binomial
 from catdet.linalg import (
     FRAC,
     INT,
     QPOLY,
+    QRAT,
     Matrix,
+    det,
     det_bareiss,
     det_cofactor,
     det_condensation,
+    det_hessenberg,
     inverse,
     matvec,
     nullspace_vector_check,
     rank,
 )
-from catdet.qseries import ONE, Q, QPoly
+from catdet.qseries import ONE, Q, QPoly, QRat
 
 INTRO_4X4 = Matrix.from_rows(
     [
@@ -183,3 +187,85 @@ def test_qpoly_matrix_det():
     m = Matrix.from_rows([[ONE, ONE], [Q, ONE + Q + Q * Q]], QPOLY)
     # [3] - q = 1 + q^2
     assert det_bareiss(m) == ONE + Q * Q
+
+
+# -- lower Hessenberg expansion, with Bareiss as the independent route --------
+
+def random_hessenberg(rng, n, ring, entry):
+    """Random n x n lower Hessenberg matrix; about one entry in four is zero."""
+    return Matrix.build(
+        n, n,
+        lambda i, j: ring.zero if j > i + 1 or rng.random() < 0.25 else entry(rng),
+        ring,
+    )
+
+
+def random_qrat(rng):
+    den = random_qpoly(rng)
+    return QRat(random_qpoly(rng), den if den else ONE)
+
+
+HESSENBERG_RINGS = [
+    (INT, 6, lambda rng: rng.randint(-9, 9)),
+    (FRAC, 5, lambda rng: Fraction(rng.randint(-6, 6), rng.randint(1, 5))),
+    (QPOLY, 4, random_qpoly),
+    (QRAT, 4, random_qrat),
+]
+
+
+@pytest.mark.parametrize("ring,n_max,entry", HESSENBERG_RINGS,
+                         ids=[r[0].name for r in HESSENBERG_RINGS])
+def test_hessenberg_agrees_with_bareiss_and_cofactor(ring, n_max, entry):
+    rng = random.Random(f"hessenberg:{ring.name}")
+    for _ in range(40):
+        m = random_hessenberg(rng, rng.randint(0, n_max), ring, entry)
+        d = det_cofactor(m)
+        assert det_hessenberg(m) == det_bareiss(m) == d
+        assert det(m) == d
+
+
+def test_hessenberg_edge_cases():
+    assert det_hessenberg(Matrix(0, 0, [])) == 1
+    assert det_hessenberg(Matrix(1, 1, [7])) == 7
+    assert det_hessenberg(Matrix(1, 1, [0])) == 0
+    # a zero superdiagonal entry splits the matrix into two diagonal blocks
+    split = Matrix.from_rows([[2, 3, 0, 0], [1, 4, 0, 0], [5, 6, 7, 1], [8, 9, 2, 3]])
+    assert det_hessenberg(split) == det_bareiss(split) == 5 * 19
+    # zero leading minors D_1 and D_2: no pivot is needed
+    singular_lead = Matrix.from_rows([[0, 1, 0, 0], [0, 0, 1, 0], [1, 2, 3, 1], [4, 5, 6, 7]])
+    assert det_hessenberg(singular_lead) == det_cofactor(singular_lead) == 3
+    zero_everywhere = Matrix.from_rows([[0, 0, 0], [0, 0, 0], [1, 1, 1]])
+    assert det_hessenberg(zero_everywhere) == 0
+
+
+@pytest.mark.parametrize("matrix", [
+    pytest.param(lambda: fam.fam_eq1(40), id="eq1-n40"),
+    pytest.param(lambda: fam.fam_eq1b(40), id="eq1b-n40"),
+    # the mod-3 lift of eq107 at c14's largest suite point
+    pytest.param(lambda: Matrix.build(81, 81, lambda i, j: binomial(i + j + 1, i - j + 1) % 3,
+                                      INT), id="eq107-mod3-n81"),
+    pytest.param(lambda: fam.fam_eq92(8, 4), id="eq92-n8-k4"),
+])
+def test_hessenberg_on_largest_family_points(matrix):
+    m = matrix()
+    assert det_hessenberg(m) == det_bareiss(m)
+
+
+def test_det_on_dense_matrices_is_bareiss():
+    rng = random.Random(2024)
+    for _ in range(30):
+        n = rng.randint(3, 6)
+        m = random_int_matrix(rng, n)
+        m = Matrix.build(n, n, lambda i, j: 1 if (i, j) == (0, 2) else m[i, j], INT)
+        assert det(m) == det_bareiss(m)
+    hankel = Matrix.from_rows([[1, 1, 2], [1, 2, 5], [2, 5, 14]])
+    assert det(hankel) == det_bareiss(hankel) == 1
+
+
+def test_hessenberg_rejects_other_matrices():
+    with pytest.raises(ValueError):
+        det_hessenberg(Matrix.from_rows([[1, 0, 1], [0, 1, 0], [0, 0, 1]]))
+    with pytest.raises(ValueError):
+        det_hessenberg(INTRO_4X4.transpose())
+    with pytest.raises(ValueError):
+        det_hessenberg(Matrix(2, 3, [1, 2, 3, 4, 5, 6]))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from catdet import sequences
 from catdet.exact import binomial, gould_product
 from catdet.qseries import ONE, QPoly, QRat, q_binomial, q_int
 from catdet.sequences import (
@@ -111,6 +112,22 @@ def test_lucas_coeffs():
         for j in range(0, n // 2 + 1):
             assert lucas_coeff(n, j) == oracle[n - 2 * j]
     assert lucas_coeff(0, 0) == 1
+
+
+def test_non_integral_closed_form_raises_arithmetic_error(monkeypatch):
+    # a binomial of 1 makes every closed form below a proper fraction; the
+    # check must survive ``python -O``, so it cannot be an ``assert``
+    monkeypatch.setattr(sequences, "binomial", lambda n, k: 1)
+    catalan_power.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="not an integer"):
+            catalan_power(1, 1)
+        with pytest.raises(ArithmeticError, match="not an integer"):
+            ballot(1, 0)
+        with pytest.raises(ArithmeticError, match="not an integer"):
+            lucas_coeff(4, 1)
+    finally:
+        catalan_power.cache_clear()
 
 
 def test_carlitz_values():
