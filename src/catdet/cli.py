@@ -19,9 +19,7 @@ from multiprocessing import Pool
 import catdet.residues  # noqa: F401  (registers the modular checks)
 from catdet import registry
 from catdet.registry import Bounds, CheckResult, check_index
-from catdet.residues import CONJECTURE_IDS, conjecture_search
-
-_CONJECTURE_MODULUS = {"c12": 2, "c13a": 2, "c13b": 2, "c14": 3}
+from catdet.residues import CONJECTURE_IDS, CONJECTURES, conjecture_search
 
 
 def _bounds_from_args(args, fast: bool = False) -> Bounds:
@@ -31,7 +29,6 @@ def _bounds_from_args(args, fast: bool = False) -> Bounds:
         m_max=args.m_max,
         r_max=args.r,
         x_max=args.x,
-        mod=args.mod,
         cases=args.cases,
         seed=args.seed,
         fast=fast,
@@ -61,15 +58,8 @@ def _pool_point(task: tuple[str, dict]) -> CheckResult:
     return registry.run_check(check_id, **params)
 
 
-def _run_ids(ids: list[str], bounds: Bounds, jobs: int, fail_fast: bool
-             ) -> tuple[list[CheckResult], dict[str, float]]:
-    tasks: list[tuple[str, dict]] = []
-    for check_id in ids:
-        check = registry.CHECKS.get(check_id)
-        if check is None:
-            raise KeyError(f"unknown check id: {check_id!r}")
-        for point in check.grid(bounds):
-            tasks.append((check_id, point))
+def _run_tasks(tasks: list[tuple[str, dict]], jobs: int, fail_fast: bool
+               ) -> tuple[list[CheckResult], dict[str, float]]:
     results: list[CheckResult] = []
     per_check: dict[str, float] = {}
     if jobs > 1 and not fail_fast and len(tasks) > 1:
@@ -127,6 +117,10 @@ def _emit(payload: dict, fmt: str, out: str | None) -> None:
         )
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _write(text, out)
+
+
+def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -153,52 +147,47 @@ def _cmd_list(args) -> int:
                 f"| {entry['id']} | {entry['kind']}{tag} | {entry['anchor']} | "
                 f"{', '.join(entry['params'])} |"
             )
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write("\n".join(lines) + "\n", args.out)
     return 0
+
+
+def _run_checks(args, command: str, ids: list[str], bounds: Bounds) -> int:
+    """Run every grid point of ``ids``; an unknown id or an empty grid exits 2."""
+    t0 = time.perf_counter()
+    tasks: list[tuple[str, dict]] = []
+    for check_id in ids:
+        check = registry.CHECKS.get(check_id)
+        if check is None:
+            print(f"unknown check id: {check_id!r}", file=sys.stderr)
+            return 2
+        points = check.grid(bounds)
+        if not points:
+            print(f"empty grid for {check_id}", file=sys.stderr)
+            return 2
+        tasks += [(check_id, point) for point in points]
+    results, per_check = _run_tasks(tasks, args.jobs, args.fail_fast)
+    report = _report(results, _config_json(args, command), per_check,
+                     time.perf_counter() - t0)
+    _emit(report, args.format, args.out)
+    return _exit_code(results)
 
 
 def _cmd_verify(args) -> int:
     if not args.id:
         print("verify requires at least one --id", file=sys.stderr)
         return 2
-    bounds = _bounds_from_args(args)
-    t0 = time.perf_counter()
-    try:
-        results, per_check = _run_ids(args.id, bounds, args.jobs, args.fail_fast)
-    except KeyError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    report = _report(results, _config_json(args, "verify"), per_check,
-                     time.perf_counter() - t0)
-    _emit(report, args.format, args.out)
-    return _exit_code(results)
+    return _run_checks(args, "verify", args.id, _bounds_from_args(args))
 
 
-def _cmd_suite(args, level: str | None = None) -> int:
-    level = level or args.level
-    bounds = _bounds_from_args(args, fast=(level == "fast"))
-    ids = args.id or sorted(registry.CHECKS)
-    t0 = time.perf_counter()
-    try:
-        results, per_check = _run_ids(ids, bounds, args.jobs, args.fail_fast)
-    except KeyError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    report = _report(results, _config_json(args, f"suite:{level}"), per_check,
-                     time.perf_counter() - t0)
-    _emit(report, args.format, args.out)
-    return _exit_code(results)
+def _cmd_suite(args) -> int:
+    bounds = _bounds_from_args(args, fast=(args.level == "fast"))
+    return _run_checks(args, f"suite:{args.level}", args.id or sorted(registry.CHECKS), bounds)
 
 
 def _cmd_conjecture(args) -> int:
     ids = args.id or list(CONJECTURE_IDS)
     if args.mod is not None:
-        ids = [c for c in ids if _CONJECTURE_MODULUS.get(c) == args.mod]
+        ids = [c for c in ids if c in CONJECTURES and CONJECTURES[c].modulus == args.mod]
     bounds = _bounds_from_args(args)
     reports = []
     timings = {}
@@ -261,6 +250,14 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _bound(text: str) -> int:
+    """A grid bound: a non-negative integer (argparse exits 2 on anything else)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="catdet",
@@ -271,14 +268,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--id", action="append", default=None,
                        help="check id (repeatable); see `catdet list`")
-        p.add_argument("--n-max", type=int, default=None, help="max n in the grid")
-        p.add_argument("--k-max", type=int, default=None, help="max k in the grid")
-        p.add_argument("--m-max", type=int, default=None, help="max m in the grid")
-        p.add_argument("--r", type=int, default=None, help="max r in the grid")
-        p.add_argument("--x", type=int, default=None, help="max x in the grid")
+        p.add_argument("--n-max", type=_bound, default=None, help="max n in the grid")
+        p.add_argument("--k-max", type=_bound, default=None, help="max k in the grid")
+        p.add_argument("--m-max", type=_bound, default=None, help="max m in the grid")
+        p.add_argument("--r", type=_bound, default=None, help="max r in the grid")
+        p.add_argument("--x", type=_bound, default=None, help="max x in the grid")
         p.add_argument("--mod", type=int, default=None,
                        help="restrict conjectures to this modulus")
-        p.add_argument("--cases", type=int, default=None,
+        p.add_argument("--cases", type=_bound, default=None,
                        help="number of randomized cases")
         p.add_argument("--jobs", type=int, default=1, help="worker processes")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")

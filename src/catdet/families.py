@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable
 
 from catdet.exact import binomial, choose2
 from catdet.linalg import FRAC, INT, QPOLY, QRAT, Matrix
@@ -565,57 +564,3 @@ def gfun_reversed(n: int, r: int) -> QPoly:
 def carlitz_reversed(n: int) -> QPoly:
     """q^(2 C(n,2)) c_n(1/q): the plain q-binomial determinant value."""
     return carlitz(n).subs_inv_q().shift(4 * choose2(n))
-
-
-# ---------------------------------------------------------------------------
-# string-keyed access to the families, with parameter-domain validation
-# ---------------------------------------------------------------------------
-
-FAMILIES: dict[str, tuple[Callable[..., Matrix], Callable[..., bool]]] = {
-    "eq1": (fam_eq1, lambda n: n >= 0),
-    "eq1b": (fam_eq1b, lambda n: n >= 0),
-    "eq10": (fam_eq10, lambda n, m, x: n >= 0 and m >= 0),
-    "eq27": (fam_eq27, lambda n, k: n >= 0 and k >= 0),
-    "eq34": (fam_eq34, lambda n: n >= 0),
-    "eq35": (fam_eq35, lambda n, x: n >= 0),
-    "eq39": (fam_eq39, lambda n, m: n >= 0),
-    "eq43": (fam_eq43, lambda n: n >= 0),
-    "eq45": (fam_eq45, lambda n, x: n >= 0 and (x >= 1 or x <= -1)),
-    "eq46": (fam_eq46, lambda n, k: n >= 0 and k >= 1),
-    "eq49": (fam_eq49, lambda n, m: 0 <= n <= m),
-    "eq54": (fam_eq54, lambda n, k: n >= 0 and k >= 1),
-    "eq55": (fam_eq55, lambda n, k: n >= 0 and k >= 1),
-    "eq58": (fam_eq58, lambda n, k, r: n >= 0 and k >= 1 and r >= 1),
-    "eq61": (fam_eq61, lambda n, k, r: n >= 0 and k >= 1 and r >= 1),
-    "eq65": (fam_eq65, lambda n, m: n >= 0 and m >= 0),
-    "eq71": (fam_eq71, lambda n, m: n >= 0 and m >= 0),
-    "eq72": (fam_eq72, lambda n, m: n >= 0 and m >= 0),
-    "eq74": (fam_eq74, lambda n, m, k: n >= 0 and m >= 0 and k >= 0),
-    "eq77": (fam_eq77, lambda n: n >= 0),
-    "eq78": (fam_eq78, lambda n: n >= 0),
-    "eq81": (fam_eq81, lambda n, r: n >= 0 and r >= 1),
-    "eq83": (fam_eq83, lambda n: n >= 0),
-    "eq84": (fam_eq84, lambda n: n >= 0),
-    "eq86": (fam_eq86, lambda n, k, shifted: n >= 0 and k >= 1),
-    "eq88": (fam_eq88, lambda n: n >= 0),
-    "eq89": (fam_eq89, lambda n, k: n >= 0 and k >= 1),
-    "eq91": (fam_eq91, lambda n, m, k: n >= 0 and m >= 0 and k >= 0),
-    "eq92": (fam_eq92, lambda n, x: n >= 0 and x >= 1),
-    "sec33": (fam_sec33, lambda n, k: n >= 0 and k >= 1),
-    "remark": (fam_remark, lambda n, m, x: n >= 0 and m >= 0 and x >= 1),
-    "thm11B": (fam_thm11_B, lambda n, x, m: n >= 0 and m >= 0 and x >= 1),
-    "thm11H": (fam_thm11_H, lambda m, x, n: n >= 0 and m >= 0 and x >= 1),
-    "thm15A": (fam_thm15_A, lambda n, m: n >= 0 and m >= 0),
-    "thm15B": (fam_thm15_B, lambda n, m: n >= 0 and m >= 0),
-}
-
-
-def build_matrix(family: str, **params) -> Matrix:
-    """Build a registered matrix family; out-of-domain parameters raise."""
-    try:
-        builder, domain = FAMILIES[family]
-    except KeyError:
-        raise KeyError(f"unknown matrix family: {family!r}") from None
-    if not domain(**params):
-        raise ValueError(f"parameters {params} outside the domain of {family}")
-    return builder(**params)

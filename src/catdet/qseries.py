@@ -368,15 +368,6 @@ class QPoly:
             return total
         raise ValueError("specialize supports only q = 1 and q = -1")
 
-    def eval_fraction(self, value: Fraction) -> Fraction:
-        """Exact evaluation at a nonzero rational point (integral polys only)."""
-        if not self.is_integral:
-            raise ValueError("eval_fraction requires an integral polynomial")
-        total = Fraction(0)
-        for e2, v in self._c.items():
-            total += v * Fraction(value) ** (e2 // 2)
-        return total
-
     # -- display ------------------------------------------------------------
 
     @staticmethod

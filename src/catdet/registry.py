@@ -7,12 +7,18 @@ kind tag, a default parameter grid (a trimmed "fast" grid and the full
 acceptance grid), and a run function that computes both sides exactly and
 compares them structurally.
 
+Most checks are data: a grid is a product of axes (``grid``), "det of family
+= closed form" is one row of ``_DET_CHECKS`` (``det_check``), a null vector is
+one row of ``_NULL_CHECKS``, and an "alternating sum = [n = 0]" runner is one
+call of ``kron_sum``.  The rest are written out below their section headers.
+
 Conjecture checks are tagged; a counterexample there is a reportable
 outcome, never a suite failure.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -87,39 +93,15 @@ class Bounds:
     m_max: int | None = None
     r_max: int | None = None
     x_max: int | None = None
-    mod: int | None = None
     cases: int | None = None
     seed: int = 0
     fast: bool = False
 
-    def n(self, fast_default: int, full_default: int) -> int:
-        if self.n_max is not None:
-            return self.n_max
-        return fast_default if self.fast else full_default
-
-    def k(self, fast_default: int, full_default: int) -> int:
-        if self.k_max is not None:
-            return self.k_max
-        return fast_default if self.fast else full_default
-
-    def m(self, fast_default: int, full_default: int) -> int:
-        if self.m_max is not None:
-            return self.m_max
-        return fast_default if self.fast else full_default
-
-    def r(self, fast_default: int, full_default: int) -> int:
-        if self.r_max is not None:
-            return self.r_max
-        return fast_default if self.fast else full_default
-
-    def x(self, fast_default: int, full_default: int) -> int:
-        if self.x_max is not None:
-            return self.x_max
-        return fast_default if self.fast else full_default
-
-    def case_count(self, fast_default: int, full_default: int) -> int:
-        if self.cases is not None:
-            return self.cases
+    def get(self, field: str, fast_default: int, full_default: int) -> int:
+        """The override in ``field`` if set, else the fast or the full default."""
+        value = getattr(self, field)
+        if value is not None:
+            return value
         return fast_default if self.fast else full_default
 
 
@@ -169,8 +151,6 @@ def register(id: str, anchor: str, kind: str, grid, conjecture: bool = False):
 def fmt_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, Fraction):
-        return str(v)
     return str(v)
 
 
@@ -187,16 +167,6 @@ def run_check(check_id: str, **params) -> CheckResult:
         check_id, dict(params), "pass" if ok else "fail",
         fmt_value(lhs), fmt_value(rhs), elapsed,
     )
-
-
-def run_sum_check(check_id: str, **params) -> CheckResult:
-    """Entry point for the pure summation identities."""
-    check = CHECKS.get(check_id)
-    if check is None:
-        raise KeyError(f"unknown check id: {check_id!r}")
-    if check.kind != "sum":
-        raise ValueError(f"{check_id} is a {check.kind} check, not a sum check")
-    return run_check(check_id, **params)
 
 
 def verify_range(check_id: str, grid: Iterable[dict] | None = None,
@@ -229,66 +199,198 @@ def _sign(parity: int) -> int:
 # grids
 # ---------------------------------------------------------------------------
 
-def _n_grid(fast: int, full: int):
-    def grid(b: Bounds) -> list[dict]:
-        return [{"n": n} for n in range(b.n(fast, full) + 1)]
-    return grid
+# The Bounds field that overrides the maximum of each bounded grid axis.
+AXIS_BOUNDS = {
+    "n": "n_max", "size": "n_max", "i": "n_max", "m_below": "n_max", "limit": "n_max",
+    "k": "k_max", "m": "m_max", "r": "r_max", "x": "x_max", "x2": "x_max",
+    "case": "cases",
+}
+
+# Lower limit of a bounded axis that keeps only its maximum.
+TOP = None
 
 
-def _nk_grid(nf, nF, kf, kF, k_min=1):
-    def grid(b: Bounds) -> list[dict]:
-        return [
-            {"n": n, "k": k}
-            for n in range(b.n(nf, nF) + 1)
-            for k in range(k_min, b.k(kf, kF) + 1)
-        ]
-    return grid
+def grid(**axes) -> Callable[[Bounds], list[dict]]:
+    """The product grid over ``axes``, the first axis outermost.
 
-
-def _nm_grid(nf, nF, mf, mF, m_min=0):
-    def grid(b: Bounds) -> list[dict]:
-        return [
-            {"n": n, "m": m}
-            for n in range(b.n(nf, nF) + 1)
-            for m in range(m_min, b.m(mf, mF) + 1)
-        ]
-    return grid
+    An axis is ``(fast, full)`` or ``(fast, full, lo)``: the values ``lo`` (0
+    when omitted; the maximum itself when ``TOP``) up to the maximum, which is
+    the axis's ``AXIS_BOUNDS`` override, else its fast or full default.  Any
+    other axis is a fixed sequence of values.
+    """
+    def build(b: Bounds) -> list[dict]:
+        values = []
+        for name, axis in axes.items():
+            if isinstance(axis, tuple):
+                fast, full, lo = (axis + (0,))[:3]
+                top = b.get(AXIS_BOUNDS[name], fast, full)
+                axis = range(top if lo is TOP else lo, top + 1)
+            values.append(axis)
+        return [dict(zip(axes, point)) for point in itertools.product(*values)]
+    return build
 
 
 def _cases_grid(fast: int, full: int):
-    def grid(b: Bounds) -> list[dict]:
-        return [{"case": c, "seed": b.seed} for c in range(b.case_count(fast, full))]
-    return grid
+    def build(b: Bounds) -> list[dict]:
+        return [{"case": c, "seed": b.seed} for c in range(b.get("cases", fast, full))]
+    return build
+
+
+# ---------------------------------------------------------------------------
+# the common shapes: det of family = closed form, alternating sums, null vectors
+# ---------------------------------------------------------------------------
+
+def det_check(id: str, anchor: str, grid, family, closed_form, wrap=None,
+              kind: str = "det") -> Check:
+    """``det(family(**p))``, passed through ``wrap``, equals ``closed_form(**p)``.
+
+    ``family`` and ``closed_form`` take the grid point's parameters.  They are
+    lambdas that look up module names when called, so that rebinding a module
+    attribute (as a tracer does) reaches them.
+    """
+    def run(**params):
+        lhs = det(family(**params))
+        if wrap is not None:
+            lhs = wrap(lhs)
+        rhs = closed_form(**params)
+        return lhs == rhs, lhs, rhs
+    return Check(id, anchor, kind, grid, run)
+
+
+def alternating_sum(n: int, term: Callable[[int], object], by_j: bool = False):
+    """sum_(j=0..n) (-1)^(n-j) term(j); the sign is (-1)^j with ``by_j``.
+
+    The sum starts from the int 0, which renders as "0" in every ring.
+    """
+    total = 0
+    for j in range(n + 1):
+        t = term(j)
+        total = total + (t if (j if by_j else n - j) % 2 == 0 else -t)
+    return total
+
+
+def kron_sum(n: int, term: Callable[[int], object], by_j: bool = False):
+    """Check that ``alternating_sum(n, term, by_j)`` is [n = 0]."""
+    total = alternating_sum(n, term, by_j)
+    rhs = kron(n == 0)
+    return total == rhs, total, rhs
+
+
+def null_check(id: str, anchor: str, grid, matrix, vector) -> Check:
+    """``matrix(n, m)`` times ``vector(n, m)`` is the zero vector."""
+    def run(n: int, m: int):
+        vec = vector(n, m)
+        out = matvec(matrix(n, m), vec)
+        return all(v == 0 for v in out), out, [0] * n
+    return Check(id, anchor, "nullspace", grid, run)
+
+
+def _at_q(qm: Matrix, value: int) -> Matrix:
+    """Entry-wise specialization at q = value: q-polynomial entries become integers."""
+    ring = INT if qm.ring is QPOLY else FRAC
+    return Matrix(qm.nrows, qm.ncols, [v.specialize(value) for v in qm.data], ring)
+
+
+def _random_krattenthaler_case(seed: int, case: int) -> tuple[list[int], int]:
+    rng = random.Random(f"{seed}:{case}")
+    n = rng.randint(1, 4)
+    L = sorted(rng.sample(range(0, 9), n), reverse=True)
+    A = 2 * n + rng.randint(0, 4)
+    return L, A
+
+
+def _eq35_grid(b: Bounds) -> list[dict]:
+    out = []
+    for n in range(b.get("n_max", 5, 6) + 1):
+        span = b.get("x_max", 2 * n + 2, 2 * n + 2)
+        for x in range(-span, span + 1):
+            out.append({"n": n, "x": x})
+    return out
+
+
+_DET_CHECKS = (
+    det_check("eq1", "1 (1)", grid(n=(12, 40)),
+              lambda n: fam.fam_eq1(n), lambda n: catalan(n)),
+    det_check("eq1b", "1 (1)", grid(n=(12, 40)),
+              lambda n: fam.fam_eq1b(n), lambda n: catalan(n)),
+    det_check("eq35", "2.1.1 (35)", _eq35_grid,
+              lambda n, x: fam.fam_eq35(n, x), lambda n, x: gould_product(n, x, 2)),
+    det_check("eq43", "2.1.1 (43)", grid(n=(10, 10)),
+              lambda n: fam.fam_eq43(n), lambda n: binomial(2 * n, n)),
+    det_check("eq45", "2.1.1 (45)", grid(n=(10, 10), k=(6, 6, 1)),
+              lambda n, k: fam.fam_eq45(n, k), lambda n, k: binomial(2 * n + k - 1, n)),
+    det_check("eq46", "2.1.1 (46)", grid(n=(10, 10), k=(6, 6, 1)),
+              lambda n, k: fam.fam_eq46(n, k), lambda n, k: binomial(2 * n + k - 1, n)),
+    det_check("eq54", "2.1.2 (54); also (3), (32)", grid(n=(10, 20), k=(4, 8, 1)),
+              lambda n, k: fam.fam_eq54(n, k), lambda n, k: catalan_power(n, k)),
+    det_check("eq55", "2.1.2 (55); also (3), (33)", grid(n=(10, 20), k=(4, 8, 1)),
+              lambda n, k: fam.fam_eq55(n, k), lambda n, k: catalan_power(n, k)),
+    det_check("eq58", "2.1.2 (58)", grid(n=(6, 6), k=(4, 4, 1), r=(4, 4, 1)),
+              lambda n, k, r: fam.fam_eq58(n, k, r),
+              lambda n, k, r: F(k, r * n + k) * binomial(r * n + k, n)),
+    det_check("eq61", "2.1.2 (61)", grid(n=(6, 6), k=(4, 4, 1), r=(4, 4, 1)),
+              lambda n, k, r: fam.fam_eq61(n, k, r),
+              lambda n, k, r: F(k, r * n + k) * binomial(r * n + k, n)),
+    det_check("eq63", "2.2 Lemma 3 (63)", _cases_grid(8, 16),
+              lambda case, seed=0: fam.fam_q_krattenthaler(
+                  *_random_krattenthaler_case(seed, case)),
+              lambda case, seed=0: fam.q_krattenthaler_lemma_rhs(
+                  *_random_krattenthaler_case(seed, case)),
+              wrap=QRat),
+    det_check("eq64", "2.2 Lemma 3 (64)", _cases_grid(8, 16),
+              lambda case, seed=0: fam.fam_krattenthaler(
+                  *_random_krattenthaler_case(seed, case)),
+              lambda case, seed=0: fam.krattenthaler_lemma_rhs(
+                  *_random_krattenthaler_case(seed, case))),
+    det_check("eq67", "2.2 (67)", grid(n=(8, 12), m=(4, 6)),
+              lambda n, m: fam.catalan_hankel(n, m),
+              lambda n, m: fam.catalan_hankel_product(n, m), kind="closed-form"),
+    det_check("eq71", "2.2 (71)", grid(n=(5, 6), m=(4, 5)),
+              lambda n, m: fam.fam_eq71(n, m), lambda n, m: ONE),
+    det_check("eq73", "2.2 (73)", grid(n=(6, 8), m=(4, 5)),
+              lambda n, m: fam.hilbert_hankel(n, m),
+              lambda n, m: fam.hilbert_hankel_product(n, m), kind="closed-form"),
+    det_check("eq27", "2.1.1 (27)", grid(n=(5, 6), k=(4, 4, 0)),
+              lambda n, k: fam.fam_eq27(n, k), lambda n, k: q_binomial(n + k, k)),
+    det_check("eq77", "3.1 (77)", grid(n=(6, 8)),
+              lambda n: fam.fam_eq77(n), lambda n: carlitz(n)),
+    det_check("eq78", "3.1 (78)", grid(n=(6, 9)),
+              lambda n: fam.fam_eq78(n), lambda n: fam.carlitz_reversed(n)),
+    # the entry-wise q = -1 specialization of the Carlitz matrix family
+    det_check("eq79", "3.1 (79)", grid(size=(7, 9)),
+              lambda size: _at_q(fam.fam_eq77(size), -1),
+              lambda size: kron(size == 0) if size % 2 == 0
+              else _sign(size // 2) * catalan(size // 2)),
+    det_check("eq81", "3.1 (81)", grid(n=(5, 6), r=(4, 4, 1)),
+              lambda n, r: fam.fam_eq81(n, r), lambda n, r: fam.gfun_reversed(n, r)),
+    det_check("eq83", "3.2 (83)", grid(n=(6, 8)),
+              lambda n: fam.fam_eq83(n), lambda n: q_catalan(n)),
+    det_check("eq84", "3.2 (84)", grid(n=(6, 8)),
+              lambda n: fam.fam_eq84(n), lambda n: q_catalan(n)),
+    det_check("eq85", "3.2 (85)", grid(size=(8, 10)),
+              lambda size: _at_q(fam.fam_eq84(size), -1),
+              lambda size: binomial(size, size // 2)),
+    det_check("eq89", "3.2 Theorem 8 (89); also (8)", grid(n=(5, 6), k=(4, 4, 1)),
+              lambda n, k: fam.fam_eq89(n, k), lambda n, k: andrews_c(n, k)),
+    det_check("eq92", "3.2 (92)", grid(n=(6, 8), k=(4, 4, 1)),
+              lambda n, k: fam.fam_eq92(n, k),
+              lambda n, k: QRat(q_binomial(2 * n + k - 1, n))),
+    det_check("sec33det", "3.3 unnumbered det", grid(n=(4, 5), k=(4, 4, 1)),
+              lambda n, k: fam.fam_sec33(n, k), lambda n, k: fam.sec33_rhs(n, k)),
+)
+CHECKS.update((check.id, check) for check in _DET_CHECKS)
 
 
 # ---------------------------------------------------------------------------
 # section 1 and 2 checks: Catalan matrices and their relatives
 # ---------------------------------------------------------------------------
 
-@register("eq1", "1 (1)", "det", _n_grid(12, 40))
-def _eq1(n: int):
-    lhs = det(fam.fam_eq1(n))
-    rhs = catalan(n)
-    return lhs == rhs, lhs, rhs
-
-
-@register("eq1b", "1 (1)", "det", _n_grid(12, 40))
-def _eq1b(n: int):
-    lhs = det(fam.fam_eq1b(n))
-    rhs = catalan(n)
-    return lhs == rhs, lhs, rhs
-
-
-@register("eq2", "1 (2)", "sum", _n_grid(20, 60))
+@register("eq2", "1 (2)", "sum", grid(n=(20, 60)))
 def _eq2(n: int):
-    lhs = sum(
-        _sign(n - j) * binomial(n + j, n - j) * catalan(j) for j in range(n + 1)
-    )
-    rhs = kron(n == 0)
-    return lhs == rhs, lhs, rhs
+    return kron_sum(n, lambda j: binomial(n + j, n - j) * catalan(j))
 
 
-@register("eq4", "1 (4)", "closed-form", _nk_grid(8, 10, 5, 6))
+@register("eq4", "1 (4)", "closed-form", grid(n=(8, 10), k=(5, 6, 1)))
 def _eq4(n: int, k: int):
     a = catalan_power(n, k)
     b = F(k, n + k) * binomial(2 * n + k - 1, n)
@@ -296,100 +398,60 @@ def _eq4(n: int, k: int):
     return a == b == c, a, f"{b}; {c}"
 
 
-@register("eq30", "2.1.1 (30)", "sum", _nk_grid(12, 12, 12, 12))
+@register("eq30", "2.1.1 (30)", "sum", grid(n=(12, 12), k=(12, 12, 1)))
 def _eq30(n: int, k: int):
     lhs = catalan_power(n, k)
     rhs = catalan_power(n, k - 1) + catalan_power(n - 1, k + 1)
     return lhs == rhs, lhs, rhs
 
 
-@register("eq31", "2.1.1 (31)", "sum", _nk_grid(10, 12, 5, 6, k_min=0))
+@register("eq31", "2.1.1 (31)", "sum", grid(n=(10, 12), k=(5, 6, 0)))
 def _eq31(n: int, k: int):
-    lhs = sum(
-        _sign(n - j) * binomial(n + k + j, n - j) * catalan_power(j, k + 1)
-        for j in range(n + 1)
-    )
-    rhs = kron(n == 0)
-    return lhs == rhs, lhs, rhs
+    return kron_sum(n, lambda j: binomial(n + k + j, n - j) * catalan_power(j, k + 1))
 
 
-@register("eq33", "2.1.1 (33)", "sum", _nk_grid(10, 12, 5, 6, k_min=0))
+@register("eq33", "2.1.1 (33)", "sum", grid(n=(10, 12), k=(5, 6, 0)))
 def _eq33(n: int, k: int):
-    lhs = sum(
-        _sign(n - j) * binomial(k + 1 + j, n - j) * catalan_power(j, k + 1)
-        for j in range(n + 1)
-    )
-    rhs = kron(n == 0)
-    return lhs == rhs, lhs, rhs
+    return kron_sum(n, lambda j: binomial(k + 1 + j, n - j) * catalan_power(j, k + 1))
 
 
-@register("eq34", "2.1.1 (34)", "inverse",
-          lambda b: [{"size": b.n(8, 12)}])
+@register("eq34", "2.1.1 (34)", "inverse", grid(size=(8, 12, TOP)))
 def _eq34(size: int):
     inv = inverse(fam.fam_eq34(size))
     expected = Matrix.build(size, size, lambda i, j: F(ballot(i, j)), FRAC)
     return inv == expected, "inverse of signed binomial matrix", "ballot triangle"
 
 
-def _eq35_grid(b: Bounds) -> list[dict]:
-    out = []
-    for n in range(b.n(5, 6) + 1):
-        span = b.x(2 * n + 2, 2 * n + 2)
-        for x in range(-span, span + 1):
-            out.append({"n": n, "x": x})
-    return out
+def _null_grid(n_lo: int, m_offset: int):
+    """n from ``n_lo`` up to the bound, and m from n + ``m_offset`` to 2n - 1."""
+    def build(b: Bounds) -> list[dict]:
+        return [
+            {"n": n, "m": m}
+            for n in range(n_lo, b.get("n_max", 6, 8) + 1)
+            for m in range(n + m_offset, 2 * n)
+        ]
+    return build
 
 
-@register("eq35", "2.1.1 (35)", "det", _eq35_grid)
-def _eq35(n: int, x: int):
-    lhs = det(fam.fam_eq35(n, x))
-    rhs = gould_product(n, x, 2)
-    return lhs == rhs, lhs, rhs
+_NULL_CHECKS = (
+    null_check("eq36", "2.1.1 (36)/(37)", _null_grid(2, 1),
+               lambda n, m: fam.fam_eq35(n, -m),
+               lambda n, m: [lucas_value(m, j) for j in range(n)]),
+    null_check("eq39", "2.1.1 (39)", _null_grid(2, 1),
+               lambda n, m: fam.fam_eq39(n, m),
+               lambda n, m: [lucas_value(m, j) for j in range(n)]),
+    null_check("eq47", "2.1.1 (47)/(48)", _null_grid(1, 0),
+               lambda n, m: fam.fam_eq45(n, -m),
+               lambda n, m: [binomial(m - j, j) for j in range(n)]),
+    null_check("eq49", "2.1.1 (49)", _null_grid(1, 0),
+               lambda n, m: fam.fam_eq49(n, m),
+               lambda n, m: [binomial(m - j, j) for j in range(n)]),
+)
+CHECKS.update((check.id, check) for check in _NULL_CHECKS)
 
 
-def _null_grid_a(b: Bounds) -> list[dict]:
-    return [
-        {"n": n, "m": m}
-        for n in range(2, b.n(6, 8) + 1)
-        for m in range(n + 1, 2 * n)
-    ]
-
-
-def _null_grid_b(b: Bounds) -> list[dict]:
-    return [
-        {"n": n, "m": m}
-        for n in range(1, b.n(6, 8) + 1)
-        for m in range(n, 2 * n)
-    ]
-
-
-@register("eq36", "2.1.1 (36)/(37)", "nullspace", _null_grid_a)
-def _eq36(n: int, m: int):
-    vec = [lucas_value(m, j) for j in range(n)]
-    out = matvec(fam.fam_eq35(n, -m), vec)
-    return all(v == 0 for v in out), out, [0] * n
-
-
-@register("eq39", "2.1.1 (39)", "nullspace", _null_grid_a)
-def _eq39(n: int, m: int):
-    vec = [lucas_value(m, j) for j in range(n)]
-    out = matvec(fam.fam_eq39(n, m), vec)
-    return all(v == 0 for v in out), out, [0] * n
-
-
-def _eq38_grid(b: Bounds) -> list[dict]:
-    n_hi = b.n(4, 6)
-    r_hi = b.r(3, 4)
-    return [
-        {"n": n, "r": r, "s": s, "t": t}
-        for n in range(n_hi + 1)
-        for r in range(1, r_hi + 1)
-        for s in range(0, 5)
-        for t in range(-2, 4)
-    ]
-
-
-@register("eq38", "2.1.1 (38)", "sum", _eq38_grid)
+@register("eq38", "2.1.1 (38)", "sum",
+          grid(n=(4, 6), r=(3, 4, 1), s=range(0, 5), t=range(-2, 4)))
 def _eq38(n: int, r: int, s: int, t: int):
     lhs = sum(
         gould_product(j, r, t) * binomial(s + t * n - t * j, n - j)
@@ -399,7 +461,7 @@ def _eq38(n: int, r: int, s: int, t: int):
     return lhs == rhs, lhs, rhs
 
 
-@register("eq42", "2.1.1 (42)", "sum", _n_grid(10, 10))
+@register("eq42", "2.1.1 (42)", "sum", grid(n=(10, 10)))
 def _eq42(n: int):
     acc = [0] * (n + 1)
     for k in range(n // 2 + 1):
@@ -411,226 +473,66 @@ def _eq42(n: int):
     return acc == rhs, acc, rhs
 
 
-@register("eq43", "2.1.1 (43)", "det", _n_grid(10, 10))
-def _eq43(n: int):
-    lhs = det(fam.fam_eq43(n))
-    rhs = binomial(2 * n, n)
-    return lhs == rhs, lhs, rhs
-
-
-@register("eq44", "2.1.1 (44)", "sum", _nk_grid(10, 10, 6, 6))
+@register("eq44", "2.1.1 (44)", "sum", grid(n=(10, 10), k=(6, 6, 1)))
 def _eq44(n: int, k: int):
-    lhs = sum(
-        F(_sign(n - j) * (2 * n + k), n + k + j)
-        * binomial(n + k + j, n - j)
-        * binomial(2 * j + k, j)
-        for j in range(n + 1)
-    )
-    rhs = kron(n == 0)
-    return lhs == rhs, lhs, rhs
+    return kron_sum(n, lambda j: F(2 * n + k, n + k + j) * binomial(n + k + j, n - j)
+                    * binomial(2 * j + k, j))
 
 
-@register("eq45", "2.1.1 (45)", "det", _nk_grid(10, 10, 6, 6))
-def _eq45(n: int, k: int):
-    lhs = det(fam.fam_eq45(n, k))
-    rhs = binomial(2 * n + k - 1, n)
-    return lhs == rhs, lhs, rhs
-
-
-@register("eq46", "2.1.1 (46)", "det", _nk_grid(10, 10, 6, 6))
-def _eq46(n: int, k: int):
-    lhs = det(fam.fam_eq46(n, k))
-    rhs = binomial(2 * n + k - 1, n)
-    return lhs == rhs, lhs, rhs
-
-
-@register("eq47", "2.1.1 (47)/(48)", "nullspace", _null_grid_b)
-def _eq47(n: int, m: int):
-    vec = [binomial(m - j, j) for j in range(n)]
-    out = matvec(fam.fam_eq45(n, -m), vec)
-    return all(v == 0 for v in out), out, [0] * n
-
-
-@register("eq49", "2.1.1 (49)", "nullspace", _null_grid_b)
-def _eq49(n: int, m: int):
-    vec = [binomial(m - j, j) for j in range(n)]
-    out = matvec(fam.fam_eq49(n, m), vec)
-    return all(v == 0 for v in out), out, [0] * n
-
-
-def _x_grid(b: Bounds, n_pair=(8, 10), lo=-5, hi=8, **extra):
-    out = []
-    for n in range(b.n(*n_pair) + 1):
-        for x in range(lo, hi + 1):
-            out.append({"n": n, "x": x, **extra})
-    return out
-
-
-@register("eq52", "2.1.2 (52)", "sum", lambda b: _x_grid(b))
+@register("eq52", "2.1.2 (52)", "sum", grid(n=(8, 10), x=range(-5, 9)))
 def _eq52(n: int, x: int):
-    lhs = sum(
-        _sign(n - j) * binomial(n + j, n - j) * gould_product(j, x, 2)
-        for j in range(n + 1)
-    )
+    lhs = alternating_sum(n, lambda j: binomial(n + j, n - j) * gould_product(j, x, 2))
     rhs = binomial(x - 1, n)
     return lhs == rhs, lhs, rhs
 
 
-def _eq53_grid(b: Bounds) -> list[dict]:
-    return [
-        {"n": n, "k": k, "x": x}
-        for n in range(b.n(6, 8) + 1)
-        for k in range(1, b.k(4, 5) + 1)
-        for x in range(-4, 7)
-    ]
-
-
-@register("eq53", "2.1.2 (53)", "sum", _eq53_grid)
+@register("eq53", "2.1.2 (53)", "sum", grid(n=(6, 8), k=(4, 5, 1), x=range(-4, 7)))
 def _eq53(n: int, k: int, x: int):
-    lhs = sum(
-        _sign(n - j) * binomial(n + j + k - 1, n - j) * gould_product(j, x, 2)
-        for j in range(n + 1)
-    )
+    lhs = alternating_sum(n, lambda j: binomial(n + j + k - 1, n - j) * gould_product(j, x, 2))
     rhs = binomial(x - k, n)
     return lhs == rhs, lhs, rhs
 
 
-@register("eq54", "2.1.2 (54); also (3), (32)", "det", _nk_grid(10, 20, 4, 8))
-def _eq54(n: int, k: int):
-    lhs = det(fam.fam_eq54(n, k))
-    rhs = catalan_power(n, k)
-    return lhs == rhs, lhs, rhs
-
-
-@register("eq55", "2.1.2 (55); also (3), (33)", "det", _nk_grid(10, 20, 4, 8))
-def _eq55(n: int, k: int):
-    lhs = det(fam.fam_eq55(n, k))
-    rhs = catalan_power(n, k)
-    return lhs == rhs, lhs, rhs
-
-
-def _eq56_grid(b: Bounds) -> list[dict]:
-    return [
-        {"n": n, "k": k, "r": r, "x": x}
-        for n in range(b.n(5, 6) + 1)
-        for k in range(1, b.k(3, 4) + 1)
-        for r in range(1, b.r(3, 4) + 1)
-        for x in range(-3, 6)
-    ]
-
-
-@register("eq56", "2.1.2 (56)", "sum", _eq56_grid)
+@register("eq56", "2.1.2 (56)", "sum",
+          grid(n=(5, 6), k=(3, 4, 1), r=(3, 4, 1), x=range(-3, 6)))
 def _eq56(n: int, k: int, r: int, x: int):
-    lhs = sum(
-        _sign(n - j) * binomial(n + (r - 1) * j + k - 1, n - j) * gould_product(j, x, r)
-        for j in range(n + 1)
-    )
+    lhs = alternating_sum(n, lambda j: binomial(n + (r - 1) * j + k - 1, n - j)
+                          * gould_product(j, x, r))
     rhs = binomial(x - k, n)
     return lhs == rhs, lhs, rhs
 
 
-def _nkr_grid(nf, nF, kf, kF, rf, rF):
-    def grid(b: Bounds) -> list[dict]:
-        return [
-            {"n": n, "k": k, "r": r}
-            for n in range(b.n(nf, nF) + 1)
-            for k in range(1, b.k(kf, kF) + 1)
-            for r in range(1, b.r(rf, rF) + 1)
-        ]
-    return grid
-
-
-@register("eq57", "2.1.2 (57)", "sum", _nkr_grid(8, 9, 4, 4, 4, 4))
+@register("eq57", "2.1.2 (57)", "sum", grid(n=(8, 9), k=(4, 4, 1), r=(4, 4, 1)))
 def _eq57(n: int, k: int, r: int):
-    lhs = sum(
-        _sign(n - j) * binomial(n + (r - 1) * j + k - 1, n - j) * gould_product(j, k, r)
-        for j in range(n + 1)
-    )
-    rhs = kron(n == 0)
-    return lhs == rhs, lhs, rhs
+    return kron_sum(n, lambda j: binomial(n + (r - 1) * j + k - 1, n - j)
+                    * gould_product(j, k, r))
 
 
-@register("eq58", "2.1.2 (58)", "det", _nkr_grid(6, 6, 4, 4, 4, 4))
-def _eq58(n: int, k: int, r: int):
-    lhs = det(fam.fam_eq58(n, k, r))
-    rhs = F(k, r * n + k) * binomial(r * n + k, n)
-    return lhs == rhs, lhs, rhs
-
-
-def _eq59_grid(b: Bounds) -> list[dict]:
-    return [
-        {"n": n, "r": r, "alpha": a, "gamma": g}
-        for n in range(b.n(5, 6) + 1)
-        for r in range(1, b.r(3, 3) + 1)
-        for a in range(0, 6)
-        for g in range(1, 6)
-    ]
-
-
-@register("eq59", "2.1.2 (59)", "sum", _eq59_grid)
+@register("eq59", "2.1.2 (59)", "sum",
+          grid(n=(5, 6), r=(3, 3, 1), alpha=range(0, 6), gamma=range(1, 6)))
 def _eq59(n: int, r: int, alpha: int, gamma: int):
-    lhs = sum(
-        _sign(n - j) * binomial((r - 1) * j + alpha, n - j) * gould_product(j, gamma, r)
-        for j in range(n + 1)
-    )
+    lhs = alternating_sum(n, lambda j: binomial((r - 1) * j + alpha, n - j)
+                          * gould_product(j, gamma, r))
     rhs = _sign(n) * binomial(alpha - gamma, n)
     return lhs == rhs, lhs, rhs
 
 
-@register("eq60", "2.1.2 (60)", "sum", _nkr_grid(7, 8, 4, 4, 4, 4))
+@register("eq60", "2.1.2 (60)", "sum", grid(n=(7, 8), k=(4, 4, 1), r=(4, 4, 1)))
 def _eq60(n: int, k: int, r: int):
-    lhs = sum(
-        _sign(n - j) * binomial((r - 1) * j + k, n - j) * gould_product(j, k, r)
-        for j in range(n + 1)
-    )
-    rhs = kron(n == 0)
-    return lhs == rhs, lhs, rhs
+    return kron_sum(n, lambda j: binomial((r - 1) * j + k, n - j) * gould_product(j, k, r))
 
 
-@register("eq61", "2.1.2 (61)", "det", _nkr_grid(6, 6, 4, 4, 4, 4))
-def _eq61(n: int, k: int, r: int):
-    lhs = det(fam.fam_eq61(n, k, r))
-    rhs = F(k, r * n + k) * binomial(r * n + k, n)
-    return lhs == rhs, lhs, rhs
-
-
-@register("eq62", "2.1.3 (62)", "sum", _n_grid(20, 60))
+@register("eq62", "2.1.3 (62)", "sum", grid(n=(20, 60)))
 def _eq62(n: int):
     # the rewritten finite chain: sum_j (-1)^j C(2n-j, j) C_(n-j) = [n=0]
-    lhs = sum(_sign(j) * binomial(2 * n - j, j) * catalan(n - j) for j in range(n + 1))
-    rhs = kron(n == 0)
-    return lhs == rhs, lhs, rhs
+    return kron_sum(n, lambda j: binomial(2 * n - j, j) * catalan(n - j), by_j=True)
 
 
 # ---------------------------------------------------------------------------
 # section 2.2: Krattenthaler route, Hankel bridges, condensation
 # ---------------------------------------------------------------------------
 
-def _random_krattenthaler_case(seed: int, case: int) -> tuple[list[int], int]:
-    rng = random.Random(f"{seed}:{case}")
-    n = rng.randint(1, 4)
-    L = sorted(rng.sample(range(0, 9), n), reverse=True)
-    A = 2 * n + rng.randint(0, 4)
-    return L, A
-
-
-@register("eq63", "2.2 Lemma 3 (63)", "det", _cases_grid(8, 16))
-def _eq63(case: int, seed: int = 0):
-    L, A = _random_krattenthaler_case(seed, case)
-    lhs = QRat(det(fam.fam_q_krattenthaler(L, A)))
-    rhs = fam.q_krattenthaler_lemma_rhs(L, A)
-    return lhs == rhs, lhs, rhs
-
-
-@register("eq64", "2.2 Lemma 3 (64)", "det", _cases_grid(8, 16))
-def _eq64(case: int, seed: int = 0):
-    L, A = _random_krattenthaler_case(seed, case)
-    lhs = det(fam.fam_krattenthaler(L, A))
-    rhs = fam.krattenthaler_lemma_rhs(L, A)
-    return lhs == rhs, lhs, rhs
-
-
-@register("eq65", "2.2 Theorem 4 (65); also (5)", "bridge", _nm_grid(8, 12, 4, 6))
+@register("eq65", "2.2 Theorem 4 (65); also (5)", "bridge", grid(n=(8, 12), m=(4, 6)))
 def _eq65(n: int, m: int):
     d = det(fam.fam_eq65(n, m))
     h = det(fam.catalan_hankel(n, m))
@@ -640,20 +542,7 @@ def _eq65(n: int, m: int):
     return ok, d, f"{h}; {p1}; {p2}"
 
 
-@register("eq67", "2.2 (67)", "closed-form", _nm_grid(8, 12, 4, 6))
-def _eq67(n: int, m: int):
-    lhs = det(fam.catalan_hankel(n, m))
-    rhs = fam.catalan_hankel_product(n, m)
-    return lhs == rhs, lhs, rhs
-
-
-@register("eq71", "2.2 (71)", "det", _nm_grid(5, 6, 4, 5))
-def _eq71(n: int, m: int):
-    lhs = det(fam.fam_eq71(n, m))
-    return lhs == ONE, lhs, ONE
-
-
-@register("eq72", "2.2 (72)", "bridge", _nm_grid(6, 8, 4, 5))
+@register("eq72", "2.2 (72)", "bridge", grid(n=(6, 8), m=(4, 5)))
 def _eq72(n: int, m: int):
     lhs = det(fam.fam_eq72(n, m))
     h0 = det(fam.hilbert_hankel(0, m))
@@ -662,25 +551,8 @@ def _eq72(n: int, m: int):
     return ok, lhs, hn / h0
 
 
-@register("eq73", "2.2 (73)", "closed-form", _nm_grid(6, 8, 4, 5))
-def _eq73(n: int, m: int):
-    lhs = det(fam.hilbert_hankel(n, m))
-    rhs = fam.hilbert_hankel_product(n, m)
-    return lhs == rhs, lhs, rhs
-
-
-def _nmk_grid(nf, nF, mf, mF, kf, kF, m_min=0, k_min=0, n_min=0):
-    def grid(b: Bounds) -> list[dict]:
-        return [
-            {"n": n, "m": m, "k": k}
-            for n in range(n_min, b.n(nf, nF) + 1)
-            for m in range(m_min, b.m(mf, mF) + 1)
-            for k in range(k_min, b.k(kf, kF) + 1)
-        ]
-    return grid
-
-
-@register("eq74", "2.2 Theorem 6 (74); also (9)", "bridge", _nmk_grid(6, 10, 3, 4, 3, 4))
+@register("eq74", "2.2 Theorem 6 (74); also (9)", "bridge",
+          grid(n=(6, 10), m=(3, 4), k=(3, 4)))
 def _eq74(n: int, m: int, k: int):
     d1 = det(fam.fam_eq74(n, m, k))
     d2 = det(fam.fam_eq74_reversed(n, m, k))
@@ -690,15 +562,14 @@ def _eq74(n: int, m: int, k: int):
     return ok, d1, f"{d2}; {d3}; {p}"
 
 
-@register("eq75", "2.2 (75)", "closed-form", _nk_grid(10, 12, 5, 6, k_min=0))
+@register("eq75", "2.2 (75)", "closed-form", grid(n=(10, 12), k=(5, 6, 0)))
 def _eq75(n: int, k: int):
     prod = fam.krattenthaler_rhs_product(n, 1, k)
     ok = prod == catalan_power(n, k + 1) and fam.v_ratio(max(n, 1), 0, k) == 1
     return ok, prod, catalan_power(n, k + 1)
 
 
-@register("eq76", "2.2 (76)", "recurrence",
-          _nmk_grid(5, 10, 4, 4, 3, 4, m_min=2, n_min=1))
+@register("eq76", "2.2 (76)", "recurrence", grid(n=(5, 10, 1), m=(4, 4, 2), k=(3, 4)))
 def _eq76(n: int, m: int, k: int):
     def M(mm, nn, kk):
         return det_condensation(fam.catalan_power_hankel(nn, mm, kk))
@@ -708,16 +579,7 @@ def _eq76(n: int, m: int, k: int):
     return lhs == rhs, lhs, rhs
 
 
-def _eq10_grid(b: Bounds) -> list[dict]:
-    return [
-        {"n": n, "m": m, "x": x}
-        for n in range(b.n(4, 5) + 1)
-        for m in range(b.m(3, 3) + 1)
-        for x in range(1, b.x(4, 4) + 1)
-    ]
-
-
-@register("eq10", "1 (10)", "bridge", _eq10_grid)
+@register("eq10", "1 (10)", "bridge", grid(n=(4, 5), m=(3, 3), x=(4, 4, 1)))
 def _eq10(n: int, m: int, x: int):
     d1 = det(fam.fam_eq10(n, m, x))
     d2 = det(fam.fam_eq10_rhs(n, m, x))
@@ -728,95 +590,13 @@ def _eq10(n: int, m: int, x: int):
 # section 3: q-analogues
 # ---------------------------------------------------------------------------
 
-@register("eq27", "2.1.1 (27)", "det", _nk_grid(5, 6, 4, 4, k_min=0))
-def _eq27(n: int, k: int):
-    lhs = det(fam.fam_eq27(n, k))
-    rhs = q_binomial(n + k, k)
-    return lhs == rhs, lhs, rhs
-
-
-@register("eq77", "3.1 (77)", "det", _n_grid(6, 8))
-def _eq77(n: int):
-    lhs = det(fam.fam_eq77(n))
-    rhs = carlitz(n)
-    return lhs == rhs, lhs, rhs
-
-
-@register("eq78", "3.1 (78)", "det", _n_grid(6, 9))
-def _eq78(n: int):
-    lhs = det(fam.fam_eq78(n))
-    rhs = fam.carlitz_reversed(n)
-    return lhs == rhs, lhs, rhs
-
-
-@register("eq79", "3.1 (79)", "det", lambda b: [{"size": s} for s in range(b.n(7, 9) + 1)])
-def _eq79(size: int):
-    # entry-wise q = -1 specialization of the Carlitz matrix family
-    qm = fam.fam_eq77(size)
-    m = Matrix(size, size, [v.specialize(-1) for v in qm.data], INT)
-    lhs = det(m)
-    if size % 2 == 0:
-        rhs = kron(size == 0)
-    else:
-        half = size // 2
-        rhs = _sign(half) * catalan(half)
-    return lhs == rhs, lhs, rhs
-
-
-def _nr_grid(nf, nF, rf, rF):
-    def grid(b: Bounds) -> list[dict]:
-        return [
-            {"n": n, "r": r}
-            for n in range(b.n(nf, nF) + 1)
-            for r in range(1, b.r(rf, rF) + 1)
-        ]
-    return grid
-
-
-@register("eq80", "3.1 (80)", "sum", _nr_grid(5, 6, 4, 4))
+@register("eq80", "3.1 (80)", "sum", grid(n=(5, 6), r=(4, 4, 1)))
 def _eq80(n: int, r: int):
-    total = QPoly.const(0)
-    for j in range(n + 1):
-        t = (
-            q_binomial((r - 1) * j + 1, n - j).shift(2 * choose2(n - j))
-            * fam.gfun_reversed(j, r)
-        )
-        total = total + (t if (n - j) % 2 == 0 else -t)
-    rhs = QPoly.const(kron(n == 0))
-    return total == rhs, total, rhs
+    return kron_sum(n, lambda j: q_binomial((r - 1) * j + 1, n - j).shift(2 * choose2(n - j))
+                    * fam.gfun_reversed(j, r))
 
 
-@register("eq81", "3.1 (81)", "det", _nr_grid(5, 6, 4, 4))
-def _eq81(n: int, r: int):
-    lhs = det(fam.fam_eq81(n, r))
-    rhs = fam.gfun_reversed(n, r)
-    return lhs == rhs, lhs, rhs
-
-
-@register("eq83", "3.2 (83)", "det", _n_grid(6, 8))
-def _eq83(n: int):
-    lhs = det(fam.fam_eq83(n))
-    rhs = q_catalan(n)
-    return lhs == rhs, lhs, rhs
-
-
-@register("eq84", "3.2 (84)", "det", _n_grid(6, 8))
-def _eq84(n: int):
-    lhs = det(fam.fam_eq84(n))
-    rhs = q_catalan(n)
-    return lhs == rhs, lhs, rhs
-
-
-@register("eq85", "3.2 (85)", "det", lambda b: [{"size": s} for s in range(b.n(8, 10) + 1)])
-def _eq85(size: int):
-    qm = fam.fam_eq84(size)
-    m = Matrix(size, size, [v.specialize(-1) for v in qm.data], INT)
-    lhs = det(m)
-    rhs = binomial(size, size // 2)
-    return lhs == rhs, lhs, rhs
-
-
-@register("eq86", "3.2 Theorem 7 (86); also (7)", "det", _nk_grid(6, 8, 4, 4))
+@register("eq86", "3.2 Theorem 7 (86); also (7)", "det", grid(n=(6, 8), k=(4, 4, 1)))
 def _eq86(n: int, k: int):
     d1 = det(fam.fam_eq86(n, k, shifted=False))
     d2 = det(fam.fam_eq86(n, k, shifted=True))
@@ -824,33 +604,19 @@ def _eq86(n: int, k: int):
     return d1 == rhs and d2 == rhs, d1, rhs
 
 
-@register("eq87", "3.2 (87)", "sum", _nk_grid(6, 8, 4, 4))
+@register("eq87", "3.2 (87)", "sum", grid(n=(6, 8), k=(4, 4, 1)))
 def _eq87(n: int, k: int):
-    total = QPoly.const(0)
-    for j in range(n + 1):
-        t = (
-            q_binomial(n + j + k - 1, n - j).shift(2 * choose2(n - j))
-            * q_catalan_power(j, k)
-        )
-        total = total + (t if (n - j) % 2 == 0 else -t)
-    rhs = QPoly.const(kron(n == 0))
-    return total == rhs, total, rhs
+    return kron_sum(n, lambda j: q_binomial(n + j + k - 1, n - j).shift(2 * choose2(n - j))
+                    * q_catalan_power(j, k))
 
 
-@register("eq88", "3.2 (88)", "inverse", lambda b: [{"size": b.n(5, 5)}])
+@register("eq88", "3.2 (88)", "inverse", grid(size=(5, 5, TOP)))
 def _eq88(size: int):
     inv = inverse(fam.fam_eq88(size))
     expected = Matrix.build(
         size, size, lambda i, j: QRat(q_catalan_power(i - j, 2 * j + 1)), QRAT
     )
     return inv == expected, "inverse of signed q-binomial matrix", "q-ballot table"
-
-
-@register("eq89", "3.2 Theorem 8 (89); also (8)", "det", _nk_grid(5, 6, 4, 4))
-def _eq89(n: int, k: int):
-    lhs = det(fam.fam_eq89(n, k))
-    rhs = andrews_c(n, k)
-    return lhs == rhs, lhs, rhs
 
 
 def _thm8_c(np: int, jp: int) -> QRat:
@@ -861,18 +627,12 @@ def _thm8_c(np: int, jp: int) -> QRat:
     return QRat(num.shift(4 * choose2(d)), q_pochhammer(-1, 2, d))
 
 
-@register("eq90", "3.2 Lemma 9 (90)", "sum", _nk_grid(5, 6, 4, 4))
+@register("eq90", "3.2 Lemma 9 (90)", "sum", grid(n=(5, 6), k=(4, 4, 1)))
 def _eq90(n: int, k: int):
-    total = QRat(0)
-    for j in range(n + 1):
-        t = _thm8_c(n + k, j + k) * andrews_c(j, k)
-        total = total + (t if (n - j) % 2 == 0 else -t)
-    rhs = QRat(kron(n == 0))
-    return total == rhs, total, rhs
+    return kron_sum(n, lambda j: _thm8_c(n + k, j + k) * andrews_c(j, k))
 
 
-@register("eq91", "3.2 Theorem 10 (91)", "bridge",
-          _nmk_grid(4, 6, 3, 3, 3, 3))
+@register("eq91", "3.2 Theorem 10 (91)", "bridge", grid(n=(4, 6), m=(3, 3), k=(3, 3)))
 def _eq91(n: int, m: int, k: int):
     d1 = det(fam.fam_eq91(n, m, k))
     d2 = det(fam.fam_eq91_hankel(n, m, k))
@@ -881,39 +641,20 @@ def _eq91(n: int, m: int, k: int):
     return ok, d1, f"{d2}; {p}"
 
 
-@register("eq92", "3.2 (92)", "det", _nk_grid(6, 8, 4, 4))
-def _eq92(n: int, k: int):
-    lhs = det(fam.fam_eq92(n, k))
-    rhs = QRat(q_binomial(2 * n + k - 1, n))
-    return lhs == rhs, lhs, rhs
+def _eq92s_term(n: int, k: int, j: int) -> QRat:
+    if j == 0:
+        core = QRat(1)
+    else:
+        core = QRat(q_int(2 * n + k - 1) * q_binomial(2 * n - j + k - 2, j - 1), q_int(j))
+    return core * QRat(q_binomial(2 * n - 2 * j + k - 1, n - j).shift(2 * choose2(j)))
 
 
-@register("eq92s", "3.2 (92) companion sum", "sum", _nk_grid(6, 7, 4, 4))
+@register("eq92s", "3.2 (92) companion sum", "sum", grid(n=(6, 7), k=(4, 4, 1)))
 def _eq92s(n: int, k: int):
-    total = QRat(0)
-    for j in range(n + 1):
-        if j == 0:
-            core = QRat(1)
-        else:
-            core = QRat(
-                q_int(2 * n + k - 1) * q_binomial(2 * n - j + k - 2, j - 1), q_int(j)
-            )
-        term = core * QRat(q_binomial(2 * n - 2 * j + k - 1, n - j).shift(2 * choose2(j)))
-        total = total + (term if j % 2 == 0 else -term)
-    rhs = QRat(kron(n == 0))
-    return total == rhs, total, rhs
+    return kron_sum(n, lambda j: _eq92s_term(n, k, j), by_j=True)
 
 
-def _thm11_grid(b: Bounds) -> list[dict]:
-    return [
-        {"n": n, "m": m, "x": x}
-        for n in range(b.n(4, 6) + 1)
-        for m in range(b.m(3, 3) + 1)
-        for x in range(1, b.x(4, 4) + 1)
-    ]
-
-
-@register("eq96", "3.2 Theorem 11 (96)", "bridge", _thm11_grid)
+@register("eq96", "3.2 Theorem 11 (96)", "bridge", grid(n=(4, 6), m=(3, 3), x=(4, 4, 1)))
 def _eq96(n: int, m: int, x: int):
     dB = det(fam.fam_thm11_B(n, x, m))
     dH = QRat(det(fam.fam_thm11_H(m, x, n)))
@@ -922,32 +663,14 @@ def _eq96(n: int, m: int, x: int):
     return ok, f"{dB}; {dH}", w
 
 
-def _nx_grid(nf, nF, xf, xF, n_min=0):
-    def grid(b: Bounds) -> list[dict]:
-        return [
-            {"n": n, "x": x}
-            for n in range(n_min, b.n(nf, nF) + 1)
-            for x in range(1, b.x(xf, xF) + 1)
-        ]
-    return grid
-
-
-@register("eq97", "3.2 (97)", "closed-form", _nx_grid(5, 6, 5, 5))
+@register("eq97", "3.2 (97)", "closed-form", grid(n=(5, 6), x=(5, 5, 1)))
 def _eq97(n: int, x: int):
     lhs = fam.thm11_w(n, x, 1)
     rhs = QRat(q_binomial(2 * n + x - 1, n))
     return lhs == rhs, lhs, rhs
 
 
-def _eq98_grid(b: Bounds) -> list[dict]:
-    return [
-        {"m": m, "x": x}
-        for m in range(1, b.m(4, 5) + 1)
-        for x in range(1, b.x(4, 5) + 1)
-    ]
-
-
-@register("eq98", "3.2 (98)", "closed-form", _eq98_grid)
+@register("eq98", "3.2 (98)", "closed-form", grid(m=(4, 5, 1), x=(4, 5, 1)))
 def _eq98(m: int, x: int):
     lhs = fam.thm11_w(1, x, m)
     rhs = fam.thm11_w1m(x, m)
@@ -960,18 +683,7 @@ def _eq98(m: int, x: int):
     return ok, lhs, rhs
 
 
-def _bal_grid(n_min, m_min):
-    def grid(b: Bounds) -> list[dict]:
-        return [
-            {"n": n, "m": m, "x": x}
-            for n in range(n_min, b.n(4, 5) + 1)
-            for m in range(m_min, b.m(3, 3) + 1)
-            for x in range(1, b.x(4, 4) + 1)
-        ]
-    return grid
-
-
-@register("eq99", "3.2 (99)", "recurrence", _bal_grid(2, 1))
+@register("eq99", "3.2 (99)", "recurrence", grid(n=(4, 5, 2), m=(3, 3, 1), x=(4, 4, 1)))
 def _eq99(n: int, m: int, x: int):
     # balance identity from the condensation proof
     one = ONE
@@ -988,7 +700,7 @@ def _eq99(n: int, m: int, x: int):
     return ok, f"balance {balance}; rec {r1 - r2 + r3}", "0; 0"
 
 
-@register("eq100", "3.2 (100)", "recurrence", _bal_grid(1, 2))
+@register("eq100", "3.2 (100)", "recurrence", grid(n=(4, 5, 1), m=(3, 3, 2), x=(4, 4, 1)))
 def _eq100(n: int, m: int, x: int):
     # the third exponent reads x+2m+n-3 (the displayed x+2m+n does not balance)
     one = ONE
@@ -1004,23 +716,8 @@ def _eq100(n: int, m: int, x: int):
     return ok, f"balance {balance}; rec {r1 - r2 + r3}", "0; 0"
 
 
-@register("sec33det", "3.3 unnumbered det", "det", _nk_grid(4, 5, 4, 4))
-def _sec33det(n: int, k: int):
-    lhs = det(fam.fam_sec33(n, k))
-    rhs = fam.sec33_rhs(n, k)
-    return lhs == rhs, lhs, rhs
-
-
-def _remark_grid(b: Bounds) -> list[dict]:
-    return [
-        {"n": n, "m": m, "x": x}
-        for n in range(b.n(4, 5) + 1)
-        for m in range(b.m(3, 3) + 1)
-        for x in range(1, b.x(3, 3) + 1)
-    ]
-
-
-@register("remarkdet", "3.3 final remark det", "bridge", _remark_grid)
+@register("remarkdet", "3.3 final remark det", "bridge",
+          grid(n=(4, 5), m=(3, 3), x=(3, 3, 1)))
 def _remarkdet(n: int, m: int, x: int):
     d1 = QRat(det(fam.fam_remark(n, m, x)))
     d2 = QRat(det(fam.fam_remark_rhs(n, m, x)))
@@ -1033,78 +730,64 @@ def _remarkdet(n: int, m: int, x: int):
 # Lemma 16 / Theorem 15
 # ---------------------------------------------------------------------------
 
-def _lem16_grid(exclude: Callable[[int, int], bool] | None = None):
-    def grid(b: Bounds) -> list[dict]:
-        out = []
-        for i in range(b.n(5, 6) + 1):
-            for x2 in range(2, b.x(13, 13) + 1):
-                if exclude is None or not exclude(i, x2):
-                    out.append({"i": i, "x2": x2})
-        return out
-    return grid
+_lem16_grid = grid(i=(5, 6), x2=(13, 13, 2))
 
 
-@register("eq112", "3.3 Lemma 16 (112)", "sum", _lem16_grid())
-def _eq112(i: int, x2: int):
+def _lem16_poly_sum(i: int, y: int):
     # terms carry the common factor q^(x(x+5)/2) which is dropped: the
-    # remaining per-term offsets j(3j-5)/2 - j*x2 are integers even at odd x2
+    # remaining per-term offsets j(3j-5)/2 - j*y are integers even at odd y
     total = QPoly.const(0)
     for j in range(i + 2):
-        off = j * (3 * j - 5) - 2 * j * x2  # doubled exponent
+        off = j * (3 * j - 5) - 2 * j * y  # doubled exponent
         term = (
-            q_binomial(i + j - x2, i - j + 1).shift(2 * choose2(i - j) + off)
-            * q_lucas_value(x2, j)
+            q_binomial(i + j - y, i - j + 1).shift(2 * choose2(i - j) + off)
+            * q_lucas_value(y, j)
         )
         total = total + term
     return total.is_zero, total, QPoly.const(0)
 
 
-@register("eq113", "3.3 Lemma 16 (113)", "sum", _lem16_grid())
+def _lem16_rat_sum(i: int, y: int):
+    # y = 2i+1 is a genuine pole of the j = i+1 term and is excluded
+    total = QRat(0)
+    for j in range(i + 2):
+        off = j * (3 * j - 3) - 2 * j * y
+        b = i + j - y
+        c = i - j + 1
+        core = QRat(ONE, q_int(b)) if c == 0 else QRat(q_binomial(b - 1, c - 1), q_int(c))
+        term = core * QRat(q_binomial(y - j, j).shift(2 * choose2(i - j) + off))
+        total = total + term
+    return total.is_zero, total, QRat(0)
+
+
+# (113) and (115) are (112) and (114) with x2 + 1 in place of x2
+
+@register("eq112", "3.3 Lemma 16 (112)", "sum", _lem16_grid)
+def _eq112(i: int, x2: int):
+    return _lem16_poly_sum(i, x2)
+
+
+@register("eq113", "3.3 Lemma 16 (113)", "sum", _lem16_grid)
 def _eq113(i: int, x2: int):
-    total = QPoly.const(0)
-    for j in range(i + 2):
-        off = j * (3 * j - 7) - 2 * j * x2
-        term = (
-            q_binomial(i + j - x2 - 1, i - j + 1).shift(2 * choose2(i - j) + off)
-            * q_lucas_value(x2 + 1, j)
-        )
-        total = total + term
-    return total.is_zero, total, QPoly.const(0)
+    return _lem16_poly_sum(i, x2 + 1)
 
 
 @register("eq114", "3.3 Lemma 16 (114)", "sum",
-          _lem16_grid(exclude=lambda i, x2: x2 == 2 * i + 1))
+          lambda b: [p for p in _lem16_grid(b) if p["x2"] != 2 * p["i"] + 1])
 def _eq114(i: int, x2: int):
-    # x2 = 2i+1 is a genuine pole of the j = i+1 term and is excluded
-    total = QRat(0)
-    for j in range(i + 2):
-        off = j * (3 * j - 3) - 2 * j * x2
-        b = i + j - x2
-        c = i - j + 1
-        core = QRat(ONE, q_int(b)) if c == 0 else QRat(q_binomial(b - 1, c - 1), q_int(c))
-        term = core * QRat(q_binomial(x2 - j, j).shift(2 * choose2(i - j) + off))
-        total = total + term
-    return total.is_zero, total, QRat(0)
+    return _lem16_rat_sum(i, x2)
 
 
 @register("eq115", "3.3 Lemma 16 (115)", "sum",
-          _lem16_grid(exclude=lambda i, x2: x2 == 2 * i))
+          lambda b: [p for p in _lem16_grid(b) if p["x2"] != 2 * p["i"]])
 def _eq115(i: int, x2: int):
-    total = QRat(0)
-    for j in range(i + 2):
-        off = j * (3 * j - 5) - 2 * j * x2
-        b = i + j - x2 - 1
-        c = i - j + 1
-        core = QRat(ONE, q_int(b)) if c == 0 else QRat(q_binomial(b - 1, c - 1), q_int(c))
-        term = core * QRat(q_binomial(x2 + 1 - j, j).shift(2 * choose2(i - j) + off))
-        total = total + term
-    return total.is_zero, total, QRat(0)
+    return _lem16_rat_sum(i, x2 + 1)
 
 
 def _thm15_grid(b: Bounds) -> list[dict]:
     return [
         {"n": n, "m": m}
-        for n in range(2, b.n(4, 5) + 1)
+        for n in range(2, b.get("n_max", 4, 5) + 1)
         for m in range(n, 2 * n)
     ]
 
@@ -1140,15 +823,14 @@ _SYSTEMS: dict[str, Callable[[], FavardSystem]] = {
     "q-chebyshev": q_chebyshev_system,
 }
 
+
 def _thm5_grid(b: Bounds) -> list[dict]:
     out = []
     for name in _SYSTEMS:
-        q_system = name in ("geometric-q", "carlitz", "q-chebyshev")
-        n_hi = b.n(3, 4) if q_system else b.n(5, 8)
-        m_hi = b.m(3, 3) if q_system else b.m(4, 5)
-        for n in range(n_hi + 1):
-            for m in range(m_hi + 1):
-                out.append({"system": name, "n": n, "m": m})
+        if name in ("geometric-q", "carlitz", "q-chebyshev"):
+            out += grid(system=[name], n=(3, 4), m=(3, 3))(b)
+        else:
+            out += grid(system=[name], n=(5, 8), m=(4, 5))(b)
     return out
 
 
@@ -1161,29 +843,17 @@ def _thm5(system: str, n: int, m: int):
 
 @register("thm5r", "2.2 Theorem 5 (68), random systems", "bridge", _cases_grid(40, 200))
 def _thm5r(case: int, seed: int = 0):
-    attempt = 0
-    while True:
-        rng = random.Random(f"{seed}:{case}:{attempt}")
-        sys = random_integer_system(rng)
-        n, m = rng.randint(0, 5), rng.randint(0, 5)
-        try:
-            ok = tyson_check(sys, n, m)
-        except ArithmeticError:
-            # singular Hankel prefix: redraw (Theorem 5 presumes orthogonalizability)
-            attempt += 1
-            continue
-        return ok, f"random system case {case} at (n={n}, m={m})", "holds"
+    # random_integer_system draws t(n) != 0, so by Favard's theorem every
+    # Hankel prefix is nonzero and no draw is rejected; the ":0" suffix is part
+    # of the seed string of the recorded draws (benchmark/expected.json)
+    rng = random.Random(f"{seed}:{case}:0")
+    sys = random_integer_system(rng)
+    n, m = rng.randint(0, 5), rng.randint(0, 5)
+    ok = tyson_check(sys, n, m)
+    return ok, f"random system case {case} at (n={n}, m={m})", "holds"
 
 
-def _eq69_grid(b: Bounds) -> list[dict]:
-    return [
-        {"system": name, "m": m}
-        for name in _SYSTEMS
-        for m in range(b.m(4, 5) + 1)
-    ]
-
-
-@register("eq69", "2.2 (69)-(70)", "bridge", _eq69_grid)
+@register("eq69", "2.2 (69)-(70)", "bridge", grid(system=list(_SYSTEMS), m=(4, 5)))
 def _eq69(system: str, m: int):
     sys = _SYSTEMS[system]()
     ok = hankel_shift_checks(sys, m)
@@ -1191,8 +861,7 @@ def _eq69(system: str, m: int):
 
 
 @register("eq22", "2.1.1 (22)", "sum",
-          lambda b: [{"system": s, "n": n} for s in ("fibonacci", "lucas-variant")
-                     for n in range(b.n(8, 10) + 1)])
+          grid(system=["fibonacci", "lucas-variant"], n=(8, 10)))
 def _eq22(system: str, n: int):
     tab = _SYSTEMS[system]().tables()
     acc = [0] * (n + 1)
@@ -1205,22 +874,14 @@ def _eq22(system: str, n: int):
     return acc == rhs, acc, rhs
 
 
-@register("eq24", "2.1.1 (24)", "sum", _nk_grid(6, 8, 4, 4, k_min=0))
+@register("eq24", "2.1.1 (24)", "sum", grid(n=(6, 8), k=(4, 4, 0)))
 def _eq24(n: int, k: int):
     tab = fibonacci_system().tables()
-    acc = 0
-    for j in range(n + 1):
-        term = tab.p_entry(n + k, j + k) * tab.c(j + k, k)
-        acc += term if (n - j) % 2 == 0 else -term
-    rhs = kron(n == 0)
-    return acc == rhs, acc, rhs
+    return kron_sum(n, lambda j: tab.p_entry(n + k, j + k) * tab.c(j + k, k))
 
 
 @register("eq25", "2.1.1 (25)", "det",
-          lambda b: [{"system": s, "n": n, "k": k}
-                     for s in ("fibonacci", "lucas-variant")
-                     for n in range(b.n(5, 6) + 1)
-                     for k in range(b.k(3, 3) + 1)])
+          grid(system=["fibonacci", "lucas-variant"], n=(5, 6), k=(3, 3)))
 def _eq25(system: str, n: int, k: int):
     sys = _SYSTEMS[system]()
     tab = sys.tables()
@@ -1230,7 +891,7 @@ def _eq25(system: str, n: int, k: int):
     return lhs == rhs, lhs, rhs
 
 
-@register("eq26", "2.1.1 (26)", "closed-form", _n_grid(5, 6))
+@register("eq26", "2.1.1 (26)", "closed-form", grid(n=(5, 6)))
 def _eq26(n: int):
     # recover (s, t) from the explicit coefficient table and cross-check the
     # closed forms used by the geometric-q system
@@ -1245,7 +906,7 @@ def _eq26(n: int):
     return ok, "recovered recurrence and moments", "closed forms"
 
 
-@register("eq29", "2.1.1 (29)", "closed-form", _nk_grid(7, 8, 6, 6, k_min=0))
+@register("eq29", "2.1.1 (29)", "closed-form", grid(n=(7, 8), k=(6, 6, 0)))
 def _eq29(n: int, k: int):
     tab = fibonacci_system().tables()
     lhs = tab.c(2 * n + k, k)
@@ -1253,7 +914,7 @@ def _eq29(n: int, k: int):
     return lhs == rhs, lhs, rhs
 
 
-@register("eq41", "2.1.1 (41)", "closed-form", _nk_grid(7, 8, 6, 6, k_min=0))
+@register("eq41", "2.1.1 (41)", "closed-form", grid(n=(7, 8), k=(6, 6, 0)))
 def _eq41(n: int, k: int):
     tab = lucas_variant_system().tables()
     lhs = tab.c(2 * n + k, k)
@@ -1262,7 +923,7 @@ def _eq41(n: int, k: int):
     return lhs == rhs and odd_zero, lhs, rhs
 
 
-@register("eq102", "3.3 (101)-(102)", "closed-form", _n_grid(5, 5))
+@register("eq102", "3.3 (101)-(102)", "closed-form", grid(n=(5, 5)))
 def _eq102(n: int):
     tab = q_chebyshev_system().tables()
     lhs = tab.moment(2 * n)
@@ -1271,46 +932,33 @@ def _eq102(n: int):
     return ok, lhs, rhs
 
 
+# family: (field of the product, matrix at (n, k), moment M_i at (i, k))
+_LEM1 = {
+    "eq1": (F, lambda n, k: fam.fam_eq1(n), lambda i, k: catalan(i)),
+    "eq54": (F, lambda n, k: fam.fam_eq54(n, k), lambda i, k: catalan_power(i, k)),
+    "eq43": (F, lambda n, k: fam.fam_eq43(n), lambda i, k: binomial(2 * i, i)),
+    "eq83": (QRat, lambda n, k: fam.fam_eq83(n), lambda i, k: q_catalan(i)),
+}
+
+
 def _lem1_grid(b: Bounds) -> list[dict]:
     out = []
-    for n in range(b.n(6, 8) + 1):
-        out.append({"family": "eq1", "n": n, "k": 1})
-        out.append({"family": "eq43", "n": n, "k": 1})
-        out.append({"family": "eq83", "n": n, "k": 1})
-        for k in range(1, b.k(3, 4) + 1):
-            out.append({"family": "eq54", "n": n, "k": k})
+    for n in range(b.get("n_max", 6, 8) + 1):
+        out += [{"family": family, "n": n, "k": 1} for family in ("eq1", "eq43", "eq83")]
+        out += [{"family": "eq54", "n": n, "k": k}
+                for k in range(1, b.get("k_max", 3, 4) + 1)]
     return out
 
 
 @register("lem1", "2 Lemma 1 (15)-(16)", "bridge", _lem1_grid)
 def _lem1(family: str, n: int, k: int):
     """Product route: the determinant equals prod M_(i+1)/M_i of the moments."""
-    if family == "eq1":
-        lhs = det(fam.fam_eq1(n))
-        moments = [catalan(i) for i in range(n + 1)]
-        prod = F(1)
-        for i in range(n):
-            prod *= F(moments[i + 1], moments[i])
-    elif family == "eq54":
-        lhs = det(fam.fam_eq54(n, k))
-        moments = [catalan_power(i, k) for i in range(n + 1)]
-        prod = F(1)
-        for i in range(n):
-            prod *= F(moments[i + 1], moments[i])
-    elif family == "eq43":
-        lhs = det(fam.fam_eq43(n))
-        moments = [binomial(2 * i, i) for i in range(n + 1)]
-        prod = F(1)
-        for i in range(n):
-            prod *= F(moments[i + 1], moments[i])
-    elif family == "eq83":
-        lhs = QRat(det(fam.fam_eq83(n)))
-        moments = [q_catalan(i) for i in range(n + 1)]
-        prod = QRat(1)
-        for i in range(n):
-            prod = prod * QRat(moments[i + 1], moments[i])
-    else:
-        raise ValueError(f"unknown lem1 family {family!r}")
+    field, matrix, moment = _LEM1[family]
+    lhs = field(det(matrix(n, k)))
+    moments = [moment(i, k) for i in range(n + 1)]
+    prod = field(1)
+    for i in range(n):
+        prod = prod * field(moments[i + 1], moments[i])
     return lhs == prod, lhs, prod
 
 
@@ -1318,74 +966,46 @@ def _lem1(family: str, n: int, k: int):
 # q -> 1 coherence and engine cross-agreement properties
 # ---------------------------------------------------------------------------
 
-_COHERENCE_PAIRS = ("eq83", "eq84", "eq86a", "eq86b", "eq91", "eq92", "eq27", "eq88")
+# pair: (points, the q-side value with every entry at q = 1, its classical values)
+_COHERENCE = {
+    "eq83": (list(itertools.product(range(6))),
+             lambda n: det(_at_q(fam.fam_eq83(n), 1)),
+             lambda n: (catalan(n), q_catalan(n).specialize(1))),
+    "eq84": (list(itertools.product(range(6))),
+             lambda n: det(_at_q(fam.fam_eq84(n), 1)),
+             lambda n: (catalan(n),)),
+    "eq86a": (list(itertools.product(range(5), range(1, 4))),
+              lambda n, k: det(_at_q(fam.fam_eq86(n, k, False), 1)),
+              lambda n, k: (det(fam.fam_eq54(n, k)),)),
+    "eq86b": (list(itertools.product(range(5), range(1, 4))),
+              lambda n, k: det(_at_q(fam.fam_eq86(n, k, True), 1)),
+              lambda n, k: (catalan_power(n, k),)),
+    "eq91": (list(itertools.product(range(4), range(3), range(3))),
+             lambda n, m, k: det(_at_q(fam.fam_eq91(n, m, k), 1)),
+             lambda n, m, k: (det(fam.fam_eq74(n, m, k)),)),
+    "eq92": (list(itertools.product(range(5), range(1, 4))),
+             lambda n, k: det(_at_q(fam.fam_eq92(n, k), 1)),
+             lambda n, k: (det(fam.fam_eq45(n, k)), binomial(2 * n + k - 1, n))),
+    "eq27": (list(itertools.product(range(5), range(4))),
+             lambda n, k: det(_at_q(fam.fam_eq27(n, k), 1)),
+             lambda n, k: (binomial(n + k, k),)),
+    "eq88": ([(5,)],
+             lambda size: _at_q(inverse(fam.fam_eq88(size)), 1),
+             lambda size: (inverse(fam.fam_eq34(size)),)),
+}
 
 
-def _coherence_grid(b: Bounds) -> list[dict]:
-    return [{"pair": p} for p in _COHERENCE_PAIRS]
+def _coherent(at_one, classical, point) -> bool:
+    value = at_one(*point)
+    return all(value == other for other in classical(*point))
 
 
-def _specialize_matrix(qm: Matrix) -> Matrix:
-    if qm.ring is QPOLY:
-        return Matrix(qm.nrows, qm.ncols, [v.specialize(1) for v in qm.data], INT)
-    return Matrix(qm.nrows, qm.ncols, [v.specialize(1) for v in qm.data], FRAC)
-
-
-@register("coh", "q -> 1 coherence across paired checks", "property", _coherence_grid)
+@register("coh", "q -> 1 coherence across paired checks", "property",
+          grid(pair=list(_COHERENCE)))
 def _coh(pair: str):
     """Specializing every matrix entry at q = 1 reproduces the classical check."""
-    if pair == "eq83":
-        points = [(n,) for n in range(6)]
-        ok = all(
-            det(_specialize_matrix(fam.fam_eq83(n))) == catalan(n)
-            == q_catalan(n).specialize(1)
-            for (n,) in points
-        )
-    elif pair == "eq84":
-        ok = all(
-            det(_specialize_matrix(fam.fam_eq84(n))) == catalan(n)
-            for n in range(6)
-        )
-    elif pair == "eq86a":
-        ok = all(
-            det(_specialize_matrix(fam.fam_eq86(n, k, False)))
-            == det(fam.fam_eq54(n, k))
-            for n in range(5) for k in range(1, 4)
-        )
-    elif pair == "eq86b":
-        ok = all(
-            det(_specialize_matrix(fam.fam_eq86(n, k, True)))
-            == catalan_power(n, k)
-            for n in range(5) for k in range(1, 4)
-        )
-    elif pair == "eq91":
-        ok = all(
-            det(_specialize_matrix(fam.fam_eq91(n, m, k)))
-            == det(fam.fam_eq74(n, m, k))
-            for n in range(4) for m in range(3) for k in range(3)
-        )
-    elif pair == "eq92":
-        ok = all(
-            det(_specialize_matrix(fam.fam_eq92(n, k)))
-            == det(fam.fam_eq45(n, k))
-            == binomial(2 * n + k - 1, n)
-            for n in range(5) for k in range(1, 4)
-        )
-    elif pair == "eq27":
-        ok = all(
-            det(_specialize_matrix(fam.fam_eq27(n, k)))
-            == binomial(n + k, k)
-            for n in range(5) for k in range(4)
-        )
-    elif pair == "eq88":
-        size = 5
-        inv_q = inverse(fam.fam_eq88(size))
-        at_one = Matrix(
-            size, size, [v.specialize(1) for v in inv_q.data], FRAC
-        )
-        ok = at_one == inverse(fam.fam_eq34(size))
-    else:
-        raise ValueError(f"unknown coherence pair {pair!r}")
+    points, at_one, classical = _COHERENCE[pair]
+    ok = all(_coherent(at_one, classical, point) for point in points)
     return ok, f"{pair} at q = 1", "classical counterpart"
 
 

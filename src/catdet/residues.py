@@ -18,11 +18,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from catdet.exact import binomial
 from catdet.linalg import FRAC, INT, Matrix, det, inverse
 from catdet.orthopoly import catalan_parity_moments, system_from_moments
-from catdet.registry import Bounds, kron, register
+from catdet.registry import AXIS_BOUNDS, CHECKS, TOP, Bounds, Check, grid, kron_sum, register
 from catdet.sequences import ballot, catalan, catalan_power
 
 __all__ = [
@@ -35,6 +36,8 @@ __all__ = [
     "mod2_orthopoly_bridge",
     "ConjectureReport",
     "conjecture_search",
+    "Conjecture",
+    "CONJECTURES",
     "CONJECTURE_IDS",
 ]
 
@@ -124,11 +127,8 @@ def mod2_orthopoly_bridge(n: int, m: int) -> bool:
     """
     # Kronecker sums up to n
     for nn in range(n + 1):
-        acc = 0
-        for j in range(nn + 1):
-            term = lucas_binomial_mod2(nn + j, nn - j) * lift2(catalan(j))
-            acc += term if (nn - j) % 2 == 0 else -term
-        if acc != kron(nn == 0):
+        ok, _, _ = kron_sum(nn, lambda j: lucas_binomial_mod2(nn + j, nn - j) * lift2(catalan(j)))
+        if not ok:
             return False
     # lifted determinant equals the Catalan parity
     if lifted_det("eq107", {"n": n}, 2) != lift2(catalan(n)):
@@ -205,45 +205,50 @@ def _c14_point(n: int) -> tuple[bool, str, str]:
     return lhs == rhs, str(lhs), str(rhs)
 
 
-def _conjecture_grid(conjecture_id: str, bounds: Bounds) -> list[dict]:
-    if conjecture_id == "c12":
-        return [{"size": bounds.n(16, 32)}]
-    if conjecture_id == "c13a":
-        return [
-            {"n": n, "k": k}
-            for n in range(1, bounds.n(16, 32) + 1)
-            for k in range(1, bounds.k(4, 6) + 1)
-        ]
-    if conjecture_id == "c13b":
-        return [
-            {"n": n, "m": m}
-            for n in range(1, bounds.n(10, 16) + 1)
-            for m in range(1, bounds.m(3, 4) + 1)
-        ]
-    if conjecture_id == "c14":
-        return [{"n": n} for n in range(0, bounds.n(40, 81) + 1)]
-    raise KeyError(f"unknown conjecture id: {conjecture_id!r}")
+class Conjecture(NamedTuple):
+    anchor: str
+    modulus: int
+    point: Callable[..., tuple[bool, str, str]]
+    grid: Callable[[Bounds], list[dict]]
 
 
-_CONJECTURE_POINTS = {
-    "c12": _c12_point,
-    "c13a": _c13a_point,
-    "c13b": _c13b_point,
-    "c14": _c14_point,
+CONJECTURES = {
+    "c12": Conjecture("4 Conjecture 12 (108)", 2, _c12_point,
+                      grid(size=(16, 32, TOP))),
+    "c13a": Conjecture("4 Conjecture 13 (109); also (12)", 2, _c13a_point,
+                       grid(n=(16, 32, 1), k=(4, 6, 1))),
+    "c13b": Conjecture("4 Conjecture 13 (110); also (13)", 2, _c13b_point,
+                       grid(n=(10, 16, 1), m=(3, 4, 1))),
+    "c14": Conjecture("4 Conjecture 14 (111); also (14)", 3, _c14_point,
+                      grid(n=(40, 81))),
 }
 
-CONJECTURE_IDS = ("c12", "c13a", "c13b", "c14")
+CONJECTURE_IDS = tuple(CONJECTURES)
+
+# looked up at each search, so that a caller can replace an entry (the
+# benchmark times each point this way)
+_CONJECTURE_POINTS = {cid: c.point for cid, c in CONJECTURES.items()}
+
+
+def _maxima(points: list[dict]) -> dict:
+    """The largest value of each parameter over the points."""
+    out: dict = {}
+    for point in points:
+        for key, value in point.items():
+            out[key] = max(out.get(key, value), value)
+    return out
 
 
 def conjecture_search(conjecture_id: str, bounds: Bounds | None = None) -> ConjectureReport:
     """Scan the grid; report the verified range or the first counterexample."""
-    bounds = bounds or Bounds()
-    grid = _conjecture_grid(conjecture_id, bounds)
+    if conjecture_id not in CONJECTURES:
+        raise KeyError(f"unknown conjecture id: {conjecture_id!r}")
+    points = CONJECTURES[conjecture_id].grid(bounds or Bounds())
     point_fn = _CONJECTURE_POINTS[conjecture_id]
     t0 = time.perf_counter()
     counterexample = None
     checked = 0
-    for point in grid:
+    for point in points:
         ok, lhs, rhs = point_fn(**point)
         checked += 1
         if not ok:
@@ -253,12 +258,8 @@ def conjecture_search(conjecture_id: str, bounds: Bounds | None = None) -> Conje
                 raise AssertionError(f"non-reproducible failure at {point}")
             counterexample = {"params": point, "lhs": lhs2, "rhs": rhs2}
             break
-    summary: dict = {}
-    for point in grid:
-        for key, value in point.items():
-            summary[key] = max(summary.get(key, value), value)
     return ConjectureReport(
-        conjecture_id, summary, checked, counterexample, time.perf_counter() - t0
+        conjecture_id, _maxima(points), checked, counterexample, time.perf_counter() - t0
     )
 
 
@@ -266,27 +267,19 @@ def conjecture_search(conjecture_id: str, bounds: Bounds | None = None) -> Conje
 # registry entries
 # ---------------------------------------------------------------------------
 
-@register("eq106", "4 (106)", "sum",
-          lambda b: [{"n": n} for n in range(b.n(32, 64) + 1)])
+@register("eq106", "4 (106)", "sum", grid(n=(32, 64)))
 def _eq106(n: int):
-    acc = 0
-    for j in range(n + 1):
-        term = lucas_binomial_mod2(n + j, n - j) * lift2(catalan(j))
-        acc += term if (n - j) % 2 == 0 else -term
-    rhs = kron(n == 0)
-    return acc == rhs, acc, rhs
+    return kron_sum(n, lambda j: lucas_binomial_mod2(n + j, n - j) * lift2(catalan(j)))
 
 
-@register("eq107", "4 (107); also (11)", "det",
-          lambda b: [{"n": n} for n in range(b.n(20, 32) + 1)])
+@register("eq107", "4 (107); also (11)", "det", grid(n=(20, 32)))
 def _eq107(n: int):
     lhs = lifted_det("eq107", {"n": n}, 2)
     rhs = lift2(catalan(n))
     return lhs == rhs, lhs, rhs
 
 
-@register("eq104", "4 (104)", "det",
-          lambda b: [{"n": n} for n in range(b.n(6, 8) + 1)])
+@register("eq104", "4 (104)", "det", grid(n=(6, 8)))
 def _eq104(n: int):
     moments = catalan_parity_moments(2 * n + 4)
     _, _, sys = system_from_moments(moments, FRAC)
@@ -297,27 +290,20 @@ def _eq104(n: int):
     return lhs == rhs, lhs, rhs
 
 
-@register("eq103", "4 (103)", "bridge",
-          lambda b: [
-              {"n": n, "m": m}
-              for n in range(b.n(5, 6) + 1)
-              for m in range(b.m(4, 6) + 1)
-          ])
+@register("eq103", "4 (103)", "bridge", grid(n=(5, 6), m=(4, 6)))
 def _eq103(n: int, m: int):
     ok = mod2_orthopoly_bridge(n, m)
     return ok, f"parity bridge at (n={n}, m={m})", "holds"
 
 
-@register("sec4uniq", "4 digit lemma", "property",
-          lambda b: [{"m_below": b.n(256, 512)}])
+@register("sec4uniq", "4 digit lemma", "property", grid(m_below=(256, 512, TOP)))
 def _sec4uniq(m_below: int):
     for m in range(m_below):
         unique_power_index(m, check=True)
     return True, f"unique odd flip index for all m < {m_below}", "unique"
 
 
-@register("sec4lucas", "4 Lucas theorem", "property",
-          lambda b: [{"limit": b.n(128, 256)}])
+@register("sec4lucas", "4 Lucas theorem", "property", grid(limit=(128, 256, TOP)))
 def _sec4lucas(limit: int):
     for a in range(limit + 1):
         for b_ in range(limit + 1):
@@ -326,23 +312,24 @@ def _sec4lucas(limit: int):
     return True, f"digit product equals parity for a, b <= {limit}", "agree"
 
 
-def _register_conjecture(cid: str, anchor: str):
-    def grid(b: Bounds) -> list[dict]:
-        return [{}]
+def _conjecture_check(cid: str, conjecture: Conjecture) -> Check:
+    """A conjecture's search as one check whose grid point is the searched maxima.
 
-    @register(cid, anchor, "conjecture", grid, conjecture=True)
-    def _run(**_ignored):
+    With no parameters the search runs over its full default grid.
+    """
+    def maxima(b: Bounds) -> list[dict]:
+        points = conjecture.grid(b)
+        return [_maxima(points)] if points else []
+
+    def run(**top):
+        report = conjecture_search(cid, Bounds(**{AXIS_BOUNDS[a]: v for a, v in top.items()}))
         # CONJECTURE: the check passes when the search ran and the report is
         # reproducible; a counterexample is surfaced verbatim in the values
-        report = conjecture_search(cid)
         if report.counterexample is None:
             return True, report.status, "search completed"
         return True, f"counterexample {report.counterexample}", "search completed"
 
-    return _run
+    return Check(cid, conjecture.anchor, "conjecture", maxima, run, conjecture=True)
 
 
-_register_conjecture("c12", "4 Conjecture 12 (108)")
-_register_conjecture("c13a", "4 Conjecture 13 (109); also (12)")
-_register_conjecture("c13b", "4 Conjecture 13 (110); also (13)")
-_register_conjecture("c14", "4 Conjecture 14 (111); also (14)")
+CHECKS.update((cid, _conjecture_check(cid, c)) for cid, c in CONJECTURES.items())

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from catdet.exact import binomial, gould_product
+from catdet.exact import binomial
 from catdet.qseries import (
     ONE,
     QPoly,
@@ -227,11 +227,6 @@ def catalan_series_power_coeff(n: int, k: int) -> int:
             sum(coeffs[a] * base[m - a] for a in range(m + 1)) for m in range(n + 1)
         ]
     return coeffs[n]
-
-
-def gould_poly(n: int, x, r: int):
-    """Alias for the product-form Gould evaluation (no poles)."""
-    return gould_product(n, x, r)
 
 
 def fib_poly_coeffs(n: int) -> list[int]:

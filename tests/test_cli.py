@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from catdet.cli import main
 
 
@@ -171,3 +173,38 @@ def test_default_command_is_fast_suite(capsys, monkeypatch):
     data = json.loads(out)
     assert data["config"]["command"] == "suite:fast"
     assert data["summary"]["fail"] == 0
+
+
+def test_verify_conjecture_searches_up_to_the_bounds(monkeypatch, capsys):
+    from catdet import residues
+
+    searched = []
+    search = residues.conjecture_search
+
+    def recorded(cid, bounds=None):
+        report = search(cid, bounds)
+        searched.append(report.to_json())
+        return report
+
+    monkeypatch.setattr(residues, "conjecture_search", recorded)
+    code, out = run_cli(capsys, "verify", "--id", "c14", "--n-max", "5")
+    assert code == 0
+    assert [r["params"] for r in json.loads(out)["results"]] == [{"n": 5}]
+    assert [(s["grid"], s["checked"]) for s in searched] == [({"n": 5}, 6)]
+
+
+@pytest.mark.parametrize("flag", ["--n-max", "--k-max", "--m-max", "--r", "--x", "--cases"])
+def test_negative_bound_exits_2(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--id", "eq34", flag, "-3"])
+    assert exc.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
+
+
+def test_empty_grid_exits_2(capsys):
+    for command in ("verify", "suite"):
+        code = main([command, "--id", "eq46", "--k-max", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "empty grid for eq46" in captured.err
+        assert captured.out == ""

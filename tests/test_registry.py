@@ -9,7 +9,6 @@ from catdet.registry import (
     Bounds,
     check_index,
     run_check,
-    run_sum_check,
     verify_range,
 )
 
@@ -23,13 +22,6 @@ def test_unknown_id_raises():
         run_check("eq9999", n=1)
     with pytest.raises(KeyError):
         verify_range("nope")
-
-
-def test_run_sum_check_rejects_non_sum():
-    with pytest.raises(ValueError):
-        run_sum_check("eq1", n=2)
-    res = run_sum_check("eq2", n=4)
-    assert res.passed
 
 
 def test_eq1_examples():
@@ -74,6 +66,7 @@ def test_matrix_displays():
     assert m3[2, 2] == q_int(5)
     # 0x0 slices
     assert fam.fam_eq72(0, 3).nrows == 0
+    assert fam.fam_eq72(3, 0).nrows == 3  # 0 columns in the Hankels only
     assert det_bareiss(fam.fam_eq1(0)) == 1
 
 
@@ -157,20 +150,6 @@ def test_transpose_and_reversal_invariance_of_registered_families():
             assert det_bareiss(reversed_copy(mm)) == dd
 
 
-def test_build_matrix_dispatcher():
-    from catdet.families import build_matrix
-
-    m = build_matrix("eq1", n=4)
-    assert m.rows()[3] == [1, 10, 15, 7]
-    assert build_matrix("eq72", n=3, m=0).nrows == 3  # 0 columns in the Hankels only
-    with pytest.raises(KeyError):
-        build_matrix("eq9999", n=1)
-    with pytest.raises(ValueError):
-        build_matrix("eq54", n=3, k=0)
-    with pytest.raises(ValueError):
-        build_matrix("eq1", n=-1)
-
-
 def test_check_index_contents():
     index = check_index()
     ids = {e["id"] for e in index}
@@ -189,3 +168,59 @@ def test_conjecture_c13a_surfaces_counterexample_but_passes():
     assert res.passed  # the search ran and reproduced
     assert "counterexample" in res.lhs
     assert "'n': 4" in res.lhs and "'k': 6" in res.lhs
+
+
+def test_grids_pinned():
+    # per check id: point count and SHA-256 of the full and fast grid lists
+    # (order, keys and values); a grid change must update grid_pins.json on
+    # purpose.  A conjecture check's one point is the maxima it searches.
+    import hashlib
+    import json
+    from pathlib import Path
+
+    pins = json.loads((Path(__file__).parent / "grid_pins.json").read_text())
+    assert sorted(pins) == sorted(CHECKS)
+    totals = {"full": 0, "fast": 0}
+    for cid, check in CHECKS.items():
+        for level in ("full", "fast"):
+            points = check.grid(Bounds(fast=level == "fast"))
+            digest = hashlib.sha256(
+                json.dumps(points, separators=(",", ":")).encode()).hexdigest()
+            assert [len(points), digest] == pins[cid][level], (cid, level)
+            totals[level] += len(points)
+    assert totals == {"full": 8468, "fast": 5402}
+
+
+def test_kron_sum_renders_zero_in_every_ring():
+    from fractions import Fraction
+
+    from catdet.qseries import QRat
+    from catdet.registry import fmt_value, kron_sum
+
+    for one in (1, Fraction(1), ONE, QRat(1)):
+        ok, total, rhs = kron_sum(1, lambda j: one)  # -1 + 1
+        assert ok and fmt_value(total) == "0" and fmt_value(rhs) == "0"
+        ok, total, rhs = kron_sum(0, lambda j: one)
+        assert ok and fmt_value(total) == "1" and fmt_value(rhs) == "1"
+
+
+def test_conjecture_checks_follow_bounds(monkeypatch):
+    from catdet import residues
+
+    searched = []
+    search = residues.conjecture_search
+
+    def recorded(cid, bounds=None):
+        report = search(cid, bounds)
+        searched.append((cid, report.grid, report.checked))
+        return report
+
+    monkeypatch.setattr(residues, "conjecture_search", recorded)
+    assert CHECKS["c14"].grid(Bounds(n_max=5)) == [{"n": 5}]
+    assert CHECKS["c13a"].grid(Bounds(fast=True)) == [{"n": 16, "k": 4}]
+    assert CHECKS["c13a"].grid(Bounds(n_max=0)) == []
+    assert run_check("c14", n=5).passed
+    assert run_check("c12", size=4).passed
+    assert run_check("c13b", n=3, m=2).passed
+    assert searched == [("c14", {"n": 5}, 6), ("c12", {"size": 4}, 1),
+                        ("c13b", {"n": 3, "m": 2}, 6)]
