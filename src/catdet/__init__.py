@@ -3,9 +3,10 @@ Catalan-style combinatorial families.
 
 The package provides exact scalar arithmetic (arbitrary-precision integers
 and rationals), a Laurent polynomial ring in q with half-integer exponents,
-exact dense linear algebra (a determinant that picks the division-free
-Hessenberg expansion or fraction-free Bareiss from the matrix's shape,
-Dodgson condensation, inverses and null-space checks), a
+exact dense linear algebra (a determinant that clears the denominators of a
+q-rational matrix row by row, then picks the division-free Hessenberg
+expansion or fraction-free Bareiss from the matrix's shape, Dodgson
+condensation, inverses and null-space checks), a
 three-term-recurrence engine for monic orthogonal polynomials and their
 moment tables, a registry of executable identity checks, residue-lift
 determinant experiments with conjecture searches, and a command line front

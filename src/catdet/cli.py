@@ -185,16 +185,25 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
+    """Run the searches; an unknown id, no id left by ``--mod`` or an empty grid exits 2."""
     ids = args.id or list(CONJECTURE_IDS)
+    for cid in ids:
+        if cid not in CONJECTURES:
+            print(f"unknown conjecture id: {cid!r}", file=sys.stderr)
+            return 2
     if args.mod is not None:
-        ids = [c for c in ids if c in CONJECTURES and CONJECTURES[c].modulus == args.mod]
+        ids = [c for c in ids if CONJECTURES[c].modulus == args.mod]
+        if not ids:
+            print(f"no conjecture with modulus {args.mod}", file=sys.stderr)
+            return 2
     bounds = _bounds_from_args(args)
+    for cid in ids:
+        if not CONJECTURES[cid].grid(bounds):
+            print(f"empty grid for {cid}", file=sys.stderr)
+            return 2
     reports = []
     timings = {}
     for cid in ids:
-        if cid not in CONJECTURE_IDS:
-            print(f"unknown conjecture id: {cid!r}", file=sys.stderr)
-            return 2
         rep = conjecture_search(cid, bounds)
         reports.append(rep.to_json())
         timings[cid] = round(rep.elapsed, 6)
@@ -213,10 +222,12 @@ def _cmd_conjecture(args) -> int:
 def _cmd_bench(args) -> int:
     import random
 
+    from catdet.families import fam_thm11_B, thm11_w
     from catdet.linalg import (
         INT,
         QPOLY,
         Matrix,
+        det,
         det_bareiss,
         det_condensation,
         det_hessenberg,
@@ -245,6 +256,16 @@ def _cmd_bench(args) -> int:
         t0 = time.perf_counter()
         det_bareiss(m)
         rows.append({"ring": "q-polynomial", "size": size, "engine": "bareiss",
+                     "seconds": round(time.perf_counter() - t0, 6)})
+    # a q-rational family: row-cleared det against Bareiss over QRat, and the
+    # closed form both equal, expanded through cyclotomic polynomials
+    m = fam_thm11_B(6, 4, 3)
+    for name, label, run in (("det", "fam_thm11_B(6, 4, 3)", lambda: det(m)),
+                             ("bareiss", "fam_thm11_B(6, 4, 3)", lambda: det_bareiss(m)),
+                             ("q_product", "thm11_w(6, 4, 3)", lambda: thm11_w(6, 4, 3))):
+        t0 = time.perf_counter()
+        run()
+        rows.append({"ring": "q-rational", "size": 6, "engine": name, "input": label,
                      "seconds": round(time.perf_counter() - t0, 6)})
     _emit({"bench": rows}, args.format, args.out)
     return 0

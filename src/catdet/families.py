@@ -22,10 +22,10 @@ from catdet.qseries import (
     QPoly,
     QRat,
     q_binomial,
-    q_factorial,
     q_int,
     q_lucas_value,
     q_pochhammer,
+    q_product,
 )
 from catdet.sequences import carlitz, catalan, catalan_power, gfun, q_catalan_power
 
@@ -410,18 +410,40 @@ def krattenthaler_lemma_rhs(L: list[int], A: int) -> Fraction:
     return r
 
 
+def _q_fact(n: int) -> range:
+    """Exponents e of (q;q)_n = [n]! (1-q)^n, as factors (1 - q^e)."""
+    if n < 0:
+        raise ValueError("q_factorial needs n >= 0")
+    return range(1, n + 1)
+
+
+def _q_poch(num: list[int], den: list[int], a: int, count: int) -> None:
+    """Append (q^a; q)_count, extended by (q^a; q)_(-k) = 1/(q^(a-k); q)_k."""
+    if count >= 0:
+        num += range(a, a + count)
+    elif 0 in range(a + count, a):
+        raise ZeroDivisionError(f"(q^{a}; q)_{count} has a pole")
+    else:
+        den += range(a + count, a)
+
+
 def q_krattenthaler_lemma_rhs(L: list[int], A: int) -> QRat:
-    """q-analogue of the same product, including the q^(sum i L_i) prefactor."""
+    """q-analogue of the same product, including the q^(sum i L_i) prefactor.
+
+    Written through (q;q)_N and (1 - q^a): the (1 - q) factors of the
+    q-integers cancel, as many above as below.
+    """
     n = len(L)
-    num = ONE.shift(2 * sum((i + 1) * L[i] for i in range(n)))
-    den = ONE
+    num: list[int] = []
+    den: list[int] = []
     for i in range(n):
-        num = num * q_factorial(L[i] + A - n)
-        den = den * q_factorial(L[i] + n) * q_factorial(A - 2 * (i + 1))
+        num += _q_fact(L[i] + A - n)
+        den += _q_fact(L[i] + n)
+        den += _q_fact(A - 2 * (i + 1))
     for j in range(n):
         for i in range(j):
-            num = num * q_int(L[i] - L[j]) * q_int(L[i] + L[j] + A + 1)
-    return QRat(num, den)
+            num += (L[i] - L[j], L[i] + L[j] + A + 1)
+    return q_product(num, den, sum((i + 1) * L[i] for i in range(n)))
 
 
 def v_ratio(n: int, m: int, k: int) -> Fraction:
@@ -472,14 +494,6 @@ def hilbert_hankel_product(shift: int, m: int) -> Fraction:
     return r
 
 
-def poch_ext(sign: int, a2: int, count: int) -> QRat:
-    """(x; q)_count extended to negative count: (a;q)_(-k) = 1/((a q^-k; q)_k)."""
-    if count >= 0:
-        return QRat(q_pochhammer(sign, a2, count))
-    k = -count
-    return QRat(ONE, q_pochhammer(sign, a2 - 2 * k, k))
-
-
 def q_krattenthaler_rhs(n: int, m: int, k: int) -> QPoly:
     """Closed form of the q-shifted-binomial determinant.
 
@@ -487,14 +501,14 @@ def q_krattenthaler_rhs(n: int, m: int, k: int) -> QPoly:
     (the q-power rides inside the j-product, so the total prefactor is
     q^(n C(m,2))).
     """
-    num = ONE.shift(2 * choose2(m) * n)
-    den = ONE
+    num: list[int] = []
+    den: list[int] = []
     for j in range(1, n + 1):
-        for l in range(2 * m):
-            num = num * q_int(2 * j - 1 + k + l)
-        for l in range(m):
-            den = den * q_int(j + l) * q_int(j + k + m + l)
-    return QRat(num, den).as_poly()
+        num += range(2 * j - 1 + k, 2 * j - 1 + k + 2 * m)
+        den += range(j, j + m)
+        den += range(j + k + m, j + k + 2 * m)
+    # 2m q-integers above and below, so their (1 - q) factors cancel
+    return q_product(num, den, choose2(m) * n).as_poly()
 
 
 def thm11_w(n: int, x: int, m: int) -> QRat:
@@ -503,20 +517,21 @@ def thm11_w(n: int, x: int, m: int) -> QRat:
     q^(n C(m,2)) (1-q)^(-mn) prod_(j<m) [j]!/[n+j]!
     prod_(j=1..n) (q^(x+2j-2);q)_(m-j) (q^(x+2m+j-2);q)_j,
     with the Pochhammer factors extended to negative count; the m = 0 and
-    n = 0 slices are 1.
+    n = 0 slices are 1.  Since [j]!/[n+j]! = (1-q)^n / (q^(j+1);q)_n, the
+    (1-q) powers cancel.
     """
     if m == 0 or n == 0:
         return QRat(1)
-    num = ONE.shift(2 * choose2(m) * n)
-    den = (ONE - QPoly.monomial(2)) ** (m * n)
+    if n < 0 or m < 0:
+        raise ValueError("thm11_w needs n, m >= 0")
+    num: list[int] = []
+    den: list[int] = []
     for j in range(m):
-        num = num * q_factorial(j)
-        den = den * q_factorial(n + j)
-    out = QRat(num, den)
+        den += range(j + 1, n + j + 1)
     for j in range(1, n + 1):
-        out = out * poch_ext(1, 2 * (x + 2 * j - 2), m - j)
-        out = out * poch_ext(1, 2 * (x + 2 * m + j - 2), j)
-    return out
+        _q_poch(num, den, x + 2 * j - 2, m - j)
+        _q_poch(num, den, x + 2 * m + j - 2, j)
+    return q_product(num, den, choose2(m) * n)
 
 
 def thm11_w1m(x: int, m: int) -> QRat:
@@ -526,30 +541,33 @@ def thm11_w1m(x: int, m: int) -> QRat:
 
 
 def sec33_rhs(n: int, k: int) -> QRat:
-    """q^n (1+q^k)/(1+q^(n+k)) [k]/[2n+k] [2n+k choose n] / ((-q;q)_n (-q^k;q)_n)."""
-    num = (
-        QPoly.monomial(2 * n)
-        * (ONE + QPoly.monomial(2 * k))
-        * q_int(k)
-        * q_binomial(2 * n + k, n)
-    )
-    den = (
-        (ONE + QPoly.monomial(2 * (n + k)))
-        * q_int(2 * n + k)
-        * q_pochhammer(-1, 2, n)
-        * q_pochhammer(-1, 2 * k, n)
-    )
-    return QRat(num, den)
+    """q^n (1+q^k)/(1+q^(n+k)) [k]/[2n+k] [2n+k choose n] / ((-q;q)_n (-q^k;q)_n).
+
+    Through 1 + q^a = (1 - q^(2a)) / (1 - q^a) for a != 0 (a factor 1 + q^0
+    is the constant 2) and [N choose n] = prod_(l<n) (1-q^(N-l))/(1-q^(l+1)).
+    """
+    if n < 0:
+        raise ValueError("sec33_rhs needs n >= 0")
+    num = [k] + [2 * n + k - l for l in range(n)]
+    den = [2 * n + k] + [l + 1 for l in range(n)]
+    plus_num = [k]
+    plus_den = [n + k, *range(1, n + 1), *range(k, k + n)]
+    num += [2 * a for a in plus_num if a] + [a for a in plus_den if a]
+    den += [2 * a for a in plus_den if a] + [a for a in plus_num if a]
+    twos = plus_num.count(0) - plus_den.count(0)
+    out = q_product(num, den, n)
+    return out * QRat(2) ** twos if twos else out
 
 
 def remark_rhs_product(n: int, m: int, x: int) -> QRat:
     """q^(n C(m,2)) prod_(j<m) (q^(x+j+1);q)_(m+n-1-2j) / (q^(j+1);q)_(m+n-1-2j)."""
-    out = QRat(ONE.shift(2 * choose2(m) * n))
+    num: list[int] = []
+    den: list[int] = []
     for j in range(m):
         cnt = m + n - 1 - 2 * j
-        out = out * poch_ext(1, 2 * (x + j + 1), cnt)
-        out = out / poch_ext(1, 2 * (j + 1), cnt)
-    return out
+        _q_poch(num, den, x + j + 1, cnt)
+        _q_poch(den, num, j + 1, cnt)
+    return q_product(num, den, choose2(m) * n)
 
 
 def gfun_reversed(n: int, r: int) -> QPoly:

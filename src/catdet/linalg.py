@@ -2,11 +2,16 @@
 
 Matrices are immutable row-major arrays tagged with a ring (integers,
 rationals, q-polynomials or q-rational functions).  Identity checks call
-``det``, which picks its engine from the shape of the input: a lower
-Hessenberg matrix (every entry above the superdiagonal is zero, as in most of
-the paper's families) goes to ``det_hessenberg``, the division-free expansion
-of all leading minors along their last rows in O(n^2) ring products; any other
-matrix goes to ``det_bareiss``, the fraction-free O(n^3) elimination.  Dodgson
+``det``, which picks its route by ring and then by shape.  A q-rational matrix
+is first cleared row by row: each row is multiplied by the lcm of its
+entries' denominators (small polynomials such as q-integers), the
+q-polynomial determinant is taken, and the quotient by the product of the row
+lcms is reduced once, instead of one polynomial gcd per ring operation.  A
+lower Hessenberg matrix (every entry above the superdiagonal is zero, as in
+most of the paper's families) goes to ``det_hessenberg``, the division-free
+expansion of all leading minors along their last rows in O(n^2) ring
+products; any other matrix goes to ``det_bareiss``, the fraction-free O(n^3)
+elimination.  Dodgson
 condensation (with a Bareiss fallback on interior zeros, since exact
 arithmetic forbids perturbation tricks) and naive cofactor expansion (the
 cross-check oracle) serve as independent routes.
@@ -297,13 +302,40 @@ def det_hessenberg(m: Matrix):
     return _hessenberg_expansion(m)
 
 
-def det(m: Matrix):
-    """Exact determinant; the engine follows from the matrix's shape.
+def _clear_rows(m: Matrix) -> tuple[Matrix, QPoly]:
+    """Scale each row of a q-rational matrix by the lcm of its denominators.
 
-    Lower Hessenberg matrices use the division-free expansion of
-    ``det_hessenberg``; every other matrix uses ``det_bareiss``.
+    Returns the q-polynomial matrix and the product of the row scales.
+    """
+    n = m.ncols
+    data = []
+    scale = QP_ONE
+    for i in range(m.nrows):
+        row = m.data[i * n:(i + 1) * n]
+        lcm = QP_ONE
+        for v in row:
+            if not (v.den.is_one or v.den == lcm):
+                # lcm / den reduces to (lcm / g) / (den / g), g = gcd(lcm, den)
+                lcm = lcm * QRat(lcm, v.den).den
+        data += [v.num if v.den == lcm else v.num * lcm.exact_div(v.den) for v in row]
+        scale = scale * lcm
+    return Matrix(m.nrows, n, data, QPOLY), scale
+
+
+def det(m: Matrix):
+    """Exact determinant; the engine follows from the matrix's ring and shape.
+
+    A q-rational matrix has each row scaled by the lcm of its (small)
+    denominators; the q-polynomial determinant of the result, over the
+    product of the row scales, is reduced once, so no gcd is taken per
+    elimination step.  Then lower Hessenberg matrices use the division-free
+    expansion of ``det_hessenberg`` and every other matrix uses
+    ``det_bareiss``.
     """
     _square(m)
+    if m.ring is QRAT:
+        cleared, scale = _clear_rows(m)
+        return QRat(det(cleared), scale)
     if _is_lower_hessenberg(m):
         return _hessenberg_expansion(m)
     return det_bareiss(m)

@@ -15,7 +15,11 @@ structural comparison as well.
 The module also provides the q-combinatorial primitives: q-integers,
 q-factorials, q-binomial coefficients (Gaussian polynomials, extended to
 negative upper index by reflection), q-Pochhammer products with monomial
-arguments, and specialization at q = 1 and q = -1.
+arguments, and specialization at q = 1 and q = -1.  The paper's closed forms
+are products of factors (1 - q^e) and their inverses; ``q_product`` splits
+each factor into cyclotomic polynomials, nets their exponents and returns the
+canonical ``QRat`` with no gcd at all (distinct cyclotomic polynomials are
+coprime, monic and primitive).
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ __all__ = [
     "qpoly_from_json",
     "qrat_to_json",
     "qrat_from_json",
+    "q_product",
 ]
 
 
@@ -738,6 +743,86 @@ def q_lucas_value(m: int, j: int) -> QPoly:
 
 
 # ---------------------------------------------------------------------------
+# products of (1 - q^e) through cyclotomic polynomials
+# ---------------------------------------------------------------------------
+
+# Phi_d(y) with plain (not doubled) exponents of y as keys; the polynomial is
+# rescaled to the variable at hand when it is used.
+_CYCLO_CACHE: dict[int, QPoly] = {}
+
+
+def _divisors(n: int) -> list[int]:
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def _cyclo(d: int) -> QPoly:
+    """Phi_d(y) = (y^d - 1) / prod_(e | d, e < d) Phi_e(y), cached."""
+    p = _CYCLO_CACHE.get(d)
+    if p is None:
+        p = QPoly._raw({0: -1, d: 1})
+        for e in _divisors(d)[:-1]:
+            p = p.exact_div(_cyclo(e))
+        _CYCLO_CACHE[d] = p
+    return p
+
+
+def _expand(powers: dict[int, int], scale: int) -> QPoly:
+    """prod Phi_d(y)^c over ``powers`` (d -> c), with y = q^(scale/2)."""
+    # smallest factors first: the running product stays short for longest
+    out = ONE
+    for f in sorted((_cyclo(d) ** c for d, c in powers.items()), key=lambda p: len(p._c)):
+        out = out * f
+    return QPoly._raw({scale * e: v for e, v in out._c.items()})
+
+
+def q_product(num, den=(), power: int = 0) -> QRat:
+    """q^power * prod_(e in num) (1 - q^e) / prod_(f in den) (1 - q^f), reduced.
+
+    Exponents are plain integers and may repeat or be negative.  A zero
+    exponent makes the value 0 in ``num`` and raises ``ZeroDivisionError`` in
+    ``den``.  With g the gcd of all exponents and y = q^g, each factor is
+    1 - y^a = -prod_(d | a) Phi_d(y) for a > 0 and y^a prod_(d | -a) Phi_d(y)
+    for a < 0.  After the exponents of each Phi_d are netted, the numerator is
+    +-q^s times the Phi_d with positive net exponent and the denominator is
+    the product of the rest.  The Phi_d(y) are irreducible, monic and primitive,
+    have constant term +-1, and share no root for distinct d (a root x of
+    Phi_d(x^(2g)) has x^(2g) of order exactly d), so this is already the
+    canonical ``QRat`` form: coprime, denominator monic with its lowest
+    exponent at 0.  No gcd is computed.
+    """
+    num, den = list(num), list(den)
+    if 0 in den:
+        raise ZeroDivisionError("q_product with a factor 1 - q^0 in the denominator")
+    if 0 in num:
+        return QRAT_ZERO
+    g = 0
+    for e in num + den:
+        g = math.gcd(g, e)
+    sign, powers = 1, {}
+    for exps, step in ((num, 1), (den, -1)):
+        for e in exps:
+            if e > 0:
+                sign = -sign
+            else:
+                power += step * e
+            for d in _divisors(abs(e) // g):
+                powers[d] = powers.get(d, 0) + step
+    scale = 2 * g
+    top = _expand({d: c for d, c in powers.items() if c > 0}, scale)
+    bottom = _expand({d: -c for d, c in powers.items() if c < 0}, scale)
+    top = top.shift(2 * power)
+    return QRat._reduced(top if sign > 0 else -top, bottom)
+
+
+# ---------------------------------------------------------------------------
 # JSON codecs
 # ---------------------------------------------------------------------------
 
@@ -754,4 +839,11 @@ def qrat_to_json(r: QRat) -> dict:
 
 
 def qrat_from_json(d: dict) -> QRat:
-    return QRat._reduced(qpoly_from_json(d["num"]), qpoly_from_json(d["den"]))
+    """Decode ``qrat_to_json`` output; raises ``ValueError`` unless it is canonical."""
+    num, den = qpoly_from_json(d["num"]), qpoly_from_json(d["den"])
+    if den.is_zero:
+        raise ValueError("q-rational JSON with a zero denominator")
+    r = QRat(num, den)
+    if r.num != num or r.den != den:
+        raise ValueError(f"q-rational JSON not in canonical form: ({num}) / ({den})")
+    return r

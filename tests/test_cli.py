@@ -208,3 +208,27 @@ def test_empty_grid_exits_2(capsys):
         assert code == 2
         assert "empty grid for eq46" in captured.err
         assert captured.out == ""
+
+
+def test_conjecture_empty_grid_exits_2(capsys):
+    code = main(["conjecture", "--id", "c13a", "--n-max", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "empty grid for c13a" in captured.err
+    assert captured.out == ""
+
+
+def test_conjecture_unknown_id_is_rejected_before_mod_filter(capsys):
+    code = main(["conjecture", "--id", "nope", "--mod", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "unknown conjecture id: 'nope'" in captured.err
+    assert captured.out == ""
+
+
+def test_conjecture_mod_without_match_exits_2(capsys):
+    code = main(["conjecture", "--mod", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "no conjecture with modulus 5" in captured.err
+    assert captured.out == ""

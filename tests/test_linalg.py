@@ -269,3 +269,43 @@ def test_hessenberg_rejects_other_matrices():
         det_hessenberg(INTRO_4X4.transpose())
     with pytest.raises(ValueError):
         det_hessenberg(Matrix(2, 3, [1, 2, 3, 4, 5, 6]))
+
+
+# -- q-rational determinants by row clearing, against Bareiss over QRat -------
+
+# shared denominators (q-integers, a repeated factor, an integer, a half power)
+# and, one entry in three, a fresh random one, coprime or not
+SHARED_DENOMINATORS = [ONE, ONE + Q, ONE + Q + Q * Q, (ONE + Q) * (ONE + Q),
+                       QPoly.const(2), QPoly([(0, 1), (1, 1)])]
+
+
+def random_cleared_entry(rng):
+    num = QPoly([(rng.randint(-2, 5), rng.randint(-3, 3)) for _ in range(rng.randint(1, 3))])
+    den = rng.choice(SHARED_DENOMINATORS) if rng.random() < 0.67 else random_qpoly(rng)
+    return QRat(num, den or ONE)
+
+
+@pytest.mark.parametrize("hessenberg", [False, True], ids=["dense", "hessenberg"])
+def test_row_cleared_qrat_det_agrees_with_bareiss_and_cofactor(hessenberg):
+    rng = random.Random(f"row-cleared:{hessenberg}")
+    for _ in range(40):
+        n = rng.randint(0, 4)
+        zero_row = rng.randrange(n) if n and rng.random() < 0.25 else None
+        m = Matrix.build(
+            n, n,
+            lambda i, j: QRat(0) if i == zero_row or (hessenberg and j > i + 1)
+            else random_cleared_entry(rng),
+            QRAT,
+        )
+        assert det(m) == det_bareiss(m) == det_cofactor(m)
+
+
+@pytest.mark.parametrize("matrix", [
+    pytest.param(lambda: fam.fam_thm11_B(6, 4, 3), id="thm11B-n6-x4-m3"),
+    pytest.param(lambda: fam.fam_sec33(5, 4), id="sec33-n5-k4"),
+    pytest.param(lambda: fam.fam_eq89(6, 4), id="eq89-n6-k4"),
+])
+def test_row_cleared_det_on_q_rational_families(matrix):
+    m = matrix()
+    assert m.ring is QRAT
+    assert det(m) == det_bareiss(m)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,11 +13,13 @@ from catdet.qseries import (
     ExactDivisionError,
     QPoly,
     QRat,
+    _cyclo,
     q_binomial,
     q_factorial,
     q_int,
     q_lucas_value,
     q_pochhammer,
+    q_product,
     qpoly_from_json,
     qpoly_to_json,
     qpow,
@@ -280,6 +283,62 @@ def test_json_roundtrip():
     assert qpoly_from_json(data) == p
     r = QRat(ONE, ONE + Q)
     assert qrat_from_json(qrat_to_json(r)) == r
+
+
+@pytest.mark.parametrize("num,den", [
+    ([(0, 2)], [(0, 2)]),                      # common integer factor
+    ([(0, 1)], [(0, -1)]),                     # negative leading denominator coefficient
+    ([(0, 1), (2, -1)], [(0, 1), (2, -1)]),    # common polynomial factor
+    ([(0, 1)], [(2, 1), (4, 1)]),              # denominator not starting at q^0
+    ([(0, 1)], []),                            # zero denominator
+])
+def test_qrat_from_json_rejects_non_canonical_input(num, den):
+    data = {"num": qpoly_to_json(P(*num)), "den": qpoly_to_json(P(*den))}
+    with pytest.raises(ValueError):
+        qrat_from_json(data)
+
+
+def expanded_product(num, den, power):
+    top = qpow(2 * power)
+    for e in num:
+        top = top * (ONE - qpow(2 * e))
+    bottom = ONE
+    for f in den:
+        bottom = bottom * (ONE - qpow(2 * f))
+    return QRat(top, bottom)
+
+
+def test_q_product_matches_the_reduced_expansion():
+    rng = random.Random("q_product")
+    exps = [e for e in range(-9, 13) if e]
+    for _ in range(300):
+        num = [rng.choice(exps) for _ in range(rng.randint(0, 5))]
+        den = [rng.choice(exps) for _ in range(rng.randint(0, 5))]
+        # repeated exponents, and some shared between numerator and denominator
+        if num and rng.random() < 0.5:
+            den.append(rng.choice(num))
+        if num and rng.random() < 0.3:
+            num.append(num[0])
+        power = rng.randint(-4, 4)
+        r = q_product(num, den, power)
+        expected = expanded_product(num, den, power)
+        assert (r.num, r.den) == (expected.num, expected.den)
+
+
+def test_q_product_zero_exponent():
+    assert q_product([3, 0, -2], [1]) == 0
+    assert q_product([3, 0], [1]).den == ONE
+    with pytest.raises(ZeroDivisionError):
+        q_product([3], [1, 0])
+    assert q_product([], [], 0) == 1
+
+
+def test_cyclotomic_cache_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for d in range(1, 61):
+        coeffs = sympy.Poly(sympy.cyclotomic_poly(d, x), x).all_coeffs()[::-1]
+        assert _cyclo(d) == QPoly([(k, int(c)) for k, c in enumerate(coeffs)]), d
 
 
 def test_degree_undefined_on_zero():
