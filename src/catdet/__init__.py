@@ -5,8 +5,10 @@ The package provides exact scalar arithmetic (arbitrary-precision integers
 and rationals), a Laurent polynomial ring in q with half-integer exponents,
 exact dense linear algebra (a determinant that clears the denominators of a
 q-rational matrix row by row, then picks the division-free Hessenberg
-expansion or fraction-free Bareiss from the matrix's shape, Dodgson
-condensation, inverses and null-space checks), a
+expansion or fraction-free Bareiss from the matrix's shape; the Hessenberg
+expansion as a sweep that yields every leading minor of a growing matrix, so
+a family is expanded once for all its sizes; Dodgson condensation, inverses
+and null-space checks), a
 three-term-recurrence engine for monic orthogonal polynomials and their
 moment tables, a registry of executable identity checks, residue-lift
 determinant experiments with conjecture searches, and a command line front
@@ -16,6 +18,7 @@ end.
 from catdet.exact import ExactInt, ExactRat, binomial
 from catdet.qseries import QPoly, QRat, q_binomial, q_factorial, q_int, q_pochhammer
 from catdet.linalg import (
+    LeadingMinors,
     Matrix,
     det,
     det_bareiss,
@@ -40,6 +43,7 @@ __all__ = [
     "det",
     "det_bareiss",
     "det_hessenberg",
+    "LeadingMinors",
     "det_condensation",
     "det_cofactor",
     "inverse",

@@ -222,11 +222,12 @@ def _cmd_conjecture(args) -> int:
 def _cmd_bench(args) -> int:
     import random
 
-    from catdet.families import fam_thm11_B, thm11_w
+    from catdet.families import EQ1, fam_eq1, fam_thm11_B, thm11_w
     from catdet.linalg import (
         INT,
         QPOLY,
         Matrix,
+        condense,
         det,
         det_bareiss,
         det_condensation,
@@ -245,8 +246,25 @@ def _cmd_bench(args) -> int:
                                      ("hessenberg", det_hessenberg, h)):
             t0 = time.perf_counter()
             engine(matrix)
-            rows.append({"ring": "integer", "size": size, "engine": name,
-                         "seconds": round(time.perf_counter() - t0, 6)})
+            row = {"ring": "integer", "size": size, "engine": name,
+                   "seconds": round(time.perf_counter() - t0, 6)}
+            if engine is det_condensation:
+                # whether it met an interior zero and ran Bareiss instead
+                row["fallback"] = condense(m) is None
+            rows.append(row)
+
+    # every determinant of eq1 up to n = 80: one leading-minor sweep against
+    # a matrix built and expanded per n
+    def sweep_eq1():
+        minors = EQ1.sweep()
+        return [minors[n] for n in range(81)]
+
+    for name, run in (("sweep", sweep_eq1),
+                      ("det", lambda: [det(fam_eq1(n)) for n in range(81)])):
+        t0 = time.perf_counter()
+        run()
+        rows.append({"ring": "integer", "size": 80, "engine": name,
+                     "input": "eq1, every n <= 80", "seconds": round(time.perf_counter() - t0, 6)})
     for size in (4, 6):
         m = Matrix(
             size, size,

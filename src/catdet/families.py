@@ -2,7 +2,11 @@
 
 Every builder returns an exact :class:`~catdet.linalg.Matrix`; entries depend
 only on (i, j) and the family parameters, and an n = 0 slice is the valid
-0x0 matrix.  Families whose displayed entries contain removable rational
+0x0 matrix.  A family whose entries do not depend on n is also declared once
+as a :class:`Family` constant (``EQ1``, ``EQ54``, ...), and its ``fam_*``
+builds from it: each n x n matrix is then the leading block of every larger
+one, so the determinant of a lower Hessenberg family at every n is read off
+one ``LeadingMinors`` sweep.  Families whose displayed entries contain removable rational
 factors (the (a/(b)) * binomial(b, c) shapes) are built through cancelled
 product forms, so negative parameter values evaluate cleanly.
 
@@ -14,9 +18,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
+from typing import Callable, NamedTuple
 
 from catdet.exact import binomial, choose2
-from catdet.linalg import FRAC, INT, QPOLY, QRAT, Matrix
+from catdet.linalg import FRAC, INT, QPOLY, QRAT, LeadingMinors, Matrix, Ring
 from catdet.qseries import (
     ONE,
     QPoly,
@@ -32,74 +38,107 @@ from catdet.sequences import carlitz, catalan, catalan_power, gfun, q_catalan_po
 F = Fraction
 
 
+class Family(NamedTuple):
+    """Entries ``entry(i, j, **params)`` over ``ring`` that do not depend on n.
+
+    The entry functions look up ``binomial``/``q_binomial`` in this module when
+    called, so rebinding a module attribute (as a tracer does) reaches them.
+    """
+
+    ring: Ring
+    entry: Callable[..., object]
+
+    def matrix(self, n: int, **params) -> Matrix:
+        """The n x n matrix at ``params``."""
+        return Matrix.build(n, n, partial(self.entry, **params), self.ring)
+
+    def sweep(self, **params) -> LeadingMinors:
+        """Every leading minor at ``params``, for a lower Hessenberg family."""
+        return LeadingMinors(partial(self.entry, **params), self.ring)
+
+
 # ---------------------------------------------------------------------------
 # integer / rational families
 # ---------------------------------------------------------------------------
 
+EQ1 = Family(INT, lambda i, j: binomial(i + j + 1, i - j + 1))
+EQ1B = Family(INT, lambda i, j: binomial(i + j + 1, 2 * j))
+EQ54 = Family(INT, lambda i, j, k: binomial(i + j + k, i - j + 1))
+EQ55 = Family(INT, lambda i, j, k: binomial(j + k, i - j + 1))
+EQ58 = Family(INT, lambda i, j, k, r: binomial(i + (r - 1) * j + k, i - j + 1))
+EQ61 = Family(INT, lambda i, j, k, r: binomial((r - 1) * j + k, i - j + 1))
+EQ35 = Family(INT, lambda i, j, x: binomial(x + i + j, i - j + 1))
+# banded (support j <= i + m), so not lower Hessenberg once m > 1
+EQ65 = Family(INT, lambda i, j, m: binomial(i + j + m, i - j + m))
+
+
 def fam_eq1(n: int) -> Matrix:
     """binomial(i+j+1, i-j+1): determinant is the n-th Catalan number."""
-    return Matrix.build(n, n, lambda i, j: binomial(i + j + 1, i - j + 1), INT)
+    return EQ1.matrix(n)
 
 
 def fam_eq1b(n: int) -> Matrix:
     """binomial(i+j+1, 2j): the same matrix written through its complement."""
-    return Matrix.build(n, n, lambda i, j: binomial(i + j + 1, 2 * j), INT)
+    return EQ1B.matrix(n)
 
 
 def fam_eq54(n: int, k: int) -> Matrix:
     """binomial(i+j+k, i-j+1): determinant is the Catalan power value."""
-    return Matrix.build(n, n, lambda i, j: binomial(i + j + k, i - j + 1), INT)
+    return EQ54.matrix(n, k=k)
 
 
 def fam_eq55(n: int, k: int) -> Matrix:
     """binomial(j+k, i-j+1): column-index-only variant of the same family."""
-    return Matrix.build(n, n, lambda i, j: binomial(j + k, i - j + 1), INT)
+    return EQ55.matrix(n, k=k)
 
 
 def fam_eq58(n: int, k: int, r: int) -> Matrix:
-    return Matrix.build(n, n, lambda i, j: binomial(i + (r - 1) * j + k, i - j + 1), INT)
+    return EQ58.matrix(n, k=k, r=r)
 
 
 def fam_eq61(n: int, k: int, r: int) -> Matrix:
-    return Matrix.build(n, n, lambda i, j: binomial((r - 1) * j + k, i - j + 1), INT)
+    return EQ61.matrix(n, k=k, r=r)
 
 
 def fam_eq35(n: int, x: int) -> Matrix:
     """binomial(x+i+j, i-j+1) at an arbitrary integer shift x."""
-    return Matrix.build(n, n, lambda i, j: binomial(x + i + j, i - j + 1), INT)
+    return EQ35.matrix(n, x=x)
 
 
 def fam_eq39(n: int, m: int) -> Matrix:
     return Matrix.build(n, n, lambda i, j: binomial(j - m, i - j + 1), INT)
 
 
-def _ratio_row_entry(i: int, j: int, x: int) -> Fraction:
-    """((2i+1+x)/(i+j+x)) binomial(i+j+x, i-j+1) through cancellation."""
+def _ratio_row_entry(i: int, j: int, k: int) -> Fraction:
+    """((2i+1+k)/(i+j+k)) binomial(i+j+k, i-j+1) through cancellation."""
     c = i - j + 1
     if c < 0:
         return F(0)
     if c == 0:
         return F(1)
-    num = F(2 * i + 1 + x)
+    num = F(2 * i + 1 + k)
     for l in range(1, c):
-        num *= x + i + j - l
+        num *= k + i + j - l
     return num / math.factorial(c)
 
 
-def fam_eq45(n: int, x: int) -> Matrix:
-    """The row-weighted family ((2i+x+1)/(i+j+x)) binomial(i+j+x, i-j+1)."""
-    return Matrix.build(n, n, lambda i, j: _ratio_row_entry(i, j, x), FRAC)
+EQ45 = Family(FRAC, _ratio_row_entry)
+EQ43 = Family(FRAC, lambda i, j: _ratio_row_entry(i, j, 1))
+EQ46 = Family(FRAC, lambda i, j, k: F(i + k + 1, j + k) * binomial(j + k, i - j + 1))
+
+
+def fam_eq45(n: int, k: int) -> Matrix:
+    """The row-weighted family ((2i+k+1)/(i+j+k)) binomial(i+j+k, i-j+1)."""
+    return EQ45.matrix(n, k=k)
 
 
 def fam_eq43(n: int) -> Matrix:
     """k = 1 case of the row-weighted family: (2i+2)/(i+j+1) binomial(...)."""
-    return fam_eq45(n, 1)
+    return EQ43.matrix(n)
 
 
 def fam_eq46(n: int, k: int) -> Matrix:
-    return Matrix.build(
-        n, n, lambda i, j: F(i + k + 1, j + k) * binomial(j + k, i - j + 1), FRAC
-    )
+    return EQ46.matrix(n, k=k)
 
 
 def fam_eq49(n: int, m: int) -> Matrix:
@@ -119,7 +158,7 @@ def fam_eq34(n: int) -> Matrix:
 
 
 def fam_eq65(n: int, m: int) -> Matrix:
-    return Matrix.build(n, n, lambda i, j: binomial(i + j + m, i - j + m), INT)
+    return EQ65.matrix(n, m=m)
 
 
 def fam_eq74(n: int, m: int, k: int) -> Matrix:
@@ -191,10 +230,19 @@ def _qb(top: int, bottom: int, e2: int) -> QPoly:
     return q_binomial(top, bottom).shift(e2)
 
 
+EQ27 = Family(QPOLY, lambda i, j, k: _qb(i + 1 + k, j + k, 2 * choose2(i - j)))
+EQ77 = Family(QPOLY, lambda i, j: _qb(i + 1 + j, i + 1 - j, 4 * choose2(i - j)))
+EQ78 = Family(QPOLY, lambda i, j: q_binomial(i + j + 1, i - j + 1))
+EQ81 = Family(QPOLY, lambda i, j, r: _qb((r - 1) * j + 1, i - j + 1, 2 * choose2(i - j + 1)))
+EQ83 = Family(QPOLY, lambda i, j: _qb(i + j + 1, i - j + 1, 2 * choose2(i - j + 1)))
+EQ84 = Family(QPOLY, lambda i, j: _qb(i + j + 1, i - j + 1, 2 * choose2(i - j)))
+# both prefactor variants q^C(i-j,2) and q^C(i-j+1,2) of the same family
+EQ86 = Family(QPOLY, lambda i, j, k, shifted:
+              _qb(i + j + k, i - j + 1, 2 * choose2(i - j + (1 if shifted else 0))))
+
+
 def fam_eq27(n: int, k: int) -> Matrix:
-    return Matrix.build(
-        n, n, lambda i, j: _qb(i + 1 + k, j + k, 2 * choose2(i - j)), QPOLY
-    )
+    return EQ27.matrix(n, k=k)
 
 
 def fam_eq71(n: int, m: int) -> Matrix:
@@ -202,41 +250,28 @@ def fam_eq71(n: int, m: int) -> Matrix:
 
 
 def fam_eq77(n: int) -> Matrix:
-    return Matrix.build(
-        n, n, lambda i, j: _qb(i + 1 + j, i + 1 - j, 4 * choose2(i - j)), QPOLY
-    )
+    return EQ77.matrix(n)
 
 
 def fam_eq78(n: int) -> Matrix:
-    return Matrix.build(n, n, lambda i, j: q_binomial(i + j + 1, i - j + 1), QPOLY)
+    return EQ78.matrix(n)
 
 
 def fam_eq81(n: int, r: int) -> Matrix:
-    return Matrix.build(
-        n, n,
-        lambda i, j: _qb((r - 1) * j + 1, i - j + 1, 2 * choose2(i - j + 1)),
-        QPOLY,
-    )
+    return EQ81.matrix(n, r=r)
 
 
 def fam_eq83(n: int) -> Matrix:
-    return Matrix.build(
-        n, n, lambda i, j: _qb(i + j + 1, i - j + 1, 2 * choose2(i - j + 1)), QPOLY
-    )
+    return EQ83.matrix(n)
 
 
 def fam_eq84(n: int) -> Matrix:
-    return Matrix.build(
-        n, n, lambda i, j: _qb(i + j + 1, i - j + 1, 2 * choose2(i - j)), QPOLY
-    )
+    return EQ84.matrix(n)
 
 
 def fam_eq86(n: int, k: int, shifted: bool) -> Matrix:
     """Both prefactor variants q^C(i-j,2) and q^C(i-j+1,2) of the same family."""
-    off = 1 if shifted else 0
-    return Matrix.build(
-        n, n, lambda i, j: _qb(i + j + k, i - j + 1, 2 * choose2(i - j + off)), QPOLY
-    )
+    return EQ86.matrix(n, k=k, shifted=shifted)
 
 
 def fam_eq88(n: int) -> Matrix:

@@ -8,11 +8,15 @@ entries' denominators (small polynomials such as q-integers), the
 q-polynomial determinant is taken, and the quotient by the product of the row
 lcms is reduced once, instead of one polynomial gcd per ring operation.  A
 lower Hessenberg matrix (every entry above the superdiagonal is zero, as in
-most of the paper's families) goes to ``det_hessenberg``, the division-free
-expansion of all leading minors along their last rows in O(n^2) ring
-products; any other matrix goes to ``det_bareiss``, the fraction-free O(n^3)
-elimination.  Dodgson
-condensation (with a Bareiss fallback on interior zeros, since exact
+most of the paper's families) goes to ``det_hessenberg``; any other matrix
+goes to ``det_bareiss``, the fraction-free O(n^3) elimination.
+
+``LeadingMinors`` is the Hessenberg engine: the division-free expansion of
+every leading minor along its last row, O(n^2) ring products in all.  It
+grows the matrix given by an entry function one row and one column at a
+time, so a family whose entries do not depend on n yields its determinant at
+every n from one sweep; ``det_hessenberg`` runs it over a matrix's entries.
+Dodgson condensation (with a Bareiss fallback on interior zeros, since exact
 arithmetic forbids perturbation tricks) and naive cofactor expansion (the
 cross-check oracle) serve as independent routes.
 Inverses are computed over the ring's fraction field and verified against the
@@ -38,6 +42,8 @@ __all__ = [
     "det",
     "det_bareiss",
     "det_hessenberg",
+    "LeadingMinors",
+    "condense",
     "det_condensation",
     "det_cofactor",
     "inverse",
@@ -263,43 +269,80 @@ def _is_lower_hessenberg(m: Matrix) -> bool:
     return not any(any(data[i * n + i + 2:(i + 1) * n]) for i in range(n - 2))
 
 
-def _hessenberg_expansion(m: Matrix):
-    """Leading minors D_0 = 1, D_1, ..., D_n of a lower Hessenberg matrix; returns D_n.
+class LeadingMinors:
+    """Leading principal minors D_0 = 1, D_1, ... of a lower Hessenberg matrix.
 
-    Expanding D_k along its last row gives
+    The matrix is given by ``entry(i, j)`` over ``ring`` and may be unbounded:
+    ``self[n]`` grows it one row and one column per minor up to n x n, so the
+    n x n determinant of a family whose entries do not depend on n is read off
+    one sweep at every n.  Expanding D_k along its last row gives
 
         D_k = sum_j (-1)^(k-1-j) a(k-1, j) * prod_{i=j}^{k-2} a(i, i+1) * D_j,
 
     evaluated in nested (Horner) form from the left,
     acc <- a(k-1, j) D_j - a(j-1, j) acc, so each term costs two ring products
     and no division.  Terms left of a zero superdiagonal entry a(s-1, s)
-    vanish, so each row's sum starts at the last such s.
+    vanish, so each row's sum starts at the last such s.  Each entry is
+    evaluated once, when its row or column is added; only the superdiagonal
+    and the minors are kept.  Adding column c raises ``ValueError`` if one of
+    its entries above the superdiagonal is nonzero.
     """
-    n, data = m.ncols, m.data
-    minors = [m.ring.one]
-    start = 0
-    for k in range(1, n + 1):
-        row = data[(k - 1) * n:k * n]
-        if k >= 2 and not data[(k - 2) * n + k - 1]:
-            start = k - 1
-        acc = row[start] * minors[start]
+
+    def __init__(self, entry: Callable[[int, int], object], ring: Ring):
+        self.entry = entry
+        self.ring = ring
+        self._minors = [ring.one]
+        self._super = [ring.zero]  # _super[s] = a(s-1, s); slot 0 is unused
+        self._start = 0
+
+    def __len__(self) -> int:
+        """How many minors are computed so far."""
+        return len(self._minors)
+
+    def __getitem__(self, n: int):
+        """D_n, the determinant of the leading n x n block."""
+        if n < 0:
+            raise IndexError(f"no leading minor of size {n}")
+        while len(self._minors) <= n:
+            self._grow()
+        return self._minors[n]
+
+    def _grow(self) -> None:
+        """Add row and column k - 1 and compute D_k, k = len(self)."""
+        entry, coerce, minors = self.entry, self.ring.coerce, self._minors
+        k = len(minors)
+        col = k - 1
+        for i in range(col - 1):
+            if entry(i, col):
+                raise ValueError(
+                    f"not lower Hessenberg: entry ({i}, {col}) above the superdiagonal is nonzero"
+                )
+        sup = self._super
+        if k >= 2:
+            sup.append(coerce(entry(k - 2, col)))
+            if not sup[col]:
+                self._start = col
+        start = self._start
+        acc = coerce(entry(col, start)) * minors[start]
         for j in range(start + 1, k):
-            acc = row[j] * minors[j] - data[(j - 1) * n + j] * acc
+            acc = coerce(entry(col, j)) * minors[j] - sup[j] * acc
         minors.append(acc)
-    return minors[n]
+
+
+def _entries(m: Matrix) -> Callable[[int, int], object]:
+    n, data = m.ncols, m.data
+    return lambda i, j: data[i * n + j]
 
 
 def det_hessenberg(m: Matrix):
     """Determinant of a lower Hessenberg matrix (a(i, j) = 0 for j > i + 1).
 
-    Computes every leading minor by last-row expansion: O(n^2) ring products,
+    Runs ``LeadingMinors`` over the matrix's entries: O(n^2) ring products,
     no division, no pivoting, so zero leading minors need no special case.
     Raises ``ValueError`` on a matrix that is not lower Hessenberg.
     """
-    _square(m)
-    if not _is_lower_hessenberg(m):
-        raise ValueError("det_hessenberg needs a lower Hessenberg matrix")
-    return _hessenberg_expansion(m)
+    n = _square(m)
+    return LeadingMinors(_entries(m), m.ring)[n]
 
 
 def _clear_rows(m: Matrix) -> tuple[Matrix, QPoly]:
@@ -337,7 +380,7 @@ def det(m: Matrix):
         cleared, scale = _clear_rows(m)
         return QRat(det(cleared), scale)
     if _is_lower_hessenberg(m):
-        return _hessenberg_expansion(m)
+        return det_hessenberg(m)
     return det_bareiss(m)
 
 
@@ -366,8 +409,8 @@ def det_cofactor(m: Matrix):
     return expand(tuple(range(n)), 0)
 
 
-def det_condensation(m: Matrix):
-    """Dodgson condensation; falls back to Bareiss on interior zeros."""
+def condense(m: Matrix):
+    """Dodgson condensation, or ``None`` when it meets an interior zero."""
     n = _square(m)
     ring = m.ring
     if n == 0:
@@ -385,12 +428,18 @@ def det_condensation(m: Matrix):
                 num = cur[i][j] * cur[i + 1][j + 1] - cur[i][j + 1] * cur[i + 1][j]
                 interior = prev[i + 1][j + 1]
                 if ring.is_zero(interior):
-                    return det_bareiss(m)
+                    return None
                 row.append(ring.exact_div(num, interior))
             nxt.append(row)
         prev, cur = cur, nxt
         size -= 1
     return cur[0][0]
+
+
+def det_condensation(m: Matrix):
+    """Dodgson condensation; falls back to Bareiss on interior zeros."""
+    value = condense(m)
+    return det_bareiss(m) if value is None else value
 
 
 def matvec(m: Matrix, v: Sequence):

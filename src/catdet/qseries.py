@@ -831,7 +831,17 @@ def qpoly_to_json(p: QPoly) -> list[dict]:
 
 
 def qpoly_from_json(data: list[dict]) -> QPoly:
-    return QPoly([(d["exp2"], int(d["coeff"])) for d in data])
+    """Decode ``qpoly_to_json`` output; raises ``ValueError`` on a repeated
+    exponent or a zero coefficient, which canonical output never has."""
+    c: dict[int, int] = {}
+    for d in data:
+        e2, v = d["exp2"], int(d["coeff"])
+        if e2 in c:
+            raise ValueError(f"q-polynomial JSON repeats the exponent {e2}/2")
+        if not v:
+            raise ValueError(f"q-polynomial JSON has a zero coefficient at q^({e2}/2)")
+        c[e2] = v
+    return QPoly._raw(c)
 
 
 def qrat_to_json(r: QRat) -> dict:

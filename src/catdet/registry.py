@@ -12,6 +12,11 @@ Most checks are data: a grid is a product of axes (``grid``), "det of family
 one row of ``_NULL_CHECKS``, and an "alternating sum = [n = 0]" runner is one
 call of ``kron_sum``.  The rest are written out below their section headers.
 
+A lower Hessenberg family whose entries do not depend on n is not rebuilt per
+grid point: ``swept_det`` keeps one ``LeadingMinors`` sweep per check and per
+parameters other than n, and reads each point's determinant off it, so a grid
+over n builds each entry of its largest matrix once.
+
 Conjecture checks are tagged; a counterexample there is a reportable
 outcome, never a suite failure.
 """
@@ -32,6 +37,7 @@ from catdet.linalg import (
     INT,
     QPOLY,
     QRAT,
+    LeadingMinors,
     Matrix,
     det,
     det_bareiss,
@@ -240,16 +246,47 @@ def _cases_grid(fast: int, full: int):
 # the common shapes: det of family = closed form, alternating sums, null vectors
 # ---------------------------------------------------------------------------
 
+# One leading-minor sweep per (name, parameters other than n).
+_SWEEPS: dict[tuple, LeadingMinors] = {}
+
+
+def swept_det(name: str, family: fam.Family, n: int, **params):
+    """det of the lower Hessenberg ``family``'s n x n matrix at ``params``.
+
+    It is D_n of the sweep kept under ``name`` and ``params``, grown on demand.
+    """
+    key = (name, *sorted(params.items()))
+    sweep = _SWEEPS.get(key)
+    if sweep is None:
+        sweep = _SWEEPS[key] = family.sweep(**params)
+    return sweep[n]
+
+
+def discard_sweeps(name: str) -> None:
+    """Drop every sweep kept under ``name``; its next reads recompute from scratch."""
+    for key in [key for key in _SWEEPS if key[0] == name]:
+        del _SWEEPS[key]
+
+
 def det_check(id: str, anchor: str, grid, family, closed_form, wrap=None,
               kind: str = "det") -> Check:
-    """``det(family(**p))``, passed through ``wrap``, equals ``closed_form(**p)``.
+    """The determinant of ``family``, passed through ``wrap``, equals ``closed_form(**p)``.
 
-    ``family`` and ``closed_form`` take the grid point's parameters.  They are
-    lambdas that look up module names when called, so that rebinding a module
-    attribute (as a tracer does) reaches them.
+    ``family`` is either a lower Hessenberg ``families.Family``, whose
+    determinant at each point is read off this check's sweep (``swept_det``),
+    or a lambda taking the grid point's parameters and returning its matrix.
+    ``family`` lambdas and ``closed_form`` look up module names when called, so
+    that rebinding a module attribute (as a tracer does) reaches them.
     """
+    if isinstance(family, fam.Family):
+        def lhs_of(n, **rest):
+            return swept_det(id, family, n, **rest)
+    else:
+        def lhs_of(**params):
+            return det(family(**params))
+
     def run(**params):
-        lhs = det(family(**params))
+        lhs = lhs_of(**params)
         if wrap is not None:
             lhs = wrap(lhs)
         rhs = closed_form(**params)
@@ -310,27 +347,25 @@ def _eq35_grid(b: Bounds) -> list[dict]:
 
 _DET_CHECKS = (
     det_check("eq1", "1 (1)", grid(n=(12, 40)),
-              lambda n: fam.fam_eq1(n), lambda n: catalan(n)),
+              fam.EQ1, lambda n: catalan(n)),
     det_check("eq1b", "1 (1)", grid(n=(12, 40)),
-              lambda n: fam.fam_eq1b(n), lambda n: catalan(n)),
+              fam.EQ1B, lambda n: catalan(n)),
     det_check("eq35", "2.1.1 (35)", _eq35_grid,
-              lambda n, x: fam.fam_eq35(n, x), lambda n, x: gould_product(n, x, 2)),
+              fam.EQ35, lambda n, x: gould_product(n, x, 2)),
     det_check("eq43", "2.1.1 (43)", grid(n=(10, 10)),
-              lambda n: fam.fam_eq43(n), lambda n: binomial(2 * n, n)),
+              fam.EQ43, lambda n: binomial(2 * n, n)),
     det_check("eq45", "2.1.1 (45)", grid(n=(10, 10), k=(6, 6, 1)),
-              lambda n, k: fam.fam_eq45(n, k), lambda n, k: binomial(2 * n + k - 1, n)),
+              fam.EQ45, lambda n, k: binomial(2 * n + k - 1, n)),
     det_check("eq46", "2.1.1 (46)", grid(n=(10, 10), k=(6, 6, 1)),
-              lambda n, k: fam.fam_eq46(n, k), lambda n, k: binomial(2 * n + k - 1, n)),
+              fam.EQ46, lambda n, k: binomial(2 * n + k - 1, n)),
     det_check("eq54", "2.1.2 (54); also (3), (32)", grid(n=(10, 20), k=(4, 8, 1)),
-              lambda n, k: fam.fam_eq54(n, k), lambda n, k: catalan_power(n, k)),
+              fam.EQ54, lambda n, k: catalan_power(n, k)),
     det_check("eq55", "2.1.2 (55); also (3), (33)", grid(n=(10, 20), k=(4, 8, 1)),
-              lambda n, k: fam.fam_eq55(n, k), lambda n, k: catalan_power(n, k)),
+              fam.EQ55, lambda n, k: catalan_power(n, k)),
     det_check("eq58", "2.1.2 (58)", grid(n=(6, 6), k=(4, 4, 1), r=(4, 4, 1)),
-              lambda n, k, r: fam.fam_eq58(n, k, r),
-              lambda n, k, r: F(k, r * n + k) * binomial(r * n + k, n)),
+              fam.EQ58, lambda n, k, r: F(k, r * n + k) * binomial(r * n + k, n)),
     det_check("eq61", "2.1.2 (61)", grid(n=(6, 6), k=(4, 4, 1), r=(4, 4, 1)),
-              lambda n, k, r: fam.fam_eq61(n, k, r),
-              lambda n, k, r: F(k, r * n + k) * binomial(r * n + k, n)),
+              fam.EQ61, lambda n, k, r: F(k, r * n + k) * binomial(r * n + k, n)),
     det_check("eq63", "2.2 Lemma 3 (63)", _cases_grid(8, 16),
               lambda case, seed=0: fam.fam_q_krattenthaler(
                   *_random_krattenthaler_case(seed, case)),
@@ -351,22 +386,22 @@ _DET_CHECKS = (
               lambda n, m: fam.hilbert_hankel(n, m),
               lambda n, m: fam.hilbert_hankel_product(n, m), kind="closed-form"),
     det_check("eq27", "2.1.1 (27)", grid(n=(5, 6), k=(4, 4, 0)),
-              lambda n, k: fam.fam_eq27(n, k), lambda n, k: q_binomial(n + k, k)),
+              fam.EQ27, lambda n, k: q_binomial(n + k, k)),
     det_check("eq77", "3.1 (77)", grid(n=(6, 8)),
-              lambda n: fam.fam_eq77(n), lambda n: carlitz(n)),
+              fam.EQ77, lambda n: carlitz(n)),
     det_check("eq78", "3.1 (78)", grid(n=(6, 9)),
-              lambda n: fam.fam_eq78(n), lambda n: fam.carlitz_reversed(n)),
+              fam.EQ78, lambda n: fam.carlitz_reversed(n)),
     # the entry-wise q = -1 specialization of the Carlitz matrix family
     det_check("eq79", "3.1 (79)", grid(size=(7, 9)),
               lambda size: _at_q(fam.fam_eq77(size), -1),
               lambda size: kron(size == 0) if size % 2 == 0
               else _sign(size // 2) * catalan(size // 2)),
     det_check("eq81", "3.1 (81)", grid(n=(5, 6), r=(4, 4, 1)),
-              lambda n, r: fam.fam_eq81(n, r), lambda n, r: fam.gfun_reversed(n, r)),
+              fam.EQ81, lambda n, r: fam.gfun_reversed(n, r)),
     det_check("eq83", "3.2 (83)", grid(n=(6, 8)),
-              lambda n: fam.fam_eq83(n), lambda n: q_catalan(n)),
+              fam.EQ83, lambda n: q_catalan(n)),
     det_check("eq84", "3.2 (84)", grid(n=(6, 8)),
-              lambda n: fam.fam_eq84(n), lambda n: q_catalan(n)),
+              fam.EQ84, lambda n: q_catalan(n)),
     det_check("eq85", "3.2 (85)", grid(size=(8, 10)),
               lambda size: _at_q(fam.fam_eq84(size), -1),
               lambda size: binomial(size, size // 2)),
@@ -598,8 +633,8 @@ def _eq80(n: int, r: int):
 
 @register("eq86", "3.2 Theorem 7 (86); also (7)", "det", grid(n=(6, 8), k=(4, 4, 1)))
 def _eq86(n: int, k: int):
-    d1 = det(fam.fam_eq86(n, k, shifted=False))
-    d2 = det(fam.fam_eq86(n, k, shifted=True))
+    d1 = swept_det("eq86", fam.EQ86, n, k=k, shifted=False)
+    d2 = swept_det("eq86", fam.EQ86, n, k=k, shifted=True)
     rhs = q_catalan_power(n, k)
     return d1 == rhs and d2 == rhs, d1, rhs
 

@@ -8,9 +8,14 @@ mu(3n+2) = -1.  Determinants of lifted matrices are computed exactly over
 the integers — computing them in the residue field would make the statements
 trivial.
 
+The lower Hessenberg lifts (eq107, eq109) are read off one leading-minor
+sweep per lift, modulus and parameters other than n; the banded eq110 lift is
+built and expanded per point.
+
 A conjecture search scans a grid and reports either the verified range or
-the first counterexample (re-verified on recomputation); a counterexample is
-a report outcome, never a suite failure.
+the first counterexample (re-verified by a recomputation that discards the
+conjecture's sweeps first); a counterexample is a report outcome, never a
+suite failure.
 """
 
 from __future__ import annotations
@@ -20,10 +25,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
+from catdet import families as fam
 from catdet.exact import binomial
 from catdet.linalg import FRAC, INT, Matrix, det, inverse
 from catdet.orthopoly import catalan_parity_moments, system_from_moments
-from catdet.registry import AXIS_BOUNDS, CHECKS, TOP, Bounds, Check, grid, kron_sum, register
+from catdet.registry import (
+    AXIS_BOUNDS,
+    CHECKS,
+    TOP,
+    Bounds,
+    Check,
+    discard_sweeps,
+    grid,
+    kron_sum,
+    register,
+    swept_det,
+)
 from catdet.sequences import ballot, catalan, catalan_power
 
 __all__ = [
@@ -97,23 +114,23 @@ def unique_power_index(m: int, check: bool = True) -> int:
     return h
 
 
-_LIFT_FAMILIES = {
-    "eq107": lambda n, p: Matrix.build(
-        n, n, lambda i, j: binomial(i + j + 1, i - j + 1) % p, INT
-    ),
-    "eq109": lambda n, p, k: Matrix.build(
-        n, n, lambda i, j: binomial(i + j + k, i - j + 1) % p, INT
-    ),
-    "eq110": lambda n, p, m: Matrix.build(
-        n, n, lambda i, j: binomial(i + j + m, i - j + m) % p, INT
-    ),
-}
+def _lift(family: fam.Family) -> fam.Family:
+    """The entry-wise residue lift of an integer family; the modulus is parameter p."""
+    entry = family.entry
+    return fam.Family(INT, lambda i, j, p, **params: entry(i, j, **params) % p)
+
+
+_LIFT_FAMILIES = {"eq107": _lift(fam.EQ1), "eq109": _lift(fam.EQ54), "eq110": _lift(fam.EQ65)}
+# the lower Hessenberg lifts, read off sweeps; eq110 is banded
+_SWEPT_LIFTS = ("eq107", "eq109")
 
 
 def lifted_det(family: str, params: dict, modulus: int) -> int:
     """Entry-wise residue lift of an integer family, then an exact integer det."""
-    builder = _LIFT_FAMILIES[family]
-    return det(builder(p=modulus, **params))
+    lift = _LIFT_FAMILIES[family]
+    if family in _SWEPT_LIFTS:
+        return swept_det(family, lift, p=modulus, **params)
+    return det(lift.matrix(p=modulus, **params))
 
 
 def mod2_orthopoly_bridge(n: int, m: int) -> bool:
@@ -210,17 +227,18 @@ class Conjecture(NamedTuple):
     modulus: int
     point: Callable[..., tuple[bool, str, str]]
     grid: Callable[[Bounds], list[dict]]
+    lifts: tuple[str, ...]  # the lifted families its points take determinants of
 
 
 CONJECTURES = {
     "c12": Conjecture("4 Conjecture 12 (108)", 2, _c12_point,
-                      grid(size=(16, 32, TOP))),
+                      grid(size=(16, 32, TOP)), ()),
     "c13a": Conjecture("4 Conjecture 13 (109); also (12)", 2, _c13a_point,
-                       grid(n=(16, 32, 1), k=(4, 6, 1))),
+                       grid(n=(16, 32, 1), k=(4, 6, 1)), ("eq109",)),
     "c13b": Conjecture("4 Conjecture 13 (110); also (13)", 2, _c13b_point,
-                       grid(n=(10, 16, 1), m=(3, 4, 1))),
+                       grid(n=(10, 16, 1), m=(3, 4, 1)), ("eq110",)),
     "c14": Conjecture("4 Conjecture 14 (111); also (14)", 3, _c14_point,
-                      grid(n=(40, 81))),
+                      grid(n=(40, 81)), ("eq107",)),
 }
 
 CONJECTURE_IDS = tuple(CONJECTURES)
@@ -252,7 +270,10 @@ def conjecture_search(conjecture_id: str, bounds: Bounds | None = None) -> Conje
         ok, lhs, rhs = point_fn(**point)
         checked += 1
         if not ok:
-            # a counterexample must re-verify as a genuine failure
+            # a counterexample must re-verify as a genuine failure, recomputed
+            # rather than read off the sweeps that gave it
+            for lift in CONJECTURES[conjecture_id].lifts:
+                discard_sweeps(lift)
             again_ok, lhs2, rhs2 = point_fn(**point)
             if again_ok:
                 raise AssertionError(f"non-reproducible failure at {point}")

@@ -153,6 +153,12 @@ def test_bench_runs(capsys):
     assert code == 0
     data = json.loads(out)
     assert len(data["bench"]) >= 6
+    condensation = [r for r in data["bench"] if r["engine"] == "condensation"]
+    # the seed-0 integer draws meet an interior zero at every size
+    assert [r["fallback"] for r in condensation] == [True] * 4
+    assert all("fallback" not in r for r in data["bench"] if r["engine"] != "condensation")
+    sweep = [(r["engine"], r["size"]) for r in data["bench"] if r.get("input", "").startswith("eq1")]
+    assert sweep == [("sweep", 80), ("det", 80)]
 
 
 def test_default_command_is_fast_suite(capsys, monkeypatch):

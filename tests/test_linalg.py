@@ -10,7 +10,9 @@ from catdet.linalg import (
     INT,
     QPOLY,
     QRAT,
+    LeadingMinors,
     Matrix,
+    condense,
     det,
     det_bareiss,
     det_cofactor,
@@ -262,6 +264,13 @@ def test_det_on_dense_matrices_is_bareiss():
     assert det(hankel) == det_bareiss(hankel) == 1
 
 
+def test_condensation_reports_its_fallback():
+    interior_zero = Matrix.from_rows([[1, 2, 3], [4, 0, 6], [7, 8, 10]])
+    assert condense(interior_zero) is None
+    assert det_condensation(interior_zero) == det_bareiss(interior_zero) == 52
+    assert condense(INTRO_4X4) == det_bareiss(INTRO_4X4) == 14
+
+
 def test_hessenberg_rejects_other_matrices():
     with pytest.raises(ValueError):
         det_hessenberg(Matrix.from_rows([[1, 0, 1], [0, 1, 0], [0, 0, 1]]))
@@ -269,6 +278,49 @@ def test_hessenberg_rejects_other_matrices():
         det_hessenberg(INTRO_4X4.transpose())
     with pytest.raises(ValueError):
         det_hessenberg(Matrix(2, 3, [1, 2, 3, 4, 5, 6]))
+
+
+# -- leading-minor sweeps ------------------------------------------------------
+
+def test_leading_minors_out_of_order_equal_fresh_values():
+    entry = fam.EQ1.entry
+    minors = LeadingMinors(entry, INT)
+    got = [minors[n] for n in (9, 3, 12)]
+    assert got == [LeadingMinors(entry, INT)[n] for n in (9, 3, 12)]
+    assert got == [det_bareiss(fam.fam_eq1(n)) for n in (9, 3, 12)]
+    assert len(minors) == 13
+    assert minors[0] == 1
+    with pytest.raises(IndexError):
+        minors[-1]
+
+
+def test_leading_minors_grow_any_hessenberg_entries():
+    # zero superdiagonal entries and zero leading minors, in every ring
+    rng = random.Random("leading-minors")
+    for ring, _, draw in HESSENBERG_RINGS:
+        m = random_hessenberg(rng, 7, ring, draw)
+        minors = LeadingMinors(lambda i, j: m[i, j], ring)
+        for n in (7, 0, 4):
+            block = Matrix.build(n, n, lambda i, j: m[i, j], ring)
+            assert minors[n] == det_cofactor(block)
+
+
+def test_leading_minors_reject_an_entry_above_the_superdiagonal_at_its_column():
+    def entry(i, j):
+        if (i, j) == (1, 4):
+            return 5
+        return binomial(i + j + 1, i - j + 1)
+
+    minors = LeadingMinors(entry, INT)
+    assert minors[4] == det_bareiss(fam.fam_eq1(4))
+    with pytest.raises(ValueError, match=r"\(1, 4\)"):
+        minors[5]
+    with pytest.raises(ValueError):
+        minors[9]
+    assert minors[4] == 14
+    # a request past the column fails even when nothing was read before it
+    with pytest.raises(ValueError, match=r"\(1, 4\)"):
+        LeadingMinors(entry, INT)[6]
 
 
 # -- q-rational determinants by row clearing, against Bareiss over QRat -------

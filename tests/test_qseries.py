@@ -298,6 +298,25 @@ def test_qrat_from_json_rejects_non_canonical_input(num, den):
         qrat_from_json(data)
 
 
+@pytest.mark.parametrize("data", [
+    [{"exp2": 2, "coeff": "1"}, {"exp2": 2, "coeff": "3"}],   # repeated exponent
+    [{"exp2": 2, "coeff": "1"}, {"exp2": 2, "coeff": "-1"}],  # repeats that cancel
+    [{"exp2": 0, "coeff": "0"}],                               # zero coefficient
+    [{"exp2": 1, "coeff": "5"}, {"exp2": 4, "coeff": "0"}],
+])
+def test_qpoly_from_json_rejects_non_canonical_input(data):
+    with pytest.raises(ValueError):
+        qpoly_from_json(data)
+    with pytest.raises(ValueError):
+        qrat_from_json({"num": data, "den": qpoly_to_json(ONE)})
+
+
+def test_qpoly_from_json_accepts_any_exponent_order():
+    p = P((-3, 2), (0, -1), (5, 7))
+    assert qpoly_from_json(qpoly_to_json(p)[::-1]) == p
+    assert qpoly_from_json([]) == QPoly()
+
+
 def expanded_product(num, den, power):
     top = qpow(2 * power)
     for e in num:

@@ -8,7 +8,9 @@ from catdet.registry import (
     CHECKS,
     Bounds,
     check_index,
+    discard_sweeps,
     run_check,
+    swept_det,
     verify_range,
 )
 
@@ -224,3 +226,72 @@ def test_conjecture_checks_follow_bounds(monkeypatch):
     assert run_check("c13b", n=3, m=2).passed
     assert searched == [("c14", {"n": 5}, 6), ("c12", {"size": 4}, 1),
                         ("c13b", {"n": 3, "m": 2}, 6)]
+
+
+# every Family read off a sweep, with parameters from its checks' grids
+SWEPT_FAMILIES = [
+    (fam.EQ1, [{}]),
+    (fam.EQ1B, [{}]),
+    (fam.EQ35, [{"x": x} for x in (-9, -4, -1, 0, 3, 8)]),
+    (fam.EQ43, [{}]),
+    (fam.EQ45, [{"k": k} for k in (1, 2, 6)]),
+    (fam.EQ46, [{"k": k} for k in (1, 2, 6)]),
+    (fam.EQ54, [{"k": k} for k in (1, 4, 8)]),
+    (fam.EQ55, [{"k": k} for k in (1, 4, 8)]),
+    (fam.EQ58, [{"k": k, "r": r} for k in (1, 4) for r in (1, 4)]),
+    (fam.EQ61, [{"k": k, "r": r} for k in (1, 4) for r in (1, 4)]),
+    (fam.EQ27, [{"k": 0}, {"k": 3}]),
+    (fam.EQ77, [{}]),
+    (fam.EQ78, [{}]),
+    (fam.EQ81, [{"r": 1}, {"r": 4}]),
+    (fam.EQ83, [{}]),
+    (fam.EQ84, [{}]),
+    (fam.EQ86, [{"k": 3, "shifted": False}, {"k": 3, "shifted": True}]),
+]
+
+
+def test_swept_families_cover_every_hessenberg_family():
+    declared = {id(v) for v in vars(fam).values() if isinstance(v, fam.Family)}
+    # EQ65 is banded (support j <= i + m): its determinants stay per point
+    assert declared - {id(fam.EQ65)} == {id(family) for family, _ in SWEPT_FAMILIES}
+
+
+@pytest.mark.parametrize("family,points", SWEPT_FAMILIES,
+                         ids=[f"family{i}" for i in range(len(SWEPT_FAMILIES))])
+def test_swept_family_minors_equal_bareiss(family, points):
+    for params in points:
+        minors = family.sweep(**params)
+        for n in range(13):
+            assert minors[n] == det_bareiss(family.matrix(n, **params)), (params, n)
+
+
+@pytest.mark.parametrize("check_id,small,large", [
+    ("eq1", {"n": 9}, {"n": 30}),
+    ("eq35", {"n": 4, "x": -7}, {"n": 6, "x": -7}),
+    ("eq45", {"n": 5, "k": 3}, {"n": 10, "k": 3}),
+    ("eq58", {"n": 3, "k": 2, "r": 3}, {"n": 6, "k": 2, "r": 3}),
+    ("eq86", {"n": 4, "k": 2}, {"n": 7, "k": 2}),
+])
+def test_run_check_equal_on_cold_and_warm_sweeps(check_id, small, large):
+    discard_sweeps(check_id)
+    cold = run_check(check_id, **small).to_json()
+    run_check(check_id, **large)
+    warm = run_check(check_id, **small).to_json()
+    discard_sweeps(check_id)
+    run_check(check_id, **large)
+    grown_first = run_check(check_id, **small).to_json()
+    assert cold == warm == grown_first
+    assert cold["status"] == "pass"
+
+
+def test_swept_det_keeps_one_sweep_per_name_and_parameters():
+    from catdet import registry
+
+    assert swept_det("test-eq54", fam.EQ54, 6, k=2) == 429  # C^(2)_6
+    assert swept_det("test-eq54", fam.EQ54, 6, k=3) == 1001  # C^(3)_6
+    assert swept_det("test-eq54", fam.EQ54, 2, k=2) == 5
+    kept = {key: len(sweep) for key, sweep in registry._SWEEPS.items()
+            if key[0] == "test-eq54"}
+    assert kept == {("test-eq54", ("k", 2)): 7, ("test-eq54", ("k", 3)): 7}
+    discard_sweeps("test-eq54")
+    assert not any(key[0] == "test-eq54" for key in registry._SWEEPS)

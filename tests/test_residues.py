@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from catdet import registry
 from catdet.exact import binomial
+from catdet.linalg import INT, LeadingMinors, Matrix, det_bareiss
 from catdet.registry import Bounds, run_check
 from catdet.residues import (
     conjecture_search,
@@ -14,7 +16,7 @@ from catdet.residues import (
     mu,
     unique_power_index,
 )
-from catdet.sequences import catalan
+from catdet.sequences import catalan, catalan_power
 
 
 def test_mu_values():
@@ -160,3 +162,33 @@ def test_report_json_shape():
 def test_unknown_conjecture():
     with pytest.raises(KeyError):
         conjecture_search("c99")
+
+
+@pytest.mark.parametrize("modulus", [2, 3])
+@pytest.mark.parametrize("family,k", [("eq107", 1), ("eq109", 2), ("eq109", 6)])
+def test_swept_lifts_equal_bareiss_of_the_built_lift(family, k, modulus):
+    params = {} if family == "eq107" else {"k": k}
+    for n in range(41):
+        lift = Matrix.build(n, n, lambda i, j: binomial(i + j + k, i - j + 1) % modulus, INT)
+        assert lifted_det(family, {"n": n, **params}, modulus) == det_bareiss(lift), n
+
+
+def test_c13a_counterexample_pinned_against_bareiss():
+    ce = conjecture_search("c13a").counterexample
+    assert ce["params"] == {"n": 4, "k": 6}
+    lift = Matrix.build(4, 4, lambda i, j: binomial(i + j + 6, i - j + 1) % 2, INT)
+    assert ce["lhs"] == str(det_bareiss(lift)) == "1"
+    assert ce["rhs"] == str(-lift2(catalan_power(4, 6))) == "-1"
+
+
+def test_counterexample_recheck_recomputes_instead_of_reading_the_sweep(monkeypatch):
+    # a sweep whose D_1 is wrong makes c13a fail at its first point (n = 1,
+    # k = 1); the re-check must discard it, recompute, and find no failure
+    def entry(i, j):
+        return 2 if (i, j) == (0, 0) else binomial(i + j + 1, i - j + 1) % 2
+
+    key = ("eq109", ("k", 1), ("p", 2))
+    monkeypatch.setitem(registry._SWEEPS, key, LeadingMinors(entry, INT))
+    with pytest.raises(AssertionError, match="non-reproducible failure"):
+        conjecture_search("c13a", Bounds(n_max=2, k_max=1))
+    assert lifted_det("eq109", {"n": 1, "k": 1}, 2) == 1
