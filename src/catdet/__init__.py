@@ -10,12 +10,13 @@ expansion as a sweep that yields every leading minor of a growing matrix, so
 a family is expanded once for all its sizes; Dodgson condensation, inverses
 and null-space checks), a
 three-term-recurrence engine for monic orthogonal polynomials and their
-moment tables, a registry of executable identity checks, residue-lift
-determinant experiments with conjecture searches, and a command line front
-end.
+moment tables, the paper's matrix families as one table built through a
+single ``families.build``, a registry of executable identity checks,
+residue-lift determinant experiments with conjecture searches, and a command
+line front end.
 """
 
-from catdet.exact import ExactInt, ExactRat, binomial
+from catdet.exact import binomial
 from catdet.qseries import QPoly, QRat, q_binomial, q_factorial, q_int, q_pochhammer
 from catdet.linalg import (
     LeadingMinors,
@@ -30,8 +31,6 @@ from catdet.linalg import (
 )
 
 __all__ = [
-    "ExactInt",
-    "ExactRat",
     "binomial",
     "QPoly",
     "QRat",

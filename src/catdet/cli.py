@@ -1,11 +1,10 @@
 """Command line front end.
 
 Subcommands: ``list`` (the check index), ``verify`` (one check over a grid),
-``suite`` (every registered check), ``conjecture`` (counterexample searches),
-``bench`` (determinant engine timings).  Reports are emitted as JSON or
-markdown with identical pass/fail content; all timing data lives in a
-separate ``timings`` object so that reports from identical configurations
-are byte-identical apart from it.
+``suite`` (every registered check) and ``conjecture`` (counterexample
+searches).  Reports are emitted as JSON or markdown with identical pass/fail
+content; all timing data lives in a separate ``timings`` object so that
+reports from identical configurations are byte-identical apart from it.
 """
 
 from __future__ import annotations
@@ -219,76 +218,6 @@ def _cmd_conjecture(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    import random
-
-    from catdet.families import EQ1, fam_eq1, fam_thm11_B, thm11_w
-    from catdet.linalg import (
-        INT,
-        QPOLY,
-        Matrix,
-        condense,
-        det,
-        det_bareiss,
-        det_condensation,
-        det_hessenberg,
-    )
-    from catdet.qseries import QPoly
-
-    rng = random.Random(args.seed)
-    rows = []
-    for size in (6, 10, 14, 18):
-        m = Matrix(size, size, [rng.randint(-9, 9) for _ in range(size * size)], INT)
-        # the same draws with every entry above the superdiagonal zeroed
-        h = Matrix.build(size, size, lambda i, j: m[i, j] if j <= i + 1 else 0, INT)
-        for name, engine, matrix in (("bareiss", det_bareiss, m),
-                                     ("condensation", det_condensation, m),
-                                     ("hessenberg", det_hessenberg, h)):
-            t0 = time.perf_counter()
-            engine(matrix)
-            row = {"ring": "integer", "size": size, "engine": name,
-                   "seconds": round(time.perf_counter() - t0, 6)}
-            if engine is det_condensation:
-                # whether it met an interior zero and ran Bareiss instead
-                row["fallback"] = condense(m) is None
-            rows.append(row)
-
-    # every determinant of eq1 up to n = 80: one leading-minor sweep against
-    # a matrix built and expanded per n
-    def sweep_eq1():
-        minors = EQ1.sweep()
-        return [minors[n] for n in range(81)]
-
-    for name, run in (("sweep", sweep_eq1),
-                      ("det", lambda: [det(fam_eq1(n)) for n in range(81)])):
-        t0 = time.perf_counter()
-        run()
-        rows.append({"ring": "integer", "size": 80, "engine": name,
-                     "input": "eq1, every n <= 80", "seconds": round(time.perf_counter() - t0, 6)})
-    for size in (4, 6):
-        m = Matrix(
-            size, size,
-            [QPoly([(2 * rng.randint(0, 4), rng.randint(-3, 3))]) + 1 for _ in range(size * size)],
-            QPOLY,
-        )
-        t0 = time.perf_counter()
-        det_bareiss(m)
-        rows.append({"ring": "q-polynomial", "size": size, "engine": "bareiss",
-                     "seconds": round(time.perf_counter() - t0, 6)})
-    # a q-rational family: row-cleared det against Bareiss over QRat, and the
-    # closed form both equal, expanded through cyclotomic polynomials
-    m = fam_thm11_B(6, 4, 3)
-    for name, label, run in (("det", "fam_thm11_B(6, 4, 3)", lambda: det(m)),
-                             ("bareiss", "fam_thm11_B(6, 4, 3)", lambda: det_bareiss(m)),
-                             ("q_product", "thm11_w(6, 4, 3)", lambda: thm11_w(6, 4, 3))):
-        t0 = time.perf_counter()
-        run()
-        rows.append({"ring": "q-rational", "size": 6, "engine": name, "input": label,
-                     "seconds": round(time.perf_counter() - t0, 6)})
-    _emit({"bench": rows}, args.format, args.out)
-    return 0
-
-
 def _bound(text: str) -> int:
     """A grid bound: a non-negative integer (argparse exits 2 on anything else)."""
     value = int(text)
@@ -336,9 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_conj = sub.add_parser("conjecture", help="run counterexample searches")
     add_common(p_conj)
 
-    p_bench = sub.add_parser("bench", help="time the determinant engines")
-    add_common(p_bench)
-
     return parser
 
 
@@ -357,8 +283,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_suite(args)
         if args.command == "conjecture":
             return _cmd_conjecture(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
     except BrokenPipeError:
         return 0
     parser.print_help()

@@ -19,10 +19,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-ExactInt = int
-ExactRat = Fraction
-
-
 def binomial(a: int, k: int) -> int:
     """Binomial coefficient for arbitrary integer upper argument.
 

@@ -1,12 +1,13 @@
-"""Matrix-family builders and closed-form evaluators for the identity checks.
+"""The paper's matrix families as one table, and closed-form evaluators.
 
-Every builder returns an exact :class:`~catdet.linalg.Matrix`; entries depend
-only on (i, j) and the family parameters, and an n = 0 slice is the valid
-0x0 matrix.  A family whose entries do not depend on n is also declared once
-as a :class:`Family` constant (``EQ1``, ``EQ54``, ...), and its ``fam_*``
-builds from it: each n x n matrix is then the leading block of every larger
-one, so the determinant of a lower Hessenberg family at every n is read off
-one ``LeadingMinors`` sweep.  Families whose displayed entries contain removable rational
+Every matrix family is a :class:`Family` constant (``EQ1``, ``EQ54``,
+``THM11_B``, ...) and every matrix is built by :func:`build`: an n = 0 slice
+is the valid 0x0 matrix.  A matrix the paper states at shifted parameters is
+the same family read there: the null-vector matrices of (36)-(39), (47) and
+Theorem 15 are ``EQ35``, ``EQ55``, ``EQ45``, ``EQ86`` and ``EQ92`` at
+negative parameters, and the banded Theorem 4 matrix (65) is ``EQ74`` at
+k = 0.  Hankel-type families take their size as ``size`` and their shift as
+a parameter.  Families whose displayed entries contain removable rational
 factors (the (a/(b)) * binomial(b, c) shapes) are built through cancelled
 product forms, so negative parameter values evaluate cleanly.
 
@@ -39,7 +40,14 @@ F = Fraction
 
 
 class Family(NamedTuple):
-    """Entries ``entry(i, j, **params)`` over ``ring`` that do not depend on n.
+    """Entries ``entry(i, j, **params)`` over ``ring``, for 0 <= i, j < size.
+
+    No entry depends on the size, so ``build(family, n, **params)`` is the
+    leading n x n block of ``build(family, N, **params)`` for every N >= n.
+    That makes a sweep valid: the determinants of a lower Hessenberg family at
+    every size are the leading minors of one growing matrix.  The two families
+    whose displayed entries involve their own size take it as a parameter,
+    ``EQ74_REVERSED`` as n and ``REMARK_RHS`` as m, and are never swept.
 
     The entry functions look up ``binomial``/``q_binomial`` in this module when
     called, so rebinding a module attribute (as a tracer does) reaches them.
@@ -48,178 +56,70 @@ class Family(NamedTuple):
     ring: Ring
     entry: Callable[..., object]
 
-    def matrix(self, n: int, **params) -> Matrix:
-        """The n x n matrix at ``params``."""
-        return Matrix.build(n, n, partial(self.entry, **params), self.ring)
-
     def sweep(self, **params) -> LeadingMinors:
         """Every leading minor at ``params``, for a lower Hessenberg family."""
         return LeadingMinors(partial(self.entry, **params), self.ring)
+
+
+def build(family: Family, size: int, **params) -> Matrix:
+    """The size x size matrix of ``family`` at ``params``."""
+    return Matrix.build(size, size, partial(family.entry, **params), family.ring)
 
 
 # ---------------------------------------------------------------------------
 # integer / rational families
 # ---------------------------------------------------------------------------
 
+# binomial(i+j+1, i-j+1): determinant is the n-th Catalan number
 EQ1 = Family(INT, lambda i, j: binomial(i + j + 1, i - j + 1))
+# binomial(i+j+1, 2j): the same matrix written through its complement
 EQ1B = Family(INT, lambda i, j: binomial(i + j + 1, 2 * j))
 EQ54 = Family(INT, lambda i, j, k: binomial(i + j + k, i - j + 1))
+# the column-index-only variant; at k = -m the null-vector matrix of (39)
 EQ55 = Family(INT, lambda i, j, k: binomial(j + k, i - j + 1))
 EQ58 = Family(INT, lambda i, j, k, r: binomial(i + (r - 1) * j + k, i - j + 1))
 EQ61 = Family(INT, lambda i, j, k, r: binomial((r - 1) * j + k, i - j + 1))
+# at x = -m the null-vector matrix of (36)/(37)
 EQ35 = Family(INT, lambda i, j, x: binomial(x + i + j, i - j + 1))
-# banded (support j <= i + m), so not lower Hessenberg once m > 1
-EQ65 = Family(INT, lambda i, j, m: binomial(i + j + m, i - j + m))
+# banded (support j <= i + m), so not lower Hessenberg once m > 1; at k = 0
+# the Theorem 4 matrix (65)
+EQ74 = Family(INT, lambda i, j, m, k: binomial(i + j + k + m, i - j + m))
+# the row/column-reversed form binomial(2n+m+k-i-j, j-i+m) with 1-based i, j
+EQ74_REVERSED = Family(INT, lambda i, j, n, m, k:
+                       binomial(2 * n + m + k - i - j - 2, j - i + m))
+# the signed binomial matrix whose inverse is the ballot triangle
+EQ34 = Family(INT, lambda i, j: binomial(i + j, i - j) * (-1 if (i - j) % 2 else 1))
+# the m x m block of shifted Catalan power values C^(2i+k+1)_(n-i+j)
+CATALAN_POWER_HANKEL = Family(INT, lambda i, j, n, k: catalan_power(n - i + j, 2 * i + k + 1))
+CATALAN_HANKEL = Family(INT, lambda i, j, shift: catalan(shift + i + j))
+HILBERT_HANKEL = Family(FRAC, lambda i, j, shift: F(1, shift + i + j + 1))
+EQ10_RHS = Family(INT, lambda i, j, n, x: binomial(2 * n + 2 * j + x - 1, n - i + j))
+# binomial(L_i + A - j, L_i + j) with 1-based i, j; its size is len(L)
+KRATTENTHALER = Family(INT, lambda i, j, L, A: binomial(L[i] + A - j - 1, L[i] + j + 1))
+EQ72 = Family(FRAC, lambda i, j, m: F(binomial(i + m, j) * binomial(i + m + j, j),
+                                      binomial(2 * (i + m), i + m)))
+# ((i+1-m)/(j-m)) binomial(i+j-m, i-j+1), defined for j < m
+EQ49 = Family(FRAC, lambda i, j, m: F(i + 1 - m, j - m) * binomial(i + j - m, i - j + 1))
+EQ46 = Family(FRAC, lambda i, j, k: F(i + k + 1, j + k) * binomial(j + k, i - j + 1))
 
 
-def fam_eq1(n: int) -> Matrix:
-    """binomial(i+j+1, i-j+1): determinant is the n-th Catalan number."""
-    return EQ1.matrix(n)
-
-
-def fam_eq1b(n: int) -> Matrix:
-    """binomial(i+j+1, 2j): the same matrix written through its complement."""
-    return EQ1B.matrix(n)
-
-
-def fam_eq54(n: int, k: int) -> Matrix:
-    """binomial(i+j+k, i-j+1): determinant is the Catalan power value."""
-    return EQ54.matrix(n, k=k)
-
-
-def fam_eq55(n: int, k: int) -> Matrix:
-    """binomial(j+k, i-j+1): column-index-only variant of the same family."""
-    return EQ55.matrix(n, k=k)
-
-
-def fam_eq58(n: int, k: int, r: int) -> Matrix:
-    return EQ58.matrix(n, k=k, r=r)
-
-
-def fam_eq61(n: int, k: int, r: int) -> Matrix:
-    return EQ61.matrix(n, k=k, r=r)
-
-
-def fam_eq35(n: int, x: int) -> Matrix:
-    """binomial(x+i+j, i-j+1) at an arbitrary integer shift x."""
-    return EQ35.matrix(n, x=x)
-
-
-def fam_eq39(n: int, m: int) -> Matrix:
-    return Matrix.build(n, n, lambda i, j: binomial(j - m, i - j + 1), INT)
-
-
-def _ratio_row_entry(i: int, j: int, k: int) -> Fraction:
-    """((2i+1+k)/(i+j+k)) binomial(i+j+k, i-j+1) through cancellation."""
-    c = i - j + 1
+def _ratio_entry(i: int, j: int, x: int, m: int) -> Fraction:
+    """((x+2i-1+2m)/(x+i+j+m-1)) binomial(x+i+j+m-1, i-j+m) through cancellation."""
+    c = i - j + m
     if c < 0:
         return F(0)
     if c == 0:
         return F(1)
-    num = F(2 * i + 1 + k)
+    num = F(x + 2 * i - 1 + 2 * m)
     for l in range(1, c):
-        num *= k + i + j - l
+        num *= x + i + j + m - 1 - l
     return num / math.factorial(c)
 
 
-EQ45 = Family(FRAC, _ratio_row_entry)
-EQ43 = Family(FRAC, lambda i, j: _ratio_row_entry(i, j, 1))
-EQ46 = Family(FRAC, lambda i, j, k: F(i + k + 1, j + k) * binomial(j + k, i - j + 1))
-
-
-def fam_eq45(n: int, k: int) -> Matrix:
-    """The row-weighted family ((2i+k+1)/(i+j+k)) binomial(i+j+k, i-j+1)."""
-    return EQ45.matrix(n, k=k)
-
-
-def fam_eq43(n: int) -> Matrix:
-    """k = 1 case of the row-weighted family: (2i+2)/(i+j+1) binomial(...)."""
-    return EQ43.matrix(n)
-
-
-def fam_eq46(n: int, k: int) -> Matrix:
-    return EQ46.matrix(n, k=k)
-
-
-def fam_eq49(n: int, m: int) -> Matrix:
-    """((i+1-m)/(j-m)) binomial(i+j-m, i-j+1) (defined for j < m)."""
-    return Matrix.build(
-        n, n, lambda i, j: F(i + 1 - m, j - m) * binomial(i + j - m, i - j + 1), FRAC
-    )
-
-
-def fam_eq34(n: int) -> Matrix:
-    """The signed binomial matrix whose inverse is the ballot triangle."""
-    return Matrix.build(
-        n, n,
-        lambda i, j: binomial(i + j, i - j) * (-1 if (i - j) % 2 else 1),
-        INT,
-    )
-
-
-def fam_eq65(n: int, m: int) -> Matrix:
-    return EQ65.matrix(n, m=m)
-
-
-def fam_eq74(n: int, m: int, k: int) -> Matrix:
-    return Matrix.build(n, n, lambda i, j: binomial(i + j + k + m, i - j + m), INT)
-
-
-def fam_eq74_reversed(n: int, m: int, k: int) -> Matrix:
-    """Row/column-reversed form binomial(2n+m+k-i-j, j-i+m), 1-based."""
-    return Matrix.build(
-        n, n,
-        lambda i, j: binomial(2 * n + m + k - (i + 1) - (j + 1), (j + 1) - (i + 1) + m),
-        INT,
-    )
-
-
-def catalan_power_hankel(n: int, m: int, k: int) -> Matrix:
-    """The m x m block of shifted Catalan power values C^(2i+k+1)_(n-i+j)."""
-    return Matrix.build(m, m, lambda i, j: catalan_power(n - i + j, 2 * i + k + 1), INT)
-
-
-def catalan_hankel(shift: int, m: int) -> Matrix:
-    return Matrix.build(m, m, lambda i, j: catalan(shift + i + j), INT)
-
-
-def hilbert_hankel(shift: int, m: int) -> Matrix:
-    return Matrix.build(m, m, lambda i, j: F(1, shift + i + j + 1), FRAC)
-
-
-def fam_eq72(n: int, m: int) -> Matrix:
-    def e(i, j):
-        return F(
-            binomial(i + m, j) * binomial(i + m + j, j), binomial(2 * (i + m), i + m)
-        )
-    return Matrix.build(n, n, e, FRAC)
-
-
-def fam_eq10(n: int, m: int, x: int) -> Matrix:
-    """((x+2i-1+2m)/(x+i+j+m-1)) binomial(x+i+j+m-1, i-j+m), cancelled form."""
-    def e(i, j):
-        c = i - j + m
-        if c < 0:
-            return F(0)
-        if c == 0:
-            return F(1)
-        num = F(x + 2 * i - 1 + 2 * m)
-        for l in range(1, c):
-            num *= x + i + j + m - 1 - l
-        return num / math.factorial(c)
-    return Matrix.build(n, n, e, FRAC)
-
-
-def fam_eq10_rhs(n: int, m: int, x: int) -> Matrix:
-    return Matrix.build(m, m, lambda i, j: binomial(2 * n + 2 * j + x - 1, n - i + j), INT)
-
-
-def fam_krattenthaler(L: list[int], A: int) -> Matrix:
-    """binomial(L_i + A - j, L_i + j) with 1-based i, j."""
-    n = len(L)
-    return Matrix.build(
-        n, n, lambda i, j: binomial(L[i] + A - (j + 1), L[i] + (j + 1)), INT
-    )
+EQ10 = Family(FRAC, _ratio_entry)
+# the row-weighted family ((2i+k+1)/(i+j+k)) binomial(i+j+k, i-j+1): EQ10 at m = 1
+EQ45 = Family(FRAC, lambda i, j, k: _ratio_entry(i, j, k, 1))
+EQ43 = Family(FRAC, lambda i, j: _ratio_entry(i, j, 1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -236,172 +136,71 @@ EQ78 = Family(QPOLY, lambda i, j: q_binomial(i + j + 1, i - j + 1))
 EQ81 = Family(QPOLY, lambda i, j, r: _qb((r - 1) * j + 1, i - j + 1, 2 * choose2(i - j + 1)))
 EQ83 = Family(QPOLY, lambda i, j: _qb(i + j + 1, i - j + 1, 2 * choose2(i - j + 1)))
 EQ84 = Family(QPOLY, lambda i, j: _qb(i + j + 1, i - j + 1, 2 * choose2(i - j)))
-# both prefactor variants q^C(i-j,2) and q^C(i-j+1,2) of the same family
+# both prefactor variants q^C(i-j,2) and q^C(i-j+1,2) of the same family; at
+# k = -m, unshifted, the Theorem 15 matrix A
 EQ86 = Family(QPOLY, lambda i, j, k, shifted:
               _qb(i + j + k, i - j + 1, 2 * choose2(i - j + (1 if shifted else 0))))
+EQ98 = Family(QPOLY, lambda i, j, x: q_binomial(2 * i + x + 1, i - j + 1))
+EQ71 = Family(QPOLY, lambda i, j, m: _qb(i + m, j, 2 * choose2(i - j)))
+EQ91 = Family(QPOLY, lambda i, j, m, k: _qb(k + i + j + m, i - j + m, 2 * choose2(i - j + m)))
+EQ91_HANKEL = Family(QPOLY, lambda i, j, n, k: q_catalan_power(n - i + j, 2 * i + k + 1))
+THM11_H = Family(QPOLY, lambda i, j, x, n: q_binomial(2 * (n - i + j) + x + 2 * i - 1, n - i + j))
+REMARK = Family(QPOLY, lambda i, j, m, x: _qb(i + x + m, i - j + m, 2 * choose2(i - j + m)))
+REMARK_RHS = Family(QPOLY, lambda i, j, n, m, x: q_binomial(n - i + j + x + m - 1, n - i + j))
+# q^(j L_i) [L_i + A - j choose L_i + j] with 1-based i, j; its size is len(L)
+Q_KRATTENTHALER = Family(QPOLY, lambda i, j, L, A:
+                         _qb(L[i] + A - j - 1, L[i] + j + 1, 2 * (j + 1) * L[i]))
 
 
-def fam_eq27(n: int, k: int) -> Matrix:
-    return EQ27.matrix(n, k=k)
+def _eq88_entry(i: int, j: int) -> QPoly:
+    """(-1)^(i-j) q^C(i-j,2) [i+j choose i-j]; its inverse is the q-ballot table."""
+    v = _qb(i + j, i - j, 2 * choose2(i - j))
+    return -v if (i - j) % 2 else v
 
 
-def fam_eq71(n: int, m: int) -> Matrix:
-    return Matrix.build(n, n, lambda i, j: _qb(i + m, j, 2 * choose2(i - j)), QPOLY)
-
-
-def fam_eq77(n: int) -> Matrix:
-    return EQ77.matrix(n)
-
-
-def fam_eq78(n: int) -> Matrix:
-    return EQ78.matrix(n)
-
-
-def fam_eq81(n: int, r: int) -> Matrix:
-    return EQ81.matrix(n, r=r)
-
-
-def fam_eq83(n: int) -> Matrix:
-    return EQ83.matrix(n)
-
-
-def fam_eq84(n: int) -> Matrix:
-    return EQ84.matrix(n)
-
-
-def fam_eq86(n: int, k: int, shifted: bool) -> Matrix:
-    """Both prefactor variants q^C(i-j,2) and q^C(i-j+1,2) of the same family."""
-    return EQ86.matrix(n, k=k, shifted=shifted)
-
-
-def fam_eq88(n: int) -> Matrix:
-    """(-1)^(i-j) q^C(i-j,2) [i+j choose i-j]; inverse is the q-ballot table."""
-    def e(i, j):
-        v = _qb(i + j, i - j, 2 * choose2(i - j))
-        return -v if (i - j) % 2 else v
-    return Matrix.build(n, n, e, QPOLY)
-
-
-def fam_eq89(n: int, k: int) -> Matrix:
-    """The Pochhammer-weighted family of the Andrews-type determinant."""
-    def e(i, j):
-        c = i - j + 1
-        if c < 0:
-            return QRat(0)
-        num = q_binomial(j + k, c) * q_pochhammer(-1, 2 * (j + k), c)
-        den = q_pochhammer(-1, 2, c)
-        return QRat(num.shift(4 * choose2(c)), den)
-    return Matrix.build(n, n, e, QRAT)
-
-
-def q_lucas_matrix_entry(i: int, j: int, x: int) -> QRat:
-    """q^C(i-j,2) ([2i+x+1]/[i+j+x]) [i+j+x choose i-j+1].
-
-    Evaluated through the cancelled form [2i+x+1] [i+j+x-1 choose i-j] /
-    [i-j+1], which avoids the [i+j+x] pole at negative x.
-    """
+def _eq89_entry(i: int, j: int, k: int) -> QRat:
+    """The Pochhammer-weighted entry of the Andrews-type determinant."""
     c = i - j + 1
     if c < 0:
         return QRat(0)
-    sh = 2 * choose2(i - j)
+    num = q_binomial(j + k, c) * q_pochhammer(-1, 2 * (j + k), c)
+    den = q_pochhammer(-1, 2, c)
+    return QRat(num.shift(4 * choose2(c)), den)
+
+
+def _q_ratio_entry(i: int, j: int, x: int, m: int, s: int) -> QRat:
+    """q^C(i-j+s,2) ([2i+x+2m-1]/[i+j+x+m-1]) [i+j+x+m-1 choose i-j+m].
+
+    Evaluated through the cancelled form [2i+x+2m-1] [i+j+x+m-2 choose c-1] /
+    [c] with c = i-j+m, which avoids the [i+j+x+m-1] pole at negative x.
+    """
+    c = i - j + m
+    if c < 0:
+        return QRat(0)
+    sh = 2 * choose2(i - j + s)
     if c == 0:
         return QRat(ONE.shift(sh))
-    num = q_int(2 * i + x + 1) * q_binomial(i + j + x - 1, c - 1)
+    num = q_int(2 * i + x + 2 * m - 1) * q_binomial(i + j + x + m - 2, c - 1)
     return QRat(num.shift(sh), q_int(c))
 
 
-def fam_eq92(n: int, x: int) -> Matrix:
-    """q^C(i-j,2) ([2i+x+1]/[i+j+x]) [i+j+x choose i-j+1] (cancelled form)."""
-    return Matrix.build(n, n, lambda i, j: q_lucas_matrix_entry(i, j, x), QRAT)
-
-
-def fam_eq91(n: int, m: int, k: int) -> Matrix:
-    return Matrix.build(
-        n, n, lambda i, j: _qb(k + i + j + m, i - j + m, 2 * choose2(i - j + m)), QPOLY
-    )
-
-
-def fam_eq91_hankel(n: int, m: int, k: int) -> Matrix:
-    return Matrix.build(
-        m, m, lambda i, j: q_catalan_power(n - i + j, 2 * i + k + 1), QPOLY
-    )
-
-
-def fam_thm11_B(n: int, x: int, m: int) -> Matrix:
-    """q^C(i-j+m,2) ([2i+x+2m-1]/[i+j+x+m-1]) [i+j+x+m-1 choose i-j+m]."""
-    def e(i, j):
-        c = i - j + m
-        if c < 0:
-            return QRat(0)
-        sh = 2 * choose2(i - j + m)
-        if c == 0:
-            return QRat(ONE.shift(sh))
-        num = q_int(2 * i + x + 2 * m - 1) * q_binomial(i + j + x + m - 2, c - 1)
-        return QRat(num.shift(sh), q_int(c))
-    return Matrix.build(n, n, e, QRAT)
-
-
-def fam_thm11_H(m: int, x: int, n: int) -> Matrix:
-    return Matrix.build(
-        m, m,
-        lambda i, j: q_binomial(2 * (n - i + j) + (x + 2 * i) - 1, n - i + j),
-        QPOLY,
-    )
-
-
-def fam_sec33(n: int, k: int) -> Matrix:
+def _sec33_entry(i: int, j: int, k: int) -> QRat:
     """q^((i+1-j)^2) / ((-q;q)_(i+1-j) (-q^(i+j+k+1);q)_(i+1-j)) [i+j+k choose i+1-j]."""
-    def e(i, j):
-        c = i + 1 - j
-        if c < 0:
-            return QRat(0)
-        num = q_binomial(i + j + k, c).shift(2 * c * c)
-        den = q_pochhammer(-1, 2, c) * q_pochhammer(-1, 2 * (i + j + k + 1), c)
-        return QRat(num, den)
-    return Matrix.build(n, n, e, QRAT)
+    c = i + 1 - j
+    if c < 0:
+        return QRat(0)
+    num = q_binomial(i + j + k, c).shift(2 * c * c)
+    den = q_pochhammer(-1, 2, c) * q_pochhammer(-1, 2 * (i + j + k + 1), c)
+    return QRat(num, den)
 
 
-def fam_remark(n: int, m: int, x: int) -> Matrix:
-    return Matrix.build(
-        n, n, lambda i, j: _qb(i + x + m, i - j + m, 2 * choose2(i - j + m)), QPOLY
-    )
-
-
-def fam_remark_rhs(n: int, m: int, x: int) -> Matrix:
-    return Matrix.build(
-        m, m,
-        lambda i, j: q_binomial((n - i + j) + (x + m - 1), n - i + j),
-        QPOLY,
-    )
-
-
-def fam_q_krattenthaler(L: list[int], A: int) -> Matrix:
-    """q^(j L_i) [L_i + A - j choose L_i + j] with 1-based i, j."""
-    n = len(L)
-    return Matrix.build(
-        n, n,
-        lambda i, j: _qb(L[i] + A - (j + 1), L[i] + (j + 1), 2 * (j + 1) * L[i]),
-        QPOLY,
-    )
-
-
-def fam_thm15_A(n: int, m: int) -> Matrix:
-    return Matrix.build(
-        n, n, lambda i, j: _qb(i + j - m, i - j + 1, 2 * choose2(i - j)), QPOLY
-    )
-
-
-def fam_thm15_B(n: int, m: int) -> Matrix:
-    def e(i, j):
-        c = i - j + 1
-        if c < 0:
-            return QRat(0)
-        sh = 2 * choose2(i - j)
-        if c == 0:
-            return QRat(ONE.shift(sh))
-        num = q_int(2 * i - m + 1) * q_binomial(i + j - m - 1, c - 1)
-        return QRat(num.shift(sh), q_int(c))
-    return Matrix.build(n, n, e, QRAT)
+EQ88 = Family(QPOLY, _eq88_entry)
+EQ89 = Family(QRAT, _eq89_entry)
+# q^C(i-j,2) ([2i+x+1]/[i+j+x]) [i+j+x choose i-j+1]; at x = -m the Theorem
+# 15 matrix B
+EQ92 = Family(QRAT, lambda i, j, x: _q_ratio_entry(i, j, x, 1, 0))
+THM11_B = Family(QRAT, lambda i, j, x, m: _q_ratio_entry(i, j, x, m, m))
+SEC33 = Family(QRAT, _sec33_entry)
 
 
 def thm15_vector_A(n: int, m: int) -> list[QPoly]:

@@ -24,7 +24,6 @@ moment sequence or from an explicit coefficient table.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from catdet.linalg import INT, QPOLY, QRAT, Matrix, Ring, det
@@ -476,11 +475,6 @@ def random_integer_system(rng, lo: int = -3, hi: int = 3) -> FavardSystem:
         return t_cache[n]
 
     return FavardSystem(s, t, INT, "random")
-
-
-def hilbert_moments(count: int) -> list[Fraction]:
-    """The moment sequence 1/(n+1) of the Hilbert matrix."""
-    return [Fraction(1, n + 1) for n in range(count)]
 
 
 def catalan_parity_moments(count: int) -> list[int]:

@@ -36,7 +36,6 @@ __all__ = [
     "q_binomial",
     "q_pochhammer",
     "q_lucas_value",
-    "qpow",
     "ZERO",
     "ONE",
     "Q",
@@ -406,11 +405,6 @@ class QPoly:
 ZERO = QPoly.const(0)
 ONE = QPoly.const(1)
 Q = QPoly.monomial(2)
-
-
-def qpow(e2: int) -> QPoly:
-    """The monomial q**(e2/2)."""
-    return QPoly.monomial(e2)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,11 @@ Most checks are data: a grid is a product of axes (``grid``), "det of family
 one row of ``_NULL_CHECKS``, and an "alternating sum = [n = 0]" runner is one
 call of ``kron_sum``.  The rest are written out below their section headers.
 
-A lower Hessenberg family whose entries do not depend on n is not rebuilt per
-grid point: ``swept_det`` keeps one ``LeadingMinors`` sweep per check and per
-parameters other than n, and reads each point's determinant off it, so a grid
-over n builds each entry of its largest matrix once.
+Every matrix is a ``families.Family`` built by ``families.build``.  A lower
+Hessenberg family is not rebuilt per grid point: ``swept_det`` keeps one
+``LeadingMinors`` sweep per check and per parameters other than n, and reads
+each point's determinant off it, so a grid over n builds each entry of its
+largest matrix once.
 
 Conjecture checks are tagged; a counterexample there is a reportable
 outcome, never a suite failure.
@@ -274,9 +275,10 @@ def det_check(id: str, anchor: str, grid, family, closed_form, wrap=None,
 
     ``family`` is either a lower Hessenberg ``families.Family``, whose
     determinant at each point is read off this check's sweep (``swept_det``),
-    or a lambda taking the grid point's parameters and returning its matrix.
-    ``family`` lambdas and ``closed_form`` look up module names when called, so
-    that rebinding a module attribute (as a tracer does) reaches them.
+    or a lambda taking the grid point's parameters and returning its matrix
+    through ``fam.build``.  ``family`` lambdas and ``closed_form`` look up
+    module names when called, so that rebinding a module attribute (as a
+    tracer does) reaches them.
     """
     if isinstance(family, fam.Family):
         def lhs_of(n, **rest):
@@ -336,6 +338,11 @@ def _random_krattenthaler_case(seed: int, case: int) -> tuple[list[int], int]:
     return L, A
 
 
+def _krattenthaler_matrix(family: fam.Family, seed: int, case: int) -> Matrix:
+    L, A = _random_krattenthaler_case(seed, case)
+    return fam.build(family, len(L), L=L, A=A)
+
+
 def _eq35_grid(b: Bounds) -> list[dict]:
     out = []
     for n in range(b.get("n_max", 5, 6) + 1):
@@ -367,23 +374,21 @@ _DET_CHECKS = (
     det_check("eq61", "2.1.2 (61)", grid(n=(6, 6), k=(4, 4, 1), r=(4, 4, 1)),
               fam.EQ61, lambda n, k, r: F(k, r * n + k) * binomial(r * n + k, n)),
     det_check("eq63", "2.2 Lemma 3 (63)", _cases_grid(8, 16),
-              lambda case, seed=0: fam.fam_q_krattenthaler(
-                  *_random_krattenthaler_case(seed, case)),
+              lambda case, seed=0: _krattenthaler_matrix(fam.Q_KRATTENTHALER, seed, case),
               lambda case, seed=0: fam.q_krattenthaler_lemma_rhs(
                   *_random_krattenthaler_case(seed, case)),
               wrap=QRat),
     det_check("eq64", "2.2 Lemma 3 (64)", _cases_grid(8, 16),
-              lambda case, seed=0: fam.fam_krattenthaler(
-                  *_random_krattenthaler_case(seed, case)),
+              lambda case, seed=0: _krattenthaler_matrix(fam.KRATTENTHALER, seed, case),
               lambda case, seed=0: fam.krattenthaler_lemma_rhs(
                   *_random_krattenthaler_case(seed, case))),
     det_check("eq67", "2.2 (67)", grid(n=(8, 12), m=(4, 6)),
-              lambda n, m: fam.catalan_hankel(n, m),
+              lambda n, m: fam.build(fam.CATALAN_HANKEL, m, shift=n),
               lambda n, m: fam.catalan_hankel_product(n, m), kind="closed-form"),
     det_check("eq71", "2.2 (71)", grid(n=(5, 6), m=(4, 5)),
-              lambda n, m: fam.fam_eq71(n, m), lambda n, m: ONE),
+              lambda n, m: fam.build(fam.EQ71, n, m=m), lambda n, m: ONE),
     det_check("eq73", "2.2 (73)", grid(n=(6, 8), m=(4, 5)),
-              lambda n, m: fam.hilbert_hankel(n, m),
+              lambda n, m: fam.build(fam.HILBERT_HANKEL, m, shift=n),
               lambda n, m: fam.hilbert_hankel_product(n, m), kind="closed-form"),
     det_check("eq27", "2.1.1 (27)", grid(n=(5, 6), k=(4, 4, 0)),
               fam.EQ27, lambda n, k: q_binomial(n + k, k)),
@@ -393,7 +398,7 @@ _DET_CHECKS = (
               fam.EQ78, lambda n: fam.carlitz_reversed(n)),
     # the entry-wise q = -1 specialization of the Carlitz matrix family
     det_check("eq79", "3.1 (79)", grid(size=(7, 9)),
-              lambda size: _at_q(fam.fam_eq77(size), -1),
+              lambda size: _at_q(fam.build(fam.EQ77, size), -1),
               lambda size: kron(size == 0) if size % 2 == 0
               else _sign(size // 2) * catalan(size // 2)),
     det_check("eq81", "3.1 (81)", grid(n=(5, 6), r=(4, 4, 1)),
@@ -403,15 +408,15 @@ _DET_CHECKS = (
     det_check("eq84", "3.2 (84)", grid(n=(6, 8)),
               fam.EQ84, lambda n: q_catalan(n)),
     det_check("eq85", "3.2 (85)", grid(size=(8, 10)),
-              lambda size: _at_q(fam.fam_eq84(size), -1),
+              lambda size: _at_q(fam.build(fam.EQ84, size), -1),
               lambda size: binomial(size, size // 2)),
     det_check("eq89", "3.2 Theorem 8 (89); also (8)", grid(n=(5, 6), k=(4, 4, 1)),
-              lambda n, k: fam.fam_eq89(n, k), lambda n, k: andrews_c(n, k)),
+              lambda n, k: fam.build(fam.EQ89, n, k=k), lambda n, k: andrews_c(n, k)),
     det_check("eq92", "3.2 (92)", grid(n=(6, 8), k=(4, 4, 1)),
-              lambda n, k: fam.fam_eq92(n, k),
+              lambda n, k: fam.build(fam.EQ92, n, x=k),
               lambda n, k: QRat(q_binomial(2 * n + k - 1, n))),
     det_check("sec33det", "3.3 unnumbered det", grid(n=(4, 5), k=(4, 4, 1)),
-              lambda n, k: fam.fam_sec33(n, k), lambda n, k: fam.sec33_rhs(n, k)),
+              lambda n, k: fam.build(fam.SEC33, n, k=k), lambda n, k: fam.sec33_rhs(n, k)),
 )
 CHECKS.update((check.id, check) for check in _DET_CHECKS)
 
@@ -452,7 +457,7 @@ def _eq33(n: int, k: int):
 
 @register("eq34", "2.1.1 (34)", "inverse", grid(size=(8, 12, TOP)))
 def _eq34(size: int):
-    inv = inverse(fam.fam_eq34(size))
+    inv = inverse(fam.build(fam.EQ34, size))
     expected = Matrix.build(size, size, lambda i, j: F(ballot(i, j)), FRAC)
     return inv == expected, "inverse of signed binomial matrix", "ballot triangle"
 
@@ -470,16 +475,16 @@ def _null_grid(n_lo: int, m_offset: int):
 
 _NULL_CHECKS = (
     null_check("eq36", "2.1.1 (36)/(37)", _null_grid(2, 1),
-               lambda n, m: fam.fam_eq35(n, -m),
+               lambda n, m: fam.build(fam.EQ35, n, x=-m),
                lambda n, m: [lucas_value(m, j) for j in range(n)]),
     null_check("eq39", "2.1.1 (39)", _null_grid(2, 1),
-               lambda n, m: fam.fam_eq39(n, m),
+               lambda n, m: fam.build(fam.EQ55, n, k=-m),
                lambda n, m: [lucas_value(m, j) for j in range(n)]),
     null_check("eq47", "2.1.1 (47)/(48)", _null_grid(1, 0),
-               lambda n, m: fam.fam_eq45(n, -m),
+               lambda n, m: fam.build(fam.EQ45, n, k=-m),
                lambda n, m: [binomial(m - j, j) for j in range(n)]),
     null_check("eq49", "2.1.1 (49)", _null_grid(1, 0),
-               lambda n, m: fam.fam_eq49(n, m),
+               lambda n, m: fam.build(fam.EQ49, n, m=m),
                lambda n, m: [binomial(m - j, j) for j in range(n)]),
 )
 CHECKS.update((check.id, check) for check in _NULL_CHECKS)
@@ -569,8 +574,8 @@ def _eq62(n: int):
 
 @register("eq65", "2.2 Theorem 4 (65); also (5)", "bridge", grid(n=(8, 12), m=(4, 6)))
 def _eq65(n: int, m: int):
-    d = det(fam.fam_eq65(n, m))
-    h = det(fam.catalan_hankel(n, m))
+    d = det(fam.build(fam.EQ74, n, m=m, k=0))
+    h = det(fam.build(fam.CATALAN_HANKEL, m, shift=n))
     p1 = fam.thm4_product(n, m)
     p2 = fam.catalan_hankel_product(n, m)
     ok = d == h == p1 == p2
@@ -579,9 +584,9 @@ def _eq65(n: int, m: int):
 
 @register("eq72", "2.2 (72)", "bridge", grid(n=(6, 8), m=(4, 5)))
 def _eq72(n: int, m: int):
-    lhs = det(fam.fam_eq72(n, m))
-    h0 = det(fam.hilbert_hankel(0, m))
-    hn = det(fam.hilbert_hankel(n, m))
+    lhs = det(fam.build(fam.EQ72, n, m=m))
+    h0 = det(fam.build(fam.HILBERT_HANKEL, m, shift=0))
+    hn = det(fam.build(fam.HILBERT_HANKEL, m, shift=n))
     ok = lhs * h0 == hn
     return ok, lhs, hn / h0
 
@@ -589,9 +594,9 @@ def _eq72(n: int, m: int):
 @register("eq74", "2.2 Theorem 6 (74); also (9)", "bridge",
           grid(n=(6, 10), m=(3, 4), k=(3, 4)))
 def _eq74(n: int, m: int, k: int):
-    d1 = det(fam.fam_eq74(n, m, k))
-    d2 = det(fam.fam_eq74_reversed(n, m, k))
-    d3 = det(fam.catalan_power_hankel(n, m, k))
+    d1 = det(fam.build(fam.EQ74, n, m=m, k=k))
+    d2 = det(fam.build(fam.EQ74_REVERSED, n, n=n, m=m, k=k))
+    d3 = det(fam.build(fam.CATALAN_POWER_HANKEL, m, n=n, k=k))
     p = fam.krattenthaler_rhs_product(n, m, k)
     ok = d1 == d2 == d3 == p
     return ok, d1, f"{d2}; {d3}; {p}"
@@ -607,7 +612,7 @@ def _eq75(n: int, k: int):
 @register("eq76", "2.2 (76)", "recurrence", grid(n=(5, 10, 1), m=(4, 4, 2), k=(3, 4)))
 def _eq76(n: int, m: int, k: int):
     def M(mm, nn, kk):
-        return det_condensation(fam.catalan_power_hankel(nn, mm, kk))
+        return det_condensation(fam.build(fam.CATALAN_POWER_HANKEL, mm, n=nn, k=kk))
 
     lhs = M(m, n, k) * M(m - 2, n, k + 2)
     rhs = M(m - 1, n, k + 2) * M(m - 1, n, k) - M(m - 1, n + 1, k) * M(m - 1, n - 1, k + 2)
@@ -616,8 +621,8 @@ def _eq76(n: int, m: int, k: int):
 
 @register("eq10", "1 (10)", "bridge", grid(n=(4, 5), m=(3, 3), x=(4, 4, 1)))
 def _eq10(n: int, m: int, x: int):
-    d1 = det(fam.fam_eq10(n, m, x))
-    d2 = det(fam.fam_eq10_rhs(n, m, x))
+    d1 = det(fam.build(fam.EQ10, n, m=m, x=x))
+    d2 = det(fam.build(fam.EQ10_RHS, m, n=n, x=x))
     return d1 == d2, d1, d2
 
 
@@ -647,7 +652,7 @@ def _eq87(n: int, k: int):
 
 @register("eq88", "3.2 (88)", "inverse", grid(size=(5, 5, TOP)))
 def _eq88(size: int):
-    inv = inverse(fam.fam_eq88(size))
+    inv = inverse(fam.build(fam.EQ88, size))
     expected = Matrix.build(
         size, size, lambda i, j: QRat(q_catalan_power(i - j, 2 * j + 1)), QRAT
     )
@@ -669,8 +674,8 @@ def _eq90(n: int, k: int):
 
 @register("eq91", "3.2 Theorem 10 (91)", "bridge", grid(n=(4, 6), m=(3, 3), k=(3, 3)))
 def _eq91(n: int, m: int, k: int):
-    d1 = det(fam.fam_eq91(n, m, k))
-    d2 = det(fam.fam_eq91_hankel(n, m, k))
+    d1 = det(fam.build(fam.EQ91, n, m=m, k=k))
+    d2 = det(fam.build(fam.EQ91_HANKEL, m, n=n, k=k))
     p = fam.q_krattenthaler_rhs(n, m, k)
     ok = d1 == d2 == p
     return ok, d1, f"{d2}; {p}"
@@ -691,8 +696,8 @@ def _eq92s(n: int, k: int):
 
 @register("eq96", "3.2 Theorem 11 (96)", "bridge", grid(n=(4, 6), m=(3, 3), x=(4, 4, 1)))
 def _eq96(n: int, m: int, x: int):
-    dB = det(fam.fam_thm11_B(n, x, m))
-    dH = QRat(det(fam.fam_thm11_H(m, x, n)))
+    dB = det(fam.build(fam.THM11_B, n, x=x, m=m))
+    dH = QRat(det(fam.build(fam.THM11_H, m, x=x, n=n)))
     w = fam.thm11_w(n, x, m)
     ok = dB == w and dH == w
     return ok, f"{dB}; {dH}", w
@@ -709,11 +714,7 @@ def _eq97(n: int, x: int):
 def _eq98(m: int, x: int):
     lhs = fam.thm11_w(1, x, m)
     rhs = fam.thm11_w1m(x, m)
-    det_form = det(
-        Matrix.build(
-            m, m, lambda i, j: q_binomial(2 * i + x + 1, i - j + 1), QPOLY
-        )
-    )
+    det_form = swept_det("eq98", fam.EQ98, m, x=x)
     ok = lhs == rhs and QRat(det_form) == rhs
     return ok, lhs, rhs
 
@@ -754,8 +755,8 @@ def _eq100(n: int, m: int, x: int):
 @register("remarkdet", "3.3 final remark det", "bridge",
           grid(n=(4, 5), m=(3, 3), x=(3, 3, 1)))
 def _remarkdet(n: int, m: int, x: int):
-    d1 = QRat(det(fam.fam_remark(n, m, x)))
-    d2 = QRat(det(fam.fam_remark_rhs(n, m, x)))
+    d1 = QRat(det(fam.build(fam.REMARK, n, m=m, x=x)))
+    d2 = QRat(det(fam.build(fam.REMARK_RHS, m, n=n, m=m, x=x)))
     p = fam.remark_rhs_product(n, m, x)
     ok = d1 == d2 == p
     return ok, d1, f"{d2}; {p}"
@@ -831,12 +832,12 @@ def _thm15_grid(b: Bounds) -> list[dict]:
 def _thm15(n: int, m: int):
     checks = []
     if n + 1 <= m <= 2 * n - 1:
-        a = fam.fam_thm15_A(n, m)
+        a = fam.build(fam.EQ86, n, k=-m, shifted=False)
         va = fam.thm15_vector_A(n, m)
         checks.append(all(v.is_zero for v in matvec(a, va)))
         checks.append(rank(a) == n - 1)
     if n <= m <= 2 * n - 1:
-        bmat = fam.fam_thm15_B(n, m)
+        bmat = fam.build(fam.EQ92, n, x=-m)
         vb = fam.thm15_vector_B(n, m)
         checks.append(all(v.is_zero for v in matvec(bmat, [QRat(v) for v in vb])))
         checks.append(rank(bmat) == n - 1)
@@ -969,10 +970,10 @@ def _eq102(n: int):
 
 # family: (field of the product, matrix at (n, k), moment M_i at (i, k))
 _LEM1 = {
-    "eq1": (F, lambda n, k: fam.fam_eq1(n), lambda i, k: catalan(i)),
-    "eq54": (F, lambda n, k: fam.fam_eq54(n, k), lambda i, k: catalan_power(i, k)),
-    "eq43": (F, lambda n, k: fam.fam_eq43(n), lambda i, k: binomial(2 * i, i)),
-    "eq83": (QRat, lambda n, k: fam.fam_eq83(n), lambda i, k: q_catalan(i)),
+    "eq1": (F, lambda n, k: fam.build(fam.EQ1, n), lambda i, k: catalan(i)),
+    "eq54": (F, lambda n, k: fam.build(fam.EQ54, n, k=k), lambda i, k: catalan_power(i, k)),
+    "eq43": (F, lambda n, k: fam.build(fam.EQ43, n), lambda i, k: binomial(2 * i, i)),
+    "eq83": (QRat, lambda n, k: fam.build(fam.EQ83, n), lambda i, k: q_catalan(i)),
 }
 
 
@@ -1004,29 +1005,29 @@ def _lem1(family: str, n: int, k: int):
 # pair: (points, the q-side value with every entry at q = 1, its classical values)
 _COHERENCE = {
     "eq83": (list(itertools.product(range(6))),
-             lambda n: det(_at_q(fam.fam_eq83(n), 1)),
+             lambda n: det(_at_q(fam.build(fam.EQ83, n), 1)),
              lambda n: (catalan(n), q_catalan(n).specialize(1))),
     "eq84": (list(itertools.product(range(6))),
-             lambda n: det(_at_q(fam.fam_eq84(n), 1)),
+             lambda n: det(_at_q(fam.build(fam.EQ84, n), 1)),
              lambda n: (catalan(n),)),
     "eq86a": (list(itertools.product(range(5), range(1, 4))),
-              lambda n, k: det(_at_q(fam.fam_eq86(n, k, False), 1)),
-              lambda n, k: (det(fam.fam_eq54(n, k)),)),
+              lambda n, k: det(_at_q(fam.build(fam.EQ86, n, k=k, shifted=False), 1)),
+              lambda n, k: (det(fam.build(fam.EQ54, n, k=k)),)),
     "eq86b": (list(itertools.product(range(5), range(1, 4))),
-              lambda n, k: det(_at_q(fam.fam_eq86(n, k, True), 1)),
+              lambda n, k: det(_at_q(fam.build(fam.EQ86, n, k=k, shifted=True), 1)),
               lambda n, k: (catalan_power(n, k),)),
     "eq91": (list(itertools.product(range(4), range(3), range(3))),
-             lambda n, m, k: det(_at_q(fam.fam_eq91(n, m, k), 1)),
-             lambda n, m, k: (det(fam.fam_eq74(n, m, k)),)),
+             lambda n, m, k: det(_at_q(fam.build(fam.EQ91, n, m=m, k=k), 1)),
+             lambda n, m, k: (det(fam.build(fam.EQ74, n, m=m, k=k)),)),
     "eq92": (list(itertools.product(range(5), range(1, 4))),
-             lambda n, k: det(_at_q(fam.fam_eq92(n, k), 1)),
-             lambda n, k: (det(fam.fam_eq45(n, k)), binomial(2 * n + k - 1, n))),
+             lambda n, k: det(_at_q(fam.build(fam.EQ92, n, x=k), 1)),
+             lambda n, k: (det(fam.build(fam.EQ45, n, k=k)), binomial(2 * n + k - 1, n))),
     "eq27": (list(itertools.product(range(5), range(4))),
-             lambda n, k: det(_at_q(fam.fam_eq27(n, k), 1)),
+             lambda n, k: det(_at_q(fam.build(fam.EQ27, n, k=k), 1)),
              lambda n, k: (binomial(n + k, k),)),
     "eq88": ([(5,)],
-             lambda size: _at_q(inverse(fam.fam_eq88(size)), 1),
-             lambda size: (inverse(fam.fam_eq34(size)),)),
+             lambda size: _at_q(inverse(fam.build(fam.EQ88, size)), 1),
+             lambda size: (inverse(fam.build(fam.EQ34, size)),)),
 }
 
 

@@ -8,9 +8,11 @@ mu(3n+2) = -1.  Determinants of lifted matrices are computed exactly over
 the integers — computing them in the residue field would make the statements
 trivial.
 
-The lower Hessenberg lifts (eq107, eq109) are read off one leading-minor
-sweep per lift, modulus and parameters other than n; the banded eq110 lift is
-built and expanded per point.
+A lift is itself a ``families.Family`` (``_lift``), so every lifted matrix is
+built through ``families.build``.  The lower Hessenberg lifts (eq107, eq109)
+are read off one leading-minor sweep per lift, modulus and parameters other
+than n; the banded eq110 lift (of ``EQ74`` at k = 0) and the Hankel side of
+c13b (of ``CATALAN_POWER_HANKEL`` at k = 0) are built and expanded per point.
 
 A conjecture search scans a grid and reports either the verified range or
 the first counterexample (re-verified by a recomputation that discards the
@@ -45,7 +47,6 @@ from catdet.sequences import ballot, catalan, catalan_power
 
 __all__ = [
     "lift2",
-    "lift3",
     "mu",
     "lucas_binomial_mod2",
     "unique_power_index",
@@ -62,11 +63,6 @@ __all__ = [
 def lift2(x: int) -> int:
     """Residue mod 2 as an element of {0, 1}."""
     return x & 1
-
-
-def lift3(x: int) -> int:
-    """Residue mod 3 as an element of {0, 1, 2} (the matrix-entry lift)."""
-    return x % 3
 
 
 def mu(x: int) -> int:
@@ -120,7 +116,7 @@ def _lift(family: fam.Family) -> fam.Family:
     return fam.Family(INT, lambda i, j, p, **params: entry(i, j, **params) % p)
 
 
-_LIFT_FAMILIES = {"eq107": _lift(fam.EQ1), "eq109": _lift(fam.EQ54), "eq110": _lift(fam.EQ65)}
+_LIFT_FAMILIES = {"eq107": _lift(fam.EQ1), "eq109": _lift(fam.EQ54), "eq110": _lift(fam.EQ74)}
 # the lower Hessenberg lifts, read off sweeps; eq110 is banded
 _SWEPT_LIFTS = ("eq107", "eq109")
 
@@ -130,7 +126,8 @@ def lifted_det(family: str, params: dict, modulus: int) -> int:
     lift = _LIFT_FAMILIES[family]
     if family in _SWEPT_LIFTS:
         return swept_det(family, lift, p=modulus, **params)
-    return det(lift.matrix(p=modulus, **params))
+    rest = {key: value for key, value in params.items() if key != "n"}
+    return det(fam.build(lift, params["n"], p=modulus, **rest))
 
 
 def mod2_orthopoly_bridge(n: int, m: int) -> bool:
@@ -155,7 +152,7 @@ def mod2_orthopoly_bridge(n: int, m: int) -> bool:
     moments = catalan_parity_moments(count)
     _, _, sys = system_from_moments(moments, FRAC)
     tab = sys.tables()
-    pm = Matrix.build(n, n, lambda i, j: tab.p_entry(i + m, j), FRAC)
+    pm = tab.p_matrix(m, n)
     am = Matrix.build(m, m, lambda i, j: Fraction(moments[i + j + n]), FRAC)
     sign = -1 if (m * (m - 1) // 2) % 2 else 1
     return det(pm) == sign * det(am)
@@ -207,12 +204,8 @@ def _c13a_point(n: int, k: int) -> tuple[bool, str, str]:
 
 
 def _c13b_point(n: int, m: int) -> tuple[bool, str, str]:
-    lhs = lifted_det("eq110", {"n": n, "m": m}, 2)
-    rhs = det(
-        Matrix.build(
-            m, m, lambda i, j: lift2(catalan_power(n - i + j, 2 * i + 1)), INT
-        )
-    )
+    lhs = lifted_det("eq110", {"n": n, "m": m, "k": 0}, 2)
+    rhs = det(fam.build(_lift(fam.CATALAN_POWER_HANKEL), m, p=2, n=n, k=0))
     return lhs == rhs, str(lhs), str(rhs)
 
 
@@ -305,8 +298,7 @@ def _eq104(n: int):
     moments = catalan_parity_moments(2 * n + 4)
     _, _, sys = system_from_moments(moments, FRAC)
     tab = sys.tables()
-    pm = Matrix.build(n, n, lambda i, j: tab.p_entry(i + 1, j), FRAC)
-    lhs = det(pm)
+    lhs = det(tab.p_matrix(1, n))
     rhs = Fraction(lift2(catalan(n)))
     return lhs == rhs, lhs, rhs
 

@@ -34,7 +34,6 @@ __all__ = [
     "q_catalan_power",
     "andrews_c",
     "andrews_moment",
-    "h_poly",
 ]
 
 
@@ -206,13 +205,6 @@ def andrews_moment(n: int) -> QRat:
     num = q_catalan(n) * (ONE + QPoly.monomial(2)) * QPoly.monomial(2 * n)
     den = (ONE + QPoly.monomial(2 * (n + 1))) * poch * poch
     return QRat(num, den)
-
-
-def h_poly(n: int, x: int) -> QPoly:
-    """The q-binomial [2n+x-1 choose n] (Laurent for negative upper index)."""
-    if n < 0:
-        return QPoly.const(0)
-    return q_binomial(2 * n + x - 1, n)
 
 
 def catalan_series_power_coeff(n: int, k: int) -> int:

@@ -39,7 +39,7 @@ def test_criterion_01_catalan_determinants():
     t0 = time.perf_counter()
     count, failures = _run_ids(["eq1", "eq1b"], Bounds(n_max=40))
     assert count == 2 * 41
-    assert det_bareiss(fam.fam_eq1(4)) == 14
+    assert det_bareiss(fam.build(fam.EQ1, 4)) == 14
     _report(1, "det equals C_n for n <= 40; n = 4 gives 14", t0, failures, 5)
 
 
@@ -98,8 +98,8 @@ def test_criterion_07_carlitz():
     failures.extend(f2)
     assert str(carlitz(2)) == "1 + q"
     assert str(carlitz(3)) == "1 + 2*q + q^2 + q^3"
-    assert det_bareiss(fam.fam_eq77(2)) == carlitz(2)
-    assert det_bareiss(fam.fam_eq77(3)) == carlitz(3)
+    assert det_bareiss(fam.build(fam.EQ77, 2)) == carlitz(2)
+    assert det_bareiss(fam.build(fam.EQ77, 3)) == carlitz(3)
     _report(7, "Carlitz det (77), reversal (78), q=-1 collapse (79)", t0, failures, 60)
 
 

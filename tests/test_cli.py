@@ -1,4 +1,9 @@
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -148,17 +153,37 @@ def test_fail_fast_stops_early(monkeypatch, capsys):
     assert len(data["results"]) == 3
 
 
-def test_bench_runs(capsys):
-    code, out = run_cli(capsys, "bench")
-    assert code == 0
-    data = json.loads(out)
-    assert len(data["bench"]) >= 6
-    condensation = [r for r in data["bench"] if r["engine"] == "condensation"]
-    # the seed-0 integer draws meet an interior zero at every size
-    assert [r["fallback"] for r in condensation] == [True] * 4
-    assert all("fallback" not in r for r in data["bench"] if r["engine"] != "condensation")
-    sweep = [(r["engine"], r["size"]) for r in data["bench"] if r.get("input", "").startswith("eq1")]
-    assert sweep == [("sweep", 80), ("det", 80)]
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _report_without_timings(*flags: str) -> str:
+    """A small verify run in a fresh interpreter started with ``flags``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = ["verify", "--id", "eq1", "--id", "eq96", "--id", "c14", "--n-max", "6",
+            "--seed", "3"]
+    done = subprocess.run([sys.executable, *flags, "-m", "catdet.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    report.pop("timings")
+    return json.dumps(report, sort_keys=True)
+
+
+def test_report_unchanged_under_python_O():
+    plain = _report_without_timings()
+    assert '"fail": 0' in plain
+    assert _report_without_timings("-O") == plain
+
+
+def test_no_assert_statement_in_the_package():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "catdet").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_default_command_is_fast_suite(capsys, monkeypatch):

@@ -241,12 +241,12 @@ def test_hessenberg_edge_cases():
 
 
 @pytest.mark.parametrize("matrix", [
-    pytest.param(lambda: fam.fam_eq1(40), id="eq1-n40"),
-    pytest.param(lambda: fam.fam_eq1b(40), id="eq1b-n40"),
+    pytest.param(lambda: fam.build(fam.EQ1, 40), id="eq1-n40"),
+    pytest.param(lambda: fam.build(fam.EQ1B, 40), id="eq1b-n40"),
     # the mod-3 lift of eq107 at c14's largest suite point
     pytest.param(lambda: Matrix.build(81, 81, lambda i, j: binomial(i + j + 1, i - j + 1) % 3,
                                       INT), id="eq107-mod3-n81"),
-    pytest.param(lambda: fam.fam_eq92(8, 4), id="eq92-n8-k4"),
+    pytest.param(lambda: fam.build(fam.EQ92, 8, x=4), id="eq92-n8-k4"),
 ])
 def test_hessenberg_on_largest_family_points(matrix):
     m = matrix()
@@ -287,7 +287,7 @@ def test_leading_minors_out_of_order_equal_fresh_values():
     minors = LeadingMinors(entry, INT)
     got = [minors[n] for n in (9, 3, 12)]
     assert got == [LeadingMinors(entry, INT)[n] for n in (9, 3, 12)]
-    assert got == [det_bareiss(fam.fam_eq1(n)) for n in (9, 3, 12)]
+    assert got == [det_bareiss(fam.build(fam.EQ1, n)) for n in (9, 3, 12)]
     assert len(minors) == 13
     assert minors[0] == 1
     with pytest.raises(IndexError):
@@ -312,7 +312,7 @@ def test_leading_minors_reject_an_entry_above_the_superdiagonal_at_its_column():
         return binomial(i + j + 1, i - j + 1)
 
     minors = LeadingMinors(entry, INT)
-    assert minors[4] == det_bareiss(fam.fam_eq1(4))
+    assert minors[4] == det_bareiss(fam.build(fam.EQ1, 4))
     with pytest.raises(ValueError, match=r"\(1, 4\)"):
         minors[5]
     with pytest.raises(ValueError):
@@ -353,9 +353,9 @@ def test_row_cleared_qrat_det_agrees_with_bareiss_and_cofactor(hessenberg):
 
 
 @pytest.mark.parametrize("matrix", [
-    pytest.param(lambda: fam.fam_thm11_B(6, 4, 3), id="thm11B-n6-x4-m3"),
-    pytest.param(lambda: fam.fam_sec33(5, 4), id="sec33-n5-k4"),
-    pytest.param(lambda: fam.fam_eq89(6, 4), id="eq89-n6-k4"),
+    pytest.param(lambda: fam.build(fam.THM11_B, 6, x=4, m=3), id="thm11B-n6-x4-m3"),
+    pytest.param(lambda: fam.build(fam.SEC33, 5, k=4), id="sec33-n5-k4"),
+    pytest.param(lambda: fam.build(fam.EQ89, 6, k=4), id="eq89-n6-k4"),
 ])
 def test_row_cleared_det_on_q_rational_families(matrix):
     m = matrix()

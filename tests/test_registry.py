@@ -48,7 +48,7 @@ def test_eq2_explicit_row():
 
 def test_matrix_displays():
     # introduction 4x4
-    m = fam.fam_eq1(4)
+    m = fam.build(fam.EQ1, 4)
     assert m.rows() == [
         [1, 1, 0, 0],
         [1, 3, 1, 0],
@@ -56,20 +56,20 @@ def test_matrix_displays():
         [1, 10, 15, 7],
     ]
     # q-Catalan 2x2: ((1, 1), (q, [3]))
-    m = fam.fam_eq83(2)
+    m = fam.build(fam.EQ83, 2)
     assert m[0, 0] == ONE and m[0, 1] == ONE
     assert m[1, 0] == Q and m[1, 1] == q_int(3)
     # carlitz 2x2 and 3x3 displays
-    m = fam.fam_eq77(2)
+    m = fam.build(fam.EQ77, 2)
     assert m[0, 1] == P((4, 1))
-    m3 = fam.fam_eq77(3)
+    m3 = fam.build(fam.EQ77, 3)
     assert m3[2, 0] == P((4, 1))
     assert m3[2, 1] == (ONE + P((4, 1))) * q_int(3)
     assert m3[2, 2] == q_int(5)
     # 0x0 slices
-    assert fam.fam_eq72(0, 3).nrows == 0
-    assert fam.fam_eq72(3, 0).nrows == 3  # 0 columns in the Hankels only
-    assert det_bareiss(fam.fam_eq1(0)) == 1
+    assert fam.build(fam.EQ72, 0, m=3).nrows == 0
+    assert fam.build(fam.EQ72, 3, m=0).nrows == 3  # 0 columns in the Hankels only
+    assert det_bareiss(fam.build(fam.EQ1, 0)) == 1
 
 
 def test_eq77_displayed_values():
@@ -87,7 +87,7 @@ def test_eq79_displayed_value():
 def test_eq65_bridge_value():
     res = run_check("eq65", n=5, m=3)
     assert res.passed
-    hankel = det_bareiss(fam.catalan_hankel(5, 3))
+    hankel = det_bareiss(fam.build(fam.CATALAN_HANKEL, 3, shift=5))
     assert res.lhs == str(hankel)
 
 
@@ -103,15 +103,15 @@ def test_eq112_half_integer_x():
 
 def test_eq83_displayed_values():
     assert run_check("eq83", n=2).lhs == "1 + q^2"
-    lhs3 = det_bareiss(fam.fam_eq83(3))
+    lhs3 = det_bareiss(fam.build(fam.EQ83, 3))
     assert lhs3 == P((0, 1), (2, -1), (4, 1)) * q_int(5)
 
 
 def test_eq54_eq55_agree():
     for n in range(7):
         for k in range(1, 5):
-            a = det_bareiss(fam.fam_eq54(n, k))
-            b = det_bareiss(fam.fam_eq55(n, k))
+            a = det_bareiss(fam.build(fam.EQ54, n, k=k))
+            b = det_bareiss(fam.build(fam.EQ55, n, k=k))
             assert a == b
 
 
@@ -141,12 +141,12 @@ def test_transpose_and_reversal_invariance_of_registered_families():
         return Matrix.build(n, n, lambda i, j: m[n - 1 - i, n - 1 - j], m.ring)
 
     for n in range(9):
-        m = fam.fam_eq1(n)
+        m = fam.build(fam.EQ1, n)
         d = det_bareiss(m)
         assert det_bareiss(m.transpose()) == d
         assert det_bareiss(reversed_copy(m)) == d
         for k in range(3):
-            mm = fam.fam_eq74(n, 2, k)
+            mm = fam.build(fam.EQ74, n, m=2, k=k)
             dd = det_bareiss(mm)
             assert det_bareiss(mm.transpose()) == dd
             assert det_bareiss(reversed_copy(mm)) == dd
@@ -247,13 +247,45 @@ SWEPT_FAMILIES = [
     (fam.EQ83, [{}]),
     (fam.EQ84, [{}]),
     (fam.EQ86, [{"k": 3, "shifted": False}, {"k": 3, "shifted": True}]),
+    (fam.EQ98, [{"x": 1}, {"x": 5}]),
 ]
+
+# every other declared Family, with the reason its determinants stay per point
+NOT_SWEPT = (
+    (fam.EQ74, "banded: support j <= i + m"),
+    (fam.EQ10, "banded: support j <= i + m"),
+    (fam.EQ71, "banded: support j <= i + m"),
+    (fam.EQ91, "banded: support j <= i + m"),
+    (fam.REMARK, "banded: support j <= i + m"),
+    (fam.EQ74_REVERSED, "size-dependent: takes its size as parameter n"),
+    (fam.REMARK_RHS, "size-dependent: takes its size as parameter m"),
+    (fam.CATALAN_POWER_HANKEL, "dense Hankel-type block"),
+    (fam.CATALAN_HANKEL, "dense Hankel-type block"),
+    (fam.HILBERT_HANKEL, "dense Hankel-type block"),
+    (fam.EQ10_RHS, "dense Hankel-type block"),
+    (fam.EQ91_HANKEL, "dense Hankel-type block"),
+    (fam.THM11_H, "dense Hankel-type block"),
+    (fam.EQ72, "dense"),
+    (fam.KRATTENTHALER, "dense, random size per case"),
+    (fam.Q_KRATTENTHALER, "dense, random size per case"),
+    (fam.EQ34, "only inverted"),
+    (fam.EQ88, "only inverted"),
+    (fam.EQ49, "only multiplied by its null vector; pole at j = m"),
+    (fam.EQ89, "q-rational: row-cleared per point"),
+    (fam.EQ92, "q-rational: row-cleared per point"),
+    (fam.THM11_B, "q-rational: row-cleared per point"),
+    (fam.SEC33, "q-rational: row-cleared per point"),
+)
 
 
 def test_swept_families_cover_every_hessenberg_family():
+    # a new Family lands in SWEPT_FAMILIES or in NOT_SWEPT, never in both
     declared = {id(v) for v in vars(fam).values() if isinstance(v, fam.Family)}
-    # EQ65 is banded (support j <= i + m): its determinants stay per point
-    assert declared - {id(fam.EQ65)} == {id(family) for family, _ in SWEPT_FAMILIES}
+    swept = [id(family) for family, _ in SWEPT_FAMILIES]
+    not_swept = [id(family) for family, _ in NOT_SWEPT]
+    assert len(set(swept)) == len(swept) and len(set(not_swept)) == len(not_swept)
+    assert not set(swept) & set(not_swept)
+    assert declared == set(swept) | set(not_swept)
 
 
 @pytest.mark.parametrize("family,points", SWEPT_FAMILIES,
@@ -262,7 +294,58 @@ def test_swept_family_minors_equal_bareiss(family, points):
     for params in points:
         minors = family.sweep(**params)
         for n in range(13):
-            assert minors[n] == det_bareiss(family.matrix(n, **params)), (params, n)
+            assert minors[n] == det_bareiss(fam.build(family, n, **params)), (params, n)
+
+
+# parameters at which each q-polynomial Family meets the outside oracle
+Q_POLY_FAMILIES = {
+    fam.EQ27: [{"k": 0}, {"k": 3}],
+    fam.EQ77: [{}],
+    fam.EQ78: [{}],
+    fam.EQ81: [{"r": 1}, {"r": 4}],
+    fam.EQ83: [{}],
+    fam.EQ84: [{}],
+    fam.EQ86: [{"k": 3, "shifted": False}, {"k": -4, "shifted": False},
+               {"k": 2, "shifted": True}],
+    fam.EQ98: [{"x": 1}, {"x": 5}],
+    fam.EQ71: [{"m": 2}, {"m": 4}],
+    fam.EQ88: [{}],
+    fam.EQ91: [{"m": 2, "k": 3}, {"m": 3, "k": 1}],
+    fam.EQ91_HANKEL: [{"n": 3, "k": 2}, {"n": 5, "k": 0}],
+    fam.THM11_H: [{"x": 4, "n": 3}, {"x": 1, "n": 2}],
+    fam.REMARK: [{"m": 2, "x": 3}, {"m": 3, "x": 1}],
+    fam.REMARK_RHS: [{"n": 4, "m": 3, "x": 3}, {"n": 2, "m": 2, "x": 1}],
+    fam.Q_KRATTENTHALER: [{"L": [8, 5, 3, 2, 0], "A": 10}, {"L": [6, 4, 3, 1, 0], "A": 12}],
+}
+
+
+def test_q_polynomial_family_determinants_against_sympy():
+    pytest.importorskip("sympy")
+    from sympy import ZZ, symbols
+    from sympy.polys.matrices import DomainMatrix
+
+    from catdet.linalg import QPOLY, det
+
+    declared = {v for v in vars(fam).values() if isinstance(v, fam.Family) and v.ring is QPOLY}
+    assert declared == set(Q_POLY_FAMILIES)
+    ring = ZZ[symbols("t")]  # t = q^(1/2), the doubled exponents of QPoly
+
+    def oracle(m):
+        rows, shift = [], 0
+        for i in range(m.nrows):
+            row = [m[i, j] for j in range(m.ncols)]
+            low = min((v.low2 for v in row if not v.is_zero), default=0)
+            shift += low
+            rows.append([ring.ring.from_dict({(e - low,): c for e, c in v.items()})
+                         for v in row])
+        value = DomainMatrix(rows, (m.nrows, m.ncols), ring).det()
+        return QPoly([(e + shift, int(c)) for (e,), c in value.items()])
+
+    for family, points in Q_POLY_FAMILIES.items():
+        for params in points:
+            for n in range(6):
+                m = fam.build(family, n, **params)
+                assert det(m) == oracle(m), (params, n)
 
 
 @pytest.mark.parametrize("check_id,small,large", [

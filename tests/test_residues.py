@@ -9,7 +9,6 @@ from catdet.registry import Bounds, run_check
 from catdet.residues import (
     conjecture_search,
     lift2,
-    lift3,
     lifted_det,
     lucas_binomial_mod2,
     mod2_orthopoly_bridge,
@@ -29,7 +28,6 @@ def test_lifts_respect_congruence():
     for _ in range(10000):
         x = rng.randrange(0, 10**9)
         assert (lift2(x) - x) % 2 == 0 and lift2(x) in (0, 1)
-        assert (lift3(x) - x) % 3 == 0 and lift3(x) in (0, 1, 2)
         assert (mu(x) - x) % 3 == 0 and mu(x) in (-1, 0, 1)
 
 

@@ -17,7 +17,6 @@ from catdet.sequences import (
     fib_poly_coeffs,
     gfun,
     gould,
-    h_poly,
     lucas_coeff,
     lucas_poly_coeffs,
     q_catalan,
@@ -214,12 +213,3 @@ def test_andrews_moment_values():
     assert andrews_moment(1) == expected
     for n in range(7):
         assert andrews_moment(n).specialize(1) == Fraction(catalan(n), 4**n)
-
-
-def test_h_poly():
-    for x in range(-2, 4):
-        assert h_poly(0, x) == ONE
-    assert h_poly(1, 2) == q_binomial(3, 1)
-    for n in range(7):
-        assert h_poly(n, 1) == q_binomial(2 * n, n)
-        assert h_poly(n, 1).specialize(1) == binomial(2 * n, n)
