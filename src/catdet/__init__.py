@@ -2,13 +2,12 @@
 Catalan-style combinatorial families.
 
 The package provides exact scalar arithmetic (arbitrary-precision integers
-and rationals), a Laurent polynomial ring in q with half-integer exponents,
-exact dense linear algebra (a determinant that clears the denominators of a
-q-rational matrix row by row, then picks the division-free Hessenberg
-expansion or fraction-free Bareiss from the matrix's shape; the Hessenberg
-expansion as a sweep that yields every leading minor of a growing matrix, so
-a family is expanded once for all its sizes; Dodgson condensation, inverses
-and null-space checks), a
+and rationals), a Laurent polynomial ring in q, exact dense linear algebra (a
+determinant that clears the denominators of a q-rational matrix row by row,
+then picks the division-free Hessenberg expansion or fraction-free Bareiss
+from the matrix's shape; the Hessenberg expansion as a sweep that yields
+every leading minor of a growing matrix, so a family is expanded once for all
+its sizes; Dodgson condensation, inverses and null-space checks), a
 three-term-recurrence engine for monic orthogonal polynomials and their
 moment tables, the paper's matrix families as one table built through a
 single ``families.build``, a registry of executable identity checks,

@@ -62,7 +62,7 @@ def _run_tasks(tasks: list[tuple[str, dict]], jobs: int, fail_fast: bool
     results: list[CheckResult] = []
     per_check: dict[str, float] = {}
     if jobs > 1 and not fail_fast and len(tasks) > 1:
-        with Pool(jobs) as pool:
+        with Pool(min(jobs, len(tasks))) as pool:
             results = pool.map(_pool_point, tasks)
     else:
         for task in tasks:
@@ -226,6 +226,14 @@ def _bound(text: str) -> int:
     return value
 
 
+def _jobs(text: str) -> int:
+    """A worker count: a positive integer (argparse exits 2 on anything else)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="catdet",
@@ -245,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="restrict conjectures to this modulus")
         p.add_argument("--cases", type=_bound, default=None,
                        help="number of randomized cases")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes")
+        p.add_argument("--jobs", type=_jobs, default=1, help="worker processes")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
         p.add_argument("--format", choices=("json", "markdown"), default="json")
         p.add_argument("--fail-fast", action="store_true")

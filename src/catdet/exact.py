@@ -3,9 +3,8 @@
 Python integers are arbitrary precision and ``fractions.Fraction`` keeps the
 canonical reduced form (positive denominator, gcd(num, den) = 1), so they are
 used directly as the ground rings.  This module adds the binomial-coefficient
-conventions that all the identity checks rely on, a couple of product-form
-helpers that avoid removable poles, and JSON codecs for values of unbounded
-size.
+conventions that all the identity checks rely on and a couple of product-form
+helpers that avoid removable poles.
 
 Conventions for ``binomial(a, k)``:
 
@@ -84,23 +83,3 @@ def lucas_value(m: int, j: int):
     if value.denominator != 1:
         raise ArithmeticError(f"lucas_value({m}, {j}) is not an integer")
     return int(value)
-
-
-# ---------------------------------------------------------------------------
-# JSON codecs: integers as decimal strings, rationals as {"num", "den"}.
-# ---------------------------------------------------------------------------
-
-def int_to_json(n: int) -> str:
-    return str(n)
-
-
-def int_from_json(s: str) -> int:
-    return int(s)
-
-
-def rat_to_json(x: Fraction) -> dict:
-    return {"num": str(x.numerator), "den": str(x.denominator)}
-
-
-def rat_from_json(d: dict) -> Fraction:
-    return Fraction(int(d["num"]), int(d["den"]))

@@ -126,35 +126,35 @@ EQ43 = Family(FRAC, lambda i, j: _ratio_entry(i, j, 1, 1))
 # q families
 # ---------------------------------------------------------------------------
 
-def _qb(top: int, bottom: int, e2: int) -> QPoly:
-    return q_binomial(top, bottom).shift(e2)
+def _qb(top: int, bottom: int, e: int) -> QPoly:
+    return q_binomial(top, bottom).shift(e)
 
 
-EQ27 = Family(QPOLY, lambda i, j, k: _qb(i + 1 + k, j + k, 2 * choose2(i - j)))
-EQ77 = Family(QPOLY, lambda i, j: _qb(i + 1 + j, i + 1 - j, 4 * choose2(i - j)))
+EQ27 = Family(QPOLY, lambda i, j, k: _qb(i + 1 + k, j + k, choose2(i - j)))
+EQ77 = Family(QPOLY, lambda i, j: _qb(i + 1 + j, i + 1 - j, 2 * choose2(i - j)))
 EQ78 = Family(QPOLY, lambda i, j: q_binomial(i + j + 1, i - j + 1))
-EQ81 = Family(QPOLY, lambda i, j, r: _qb((r - 1) * j + 1, i - j + 1, 2 * choose2(i - j + 1)))
-EQ83 = Family(QPOLY, lambda i, j: _qb(i + j + 1, i - j + 1, 2 * choose2(i - j + 1)))
-EQ84 = Family(QPOLY, lambda i, j: _qb(i + j + 1, i - j + 1, 2 * choose2(i - j)))
+EQ81 = Family(QPOLY, lambda i, j, r: _qb((r - 1) * j + 1, i - j + 1, choose2(i - j + 1)))
+EQ83 = Family(QPOLY, lambda i, j: _qb(i + j + 1, i - j + 1, choose2(i - j + 1)))
+EQ84 = Family(QPOLY, lambda i, j: _qb(i + j + 1, i - j + 1, choose2(i - j)))
 # both prefactor variants q^C(i-j,2) and q^C(i-j+1,2) of the same family; at
 # k = -m, unshifted, the Theorem 15 matrix A
 EQ86 = Family(QPOLY, lambda i, j, k, shifted:
-              _qb(i + j + k, i - j + 1, 2 * choose2(i - j + (1 if shifted else 0))))
+              _qb(i + j + k, i - j + 1, choose2(i - j + (1 if shifted else 0))))
 EQ98 = Family(QPOLY, lambda i, j, x: q_binomial(2 * i + x + 1, i - j + 1))
-EQ71 = Family(QPOLY, lambda i, j, m: _qb(i + m, j, 2 * choose2(i - j)))
-EQ91 = Family(QPOLY, lambda i, j, m, k: _qb(k + i + j + m, i - j + m, 2 * choose2(i - j + m)))
+EQ71 = Family(QPOLY, lambda i, j, m: _qb(i + m, j, choose2(i - j)))
+EQ91 = Family(QPOLY, lambda i, j, m, k: _qb(k + i + j + m, i - j + m, choose2(i - j + m)))
 EQ91_HANKEL = Family(QPOLY, lambda i, j, n, k: q_catalan_power(n - i + j, 2 * i + k + 1))
 THM11_H = Family(QPOLY, lambda i, j, x, n: q_binomial(2 * (n - i + j) + x + 2 * i - 1, n - i + j))
-REMARK = Family(QPOLY, lambda i, j, m, x: _qb(i + x + m, i - j + m, 2 * choose2(i - j + m)))
+REMARK = Family(QPOLY, lambda i, j, m, x: _qb(i + x + m, i - j + m, choose2(i - j + m)))
 REMARK_RHS = Family(QPOLY, lambda i, j, n, m, x: q_binomial(n - i + j + x + m - 1, n - i + j))
 # q^(j L_i) [L_i + A - j choose L_i + j] with 1-based i, j; its size is len(L)
 Q_KRATTENTHALER = Family(QPOLY, lambda i, j, L, A:
-                         _qb(L[i] + A - j - 1, L[i] + j + 1, 2 * (j + 1) * L[i]))
+                         _qb(L[i] + A - j - 1, L[i] + j + 1, (j + 1) * L[i]))
 
 
 def _eq88_entry(i: int, j: int) -> QPoly:
     """(-1)^(i-j) q^C(i-j,2) [i+j choose i-j]; its inverse is the q-ballot table."""
-    v = _qb(i + j, i - j, 2 * choose2(i - j))
+    v = _qb(i + j, i - j, choose2(i - j))
     return -v if (i - j) % 2 else v
 
 
@@ -163,9 +163,9 @@ def _eq89_entry(i: int, j: int, k: int) -> QRat:
     c = i - j + 1
     if c < 0:
         return QRat(0)
-    num = q_binomial(j + k, c) * q_pochhammer(-1, 2 * (j + k), c)
-    den = q_pochhammer(-1, 2, c)
-    return QRat(num.shift(4 * choose2(c)), den)
+    num = q_binomial(j + k, c) * q_pochhammer(-1, j + k, c)
+    den = q_pochhammer(-1, 1, c)
+    return QRat(num.shift(2 * choose2(c)), den)
 
 
 def _q_ratio_entry(i: int, j: int, x: int, m: int, s: int) -> QRat:
@@ -177,7 +177,7 @@ def _q_ratio_entry(i: int, j: int, x: int, m: int, s: int) -> QRat:
     c = i - j + m
     if c < 0:
         return QRat(0)
-    sh = 2 * choose2(i - j + s)
+    sh = choose2(i - j + s)
     if c == 0:
         return QRat(ONE.shift(sh))
     num = q_int(2 * i + x + 2 * m - 1) * q_binomial(i + j + x + m - 2, c - 1)
@@ -189,8 +189,8 @@ def _sec33_entry(i: int, j: int, k: int) -> QRat:
     c = i + 1 - j
     if c < 0:
         return QRat(0)
-    num = q_binomial(i + j + k, c).shift(2 * c * c)
-    den = q_pochhammer(-1, 2, c) * q_pochhammer(-1, 2 * (i + j + k + 1), c)
+    num = q_binomial(i + j + k, c).shift(c * c)
+    den = q_pochhammer(-1, 1, c) * q_pochhammer(-1, i + j + k + 1, c)
     return QRat(num, den)
 
 
@@ -209,8 +209,8 @@ def thm15_vector_A(n: int, m: int) -> list[QPoly]:
     add = 5 if m % 2 == 0 else 7
     out = []
     for j in range(n):
-        e = (y - j) * (y + add - 3 * j)  # always even; doubled exponent
-        out.append(q_lucas_value(m, j).shift(e))
+        # the two factors differ by add - 2j, which is odd, so one is even
+        out.append(q_lucas_value(m, j).shift((y - j) * (y + add - 3 * j) // 2))
     return out
 
 
@@ -220,8 +220,8 @@ def thm15_vector_B(n: int, m: int) -> list[QPoly]:
     add = 3 if m % 2 == 0 else 5
     out = []
     for j in range(n):
-        e = (y - j) * (y + add - 3 * j)
-        out.append(q_binomial(m - j, j).shift(e))
+        # the two factors differ by add - 2j, which is odd, so one is even
+        out.append(q_binomial(m - j, j).shift((y - j) * (y + add - 3 * j) // 2))
     return out
 
 
@@ -370,7 +370,7 @@ def thm11_w(n: int, x: int, m: int) -> QRat:
 
 def thm11_w1m(x: int, m: int) -> QRat:
     """w(1, x, m) = q^C(m,2) [x+m-1 choose m] [x+2m-1]/[x+m-1]."""
-    num = (q_binomial(x + m - 1, m) * q_int(x + 2 * m - 1)).shift(2 * choose2(m))
+    num = (q_binomial(x + m - 1, m) * q_int(x + 2 * m - 1)).shift(choose2(m))
     return QRat(num, q_int(x + m - 1))
 
 
@@ -410,9 +410,9 @@ def gfun_reversed(n: int, r: int) -> QPoly:
     The convolution recurrence and the determinant/sum identities pin down
     mutually reversed polynomials; the degree of g_n(r) is (r-1) C(n,2).
     """
-    return gfun(n, r).subs_inv_q().shift(2 * (r - 1) * choose2(n))
+    return gfun(n, r).subs_inv_q().shift((r - 1) * choose2(n))
 
 
 def carlitz_reversed(n: int) -> QPoly:
     """q^(2 C(n,2)) c_n(1/q): the plain q-binomial determinant value."""
-    return carlitz(n).subs_inv_q().shift(4 * choose2(n))
+    return carlitz(n).subs_inv_q().shift(2 * choose2(n))

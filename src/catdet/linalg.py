@@ -188,9 +188,6 @@ class Matrix:
         lift = _FIELD_VALUE[self.ring.name]
         return Matrix(self.nrows, self.ncols, [lift(v) for v in self.data], self.ring.field)
 
-    def map(self, fn, ring: Ring | None = None) -> "Matrix":
-        return Matrix(self.nrows, self.ncols, [fn(v) for v in self.data], ring)
-
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")

@@ -406,7 +406,7 @@ def carlitz_system() -> FavardSystem:
     """s = 0, t(n) = q^n: even moments are the Carlitz q-Catalan numbers."""
     return FavardSystem(
         lambda n: QPoly.const(0),
-        lambda n: QPoly.monomial(2 * n),
+        lambda n: QPoly.monomial(n),
         QPOLY,
         "carlitz",
     )
@@ -419,8 +419,8 @@ def q_chebyshev_system() -> FavardSystem:
 
     def t(n):
         return QRat(
-            QPoly.monomial(2 * (n + 1)),
-            (one + QPoly.monomial(2 * (n + 1))) * (one + QPoly.monomial(2 * (n + 2))),
+            QPoly.monomial(n + 1),
+            (one + QPoly.monomial(n + 1)) * (one + QPoly.monomial(n + 2)),
         )
 
     return FavardSystem(lambda n: QRat(0), t, QRAT, "q-chebyshev")
@@ -436,23 +436,23 @@ def geometric_q_system() -> FavardSystem:
     """
 
     def s(k):
-        v = QPoly.monomial(2 * k) * q_int(k + 1)
+        v = QPoly.monomial(k) * q_int(k + 1)
         if k >= 1:
-            v = v - QPoly.monomial(2 * (k - 1)) * q_int(k)
+            v = v - QPoly.monomial(k - 1) * q_int(k)
         return v
 
     def t(k):
-        v = QPoly.monomial(2 * (2 * k + 1)) * q_binomial(k + 2, 2)
+        v = QPoly.monomial(2 * k + 1) * q_binomial(k + 2, 2)
         if k >= 1:
-            v = v - QPoly.monomial(2 * (2 * k - 1)) * q_binomial(k + 1, 2)
-        return v - s(k) * QPoly.monomial(2 * k) * q_int(k + 1)
+            v = v - QPoly.monomial(2 * k - 1) * q_binomial(k + 1, 2)
+        return v - s(k) * QPoly.monomial(k) * q_int(k + 1)
 
     return FavardSystem(s, t, QPOLY, "geometric-q")
 
 
 def geometric_q_coeff(n: int, j: int) -> QPoly:
     """Explicit true coefficient (-1)^(n-j) [n choose j] q^((n-1)(n-j))."""
-    v = q_binomial(n, j).shift(2 * (n - 1) * (n - j))
+    v = q_binomial(n, j).shift((n - 1) * (n - j))
     return -v if (n - j) % 2 else v
 
 
@@ -475,10 +475,3 @@ def random_integer_system(rng, lo: int = -3, hi: int = 3) -> FavardSystem:
         return t_cache[n]
 
     return FavardSystem(s, t, INT, "random")
-
-
-def catalan_parity_moments(count: int) -> list[int]:
-    """The sequence C_n mod 2 as integers from {0, 1}."""
-    from catdet.sequences import catalan
-
-    return [catalan(n) & 1 for n in range(count)]

@@ -1,10 +1,8 @@
 """Exact Laurent polynomials and rational functions in q.
 
-Exponents are stored doubled: the key ``e2`` of a coefficient means
-``q**(e2/2)``, so half-integer powers of q stay exact.  A polynomial whose
-exponents are all even is called *integral*; only integral polynomials can be
-specialized at q = -1.  Coefficients are arbitrary-precision integers and
-zero coefficients are never stored, so equality is structural.
+The key ``e`` of a coefficient is the (possibly negative) integer exponent
+of ``q**e``.  Coefficients are arbitrary-precision integers and zero
+coefficients are never stored, so equality is structural.
 
 ``QRat`` is the fraction field.  Values are reduced on construction with a
 content-and-primitive-part polynomial gcd; the canonical form has the
@@ -39,10 +37,6 @@ __all__ = [
     "ZERO",
     "ONE",
     "Q",
-    "qpoly_to_json",
-    "qpoly_from_json",
-    "qrat_to_json",
-    "qrat_from_json",
     "q_product",
 ]
 
@@ -118,7 +112,7 @@ def _mul_kronecker(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 
 
 class QPoly:
-    """Exact Laurent polynomial in q with doubled-integer exponents."""
+    """Exact Laurent polynomial in q."""
 
     __slots__ = ("_c",)
 
@@ -126,13 +120,13 @@ class QPoly:
         c: dict[int, int] = {}
         if coeffs:
             items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-            for e2, v in items:
+            for e, v in items:
                 if v:
-                    nv = c.get(e2, 0) + v
+                    nv = c.get(e, 0) + v
                     if nv:
-                        c[e2] = nv
-                    elif e2 in c:
-                        del c[e2]
+                        c[e] = nv
+                    elif e in c:
+                        del c[e]
         self._c = c
 
     # -- constructors -------------------------------------------------------
@@ -148,8 +142,8 @@ class QPoly:
         return cls._raw({0: n} if n else {})
 
     @classmethod
-    def monomial(cls, e2: int, coeff: int = 1) -> "QPoly":
-        return cls._raw({e2: coeff} if coeff else {})
+    def monomial(cls, e: int, coeff: int = 1) -> "QPoly":
+        return cls._raw({e: coeff} if coeff else {})
 
     # -- basic structure ----------------------------------------------------
 
@@ -162,24 +156,19 @@ class QPoly:
         return self._c == {0: 1}
 
     @property
-    def is_integral(self) -> bool:
-        """True iff every stored exponent is an even e2 (integer power of q)."""
-        return all(e2 % 2 == 0 for e2 in self._c)
-
-    @property
-    def low2(self) -> int:
+    def low(self) -> int:
         if not self._c:
             raise ValueError("zero polynomial has no low exponent")
         return min(self._c)
 
     @property
-    def deg2(self) -> int:
+    def deg(self) -> int:
         if not self._c:
             raise ValueError("zero polynomial has no degree")
         return max(self._c)
 
-    def coeff(self, e2: int) -> int:
-        return self._c.get(e2, 0)
+    def coeff(self, e: int) -> int:
+        return self._c.get(e, 0)
 
     def items(self):
         return sorted(self._c.items())
@@ -193,7 +182,7 @@ class QPoly:
 
     @property
     def lead_coeff(self) -> int:
-        return self._c[self.deg2]
+        return self._c[self.deg]
 
     def __bool__(self) -> bool:
         return bool(self._c)
@@ -223,30 +212,30 @@ class QPoly:
         if o is None:
             return NotImplemented
         c = dict(self._c)
-        for e2, v in o._c.items():
-            nv = c.get(e2, 0) + v
+        for e, v in o._c.items():
+            nv = c.get(e, 0) + v
             if nv:
-                c[e2] = nv
-            elif e2 in c:
-                del c[e2]
+                c[e] = nv
+            elif e in c:
+                del c[e]
         return QPoly._raw(c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPoly._raw({e2: -v for e2, v in self._c.items()})
+        return QPoly._raw({e: -v for e, v in self._c.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         c = dict(self._c)
-        for e2, v in o._c.items():
-            nv = c.get(e2, 0) - v
+        for e, v in o._c.items():
+            nv = c.get(e, 0) - v
             if nv:
-                c[e2] = nv
-            elif e2 in c:
-                del c[e2]
+                c[e] = nv
+            elif e in c:
+                del c[e]
         return QPoly._raw(c)
 
     def __rsub__(self, other):
@@ -264,10 +253,10 @@ class QPoly:
             return ZERO
         if len(a) == 1:
             ((e1, c1),) = a.items()
-            return QPoly._raw({e1 + e2: c1 * v for e2, v in b.items()})
+            return QPoly._raw({e1 + e: c1 * v for e, v in b.items()})
         if len(b) == 1:
             ((e1, c1),) = b.items()
-            return QPoly._raw({e1 + e2: c1 * v for e2, v in a.items()})
+            return QPoly._raw({e1 + e: c1 * v for e, v in a.items()})
         if len(a) * len(b) >= _KRON_CUTOFF:
             return QPoly._raw(_mul_kronecker(a, b))
         if len(a) > len(b):
@@ -275,9 +264,9 @@ class QPoly:
         c: dict[int, int] = {}
         get = c.get
         for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                nv = get(e, 0) + c1 * c2
+            for eb, cb in b.items():
+                e = e1 + eb
+                nv = get(e, 0) + c1 * cb
                 if nv:
                     c[e] = nv
                 elif e in c:
@@ -298,11 +287,11 @@ class QPoly:
             n >>= 1
         return result
 
-    def shift(self, e2: int) -> "QPoly":
-        """Multiply by the monomial q**(e2/2)."""
-        if not e2 or not self._c:
+    def shift(self, s: int) -> "QPoly":
+        """Multiply by the monomial q**s."""
+        if not s or not self._c:
             return self
-        return QPoly._raw({e + e2: v for e, v in self._c.items()})
+        return QPoly._raw({e + s: v for e, v in self._c.items()})
 
     def subs_inv_q(self) -> "QPoly":
         """Substitute q -> 1/q (negate every exponent)."""
@@ -317,8 +306,8 @@ class QPoly:
             raise ZeroDivisionError("QPoly division by zero")
         if self.is_zero:
             return ZERO
-        la, ha = self.low2, self.deg2
-        lb, hb = b.low2, b.deg2
+        la, ha = self.low, self.deg
+        lb, hb = b.low, b.deg
         qlow = la - lb
         qhigh = ha - hb
         if qhigh < qlow:
@@ -354,44 +343,29 @@ class QPoly:
     # -- specialization -----------------------------------------------------
 
     def specialize(self, value: int) -> int:
-        """Exact evaluation at q = 1 or q = -1.
-
-        q = -1 requires an integral polynomial (all exponents even); a half
-        power of q has no exact value there.
-        """
+        """Exact evaluation at q = 1 or q = -1."""
         if value == 1:
             return sum(self._c.values())
         if value == -1:
-            total = 0
-            for e2, v in self._c.items():
-                if e2 % 2:
-                    raise ValueError(
-                        "cannot specialize a non-integral polynomial at q = -1"
-                    )
-                total += v if (e2 // 2) % 2 == 0 else -v
-            return total
+            return sum(-v if e % 2 else v for e, v in self._c.items())
         raise ValueError("specialize supports only q = 1 and q = -1")
 
     # -- display ------------------------------------------------------------
 
     @staticmethod
-    def _pow_str(e2: int) -> str:
-        if e2 == 2:
-            return "q"
-        if e2 % 2 == 0:
-            return f"q^{e2 // 2}"
-        return f"q^({e2}/2)"
+    def _pow_str(e: int) -> str:
+        return "q" if e == 1 else f"q^{e}"
 
     def __str__(self) -> str:
         if not self._c:
             return "0"
         parts = []
-        for e2, v in self.items():
-            if e2 == 0:
+        for e, v in self.items():
+            if e == 0:
                 term = str(abs(v))
             else:
                 mag = abs(v)
-                term = self._pow_str(e2) if mag == 1 else f"{mag}*{self._pow_str(e2)}"
+                term = self._pow_str(e) if mag == 1 else f"{mag}*{self._pow_str(e)}"
             if not parts:
                 parts.append(term if v > 0 else f"-{term}")
             else:
@@ -404,7 +378,7 @@ class QPoly:
 
 ZERO = QPoly.const(0)
 ONE = QPoly.const(1)
-Q = QPoly.monomial(2)
+Q = QPoly.monomial(1)
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +433,8 @@ def _poly_gcd_dense(a: list[int], b: list[int]) -> list[int]:
 
 
 def _to_dense(p: QPoly) -> tuple[list[int], int]:
-    low = p.low2
-    out = [0] * (p.deg2 - low + 1)
+    low = p.low
+    out = [0] * (p.deg - low + 1)
     for e, v in p._c.items():
         out[e - low] = v
     return out, low
@@ -485,11 +459,11 @@ class QRat:
             self.den = ONE
             return
         # strip the monomial part of the denominator into the numerator
-        sh = den.low2
+        sh = den.low
         if sh:
             den = den.shift(-sh)
             num = num.shift(-sh)
-        nsh = num.low2
+        nsh = num.low
         nproper = num.shift(-nsh) if nsh else num
         # polynomial gcd over the rationals (computed on primitive parts)
         nd, _ = _to_dense(nproper)
@@ -651,9 +625,9 @@ def q_int(n: int) -> QPoly:
     if p is not None:
         return p
     if n >= 0:
-        p = QPoly._raw({2 * i: 1 for i in range(n)})
+        p = QPoly._raw({i: 1 for i in range(n)})
     else:
-        p = QPoly._raw({2 * (n + i): -1 for i in range(-n)})
+        p = QPoly._raw({n + i: -1 for i in range(-n)})
     _QINT_CACHE[n] = p
     return p
 
@@ -691,20 +665,18 @@ def q_binomial(n: int, k: int) -> QPoly:
         p = num.exact_div(q_factorial(k_))
     else:
         a = -n
-        base = q_binomial(a + k - 1, k)
-        e2 = -2 * (a * k + k * (k - 1) // 2)
-        p = base.shift(e2)
+        p = q_binomial(a + k - 1, k).shift(-(a * k + k * (k - 1) // 2))
         if k & 1:
             p = -p
     _QBIN_CACHE[key] = p
     return p
 
 
-def q_pochhammer(sign: int, a2: int, count: int) -> QPoly:
-    """(x; q)_count with monomial argument x = sign * q^(a2/2).
+def q_pochhammer(sign: int, a: int, count: int) -> QPoly:
+    """(x; q)_count with monomial argument x = sign * q^a.
 
-    ``sign`` is +1 or -1; ``a2`` is the doubled exponent, so half-integer
-    bases are allowed.  The empty product (count = 0) is 1.
+    ``sign`` is +1 or -1 and ``a`` is any integer.  The empty product
+    (count = 0) is 1.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -712,7 +684,7 @@ def q_pochhammer(sign: int, a2: int, count: int) -> QPoly:
         raise ValueError("q_pochhammer needs count >= 0")
     out = ONE
     for l in range(count):
-        out = out * (ONE - QPoly.monomial(a2 + 2 * l, sign))
+        out = out * (ONE - QPoly.monomial(a + l, sign))
     return out
 
 
@@ -725,23 +697,22 @@ def q_lucas_value(m: int, j: int) -> QPoly:
     """
     if j == 0:
         return ONE
-    num = ONE - QPoly.monomial(2 * m)
+    num = ONE - QPoly.monomial(m)
     if num.is_zero:
         return ZERO
     for l in range(j - 1):
-        f = ONE - QPoly.monomial(2 * (m - j - 1 - l))
+        f = ONE - QPoly.monomial(m - j - 1 - l)
         if f.is_zero:
             return ZERO
         num = num * f
-    return num.exact_div(q_pochhammer(1, 2, j))
+    return num.exact_div(q_pochhammer(1, 1, j))
 
 
 # ---------------------------------------------------------------------------
 # products of (1 - q^e) through cyclotomic polynomials
 # ---------------------------------------------------------------------------
 
-# Phi_d(y) with plain (not doubled) exponents of y as keys; the polynomial is
-# rescaled to the variable at hand when it is used.
+# Phi_d(q); ``_expand`` substitutes q -> q^g where a product needs Phi_d(q^g).
 _CYCLO_CACHE: dict[int, QPoly] = {}
 
 
@@ -758,7 +729,7 @@ def _divisors(n: int) -> list[int]:
 
 
 def _cyclo(d: int) -> QPoly:
-    """Phi_d(y) = (y^d - 1) / prod_(e | d, e < d) Phi_e(y), cached."""
+    """Phi_d(q) = (q^d - 1) / prod_(e | d, e < d) Phi_e(q), cached."""
     p = _CYCLO_CACHE.get(d)
     if p is None:
         p = QPoly._raw({0: -1, d: 1})
@@ -768,19 +739,19 @@ def _cyclo(d: int) -> QPoly:
     return p
 
 
-def _expand(powers: dict[int, int], scale: int) -> QPoly:
-    """prod Phi_d(y)^c over ``powers`` (d -> c), with y = q^(scale/2)."""
+def _expand(powers: dict[int, int], g: int) -> QPoly:
+    """prod Phi_d(q^g)^c over ``powers`` (d -> c)."""
     # smallest factors first: the running product stays short for longest
     out = ONE
     for f in sorted((_cyclo(d) ** c for d, c in powers.items()), key=lambda p: len(p._c)):
         out = out * f
-    return QPoly._raw({scale * e: v for e, v in out._c.items()})
+    return QPoly._raw({g * e: v for e, v in out._c.items()})
 
 
 def q_product(num, den=(), power: int = 0) -> QRat:
     """q^power * prod_(e in num) (1 - q^e) / prod_(f in den) (1 - q^f), reduced.
 
-    Exponents are plain integers and may repeat or be negative.  A zero
+    Exponents are integers and may repeat or be negative.  A zero
     exponent makes the value 0 in ``num`` and raises ``ZeroDivisionError`` in
     ``den``.  With g the gcd of all exponents and y = q^g, each factor is
     1 - y^a = -prod_(d | a) Phi_d(y) for a > 0 and y^a prod_(d | -a) Phi_d(y)
@@ -788,7 +759,7 @@ def q_product(num, den=(), power: int = 0) -> QRat:
     +-q^s times the Phi_d with positive net exponent and the denominator is
     the product of the rest.  The Phi_d(y) are irreducible, monic and primitive,
     have constant term +-1, and share no root for distinct d (a root x of
-    Phi_d(x^(2g)) has x^(2g) of order exactly d), so this is already the
+    Phi_d(x^g) has x^g of order exactly d), so this is already the
     canonical ``QRat`` form: coprime, denominator monic with its lowest
     exponent at 0.  No gcd is computed.
     """
@@ -809,45 +780,7 @@ def q_product(num, den=(), power: int = 0) -> QRat:
                 power += step * e
             for d in _divisors(abs(e) // g):
                 powers[d] = powers.get(d, 0) + step
-    scale = 2 * g
-    top = _expand({d: c for d, c in powers.items() if c > 0}, scale)
-    bottom = _expand({d: -c for d, c in powers.items() if c < 0}, scale)
-    top = top.shift(2 * power)
+    top = _expand({d: c for d, c in powers.items() if c > 0}, g)
+    bottom = _expand({d: -c for d, c in powers.items() if c < 0}, g)
+    top = top.shift(power)
     return QRat._reduced(top if sign > 0 else -top, bottom)
-
-
-# ---------------------------------------------------------------------------
-# JSON codecs
-# ---------------------------------------------------------------------------
-
-def qpoly_to_json(p: QPoly) -> list[dict]:
-    return [{"exp2": e2, "coeff": str(v)} for e2, v in p.items()]
-
-
-def qpoly_from_json(data: list[dict]) -> QPoly:
-    """Decode ``qpoly_to_json`` output; raises ``ValueError`` on a repeated
-    exponent or a zero coefficient, which canonical output never has."""
-    c: dict[int, int] = {}
-    for d in data:
-        e2, v = d["exp2"], int(d["coeff"])
-        if e2 in c:
-            raise ValueError(f"q-polynomial JSON repeats the exponent {e2}/2")
-        if not v:
-            raise ValueError(f"q-polynomial JSON has a zero coefficient at q^({e2}/2)")
-        c[e2] = v
-    return QPoly._raw(c)
-
-
-def qrat_to_json(r: QRat) -> dict:
-    return {"num": qpoly_to_json(r.num), "den": qpoly_to_json(r.den)}
-
-
-def qrat_from_json(d: dict) -> QRat:
-    """Decode ``qrat_to_json`` output; raises ``ValueError`` unless it is canonical."""
-    num, den = qpoly_from_json(d["num"]), qpoly_from_json(d["den"])
-    if den.is_zero:
-        raise ValueError("q-rational JSON with a zero denominator")
-    r = QRat(num, den)
-    if r.num != num or r.den != den:
-        raise ValueError(f"q-rational JSON not in canonical form: ({num}) / ({den})")
-    return r

@@ -632,7 +632,7 @@ def _eq10(n: int, m: int, x: int):
 
 @register("eq80", "3.1 (80)", "sum", grid(n=(5, 6), r=(4, 4, 1)))
 def _eq80(n: int, r: int):
-    return kron_sum(n, lambda j: q_binomial((r - 1) * j + 1, n - j).shift(2 * choose2(n - j))
+    return kron_sum(n, lambda j: q_binomial((r - 1) * j + 1, n - j).shift(choose2(n - j))
                     * fam.gfun_reversed(j, r))
 
 
@@ -646,7 +646,7 @@ def _eq86(n: int, k: int):
 
 @register("eq87", "3.2 (87)", "sum", grid(n=(6, 8), k=(4, 4, 1)))
 def _eq87(n: int, k: int):
-    return kron_sum(n, lambda j: q_binomial(n + j + k - 1, n - j).shift(2 * choose2(n - j))
+    return kron_sum(n, lambda j: q_binomial(n + j + k - 1, n - j).shift(choose2(n - j))
                     * q_catalan_power(j, k))
 
 
@@ -663,8 +663,8 @@ def _thm8_c(np: int, jp: int) -> QRat:
     d = np - jp
     if d < 0:
         return QRat(0)
-    num = q_binomial(jp, d) * q_pochhammer(-1, 2 * jp, d)
-    return QRat(num.shift(4 * choose2(d)), q_pochhammer(-1, 2, d))
+    num = q_binomial(jp, d) * q_pochhammer(-1, jp, d)
+    return QRat(num.shift(2 * choose2(d)), q_pochhammer(-1, 1, d))
 
 
 @register("eq90", "3.2 Lemma 9 (90)", "sum", grid(n=(5, 6), k=(4, 4, 1)))
@@ -686,7 +686,7 @@ def _eq92s_term(n: int, k: int, j: int) -> QRat:
         core = QRat(1)
     else:
         core = QRat(q_int(2 * n + k - 1) * q_binomial(2 * n - j + k - 2, j - 1), q_int(j))
-    return core * QRat(q_binomial(2 * n - 2 * j + k - 1, n - j).shift(2 * choose2(j)))
+    return core * QRat(q_binomial(2 * n - 2 * j + k - 1, n - j).shift(choose2(j)))
 
 
 @register("eq92s", "3.2 (92) companion sum", "sum", grid(n=(6, 7), k=(4, 4, 1)))
@@ -723,9 +723,9 @@ def _eq98(m: int, x: int):
 def _eq99(n: int, m: int, x: int):
     # balance identity from the condensation proof
     one = ONE
-    t1 = q_int(n - 1) * (one - QPoly.monomial(2 * (n + 2 * m - 2 + x)))
-    t2 = q_int(n + m - 1) * (one - QPoly.monomial(2 * (n + m - 2 + x)))
-    t3 = QPoly.monomial(2 * (n - 1)) * q_int(m) * (one - QPoly.monomial(2 * (x + m - 1)))
+    t1 = q_int(n - 1) * (one - QPoly.monomial(n + 2 * m - 2 + x))
+    t2 = q_int(n + m - 1) * (one - QPoly.monomial(n + m - 2 + x))
+    t3 = QPoly.monomial(n - 1) * q_int(m) * (one - QPoly.monomial(x + m - 1))
     balance = t1 - t2 + t3
     # determinant recurrence on the row-weighted family
     w = fam.thm11_w
@@ -740,9 +740,9 @@ def _eq99(n: int, m: int, x: int):
 def _eq100(n: int, m: int, x: int):
     # the third exponent reads x+2m+n-3 (the displayed x+2m+n does not balance)
     one = ONE
-    t1 = QPoly.monomial(2 * n) * q_int(m - 1) * (one - QPoly.monomial(2 * (x + m - 2)))
-    t2 = q_int(m + n - 1) * (one - QPoly.monomial(2 * (x + m + n - 2)))
-    t3 = q_int(n) * (one - QPoly.monomial(2 * (x + 2 * m + n - 3)))
+    t1 = QPoly.monomial(n) * q_int(m - 1) * (one - QPoly.monomial(x + m - 2))
+    t2 = q_int(m + n - 1) * (one - QPoly.monomial(x + m + n - 2))
+    t3 = q_int(n) * (one - QPoly.monomial(x + 2 * m + n - 3))
     balance = t1 - t2 + t3
     w = fam.thm11_w
     r1 = w(n, x, m) * w(n, x + 2, m - 2)
@@ -771,12 +771,13 @@ _lem16_grid = grid(i=(5, 6), x2=(13, 13, 2))
 
 def _lem16_poly_sum(i: int, y: int):
     # terms carry the common factor q^(x(x+5)/2) which is dropped: the
-    # remaining per-term offsets j(3j-5)/2 - j*y are integers even at odd y
+    # remaining per-term offsets j(3j-5)/2 - j*y are integers even at odd y,
+    # since j and 3j-5 have opposite parity
     total = QPoly.const(0)
     for j in range(i + 2):
-        off = j * (3 * j - 5) - 2 * j * y  # doubled exponent
+        off = j * (3 * j - 5) // 2 - j * y
         term = (
-            q_binomial(i + j - y, i - j + 1).shift(2 * choose2(i - j) + off)
+            q_binomial(i + j - y, i - j + 1).shift(choose2(i - j) + off)
             * q_lucas_value(y, j)
         )
         total = total + term
@@ -787,11 +788,11 @@ def _lem16_rat_sum(i: int, y: int):
     # y = 2i+1 is a genuine pole of the j = i+1 term and is excluded
     total = QRat(0)
     for j in range(i + 2):
-        off = j * (3 * j - 3) - 2 * j * y
+        off = 3 * choose2(j) - j * y
         b = i + j - y
         c = i - j + 1
         core = QRat(ONE, q_int(b)) if c == 0 else QRat(q_binomial(b - 1, c - 1), q_int(c))
-        term = core * QRat(q_binomial(y - j, j).shift(2 * choose2(i - j) + off))
+        term = core * QRat(q_binomial(y - j, j).shift(choose2(i - j) + off))
         total = total + term
     return total.is_zero, total, QRat(0)
 
@@ -938,7 +939,7 @@ def _eq26(n: int):
         t_list[i] == ref.t(i) for i in range(len(t_list))
     )
     tab = ref.tables()
-    ok = ok and all(tab.moment(i) == QPoly.monomial(i * (i - 1)) for i in range(n + 1))
+    ok = ok and all(tab.moment(i) == QPoly.monomial(choose2(i)) for i in range(n + 1))
     return ok, "recovered recurrence and moments", "closed forms"
 
 
@@ -1047,7 +1048,7 @@ def _coh(pair: str):
 
 def _random_qpoly(rng) -> QPoly:
     terms = [
-        (2 * rng.randint(0, 3), rng.randint(-3, 3)) for _ in range(rng.randint(1, 3))
+        (rng.randint(0, 3), rng.randint(-3, 3)) for _ in range(rng.randint(1, 3))
     ]
     return QPoly(terms)
 

@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 from catdet import families as fam
 from catdet.exact import binomial
 from catdet.linalg import FRAC, INT, Matrix, det, inverse
-from catdet.orthopoly import catalan_parity_moments, system_from_moments
+from catdet.orthopoly import system_from_moments
 from catdet.registry import (
     AXIS_BOUNDS,
     CHECKS,
@@ -63,6 +63,11 @@ __all__ = [
 def lift2(x: int) -> int:
     """Residue mod 2 as an element of {0, 1}."""
     return x & 1
+
+
+def catalan_parity_moments(count: int) -> list[int]:
+    """The sequence C_n mod 2 as integers from {0, 1}."""
+    return [lift2(catalan(n)) for n in range(count)]
 
 
 def mu(x: int) -> int:

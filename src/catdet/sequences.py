@@ -125,7 +125,7 @@ def carlitz(n: int) -> QPoly:
         return ONE
     total = QPoly.const(0)
     for k in range(n):
-        total = total + QPoly.monomial(2 * k) * carlitz(k) * carlitz(n - 1 - k)
+        total = total + QPoly.monomial(k) * carlitz(k) * carlitz(n - 1 - k)
     return total
 
 
@@ -139,7 +139,7 @@ def _gfun_weighted_prefix(r: int, j: int, n: int) -> QPoly:
         left = _gfun_weighted_prefix(r, j - 1, n - k)
         if left.is_zero:
             continue
-        total = total + left * QPoly.monomial(2 * (r - j) * k) * gfun(k, r)
+        total = total + left * QPoly.monomial((r - j) * k) * gfun(k, r)
     return total
 
 
@@ -191,8 +191,8 @@ def andrews_c(n: int, k: int) -> QRat:
         return QRat(0)
     if k < 1:
         raise ValueError("andrews_c needs k >= 1")
-    num = q_int(k) * q_binomial(2 * n + k, n) * q_pochhammer(-1, 2 * (n + 1), k - 1)
-    den = q_int(2 * n + k) * q_pochhammer(-1, 2, k - 1)
+    num = q_int(k) * q_binomial(2 * n + k, n) * q_pochhammer(-1, n + 1, k - 1)
+    den = q_int(2 * n + k) * q_pochhammer(-1, 1, k - 1)
     return QRat(num, den)
 
 
@@ -201,9 +201,9 @@ def andrews_moment(n: int) -> QRat:
     """Moment value ([2n choose n]/[n+1]) (1+q)/(1+q^(n+1)) q^n/(-q;q)_n^2."""
     if n < 0:
         raise ValueError("andrews_moment needs n >= 0")
-    poch = q_pochhammer(-1, 2, n)
-    num = q_catalan(n) * (ONE + QPoly.monomial(2)) * QPoly.monomial(2 * n)
-    den = (ONE + QPoly.monomial(2 * (n + 1))) * poch * poch
+    poch = q_pochhammer(-1, 1, n)
+    num = q_catalan(n) * (ONE + QPoly.monomial(1)) * QPoly.monomial(n)
+    den = (ONE + QPoly.monomial(n + 1)) * poch * poch
     return QRat(num, den)
 
 

@@ -113,8 +113,8 @@ def test_criterion_08_q_catalan():
     from catdet.qseries import QPoly, q_int
     from catdet.sequences import q_catalan
 
-    assert q_catalan(2) == QPoly([(0, 1), (4, 1)])  # 1 + q^2
-    assert q_catalan(3) == QPoly([(0, 1), (2, -1), (4, 1)]) * q_int(5)
+    assert q_catalan(2) == QPoly([(0, 1), (2, 1)])  # 1 + q^2
+    assert q_catalan(3) == QPoly([(0, 1), (1, -1), (2, 1)]) * q_int(5)
     for n in range(11):
         assert q_catalan(n).specialize(-1) == binomial(n, n // 2)
     _report(8, "q-Catalan dets (83)-(86) with displayed values and q=-1", t0, failures, 60)

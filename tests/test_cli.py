@@ -232,6 +232,14 @@ def test_negative_bound_exits_2(capsys, flag):
     assert "must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_exits_2(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--id", "eq1", "--n-max", "3", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
 def test_empty_grid_exits_2(capsys):
     for command in ("verify", "suite"):
         code = main([command, "--id", "eq46", "--k-max", "0"])
@@ -263,3 +271,24 @@ def test_conjecture_mod_without_match_exits_2(capsys):
     assert code == 2
     assert "no conjecture with modulus 5" in captured.err
     assert captured.out == ""
+
+
+def test_fast_suite_reports_pinned(tmp_path, capsys):
+    # per check id: point count and SHA-256 of its (id, params, status, lhs,
+    # rhs) lines, encoded as the benchmark gate encodes them; a change to any
+    # rendered value must update report_pins.json on purpose.
+    import hashlib
+
+    path = tmp_path / "fast.json"
+    assert main(["suite", "--level", "fast", "--seed", "0", "--out", str(path)]) == 0
+    counts: dict[str, int] = {}
+    hashes: dict = {}
+    for r in json.loads(path.read_text())["results"]:
+        line = json.dumps([r["id"], r["params"], r["status"], r["lhs"], r["rhs"]],
+                          sort_keys=True, separators=(",", ":"))
+        hashes.setdefault(r["id"], hashlib.sha256()).update(line.encode() + b"\n")
+        counts[r["id"]] = counts.get(r["id"], 0) + 1
+    got = {cid: [counts[cid], h.hexdigest()] for cid, h in hashes.items()}
+    pins = json.loads((Path(__file__).parent / "report_pins.json").read_text())
+    assert sorted(got) == sorted(pins)
+    assert [cid for cid in pins if got[cid] != pins[cid]] == []

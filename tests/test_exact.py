@@ -10,11 +10,7 @@ from catdet.exact import (
     choose2,
     falling,
     gould_product,
-    int_from_json,
-    int_to_json,
     lucas_value,
-    rat_from_json,
-    rat_to_json,
 )
 
 
@@ -113,12 +109,3 @@ def test_lucas_value_matches_quotient_form(m, j):
     if m != j:
         expected = Fraction(m, m - j) * binomial(m - j, j)
         assert lucas_value(m, j) == expected
-
-
-def test_json_codecs_roundtrip_large_values():
-    n = -(10**50 + 123)
-    assert int_from_json(int_to_json(n)) == n
-    x = Fraction(10**40 + 1, 7**30)
-    d = rat_to_json(x)
-    assert d == {"num": str(x.numerator), "den": str(x.denominator)}
-    assert rat_from_json(d) == x
