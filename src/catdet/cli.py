@@ -5,6 +5,11 @@ Subcommands: ``list`` (the check index), ``verify`` (one check over a grid),
 searches).  Reports are emitted as JSON or markdown with identical pass/fail
 content; all timing data lives in a separate ``timings`` object so that
 reports from identical configurations are byte-identical apart from it.
+
+Exit codes: 0 when every non-conjecture point passes (a conjecture
+counterexample is a report outcome, not a failure); 1 when a non-conjecture
+point is false; 2 on a usage error (a bad argument, an unknown id, an empty
+grid); 3 when a point raised (status ``error``), which takes precedence over 1.
 """
 
 from __future__ import annotations
@@ -128,6 +133,9 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _exit_code(results: list[CheckResult]) -> int:
+    """3 if a point raised, else 1 if a non-conjecture point failed, else 0."""
+    if any(r.status == "error" for r in results):
+        return 3
     for r in results:
         if not r.passed and not registry.CHECKS[r.check_id].conjecture:
             return 1

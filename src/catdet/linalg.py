@@ -8,8 +8,12 @@ entries' denominators (small polynomials such as q-integers), the
 q-polynomial determinant is taken, and the quotient by the product of the row
 lcms is reduced once, instead of one polynomial gcd per ring operation.  A
 lower Hessenberg matrix (every entry above the superdiagonal is zero, as in
-most of the paper's families) goes to ``det_hessenberg``; any other matrix
-goes to ``det_bareiss``, the fraction-free O(n^3) elimination.
+most of the paper's families) goes to ``det_hessenberg``.  Any other
+q-polynomial matrix is evaluated at q = 2^w (Kronecker substitution), with w
+taken from a proven degree bound and Hadamard's coefficient bound, and its
+determinant is read off the signed base-2^w digits of one integer
+determinant.  Any other matrix goes to ``det_bareiss``, the fraction-free
+O(n^3) elimination, which also stays the second route for q-polynomials.
 
 ``LeadingMinors`` is the Hessenberg engine: the division-free expansion of
 every leading minor along its last row, O(n^2) ring products in all.  It
@@ -25,12 +29,13 @@ identity before being returned.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from catdet.qseries import ONE as QP_ONE
 from catdet.qseries import ZERO as QP_ZERO
-from catdet.qseries import QPoly, QRat
+from catdet.qseries import QPoly, QRat, _kron_pack, _kron_unpack_signed
 
 __all__ = [
     "Ring",
@@ -362,6 +367,55 @@ def _clear_rows(m: Matrix) -> tuple[Matrix, QPoly]:
     return Matrix(m.nrows, n, data, QPOLY), scale
 
 
+def _det_kronecker(m: Matrix) -> QPoly:
+    """Determinant of a q-polynomial matrix through one integer determinant.
+
+    Each row is divided by q to its lowest exponent, and every exponent by the
+    gcd g of all the shifted ones, so the entries become polynomials in
+    t = q^g.  Their determinant has degree at most (sum of the row spans) / g,
+    and on |t| = 1 Hadamard's inequality bounds it, hence each of its
+    coefficients, by the product over rows of the l2 norm of the entries' l1
+    norms.  With 2^(w-1) above that bound, the integer determinant of the
+    matrix at t = 2^w holds the coefficients as its signed base-2^w digits.
+    """
+    n = _square(m)
+    if n == 0:
+        return QP_ONE
+    rows = [[v._c for v in m.data[i * n:(i + 1) * n]] for i in range(n)]
+    lows = []
+    g = degree = 0
+    norm2 = 1
+    for row in rows:
+        exps = [e for c in row for e in c]
+        if not exps:
+            return QP_ZERO
+        low = min(exps)
+        lows.append(low)
+        g = math.gcd(g, *(e - low for e in exps))
+        degree += max(exps) - low
+        norm2 *= sum(sum(map(abs, c.values())) ** 2 for c in row)
+    g = g or 1
+    bound = math.isqrt(norm2) + 1
+    width = (bound.bit_length() // 8 + 1) * 8  # least multiple of 8 with 2^(w-1) > bound
+
+    def pack(c: dict[int, int], low: int) -> int:
+        """The entry at t = 2^w: its positive part minus its negative part."""
+        pos = [0] * ((max(c) - low) // g + 1)
+        neg = pos[:]
+        for e, v in c.items():
+            if v > 0:
+                pos[(e - low) // g] = v
+            else:
+                neg[(e - low) // g] = -v
+        return _kron_pack(pos, width) - (_kron_pack(neg, width) if any(neg) else 0)
+
+    packed = [pack(c, low) if c else 0 for row, low in zip(rows, lows) for c in row]
+    value = det_bareiss(Matrix(n, n, packed, INT))
+    digits = _kron_unpack_signed(value, width, degree // g + 1)
+    shift = sum(lows)
+    return QPoly._raw({shift + g * i: d for i, d in enumerate(digits) if d})
+
+
 def det(m: Matrix):
     """Exact determinant; the engine follows from the matrix's ring and shape.
 
@@ -369,8 +423,13 @@ def det(m: Matrix):
     denominators; the q-polynomial determinant of the result, over the
     product of the row scales, is reduced once, so no gcd is taken per
     elimination step.  Then lower Hessenberg matrices use the division-free
-    expansion of ``det_hessenberg`` and every other matrix uses
-    ``det_bareiss``.
+    expansion of ``det_hessenberg``.  Other q-polynomial matrices go through
+    one integer determinant at q = 2^w (``_det_kronecker``): after each row
+    is shifted to exponent 0 and the exponents are divided by their gcd g,
+    the degree is at most (sum of the row spans) / g and every coefficient
+    is at most B = the product over rows of the l2 norm of the entries' l1
+    norms, and w is the least multiple of 8 with 2^(w-1) > B.  Every other
+    matrix uses ``det_bareiss``.
     """
     _square(m)
     if m.ring is QRAT:
@@ -378,6 +437,8 @@ def det(m: Matrix):
         return QRat(det(cleared), scale)
     if _is_lower_hessenberg(m):
         return det_hessenberg(m)
+    if m.ring is QPOLY:
+        return _det_kronecker(m)
     return det_bareiss(m)
 
 

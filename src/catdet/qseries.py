@@ -52,15 +52,15 @@ _KRON_CUTOFF = 2048
 def _kron_pack(vals: list[int], width: int) -> int:
     """Pack a list of nonnegative ints, each < 2**width, into one integer."""
     nbytes = width // 8
-    buf = bytearray(nbytes * len(vals))
-    for i, v in enumerate(vals):
-        if v:
-            buf[i * nbytes:(i + 1) * nbytes] = v.to_bytes(nbytes, "little")
-    return int.from_bytes(buf, "little")
+    return int.from_bytes(b"".join([v.to_bytes(nbytes, "little") for v in vals]), "little")
 
 
 def _kron_unpack_signed(n: int, width: int, count: int) -> list[int]:
-    """Decode signed base-2**width digits from n (|digit| < 2**(width-1))."""
+    """Decode ``count`` signed base-2**width digits from n (|digit| < 2**(width-1)).
+
+    Raises ``ArithmeticError`` if anything is left after the last digit: the
+    value was out of the range its width and count were bounded for.
+    """
     neg = n < 0
     if neg:
         n = -n
@@ -75,6 +75,8 @@ def _kron_unpack_signed(n: int, width: int, count: int) -> list[int]:
         else:
             n >>= width
         out.append(-d if neg else d)
+    if n:
+        raise ArithmeticError(f"value exceeds {count} signed base-2**{width} digits")
     return out
 
 

@@ -40,6 +40,7 @@ from catdet.linalg import (
     QRAT,
     LeadingMinors,
     Matrix,
+    _det_kronecker,
     det,
     det_bareiss,
     det_cofactor,
@@ -116,7 +117,7 @@ class Bounds:
 class CheckResult:
     check_id: str
     params: dict
-    status: str  # "pass" | "fail"
+    status: str  # "pass" | "fail" | "error"
     lhs: str
     rhs: str
     elapsed: float
@@ -162,13 +163,22 @@ def fmt_value(v) -> str:
 
 
 def run_check(check_id: str, **params) -> CheckResult:
-    """Run one registered check at one grid point."""
+    """Run one registered check at one grid point.
+
+    A point whose check raises gets status ``error``, with the exception's
+    type as ``lhs`` and its message as ``rhs``, so one crashing point does
+    not abort the run.
+    """
     try:
         check = CHECKS[check_id]
     except KeyError:
         raise KeyError(f"unknown check id: {check_id!r}") from None
     t0 = time.perf_counter()
-    ok, lhs, rhs = check.run(**params)
+    try:
+        ok, lhs, rhs = check.run(**params)
+    except Exception as exc:
+        return CheckResult(check_id, dict(params), "error", type(exc).__name__, str(exc),
+                           time.perf_counter() - t0)
     elapsed = time.perf_counter() - t0
     return CheckResult(
         check_id, dict(params), "pass" if ok else "fail",
@@ -1065,6 +1075,8 @@ def _engines(case: int, seed: int = 0):
     d = det_cofactor(m)
     ok = det_bareiss(m) == d and det_condensation(m) == d
     ok = ok and det_bareiss(m.transpose()) == d
+    if m.ring is QPOLY:
+        ok = ok and _det_kronecker(m) == d
     if m.ring is INT and n == 4:
         other = Matrix(4, 4, [rng.randint(-5, 5) for _ in range(16)], INT)
         ok = ok and det_bareiss(m * other) == d * det_bareiss(other)

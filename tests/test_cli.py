@@ -133,6 +133,30 @@ def test_exit_code_on_failure(monkeypatch, capsys):
     assert data["summary"]["fail"] == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "suite"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_raising_point_is_an_error_and_exits_3(monkeypatch, capsys, command, jobs):
+    from catdet import registry
+
+    def crash(n):
+        if n == 1:
+            raise ZeroDivisionError("boom at 1")
+        return n != 2, n, 0
+
+    check = registry.Check(
+        "zzcrash", "synthetic", "det", lambda b: [{"n": i} for i in range(4)], crash
+    )
+    monkeypatch.setitem(registry.CHECKS, "zzcrash", check)
+    code, out = run_cli(capsys, command, "--id", "zzcrash", "--jobs", jobs)
+    # an error outranks the false identity at n = 2, and the points after it still run
+    assert code == 3
+    data = json.loads(out)
+    assert [r["status"] for r in data["results"]] == ["pass", "error", "fail", "pass"]
+    assert (data["results"][1]["lhs"], data["results"][1]["rhs"]) == ("ZeroDivisionError",
+                                                                      "boom at 1")
+    assert data["summary"] == {"pass": 2, "fail": 2}
+
+
 def test_fail_fast_stops_early(monkeypatch, capsys):
     from catdet import registry
 

@@ -12,6 +12,7 @@ from catdet.linalg import (
     QRAT,
     LeadingMinors,
     Matrix,
+    _det_kronecker,
     condense,
     det,
     det_bareiss,
@@ -94,6 +95,7 @@ def test_engines_agree_on_random_qpoly_matrices():
         d = det_cofactor(m)
         assert det_bareiss(m) == d
         assert det_condensation(m) == d
+        assert _det_kronecker(m) == d
 
 
 def test_engines_agree_on_fraction_matrices():
@@ -321,6 +323,116 @@ def test_leading_minors_reject_an_entry_above_the_superdiagonal_at_its_column():
     # a request past the column fails even when nothing was read before it
     with pytest.raises(ValueError, match=r"\(1, 4\)"):
         LeadingMinors(entry, INT)[6]
+
+
+# -- q-polynomial determinants through one integer determinant ---------------
+
+def kronecker_input(rng, n):
+    """A dense n x n q-polynomial matrix with the shapes the engine special-cases.
+
+    Laurent exponents; now and then a zero row, a row that is a single
+    monomial, exponents sharing a gcd after each row's shift, and coefficients
+    of 30 digits and more.
+    """
+    g = rng.choice([1, 1, 2, 3])
+    big = 10 ** rng.randint(30, 36) if rng.random() < 0.3 else 9
+    rows = []
+    for _ in range(n):
+        offset = rng.randint(-6, 6)
+
+        def term():
+            return (offset + g * rng.randint(-2, 4), rng.randint(-big, big))
+
+        kind = rng.random()
+        if kind < 0.07:
+            rows.append([QPoly()] * n)
+        elif kind < 0.2:
+            row = [QPoly()] * n
+            row[rng.randrange(n)] = QPoly([term()]) or ONE
+            rows.append(row)
+        else:
+            rows.append([QPoly([term() for _ in range(rng.randint(0, 3))]) for _ in range(n)])
+    return Matrix.from_rows(rows, QPOLY)
+
+
+def kronecker_inputs():
+    rng = random.Random("kronecker")
+    yield Matrix(0, 0, [], QPOLY)
+    yield Matrix(1, 1, [QPoly([(-3, 5), (2, -1)])], QPOLY)
+    yield Matrix(3, 3, [QPoly()] * 9, QPOLY)
+    for _ in range(70):
+        yield kronecker_input(rng, rng.randint(1, 6))
+
+
+def test_kronecker_det_agrees_with_bareiss_and_cofactor():
+    for m in kronecker_inputs():
+        assert _det_kronecker(m) == det_bareiss(m) == det_cofactor(m), m
+
+
+def test_kronecker_det_against_sympy():
+    pytest.importorskip("sympy")
+    from sympy import ZZ, symbols
+    from sympy.polys.matrices import DomainMatrix
+
+    ring = ZZ[symbols("q")]
+    for m in kronecker_inputs():
+        # q^-low_i out of row i, so that sympy sees polynomials
+        rows, shift = [], 0
+        for i in range(m.nrows):
+            row = [m[i, j] for j in range(m.ncols)]
+            low = min((v.low for v in row if v), default=0)
+            shift += low
+            rows.append([ring.ring.from_dict({(e - low,): c for e, c in v.items()}) for v in row])
+        value = DomainMatrix(rows, (m.nrows, m.ncols), ring).det()
+        assert _det_kronecker(m) == QPoly([(e + shift, int(c)) for (e,), c in value.items()])
+
+
+def sylvester(order):
+    h = [[1]]
+    while len(h) < order:
+        h = [r + r for r in h] + [r + [-v for v in r] for r in h]
+    return h
+
+
+# (order, scale): |det| = scale^n n^(n/2) meets Hadamard's bound exactly.  The
+# scaled cases put |det| at 2^7, in [2^15, 2^16) and in [2^39, 2^40), the top
+# of a byte, where a width one bit short of the bound decodes the wrong sign.
+@pytest.mark.parametrize("order,scale", [(2, 1), (2, 8), (4, 1), (4, 7), (8, 1), (8, 11)])
+def test_kronecker_det_at_the_hadamard_bound(order, scale):
+    rng = random.Random(f"hadamard:{order}:{scale}")
+    h = sylvester(order)
+    d = det_bareiss(Matrix.from_rows(h, INT)) * scale ** order
+    assert abs(d) == scale ** order * order ** (order // 2)
+    assert _det_kronecker(Matrix.from_rows([[scale * v for v in r] for r in h], QPOLY)) == d
+    # entries +-c q^(r_i + s_j): the determinant is one monomial with the same coefficient
+    r = [rng.randint(-5, 5) for _ in range(order)]
+    s = [rng.randint(-5, 5) for _ in range(order)]
+    m = Matrix.build(order, order,
+                     lambda i, j: QPoly.monomial(2 * (r[i] + s[j]), scale * h[i][j]), QPOLY)
+    expected = QPoly.monomial(2 * (sum(r) + sum(s)), d)
+    assert _det_kronecker(m) == det_bareiss(m) == expected
+
+
+def test_det_routes_dense_q_polynomial_matrices_to_one_integer_determinant(monkeypatch):
+    from catdet import linalg
+
+    rings = []
+
+    def bareiss(m):
+        rings.append(m.ring.name)
+        return det_bareiss(m)
+
+    monkeypatch.setattr(linalg, "det_bareiss", bareiss)
+    dense = fam.build(fam.EQ91, 5, m=3, k=2)
+    cleared = fam.build(fam.THM11_B, 5, x=4, m=3)
+    assert det(dense) == det_bareiss(dense)
+    assert det(cleared) == det_bareiss(cleared)
+    assert rings == ["integer", "integer"]
+    # lower Hessenberg matrices keep the division-free expansion
+    hessenberg = fam.build(fam.EQ83, 6)
+    assert hessenberg.ring is QPOLY
+    assert det(hessenberg) == det_bareiss(hessenberg)
+    assert rings == ["integer", "integer"]
 
 
 # -- q-rational determinants by row clearing, against Bareiss over QRat -------

@@ -104,6 +104,19 @@ def test_kronecker_multiplication_matches_schoolbook():
         assert _mul_kronecker(a, b) == expected
 
 
+def test_kronecker_unpack_raises_on_a_leftover():
+    from catdet.qseries import _kron_pack, _kron_unpack_signed
+
+    assert _kron_unpack_signed(_kron_pack([3, 0, 5], 8) - _kron_pack([0, 7], 8), 8, 3) == [3, -7, 5]
+    assert _kron_unpack_signed(-127, 8, 1) == [-127]
+    # 16 needs more than one signed 5-bit digit: the carry is a leftover, not a truncation
+    with pytest.raises(ArithmeticError):
+        _kron_unpack_signed(16, 5, 1)
+    with pytest.raises(ArithmeticError):
+        _kron_unpack_signed(-(1 << 16), 8, 2)
+    assert _kron_unpack_signed(1 << 16, 8, 3) == [0, 0, 1]
+
+
 def test_q_int_and_factorial():
     assert q_int(0).is_zero
     assert q_int(1) == ONE
