@@ -9,7 +9,8 @@ reports from identical configurations are byte-identical apart from it.
 Exit codes: 0 when every non-conjecture point passes (a conjecture
 counterexample is a report outcome, not a failure); 1 when a non-conjecture
 point is false; 2 on a usage error (a bad argument, an unknown id, an empty
-grid); 3 when a point raised (status ``error``), which takes precedence over 1.
+grid); 3 when a point or a conjecture search raised (status ``error``), which
+takes precedence over 1.
 """
 
 from __future__ import annotations
@@ -192,7 +193,11 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
-    """Run the searches; an unknown id, no id left by ``--mod`` or an empty grid exits 2."""
+    """Run the searches; an unknown id, no id left by ``--mod`` or an empty grid exits 2.
+
+    A search that raises gets a report with status ``error``, the exception's
+    type and message; the other searches still run and the command exits 3.
+    """
     ids = args.id or list(CONJECTURE_IDS)
     for cid in ids:
         if cid not in CONJECTURES:
@@ -210,8 +215,15 @@ def _cmd_conjecture(args) -> int:
             return 2
     reports = []
     timings = {}
+    code = 0
     for cid in ids:
-        rep = conjecture_search(cid, bounds)
+        try:
+            rep = conjecture_search(cid, bounds)
+        except Exception as exc:
+            reports.append({"conjecture": cid, "status": "error",
+                            "error": type(exc).__name__, "message": str(exc)})
+            code = 3
+            continue
         reports.append(rep.to_json())
         timings[cid] = round(rep.elapsed, 6)
     _emit(
@@ -223,7 +235,7 @@ def _cmd_conjecture(args) -> int:
         args.format,
         args.out,
     )
-    return 0
+    return code
 
 
 def _bound(text: str) -> int:

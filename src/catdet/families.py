@@ -29,9 +29,8 @@ from catdet.qseries import (
     QPoly,
     QRat,
     q_binomial,
-    q_int,
+    q_binomial_factors,
     q_lucas_value,
-    q_pochhammer,
     q_product,
 )
 from catdet.sequences import carlitz, catalan, catalan_power, gfun, q_catalan_power
@@ -158,21 +157,32 @@ def _eq88_entry(i: int, j: int) -> QPoly:
     return -v if (i - j) % 2 else v
 
 
-def _eq89_entry(i: int, j: int, k: int) -> QRat:
-    """The Pochhammer-weighted entry of the Andrews-type determinant."""
-    c = i - j + 1
-    if c < 0:
-        return QRat(0)
-    num = q_binomial(j + k, c) * q_pochhammer(-1, j + k, c)
-    den = q_pochhammer(-1, 1, c)
-    return QRat(num.shift(2 * choose2(c)), den)
+def _plus_product(num: list[int], den: list[int], power: int, plus_num, plus_den) -> QRat:
+    """``q_product(num, den, power)`` times prod (1 + q^a) over ``plus_num``
+    and divided by prod (1 + q^a) over ``plus_den``.
+
+    Through 1 + q^a = (1 - q^(2a)) / (1 - q^a) for a != 0; a factor 1 + q^0 is
+    the constant 2.
+    """
+    num = [*num, *(2 * a for a in plus_num if a), *(a for a in plus_den if a)]
+    den = [*den, *(2 * a for a in plus_den if a), *(a for a in plus_num if a)]
+    twos = plus_num.count(0) - plus_den.count(0)
+    out = q_product(num, den, power)
+    return out * QRat(2) ** twos if twos else out
+
+
+def _andrews_weight(c: int, top: int) -> QRat:
+    """q^(2 C(c,2)) [top choose c] (-q^top;q)_c / (-q;q)_c, and 0 for c < 0."""
+    num, den = q_binomial_factors(top, c)
+    return _plus_product(num, den, 2 * choose2(c), range(top, top + c), range(1, c + 1))
 
 
 def _q_ratio_entry(i: int, j: int, x: int, m: int, s: int) -> QRat:
     """q^C(i-j+s,2) ([2i+x+2m-1]/[i+j+x+m-1]) [i+j+x+m-1 choose i-j+m].
 
     Evaluated through the cancelled form [2i+x+2m-1] [i+j+x+m-2 choose c-1] /
-    [c] with c = i-j+m, which avoids the [i+j+x+m-1] pole at negative x.
+    [c] with c = i-j+m, which avoids the [i+j+x+m-1] pole at negative x; the
+    ratio [a]/[c] of q-integers is (1 - q^a)/(1 - q^c).
     """
     c = i - j + m
     if c < 0:
@@ -180,22 +190,21 @@ def _q_ratio_entry(i: int, j: int, x: int, m: int, s: int) -> QRat:
     sh = choose2(i - j + s)
     if c == 0:
         return QRat(ONE.shift(sh))
-    num = q_int(2 * i + x + 2 * m - 1) * q_binomial(i + j + x + m - 2, c - 1)
-    return QRat(num.shift(sh), q_int(c))
+    num, den = q_binomial_factors(i + j + x + m - 2, c - 1)
+    return q_product([2 * i + x + 2 * m - 1, *num], [c, *den], sh)
 
 
 def _sec33_entry(i: int, j: int, k: int) -> QRat:
     """q^((i+1-j)^2) / ((-q;q)_(i+1-j) (-q^(i+j+k+1);q)_(i+1-j)) [i+j+k choose i+1-j]."""
     c = i + 1 - j
-    if c < 0:
-        return QRat(0)
-    num = q_binomial(i + j + k, c).shift(c * c)
-    den = q_pochhammer(-1, 1, c) * q_pochhammer(-1, i + j + k + 1, c)
-    return QRat(num, den)
+    num, den = q_binomial_factors(i + j + k, c)
+    a = i + j + k + 1
+    return _plus_product(num, den, c * c, (), [*range(1, c + 1), *range(a, a + c)])
 
 
 EQ88 = Family(QPOLY, _eq88_entry)
-EQ89 = Family(QRAT, _eq89_entry)
+# the Pochhammer-weighted entry of the Andrews-type determinant
+EQ89 = Family(QRAT, lambda i, j, k: _andrews_weight(i - j + 1, j + k))
 # q^C(i-j,2) ([2i+x+1]/[i+j+x]) [i+j+x choose i-j+1]; at x = -m the Theorem
 # 15 matrix B
 EQ92 = Family(QRAT, lambda i, j, x: _q_ratio_entry(i, j, x, 1, 0))
@@ -345,17 +354,13 @@ def q_krattenthaler_rhs(n: int, m: int, k: int) -> QPoly:
     return q_product(num, den, choose2(m) * n).as_poly()
 
 
-def thm11_w(n: int, x: int, m: int) -> QRat:
-    """The balanced product equal to both Theorem-11 determinants.
+def thm11_w_factors(n: int, x: int, m: int) -> tuple[list[int], list[int], int]:
+    """``thm11_w(n, x, m)`` as the (num, den, power) arguments of ``q_product``.
 
-    q^(n C(m,2)) (1-q)^(-mn) prod_(j<m) [j]!/[n+j]!
-    prod_(j=1..n) (q^(x+2j-2);q)_(m-j) (q^(x+2m+j-2);q)_j,
-    with the Pochhammer factors extended to negative count; the m = 0 and
-    n = 0 slices are 1.  Since [j]!/[n+j]! = (1-q)^n / (q^(j+1);q)_n, the
-    (1-q) powers cancel.
+    A product of such values is the ``q_product`` of the joined lists.
     """
     if m == 0 or n == 0:
-        return QRat(1)
+        return [], [], 0
     if n < 0 or m < 0:
         raise ValueError("thm11_w needs n, m >= 0")
     num: list[int] = []
@@ -365,32 +370,34 @@ def thm11_w(n: int, x: int, m: int) -> QRat:
     for j in range(1, n + 1):
         _q_poch(num, den, x + 2 * j - 2, m - j)
         _q_poch(num, den, x + 2 * m + j - 2, j)
-    return q_product(num, den, choose2(m) * n)
+    return num, den, choose2(m) * n
+
+
+def thm11_w(n: int, x: int, m: int) -> QRat:
+    """The balanced product equal to both Theorem-11 determinants.
+
+    q^(n C(m,2)) (1-q)^(-mn) prod_(j<m) [j]!/[n+j]!
+    prod_(j=1..n) (q^(x+2j-2);q)_(m-j) (q^(x+2m+j-2);q)_j,
+    with the Pochhammer factors extended to negative count; the m = 0 and
+    n = 0 slices are 1.  Since [j]!/[n+j]! = (1-q)^n / (q^(j+1);q)_n, the
+    (1-q) powers cancel.
+    """
+    return q_product(*thm11_w_factors(n, x, m))
 
 
 def thm11_w1m(x: int, m: int) -> QRat:
     """w(1, x, m) = q^C(m,2) [x+m-1 choose m] [x+2m-1]/[x+m-1]."""
-    num = (q_binomial(x + m - 1, m) * q_int(x + 2 * m - 1)).shift(choose2(m))
-    return QRat(num, q_int(x + m - 1))
+    num, den = q_binomial_factors(x + m - 1, m)
+    return q_product([*num, x + 2 * m - 1], [*den, x + m - 1], choose2(m))
 
 
 def sec33_rhs(n: int, k: int) -> QRat:
-    """q^n (1+q^k)/(1+q^(n+k)) [k]/[2n+k] [2n+k choose n] / ((-q;q)_n (-q^k;q)_n).
-
-    Through 1 + q^a = (1 - q^(2a)) / (1 - q^a) for a != 0 (a factor 1 + q^0
-    is the constant 2) and [N choose n] = prod_(l<n) (1-q^(N-l))/(1-q^(l+1)).
-    """
+    """q^n (1+q^k)/(1+q^(n+k)) [k]/[2n+k] [2n+k choose n] / ((-q;q)_n (-q^k;q)_n)."""
     if n < 0:
         raise ValueError("sec33_rhs needs n >= 0")
-    num = [k] + [2 * n + k - l for l in range(n)]
-    den = [2 * n + k] + [l + 1 for l in range(n)]
-    plus_num = [k]
-    plus_den = [n + k, *range(1, n + 1), *range(k, k + n)]
-    num += [2 * a for a in plus_num if a] + [a for a in plus_den if a]
-    den += [2 * a for a in plus_den if a] + [a for a in plus_num if a]
-    twos = plus_num.count(0) - plus_den.count(0)
-    out = q_product(num, den, n)
-    return out * QRat(2) ** twos if twos else out
+    num, den = q_binomial_factors(2 * n + k, n)
+    return _plus_product([k, *num], [2 * n + k, *den], n,
+                         [k], [n + k, *range(1, n + 1), *range(k, k + n)])
 
 
 def remark_rhs_product(n: int, m: int, x: int) -> QRat:

@@ -5,25 +5,30 @@ of ``q**e``.  Coefficients are arbitrary-precision integers and zero
 coefficients are never stored, so equality is structural.
 
 ``QRat`` is the fraction field.  Values are reduced on construction with a
-content-and-primitive-part polynomial gcd; the canonical form has the
-denominator's lowest exponent at 0, no common polynomial or integer factor,
-and a positive leading denominator coefficient, which makes equality a
-structural comparison as well.
+content-and-primitive-part polynomial gcd (only the content gcd when the
+denominator is a constant); the canonical form has the denominator's lowest
+exponent at 0, no common polynomial or integer factor, and a positive leading
+denominator coefficient, which makes equality a structural comparison as well.
 
 The module also provides the q-combinatorial primitives: q-integers,
 q-factorials, q-binomial coefficients (Gaussian polynomials, extended to
 negative upper index by reflection), q-Pochhammer products with monomial
-arguments, and specialization at q = 1 and q = -1.  The paper's closed forms
-are products of factors (1 - q^e) and their inverses; ``q_product`` splits
+arguments, and specialization at q = 1 and q = -1.  Most of the paper's
+q-rationals (closed forms, matrix entries, products of closed forms) are
+products of factors (1 - q^e) and their inverses.  ``q_product`` takes their
+exponent lists (``q_binomial_factors`` gives those of a q-binomial), splits
 each factor into cyclotomic polynomials, nets their exponents and returns the
 canonical ``QRat`` with no gcd at all (distinct cyclotomic polynomials are
-coprime, monic and primitive).
+coprime, monic and primitive); the cyclotomic products are expanded by
+Moebius inversion, as one linear pass per factor (1 - y^e).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
+from itertools import accumulate
 
 __all__ = [
     "QPoly",
@@ -38,6 +43,7 @@ __all__ = [
     "ONE",
     "Q",
     "q_product",
+    "q_binomial_factors",
 ]
 
 
@@ -447,7 +453,13 @@ def _from_dense(vals: list[int], low: int) -> QPoly:
 
 
 class QRat:
-    """Element of the fraction field of QPoly, kept in canonical reduced form."""
+    """Element of the fraction field of QPoly, kept in canonical reduced form.
+
+    The constructor reduces any num/den by a polynomial gcd (by the content
+    gcd alone when the denominator is a constant); a value known to be a
+    product of factors (1 - q^e) and their inverses is built without one by
+    ``q_product``.
+    """
 
     __slots__ = ("num", "den")
 
@@ -467,14 +479,16 @@ class QRat:
             num = num.shift(-sh)
         nsh = num.low
         nproper = num.shift(-nsh) if nsh else num
-        # polynomial gcd over the rationals (computed on primitive parts)
-        nd, _ = _to_dense(nproper)
-        dd, _ = _to_dense(den)
-        g = _poly_gcd_dense(nd, dd)
-        if len(g) > 1:
-            gp = _from_dense(g, 0)
-            nproper = nproper.exact_div(gp)
-            den = den.exact_div(gp)
+        # polynomial gcd over the rationals (computed on primitive parts); a
+        # constant denominator shares no factor of positive degree
+        if den.deg:
+            nd, _ = _to_dense(nproper)
+            dd, _ = _to_dense(den)
+            g = _poly_gcd_dense(nd, dd)
+            if len(g) > 1:
+                gp = _from_dense(g, 0)
+                nproper = nproper.exact_div(gp)
+                den = den.exact_div(gp)
         # integer content
         cg = math.gcd(nproper.content(), den.content())
         if cg > 1:
@@ -714,11 +728,8 @@ def q_lucas_value(m: int, j: int) -> QPoly:
 # products of (1 - q^e) through cyclotomic polynomials
 # ---------------------------------------------------------------------------
 
-# Phi_d(q); ``_expand`` substitutes q -> q^g where a product needs Phi_d(q^g).
-_CYCLO_CACHE: dict[int, QPoly] = {}
-
-
-def _divisors(n: int) -> list[int]:
+@cache
+def _divisors(n: int) -> tuple[int, ...]:
     small, large = [], []
     d = 1
     while d * d <= n:
@@ -727,27 +738,73 @@ def _divisors(n: int) -> list[int]:
             if d * d != n:
                 large.append(n // d)
         d += 1
-    return small + large[::-1]
+    return tuple(small + large[::-1])
 
 
-def _cyclo(d: int) -> QPoly:
-    """Phi_d(q) = (q^d - 1) / prod_(e | d, e < d) Phi_e(q), cached."""
-    p = _CYCLO_CACHE.get(d)
-    if p is None:
-        p = QPoly._raw({0: -1, d: 1})
-        for e in _divisors(d)[:-1]:
-            p = p.exact_div(_cyclo(e))
-        _CYCLO_CACHE[d] = p
-    return p
+@cache
+def _mobius(n: int) -> int:
+    """The Moebius function mu(n) for n >= 1."""
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
+
+
+def _times_one_minus(p: list[int], e: int) -> list[int]:
+    """Coefficients of (1 - y^e) p(y), one pass."""
+    pad = [0] * e
+    return [a - b for a, b in zip(p + pad, pad + p)]
+
+
+def _over_one_minus(p: list[int], e: int) -> list[int]:
+    """Coefficients of p(y) / (1 - y^e); raises ExactDivisionError on a remainder.
+
+    The quotient satisfies c_i = p_i + c_(i-e), a running sum along each residue
+    class mod e; the top e coefficients of p must then cancel the carries
+    -c_(i-e).
+    """
+    n = len(p) - e
+    if n <= 0:
+        raise ExactDivisionError("nonzero remainder in exact division")
+    out = [0] * n
+    for r in range(min(e, n)):
+        out[r::e] = accumulate(p[r:n:e])
+    if any(a + c for a, c in zip(p[n:], ([0] * e + out)[n:])):
+        raise ExactDivisionError("nonzero remainder in exact division")
+    return out
 
 
 def _expand(powers: dict[int, int], g: int) -> QPoly:
-    """prod Phi_d(q^g)^c over ``powers`` (d -> c)."""
-    # smallest factors first: the running product stays short for longest
-    out = ONE
-    for f in sorted((_cyclo(d) ** c for d, c in powers.items()), key=lambda p: len(p._c)):
-        out = out * f
-    return QPoly._raw({g * e: v for e, v in out._c.items()})
+    """prod Phi_d(q^g)^c over ``powers`` (d -> c > 0).
+
+    Moebius inversion of y^d - 1 = prod_(e | d) Phi_e(y) gives
+    Phi_d(y) = prod_(e | d) (y^e - 1)^mu(d/e).  The exponents are netted per e,
+    and the product is built on a dense coefficient list: one pass per
+    multiplication by 1 - y^e (smallest e first, so the list grows late), then
+    one exact-division pass per 1 - y^e below (largest e first).  The factors
+    (1 - y^e) = -(y^e - 1) contribute (-1)^(sum of net exponents) = (-1)^c_1,
+    since sum_(e | d) mu(d/e) is 1 for d = 1 and 0 otherwise.
+    """
+    net: dict[int, int] = {}
+    for d, c in powers.items():
+        for e in _divisors(d):
+            mu = _mobius(d // e)
+            if mu:
+                net[e] = net.get(e, 0) + mu * c
+    vals = [1]
+    for e in sorted(net):
+        for _ in range(net[e]):
+            vals = _times_one_minus(vals, e)
+    for e in sorted(net, reverse=True):
+        for _ in range(-net[e]):
+            vals = _over_one_minus(vals, e)
+    sign = -1 if powers.get(1, 0) & 1 else 1
+    return QPoly._raw({g * i: sign * v for i, v in enumerate(vals) if v})
 
 
 def q_product(num, den=(), power: int = 0) -> QRat:
@@ -763,7 +820,9 @@ def q_product(num, den=(), power: int = 0) -> QRat:
     have constant term +-1, and share no root for distinct d (a root x of
     Phi_d(x^g) has x^g of order exactly d), so this is already the
     canonical ``QRat`` form: coprime, denominator monic with its lowest
-    exponent at 0.  No gcd is computed.
+    exponent at 0.  No gcd is computed, and each side is expanded in one
+    linear pass per factor (1 - y^e) of its Moebius form (``_expand``).  A
+    product of ``q_product`` values is the ``q_product`` of the joined lists.
     """
     num, den = list(num), list(den)
     if 0 in den:
@@ -786,3 +845,15 @@ def q_product(num, den=(), power: int = 0) -> QRat:
     bottom = _expand({d: -c for d, c in powers.items() if c < 0}, g)
     top = top.shift(power)
     return QRat._reduced(top if sign > 0 else -top, bottom)
+
+
+def q_binomial_factors(n: int, k: int) -> tuple[list[int], list[int]]:
+    """[n choose k] as exponent lists for ``q_product``.
+
+    [n choose k] = prod_(l<k) (1 - q^(n-l)) / (1 - q^(l+1)) for every integer
+    n; when 0 <= n < k the factor 1 - q^0 makes it 0, as does the list [0]
+    returned for k < 0.
+    """
+    if k < 0:
+        return [0], []
+    return [n - l for l in range(k)], [l + 1 for l in range(k)]

@@ -69,9 +69,10 @@ from catdet.qseries import (
     QPoly,
     QRat,
     q_binomial,
+    q_binomial_factors,
     q_int,
     q_lucas_value,
-    q_pochhammer,
+    q_product,
 )
 from catdet.sequences import (
     andrews_c,
@@ -670,11 +671,8 @@ def _eq88(size: int):
 
 
 def _thm8_c(np: int, jp: int) -> QRat:
-    d = np - jp
-    if d < 0:
-        return QRat(0)
-    num = q_binomial(jp, d) * q_pochhammer(-1, jp, d)
-    return QRat(num.shift(2 * choose2(d)), q_pochhammer(-1, 1, d))
+    # Lemma 9's c(n', j') is the Andrews-type entry at i = n' - 1, j = j', k = 0
+    return fam.EQ89.entry(np - 1, jp, 0)
 
 
 @register("eq90", "3.2 Lemma 9 (90)", "sum", grid(n=(5, 6), k=(4, 4, 1)))
@@ -692,11 +690,14 @@ def _eq91(n: int, m: int, k: int):
 
 
 def _eq92s_term(n: int, k: int, j: int) -> QRat:
-    if j == 0:
-        core = QRat(1)
-    else:
-        core = QRat(q_int(2 * n + k - 1) * q_binomial(2 * n - j + k - 2, j - 1), q_int(j))
-    return core * QRat(q_binomial(2 * n - 2 * j + k - 1, n - j).shift(choose2(j)))
+    # q^C(j,2) [2n+k-1]/[j] [2n-j+k-2 choose j-1] [2n-2j+k-1 choose n-j], with
+    # the first two factors read as 1 at j = 0
+    num, den = q_binomial_factors(2 * n - 2 * j + k - 1, n - j)
+    if j:
+        core_num, core_den = q_binomial_factors(2 * n - j + k - 2, j - 1)
+        num += [2 * n + k - 1, *core_num]
+        den += [j, *core_den]
+    return q_product(num, den, choose2(j))
 
 
 @register("eq92s", "3.2 (92) companion sum", "sum", grid(n=(6, 7), k=(4, 4, 1)))
@@ -729,6 +730,13 @@ def _eq98(m: int, x: int):
     return ok, lhs, rhs
 
 
+def _w_product(a: tuple, b: tuple) -> QRat:
+    """thm11_w(*a) * thm11_w(*b) as one ``q_product`` of the joined factor lists."""
+    num_a, den_a, power_a = fam.thm11_w_factors(*a)
+    num_b, den_b, power_b = fam.thm11_w_factors(*b)
+    return q_product(num_a + num_b, den_a + den_b, power_a + power_b)
+
+
 @register("eq99", "3.2 (99)", "recurrence", grid(n=(4, 5, 2), m=(3, 3, 1), x=(4, 4, 1)))
 def _eq99(n: int, m: int, x: int):
     # balance identity from the condensation proof
@@ -738,10 +746,9 @@ def _eq99(n: int, m: int, x: int):
     t3 = QPoly.monomial(n - 1) * q_int(m) * (one - QPoly.monomial(x + m - 1))
     balance = t1 - t2 + t3
     # determinant recurrence on the row-weighted family
-    w = fam.thm11_w
-    r1 = w(n, x, m) * w(n - 2, x + 2, m)
-    r2 = w(n - 1, x + 2, m) * w(n - 1, x, m)
-    r3 = w(n - 1, x, m + 1) * w(n - 1, x + 2, m - 1)
+    r1 = _w_product((n, x, m), (n - 2, x + 2, m))
+    r2 = _w_product((n - 1, x + 2, m), (n - 1, x, m))
+    r3 = _w_product((n - 1, x, m + 1), (n - 1, x + 2, m - 1))
     ok = balance.is_zero and (r1 - r2 + r3).is_zero
     return ok, f"balance {balance}; rec {r1 - r2 + r3}", "0; 0"
 
@@ -754,10 +761,9 @@ def _eq100(n: int, m: int, x: int):
     t2 = q_int(m + n - 1) * (one - QPoly.monomial(x + m + n - 2))
     t3 = q_int(n) * (one - QPoly.monomial(x + 2 * m + n - 3))
     balance = t1 - t2 + t3
-    w = fam.thm11_w
-    r1 = w(n, x, m) * w(n, x + 2, m - 2)
-    r2 = w(n, x + 2, m - 1) * w(n, x, m - 1)
-    r3 = w(n + 1, x, m - 1) * w(n - 1, x + 2, m - 1)
+    r1 = _w_product((n, x, m), (n, x + 2, m - 2))
+    r2 = _w_product((n, x + 2, m - 1), (n, x, m - 1))
+    r3 = _w_product((n + 1, x, m - 1), (n - 1, x + 2, m - 1))
     ok = balance.is_zero and (r1 - r2 + r3).is_zero
     return ok, f"balance {balance}; rec {r1 - r2 + r3}", "0; 0"
 
@@ -801,9 +807,16 @@ def _lem16_rat_sum(i: int, y: int):
         off = 3 * choose2(j) - j * y
         b = i + j - y
         c = i - j + 1
-        core = QRat(ONE, q_int(b)) if c == 0 else QRat(q_binomial(b - 1, c - 1), q_int(c))
-        term = core * QRat(q_binomial(y - j, j).shift(choose2(i - j) + off))
-        total = total + term
+        # the core is 1/[b] at c = 0, else [b-1 choose c-1]/[c]; 1/[a] = (1-q)/(1-q^a)
+        num, den = q_binomial_factors(y - j, j)
+        if c == 0:
+            num += [1]
+            den += [b]
+        else:
+            core_num, core_den = q_binomial_factors(b - 1, c - 1)
+            num += [1, *core_num]
+            den += [c, *core_den]
+        total = total + q_product(num, den, choose2(i - j) + off)
     return total.is_zero, total, QRat(0)
 
 

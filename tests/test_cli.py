@@ -107,6 +107,28 @@ def test_conjecture_mod_filter(capsys):
     assert [r["conjecture"] for r in data["reports"]] == ["c14"]
 
 
+def test_raising_conjecture_search_is_an_error_and_exits_3(monkeypatch, capsys):
+    from catdet import cli
+
+    search = cli.conjecture_search
+
+    def crash_c13a(cid, bounds=None):
+        if cid == "c13a":
+            raise ZeroDivisionError("boom in c13a")
+        return search(cid, bounds)
+
+    monkeypatch.setattr(cli, "conjecture_search", crash_c13a)
+    code, out = run_cli(capsys, "conjecture", "--id", "c13a", "--id", "c14", "--n-max", "5")
+    # the search after the raising one still runs
+    assert code == 3
+    data = json.loads(out)
+    assert data["reports"][0] == {"conjecture": "c13a", "status": "error",
+                                  "error": "ZeroDivisionError", "message": "boom in c13a"}
+    assert (data["reports"][1]["conjecture"], data["reports"][1]["status"]) == (
+        "c14", "verified-up-to")
+    assert list(data["timings"]["per_conjecture_seconds"]) == ["c14"]
+
+
 def test_suite_subset(capsys):
     code, out = run_cli(capsys, "suite", "--id", "eq1", "--id", "eq2", "--n-max", "8")
     assert code == 0

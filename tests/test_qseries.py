@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catdet import qseries
 from catdet.exact import binomial
 from catdet.qseries import (
     ONE,
@@ -13,7 +15,9 @@ from catdet.qseries import (
     ExactDivisionError,
     QPoly,
     QRat,
-    _cyclo,
+    _expand,
+    _over_one_minus,
+    _times_one_minus,
     q_binomial,
     q_factorial,
     q_int,
@@ -301,6 +305,18 @@ def test_q_product_matches_the_reduced_expansion():
         r = q_product(num, den, power)
         expected = expanded_product(num, den, power)
         assert (r.num, r.den) == (expected.num, expected.den)
+    # long lists, up to 40 factors with exponents up to +-60; the other side
+    # stays short (and shares two exponents) so that the gcd of the expanded
+    # route stays cheap
+    exps = [e for e in range(-60, 61) if e]
+    for _ in range(16):
+        long = [rng.choice(exps) for _ in range(rng.randint(20, 40))]
+        short = [rng.choice(exps) for _ in range(rng.randint(0, 6))] + rng.sample(long, 2)
+        num, den = (long, short) if rng.random() < 0.5 else (short, long)
+        power = rng.randint(-4, 4)
+        r = q_product(num, den, power)
+        expected = expanded_product(num, den, power)
+        assert (r.num, r.den) == (expected.num, expected.den), (num, den, power)
 
 
 def test_q_product_zero_exponent():
@@ -311,12 +327,79 @@ def test_q_product_zero_exponent():
     assert q_product([], [], 0) == 1
 
 
-def test_cyclotomic_cache_against_sympy():
-    sympy = pytest.importorskip("sympy")
+def _sympy_cyclotomic(sympy, d):
     x = sympy.Symbol("x")
+    coeffs = sympy.Poly(sympy.cyclotomic_poly(d, x), x).all_coeffs()[::-1]
+    return QPoly([(k, int(c)) for k, c in enumerate(coeffs)])
+
+
+def test_cyclotomic_expansion_against_sympy():
+    sympy = pytest.importorskip("sympy")
     for d in range(1, 61):
-        coeffs = sympy.Poly(sympy.cyclotomic_poly(d, x), x).all_coeffs()[::-1]
-        assert _cyclo(d) == QPoly([(k, int(c)) for k, c in enumerate(coeffs)]), d
+        assert _expand({d: 1}, 1) == _sympy_cyclotomic(sympy, d), d
+
+
+def test_expand_matches_the_schoolbook_product():
+    # prod Phi_d(q^g)^c by plain multiplication of sympy's Phi_d, on seeded maps
+    sympy = pytest.importorskip("sympy")
+    phi = {d: _sympy_cyclotomic(sympy, d) for d in range(1, 31)}
+    rng = random.Random("expand")
+    for _ in range(500):
+        powers = {d: rng.randint(1, 4) for d in rng.sample(range(1, 31), rng.randint(0, 4))}
+        g = rng.choice((1, 2, 3))
+        expected = ONE
+        for d, c in powers.items():
+            for _ in range(c):
+                expected = expected * phi[d]
+        expected = QPoly([(g * e, v) for e, v in expected.items()])
+        assert _expand(powers, g) == expected, (powers, g)
+
+
+def test_one_minus_passes_divide_exactly_or_raise():
+    rng = random.Random("one-minus")
+    for _ in range(200):
+        vals = [rng.randint(-9, 9) for _ in range(rng.randint(1, 12))]
+        vals[-1] = vals[-1] or 1
+        e = rng.randint(1, 7)
+        times = _times_one_minus(vals, e)
+        expected = QPoly(list(enumerate(vals))) * (ONE - QPoly.monomial(e))
+        assert QPoly(list(enumerate(times))) == expected
+        assert _over_one_minus(times, e) == vals
+        # one more unit in the top coefficient leaves a remainder
+        bumped = times[:-1] + [times[-1] + 1]
+        with pytest.raises(ExactDivisionError):
+            _over_one_minus(bumped, e)
+    with pytest.raises(ExactDivisionError):
+        _over_one_minus([1, 1], 2)
+
+
+def test_constant_denominator_takes_no_polynomial_gcd(monkeypatch):
+    # QRat(p, c) equals the gcd route QRat(p f, c f) with a planted factor f,
+    # for negative c and content shared with p, and the form read off the
+    # coefficients p_e / c in lowest terms; then again with the gcd disabled
+    rng = random.Random("qrat-constant")
+    cases = []
+    while len(cases) < 200:
+        share = rng.choice((1, 2, 3, 6))
+        p = P(*((rng.randint(-5, 8), share * rng.randint(-9, 9)) for _ in range(rng.randint(1, 6))))
+        c = share * rng.choice((-4, -3, -2, -1, 1, 2, 5))
+        if not p.is_zero:
+            cases.append((p, c))
+    f = ONE - Q + QPoly.monomial(3)
+    expected = [QRat(p * f, f * c) for p, c in cases]
+    for (p, c), e in zip(cases, expected):
+        coeffs = [(k, Fraction(v, c)) for k, v in p.items()]
+        d = math.lcm(*(v.denominator for _, v in coeffs))
+        assert (e.num, e.den) == (QPoly([(k, int(v * d)) for k, v in coeffs]), d), (p, c)
+
+    def no_gcd(a, b):
+        raise AssertionError("polynomial gcd on a constant denominator")
+
+    monkeypatch.setattr(qseries, "_poly_gcd_dense", no_gcd)
+    for (p, c), e in zip(cases, expected):
+        r = QRat(p, c)
+        assert (r.num, r.den) == (e.num, e.den), (p, c)
+        assert r.den.deg == 0 and r.den.lead_coeff > 0
 
 
 def _sympy_expr(sympy, q, p):

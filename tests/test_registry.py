@@ -2,8 +2,9 @@ import pytest
 
 import catdet.residues  # noqa: F401  (registers the modular checks)
 from catdet import families as fam
+from catdet.exact import choose2
 from catdet.linalg import det_bareiss
-from catdet.qseries import ONE, Q, QPoly, q_int
+from catdet.qseries import ONE, Q, QPoly, QRat, q_binomial, q_int, q_pochhammer
 from catdet.registry import (
     CHECKS,
     Bounds,
@@ -378,3 +379,100 @@ def test_swept_det_keeps_one_sweep_per_name_and_parameters():
     assert kept == {("test-eq54", ("k", 2)): 7, ("test-eq54", ("k", 3)): 7}
     discard_sweeps("test-eq54")
     assert not any(key[0] == "test-eq54" for key in registry._SWEEPS)
+
+
+# The q-rational entries and products built from (1 - q^e) factor lists, next
+# to the QRat(num, den) forms they replaced, which reduce by a polynomial gcd.
+
+def _qrat_ratio_entry(i, j, x, m, s):
+    c = i - j + m
+    if c < 0:
+        return QRat(0)
+    sh = choose2(i - j + s)
+    if c == 0:
+        return QRat(ONE.shift(sh))
+    num = q_int(2 * i + x + 2 * m - 1) * q_binomial(i + j + x + m - 2, c - 1)
+    return QRat(num.shift(sh), q_int(c))
+
+
+def _qrat_andrews_entry(c, top):
+    if c < 0:
+        return QRat(0)
+    num = q_binomial(top, c) * q_pochhammer(-1, top, c)
+    return QRat(num.shift(2 * choose2(c)), q_pochhammer(-1, 1, c))
+
+
+def _qrat_sec33_entry(i, j, k):
+    c = i + 1 - j
+    if c < 0:
+        return QRat(0)
+    num = q_binomial(i + j + k, c).shift(c * c)
+    return QRat(num, q_pochhammer(-1, 1, c) * q_pochhammer(-1, i + j + k + 1, c))
+
+
+def _same(a, b):
+    return (a.num, a.den) == (b.num, b.den)
+
+
+def test_factor_list_entries_equal_the_gcd_route():
+    # x and k in -9..9 reach the zero factors ([0] above, and 0 <= N < c in a
+    # q-binomial) and the constant factors 1 + q^0 = 2 of SEC33 and EQ89
+    # (i+j+k+1 <= 0 and j+k <= 0)
+    span = range(-9, 10)
+    for i in range(8):
+        for j in range(8):
+            for x in span:
+                assert _same(fam.EQ92.entry(i, j, x=x), _qrat_ratio_entry(i, j, x, 1, 0))
+                for m in range(5):
+                    assert _same(fam.THM11_B.entry(i, j, x=x, m=m),
+                                 _qrat_ratio_entry(i, j, x, m, m)), (i, j, x, m)
+            for k in span:
+                assert _same(fam.SEC33.entry(i, j, k=k), _qrat_sec33_entry(i, j, k)), (i, j, k)
+                assert _same(fam.EQ89.entry(i, j, k=k),
+                             _qrat_andrews_entry(i - j + 1, j + k)), (i, j, k)
+
+
+def test_factor_list_closed_forms_equal_the_gcd_route():
+    from catdet.registry import _eq92s_term, _lem16_rat_sum, _thm8_c
+
+    span = range(-9, 10)
+    for x in span:
+        for m in range(5):
+            if x + m - 1 == 0:
+                with pytest.raises(ZeroDivisionError):
+                    fam.thm11_w1m(x, m)
+                continue
+            num = (q_binomial(x + m - 1, m) * q_int(x + 2 * m - 1)).shift(choose2(m))
+            assert _same(fam.thm11_w1m(x, m), QRat(num, q_int(x + m - 1))), (x, m)
+    for np_ in span:
+        for jp in span:
+            assert _same(_thm8_c(np_, jp), _qrat_andrews_entry(np_ - jp, jp)), (np_, jp)
+    for n in range(8):
+        for k in span:
+            for j in range(n + 1):
+                core = QRat(1) if j == 0 else QRat(
+                    q_int(2 * n + k - 1) * q_binomial(2 * n - j + k - 2, j - 1), q_int(j))
+                tail = q_binomial(2 * n - 2 * j + k - 1, n - j).shift(choose2(j))
+                assert _same(_eq92s_term(n, k, j), core * QRat(tail)), (n, k, j)
+    for i in range(8):
+        for y in span:
+            if y == 2 * i + 1:
+                continue
+            total = QRat(0)
+            for j in range(i + 2):
+                b, c = i + j - y, i - j + 1
+                core = QRat(ONE, q_int(b)) if c == 0 else QRat(q_binomial(b - 1, c - 1), q_int(c))
+                off = choose2(i - j) + 3 * choose2(j) - j * y
+                total = total + core * QRat(q_binomial(y - j, j).shift(off))
+            assert _same(_lem16_rat_sum(i, y)[1], total), (i, y)
+
+
+def test_thm11_w_products_join_their_factor_lists():
+    from catdet.registry import _w_product
+
+    for n in range(6):
+        for m in range(4):
+            # x >= 2 keeps the Pochhammer factors of negative count clear of poles
+            for x in range(2, 7):
+                a, b = (n, x, m), (max(n - 1, 0), x + 2, m + 1)
+                assert _same(_w_product(a, b), fam.thm11_w(*a) * fam.thm11_w(*b)), (a, b)
