@@ -31,6 +31,7 @@ from catdet.qseries import (
     q_binomial,
     q_binomial_factors,
     q_lucas_value,
+    q_plus_product,
     q_product,
 )
 from catdet.sequences import carlitz, catalan, catalan_power, gfun, q_catalan_power
@@ -157,24 +158,10 @@ def _eq88_entry(i: int, j: int) -> QPoly:
     return -v if (i - j) % 2 else v
 
 
-def _plus_product(num: list[int], den: list[int], power: int, plus_num, plus_den) -> QRat:
-    """``q_product(num, den, power)`` times prod (1 + q^a) over ``plus_num``
-    and divided by prod (1 + q^a) over ``plus_den``.
-
-    Through 1 + q^a = (1 - q^(2a)) / (1 - q^a) for a != 0; a factor 1 + q^0 is
-    the constant 2.
-    """
-    num = [*num, *(2 * a for a in plus_num if a), *(a for a in plus_den if a)]
-    den = [*den, *(2 * a for a in plus_den if a), *(a for a in plus_num if a)]
-    twos = plus_num.count(0) - plus_den.count(0)
-    out = q_product(num, den, power)
-    return out * QRat(2) ** twos if twos else out
-
-
 def _andrews_weight(c: int, top: int) -> QRat:
     """q^(2 C(c,2)) [top choose c] (-q^top;q)_c / (-q;q)_c, and 0 for c < 0."""
     num, den = q_binomial_factors(top, c)
-    return _plus_product(num, den, 2 * choose2(c), range(top, top + c), range(1, c + 1))
+    return q_plus_product(num, den, 2 * choose2(c), range(top, top + c), range(1, c + 1))
 
 
 def _q_ratio_entry(i: int, j: int, x: int, m: int, s: int) -> QRat:
@@ -199,7 +186,7 @@ def _sec33_entry(i: int, j: int, k: int) -> QRat:
     c = i + 1 - j
     num, den = q_binomial_factors(i + j + k, c)
     a = i + j + k + 1
-    return _plus_product(num, den, c * c, (), [*range(1, c + 1), *range(a, a + c)])
+    return q_plus_product(num, den, c * c, (), [*range(1, c + 1), *range(a, a + c)])
 
 
 EQ88 = Family(QPOLY, _eq88_entry)
@@ -396,8 +383,8 @@ def sec33_rhs(n: int, k: int) -> QRat:
     if n < 0:
         raise ValueError("sec33_rhs needs n >= 0")
     num, den = q_binomial_factors(2 * n + k, n)
-    return _plus_product([k, *num], [2 * n + k, *den], n,
-                         [k], [n + k, *range(1, n + 1), *range(k, k + n)])
+    return q_plus_product([k, *num], [2 * n + k, *den], n,
+                          [k], [n + k, *range(1, n + 1), *range(k, k + n)])
 
 
 def remark_rhs_product(n: int, m: int, x: int) -> QRat:

@@ -21,6 +21,10 @@ each factor into cyclotomic polynomials, nets their exponents and returns the
 canonical ``QRat`` with no gcd at all (distinct cyclotomic polynomials are
 coprime, monic and primitive); the cyclotomic products are expanded by
 Moebius inversion, as one linear pass per factor (1 - y^e).
+``q_plus_product`` adds factors 1 + q^a = (1 - q^(2a)) / (1 - q^a).  The
+q-binomials and ``q_lucas_value`` here, and the q-Catalan values of
+``catdet.sequences``, are built this way: none of them takes a polynomial
+product, a long division or a gcd.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ __all__ = [
     "ONE",
     "Q",
     "q_product",
+    "q_plus_product",
     "q_binomial_factors",
 ]
 
@@ -51,8 +56,11 @@ class ExactDivisionError(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
 
 
-# Kronecker-substitution multiplication kicks in above this many term pairs.
-_KRON_CUTOFF = 2048
+# Kronecker-substitution multiplication packs the whole exponent span of both
+# operands, so it is used when there are at least this many term pairs per
+# packed coefficient: dense squares from 12 x 12 terms on, never sparse, wide
+# operands (measured against the schoolbook loop, see CHANGES.md).
+_KRON_CUTOFF = 6
 
 
 def _kron_pack(vals: list[int], width: int) -> int:
@@ -203,7 +211,11 @@ class QPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._c.items()))
+        # a constant hashes as the int it equals
+        c = self._c
+        if not c or len(c) == 1 and 0 in c:
+            return hash(c.get(0, 0))
+        return hash(frozenset(c.items()))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -265,7 +277,10 @@ class QPoly:
         if len(b) == 1:
             ((e1, c1),) = b.items()
             return QPoly._raw({e1 + e: c1 * v for e, v in a.items()})
-        if len(a) * len(b) >= _KRON_CUTOFF:
+        # the span is at least the term count, so the first test is a cheap filter
+        pairs = len(a) * len(b)
+        if pairs >= _KRON_CUTOFF * (len(a) + len(b)) and pairs >= _KRON_CUTOFF * (
+                max(a) - min(a) + max(b) - min(b) + 2):
             return QPoly._raw(_mul_kronecker(a, b))
         if len(a) > len(b):
             a, b = b, a
@@ -532,6 +547,9 @@ class QRat:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self) -> int:
+        # a polynomial hashes as the QPoly (or int) it equals
+        if self.den.is_one:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     # -- arithmetic ---------------------------------------------------------
@@ -661,9 +679,13 @@ def q_factorial(n: int) -> QPoly:
 def q_binomial(n: int, k: int) -> QPoly:
     """Gaussian polynomial [n choose k].
 
-    0 for k < 0 and, when n >= 0, for k > n.  Negative upper index uses the
-    reflection [-a choose k] = (-1)^k q^(-ak - k(k-1)/2) [a+k-1 choose k],
-    which is a Laurent polynomial.
+    0 for k < 0 and, when n >= 0, for k > n.  For n >= 0 and 2 <= min(k, n-k)
+    the value is the ``q_product`` of its factor list
+    prod_(l<k) (1 - q^(n-l)) / (1 - q^(l+1)), with no polynomial product,
+    division or gcd; min(k, n-k) = 0 or 1 gives 1 or [n] directly.  Negative
+    upper index uses the reflection
+    [-a choose k] = (-1)^k q^(-ak - k(k-1)/2) [a+k-1 choose k], which is a
+    Laurent polynomial.
     """
     if k < 0:
         return ZERO
@@ -675,10 +697,12 @@ def q_binomial(n: int, k: int) -> QPoly:
         return p
     if n >= 0:
         k_ = min(k, n - k)
-        num = ONE
-        for l in range(k_):
-            num = num * q_int(n - l)
-        p = num.exact_div(q_factorial(k_))
+        if k_ == 0:
+            p = ONE
+        elif k_ == 1:
+            p = q_int(n)
+        else:
+            p = q_product(*q_binomial_factors(n, k_)).as_poly()
     else:
         a = -n
         p = q_binomial(a + k - 1, k).shift(-(a * k + k * (k - 1) // 2))
@@ -708,20 +732,15 @@ def q_lucas_value(m: int, j: int) -> QPoly:
     """``([m]/[m-j]) * [m-j choose j]`` through its cancelled product form.
 
     Equals ``(1-q^m) * prod_{l=0}^{j-2} (1-q^(m-j-1-l)) / (q;q)_j`` for
-    j >= 1 and 1 for j = 0; defined (as a Laurent polynomial) for every
-    integer m, including the removable pole at m = j.
+    j >= 1 and 1 for j = 0, built as one ``q_product``; defined (as a Laurent
+    polynomial) for every integer m, including the removable pole at m = j.
     """
+    if j < 0:
+        raise ValueError("q_lucas_value needs j >= 0")
     if j == 0:
         return ONE
-    num = ONE - QPoly.monomial(m)
-    if num.is_zero:
-        return ZERO
-    for l in range(j - 1):
-        f = ONE - QPoly.monomial(m - j - 1 - l)
-        if f.is_zero:
-            return ZERO
-        num = num * f
-    return num.exact_div(q_pochhammer(1, 1, j))
+    num = [m, *(m - j - 1 - l for l in range(j - 1))]
+    return q_product(num, range(1, j + 1)).as_poly()
 
 
 # ---------------------------------------------------------------------------
@@ -845,6 +864,20 @@ def q_product(num, den=(), power: int = 0) -> QRat:
     bottom = _expand({d: -c for d, c in powers.items() if c < 0}, g)
     top = top.shift(power)
     return QRat._reduced(top if sign > 0 else -top, bottom)
+
+
+def q_plus_product(num: list[int], den: list[int], power: int, plus_num, plus_den) -> QRat:
+    """``q_product(num, den, power)`` times prod (1 + q^a) over ``plus_num``
+    and divided by prod (1 + q^a) over ``plus_den``.
+
+    Through 1 + q^a = (1 - q^(2a)) / (1 - q^a) for a != 0; a factor 1 + q^0 is
+    the constant 2.
+    """
+    num = [*num, *(2 * a for a in plus_num if a), *(a for a in plus_den if a)]
+    den = [*den, *(2 * a for a in plus_den if a), *(a for a in plus_num if a)]
+    twos = plus_num.count(0) - plus_den.count(0)
+    out = q_product(num, den, power)
+    return out * QRat(2) ** twos if twos else out
 
 
 def q_binomial_factors(n: int, k: int) -> tuple[list[int], list[int]]:

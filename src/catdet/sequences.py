@@ -16,9 +16,10 @@ from catdet.qseries import (
     ONE,
     QPoly,
     QRat,
-    q_binomial,
-    q_int,
+    q_binomial_factors,
+    q_plus_product,
     q_pochhammer,
+    q_product,
 )
 
 __all__ = [
@@ -161,39 +162,50 @@ def gfun(n: int, r: int) -> QPoly:
 
 @cache
 def q_catalan(n: int) -> QPoly:
-    """q-Catalan number [2n choose n] / [n+1] (exact polynomial)."""
+    """q-Catalan number [2n choose n] / [n+1] (exact polynomial).
+
+    Built as one ``q_product``: the factor list of [2n choose n] with
+    (1 - q) joined to the numerator and (1 - q^(n+1)) to the denominator.
+    """
     if n < 0:
         return QPoly.const(0)
-    return QRat(q_binomial(2 * n, n), q_int(n + 1)).as_poly()
+    num, den = q_binomial_factors(2 * n, n)
+    return q_product([*num, 1], [*den, n + 1]).as_poly()
 
 
 @cache
 def q_catalan_power(n: int, k: int) -> QPoly:
-    """q-analogue of the k-th Catalan power: ([k]/[2n+k]) [2n+k choose n]."""
+    """q-analogue of the k-th Catalan power: ([k]/[2n+k]) [2n+k choose n].
+
+    Built as one ``q_product``: the factor list of [2n+k choose n] with
+    (1 - q^k) joined to the numerator and (1 - q^(2n+k)) to the denominator.
+    """
     if n < 0:
         return QPoly.const(0)
     if k == 0:
         return ONE if n == 0 else QPoly.const(0)
     if k < 0:
         raise ValueError("q_catalan_power needs k >= 0")
-    return QRat(q_int(k) * q_binomial(2 * n + k, n), q_int(2 * n + k)).as_poly()
+    num, den = q_binomial_factors(2 * n + k, n)
+    return q_product([*num, k], [*den, 2 * n + k]).as_poly()
 
 
 @cache
 def andrews_c(n: int, k: int) -> QRat:
     """Andrews-type q-Catalan value with the Pochhammer correction factor.
 
-    ([k]/[2n+k]) [2n+k choose n] (-q^(n+1); q)_(k-1) / (-q; q)_(k-1),
-    reduced canonically.  A polynomial for k <= 2 but genuinely rational in
-    general (already at n = 2, k = 3 the reduced denominator is 1 + q^2).
+    ([k]/[2n+k]) [2n+k choose n] (-q^(n+1); q)_(k-1) / (-q; q)_(k-1), built
+    as one ``q_plus_product`` (each 1 + q^a as (1 - q^(2a))/(1 - q^a)), so it
+    is canonical with no gcd.  A polynomial for k <= 2 but genuinely rational
+    in general (already at n = 2, k = 3 the reduced denominator is 1 + q^2).
     """
     if n < 0:
         return QRat(0)
     if k < 1:
         raise ValueError("andrews_c needs k >= 1")
-    num = q_int(k) * q_binomial(2 * n + k, n) * q_pochhammer(-1, n + 1, k - 1)
-    den = q_int(2 * n + k) * q_pochhammer(-1, 1, k - 1)
-    return QRat(num, den)
+    num, den = q_binomial_factors(2 * n + k, n)
+    return q_plus_product([*num, k], [*den, 2 * n + k], 0,
+                          range(n + 1, n + k), range(1, k))
 
 
 @cache

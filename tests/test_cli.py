@@ -202,13 +202,13 @@ def test_fail_fast_stops_early(monkeypatch, capsys):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _report_without_timings(*flags: str) -> str:
-    """A small verify run in a fresh interpreter started with ``flags``."""
+def _report_without_timings(*flags: str, argv=("verify", "--id", "eq1", "--id", "eq96", "--id",
+                                               "c14", "--n-max", "6", "--seed", "3"),
+                            entry=("-m", "catdet.cli")) -> str:
+    """A small verify run of ``entry`` in a fresh interpreter started with ``flags``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    argv = ["verify", "--id", "eq1", "--id", "eq96", "--id", "c14", "--n-max", "6",
-            "--seed", "3"]
-    done = subprocess.run([sys.executable, *flags, "-m", "catdet.cli", *argv], env=env,
+    done = subprocess.run([sys.executable, *flags, *entry, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
@@ -220,6 +220,31 @@ def test_report_unchanged_under_python_O():
     plain = _report_without_timings()
     assert '"fail": 0' in plain
     assert _report_without_timings("-O") == plain
+
+
+_NO_GCD_NO_DIVISION = """
+import sys
+from catdet import qseries
+from catdet.cli import main
+
+def refuse(*args):
+    raise AssertionError("polynomial gcd or long division")
+
+qseries._poly_gcd_dense = refuse
+qseries.QPoly.exact_div = refuse
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_q_ring_checks_take_no_gcd_and_no_long_division():
+    # the q-binomial and q-Catalan checks build every value from its factor
+    # list: with the polynomial gcd and exact division refusing, a fresh run
+    # (every cache cold) still exits 0 with the same report
+    argv = ("verify", "--id", "eq83", "--id", "eq84", "--id", "eq86", "--id", "eq87", "--id",
+            "eq91", "--seed", "5")
+    plain = _report_without_timings(argv=argv)
+    assert '"fail": 0' in plain
+    assert _report_without_timings(argv=argv, entry=("-c", _NO_GCD_NO_DIVISION)) == plain
 
 
 def test_no_assert_statement_in_the_package():

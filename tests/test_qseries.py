@@ -108,6 +108,42 @@ def test_kronecker_multiplication_matches_schoolbook():
         assert _mul_kronecker(a, b) == expected
 
 
+def test_multiplication_across_the_kronecker_cutoff(monkeypatch):
+    # QPoly.__mul__ just below and just above _KRON_CUTOFF term pairs per packed
+    # coefficient, against a plain dict-loop product; sparse, wide operands
+    # with many term pairs stay on the schoolbook loop
+    used = []
+    kron = qseries._mul_kronecker
+
+    def counted(a, b):
+        used.append((len(a), len(b)))
+        return kron(a, b)
+
+    monkeypatch.setattr(qseries, "_mul_kronecker", counted)
+    rng = random.Random("kron-cutoff")
+    c = qseries._KRON_CUTOFF
+
+    def dense(terms, low, step=1):
+        return QPoly([(low + step * i, rng.choice((-1, 1)) * rng.randrange(1, 10**6))
+                      for i in range(terms)])
+
+    cases = [
+        (dense(2 * c - 1, -3), dense(2 * c - 1, 5), False),
+        (dense(2 * c, -3), dense(2 * c, 5), True),
+        (dense(c + 1, 0), dense(c * (c + 1) - 1, 2), False),
+        (dense(c + 1, 0), dense(c * (c + 1), 2), True),
+        (dense(4 * c, 0, step=8), dense(4 * c, 1, step=8), False),
+    ]
+    for a, b, packed in cases:
+        expected = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                expected[e1 + e2] = expected.get(e1 + e2, 0) + c1 * c2
+        used.clear()
+        assert a * b == QPoly(expected)
+        assert bool(used) == packed, (len(a.items()), len(b.items()))
+
+
 def test_kronecker_unpack_raises_on_a_leftover():
     from catdet.qseries import _kron_pack, _kron_unpack_signed
 
@@ -158,13 +194,15 @@ def test_q_binomial_negative_upper_index():
             assert lhs == rhs
 
 
-@given(st.integers(1, 14), st.integers(0, 14))
-@settings(max_examples=120)
-def test_q_pascal_recurrence(n, k):
-    if 1 <= k <= n - 1:
-        lhs = q_binomial(n, k)
-        rhs = q_binomial(n - 1, k).shift(k) + q_binomial(n - 1, k - 1)
-        assert lhs == rhs
+def test_q_pascal_recurrence():
+    # [n, k] = [n-1, k-1] + q^k [n-1, k] on every 0 <= k <= n+1 up to n = 40,
+    # the edges included: an additive route that shares nothing with the
+    # factor-list product q_binomial takes
+    assert q_binomial(0, 0) == ONE
+    for n in range(1, 41):
+        for k in range(n + 2):
+            rhs = q_binomial(n - 1, k - 1) + q_binomial(n - 1, k).shift(k)
+            assert q_binomial(n, k) == rhs, (n, k)
 
 
 @given(st.integers(0, 14), st.integers(0, 14))
@@ -278,6 +316,15 @@ def test_q_lucas_value_matches_quotient():
     for j in range(1, 7):
         alt = q_binomial(0, j) + q_binomial(-1, j - 1).shift(0)
         assert q_lucas_value(j, j) == alt
+    # the product form reduced by QRat's polynomial gcd, negative m included
+    for m in range(-9, 16):
+        for j in range(9):
+            num = ONE - QPoly.monomial(m) if j else ONE
+            for l in range(j - 1):
+                num = num * (ONE - QPoly.monomial(m - j - 1 - l))
+            assert QRat(q_lucas_value(m, j)) == QRat(num, q_pochhammer(1, 1, j)), (m, j)
+    with pytest.raises(ValueError):
+        q_lucas_value(3, -1)
 
 
 def expanded_product(num, den, power):
@@ -444,6 +491,25 @@ def test_qrat_reduction_against_sympy_cancel():
         if not r.is_zero:
             assert sympy.gcd(sympy.expand(num * q**-r.num.low), den) == 1, (a, b, f)
         checked += 1
+
+
+def test_equal_values_hash_equal():
+    # ints, constant and non-constant QPoly and polynomial QRat values that
+    # compare equal are one set element
+    groups = [
+        [3, QPoly.const(3), QRat(3), QRat(QPoly.const(3)), QRat(6, 2)],
+        [0, ZERO, QRat(0), QRat(ZERO, Q + 1)],
+        [-1, -ONE, QRat(-1), QRat(Q - 1, ONE - Q)],
+        [Q, QRat(Q), QRat(Q * Q + Q, Q + 1)],
+        [P((-2, 1), (3, -4)), QRat(P((-2, 1), (3, -4)))],
+    ]
+    for group in groups:
+        for x in group:
+            for y in group:
+                assert x == y and hash(x) == hash(y), (x, y)
+        assert len(set(group)) == 1, group
+    assert len({x for group in groups for x in group}) == len(groups)
+    assert QRat(1, Q + 1) != QRat(Q + 1) and len({QRat(1, Q + 1), QRat(Q + 1)}) == 2
 
 
 def test_degree_undefined_on_zero():

@@ -4,7 +4,7 @@ import pytest
 
 from catdet import sequences
 from catdet.exact import binomial, gould_product
-from catdet.qseries import ONE, QPoly, QRat, q_binomial, q_int
+from catdet.qseries import ONE, QPoly, QRat, q_binomial, q_int, q_pochhammer
 from catdet.sequences import (
     andrews_c,
     andrews_moment,
@@ -202,6 +202,29 @@ def test_andrews_c_polynomiality_and_base_case():
         for k in range(1, 5):
             value = andrews_c(n, k)
             assert value.specialize(1) == catalan_power(n, k)
+
+
+def _exact_div_binomial(n, k):
+    """[n choose k] for n >= 0 by one long division of q-integer products."""
+    num, den = ONE, ONE
+    for l in range(k):
+        num = num * q_int(n - l)
+        den = den * q_int(l + 1)
+    return num.exact_div(den)
+
+
+def test_q_catalan_family_matches_the_gcd_route():
+    # the q_product values against their QRat(num, den) forms, reduced by the
+    # polynomial gcd over q-integer products, with no q_product anywhere
+    for n in range(16):
+        assert q_catalan(n) == QRat(_exact_div_binomial(2 * n, n), q_int(n + 1)).as_poly()
+        for k in range(1, 9):
+            binom = _exact_div_binomial(2 * n + k, n)
+            expected = QRat(q_int(k) * binom, q_int(2 * n + k))
+            assert q_catalan_power(n, k) == expected.as_poly(), (n, k)
+            num = q_int(k) * binom * q_pochhammer(-1, n + 1, k - 1)
+            den = q_int(2 * n + k) * q_pochhammer(-1, 1, k - 1)
+            assert andrews_c(n, k) == QRat(num, den), (n, k)
 
 
 def test_andrews_moment_values():
