@@ -7,7 +7,8 @@ determinant that clears the denominators of a q-rational matrix row by row,
 then picks the division-free Hessenberg expansion or fraction-free Bareiss
 from the matrix's shape; the Hessenberg expansion as a sweep that yields
 every leading minor of a growing matrix, so a family is expanded once for all
-its sizes; Dodgson condensation, inverses and null-space checks), a
+its sizes; Dodgson condensation, the exact product that checks an inverse
+statement, and null-space checks), a
 three-term-recurrence engine for monic orthogonal polynomials and their
 moment tables, the paper's matrix families as one table built through a
 single ``families.build``, a registry of executable identity checks,
@@ -25,7 +26,6 @@ from catdet.linalg import (
     det_cofactor,
     det_condensation,
     det_hessenberg,
-    inverse,
     nullspace_vector_check,
 )
 
@@ -44,6 +44,5 @@ __all__ = [
     "LeadingMinors",
     "det_condensation",
     "det_cofactor",
-    "inverse",
     "nullspace_vector_check",
 ]

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from catdet.linalg import INT, QPOLY, QRAT, Matrix, Ring, det
-from catdet.qseries import QPoly, QRat, q_binomial, q_int
+from catdet.qseries import QPoly, QRat, q_binomial, q_int, q_plus_product
 
 __all__ = [
     "FavardSystem",
@@ -415,13 +415,9 @@ def carlitz_system() -> FavardSystem:
 def q_chebyshev_system() -> FavardSystem:
     """Monic q-Chebyshev (second kind): s = 0,
     t(n) = q^(n+1) / ((1+q^(n+1))(1+q^(n+2)))."""
-    one = QPoly.const(1)
 
     def t(n):
-        return QRat(
-            QPoly.monomial(n + 1),
-            (one + QPoly.monomial(n + 1)) * (one + QPoly.monomial(n + 2)),
-        )
+        return q_plus_product([], [], n + 1, (), [n + 1, n + 2])
 
     return FavardSystem(lambda n: QRat(0), t, QRAT, "q-chebyshev")
 

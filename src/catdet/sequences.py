@@ -71,14 +71,14 @@ def catalan_power(n: int, k: int) -> int:
 
 
 def ballot(i: int, j: int) -> int:
-    """Catalan-triangle entry ((2j+1)/(i+j+1)) * binomial(2i, i-j).
+    """Catalan-triangle entry ((2j+1)/(i+j+1)) * binomial(2i, i-j),
+    computed as the integer difference binomial(2i, i-j) - binomial(2i, i-j-1).
 
     Zero for j > i; the diagonal is 1.
     """
     if i < 0 or j < 0 or j > i:
         return 0
-    value = Fraction(2 * j + 1, i + j + 1) * binomial(2 * i, i - j)
-    return _integer(value, f"ballot({i}, {j})")
+    return binomial(2 * i, i - j) - binomial(2 * i, i - j - 1)
 
 
 def gould(n: int, x: int, r: int) -> Fraction:

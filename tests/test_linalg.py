@@ -19,12 +19,12 @@ from catdet.linalg import (
     det_cofactor,
     det_condensation,
     det_hessenberg,
-    inverse,
     matvec,
     nullspace_vector_check,
     rank,
 )
 from catdet.qseries import ONE, Q, QPoly, QRat
+from catdet.sequences import ballot
 
 INTRO_4X4 = Matrix.from_rows(
     [
@@ -145,13 +145,16 @@ def test_condensation_zero_interior_falls_back():
 
 
 def test_inverse_identity_and_verification():
+    # "the inverse of A is B" is checked as the one exact product A * B == I
     ident = Matrix.identity(4)
-    assert inverse(ident) == Matrix.identity(4, FRAC)
+    assert ident * ident == ident
     m = Matrix.from_rows([[2, 1], [1, 1]])
-    inv = inverse(m)
-    assert inv == Matrix.from_rows([[1, -1], [-1, 2]], FRAC)
-    with pytest.raises(ArithmeticError):
-        inverse(Matrix.from_rows([[1, 2], [2, 4]]))
+    assert m * Matrix.from_rows([[1, -1], [-1, 2]]) == Matrix.identity(2)
+    assert m * Matrix.from_rows([[1, -1], [-1, 1]]) != Matrix.identity(2)
+    # det(singular * B) = 0 for every B, so no candidate passes
+    singular = Matrix.from_rows([[1, 2], [2, 4]])
+    for b in ([[1, 0], [0, 1]], [[-2, 1], [1, 0]], [[1, -2], [0, 1]]):
+        assert singular * Matrix.from_rows(b) != Matrix.identity(2)
 
 
 def test_inverse_of_signed_binomial_is_ballot_triangle():
@@ -159,7 +162,6 @@ def test_inverse_of_signed_binomial_is_ballot_triangle():
     signed = Matrix.build(
         n, n, lambda i, j: (-1) ** ((i - j) % 2) * binomial(i + j, i - j), INT
     )
-    inv = inverse(signed)
     # Catalan triangle rows from the displayed table
     expected = [
         [1, 0, 0, 0, 0, 0, 0],
@@ -170,7 +172,66 @@ def test_inverse_of_signed_binomial_is_ballot_triangle():
         [42, 90, 75, 35, 9, 1, 0],
         [132, 297, 275, 154, 54, 11, 1],
     ]
-    assert inv == Matrix.from_rows(expected, FRAC)
+    table = Matrix.from_rows(expected, INT)
+    assert signed * table == Matrix.identity(n)
+    assert Matrix.build(n, n, ballot, INT) == table
+
+
+def _dense_product(a: Matrix, b: Matrix) -> list:
+    """The schoolbook triple loop, zero entries included."""
+    return [
+        sum((a[i, k] * b[k, j] for k in range(a.ncols)), a.ring.zero)
+        for i in range(a.nrows)
+        for j in range(b.ncols)
+    ]
+
+
+def _random_entry(rng, ring):
+    if rng.random() < 0.4:
+        return ring.zero
+    c = rng.randint(-5, 5)
+    if ring is INT:
+        return c
+    if ring is FRAC:
+        return Fraction(c, rng.randint(1, 4))
+    poly = QPoly([(rng.randint(-2, 3), c), (rng.randint(0, 3), rng.randint(-2, 2))])
+    if ring is QPOLY:
+        return poly
+    return QRat(poly, QPoly([(0, 1), (rng.randint(1, 3), rng.choice([-1, 1]))]))
+
+
+@pytest.mark.parametrize("ring", [INT, FRAC, QPOLY, QRAT], ids=lambda r: r.name)
+def test_matrix_product_against_dense_triple_loop(ring):
+    rng = random.Random(f"product:{ring.name}")
+    shapes = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (1, 1, 1), (3, 4, 2), (4, 4, 4), (5, 2, 6)]
+    for rows, inner, cols in shapes:
+        for _ in range(4):
+            a = Matrix(rows, inner, [_random_entry(rng, ring) for _ in range(rows * inner)], ring)
+            b = Matrix(inner, cols, [_random_entry(rng, ring) for _ in range(inner * cols)], ring)
+            product = a * b
+            assert (product.nrows, product.ncols, product.ring) == (rows, cols, ring)
+            assert list(product.data) == _dense_product(a, b)
+    # an all-zero row of A gives an all-zero row of A * B
+    a = Matrix(3, 3, [_random_entry(rng, ring) for _ in range(3)] + [ring.zero] * 3
+               + [_random_entry(rng, ring) for _ in range(3)], ring)
+    b = Matrix(3, 2, [_random_entry(rng, ring) for _ in range(6)], ring)
+    product = a * b
+    assert list(product.data) == _dense_product(a, b)
+    assert product[1, 0] == product[1, 1] == ring.zero
+    with pytest.raises(ValueError):
+        a * Matrix.identity(2, ring)
+
+
+def test_public_names_resolve():
+    import catdet
+    from catdet import linalg
+
+    for module in (catdet, linalg):
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+    namespace = {}
+    exec("from catdet import *", namespace)
+    assert set(catdet.__all__) <= set(namespace)
 
 
 def test_matvec_and_nullspace_check():

@@ -86,6 +86,16 @@ def test_q_chebyshev_moments_are_andrews():
         assert tab.moment(2 * n + 1) == QRat(0)
 
 
+def test_q_chebyshev_t_is_the_reduced_quotient():
+    t = q_chebyshev_system().t
+    one = QPoly.const(1)
+    for n in range(32):
+        expected = QRat(QPoly.monomial(n + 1),
+                        (one + QPoly.monomial(n + 1)) * (one + QPoly.monomial(n + 2)))
+        assert t(n).num == expected.num, n
+        assert t(n).den == expected.den, n
+
+
 def test_q_chebyshev_coefficients_match_explicit_formula():
     tab = q_chebyshev_system().tables()
     for n in range(6):

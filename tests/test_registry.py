@@ -476,3 +476,76 @@ def test_thm11_w_products_join_their_factor_lists():
             for x in range(2, 7):
                 a, b = (n, x, m), (max(n - 1, 0), x + 2, m + 1)
                 assert _same(_w_product(a, b), fam.thm11_w(*a) * fam.thm11_w(*b)), (a, b)
+
+
+def _inverse_statement_holds(check_id: str, size: int) -> bool:
+    """The check's verdict at one size (c12's run_check reports its search instead)."""
+    from catdet.residues import _c12_point
+
+    if check_id == "c12":
+        return _c12_point(size)[0]
+    return run_check(check_id, size=size).passed
+
+
+def test_inverse_statements_against_sympy_inverse():
+    pytest.importorskip("sympy")
+    from sympy import QQ, ZZ, symbols
+    from sympy.polys.matrices import DomainMatrix
+
+    from catdet.exact import binomial
+    from catdet.linalg import INT, Matrix
+    from catdet.registry import _q_ballot
+    from catdet.residues import lift2
+    from catdet.sequences import ballot
+
+    def rational_inverse(m):
+        rows = [[QQ(m[i, j]) for j in range(m.ncols)] for i in range(m.nrows)]
+        inv = DomainMatrix(rows, (m.nrows, m.ncols), QQ).inv().to_Matrix()
+        return Matrix.build(m.nrows, m.ncols, lambda i, j: int(inv[i, j]), INT)
+
+    for size in range(1, 17):
+        assert rational_inverse(fam.build(fam.EQ34, size)) == Matrix.build(size, size, ballot, INT)
+        lifted = Matrix.build(size, size, lambda i, j: (-1) ** ((i - j) % 2)
+                              * lift2(binomial(i + j, i - j)), INT)
+        lifted_ballot = Matrix.build(size, size, lambda i, j: lift2(ballot(i, j)), INT)
+        assert rational_inverse(lifted) == lifted_ballot
+        assert _inverse_statement_holds("eq34", size)
+        assert _inverse_statement_holds("c12", size)
+
+    ring = ZZ[symbols("q")]
+    for size in range(1, 7):
+        a = fam.build(fam.EQ88, size)
+        assert all(v.is_zero or v.low >= 0 for v in a.data)
+        rows = [[ring.ring.from_dict({(e,): c for e, c in a[i, j].items()})
+                 for j in range(size)] for i in range(size)]
+        inv, den = DomainMatrix(rows, (size, size), ring).inv_den()
+        assert den in (ring.one, -ring.one)
+        sign = 1 if den == ring.one else -1
+        oracle = Matrix.build(size, size, lambda i, j: QPoly(
+            [(e, sign * int(c)) for (e,), c in inv[i, j].element.items()]), a.ring)
+        assert oracle == _q_ballot(size)
+        assert _inverse_statement_holds("eq88", size)
+
+
+@pytest.mark.parametrize("check_id", ["eq34", "eq88", "c12"])
+def test_inverse_statement_fails_on_one_flipped_entry(check_id, monkeypatch):
+    from catdet import registry, residues
+    from catdet.linalg import Matrix
+
+    size = 4
+    for flip in [(i, j) for i in range(size) for j in range(size)]:
+        if check_id == "eq88":
+            def flipped_table(n, table=registry._q_ballot):
+                m = table(n)
+                data = list(m.data)
+                data[flip[0] * n + flip[1]] += Q
+                return Matrix(n, n, data, m.ring)
+            monkeypatch.setattr(registry, "_q_ballot", flipped_table)
+        else:
+            module = registry if check_id == "eq34" else residues
+            def flipped_ballot(i, j, ballot=module.ballot):
+                return ballot(i, j) + ((i, j) == flip)
+            monkeypatch.setattr(module, "ballot", flipped_ballot)
+        assert not _inverse_statement_holds(check_id, size), flip
+        monkeypatch.undo()
+        assert _inverse_statement_holds(check_id, size)

@@ -70,6 +70,20 @@ def test_ballot_triangle():
             assert ballot(i, j) == catalan_power(i - j, 2 * j + 1)
 
 
+def test_ballot_difference_matches_the_fraction_formula():
+    # the closed form ((2j+1)/(i+j+1)) C(2i, i-j) as a fraction, zero outside 0 <= j <= i
+    def formula(i, j):
+        if i < 0 or j < 0 or j > i:
+            return 0
+        value = Fraction(2 * j + 1, i + j + 1) * binomial(2 * i, i - j)
+        assert value.denominator == 1
+        return value.numerator
+
+    for i in range(-3, 85):
+        for j in range(-3, 85):
+            assert ballot(i, j) == formula(i, j), (i, j)
+
+
 def test_gould_values():
     for n in range(11):
         assert gould(n, 1, 2) == catalan(n)
@@ -121,8 +135,6 @@ def test_non_integral_closed_form_raises_arithmetic_error(monkeypatch):
     try:
         with pytest.raises(ArithmeticError, match="not an integer"):
             catalan_power(1, 1)
-        with pytest.raises(ArithmeticError, match="not an integer"):
-            ballot(1, 0)
         with pytest.raises(ArithmeticError, match="not an integer"):
             lucas_coeff(4, 1)
     finally:
