@@ -72,33 +72,24 @@ def _kron_pack(vals: list[int], width: int) -> int:
 def _kron_unpack_signed(n: int, width: int, count: int) -> list[int]:
     """Decode ``count`` signed base-2**width digits from n (|digit| < 2**(width-1)).
 
-    Linear in the number of digits: the bytes of |n| are read once, in
-    blocks of 32 digits (a whole number of bytes), and the digits of a block
-    are shifted off a block-sized integer, so no step shifts all of n.  A
-    digit of 2**(width-1) or more borrows 1 from the next, across blocks too.
     Raises ``ArithmeticError`` if anything is left after the last digit: the
     value was out of the range its width and count were bounded for.
     """
     neg = n < 0
     if neg:
         n = -n
-    raw = n.to_bytes((n.bit_length() + 7) // 8, "little")
     mask = (1 << width) - 1
     half = 1 << (width - 1)
     out = []
-    block = 0
-    for first in range(0, count, 32):
-        start = first * width // 8
-        block += int.from_bytes(raw[start:start + 4 * width], "little")
-        for _ in range(min(32, count - first)):
-            d = block & mask
-            if d >= half:
-                d -= mask + 1
-                block = (block >> width) + 1
-            else:
-                block >>= width
-            out.append(-d if neg else d)
-    if block or n.bit_length() > count * width:
+    for _ in range(count):
+        d = n & mask
+        if d >= half:
+            d -= mask + 1
+            n = (n >> width) + 1
+        else:
+            n >>= width
+        out.append(-d if neg else d)
+    if n:
         raise ArithmeticError(f"value exceeds {count} signed base-2**{width} digits")
     return out
 

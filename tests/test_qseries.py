@@ -157,69 +157,6 @@ def test_kronecker_unpack_raises_on_a_leftover():
     assert _kron_unpack_signed(1 << 16, 8, 3) == [0, 0, 1]
 
 
-def _shifting_unpack(n: int, width: int, count: int) -> list[int]:
-    """Reference decoder: shifts all of the remaining n once per digit (quadratic)."""
-    neg = n < 0
-    if neg:
-        n = -n
-    mask = (1 << width) - 1
-    half = 1 << (width - 1)
-    out = []
-    for _ in range(count):
-        d = n & mask
-        if d >= half:
-            d -= mask + 1
-            n = (n >> width) + 1
-        else:
-            n >>= width
-        out.append(-d if neg else d)
-    if n:
-        raise ArithmeticError("leftover")
-    return out
-
-
-def _unpack_or_raise(decode, n, width, count):
-    try:
-        return decode(n, width, count)
-    except ArithmeticError:
-        return "raises"
-
-
-@pytest.mark.parametrize("count", [256, 1024, 4096])
-def test_kronecker_unpack_matches_the_shifting_decoder(count):
-    from catdet.qseries import _kron_unpack_signed
-
-    rng = random.Random(f"unpack:{count}")
-    for width in (8, 24, 40):
-        half = 1 << (width - 1)
-        for _ in range(3):
-            digits = [rng.randrange(1 - half, half) for _ in range(count)]
-            n = sum(d << (width * i) for i, d in enumerate(digits))
-            for value in (n, -n):
-                expected = _shifting_unpack(value, width, count)
-                assert _kron_unpack_signed(value, width, count) == expected
-            assert _kron_unpack_signed(n, width, count) == digits
-
-
-def test_kronecker_unpack_raises_where_the_shifting_decoder_raises():
-    from catdet.qseries import _kron_unpack_signed
-
-    rng = random.Random("unpack:range")
-    outcomes = set()
-    for width in (3, 5, 8, 13, 24):
-        for count in (1, 2, 3, 31, 32, 33, 70):
-            top = 1 << (width * count)
-            # every digit at +2**(width-1): one past the largest decodable value
-            edge = sum((1 << (width - 1)) << (width * i) for i in range(count))
-            for value in (top, -top, top - 1, edge, -edge, edge - 1, 1 - edge,
-                          rng.randrange(-4 * top, 4 * top)):
-                expected = _unpack_or_raise(_shifting_unpack, value, width, count)
-                got = _unpack_or_raise(_kron_unpack_signed, value, width, count)
-                assert got == expected, (value, width, count)
-                outcomes.add(expected == "raises")
-    assert outcomes == {True, False}
-
-
 def test_q_int_and_factorial():
     assert q_int(0).is_zero
     assert q_int(1) == ONE
