@@ -23,7 +23,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from catdet.exact import binomial, choose2
-from catdet.linalg import FRAC, INT, QPOLY, QRAT, LeadingMinors, Matrix, Ring
+from catdet.linalg import FRAC, INT, QPOLY, QRAT, LeadingMinors, Matrix, Ring, clear_row
 from catdet.qseries import (
     ONE,
     QPoly,
@@ -45,9 +45,12 @@ class Family(NamedTuple):
     No entry depends on the size, so ``build(family, n, **params)`` is the
     leading n x n block of ``build(family, N, **params)`` for every N >= n.
     That makes a sweep valid: the determinants of a lower Hessenberg family at
-    every size are the leading minors of one growing matrix.  The two families
-    whose displayed entries involve their own size take it as a parameter,
-    ``EQ74_REVERSED`` as n and ``REMARK_RHS`` as m, and are never swept.
+    every size are the leading minors of one growing matrix.  A q-rational
+    sweep scales each row once, by the lcm of its denominators, and runs the
+    q-polynomial expansion over the scaled rows (``_ClearedMinors``).  The two
+    families whose displayed entries involve their own size take it as a
+    parameter, ``EQ74_REVERSED`` as n and ``REMARK_RHS`` as m, and are never
+    swept.
 
     The entry functions look up ``binomial``/``q_binomial`` in this module when
     called, so rebinding a module attribute (as a tracer does) reaches them.
@@ -56,9 +59,46 @@ class Family(NamedTuple):
     ring: Ring
     entry: Callable[..., object]
 
-    def sweep(self, **params) -> LeadingMinors:
+    def sweep(self, **params) -> LeadingMinors | _ClearedMinors:
         """Every leading minor at ``params``, for a lower Hessenberg family."""
-        return LeadingMinors(partial(self.entry, **params), self.ring)
+        entry = partial(self.entry, **params)
+        if self.ring is QRAT:
+            return _ClearedMinors(entry)
+        return LeadingMinors(entry, self.ring)
+
+
+class _ClearedMinors:
+    """Leading minors D_0, D_1, ... of a q-rational lower Hessenberg family.
+
+    Row i is scaled once, by the lcm L_i of the denominators of its entries
+    (i, 0..i+1) (``linalg.clear_row``).  Reading the superdiagonal entry with
+    its row is valid because a family's entries exist at every size.  The
+    q-polynomial ``LeadingMinors`` of the scaled rows are
+    D'_n = L_0 ... L_(n-1) D_n, so each read reduces one quotient, as ``det``
+    does for one matrix.
+    """
+
+    def __init__(self, entry: Callable[[int, int], object]):
+        self.entry = entry
+        self._rows: list[list[QPoly]] = []
+        self._scales = [ONE]  # _scales[n] = L_0 ... L_(n-1)
+        self._minors = LeadingMinors(self._scaled, QPOLY)
+
+    def _scaled(self, i: int, j: int):
+        if j > i + 1:
+            return self.entry(i, j)  # only tested for being nonzero
+        rows = self._rows
+        while len(rows) <= i:
+            r = len(rows)
+            row, lcm = clear_row([QRAT.coerce(self.entry(r, c)) for c in range(r + 2)])
+            rows.append(row)
+            self._scales.append(self._scales[-1] * lcm)
+        return rows[i][j]
+
+    def __getitem__(self, n: int) -> QRat:
+        """D_n, the determinant of the leading n x n block."""
+        minor = self._minors[n]  # builds the rows whose lcms make up the scale
+        return QRat(minor, self._scales[n])
 
 
 def build(family: Family, size: int, **params) -> Matrix:
@@ -192,9 +232,9 @@ def _sec33_entry(i: int, j: int, k: int) -> QRat:
 EQ88 = Family(QPOLY, _eq88_entry)
 # the Pochhammer-weighted entry of the Andrews-type determinant
 EQ89 = Family(QRAT, lambda i, j, k: _andrews_weight(i - j + 1, j + k))
-# q^C(i-j,2) ([2i+x+1]/[i+j+x]) [i+j+x choose i-j+1]; at x = -m the Theorem
+# q^C(i-j,2) ([2i+k+1]/[i+j+k]) [i+j+k choose i-j+1]; at k = -m the Theorem
 # 15 matrix B
-EQ92 = Family(QRAT, lambda i, j, x: _q_ratio_entry(i, j, x, 1, 0))
+EQ92 = Family(QRAT, lambda i, j, k: _q_ratio_entry(i, j, k, 1, 0))
 THM11_B = Family(QRAT, lambda i, j, x, m: _q_ratio_entry(i, j, x, m, m))
 SEC33 = Family(QRAT, _sec33_entry)
 

@@ -6,7 +6,9 @@ rationals, q-polynomials or q-rational functions).  Identity checks call
 is first cleared row by row: each row is multiplied by the lcm of its
 entries' denominators (small polynomials such as q-integers), the
 q-polynomial determinant is taken, and the quotient by the product of the row
-lcms is reduced once, instead of one polynomial gcd per ring operation.  A
+lcms is reduced once, instead of one polynomial gcd per ring operation.
+``clear_row`` is that one row step; the q-rational sweeps of
+``catdet.families`` clear their rows with it too.  A
 lower Hessenberg matrix (every entry above the superdiagonal is zero, as in
 most of the paper's families) goes to ``det_hessenberg``.  Any other
 q-polynomial matrix is evaluated at q = 2^w (Kronecker substitution), with w
@@ -48,6 +50,7 @@ __all__ = [
     "det_bareiss",
     "det_hessenberg",
     "LeadingMinors",
+    "clear_row",
     "condense",
     "det_condensation",
     "det_cofactor",
@@ -348,6 +351,16 @@ def det_hessenberg(m: Matrix):
     return LeadingMinors(_entries(m), m.ring)[n]
 
 
+def clear_row(row: Sequence[QRat]) -> tuple[list[QPoly], QPoly]:
+    """The q-rational ``row`` times the lcm of its denominators, and that lcm."""
+    lcm = QP_ONE
+    for v in row:
+        if not (v.den.is_one or v.den == lcm):
+            # lcm / den reduces to (lcm / g) / (den / g), g = gcd(lcm, den)
+            lcm = lcm * QRat(lcm, v.den).den
+    return [v.num if v.den == lcm else v.num * lcm.exact_div(v.den) for v in row], lcm
+
+
 def _clear_rows(m: Matrix) -> tuple[Matrix, QPoly]:
     """Scale each row of a q-rational matrix by the lcm of its denominators.
 
@@ -357,13 +370,8 @@ def _clear_rows(m: Matrix) -> tuple[Matrix, QPoly]:
     data = []
     scale = QP_ONE
     for i in range(m.nrows):
-        row = m.data[i * n:(i + 1) * n]
-        lcm = QP_ONE
-        for v in row:
-            if not (v.den.is_one or v.den == lcm):
-                # lcm / den reduces to (lcm / g) / (den / g), g = gcd(lcm, den)
-                lcm = lcm * QRat(lcm, v.den).den
-        data += [v.num if v.den == lcm else v.num * lcm.exact_div(v.den) for v in row]
+        row, lcm = clear_row(m.data[i * n:(i + 1) * n])
+        data += row
         scale = scale * lcm
     return Matrix(m.nrows, n, data, QPOLY), scale
 

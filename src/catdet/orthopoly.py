@@ -78,7 +78,7 @@ class FavardTables:
         self._one = ring.one
         self._zero = ring.zero
         self._coeffs: list[list] = [[self._one]]
-        self._c: list[list] = [[self._one]]
+        self._moments: list[list] = [[self._one]]
 
     # -- table growth -------------------------------------------------------
 
@@ -103,7 +103,7 @@ class FavardTables:
 
     def _ensure_moments(self, n: int) -> None:
         s, t = self.system.s, self.system.t
-        rows = self._c
+        rows = self._moments
         while len(rows) <= n:
             m = len(rows)
             prev = rows[m - 1]
@@ -144,7 +144,7 @@ class FavardTables:
         if j < 0 or j > n:
             return self._zero
         self._ensure_moments(n)
-        return self._c[n][j]
+        return self._moments[n][j]
 
     def moment(self, n: int):
         return self.c(n, 0)

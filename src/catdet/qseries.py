@@ -648,6 +648,7 @@ def _as_qrat(x):
 _QINT_CACHE: dict[int, QPoly] = {}
 _QFACT_CACHE: list[QPoly] = [ONE]
 _QBIN_CACHE: dict[tuple[int, int], QPoly] = {}
+_QPRODUCT_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...], int], QRat] = {}
 
 
 def q_int(n: int) -> QPoly:
@@ -842,8 +843,17 @@ def q_product(num, den=(), power: int = 0) -> QRat:
     exponent at 0.  No gcd is computed, and each side is expanded in one
     linear pass per factor (1 - y^e) of its Moebius form (``_expand``).  A
     product of ``q_product`` values is the ``q_product`` of the joined lists.
+
+    The value does not depend on the order of the factors, so it is memoized
+    under the sorted lists and the power, and every call with the same
+    multisets returns the one shared ``QRat``; a zero exponent is never
+    stored, so one in ``den`` raises on every call.
     """
-    num, den = list(num), list(den)
+    num, den = sorted(num), sorted(den)
+    key = (tuple(num), tuple(den), power)
+    out = _QPRODUCT_CACHE.get(key)
+    if out is not None:
+        return out
     if 0 in den:
         raise ZeroDivisionError("q_product with a factor 1 - q^0 in the denominator")
     if 0 in num:
@@ -863,7 +873,8 @@ def q_product(num, den=(), power: int = 0) -> QRat:
     top = _expand({d: c for d, c in powers.items() if c > 0}, g)
     bottom = _expand({d: -c for d, c in powers.items() if c < 0}, g)
     top = top.shift(power)
-    return QRat._reduced(top if sign > 0 else -top, bottom)
+    out = _QPRODUCT_CACHE[key] = QRat._reduced(top if sign > 0 else -top, bottom)
+    return out
 
 
 def q_plus_product(num: list[int], den: list[int], power: int, plus_num, plus_den) -> QRat:

@@ -14,9 +14,9 @@ call of ``kron_sum``.  The rest are written out below their section headers.
 
 Every matrix is a ``families.Family`` built by ``families.build``.  A lower
 Hessenberg family is not rebuilt per grid point: ``swept_det`` keeps one
-``LeadingMinors`` sweep per check and per parameters other than n, and reads
-each point's determinant off it, so a grid over n builds each entry of its
-largest matrix once.
+sweep (``Family.sweep``, row-cleared for a q-rational family) per check and
+per parameters other than n, and reads each point's determinant off it, so a
+grid over n builds each entry of its largest matrix once.
 
 Conjecture checks are tagged; a counterexample there is a reportable
 outcome, never a suite failure.
@@ -37,7 +37,6 @@ from catdet.linalg import (
     FRAC,
     INT,
     QPOLY,
-    LeadingMinors,
     Matrix,
     _det_kronecker,
     det,
@@ -256,8 +255,8 @@ def _cases_grid(fast: int, full: int):
 # the common shapes: det of family = closed form, alternating sums, null vectors
 # ---------------------------------------------------------------------------
 
-# One leading-minor sweep per (name, parameters other than n).
-_SWEEPS: dict[tuple, LeadingMinors] = {}
+# One leading-minor sweep (``Family.sweep``) per (name, parameters other than n).
+_SWEEPS: dict[tuple, object] = {}
 
 
 def swept_det(name: str, family: fam.Family, n: int, **params):
@@ -420,12 +419,11 @@ _DET_CHECKS = (
               lambda size: _at_q(fam.build(fam.EQ84, size), -1),
               lambda size: binomial(size, size // 2)),
     det_check("eq89", "3.2 Theorem 8 (89); also (8)", grid(n=(5, 6), k=(4, 4, 1)),
-              lambda n, k: fam.build(fam.EQ89, n, k=k), lambda n, k: andrews_c(n, k)),
+              fam.EQ89, lambda n, k: andrews_c(n, k)),
     det_check("eq92", "3.2 (92)", grid(n=(6, 8), k=(4, 4, 1)),
-              lambda n, k: fam.build(fam.EQ92, n, x=k),
-              lambda n, k: QRat(q_binomial(2 * n + k - 1, n))),
+              fam.EQ92, lambda n, k: QRat(q_binomial(2 * n + k - 1, n))),
     det_check("sec33det", "3.3 unnumbered det", grid(n=(4, 5), k=(4, 4, 1)),
-              lambda n, k: fam.build(fam.SEC33, n, k=k), lambda n, k: fam.sec33_rhs(n, k)),
+              fam.SEC33, lambda n, k: fam.sec33_rhs(n, k)),
 )
 CHECKS.update((check.id, check) for check in _DET_CHECKS)
 
@@ -860,7 +858,7 @@ def _thm15(n: int, m: int):
         checks.append(all(v.is_zero for v in matvec(a, va)))
         checks.append(rank(a) == n - 1)
     if n <= m <= 2 * n - 1:
-        bmat = fam.build(fam.EQ92, n, x=-m)
+        bmat = fam.build(fam.EQ92, n, k=-m)
         vb = fam.thm15_vector_B(n, m)
         checks.append(all(v.is_zero for v in matvec(bmat, [QRat(v) for v in vb])))
         checks.append(rank(bmat) == n - 1)
@@ -1043,7 +1041,7 @@ _COHERENCE = {
              lambda n, m, k: det(_at_q(fam.build(fam.EQ91, n, m=m, k=k), 1)),
              lambda n, m, k: (det(fam.build(fam.EQ74, n, m=m, k=k)),)),
     "eq92": (list(itertools.product(range(5), range(1, 4))),
-             lambda n, k: det(_at_q(fam.build(fam.EQ92, n, x=k), 1)),
+             lambda n, k: det(_at_q(fam.build(fam.EQ92, n, k=k), 1)),
              lambda n, k: (det(fam.build(fam.EQ45, n, k=k)), binomial(2 * n + k - 1, n))),
     "eq27": (list(itertools.product(range(5), range(4))),
              lambda n, k: det(_at_q(fam.build(fam.EQ27, n, k=k), 1)),

@@ -309,7 +309,7 @@ def test_hessenberg_edge_cases():
     # the mod-3 lift of eq107 at c14's largest suite point
     pytest.param(lambda: Matrix.build(81, 81, lambda i, j: binomial(i + j + 1, i - j + 1) % 3,
                                       INT), id="eq107-mod3-n81"),
-    pytest.param(lambda: fam.build(fam.EQ92, 8, x=4), id="eq92-n8-k4"),
+    pytest.param(lambda: fam.build(fam.EQ92, 8, k=4), id="eq92-n8-k4"),
 ])
 def test_hessenberg_on_largest_family_points(matrix):
     m = matrix()

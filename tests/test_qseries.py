@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -372,6 +374,110 @@ def test_q_product_zero_exponent():
     with pytest.raises(ZeroDivisionError):
         q_product([3], [1, 0])
     assert q_product([], [], 0) == 1
+
+
+def test_q_product_memo_equals_a_fresh_computation(monkeypatch):
+    # seeded lists with negative, repeated and shared exponents; the memo is
+    # cleared before each fresh computation
+    cache = {}
+    monkeypatch.setattr(qseries, "_QPRODUCT_CACHE", cache)
+    rng = random.Random("q_product-memo")
+    exps = [e for e in range(-9, 13) if e]
+    cases = []
+    for _ in range(200):
+        num = [rng.choice(exps) for _ in range(rng.randint(0, 6))]
+        den = [rng.choice(exps) for _ in range(rng.randint(0, 6))]
+        if num and rng.random() < 0.5:
+            num.append(num[0])
+        if num and rng.random() < 0.5:
+            den.append(rng.choice(num))
+        cases.append((num, den, rng.randint(-4, 4)))
+    cached = [q_product(*case) for case in cases]
+    assert all(q_product(*case) is value for case, value in zip(cases, cached))
+    for case, value in zip(cases, cached):
+        cache.clear()
+        fresh = q_product(*case)
+        assert fresh is not value and (fresh.num, fresh.den) == (value.num, value.den), case
+
+
+def test_q_product_memo_keys_on_multisets_and_power(monkeypatch):
+    cache = {}
+    monkeypatch.setattr(qseries, "_QPRODUCT_CACHE", cache)
+    value = q_product([5, -2, 3, 3], [1, 4], 2)
+    for num, den in (([3, 5, 3, -2], [4, 1]), ((3, -2, 5, 3), range(1, 5, 3))):
+        assert q_product(num, den, 2) is value
+    assert len(cache) == 1
+    others = [
+        q_product([5, -2, 3], [1, 4], 2),
+        q_product([5, -2, 3, 3, 3], [1, 4], 2),
+        q_product([5, -2, 3, 3], [1, 4, 4], 2),
+        q_product([5, -2, 3, 3], [1, 4], 3),
+    ]
+    assert len(cache) == 5
+    assert all(other != value for other in others)
+
+
+def test_q_product_zero_denominator_raises_on_every_call(monkeypatch):
+    cache = {}
+    monkeypatch.setattr(qseries, "_QPRODUCT_CACHE", cache)
+    for _ in range(3):
+        with pytest.raises(ZeroDivisionError):
+            q_product([3], [1, 0])
+    assert cache == {}
+
+
+class _FieldWrites(ast.NodeVisitor):
+    """Every store into a QPoly/QRat field (``_c``, ``num``, ``den``), by enclosing scope."""
+
+    FIELDS = {"_c", "num", "den"}
+
+    def __init__(self):
+        self.scope = []
+        self.found = []
+
+    def _enter(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _enter
+
+    def _record(self, node):
+        self.found.append((tuple(self.scope[-2:]), node.lineno))
+
+    def visit_Attribute(self, node):
+        if node.attr in self.FIELDS and isinstance(node.ctx, (ast.Store, ast.Del)):
+            self._record(node)
+        self.generic_visit(node)
+
+    def visit_Subscript(self, node):
+        # an item stored into a field's dict, as in p._c[e] = v
+        target = node.value
+        if (isinstance(node.ctx, (ast.Store, ast.Del)) and isinstance(target, ast.Attribute)
+                and target.attr in self.FIELDS):
+            self._record(node)
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if (name in ("setattr", "__setattr__", "delattr") and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant) and node.args[1].value in self.FIELDS):
+            self._record(node)
+        self.generic_visit(node)
+
+
+def test_qpoly_and_qrat_fields_are_written_only_by_their_constructors():
+    # q_product's memo, _QBIN_CACHE and the leading-minor sweeps hand out
+    # shared values, so nothing may change one after it is built
+    allowed = {("QPoly", "__init__"), ("QPoly", "_raw"), ("QRat", "__init__"), ("QRat", "_reduced")}
+    seen = set()
+    for path in sorted(pathlib.Path(qseries.__file__).parent.glob("*.py")):
+        visitor = _FieldWrites()
+        visitor.visit(ast.parse(path.read_text(), str(path)))
+        for scope, line in visitor.found:
+            assert scope in allowed, f"{path.name}:{line} writes a field in {'.'.join(scope)}"
+            seen.add(scope)
+    assert seen == allowed
 
 
 def _sympy_cyclotomic(sympy, d):

@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
 import catdet.residues  # noqa: F401  (registers the modular checks)
 from catdet import families as fam
 from catdet.exact import choose2
-from catdet.linalg import det_bareiss
+from catdet.linalg import QRAT, det, det_bareiss, det_cofactor
 from catdet.qseries import ONE, Q, QPoly, QRat, q_binomial, q_int, q_pochhammer
 from catdet.registry import (
     CHECKS,
@@ -249,6 +251,11 @@ SWEPT_FAMILIES = [
     (fam.EQ84, [{}]),
     (fam.EQ86, [{"k": 3, "shifted": False}, {"k": 3, "shifted": True}]),
     (fam.EQ98, [{"x": 1}, {"x": 5}]),
+    (fam.EQ89, [{"k": 1}, {"k": 4}]),
+    # negative k: Theorem 15 reads the family at k = -m
+    (fam.EQ92, [{"k": k} for k in (1, 4, -3, -6)]),
+    # one point: its reductions at n = 10..12 take about 1 s per k
+    (fam.SEC33, [{"k": 1}]),
 ]
 
 # every other declared Family, with the reason its determinants stay per point
@@ -272,10 +279,7 @@ NOT_SWEPT = (
     (fam.EQ34, "only inverted"),
     (fam.EQ88, "only inverted"),
     (fam.EQ49, "only multiplied by its null vector; pole at j = m"),
-    (fam.EQ89, "q-rational: row-cleared per point"),
-    (fam.EQ92, "q-rational: row-cleared per point"),
-    (fam.THM11_B, "q-rational: row-cleared per point"),
-    (fam.SEC33, "q-rational: row-cleared per point"),
+    (fam.THM11_B, "banded: support j <= i + m"),
 )
 
 
@@ -295,7 +299,52 @@ def test_swept_family_minors_equal_bareiss(family, points):
     for params in points:
         minors = family.sweep(**params)
         for n in range(13):
-            assert minors[n] == det_bareiss(fam.build(family, n, **params)), (params, n)
+            m = fam.build(family, n, **params)
+            if family.ring is not QRAT:
+                assert minors[n] == det_bareiss(m), (params, n)
+                continue
+            # q-rational Bareiss takes a gcd per step, too slow at n = 12: det
+            # clears each matrix's rows itself, and cofactors are a second route
+            assert minors[n] == det(m), (params, n)
+            if n <= 6:
+                assert minors[n] == det_cofactor(m), (params, n)
+
+
+def _random_q_rational_hessenberg(seed):
+    """A seeded q-rational lower Hessenberg entry function, defined at every size.
+
+    Denominators are shared ([2] and [2][3]), coprime ([3] and 1 + q^2) or
+    constant; some entries are zero, and so is the superdiagonal entry (3, 4).
+    """
+    dens = [ONE, QPoly.const(3), QPoly.const(-2), q_int(2), q_int(2) * q_int(3),
+            q_int(3), ONE + Q * Q]
+
+    def entry(i, j):
+        if j > i + 1 or (i, j) == (3, 4):
+            return 0
+        rng = random.Random(f"{seed}:{i}:{j}")
+        if rng.random() < 0.2:
+            return QRat(0)
+        num = QPoly([(rng.randint(-2, 3), rng.randint(-4, 4)) for _ in range(rng.randint(1, 3))])
+        return QRat(num, rng.choice(dens))
+    return entry
+
+
+def test_q_rational_sweep_on_random_hessenberg_entries():
+    for seed in range(6):
+        family = fam.Family(QRAT, _random_q_rational_hessenberg(seed))
+        minors = family.sweep()
+        for n in range(8):
+            assert minors[n] == det_cofactor(fam.build(family, n)), (seed, n)
+
+
+def test_q_rational_sweep_rejects_an_entry_above_the_superdiagonal():
+    base = _random_q_rational_hessenberg(0)
+    family = fam.Family(QRAT, lambda i, j: QRat(Q, q_int(2)) if (i, j) == (1, 4) else base(i, j))
+    minors = family.sweep()
+    assert minors[4] == det_cofactor(fam.build(family, 4))
+    with pytest.raises(ValueError, match=r"entry \(1, 4\)"):
+        minors[5]
 
 
 # parameters at which each q-polynomial Family meets the outside oracle
@@ -355,6 +404,7 @@ def test_q_polynomial_family_determinants_against_sympy():
     ("eq45", {"n": 5, "k": 3}, {"n": 10, "k": 3}),
     ("eq58", {"n": 3, "k": 2, "r": 3}, {"n": 6, "k": 2, "r": 3}),
     ("eq86", {"n": 4, "k": 2}, {"n": 7, "k": 2}),
+    ("eq92", {"n": 3, "k": 2}, {"n": 7, "k": 2}),
 ])
 def test_run_check_equal_on_cold_and_warm_sweeps(check_id, small, large):
     discard_sweeps(check_id)
@@ -422,7 +472,7 @@ def test_factor_list_entries_equal_the_gcd_route():
     for i in range(8):
         for j in range(8):
             for x in span:
-                assert _same(fam.EQ92.entry(i, j, x=x), _qrat_ratio_entry(i, j, x, 1, 0))
+                assert _same(fam.EQ92.entry(i, j, k=x), _qrat_ratio_entry(i, j, x, 1, 0))
                 for m in range(5):
                     assert _same(fam.THM11_B.entry(i, j, x=x, m=m),
                                  _qrat_ratio_entry(i, j, x, m, m)), (i, j, x, m)
