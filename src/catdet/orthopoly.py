@@ -149,10 +149,6 @@ class FavardTables:
     def moment(self, n: int):
         return self.c(n, 0)
 
-    def moments(self, count: int) -> list:
-        self._ensure_moments(max(count - 1, 0))
-        return [self.c(n, 0) for n in range(count)]
-
     def functional(self, coeff_vec: Sequence):
         """Pair a coefficient vector with the moment sequence."""
         self._ensure_moments(max(len(coeff_vec) - 1, 0))

@@ -7,10 +7,14 @@ kind tag, a default parameter grid (a trimmed "fast" grid and the full
 acceptance grid), and a run function that computes both sides exactly and
 compares them structurally.
 
-Most checks are data: a grid is a product of axes (``grid``), "det of family
-= closed form" is one row of ``_DET_CHECKS`` (``det_check``), a null vector is
-one row of ``_NULL_CHECKS``, and an "alternating sum = [n = 0]" runner is one
-call of ``kron_sum``.  The rest are written out below their section headers.
+Most checks are data.  A grid is a product of axes (``grid``).  A chain of
+equal values is one ``equal_check`` row, whose sides are lower Hessenberg
+families or functions of the grid point; "det of family = closed form" is its
+commonest case.  An "alternating sum = [n = 0]" is one ``sum_check`` row, and
+a null vector one ``null_check`` row; ``declare`` adds rows to ``CHECKS``.
+The rest are functions under ``register``: checks with extra conditions,
+cross-multiplied or differently rendered sides, inverse products, boolean
+bridges and properties, and sides that share per-point state.
 
 Every matrix is a ``families.Family`` built by ``families.build``.  A lower
 Hessenberg family is not rebuilt per grid point: ``swept_det`` keeps one
@@ -154,6 +158,11 @@ def register(id: str, anchor: str, kind: str, grid, conjecture: bool = False):
     return wrap
 
 
+def declare(*checks: Check) -> None:
+    """Add table rows (``equal_check``, ``sum_check``, ``null_check``) to ``CHECKS``."""
+    CHECKS.update((check.id, check) for check in checks)
+
+
 def fmt_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -252,7 +261,7 @@ def _cases_grid(fast: int, full: int):
 
 
 # ---------------------------------------------------------------------------
-# the common shapes: det of family = closed form, alternating sums, null vectors
+# the common shapes: chains of equal values, alternating sums, null vectors
 # ---------------------------------------------------------------------------
 
 # One leading-minor sweep (``Family.sweep``) per (name, parameters other than n).
@@ -277,30 +286,25 @@ def discard_sweeps(name: str) -> None:
         del _SWEEPS[key]
 
 
-def det_check(id: str, anchor: str, grid, family, closed_form, wrap=None,
-              kind: str = "det") -> Check:
-    """The determinant of ``family``, passed through ``wrap``, equals ``closed_form(**p)``.
+def equal_check(id: str, anchor: str, kind: str, grid, *sides) -> Check:
+    """Every side equals the first, at each point of ``grid``.
 
-    ``family`` is either a lower Hessenberg ``families.Family``, whose
-    determinant at each point is read off this check's sweep (``swept_det``),
-    or a lambda taking the grid point's parameters and returning its matrix
-    through ``fam.build``.  ``family`` lambdas and ``closed_form`` look up
-    module names when called, so that rebinding a module attribute (as a
-    tracer does) reaches them.
+    A side is either a lower Hessenberg ``families.Family``, whose value at a
+    point is its determinant read off this check's sweep (``swept_det``), or a
+    function of the point's parameters.  The report's lhs is the first side;
+    its rhs is the second side, or the rest joined by "; " when there are more.
+    Side functions look module names up when called, so that rebinding a
+    module attribute (as a tracer does) reaches them.
     """
-    if isinstance(family, fam.Family):
-        def lhs_of(n, **rest):
-            return swept_det(id, family, n, **rest)
-    else:
-        def lhs_of(**params):
-            return det(family(**params))
+    def value_of(side):
+        if isinstance(side, fam.Family):
+            return lambda n, **rest: swept_det(id, side, n, **rest)
+        return side
+    values = [value_of(side) for side in sides]
 
     def run(**params):
-        lhs = lhs_of(**params)
-        if wrap is not None:
-            lhs = wrap(lhs)
-        rhs = closed_form(**params)
-        return lhs == rhs, lhs, rhs
+        first, *rest = [value(**params) for value in values]
+        return all(first == other for other in rest), first, "; ".join(map(fmt_value, rest))
     return Check(id, anchor, kind, grid, run)
 
 
@@ -316,11 +320,13 @@ def alternating_sum(n: int, term: Callable[[int], object], by_j: bool = False):
     return total
 
 
-def kron_sum(n: int, term: Callable[[int], object], by_j: bool = False):
-    """Check that ``alternating_sum(n, term, by_j)`` is [n = 0]."""
-    total = alternating_sum(n, term, by_j)
-    rhs = kron(n == 0)
-    return total == rhs, total, rhs
+def sum_check(id: str, anchor: str, grid, term, by_j: bool = False) -> Check:
+    """``alternating_sum(n, j -> term(j, **point), by_j)`` is [n = 0]."""
+    return equal_check(
+        id, anchor, "sum", grid,
+        lambda n, **rest: alternating_sum(n, lambda j: term(j, n=n, **rest), by_j),
+        lambda n, **rest: kron(n == 0),
+    )
 
 
 def null_check(id: str, anchor: str, grid, matrix, vector) -> Check:
@@ -360,126 +366,117 @@ def _eq35_grid(b: Bounds) -> list[dict]:
     return out
 
 
-_DET_CHECKS = (
-    det_check("eq1", "1 (1)", grid(n=(12, 40)),
-              fam.EQ1, lambda n: catalan(n)),
-    det_check("eq1b", "1 (1)", grid(n=(12, 40)),
-              fam.EQ1B, lambda n: catalan(n)),
-    det_check("eq35", "2.1.1 (35)", _eq35_grid,
-              fam.EQ35, lambda n, x: gould_product(n, x, 2)),
-    det_check("eq43", "2.1.1 (43)", grid(n=(10, 10)),
-              fam.EQ43, lambda n: binomial(2 * n, n)),
-    det_check("eq45", "2.1.1 (45)", grid(n=(10, 10), k=(6, 6, 1)),
-              fam.EQ45, lambda n, k: binomial(2 * n + k - 1, n)),
-    det_check("eq46", "2.1.1 (46)", grid(n=(10, 10), k=(6, 6, 1)),
-              fam.EQ46, lambda n, k: binomial(2 * n + k - 1, n)),
-    det_check("eq54", "2.1.2 (54); also (3), (32)", grid(n=(10, 20), k=(4, 8, 1)),
-              fam.EQ54, lambda n, k: catalan_power(n, k)),
-    det_check("eq55", "2.1.2 (55); also (3), (33)", grid(n=(10, 20), k=(4, 8, 1)),
-              fam.EQ55, lambda n, k: catalan_power(n, k)),
-    det_check("eq58", "2.1.2 (58)", grid(n=(6, 6), k=(4, 4, 1), r=(4, 4, 1)),
-              fam.EQ58, lambda n, k, r: F(k, r * n + k) * binomial(r * n + k, n)),
-    det_check("eq61", "2.1.2 (61)", grid(n=(6, 6), k=(4, 4, 1), r=(4, 4, 1)),
-              fam.EQ61, lambda n, k, r: F(k, r * n + k) * binomial(r * n + k, n)),
-    det_check("eq63", "2.2 Lemma 3 (63)", _cases_grid(8, 16),
-              lambda case, seed=0: _krattenthaler_matrix(fam.Q_KRATTENTHALER, seed, case),
-              lambda case, seed=0: fam.q_krattenthaler_lemma_rhs(
-                  *_random_krattenthaler_case(seed, case)),
-              wrap=QRat),
-    det_check("eq64", "2.2 Lemma 3 (64)", _cases_grid(8, 16),
-              lambda case, seed=0: _krattenthaler_matrix(fam.KRATTENTHALER, seed, case),
-              lambda case, seed=0: fam.krattenthaler_lemma_rhs(
-                  *_random_krattenthaler_case(seed, case))),
-    det_check("eq67", "2.2 (67)", grid(n=(8, 12), m=(4, 6)),
-              lambda n, m: fam.build(fam.CATALAN_HANKEL, m, shift=n),
-              lambda n, m: fam.catalan_hankel_product(n, m), kind="closed-form"),
-    det_check("eq71", "2.2 (71)", grid(n=(5, 6), m=(4, 5)),
-              lambda n, m: fam.build(fam.EQ71, n, m=m), lambda n, m: ONE),
-    det_check("eq73", "2.2 (73)", grid(n=(6, 8), m=(4, 5)),
-              lambda n, m: fam.build(fam.HILBERT_HANKEL, m, shift=n),
-              lambda n, m: fam.hilbert_hankel_product(n, m), kind="closed-form"),
-    det_check("eq27", "2.1.1 (27)", grid(n=(5, 6), k=(4, 4, 0)),
-              fam.EQ27, lambda n, k: q_binomial(n + k, k)),
-    det_check("eq77", "3.1 (77)", grid(n=(6, 8)),
-              fam.EQ77, lambda n: carlitz(n)),
-    det_check("eq78", "3.1 (78)", grid(n=(6, 9)),
-              fam.EQ78, lambda n: fam.carlitz_reversed(n)),
+declare(
+    equal_check("eq1", "1 (1)", "det", grid(n=(12, 40)),
+                fam.EQ1, lambda n: catalan(n)),
+    equal_check("eq1b", "1 (1)", "det", grid(n=(12, 40)),
+                fam.EQ1B, lambda n: catalan(n)),
+    equal_check("eq35", "2.1.1 (35)", "det", _eq35_grid,
+                fam.EQ35, lambda n, x: gould_product(n, x, 2)),
+    equal_check("eq43", "2.1.1 (43)", "det", grid(n=(10, 10)),
+                fam.EQ43, lambda n: binomial(2 * n, n)),
+    equal_check("eq45", "2.1.1 (45)", "det", grid(n=(10, 10), k=(6, 6, 1)),
+                fam.EQ45, lambda n, k: binomial(2 * n + k - 1, n)),
+    equal_check("eq46", "2.1.1 (46)", "det", grid(n=(10, 10), k=(6, 6, 1)),
+                fam.EQ46, lambda n, k: binomial(2 * n + k - 1, n)),
+    equal_check("eq54", "2.1.2 (54); also (3), (32)", "det", grid(n=(10, 20), k=(4, 8, 1)),
+                fam.EQ54, lambda n, k: catalan_power(n, k)),
+    equal_check("eq55", "2.1.2 (55); also (3), (33)", "det", grid(n=(10, 20), k=(4, 8, 1)),
+                fam.EQ55, lambda n, k: catalan_power(n, k)),
+    equal_check("eq58", "2.1.2 (58)", "det", grid(n=(6, 6), k=(4, 4, 1), r=(4, 4, 1)),
+                fam.EQ58, lambda n, k, r: F(k, r * n + k) * binomial(r * n + k, n)),
+    equal_check("eq61", "2.1.2 (61)", "det", grid(n=(6, 6), k=(4, 4, 1), r=(4, 4, 1)),
+                fam.EQ61, lambda n, k, r: F(k, r * n + k) * binomial(r * n + k, n)),
+    equal_check("eq63", "2.2 Lemma 3 (63)", "det", _cases_grid(8, 16),
+                lambda case, seed=0: QRat(det(
+                    _krattenthaler_matrix(fam.Q_KRATTENTHALER, seed, case))),
+                lambda case, seed=0: fam.q_krattenthaler_lemma_rhs(
+                    *_random_krattenthaler_case(seed, case))),
+    equal_check("eq64", "2.2 Lemma 3 (64)", "det", _cases_grid(8, 16),
+                lambda case, seed=0: det(_krattenthaler_matrix(fam.KRATTENTHALER, seed, case)),
+                lambda case, seed=0: fam.krattenthaler_lemma_rhs(
+                    *_random_krattenthaler_case(seed, case))),
+    equal_check("eq67", "2.2 (67)", "closed-form", grid(n=(8, 12), m=(4, 6)),
+                lambda n, m: det(fam.build(fam.CATALAN_HANKEL, m, shift=n)),
+                lambda n, m: fam.catalan_hankel_product(n, m)),
+    equal_check("eq71", "2.2 (71)", "det", grid(n=(5, 6), m=(4, 5)),
+                lambda n, m: det(fam.build(fam.EQ71, n, m=m)), lambda n, m: ONE),
+    equal_check("eq73", "2.2 (73)", "closed-form", grid(n=(6, 8), m=(4, 5)),
+                lambda n, m: det(fam.build(fam.HILBERT_HANKEL, m, shift=n)),
+                lambda n, m: fam.hilbert_hankel_product(n, m)),
+    equal_check("eq27", "2.1.1 (27)", "det", grid(n=(5, 6), k=(4, 4, 0)),
+                fam.EQ27, lambda n, k: q_binomial(n + k, k)),
+    equal_check("eq77", "3.1 (77)", "det", grid(n=(6, 8)),
+                fam.EQ77, lambda n: carlitz(n)),
+    equal_check("eq78", "3.1 (78)", "det", grid(n=(6, 9)),
+                fam.EQ78, lambda n: fam.carlitz_reversed(n)),
     # the entry-wise q = -1 specialization of the Carlitz matrix family
-    det_check("eq79", "3.1 (79)", grid(size=(7, 9)),
-              lambda size: _at_q(fam.build(fam.EQ77, size), -1),
-              lambda size: kron(size == 0) if size % 2 == 0
-              else _sign(size // 2) * catalan(size // 2)),
-    det_check("eq81", "3.1 (81)", grid(n=(5, 6), r=(4, 4, 1)),
-              fam.EQ81, lambda n, r: fam.gfun_reversed(n, r)),
-    det_check("eq83", "3.2 (83)", grid(n=(6, 8)),
-              fam.EQ83, lambda n: q_catalan(n)),
-    det_check("eq84", "3.2 (84)", grid(n=(6, 8)),
-              fam.EQ84, lambda n: q_catalan(n)),
-    det_check("eq85", "3.2 (85)", grid(size=(8, 10)),
-              lambda size: _at_q(fam.build(fam.EQ84, size), -1),
-              lambda size: binomial(size, size // 2)),
-    det_check("eq89", "3.2 Theorem 8 (89); also (8)", grid(n=(5, 6), k=(4, 4, 1)),
-              fam.EQ89, lambda n, k: andrews_c(n, k)),
-    det_check("eq92", "3.2 (92)", grid(n=(6, 8), k=(4, 4, 1)),
-              fam.EQ92, lambda n, k: QRat(q_binomial(2 * n + k - 1, n))),
-    det_check("sec33det", "3.3 unnumbered det", grid(n=(4, 5), k=(4, 4, 1)),
-              fam.SEC33, lambda n, k: fam.sec33_rhs(n, k)),
+    equal_check("eq79", "3.1 (79)", "det", grid(size=(7, 9)),
+                lambda size: det(_at_q(fam.build(fam.EQ77, size), -1)),
+                lambda size: kron(size == 0) if size % 2 == 0
+                else _sign(size // 2) * catalan(size // 2)),
+    equal_check("eq81", "3.1 (81)", "det", grid(n=(5, 6), r=(4, 4, 1)),
+                fam.EQ81, lambda n, r: fam.gfun_reversed(n, r)),
+    equal_check("eq83", "3.2 (83)", "det", grid(n=(6, 8)),
+                fam.EQ83, lambda n: q_catalan(n)),
+    equal_check("eq84", "3.2 (84)", "det", grid(n=(6, 8)),
+                fam.EQ84, lambda n: q_catalan(n)),
+    equal_check("eq85", "3.2 (85)", "det", grid(size=(8, 10)),
+                lambda size: det(_at_q(fam.build(fam.EQ84, size), -1)),
+                lambda size: binomial(size, size // 2)),
+    equal_check("eq89", "3.2 Theorem 8 (89); also (8)", "det", grid(n=(5, 6), k=(4, 4, 1)),
+                fam.EQ89, lambda n, k: andrews_c(n, k)),
+    equal_check("eq92", "3.2 (92)", "det", grid(n=(6, 8), k=(4, 4, 1)),
+                fam.EQ92, lambda n, k: QRat(q_binomial(2 * n + k - 1, n))),
+    equal_check("sec33det", "3.3 unnumbered det", "det", grid(n=(4, 5), k=(4, 4, 1)),
+                fam.SEC33, lambda n, k: fam.sec33_rhs(n, k)),
 )
-CHECKS.update((check.id, check) for check in _DET_CHECKS)
 
 
 # ---------------------------------------------------------------------------
 # section 1 and 2 checks: Catalan matrices and their relatives
 # ---------------------------------------------------------------------------
 
-@register("eq2", "1 (2)", "sum", grid(n=(20, 60)))
-def _eq2(n: int):
-    return kron_sum(n, lambda j: binomial(n + j, n - j) * catalan(j))
-
-
-@register("eq4", "1 (4)", "closed-form", grid(n=(8, 10), k=(5, 6, 1)))
-def _eq4(n: int, k: int):
-    a = catalan_power(n, k)
-    b = F(k, n + k) * binomial(2 * n + k - 1, n)
-    c = binomial(2 * n + k - 2, n) - binomial(2 * n + k - 2, n - 2)
-    return a == b == c, a, f"{b}; {c}"
-
-
-@register("eq30", "2.1.1 (30)", "sum", grid(n=(12, 12), k=(12, 12, 1)))
-def _eq30(n: int, k: int):
-    lhs = catalan_power(n, k)
-    rhs = catalan_power(n, k - 1) + catalan_power(n - 1, k + 1)
-    return lhs == rhs, lhs, rhs
-
-
-@register("eq31", "2.1.1 (31)", "sum", grid(n=(10, 12), k=(5, 6, 0)))
-def _eq31(n: int, k: int):
-    return kron_sum(n, lambda j: binomial(n + k + j, n - j) * catalan_power(j, k + 1))
-
-
-@register("eq33", "2.1.1 (33)", "sum", grid(n=(10, 12), k=(5, 6, 0)))
-def _eq33(n: int, k: int):
-    return kron_sum(n, lambda j: binomial(k + 1 + j, n - j) * catalan_power(j, k + 1))
-
-
-@register("eq34", "2.1.1 (34)", "inverse", grid(size=(8, 12, TOP)))
-def _eq34(size: int):
-    ok = fam.build(fam.EQ34, size) * Matrix.build(size, size, ballot, INT) == Matrix.identity(size)
-    return ok, "inverse of signed binomial matrix", "ballot triangle"
-
-
-def _null_grid(n_lo: int, m_offset: int):
+def _null_grid(n_lo: int, m_offset: int, fast: int = 6, full: int = 8):
     """n from ``n_lo`` up to the bound, and m from n + ``m_offset`` to 2n - 1."""
     def build(b: Bounds) -> list[dict]:
         return [
             {"n": n, "m": m}
-            for n in range(n_lo, b.get("n_max", 6, 8) + 1)
+            for n in range(n_lo, b.get("n_max", fast, full) + 1)
             for m in range(n + m_offset, 2 * n)
         ]
     return build
 
 
-_NULL_CHECKS = (
+def _lucas_binomial_sum(n: int) -> list[int]:
+    """The coefficients of sum_k C(n, k) L_(n-2k)(x) over the Lucas variant L, lowest first."""
+    acc = [0] * (n + 1)
+    for k in range(n // 2 + 1):
+        c = binomial(n, k)
+        for i, v in enumerate(lucas_poly_coeffs(n - 2 * k)):
+            acc[i] += c * v
+    return acc
+
+
+def _x_power(n: int) -> list[int]:
+    """The coefficients of x^n, lowest first."""
+    return [0] * n + [1]
+
+
+declare(
+    sum_check("eq2", "1 (2)", grid(n=(20, 60)),
+              lambda j, n: binomial(n + j, n - j) * catalan(j)),
+    equal_check("eq4", "1 (4)", "closed-form", grid(n=(8, 10), k=(5, 6, 1)),
+                lambda n, k: catalan_power(n, k),
+                lambda n, k: F(k, n + k) * binomial(2 * n + k - 1, n),
+                lambda n, k: binomial(2 * n + k - 2, n) - binomial(2 * n + k - 2, n - 2)),
+    equal_check("eq30", "2.1.1 (30)", "sum", grid(n=(12, 12), k=(12, 12, 1)),
+                lambda n, k: catalan_power(n, k),
+                lambda n, k: catalan_power(n, k - 1) + catalan_power(n - 1, k + 1)),
+    sum_check("eq31", "2.1.1 (31)", grid(n=(10, 12), k=(5, 6, 0)),
+              lambda j, n, k: binomial(n + k + j, n - j) * catalan_power(j, k + 1)),
+    sum_check("eq33", "2.1.1 (33)", grid(n=(10, 12), k=(5, 6, 0)),
+              lambda j, n, k: binomial(k + 1 + j, n - j) * catalan_power(j, k + 1)),
     null_check("eq36", "2.1.1 (36)/(37)", _null_grid(2, 1),
                lambda n, m: fam.build(fam.EQ35, n, x=-m),
                lambda n, m: [lucas_value(m, j) for j in range(n)]),
@@ -492,100 +489,82 @@ _NULL_CHECKS = (
     null_check("eq49", "2.1.1 (49)", _null_grid(1, 0),
                lambda n, m: fam.build(fam.EQ49, n, m=m),
                lambda n, m: [binomial(m - j, j) for j in range(n)]),
-)
-CHECKS.update((check.id, check) for check in _NULL_CHECKS)
-
-
-@register("eq38", "2.1.1 (38)", "sum",
-          grid(n=(4, 6), r=(3, 4, 1), s=range(0, 5), t=range(-2, 4)))
-def _eq38(n: int, r: int, s: int, t: int):
-    lhs = sum(
-        gould_product(j, r, t) * binomial(s + t * n - t * j, n - j)
-        for j in range(n + 1)
-    )
-    rhs = binomial(r + s + t * n, n)
-    return lhs == rhs, lhs, rhs
-
-
-@register("eq42", "2.1.1 (42)", "sum", grid(n=(10, 10)))
-def _eq42(n: int):
-    acc = [0] * (n + 1)
-    for k in range(n // 2 + 1):
-        row = lucas_poly_coeffs(n - 2 * k)
-        c = binomial(n, k)
-        for i, v in enumerate(row):
-            acc[i] += c * v
-    rhs = [0] * n + [1]
-    return acc == rhs, acc, rhs
-
-
-@register("eq44", "2.1.1 (44)", "sum", grid(n=(10, 10), k=(6, 6, 1)))
-def _eq44(n: int, k: int):
-    return kron_sum(n, lambda j: F(2 * n + k, n + k + j) * binomial(n + k + j, n - j)
-                    * binomial(2 * j + k, j))
-
-
-@register("eq52", "2.1.2 (52)", "sum", grid(n=(8, 10), x=range(-5, 9)))
-def _eq52(n: int, x: int):
-    lhs = alternating_sum(n, lambda j: binomial(n + j, n - j) * gould_product(j, x, 2))
-    rhs = binomial(x - 1, n)
-    return lhs == rhs, lhs, rhs
-
-
-@register("eq53", "2.1.2 (53)", "sum", grid(n=(6, 8), k=(4, 5, 1), x=range(-4, 7)))
-def _eq53(n: int, k: int, x: int):
-    lhs = alternating_sum(n, lambda j: binomial(n + j + k - 1, n - j) * gould_product(j, x, 2))
-    rhs = binomial(x - k, n)
-    return lhs == rhs, lhs, rhs
-
-
-@register("eq56", "2.1.2 (56)", "sum",
-          grid(n=(5, 6), k=(3, 4, 1), r=(3, 4, 1), x=range(-3, 6)))
-def _eq56(n: int, k: int, r: int, x: int):
-    lhs = alternating_sum(n, lambda j: binomial(n + (r - 1) * j + k - 1, n - j)
-                          * gould_product(j, x, r))
-    rhs = binomial(x - k, n)
-    return lhs == rhs, lhs, rhs
-
-
-@register("eq57", "2.1.2 (57)", "sum", grid(n=(8, 9), k=(4, 4, 1), r=(4, 4, 1)))
-def _eq57(n: int, k: int, r: int):
-    return kron_sum(n, lambda j: binomial(n + (r - 1) * j + k - 1, n - j)
-                    * gould_product(j, k, r))
-
-
-@register("eq59", "2.1.2 (59)", "sum",
-          grid(n=(5, 6), r=(3, 3, 1), alpha=range(0, 6), gamma=range(1, 6)))
-def _eq59(n: int, r: int, alpha: int, gamma: int):
-    lhs = alternating_sum(n, lambda j: binomial((r - 1) * j + alpha, n - j)
-                          * gould_product(j, gamma, r))
-    rhs = _sign(n) * binomial(alpha - gamma, n)
-    return lhs == rhs, lhs, rhs
-
-
-@register("eq60", "2.1.2 (60)", "sum", grid(n=(7, 8), k=(4, 4, 1), r=(4, 4, 1)))
-def _eq60(n: int, k: int, r: int):
-    return kron_sum(n, lambda j: binomial((r - 1) * j + k, n - j) * gould_product(j, k, r))
-
-
-@register("eq62", "2.1.3 (62)", "sum", grid(n=(20, 60)))
-def _eq62(n: int):
+    equal_check("eq38", "2.1.1 (38)", "sum",
+                grid(n=(4, 6), r=(3, 4, 1), s=range(0, 5), t=range(-2, 4)),
+                lambda n, r, s, t: sum(gould_product(j, r, t) * binomial(s + t * n - t * j, n - j)
+                                       for j in range(n + 1)),
+                lambda n, r, s, t: binomial(r + s + t * n, n)),
+    equal_check("eq42", "2.1.1 (42)", "sum", grid(n=(10, 10)),
+                _lucas_binomial_sum, _x_power),
+    sum_check("eq44", "2.1.1 (44)", grid(n=(10, 10), k=(6, 6, 1)),
+              lambda j, n, k: F(2 * n + k, n + k + j) * binomial(n + k + j, n - j)
+              * binomial(2 * j + k, j)),
+    equal_check("eq52", "2.1.2 (52)", "sum", grid(n=(8, 10), x=range(-5, 9)),
+                lambda n, x: alternating_sum(
+                    n, lambda j: binomial(n + j, n - j) * gould_product(j, x, 2)),
+                lambda n, x: binomial(x - 1, n)),
+    equal_check("eq53", "2.1.2 (53)", "sum", grid(n=(6, 8), k=(4, 5, 1), x=range(-4, 7)),
+                lambda n, k, x: alternating_sum(
+                    n, lambda j: binomial(n + j + k - 1, n - j) * gould_product(j, x, 2)),
+                lambda n, k, x: binomial(x - k, n)),
+    equal_check("eq56", "2.1.2 (56)", "sum",
+                grid(n=(5, 6), k=(3, 4, 1), r=(3, 4, 1), x=range(-3, 6)),
+                lambda n, k, r, x: alternating_sum(
+                    n, lambda j: binomial(n + (r - 1) * j + k - 1, n - j)
+                    * gould_product(j, x, r)),
+                lambda n, k, r, x: binomial(x - k, n)),
+    sum_check("eq57", "2.1.2 (57)", grid(n=(8, 9), k=(4, 4, 1), r=(4, 4, 1)),
+              lambda j, n, k, r: binomial(n + (r - 1) * j + k - 1, n - j)
+              * gould_product(j, k, r)),
+    equal_check("eq59", "2.1.2 (59)", "sum",
+                grid(n=(5, 6), r=(3, 3, 1), alpha=range(0, 6), gamma=range(1, 6)),
+                lambda n, r, alpha, gamma: alternating_sum(
+                    n, lambda j: binomial((r - 1) * j + alpha, n - j)
+                    * gould_product(j, gamma, r)),
+                lambda n, r, alpha, gamma: _sign(n) * binomial(alpha - gamma, n)),
+    sum_check("eq60", "2.1.2 (60)", grid(n=(7, 8), k=(4, 4, 1), r=(4, 4, 1)),
+              lambda j, n, k, r: binomial((r - 1) * j + k, n - j) * gould_product(j, k, r)),
     # the rewritten finite chain: sum_j (-1)^j C(2n-j, j) C_(n-j) = [n=0]
-    return kron_sum(n, lambda j: binomial(2 * n - j, j) * catalan(n - j), by_j=True)
+    sum_check("eq62", "2.1.3 (62)", grid(n=(20, 60)),
+              lambda j, n: binomial(2 * n - j, j) * catalan(n - j), by_j=True),
+)
+
+
+@register("eq34", "2.1.1 (34)", "inverse", grid(size=(8, 12, TOP)))
+def _eq34(size: int):
+    ok = fam.build(fam.EQ34, size) * Matrix.build(size, size, ballot, INT) == Matrix.identity(size)
+    return ok, "inverse of signed binomial matrix", "ballot triangle"
 
 
 # ---------------------------------------------------------------------------
 # section 2.2: Krattenthaler route, Hankel bridges, condensation
 # ---------------------------------------------------------------------------
 
-@register("eq65", "2.2 Theorem 4 (65); also (5)", "bridge", grid(n=(8, 12), m=(4, 6)))
-def _eq65(n: int, m: int):
-    d = det(fam.build(fam.EQ74, n, m=m, k=0))
-    h = det(fam.build(fam.CATALAN_HANKEL, m, shift=n))
-    p1 = fam.thm4_product(n, m)
-    p2 = fam.catalan_hankel_product(n, m)
-    ok = d == h == p1 == p2
-    return ok, d, f"{h}; {p1}; {p2}"
+def _condensed(m: int, n: int, k: int):
+    """det of the m x m Catalan-power Hankel matrix at (n, k), by condensation."""
+    return det_condensation(fam.build(fam.CATALAN_POWER_HANKEL, m, n=n, k=k))
+
+
+declare(
+    equal_check("eq65", "2.2 Theorem 4 (65); also (5)", "bridge", grid(n=(8, 12), m=(4, 6)),
+                lambda n, m: det(fam.build(fam.EQ74, n, m=m, k=0)),
+                lambda n, m: det(fam.build(fam.CATALAN_HANKEL, m, shift=n)),
+                lambda n, m: fam.thm4_product(n, m),
+                lambda n, m: fam.catalan_hankel_product(n, m)),
+    equal_check("eq74", "2.2 Theorem 6 (74); also (9)", "bridge",
+                grid(n=(6, 10), m=(3, 4), k=(3, 4)),
+                lambda n, m, k: det(fam.build(fam.EQ74, n, m=m, k=k)),
+                lambda n, m, k: det(fam.build(fam.EQ74_REVERSED, n, n=n, m=m, k=k)),
+                lambda n, m, k: det(fam.build(fam.CATALAN_POWER_HANKEL, m, n=n, k=k)),
+                lambda n, m, k: fam.krattenthaler_rhs_product(n, m, k)),
+    equal_check("eq76", "2.2 (76)", "recurrence", grid(n=(5, 10, 1), m=(4, 4, 2), k=(3, 4)),
+                lambda n, m, k: _condensed(m, n, k) * _condensed(m - 2, n, k + 2),
+                lambda n, m, k: _condensed(m - 1, n, k + 2) * _condensed(m - 1, n, k)
+                - _condensed(m - 1, n + 1, k) * _condensed(m - 1, n - 1, k + 2)),
+    equal_check("eq10", "1 (10)", "bridge", grid(n=(4, 5), m=(3, 3), x=(4, 4, 1)),
+                lambda n, m, x: det(fam.build(fam.EQ10, n, m=m, x=x)),
+                lambda n, m, x: det(fam.build(fam.EQ10_RHS, m, n=n, x=x))),
+)
 
 
 @register("eq72", "2.2 (72)", "bridge", grid(n=(6, 8), m=(4, 5)))
@@ -597,17 +576,6 @@ def _eq72(n: int, m: int):
     return ok, lhs, hn / h0
 
 
-@register("eq74", "2.2 Theorem 6 (74); also (9)", "bridge",
-          grid(n=(6, 10), m=(3, 4), k=(3, 4)))
-def _eq74(n: int, m: int, k: int):
-    d1 = det(fam.build(fam.EQ74, n, m=m, k=k))
-    d2 = det(fam.build(fam.EQ74_REVERSED, n, n=n, m=m, k=k))
-    d3 = det(fam.build(fam.CATALAN_POWER_HANKEL, m, n=n, k=k))
-    p = fam.krattenthaler_rhs_product(n, m, k)
-    ok = d1 == d2 == d3 == p
-    return ok, d1, f"{d2}; {d3}; {p}"
-
-
 @register("eq75", "2.2 (75)", "closed-form", grid(n=(10, 12), k=(5, 6, 0)))
 def _eq75(n: int, k: int):
     prod = fam.krattenthaler_rhs_product(n, 1, k)
@@ -615,46 +583,9 @@ def _eq75(n: int, k: int):
     return ok, prod, catalan_power(n, k + 1)
 
 
-@register("eq76", "2.2 (76)", "recurrence", grid(n=(5, 10, 1), m=(4, 4, 2), k=(3, 4)))
-def _eq76(n: int, m: int, k: int):
-    def M(mm, nn, kk):
-        return det_condensation(fam.build(fam.CATALAN_POWER_HANKEL, mm, n=nn, k=kk))
-
-    lhs = M(m, n, k) * M(m - 2, n, k + 2)
-    rhs = M(m - 1, n, k + 2) * M(m - 1, n, k) - M(m - 1, n + 1, k) * M(m - 1, n - 1, k + 2)
-    return lhs == rhs, lhs, rhs
-
-
-@register("eq10", "1 (10)", "bridge", grid(n=(4, 5), m=(3, 3), x=(4, 4, 1)))
-def _eq10(n: int, m: int, x: int):
-    d1 = det(fam.build(fam.EQ10, n, m=m, x=x))
-    d2 = det(fam.build(fam.EQ10_RHS, m, n=n, x=x))
-    return d1 == d2, d1, d2
-
-
 # ---------------------------------------------------------------------------
 # section 3: q-analogues
 # ---------------------------------------------------------------------------
-
-@register("eq80", "3.1 (80)", "sum", grid(n=(5, 6), r=(4, 4, 1)))
-def _eq80(n: int, r: int):
-    return kron_sum(n, lambda j: q_binomial((r - 1) * j + 1, n - j).shift(choose2(n - j))
-                    * fam.gfun_reversed(j, r))
-
-
-@register("eq86", "3.2 Theorem 7 (86); also (7)", "det", grid(n=(6, 8), k=(4, 4, 1)))
-def _eq86(n: int, k: int):
-    d1 = swept_det("eq86", fam.EQ86, n, k=k, shifted=False)
-    d2 = swept_det("eq86", fam.EQ86, n, k=k, shifted=True)
-    rhs = q_catalan_power(n, k)
-    return d1 == rhs and d2 == rhs, d1, rhs
-
-
-@register("eq87", "3.2 (87)", "sum", grid(n=(6, 8), k=(4, 4, 1)))
-def _eq87(n: int, k: int):
-    return kron_sum(n, lambda j: q_binomial(n + j + k - 1, n - j).shift(choose2(n - j))
-                    * q_catalan_power(j, k))
-
 
 def _q_ballot(size: int) -> Matrix:
     """The q-ballot table of (88), the inverse of the signed q-binomial matrix."""
@@ -672,20 +603,6 @@ def _thm8_c(np: int, jp: int) -> QRat:
     return fam.EQ89.entry(np - 1, jp, 0)
 
 
-@register("eq90", "3.2 Lemma 9 (90)", "sum", grid(n=(5, 6), k=(4, 4, 1)))
-def _eq90(n: int, k: int):
-    return kron_sum(n, lambda j: _thm8_c(n + k, j + k) * andrews_c(j, k))
-
-
-@register("eq91", "3.2 Theorem 10 (91)", "bridge", grid(n=(4, 6), m=(3, 3), k=(3, 3)))
-def _eq91(n: int, m: int, k: int):
-    d1 = det(fam.build(fam.EQ91, n, m=m, k=k))
-    d2 = det(fam.build(fam.EQ91_HANKEL, m, n=n, k=k))
-    p = fam.q_krattenthaler_rhs(n, m, k)
-    ok = d1 == d2 == p
-    return ok, d1, f"{d2}; {p}"
-
-
 def _eq92s_term(n: int, k: int, j: int) -> QRat:
     # q^C(j,2) [2n+k-1]/[j] [2n-j+k-2 choose j-1] [2n-2j+k-1 choose n-j], with
     # the first two factors read as 1 at j = 0
@@ -697,9 +614,38 @@ def _eq92s_term(n: int, k: int, j: int) -> QRat:
     return q_product(num, den, choose2(j))
 
 
-@register("eq92s", "3.2 (92) companion sum", "sum", grid(n=(6, 7), k=(4, 4, 1)))
-def _eq92s(n: int, k: int):
-    return kron_sum(n, lambda j: _eq92s_term(n, k, j), by_j=True)
+declare(
+    sum_check("eq80", "3.1 (80)", grid(n=(5, 6), r=(4, 4, 1)),
+              lambda j, n, r: q_binomial((r - 1) * j + 1, n - j).shift(choose2(n - j))
+              * fam.gfun_reversed(j, r)),
+    sum_check("eq87", "3.2 (87)", grid(n=(6, 8), k=(4, 4, 1)),
+              lambda j, n, k: q_binomial(n + j + k - 1, n - j).shift(choose2(n - j))
+              * q_catalan_power(j, k)),
+    sum_check("eq90", "3.2 Lemma 9 (90)", grid(n=(5, 6), k=(4, 4, 1)),
+              lambda j, n, k: _thm8_c(n + k, j + k) * andrews_c(j, k)),
+    equal_check("eq91", "3.2 Theorem 10 (91)", "bridge", grid(n=(4, 6), m=(3, 3), k=(3, 3)),
+                lambda n, m, k: det(fam.build(fam.EQ91, n, m=m, k=k)),
+                lambda n, m, k: det(fam.build(fam.EQ91_HANKEL, m, n=n, k=k)),
+                lambda n, m, k: fam.q_krattenthaler_rhs(n, m, k)),
+    sum_check("eq92s", "3.2 (92) companion sum", grid(n=(6, 7), k=(4, 4, 1)),
+              lambda j, n, k: _eq92s_term(n, k, j), by_j=True),
+    equal_check("eq97", "3.2 (97)", "closed-form", grid(n=(5, 6), x=(5, 5, 1)),
+                lambda n, x: fam.thm11_w(n, x, 1),
+                lambda n, x: QRat(q_binomial(2 * n + x - 1, n))),
+    equal_check("remarkdet", "3.3 final remark det", "bridge",
+                grid(n=(4, 5), m=(3, 3), x=(3, 3, 1)),
+                lambda n, m, x: QRat(det(fam.build(fam.REMARK, n, m=m, x=x))),
+                lambda n, m, x: QRat(det(fam.build(fam.REMARK_RHS, m, n=n, m=m, x=x))),
+                lambda n, m, x: fam.remark_rhs_product(n, m, x)),
+)
+
+
+@register("eq86", "3.2 Theorem 7 (86); also (7)", "det", grid(n=(6, 8), k=(4, 4, 1)))
+def _eq86(n: int, k: int):
+    d1 = swept_det("eq86", fam.EQ86, n, k=k, shifted=False)
+    d2 = swept_det("eq86", fam.EQ86, n, k=k, shifted=True)
+    rhs = q_catalan_power(n, k)
+    return d1 == rhs and d2 == rhs, d1, rhs
 
 
 @register("eq96", "3.2 Theorem 11 (96)", "bridge", grid(n=(4, 6), m=(3, 3), x=(4, 4, 1)))
@@ -709,13 +655,6 @@ def _eq96(n: int, m: int, x: int):
     w = fam.thm11_w(n, x, m)
     ok = dB == w and dH == w
     return ok, f"{dB}; {dH}", w
-
-
-@register("eq97", "3.2 (97)", "closed-form", grid(n=(5, 6), x=(5, 5, 1)))
-def _eq97(n: int, x: int):
-    lhs = fam.thm11_w(n, x, 1)
-    rhs = QRat(q_binomial(2 * n + x - 1, n))
-    return lhs == rhs, lhs, rhs
 
 
 @register("eq98", "3.2 (98)", "closed-form", grid(m=(4, 5, 1), x=(4, 5, 1)))
@@ -765,16 +704,6 @@ def _eq100(n: int, m: int, x: int):
     return ok, f"balance {balance}; rec {r1 - r2 + r3}", "0; 0"
 
 
-@register("remarkdet", "3.3 final remark det", "bridge",
-          grid(n=(4, 5), m=(3, 3), x=(3, 3, 1)))
-def _remarkdet(n: int, m: int, x: int):
-    d1 = QRat(det(fam.build(fam.REMARK, n, m=m, x=x)))
-    d2 = QRat(det(fam.build(fam.REMARK_RHS, m, n=n, m=m, x=x)))
-    p = fam.remark_rhs_product(n, m, x)
-    ok = d1 == d2 == p
-    return ok, d1, f"{d2}; {p}"
-
-
 # ---------------------------------------------------------------------------
 # Lemma 16 / Theorem 15
 # ---------------------------------------------------------------------------
@@ -782,7 +711,7 @@ def _remarkdet(n: int, m: int, x: int):
 _lem16_grid = grid(i=(5, 6), x2=(13, 13, 2))
 
 
-def _lem16_poly_sum(i: int, y: int):
+def _lem16_poly_sum(i: int, y: int) -> QPoly:
     # terms carry the common factor q^(x(x+5)/2) which is dropped: the
     # remaining per-term offsets j(3j-5)/2 - j*y are integers even at odd y,
     # since j and 3j-5 have opposite parity
@@ -794,10 +723,10 @@ def _lem16_poly_sum(i: int, y: int):
             * q_lucas_value(y, j)
         )
         total = total + term
-    return total.is_zero, total, QPoly.const(0)
+    return total
 
 
-def _lem16_rat_sum(i: int, y: int):
+def _lem16_rat_sum(i: int, y: int) -> QRat:
     # y = 2i+1 is a genuine pole of the j = i+1 term and is excluded
     total = QRat(0)
     for j in range(i + 2):
@@ -814,42 +743,25 @@ def _lem16_rat_sum(i: int, y: int):
             num += [1, *core_num]
             den += [c, *core_den]
         total = total + q_product(num, den, choose2(i - j) + off)
-    return total.is_zero, total, QRat(0)
+    return total
 
 
 # (113) and (115) are (112) and (114) with x2 + 1 in place of x2
-
-@register("eq112", "3.3 Lemma 16 (112)", "sum", _lem16_grid)
-def _eq112(i: int, x2: int):
-    return _lem16_poly_sum(i, x2)
-
-
-@register("eq113", "3.3 Lemma 16 (113)", "sum", _lem16_grid)
-def _eq113(i: int, x2: int):
-    return _lem16_poly_sum(i, x2 + 1)
-
-
-@register("eq114", "3.3 Lemma 16 (114)", "sum",
-          lambda b: [p for p in _lem16_grid(b) if p["x2"] != 2 * p["i"] + 1])
-def _eq114(i: int, x2: int):
-    return _lem16_rat_sum(i, x2)
+declare(
+    equal_check("eq112", "3.3 Lemma 16 (112)", "sum", _lem16_grid,
+                lambda i, x2: _lem16_poly_sum(i, x2), lambda i, x2: 0),
+    equal_check("eq113", "3.3 Lemma 16 (113)", "sum", _lem16_grid,
+                lambda i, x2: _lem16_poly_sum(i, x2 + 1), lambda i, x2: 0),
+    equal_check("eq114", "3.3 Lemma 16 (114)", "sum",
+                lambda b: [p for p in _lem16_grid(b) if p["x2"] != 2 * p["i"] + 1],
+                lambda i, x2: _lem16_rat_sum(i, x2), lambda i, x2: 0),
+    equal_check("eq115", "3.3 Lemma 16 (115)", "sum",
+                lambda b: [p for p in _lem16_grid(b) if p["x2"] != 2 * p["i"]],
+                lambda i, x2: _lem16_rat_sum(i, x2 + 1), lambda i, x2: 0),
+)
 
 
-@register("eq115", "3.3 Lemma 16 (115)", "sum",
-          lambda b: [p for p in _lem16_grid(b) if p["x2"] != 2 * p["i"]])
-def _eq115(i: int, x2: int):
-    return _lem16_rat_sum(i, x2 + 1)
-
-
-def _thm15_grid(b: Bounds) -> list[dict]:
-    return [
-        {"n": n, "m": m}
-        for n in range(2, b.get("n_max", 4, 5) + 1)
-        for m in range(n, 2 * n)
-    ]
-
-
-@register("thm15", "3.3 Theorem 15", "nullspace", _thm15_grid)
+@register("thm15", "3.3 Theorem 15", "nullspace", _null_grid(2, 0, 4, 5))
 def _thm15(n: int, m: int):
     checks = []
     if n + 1 <= m <= 2 * n - 1:
@@ -917,24 +829,32 @@ def _eq69(system: str, m: int):
     return ok, f"{system} shifted Hankel formulas at m={m}", "hold"
 
 
-@register("eq22", "2.1.1 (22)", "sum",
-          grid(system=["fibonacci", "lucas-variant"], n=(8, 10)))
-def _eq22(system: str, n: int):
+def _coefficient_row_sum(system: str, n: int) -> list:
+    """sum_k c(n, k) p_k(x) over the system's tables, as coefficients lowest first."""
     tab = _SYSTEMS[system]().tables()
     acc = [0] * (n + 1)
     for k in range(n + 1):
         ck = tab.c(n, k)
-        row = tab.coeff_row(k)
-        for j, v in enumerate(row):
+        for j, v in enumerate(tab.coeff_row(k)):
             acc[j] += ck * v
-    rhs = [0] * n + [1]
-    return acc == rhs, acc, rhs
+    return acc
+
+
+declare(
+    equal_check("eq22", "2.1.1 (22)", "sum",
+                grid(system=["fibonacci", "lucas-variant"], n=(8, 10)),
+                _coefficient_row_sum, lambda system, n: _x_power(n)),
+    equal_check("eq29", "2.1.1 (29)", "closed-form", grid(n=(7, 8), k=(6, 6, 0)),
+                lambda n, k: fibonacci_system().tables().c(2 * n + k, k),
+                lambda n, k: catalan_power(n, k + 1)),
+)
 
 
 @register("eq24", "2.1.1 (24)", "sum", grid(n=(6, 8), k=(4, 4, 0)))
 def _eq24(n: int, k: int):
     tab = fibonacci_system().tables()
-    return kron_sum(n, lambda j: tab.p_entry(n + k, j + k) * tab.c(j + k, k))
+    total = alternating_sum(n, lambda j: tab.p_entry(n + k, j + k) * tab.c(j + k, k))
+    return total == kron(n == 0), total, kron(n == 0)
 
 
 @register("eq25", "2.1.1 (25)", "det",
@@ -961,14 +881,6 @@ def _eq26(n: int):
     tab = ref.tables()
     ok = ok and all(tab.moment(i) == QPoly.monomial(choose2(i)) for i in range(n + 1))
     return ok, "recovered recurrence and moments", "closed forms"
-
-
-@register("eq29", "2.1.1 (29)", "closed-form", grid(n=(7, 8), k=(6, 6, 0)))
-def _eq29(n: int, k: int):
-    tab = fibonacci_system().tables()
-    lhs = tab.c(2 * n + k, k)
-    rhs = catalan_power(n, k + 1)
-    return lhs == rhs, lhs, rhs
 
 
 @register("eq41", "2.1.1 (41)", "closed-form", grid(n=(7, 8), k=(6, 6, 0)))

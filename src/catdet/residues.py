@@ -18,6 +18,11 @@ A conjecture search scans a grid and reports either the verified range or
 the first counterexample (re-verified by a recomputation that discards the
 conjecture's sweeps first); a counterexample is a report outcome, never a
 suite failure.
+
+Its identity checks are registry rows: eq106 is a ``sum_check``, and eq104
+and eq107 are ``equal_check`` rows.  The parity bridge eq103 and the
+digit-lemma properties are functions, and each conjecture search is one check
+whose grid point is the maxima it searches.
 """
 
 from __future__ import annotations
@@ -33,14 +38,17 @@ from catdet.linalg import FRAC, INT, Matrix, det
 from catdet.orthopoly import system_from_moments
 from catdet.registry import (
     AXIS_BOUNDS,
-    CHECKS,
     TOP,
     Bounds,
     Check,
+    alternating_sum,
+    declare,
     discard_sweeps,
+    equal_check,
     grid,
-    kron_sum,
+    kron,
     register,
+    sum_check,
     swept_det,
 )
 from catdet.sequences import ballot, catalan, catalan_power
@@ -146,8 +154,9 @@ def mod2_orthopoly_bridge(n: int, m: int) -> bool:
     """
     # Kronecker sums up to n
     for nn in range(n + 1):
-        ok, _, _ = kron_sum(nn, lambda j: lucas_binomial_mod2(nn + j, nn - j) * lift2(catalan(j)))
-        if not ok:
+        total = alternating_sum(
+            nn, lambda j: lucas_binomial_mod2(nn + j, nn - j) * lift2(catalan(j)))
+        if total != kron(nn == 0):
             return False
     # lifted determinant equals the Catalan parity
     if lifted_det("eq107", {"n": n}, 2) != lift2(catalan(n)):
@@ -284,26 +293,20 @@ def conjecture_search(conjecture_id: str, bounds: Bounds | None = None) -> Conje
 # registry entries
 # ---------------------------------------------------------------------------
 
-@register("eq106", "4 (106)", "sum", grid(n=(32, 64)))
-def _eq106(n: int):
-    return kron_sum(n, lambda j: lucas_binomial_mod2(n + j, n - j) * lift2(catalan(j)))
+def _parity_p_matrix(n: int) -> Matrix:
+    """The n x n table p(i + 1, j) of the system recovered from the parity moments."""
+    _, _, sys = system_from_moments(catalan_parity_moments(2 * n + 4), FRAC)
+    return sys.tables().p_matrix(1, n)
 
 
-@register("eq107", "4 (107); also (11)", "det", grid(n=(20, 32)))
-def _eq107(n: int):
-    lhs = lifted_det("eq107", {"n": n}, 2)
-    rhs = lift2(catalan(n))
-    return lhs == rhs, lhs, rhs
-
-
-@register("eq104", "4 (104)", "det", grid(n=(6, 8)))
-def _eq104(n: int):
-    moments = catalan_parity_moments(2 * n + 4)
-    _, _, sys = system_from_moments(moments, FRAC)
-    tab = sys.tables()
-    lhs = det(tab.p_matrix(1, n))
-    rhs = Fraction(lift2(catalan(n)))
-    return lhs == rhs, lhs, rhs
+declare(
+    sum_check("eq106", "4 (106)", grid(n=(32, 64)),
+              lambda j, n: lucas_binomial_mod2(n + j, n - j) * lift2(catalan(j))),
+    equal_check("eq107", "4 (107); also (11)", "det", grid(n=(20, 32)),
+                lambda n: lifted_det("eq107", {"n": n}, 2), lambda n: lift2(catalan(n))),
+    equal_check("eq104", "4 (104)", "det", grid(n=(6, 8)),
+                lambda n: det(_parity_p_matrix(n)), lambda n: Fraction(lift2(catalan(n)))),
+)
 
 
 @register("eq103", "4 (103)", "bridge", grid(n=(5, 6), m=(4, 6)))
@@ -348,4 +351,4 @@ def _conjecture_check(cid: str, conjecture: Conjecture) -> Check:
     return Check(cid, conjecture.anchor, "conjecture", maxima, run, conjecture=True)
 
 
-CHECKS.update((cid, _conjecture_check(cid, c)) for cid, c in CONJECTURES.items())
+declare(*(_conjecture_check(cid, c) for cid, c in CONJECTURES.items()))

@@ -18,7 +18,6 @@ from catdet.qseries import (
     QRat,
     q_binomial_factors,
     q_plus_product,
-    q_pochhammer,
     q_product,
 )
 
@@ -210,13 +209,15 @@ def andrews_c(n: int, k: int) -> QRat:
 
 @cache
 def andrews_moment(n: int) -> QRat:
-    """Moment value ([2n choose n]/[n+1]) (1+q)/(1+q^(n+1)) q^n/(-q;q)_n^2."""
+    """Moment value ([2n choose n]/[n+1]) (1+q)/(1+q^(n+1)) q^n/(-q;q)_n^2.
+
+    One ``q_plus_product``, so it is canonical with no gcd.
+    """
     if n < 0:
         raise ValueError("andrews_moment needs n >= 0")
-    poch = q_pochhammer(-1, 1, n)
-    num = q_catalan(n) * (ONE + QPoly.monomial(1)) * QPoly.monomial(n)
-    den = (ONE + QPoly.monomial(n + 1)) * poch * poch
-    return QRat(num, den)
+    num, den = q_binomial_factors(2 * n, n)
+    return q_plus_product([*num, 1], [*den, n + 1], n,
+                          [1], [n + 1, *range(1, n + 1), *range(1, n + 1)])
 
 
 def catalan_series_power_coeff(n: int, k: int) -> int:

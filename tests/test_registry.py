@@ -168,6 +168,16 @@ def test_check_index_contents():
     assert all(e["anchor"] for e in index)
 
 
+def test_check_index_pinned():
+    # id, anchor, kind, conjecture flag and parameter names of every check; a
+    # row that changes any of them must update index_pins.json on purpose
+    import json
+    from pathlib import Path
+
+    pins = json.loads((Path(__file__).parent / "index_pins.json").read_text())
+    assert check_index() == pins
+
+
 def test_conjecture_c13a_surfaces_counterexample_but_passes():
     res = run_check("c13a")
     assert res.passed  # the search ran and reproduced
@@ -196,17 +206,49 @@ def test_grids_pinned():
     assert totals == {"full": 8468, "fast": 5402}
 
 
-def test_kron_sum_renders_zero_in_every_ring():
+def test_sum_check_renders_zero_in_every_ring(monkeypatch):
     from fractions import Fraction
 
-    from catdet.qseries import QRat
-    from catdet.registry import fmt_value, kron_sum
+    from catdet.registry import sum_check
 
     for one in (1, Fraction(1), ONE, QRat(1)):
-        ok, total, rhs = kron_sum(1, lambda j: one)  # -1 + 1
-        assert ok and fmt_value(total) == "0" and fmt_value(rhs) == "0"
-        ok, total, rhs = kron_sum(0, lambda j: one)
-        assert ok and fmt_value(total) == "1" and fmt_value(rhs) == "1"
+        monkeypatch.setitem(CHECKS, "test-sum", sum_check(
+            "test-sum", "test", lambda b: [], lambda j, n: one))
+        res = run_check("test-sum", n=1)  # -1 + 1
+        assert res.passed and res.lhs == "0" and res.rhs == "0"
+        res = run_check("test-sum", n=0)
+        assert res.passed and res.lhs == "1" and res.rhs == "1"
+
+
+def test_equal_check_sides(monkeypatch):
+    from catdet.registry import equal_check
+
+    def declare(*sides):
+        monkeypatch.setitem(CHECKS, "test-equal", equal_check(
+            "test-equal", "test", "bridge", lambda b: [], *sides))
+
+    # every side is compared with the first; the rest render joined by "; "
+    declare(lambda n: n, lambda n: n + 1, lambda n: n)
+    res = run_check("test-equal", n=3)
+    assert (res.status, res.lhs, res.rhs) == ("fail", "3", "4; 3")
+    declare(lambda n: n, lambda n: n, lambda n: n)
+    assert run_check("test-equal", n=3).status == "pass"
+    # two sides: the rhs renders the second side alone
+    declare(lambda n: n, lambda n: [n])
+    res = run_check("test-equal", n=3)
+    assert (res.status, res.lhs, res.rhs) == ("fail", "3", "[3]")
+    # a Family side is the determinant of its matrix at the point
+    declare(fam.EQ54, lambda n, k: det(fam.build(fam.EQ54, n, k=k)))
+    try:
+        for n in range(6):
+            res = run_check("test-equal", n=n, k=2)
+            assert res.passed and res.lhs == str(det(fam.build(fam.EQ54, n, k=2)))
+    finally:
+        discard_sweeps("test-equal")
+    # a side that raises gives status error, not fail
+    declare(lambda n: n, lambda n: 1 // (n - n))
+    res = run_check("test-equal", n=3)
+    assert (res.status, res.lhs) == ("error", "ZeroDivisionError")
 
 
 def test_conjecture_checks_follow_bounds(monkeypatch):
@@ -514,7 +556,7 @@ def test_factor_list_closed_forms_equal_the_gcd_route():
                 core = QRat(ONE, q_int(b)) if c == 0 else QRat(q_binomial(b - 1, c - 1), q_int(c))
                 off = choose2(i - j) + 3 * choose2(j) - j * y
                 total = total + core * QRat(q_binomial(y - j, j).shift(off))
-            assert _same(_lem16_rat_sum(i, y)[1], total), (i, y)
+            assert _same(_lem16_rat_sum(i, y), total), (i, y)
 
 
 def test_thm11_w_products_join_their_factor_lists():

@@ -248,3 +248,12 @@ def test_andrews_moment_values():
     assert andrews_moment(1) == expected
     for n in range(7):
         assert andrews_moment(n).specialize(1) == Fraction(catalan(n), 4**n)
+    # Against the definition: num and den equal the gcd-reduced quotient.
+    for n in range(16):
+        poch = q_pochhammer(-1, 1, n)
+        reference = QRat(
+            q_catalan(n) * (ONE + QPoly.monomial(1)) * QPoly.monomial(n),
+            (ONE + QPoly.monomial(n + 1)) * poch * poch,
+        )
+        value = andrews_moment(n)
+        assert (value.num, value.den) == (reference.num, reference.den), n
