@@ -70,7 +70,13 @@ class FavardSystem:
 
 
 class FavardTables:
-    """Lazily grown coefficient and moment tables of a Favard system."""
+    """Lazily grown coefficient and moment tables of a Favard system.
+
+    Both tables are append-only, and a row is appended only once all of its
+    entries are computed.  So an s(n) or t(n) that raises in the middle of a
+    row leaves the table as it was, holding whole rows equal to a fresh
+    table's, and one table can be shared by every reader in a process.
+    """
 
     def __init__(self, system: FavardSystem):
         self.system = system

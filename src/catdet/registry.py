@@ -20,7 +20,9 @@ Every matrix is a ``families.Family`` built by ``families.build``.  A lower
 Hessenberg family is not rebuilt per grid point: ``swept_det`` keeps one
 sweep (``Family.sweep``, row-cleared for a q-rational family) per check and
 per parameters other than n, and reads each point's determinant off it, so a
-grid over n builds each entry of its largest matrix once.
+grid over n builds each entry of its largest matrix once.  In the same way
+each named Favard system's coefficient and moment tables (``_tables``) are
+grown once per process and shared by every orthogonal-polynomial check.
 
 Conjecture checks are tagged; a counterexample there is a reportable
 outcome, never a suite failure.
@@ -28,6 +30,7 @@ outcome, never a suite failure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
@@ -52,6 +55,7 @@ from catdet.linalg import (
 )
 from catdet.orthopoly import (
     FavardSystem,
+    FavardTables,
     carlitz_system,
     catalan_moment_system,
     central_binomial_system,
@@ -793,6 +797,16 @@ _SYSTEMS: dict[str, Callable[[], FavardSystem]] = {
 }
 
 
+@functools.cache
+def _tables(system: str) -> FavardTables:
+    """The named system's tables, one per process, grown on demand by every point.
+
+    Sharing is safe: a table only appends whole rows, so a point that grows it
+    cannot change what another point reads.
+    """
+    return _SYSTEMS[system]().tables()
+
+
 def _thm5_grid(b: Bounds) -> list[dict]:
     out = []
     for name in _SYSTEMS:
@@ -805,8 +819,7 @@ def _thm5_grid(b: Bounds) -> list[dict]:
 
 @register("thm5", "2.2 Theorem 5 (68); also (6)", "bridge", _thm5_grid)
 def _thm5(system: str, n: int, m: int):
-    sys = _SYSTEMS[system]()
-    ok = tyson_check(sys, n, m)
+    ok = tyson_check(_tables(system), n, m)
     return ok, f"{system} bridge at (n={n}, m={m})", "holds"
 
 
@@ -824,14 +837,13 @@ def _thm5r(case: int, seed: int = 0):
 
 @register("eq69", "2.2 (69)-(70)", "bridge", grid(system=list(_SYSTEMS), m=(4, 5)))
 def _eq69(system: str, m: int):
-    sys = _SYSTEMS[system]()
-    ok = hankel_shift_checks(sys, m)
+    ok = hankel_shift_checks(_tables(system), m)
     return ok, f"{system} shifted Hankel formulas at m={m}", "hold"
 
 
 def _coefficient_row_sum(system: str, n: int) -> list:
     """sum_k c(n, k) p_k(x) over the system's tables, as coefficients lowest first."""
-    tab = _SYSTEMS[system]().tables()
+    tab = _tables(system)
     acc = [0] * (n + 1)
     for k in range(n + 1):
         ck = tab.c(n, k)
@@ -845,14 +857,14 @@ declare(
                 grid(system=["fibonacci", "lucas-variant"], n=(8, 10)),
                 _coefficient_row_sum, lambda system, n: _x_power(n)),
     equal_check("eq29", "2.1.1 (29)", "closed-form", grid(n=(7, 8), k=(6, 6, 0)),
-                lambda n, k: fibonacci_system().tables().c(2 * n + k, k),
+                lambda n, k: _tables("fibonacci").c(2 * n + k, k),
                 lambda n, k: catalan_power(n, k + 1)),
 )
 
 
 @register("eq24", "2.1.1 (24)", "sum", grid(n=(6, 8), k=(4, 4, 0)))
 def _eq24(n: int, k: int):
-    tab = fibonacci_system().tables()
+    tab = _tables("fibonacci")
     total = alternating_sum(n, lambda j: tab.p_entry(n + k, j + k) * tab.c(j + k, k))
     return total == kron(n == 0), total, kron(n == 0)
 
@@ -860,9 +872,8 @@ def _eq24(n: int, k: int):
 @register("eq25", "2.1.1 (25)", "det",
           grid(system=["fibonacci", "lucas-variant"], n=(5, 6), k=(3, 3)))
 def _eq25(system: str, n: int, k: int):
-    sys = _SYSTEMS[system]()
-    tab = sys.tables()
-    matrix = Matrix.build(n, n, lambda i, j: tab.p_entry(i + k + 1, j + k), sys.ring)
+    tab = _tables(system)
+    matrix = Matrix.build(n, n, lambda i, j: tab.p_entry(i + k + 1, j + k), tab.system.ring)
     lhs = det(matrix)
     rhs = tab.c(n + k, k)
     return lhs == rhs, lhs, rhs
@@ -885,7 +896,7 @@ def _eq26(n: int):
 
 @register("eq41", "2.1.1 (41)", "closed-form", grid(n=(7, 8), k=(6, 6, 0)))
 def _eq41(n: int, k: int):
-    tab = lucas_variant_system().tables()
+    tab = _tables("lucas-variant")
     lhs = tab.c(2 * n + k, k)
     rhs = binomial(2 * n + k, n)
     odd_zero = tab.c(2 * n + k + 1, k) == 0
@@ -894,7 +905,7 @@ def _eq41(n: int, k: int):
 
 @register("eq102", "3.3 (101)-(102)", "closed-form", grid(n=(5, 5)))
 def _eq102(n: int):
-    tab = q_chebyshev_system().tables()
+    tab = _tables("q-chebyshev")
     lhs = tab.moment(2 * n)
     rhs = andrews_moment(n)
     ok = lhs == rhs and tab.moment(2 * n + 1) == QRat(0)

@@ -27,6 +27,7 @@ whose grid point is the maxima it searches.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +36,7 @@ from typing import Callable, NamedTuple
 from catdet import families as fam
 from catdet.exact import binomial
 from catdet.linalg import FRAC, INT, Matrix, det
-from catdet.orthopoly import system_from_moments
+from catdet.orthopoly import FavardTables, system_from_moments
 from catdet.registry import (
     AXIS_BOUNDS,
     TOP,
@@ -143,6 +144,16 @@ def lifted_det(family: str, params: dict, modulus: int) -> int:
     return det(fam.build(lift, params["n"], p=modulus, **rest))
 
 
+@functools.cache
+def _parity_tables(count: int) -> FavardTables:
+    """Tables of the system recovered from the first ``count`` parity moments.
+
+    One recovery per moment count and process, shared by eq103 and eq104.
+    """
+    _, _, sys = system_from_moments(catalan_parity_moments(count), FRAC)
+    return sys.tables()
+
+
 def mod2_orthopoly_bridge(n: int, m: int) -> bool:
     """The parity identities chained through the lifted coefficient table.
 
@@ -164,9 +175,7 @@ def mod2_orthopoly_bridge(n: int, m: int) -> bool:
     # bridge: det(p(i+m, j))_(i,j<n) = (-1)^C(m,2) det(a(i+j+n))_(i,j<m)
     count = 2 * (n + m) + 2
     moments = catalan_parity_moments(count)
-    _, _, sys = system_from_moments(moments, FRAC)
-    tab = sys.tables()
-    pm = tab.p_matrix(m, n)
+    pm = _parity_tables(count).p_matrix(m, n)
     am = Matrix.build(m, m, lambda i, j: Fraction(moments[i + j + n]), FRAC)
     sign = -1 if (m * (m - 1) // 2) % 2 else 1
     return det(pm) == sign * det(am)
@@ -293,19 +302,13 @@ def conjecture_search(conjecture_id: str, bounds: Bounds | None = None) -> Conje
 # registry entries
 # ---------------------------------------------------------------------------
 
-def _parity_p_matrix(n: int) -> Matrix:
-    """The n x n table p(i + 1, j) of the system recovered from the parity moments."""
-    _, _, sys = system_from_moments(catalan_parity_moments(2 * n + 4), FRAC)
-    return sys.tables().p_matrix(1, n)
-
-
 declare(
     sum_check("eq106", "4 (106)", grid(n=(32, 64)),
               lambda j, n: lucas_binomial_mod2(n + j, n - j) * lift2(catalan(j))),
     equal_check("eq107", "4 (107); also (11)", "det", grid(n=(20, 32)),
                 lambda n: lifted_det("eq107", {"n": n}, 2), lambda n: lift2(catalan(n))),
     equal_check("eq104", "4 (104)", "det", grid(n=(6, 8)),
-                lambda n: det(_parity_p_matrix(n)), lambda n: Fraction(lift2(catalan(n)))),
+                lambda n: det(_parity_tables(2 * n + 4).p_matrix(1, n)), lambda n: Fraction(lift2(catalan(n)))),
 )
 
 

@@ -76,10 +76,58 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_jobs_parallel_matches_serial(capsys):
-    _, serial = run_cli(capsys, "verify", "--id", "eq30", "--jobs", "1")
-    _, parallel = run_cli(capsys, "verify", "--id", "eq30", "--jobs", "2")
+    # thm5, eq69 and eq103 read per-process orthogonal-polynomial tables, which
+    # each worker grows on its own
+    ids = ["--id", "eq30", "--id", "thm5", "--id", "eq69", "--id", "eq103"]
+    _, serial = run_cli(capsys, "verify", *ids, "--jobs", "1")
+    _, parallel = run_cli(capsys, "verify", *ids, "--jobs", "2")
     d1, d2 = json.loads(serial), json.loads(parallel)
     assert d1["results"] == d2["results"]
+
+
+def _clear_orthopoly_tables():
+    from catdet import registry, residues
+
+    registry._tables.cache_clear()
+    residues._parity_tables.cache_clear()
+
+
+def test_shared_orthopoly_tables_change_no_result(capsys):
+    ids = ["eq69", "thm5", "eq103", "eq104"]
+    _clear_orthopoly_tables()
+    _, together = run_cli(capsys, "verify", *[arg for cid in ids for arg in ("--id", cid)])
+    alone = []
+    for cid in ids:
+        _clear_orthopoly_tables()
+        _, out = run_cli(capsys, "verify", "--id", cid)
+        alone += json.loads(out)["results"]
+    assert json.loads(together)["results"] == alone
+    assert len(alone) == 276 + 42 + 49 + 9
+
+
+def _report_digests(results: list[dict]) -> dict[str, list]:
+    """Per check id: point count and SHA-256 of its (id, params, status, lhs,
+    rhs) lines, encoded as the benchmark gate encodes them."""
+    import hashlib
+
+    counts: dict[str, int] = {}
+    hashes: dict = {}
+    for r in results:
+        line = json.dumps([r["id"], r["params"], r["status"], r["lhs"], r["rhs"]],
+                          sort_keys=True, separators=(",", ":"))
+        hashes.setdefault(r["id"], hashlib.sha256()).update(line.encode() + b"\n")
+        counts[r["id"]] = counts.get(r["id"], 0) + 1
+    return {cid: [counts[cid], h.hexdigest()] for cid, h in hashes.items()}
+
+
+def test_orthopoly_full_grids_match_the_recorded_digests(capsys):
+    ids = ["thm5", "eq69", "eq102", "eq103", "eq104", "eq22", "eq24", "eq25", "eq29", "eq41"]
+    code, out = run_cli(capsys, "verify", *[arg for cid in ids for arg in ("--id", cid)])
+    assert code == 0
+    expected = json.loads((Path(__file__).parents[1] / "benchmark" / "expected.json")
+                          .read_text())["workloads"]["suite_full"]["checks"]
+    assert _report_digests(json.loads(out)["results"]) == {
+        cid: [expected[cid]["points"], expected[cid]["sha256"]] for cid in ids}
 
 
 def test_conjecture_report(capsys):
@@ -348,18 +396,35 @@ def test_fast_suite_reports_pinned(tmp_path, capsys):
     # per check id: point count and SHA-256 of its (id, params, status, lhs,
     # rhs) lines, encoded as the benchmark gate encodes them; a change to any
     # rendered value must update report_pins.json on purpose.
-    import hashlib
-
     path = tmp_path / "fast.json"
     assert main(["suite", "--level", "fast", "--seed", "0", "--out", str(path)]) == 0
-    counts: dict[str, int] = {}
-    hashes: dict = {}
-    for r in json.loads(path.read_text())["results"]:
-        line = json.dumps([r["id"], r["params"], r["status"], r["lhs"], r["rhs"]],
-                          sort_keys=True, separators=(",", ":"))
-        hashes.setdefault(r["id"], hashlib.sha256()).update(line.encode() + b"\n")
-        counts[r["id"]] = counts.get(r["id"], 0) + 1
-    got = {cid: [counts[cid], h.hexdigest()] for cid, h in hashes.items()}
+    text = path.read_text()
+    # the report writer gives json.dumps's bytes; lines, so that a failure
+    # shows the first differing line instead of diffing two 1 MB strings
+    expected = json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    assert text.splitlines(keepends=True) == expected.splitlines(keepends=True)
+    got = _report_digests(json.loads(text)["results"])
     pins = json.loads((Path(__file__).parent / "report_pins.json").read_text())
     assert sorted(got) == sorted(pins)
     assert [cid for cid in pins if got[cid] != pins[cid]] == []
+
+
+@pytest.mark.parametrize("results", [
+    [],
+    [{"id": "eq1", "lhs": "1", "params": {}, "rhs": "1", "status": "pass"}],
+    [{"id": "thm5", "lhs": "bridge", "params": {"system": "q-chebyshev", "n": 3, "m": -1},
+      "rhs": "holds", "status": "pass"},
+     {"id": "eq9", "lhs": 'a "q"\\b\nq\u00e9\u2603', "params": {"n": 0}, "rhs": "",
+      "status": "error"}],
+])
+def test_report_writer_gives_json_dumps_bytes(results, capsys):
+    from catdet.cli import _emit
+
+    report = {
+        "config": {"command": "verify", "ids": ["eq1"], "jobs": 1, "n_max": None},
+        "results": results,
+        "summary": {"pass": 0, "fail": 0},
+        "timings": {"per_check_seconds": {}, "total_seconds": 0.5},
+    }
+    _emit(report, "json", None)
+    assert capsys.readouterr().out == json.dumps(report, indent=2, sort_keys=True) + "\n"

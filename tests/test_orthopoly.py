@@ -209,6 +209,30 @@ def test_tyson_zero_hankel_raises():
         tyson_check(sys, 1, 2)
 
 
+def test_raise_in_a_row_keeps_the_tables_whole():
+    # t(3) first multiplies in moment row 5 and coefficient row 5; the rows
+    # kept before the raise must be whole and equal a fresh table's
+    def t(n):
+        if n == 3:
+            raise ZeroDivisionError("t(3)")
+        return n + 2
+
+    sys = FavardSystem(lambda n: n - 1, t, INT)
+    tab = sys.tables()
+    with pytest.raises(ZeroDivisionError):
+        tab.c(8, 0)
+    with pytest.raises(ZeroDivisionError):
+        tab.coeff(8, 0)
+    fresh = sys.tables()
+    fresh.c(4, 0)
+    fresh.coeff(4, 0)
+    for rows, fresh_rows in ((tab._moments, fresh._moments), (tab._coeffs, fresh._coeffs)):
+        assert [len(row) for row in rows] == [1, 2, 3, 4, 5]
+        assert rows == fresh_rows
+    with pytest.raises(ZeroDivisionError):
+        tab.c(5, 0)
+
+
 def test_hankel_shift_formulas():
     for sys in (fibonacci_system(), lucas_variant_system()):
         for m in range(6):
