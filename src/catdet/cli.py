@@ -116,56 +116,35 @@ def _render_markdown(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _json_value(value, indent: str) -> str:
-    """``value`` as ``json.dumps(indent=2, sort_keys=True)`` writes it at ``indent``."""
-    if type(value) is str:
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` written at ``indent``, byte for byte.
+
+    Strings go through the C escaper: ``indent`` makes ``json.dumps`` fall back
+    to the pure-Python encoder, which is slow on the rows of a large report.
+    """
+    kind = type(value)
+    if kind is str:
         return encode_basestring_ascii(value)
-    if type(value) is int:
+    if kind is int:
         return repr(value)
+    inner = indent + "  "
+    if kind is dict and value:
+        return "{\n" + ",\n".join(
+            f"{inner}{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
+            for key, item in sorted(value.items())) + f"\n{indent}}}"
+    if kind is list and value:
+        return "[\n" + ",\n".join(
+            inner + _json_text(item, inner) for item in value) + f"\n{indent}]"
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
 
-def _json_row(row: dict) -> str:
-    """One ``results`` row at depth 2; its keys are ``CheckResult.to_json``'s."""
-    params = row["params"]
-    if params:
-        params = "{\n" + ",\n".join(
-            f"        {encode_basestring_ascii(key)}: {_json_value(value, '        ')}"
-            for key, value in sorted(params.items())) + "\n      }"
-    else:
-        params = "{}"
-    return (f'    {{\n      "id": {_json_value(row["id"], "      ")},\n'
-            f'      "lhs": {_json_value(row["lhs"], "      ")},\n'
-            f'      "params": {params},\n'
-            f'      "rhs": {_json_value(row["rhs"], "      ")},\n'
-            f'      "status": {_json_value(row["status"], "      ")}\n    }}')
-
-
-def _report_json(report: dict) -> str:
-    """``json.dumps(report, indent=2, sort_keys=True) + "\\n"``, byte for byte.
-
-    The ``results`` rows, most of a report, are written here with the C string
-    escaper instead of the pure-Python encoder that ``indent`` falls back to.
-    """
-    parts = []
-    for key, value in sorted(report.items()):
-        if key == "results":
-            text = "[\n" + ",\n".join(map(_json_row, value)) + "\n  ]" if value else "[]"
-        else:
-            text = _json_value(value, "  ")
-        parts.append(f"  {encode_basestring_ascii(key)}: {text}")
-    return "{\n" + ",\n".join(parts) + "\n}\n"
-
-
 def _emit(payload: dict, fmt: str, out: str | None) -> None:
-    if fmt == "markdown":
-        text = _render_markdown(payload) if "results" in payload else (
-            "```json\n" + json.dumps(payload, indent=2, sort_keys=True) + "\n```\n"
-        )
+    if fmt != "markdown":
+        text = _json_text(payload) + "\n"
     elif "results" in payload:
-        text = _report_json(payload)
+        text = _render_markdown(payload)
     else:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = "```json\n" + _json_text(payload) + "\n```\n"
     _write(text, out)
 
 

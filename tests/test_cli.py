@@ -416,6 +416,11 @@ def test_fast_suite_reports_pinned(tmp_path, capsys):
       "rhs": "holds", "status": "pass"},
      {"id": "eq9", "lhs": 'a "q"\\b\nq\u00e9\u2603', "params": {"n": 0}, "rhs": "",
       "status": "error"}],
+    # a key that CheckResult.to_json does not write today, and values of
+    # every other JSON type, are written as json.dumps writes them
+    [{"id": "eq1", "lhs": "1", "params": {"x": 0.5, "flag": True, "none": None,
+      "list": [1, [], {}, ["a", {"b": -2}]], "empty": {}}, "rhs": "1", "status": "pass",
+      "extra": [{"seconds": 1e-07}]}],
 ])
 def test_report_writer_gives_json_dumps_bytes(results, capsys):
     from catdet.cli import _emit
@@ -428,3 +433,19 @@ def test_report_writer_gives_json_dumps_bytes(results, capsys):
     }
     _emit(report, "json", None)
     assert capsys.readouterr().out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def test_every_json_payload_has_json_dumps_bytes(capsys):
+    # the list index and conjecture reports go through the same writer as a
+    # check report, in JSON and inside markdown's code fence
+    from catdet.cli import _emit
+
+    assert main(["list", "--format", "json"]) == 0
+    text = capsys.readouterr().out
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    payload = {"config": {"command": "conjecture"}, "timings": {"per_conjecture_seconds": {}},
+               "reports": [{"conjecture": "c1", "status": "error", "message": "a\tb"},
+                           {"conjecture": "c2", "bound": 0.25, "found": False, "witness": None}]}
+    _emit(payload, "markdown", None)
+    body = json.dumps(payload, indent=2, sort_keys=True)
+    assert capsys.readouterr().out == "```json\n" + body + "\n```\n"
