@@ -61,10 +61,12 @@ def gould_product(n: int, x, r: int):
     num = x
     for l in range(1, n):
         num = num * (x + r * n - l)
-    value = Fraction(num, math.factorial(n))
-    if value.denominator == 1 and isinstance(x, int):
-        return int(value)
-    return value
+    den = math.factorial(n)
+    if isinstance(x, int):
+        value, rem = divmod(num, den)
+        if not rem:
+            return value
+    return Fraction(num, den)
 
 
 def lucas_value(m: int, j: int):
@@ -79,7 +81,7 @@ def lucas_value(m: int, j: int):
     num = m
     for l in range(j - 1):
         num *= m - j - 1 - l
-    value = Fraction(num, math.factorial(j))
-    if value.denominator != 1:
+    value, rem = divmod(num, math.factorial(j))
+    if rem:
         raise ArithmeticError(f"lucas_value({m}, {j}) is not an integer")
-    return int(value)
+    return value

@@ -268,16 +268,14 @@ def thm15_vector_B(n: int, m: int) -> list[QPoly]:
 def krattenthaler_lemma_rhs(L: list[int], A: int) -> Fraction:
     """Product form of det(binomial(L_i+A-j, L_i+j)) for decreasing L."""
     n = len(L)
-    r = F(1)
+    num = den = 1
     for i in range(n):
-        r *= F(
-            math.factorial(L[i] + A - n),
-            math.factorial(L[i] + n) * math.factorial(A - 2 * (i + 1)),
-        )
+        num *= math.factorial(L[i] + A - n)
+        den *= math.factorial(L[i] + n) * math.factorial(A - 2 * (i + 1))
     for j in range(n):
         for i in range(j):
-            r *= (L[i] - L[j]) * (L[i] + L[j] + A + 1)
-    return r
+            num *= (L[i] - L[j]) * (L[i] + L[j] + A + 1)
+    return F(num, den)
 
 
 def _q_fact(n: int) -> range:
@@ -316,52 +314,54 @@ def q_krattenthaler_lemma_rhs(L: list[int], A: int) -> QRat:
     return q_product(num, den, sum((i + 1) * L[i] for i in range(n)))
 
 
+def _v_terms(n: int, m: int, k: int) -> tuple[int, int]:
+    """Numerator and denominator of ``v_ratio``, unreduced."""
+    num = math.prod(2 * n - 1 + k + l for l in range(2 * m))
+    den = math.prod((n + l) * (n + k + l + m) for l in range(m))
+    return num, den
+
+
 def v_ratio(n: int, m: int, k: int) -> Fraction:
     """The one-step ratio of consecutive shifted-binomial determinants."""
-    num = F(1)
-    for l in range(2 * m):
-        num *= 2 * n - 1 + k + l
-    den = F(1)
-    for l in range(m):
-        den *= (n + l) * (n + k + l + m)
-    return num / den
+    return F(*_v_terms(n, m, k))
 
 
 def krattenthaler_rhs_product(n: int, m: int, k: int) -> Fraction:
     """prod_(j=1..n) v(j, m, k): closed form of the Theorem-6 determinants."""
-    r = F(1)
+    num = den = 1
     for j in range(1, n + 1):
-        r *= v_ratio(j, m, k)
-    return r
+        a, b = _v_terms(j, m, k)
+        num *= a
+        den *= b
+    return F(num, den)
 
 
 def catalan_hankel_product(n: int, m: int) -> Fraction:
     """prod_(j<n) prod_(i<=j) (2m+i+j)/(i+j): the shifted Catalan Hankel."""
-    r = F(1)
+    num = den = 1
     for j in range(1, n):
         for i in range(1, j + 1):
-            r *= F(2 * m + i + j, i + j)
-    return r
+            num *= 2 * m + i + j
+            den *= i + j
+    return F(num, den)
 
 
 def thm4_product(n: int, m: int) -> Fraction:
     """prod_(j<n) j!/(2j)! (2m+2j)!/(2m+j)!: the same value, factorial form."""
-    r = F(1)
+    num = den = 1
     for j in range(1, n):
-        r *= F(math.factorial(j), math.factorial(2 * j))
-        r *= F(math.factorial(2 * m + 2 * j), math.factorial(2 * m + j))
-    return r
+        num *= math.factorial(j) * math.factorial(2 * m + 2 * j)
+        den *= math.factorial(2 * j) * math.factorial(2 * m + j)
+    return F(num, den)
 
 
 def hilbert_hankel_product(shift: int, m: int) -> Fraction:
     """Cauchy product for det(1/(shift+i+j+1)): prod j! j! (shift+j)!/(shift+m+j)!."""
-    r = F(1)
+    num = den = 1
     for j in range(m):
-        r *= F(
-            math.factorial(j) ** 2 * math.factorial(shift + j),
-            math.factorial(shift + m + j),
-        )
-    return r
+        num *= math.factorial(j) ** 2 * math.factorial(shift + j)
+        den *= math.factorial(shift + m + j)
+    return F(num, den)
 
 
 def q_krattenthaler_rhs(n: int, m: int, k: int) -> QPoly:

@@ -37,7 +37,8 @@ from typing import Callable, Sequence
 
 from catdet.qseries import ONE as QP_ONE
 from catdet.qseries import ZERO as QP_ZERO
-from catdet.qseries import QPoly, QRat, _kron_pack, _kron_unpack_signed
+from catdet.qseries import (QPoly, QRat, _from_dense, _kron_pack, _kron_unpack_signed,
+                            _kron_width)
 
 __all__ = [
     "Ring",
@@ -390,39 +391,30 @@ def _det_kronecker(m: Matrix) -> QPoly:
     n = _square(m)
     if n == 0:
         return QP_ONE
-    rows = [[v._c for v in m.data[i * n:(i + 1) * n]] for i in range(n)]
+    rows = [m.data[i * n:(i + 1) * n] for i in range(n)]
     lows = []
     g = degree = 0
     norm2 = 1
     for row in rows:
-        exps = [e for c in row for e in c]
-        if not exps:
+        entries = [v for v in row if v]
+        if not entries:
             return QP_ZERO
-        low = min(exps)
+        low = min(v._low for v in entries)
         lows.append(low)
-        g = math.gcd(g, *(e - low for e in exps))
-        degree += max(exps) - low
-        norm2 *= sum(sum(map(abs, c.values())) ** 2 for c in row)
+        degree += max(v._low + len(v._vals) for v in entries) - 1 - low
+        for v in entries:
+            if g != 1:
+                g = math.gcd(g, v._low - low, *[i for i, c in enumerate(v._vals) if c])
+        norm2 *= sum(sum(map(abs, v._vals)) ** 2 for v in entries)
     g = g or 1
     bound = math.isqrt(norm2) + 1
-    width = (bound.bit_length() // 8 + 1) * 8  # least multiple of 8 with 2^(w-1) > bound
-
-    def pack(c: dict[int, int], low: int) -> int:
-        """The entry at t = 2^w: its positive part minus its negative part."""
-        pos = [0] * ((max(c) - low) // g + 1)
-        neg = pos[:]
-        for e, v in c.items():
-            if v > 0:
-                pos[(e - low) // g] = v
-            else:
-                neg[(e - low) // g] = -v
-        return _kron_pack(pos, width) - (_kron_pack(neg, width) if any(neg) else 0)
-
-    packed = [pack(c, low) if c else 0 for row, low in zip(rows, lows) for c in row]
+    width = _kron_width(bound)
+    # each entry at t = 2^w, its coefficients in t packed from its own tuple
+    packed = [_kron_pack(v._vals[::g], width) << (width * ((v._low - low) // g)) if v else 0
+              for row, low in zip(rows, lows) for v in row]
     value = det_bareiss(Matrix(n, n, packed, INT))
     digits = _kron_unpack_signed(value, width, degree // g + 1)
-    shift = sum(lows)
-    return QPoly._raw({shift + g * i: d for i, d in enumerate(digits) if d})
+    return _from_dense(digits, sum(lows), g)
 
 
 def det(m: Matrix):
@@ -437,8 +429,8 @@ def det(m: Matrix):
     is shifted to exponent 0 and the exponents are divided by their gcd g,
     the degree is at most (sum of the row spans) / g and every coefficient
     is at most B = the product over rows of the l2 norm of the entries' l1
-    norms, and w is the least multiple of 8 with 2^(w-1) > B.  Every other
-    matrix uses ``det_bareiss``.
+    norms, and w is the least width with 2^(w-1) > B of 1, 2, 4, 8 or more
+    than 8 bytes (``_kron_width``).  Every other matrix uses ``det_bareiss``.
     """
     _square(m)
     if m.ring is QRAT:

@@ -75,7 +75,8 @@ class FavardTables:
     Both tables are append-only, and a row is appended only once all of its
     entries are computed.  So an s(n) or t(n) that raises in the middle of a
     row leaves the table as it was, holding whole rows equal to a fresh
-    table's, and one table can be shared by every reader in a process.
+    table's, and one table can be shared by every reader in a process.  The
+    Hankel determinants are kept the same way, each stored once it is taken.
     """
 
     def __init__(self, system: FavardSystem):
@@ -85,6 +86,7 @@ class FavardTables:
         self._zero = ring.zero
         self._coeffs: list[list] = [[self._one]]
         self._moments: list[list] = [[self._one]]
+        self._hankel_dets: dict[tuple[int, int], object] = {}
 
     # -- table growth -------------------------------------------------------
 
@@ -170,6 +172,13 @@ class FavardTables:
         self._ensure_moments(shift + 2 * m)
         return Matrix.build(m, m, lambda i, j: self.c(shift + i + j, 0), self.system.ring)
 
+    def hankel_det(self, shift: int, m: int):
+        """det(M_(shift+i+j)) of size m, taken once per table and (shift, m)."""
+        key = (shift, m)
+        if key not in self._hankel_dets:
+            self._hankel_dets[key] = det(self.hankel(shift, m))
+        return self._hankel_dets[key]
+
     def p_matrix(self, m: int, n: int) -> Matrix:
         """The n x n matrix (p(i+m, j))."""
         self._ensure_coeffs(n - 1 + m if n else m)
@@ -184,10 +193,10 @@ def tyson_check(sys_or_tables, n: int, m: int) -> bool:
     """
     tab = sys_or_tables if isinstance(sys_or_tables, FavardTables) else sys_or_tables.tables()
     ring = tab.system.ring
-    h0 = det(tab.hankel(0, m))
+    h0 = tab.hankel_det(0, m)
     if ring.is_zero(h0):
         raise ArithmeticError("base Hankel determinant vanishes")
-    hn = det(tab.hankel(n, m))
+    hn = tab.hankel_det(n, m)
     p = det(tab.p_matrix(m, n))
     return p * h0 == hn
 
@@ -201,9 +210,7 @@ def hankel_shift_checks(sys_or_tables, m: int) -> bool:
     """
     tab = sys_or_tables if isinstance(sys_or_tables, FavardTables) else sys_or_tables.tables()
     t = tab.system.t
-    h0 = det(tab.hankel(0, m))
-    h1 = det(tab.hankel(1, m))
-    h2 = det(tab.hankel(2, m))
+    h0, h1, h2 = (tab.hankel_det(shift, m) for shift in range(3))
     if h1 != tab.p_entry(m, 0) * h0:
         return False
     v = tab._zero

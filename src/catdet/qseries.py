@@ -1,8 +1,11 @@
 """Exact Laurent polynomials and rational functions in q.
 
-The key ``e`` of a coefficient is the (possibly negative) integer exponent
-of ``q**e``.  Coefficients are arbitrary-precision integers and zero
-coefficients are never stored, so equality is structural.
+A ``QPoly`` is its lowest (possibly negative) exponent ``low`` and one dense
+tuple of arbitrary-precision integer coefficients, that of ``q**(low + i)``
+at index i, with no zero at either end; zero is ``(0, ())``.  So equality is
+structural, a shift only moves ``low``, and sums, products and divisions run
+over aligned slices.  Products from ``_KRON_MIN_TERMS`` terms on are one
+integer product (Kronecker substitution q = 2**w).
 
 ``QRat`` is the fraction field.  Values are reduced on construction with a
 content-and-primitive-part polynomial gcd (only the content gcd when the
@@ -30,9 +33,12 @@ product, a long division or a gcd.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
+from operator import add, neg, sub
 
 __all__ = [
     "QPoly",
@@ -56,166 +62,170 @@ class ExactDivisionError(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
 
 
-# Kronecker-substitution multiplication packs the whole exponent span of both
-# operands, so it is used when there are at least this many term pairs per
-# packed coefficient: dense squares from 12 x 12 terms on, never sparse, wide
-# operands (measured against the schoolbook loop, see CHANGES.md).
-_KRON_CUTOFF = 6
+# QPoly.__mul__ packs (Kronecker) when both operands have at least this many
+# terms: from about 8 x 8 dense terms on, one packed product beats the
+# schoolbook rows (measured on dense coefficient tuples, see CHANGES.md).
+_KRON_MIN_TERMS = 8
+
+# array type codes by item size, for packing 1-, 2-, 4- and 8-byte digits in C
+_ARRAY_CODES = {array(code).itemsize: code for code in "QLIHB"}
 
 
-def _kron_pack(vals: list[int], width: int) -> int:
-    """Pack a list of nonnegative ints, each < 2**width, into one integer."""
+def _kron_width(bound: int) -> int:
+    """The least w > bound.bit_length() whose byte count is 1, 2, 4, 8 or above 8."""
+    nbytes = bound.bit_length() // 8 + 1
+    return 8 * (1 << (nbytes - 1).bit_length() if nbytes < 8 else nbytes)
+
+
+def _kron_bias(width: int, count: int) -> int:
+    """``count`` base-2**width digits, each 2**(width-1)."""
+    return int.from_bytes((1 << (width - 1)).to_bytes(width // 8, "little") * count, "little")
+
+
+def _kron_pack(vals, width: int) -> int:
+    """The polynomial with coefficients ``vals`` (|v| < 2**(width-1)) at q = 2**width.
+
+    Each coefficient is written once, as the width // 8 bytes of
+    v + 2**(width-1), and the packed biases are subtracted at the end.
+    """
     nbytes = width // 8
-    return int.from_bytes(b"".join([v.to_bytes(nbytes, "little") for v in vals]), "little")
+    half = 1 << (width - 1)
+    code = _ARRAY_CODES.get(nbytes)
+    if code:
+        digits = array(code, map(half.__add__, vals))
+        if sys.byteorder == "big":
+            digits.byteswap()
+        packed = digits.tobytes()
+    else:
+        packed = b"".join([(v + half).to_bytes(nbytes, "little") for v in vals])
+    return int.from_bytes(packed, "little") - _kron_bias(width, len(vals))
 
 
 def _kron_unpack_signed(n: int, width: int, count: int) -> list[int]:
-    """Decode ``count`` signed base-2**width digits from n (|digit| < 2**(width-1)).
+    """Decode ``count`` base-2**width digits d, -2**(width-1) <= d < 2**(width-1), from n.
 
-    Raises ``ArithmeticError`` if anything is left after the last digit: the
-    value was out of the range its width and count were bounded for.
+    n plus ``count`` digits 2**(width-1) has the digits d + 2**(width-1) in
+    [0, 2**width), so one ``to_bytes`` reads them all.  Raises
+    ``ArithmeticError`` if anything is left after the last digit: the value
+    was out of the range its width and count were bounded for.
     """
-    neg = n < 0
-    if neg:
-        n = -n
-    mask = (1 << width) - 1
+    nbytes = width // 8
+    try:
+        data = (n + _kron_bias(width, count)).to_bytes(nbytes * count, "little")
+    except OverflowError:
+        raise ArithmeticError(f"value exceeds {count} signed base-2**{width} digits") from None
+    code = _ARRAY_CODES.get(nbytes)
+    if code:
+        digits = array(code, data)
+        if sys.byteorder == "big":
+            digits.byteswap()
+    else:
+        digits = [int.from_bytes(data[i:i + nbytes], "little") for i in range(0, len(data), nbytes)]
     half = 1 << (width - 1)
-    out = []
-    for _ in range(count):
-        d = n & mask
-        if d >= half:
-            d -= mask + 1
-            n = (n >> width) + 1
-        else:
-            n >>= width
-        out.append(-d if neg else d)
-    if n:
-        raise ArithmeticError(f"value exceeds {count} signed base-2**{width} digits")
-    return out
+    return [d - half for d in digits]
 
 
-def _mul_kronecker(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    la = min(a)
-    lb = min(b)
-    da = max(a) - la
-    db = max(b) - lb
-    maxa = max(abs(c) for c in a.values())
-    maxb = max(abs(c) for c in b.values())
-    bound = maxa * maxb * min(len(a), len(b)) * 2
-    width = ((bound.bit_length() + 2 + 7) // 8) * 8
-    ap = [0] * (da + 1)
-    an = [0] * (da + 1)
-    for e, c in a.items():
-        if c > 0:
-            ap[e - la] = c
-        else:
-            an[e - la] = -c
-    bp = [0] * (db + 1)
-    bn = [0] * (db + 1)
-    for e, c in b.items():
-        if c > 0:
-            bp[e - lb] = c
-        else:
-            bn[e - lb] = -c
-    app = _kron_pack(ap, width)
-    anp = _kron_pack(an, width)
-    bpp = _kron_pack(bp, width)
-    bnp = _kron_pack(bn, width)
-    n = (app * bpp + anp * bnp) - (app * bnp + anp * bpp)
-    digits = _kron_unpack_signed(n, width, da + db + 1)
-    base = la + lb
-    return {base + i: c for i, c in enumerate(digits) if c}
+def _mul_kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """Dense coefficients of the product of two dense coefficient tuples.
+
+    Both are packed at q = 2**w, where 2**(w-1) exceeds the largest possible
+    product coefficient, and multiplied as one integer.
+    """
+    width = _kron_width(max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b)))
+    return _kron_unpack_signed(_kron_pack(a, width) * _kron_pack(b, width), width,
+                               len(a) + len(b) - 1)
 
 
 class QPoly:
-    """Exact Laurent polynomial in q."""
+    """Exact Laurent polynomial in q: its lowest exponent and a coefficient tuple."""
 
-    __slots__ = ("_c",)
+    __slots__ = ("_low", "_vals")
 
     def __init__(self, coeffs=None):
         c: dict[int, int] = {}
         if coeffs:
-            items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-            for e, v in items:
-                if v:
-                    nv = c.get(e, 0) + v
-                    if nv:
-                        c[e] = nv
-                    elif e in c:
-                        del c[e]
-        self._c = c
+            for e, v in coeffs.items() if isinstance(coeffs, dict) else coeffs:
+                c[e] = c.get(e, 0) + v
+        c = {e: v for e, v in c.items() if v}
+        low = min(c, default=0)
+        vals = [0] * (max(c) - low + 1) if c else []
+        for e, v in c.items():
+            vals[e - low] = v
+        self._low = low
+        self._vals = tuple(vals)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def _raw(cls, c: dict[int, int]) -> "QPoly":
+    def _raw(cls, low: int, vals: tuple[int, ...]) -> "QPoly":
+        """From a coefficient tuple with no zero at either end (zero is (0, ()))."""
         p = object.__new__(cls)
-        p._c = c
+        p._low = low
+        p._vals = vals
         return p
 
     @classmethod
     def const(cls, n: int) -> "QPoly":
-        return cls._raw({0: n} if n else {})
+        return cls._raw(0, (n,) if n else ())
 
     @classmethod
     def monomial(cls, e: int, coeff: int = 1) -> "QPoly":
-        return cls._raw({e: coeff} if coeff else {})
+        return cls._raw(e, (coeff,)) if coeff else ZERO
 
     # -- basic structure ----------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._vals
 
     @property
     def is_one(self) -> bool:
-        return self._c == {0: 1}
+        return self._vals == (1,) and not self._low
 
     @property
     def low(self) -> int:
-        if not self._c:
+        if not self._vals:
             raise ValueError("zero polynomial has no low exponent")
-        return min(self._c)
+        return self._low
 
     @property
     def deg(self) -> int:
-        if not self._c:
+        if not self._vals:
             raise ValueError("zero polynomial has no degree")
-        return max(self._c)
+        return self._low + len(self._vals) - 1
 
     def coeff(self, e: int) -> int:
-        return self._c.get(e, 0)
+        i = e - self._low
+        return self._vals[i] if 0 <= i < len(self._vals) else 0
 
     def items(self):
-        return sorted(self._c.items())
+        low = self._low
+        return [(low + i, v) for i, v in enumerate(self._vals) if v]
 
     def content(self) -> int:
         """gcd of the coefficients (0 for the zero polynomial)."""
-        g = 0
-        for v in self._c.values():
-            g = math.gcd(g, v)
-        return g
+        return math.gcd(*self._vals)
 
     @property
     def lead_coeff(self) -> int:
-        return self._c[self.deg]
+        return self._vals[-1]
 
     def __bool__(self) -> bool:
-        return bool(self._c)
+        return bool(self._vals)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            return self._c == ({0: other} if other else {})
+            return self._vals == ((other,) if other else ()) and not self._low
         if isinstance(other, QPoly):
-            return self._c == other._c
+            return self._low == other._low and self._vals == other._vals
         return NotImplemented
 
     def __hash__(self) -> int:
         # a constant hashes as the int it equals
-        c = self._c
-        if not c or len(c) == 1 and 0 in c:
-            return hash(c.get(0, 0))
-        return hash(frozenset(c.items()))
+        c = self._vals
+        if not c or len(c) == 1 and not self._low:
+            return hash(c[0] if c else 0)
+        return hash((self._low, c))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -227,74 +237,69 @@ class QPoly:
             return QPoly.const(x)
         return None
 
+    def _combine(self, o: "QPoly", op) -> "QPoly":
+        """self op o for op = add or sub, by one aligned slice operation."""
+        a, b = self._vals, o._vals
+        if not b:
+            return self
+        if not a:
+            return o if op is add else -o
+        la, lb = self._low, o._low
+        low = min(la, lb)
+        out = [0] * (max(la + len(a), lb + len(b)) - low)
+        i = la - low
+        out[i:i + len(a)] = a
+        i = lb - low
+        out[i:i + len(b)] = map(op, out[i:i + len(b)], b)
+        return _from_dense(out, low)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        c = dict(self._c)
-        for e, v in o._c.items():
-            nv = c.get(e, 0) + v
-            if nv:
-                c[e] = nv
-            elif e in c:
-                del c[e]
-        return QPoly._raw(c)
+        return self._combine(o, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPoly._raw({e: -v for e, v in self._c.items()})
+        return QPoly._raw(self._low, tuple(map(neg, self._vals)))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        c = dict(self._c)
-        for e, v in o._c.items():
-            nv = c.get(e, 0) - v
-            if nv:
-                c[e] = nv
-            elif e in c:
-                del c[e]
-        return QPoly._raw(c)
+        return self._combine(o, sub)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o.__sub__(self)
+        return o._combine(self, sub)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self._c, o._c
+        a, b = self._vals, o._vals
         if not a or not b:
             return ZERO
-        if len(a) == 1:
-            ((e1, c1),) = a.items()
-            return QPoly._raw({e1 + e: c1 * v for e, v in b.items()})
-        if len(b) == 1:
-            ((e1, c1),) = b.items()
-            return QPoly._raw({e1 + e: c1 * v for e, v in a.items()})
-        # the span is at least the term count, so the first test is a cheap filter
-        pairs = len(a) * len(b)
-        if pairs >= _KRON_CUTOFF * (len(a) + len(b)) and pairs >= _KRON_CUTOFF * (
-                max(a) - min(a) + max(b) - min(b) + 2):
-            return QPoly._raw(_mul_kronecker(a, b))
-        if len(a) > len(b):
+        # nonzero end coefficients multiply to nonzero end coefficients
+        low = self._low + o._low
+        if len(a) == 1 or len(b) == 1:
+            (c,), b = (a, b) if len(a) == 1 else (b, a)
+            return QPoly._raw(low, tuple([c * v for v in b]))
+        na, nb = len(a) - a.count(0), len(b) - b.count(0)
+        if min(na, nb) >= _KRON_MIN_TERMS:
+            return QPoly._raw(low, tuple(_mul_kronecker(a, b)))
+        # schoolbook rows over the operand whose terms times the other's length is smaller
+        if na * len(b) > nb * len(a):
             a, b = b, a
-        c: dict[int, int] = {}
-        get = c.get
-        for e1, c1 in a.items():
-            for eb, cb in b.items():
-                e = e1 + eb
-                nv = get(e, 0) + c1 * cb
-                if nv:
-                    c[e] = nv
-                elif e in c:
-                    del c[e]
-        return QPoly._raw(c)
+        width = len(b)
+        out = [0] * (len(a) + width - 1)
+        for i, c in enumerate(a):
+            if c:
+                out[i:i + width] = [x + c * v for x, v in zip(out[i:i + width], b)]
+        return QPoly._raw(low, tuple(out))
 
     __rmul__ = __mul__
 
@@ -312,13 +317,15 @@ class QPoly:
 
     def shift(self, s: int) -> "QPoly":
         """Multiply by the monomial q**s."""
-        if not s or not self._c:
+        if not s or not self._vals:
             return self
-        return QPoly._raw({e + s: v for e, v in self._c.items()})
+        return QPoly._raw(self._low + s, self._vals)
 
     def subs_inv_q(self) -> "QPoly":
         """Substitute q -> 1/q (negate every exponent)."""
-        return QPoly._raw({-e: v for e, v in self._c.items()})
+        if not self._vals:
+            return self
+        return QPoly._raw(1 - self._low - len(self._vals), self._vals[::-1])
 
     def exact_div(self, other) -> "QPoly":
         """Exact division in the Laurent ring; raises ExactDivisionError."""
@@ -329,48 +336,37 @@ class QPoly:
             raise ZeroDivisionError("QPoly division by zero")
         if self.is_zero:
             return ZERO
-        la, ha = self.low, self.deg
-        lb, hb = b.low, b.deg
-        qlow = la - lb
-        qhigh = ha - hb
-        if qhigh < qlow:
+        bc = b._vals
+        top = len(bc) - 1
+        count = len(self._vals) - top
+        if count <= 0:
             raise ExactDivisionError("degree mismatch in exact division")
-        # dense remainder over [la, ha]
-        rem = [0] * (ha - la + 1)
-        for e, v in self._c.items():
-            rem[e - la] = v
-        bl = [0] * (hb - lb + 1)
-        for e, v in b._c.items():
-            bl[e - lb] = v
-        lead_b = bl[-1]
-        quot: dict[int, int] = {}
-        top = ha - la
-        while True:
-            while top >= 0 and not rem[top]:
-                top -= 1
-            if top < 0:
-                break
-            qe = top - (hb - lb)
-            if qe < 0:
-                raise ExactDivisionError("nonzero remainder in exact division")
-            qc, r = divmod(rem[top], lead_b)
+        # long division from the top; the remainder is the bottom ``top`` entries
+        rem = list(self._vals)
+        lead = bc[-1]
+        quot = [0] * count
+        for k in range(count - 1, -1, -1):
+            r = rem[k + top]
             if r:
-                raise ExactDivisionError("nonzero remainder in exact division")
-            quot[qe + la - lb] = qc
-            off = qe
-            for i, bc in enumerate(bl):
-                if bc:
-                    rem[off + i] -= qc * bc
-        return QPoly._raw(quot)
+                qc, m = divmod(r, lead)
+                if m:
+                    raise ExactDivisionError("nonzero remainder in exact division")
+                quot[k] = qc
+                rem[k:k + top] = [x - qc * v for x, v in zip(rem[k:k + top], bc)]
+        if any(rem[:top]):
+            raise ExactDivisionError("nonzero remainder in exact division")
+        return QPoly._raw(self._low - b._low, tuple(quot))
 
     # -- specialization -----------------------------------------------------
 
     def specialize(self, value: int) -> int:
         """Exact evaluation at q = 1 or q = -1."""
+        c = self._vals
         if value == 1:
-            return sum(self._c.values())
+            return sum(c)
         if value == -1:
-            return sum(-v if e % 2 else v for e, v in self._c.items())
+            alt = sum(c[::2]) - sum(c[1::2])
+            return -alt if self._low % 2 else alt
         raise ValueError("specialize supports only q = 1 and q = -1")
 
     # -- display ------------------------------------------------------------
@@ -380,7 +376,7 @@ class QPoly:
         return "q" if e == 1 else f"q^{e}"
 
     def __str__(self) -> str:
-        if not self._c:
+        if not self._vals:
             return "0"
         parts = []
         for e, v in self.items():
@@ -399,9 +395,26 @@ class QPoly:
         return f"QPoly({self})"
 
 
-ZERO = QPoly.const(0)
+ZERO = QPoly._raw(0, ())
 ONE = QPoly.const(1)
 Q = QPoly.monomial(1)
+
+
+def _from_dense(vals, low: int, g: int = 1) -> QPoly:
+    """The QPoly sum of vals[i] q^(low + g i): the zeros at both ends are cut."""
+    if g > 1 and len(vals) > 1:
+        spread = [0] * (g * (len(vals) - 1) + 1)
+        spread[::g] = vals
+        vals = spread
+    hi = len(vals)
+    while hi and not vals[hi - 1]:
+        hi -= 1
+    if not hi:
+        return ZERO
+    lo = 0
+    while not vals[lo]:
+        lo += 1
+    return QPoly._raw(low + lo, tuple(vals[lo:hi]))
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +453,9 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def _poly_gcd_dense(a: list[int], b: list[int]) -> list[int]:
-    a = _primitive(_trim(a[:]))
-    b = _primitive(_trim(b[:]))
+def _poly_gcd_dense(a, b) -> list[int]:
+    a = _primitive(_trim(list(a)))
+    b = _primitive(_trim(list(b)))
     if not a:
         return b
     if not b:
@@ -453,18 +466,6 @@ def _poly_gcd_dense(a: list[int], b: list[int]) -> list[int]:
         r = _pseudo_rem(a, b)
         a, b = b, _primitive(r)
     return a
-
-
-def _to_dense(p: QPoly) -> tuple[list[int], int]:
-    low = p.low
-    out = [0] * (p.deg - low + 1)
-    for e, v in p._c.items():
-        out[e - low] = v
-    return out, low
-
-
-def _from_dense(vals: list[int], low: int) -> QPoly:
-    return QPoly._raw({low + i: v for i, v in enumerate(vals) if v})
 
 
 class QRat:
@@ -497,9 +498,7 @@ class QRat:
         # polynomial gcd over the rationals (computed on primitive parts); a
         # constant denominator shares no factor of positive degree
         if den.deg:
-            nd, _ = _to_dense(nproper)
-            dd, _ = _to_dense(den)
-            g = _poly_gcd_dense(nd, dd)
+            g = _poly_gcd_dense(nproper._vals, den._vals)
             if len(g) > 1:
                 gp = _from_dense(g, 0)
                 nproper = nproper.exact_div(gp)
@@ -507,8 +506,8 @@ class QRat:
         # integer content
         cg = math.gcd(nproper.content(), den.content())
         if cg > 1:
-            nproper = QPoly._raw({e: v // cg for e, v in nproper._c.items()})
-            den = QPoly._raw({e: v // cg for e, v in den._c.items()})
+            nproper = QPoly._raw(0, tuple([v // cg for v in nproper._vals]))
+            den = QPoly._raw(0, tuple([v // cg for v in den._vals]))
         if den.lead_coeff < 0:
             nproper = -nproper
             den = -den
@@ -660,9 +659,9 @@ def q_int(n: int) -> QPoly:
     if p is not None:
         return p
     if n >= 0:
-        p = QPoly._raw({i: 1 for i in range(n)})
+        p = QPoly._raw(0, (1,) * n)
     else:
-        p = QPoly._raw({n + i: -1 for i in range(-n)})
+        p = QPoly._raw(n, (-1,) * -n)
     _QINT_CACHE[n] = p
     return p
 
@@ -823,8 +822,9 @@ def _expand(powers: dict[int, int], g: int) -> QPoly:
     for e in sorted(net, reverse=True):
         for _ in range(-net[e]):
             vals = _over_one_minus(vals, e)
-    sign = -1 if powers.get(1, 0) & 1 else 1
-    return QPoly._raw({g * i: sign * v for i, v in enumerate(vals) if v})
+    if powers.get(1, 0) & 1:
+        vals = [-v for v in vals]
+    return _from_dense(vals, 0, g)
 
 
 def q_product(num, den=(), power: int = 0) -> QRat:

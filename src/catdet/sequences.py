@@ -37,11 +37,12 @@ __all__ = [
 ]
 
 
-def _integer(value: Fraction, what: str) -> int:
-    """``value`` as an int; a closed form that is not integral is an arithmetic fault."""
-    if value.denominator != 1:
-        raise ArithmeticError(f"{what} is not an integer: {value}")
-    return int(value)
+def _integer(num: int, den: int, what: str) -> int:
+    """num / den as an int; a closed form that is not integral is an arithmetic fault."""
+    value, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"{what} is not an integer: {Fraction(num, den)}")
+    return value
 
 
 @cache
@@ -65,8 +66,7 @@ def catalan_power(n: int, k: int) -> int:
         return 1 if n == 0 else 0
     if k < 0:
         raise ValueError("catalan_power needs k >= 0")
-    value = Fraction(k, 2 * n + k) * binomial(2 * n + k, n)
-    return _integer(value, f"catalan_power({n}, {k})")
+    return _integer(k * binomial(2 * n + k, n), 2 * n + k, f"catalan_power({n}, {k})")
 
 
 def ballot(i: int, j: int) -> int:
@@ -92,7 +92,7 @@ def gould(n: int, x: int, r: int) -> Fraction:
         return Fraction(1)
     if r * n + x == 0:
         raise ZeroDivisionError(f"gould pole at x = {-r * n}")
-    return Fraction(x, r * n + x) * binomial(r * n + x, n)
+    return Fraction(x * binomial(r * n + x, n), r * n + x)
 
 
 def fib_coeff(n: int, j: int) -> int:
@@ -112,7 +112,7 @@ def lucas_coeff(n: int, j: int) -> int:
         return 0
     if n == 0:
         return 1
-    value = _integer(Fraction(n, n - j) * binomial(n - j, j), f"lucas_coeff({n}, {j})")
+    value = _integer(n * binomial(n - j, j), n - j, f"lucas_coeff({n}, {j})")
     return -value if j % 2 else value
 
 

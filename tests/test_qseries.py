@@ -89,31 +89,30 @@ def test_exact_div_roundtrip(a, b):
         assert (a * b).exact_div(b) == a
 
 
-def test_kronecker_multiplication_matches_schoolbook():
-    import random
+def _schoolbook(a, b):
+    """Plain double-loop product of two dense coefficient sequences."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
+
+def test_kronecker_multiplication_matches_schoolbook():
     from catdet.qseries import _mul_kronecker
 
     rng = random.Random(7)
-    for _ in range(40):
-        a = {rng.randrange(-20, 60): rng.randrange(-99, 99) for _ in range(rng.randrange(1, 50))}
-        b = {rng.randrange(-20, 60): rng.randrange(-99, 99) for _ in range(rng.randrange(1, 50))}
-        a = {e: c for e, c in a.items() if c}
-        b = {e: c for e, c in b.items() if c}
-        if not a or not b:
-            continue
-        expected = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                expected[e1 + e2] = expected.get(e1 + e2, 0) + c1 * c2
-        expected = {e: c for e, c in expected.items() if c}
-        assert _mul_kronecker(a, b) == expected
+    for _ in range(60):
+        mag = rng.choice((1, 99, 10**6, 10**30))
+        a, b = ([rng.randint(-mag, mag) for _ in range(rng.randrange(1, 50))] for _ in "ab")
+        a[-1] = a[-1] or 1
+        b[0] = b[0] or -1
+        assert _mul_kronecker(tuple(a), tuple(b)) == _schoolbook(a, b), (a, b)
 
 
 def test_multiplication_across_the_kronecker_cutoff(monkeypatch):
-    # QPoly.__mul__ just below and just above _KRON_CUTOFF term pairs per packed
-    # coefficient, against a plain dict-loop product; sparse, wide operands
-    # with many term pairs stay on the schoolbook loop
+    # QPoly.__mul__ packs when both operands have _KRON_MIN_TERMS terms or more;
+    # checked just below and at the cutoff, against the plain double loop
     used = []
     kron = qseries._mul_kronecker
 
@@ -123,26 +122,28 @@ def test_multiplication_across_the_kronecker_cutoff(monkeypatch):
 
     monkeypatch.setattr(qseries, "_mul_kronecker", counted)
     rng = random.Random("kron-cutoff")
-    c = qseries._KRON_CUTOFF
+    c = qseries._KRON_MIN_TERMS
 
-    def dense(terms, low, step=1):
+    def poly(terms, low, step=1):
         return QPoly([(low + step * i, rng.choice((-1, 1)) * rng.randrange(1, 10**6))
                       for i in range(terms)])
 
     cases = [
-        (dense(2 * c - 1, -3), dense(2 * c - 1, 5), False),
-        (dense(2 * c, -3), dense(2 * c, 5), True),
-        (dense(c + 1, 0), dense(c * (c + 1) - 1, 2), False),
-        (dense(c + 1, 0), dense(c * (c + 1), 2), True),
-        (dense(4 * c, 0, step=8), dense(4 * c, 1, step=8), False),
+        (poly(c - 1, -3), poly(c - 1, 5), False),
+        (poly(c, -3), poly(c, 5), True),
+        (poly(c - 1, 0), poly(10 * c, 2), False),
+        (poly(10 * c, 0), poly(c, 2), True),
+        # sparse and wide: a packed product spans every exponent between the terms
+        (poly(2, 0, step=50), poly(4 * c, 1), False),
+        (poly(c, 0, step=8), poly(c, 1, step=8), True),
     ]
     for a, b, packed in cases:
-        expected = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                expected[e1 + e2] = expected.get(e1 + e2, 0) + c1 * c2
+        la, lb = a.low, b.low
+        a_vals = [a.coeff(e) for e in range(la, a.deg + 1)]
+        b_vals = [b.coeff(e) for e in range(lb, b.deg + 1)]
+        expected = QPoly(list(enumerate(_schoolbook(a_vals, b_vals), la + lb)))
         used.clear()
-        assert a * b == QPoly(expected)
+        assert a * b == expected
         assert bool(used) == packed, (len(a.items()), len(b.items()))
 
 
@@ -151,12 +152,20 @@ def test_kronecker_unpack_raises_on_a_leftover():
 
     assert _kron_unpack_signed(_kron_pack([3, 0, 5], 8) - _kron_pack([0, 7], 8), 8, 3) == [3, -7, 5]
     assert _kron_unpack_signed(-127, 8, 1) == [-127]
-    # 16 needs more than one signed 5-bit digit: the carry is a leftover, not a truncation
-    with pytest.raises(ArithmeticError):
-        _kron_unpack_signed(16, 5, 1)
+    # 128 and -129 need a second signed 8-bit digit: the carry is a leftover, not a truncation
+    for value in (128, -129):
+        with pytest.raises(ArithmeticError):
+            _kron_unpack_signed(value, 8, 1)
     with pytest.raises(ArithmeticError):
         _kron_unpack_signed(-(1 << 16), 8, 2)
     assert _kron_unpack_signed(1 << 16, 8, 3) == [0, 0, 1]
+    # digits of 1, 2, 3, 4, 8 and 10 bytes, through the array and the byte-slice paths
+    for width in (8, 16, 24, 32, 64, 80):
+        half = 1 << (width - 1)
+        vals = [half - 1, 0, -half + 1, 1, -1]
+        assert _kron_unpack_signed(_kron_pack(vals, width), width, 5) == vals
+        with pytest.raises(ArithmeticError):
+            _kron_unpack_signed(_kron_pack(vals, width), width, 4)
 
 
 def test_q_int_and_factorial():
@@ -427,9 +436,9 @@ def test_q_product_zero_denominator_raises_on_every_call(monkeypatch):
 
 
 class _FieldWrites(ast.NodeVisitor):
-    """Every store into a QPoly/QRat field (``_c``, ``num``, ``den``), by enclosing scope."""
+    """Every store into a QPoly/QRat field (``_low``, ``_vals``, ``num``, ``den``), by scope."""
 
-    FIELDS = {"_c", "num", "den"}
+    FIELDS = {"_low", "_vals", "num", "den"}
 
     def __init__(self):
         self.scope = []
@@ -451,7 +460,7 @@ class _FieldWrites(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Subscript(self, node):
-        # an item stored into a field's dict, as in p._c[e] = v
+        # an item stored into a field, as in p._vals[i] = v
         target = node.value
         if (isinstance(node.ctx, (ast.Store, ast.Del)) and isinstance(target, ast.Attribute)
                 and target.attr in self.FIELDS):
@@ -631,3 +640,103 @@ def test_str_forms():
     assert str(P((0, 1), (1, -1), (2, 2))) == "1 - q + 2*q^2"
     assert str(P((-3, -1), (1, 1))) == "-q^-3 + q"
     assert str(ZERO) == "0"
+
+
+# -- the (low, coefficient tuple) normal form, against plain exponent dicts --
+
+def _d_add(a, b, sign=1):
+    out = dict(a)
+    for e, v in b.items():
+        out[e] = out.get(e, 0) + sign * v
+    return {e: v for e, v in out.items() if v}
+
+
+def _d_mul(a, b):
+    out = {}
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + v1 * v2
+    return {e: v for e, v in out.items() if v}
+
+
+def _d_det(rows):
+    """Cofactor expansion along the first row, over exponent dicts."""
+    if not rows:
+        return {0: 1}
+    out = {}
+    for j, entry in enumerate(rows[0]):
+        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+        out = _d_add(out, _d_mul(entry, _d_det(minor)), -1 if j % 2 else 1)
+    return out
+
+
+def _assert_normal(p, ref):
+    """p is in normal form and equals the exponent dict ``ref``."""
+    assert type(p._vals) is tuple
+    if p._vals:
+        assert p._vals[0] and p._vals[-1], (p._low, p._vals)
+    else:
+        assert p._low == 0
+    assert dict(p.items()) == {e: v for e, v in ref.items() if v}
+
+
+def test_every_construction_keeps_the_normal_form():
+    # no zero at either end of the tuple, and zero is (0, ()), on every path
+    # that builds a QPoly: seeded Laurent inputs against exponent-dict arithmetic
+    from catdet.linalg import QPOLY, Matrix, _det_kronecker
+
+    rng = random.Random("normal-form")
+
+    def rand(terms, lo=-9, hi=12, mag=50):
+        return {e: v for e, v in ((rng.randint(lo, hi), rng.randint(-mag, mag))
+                                  for _ in range(terms)) if v}
+
+    c = qseries._KRON_MIN_TERMS
+    for _ in range(150):
+        a = rand(rng.randint(0, 6))
+        b = rand(rng.choice((rng.randint(0, c - 1), rng.randint(c, 3 * c))), mag=10**9)
+        pa, pb = QPoly(a), QPoly(b)
+        _assert_normal(pa, a)
+        _assert_normal(pb, b)
+        # + and - where both end terms cancel, and down to zero
+        if a:
+            ends = {min(a): -a[min(a)], max(a): -a[max(a)]}
+            mid = rand(3, min(a) + 1, max(a) - 1) if max(a) - min(a) > 1 else {}
+            cancel = _d_add(ends, mid)
+            _assert_normal(pa + QPoly(cancel), _d_add(a, cancel))
+            _assert_normal(QPoly(cancel) + pa, _d_add(a, cancel))
+            _assert_normal(pa - QPoly(_d_add({}, cancel, -1)), _d_add(a, cancel))
+        _assert_normal(pa - pa, {})
+        _assert_normal(pa + pb, _d_add(a, b))
+        _assert_normal(pa - pb, _d_add(a, b, -1))
+        _assert_normal(3 - pa, _d_add({0: 3}, a, -1))
+        # * on the schoolbook and the packed branch (pb has 0 to 3c terms)
+        _assert_normal(pa * pb, _d_mul(a, b))
+        _assert_normal(pb * pb, _d_mul(b, b))
+        _assert_normal(-pb, {e: -v for e, v in b.items()})
+        s = rng.randint(-20, 20)
+        _assert_normal(pb.shift(s), {e + s: v for e, v in b.items()})
+        _assert_normal(pb.subs_inv_q(), {-e: v for e, v in b.items()})
+        if b:
+            _assert_normal((pa * pb).exact_div(pb), a)
+    # _expand with g > 1 spreads the g = 1 coefficients onto multiples of g
+    for _ in range(40):
+        powers = {d: rng.randint(1, 3) for d in rng.sample(range(1, 20), rng.randint(0, 3))}
+        g = rng.randint(2, 5)
+        _assert_normal(_expand(powers, g), {g * e: v for e, v in _expand(powers, 1).items()})
+    # _det_kronecker on rows in q^g, each shifted by its own Laurent monomial
+    for _ in range(40):
+        n, g = rng.randint(1, 4), rng.randint(2, 4)
+        rows = [[{g * e + s: v for e, v in rand(rng.randint(0, 3), 0, 4, 9).items()}
+                 for _ in range(n)] for s in (rng.randint(-5, 5) for _ in range(n))]
+        m = Matrix.from_rows([[QPoly(d) for d in row] for row in rows], QPOLY)
+        _assert_normal(_det_kronecker(m), _d_det(rows))
+    # QRat divides out the integer content of its numerator and denominator
+    for _ in range(60):
+        num = {e: 6 * v for e, v in rand(rng.randint(1, 5)).items()} or {0: 6}
+        den = {e: 4 * v for e, v in rand(rng.randint(1, 4), 0, 6).items()} or {0: -4}
+        r = QRat(QPoly(num), QPoly(den))
+        _assert_normal(r.num, dict(r.num.items()))
+        _assert_normal(r.den, dict(r.den.items()))
+        assert r.den.low == 0 and r.den.lead_coeff > 0
+        assert _d_mul(dict(r.num.items()), den) == _d_mul(num, dict(r.den.items()))

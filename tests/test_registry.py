@@ -641,3 +641,31 @@ def test_inverse_statement_fails_on_one_flipped_entry(check_id, monkeypatch):
         assert not _inverse_statement_holds(check_id, size), flip
         monkeypatch.undo()
         assert _inverse_statement_holds(check_id, size)
+
+
+def test_thm5_and_eq69_take_each_hankel_determinant_once(monkeypatch):
+    # both checks read one table per system, whose memo serves thm5's base
+    # determinant at every n and eq69's shifts 0, 1 and 2
+    from catdet import orthopoly, registry
+
+    taken, reads = [], []
+    hankel, hankel_det = orthopoly.FavardTables.hankel, orthopoly.FavardTables.hankel_det
+
+    def counted_hankel(self, shift, m):
+        taken.append((self.system.name, shift, m))
+        return hankel(self, shift, m)
+
+    def counted_det(self, shift, m):
+        reads.append((self.system.name, shift, m))
+        return hankel_det(self, shift, m)
+
+    monkeypatch.setattr(orthopoly.FavardTables, "hankel", counted_hankel)
+    monkeypatch.setattr(orthopoly.FavardTables, "hankel_det", counted_det)
+    registry._tables.cache_clear()
+    try:
+        for cid in ("thm5", "eq69"):
+            assert all(r.passed for r in verify_range(cid, bounds=Bounds()))
+    finally:
+        registry._tables.cache_clear()
+    assert len(taken) == len(set(taken)) == len(set(reads))
+    assert len(reads) > len(taken)
