@@ -8,7 +8,7 @@ then picks the division-free Hessenberg expansion or fraction-free Bareiss
 from the matrix's shape; the Hessenberg expansion as a sweep that yields
 every leading minor of a growing matrix, so a family is expanded once for all
 its sizes; Dodgson condensation, the exact product that checks an inverse
-statement, and null-space checks), a
+statement, and a fraction-free rank in the matrix's own ring), a
 three-term-recurrence engine for monic orthogonal polynomials and their
 moment tables, the paper's matrix families as one table built through a
 single ``families.build``, a registry of executable identity checks,
@@ -17,7 +17,7 @@ line front end.
 """
 
 from catdet.exact import binomial
-from catdet.qseries import QPoly, QRat, q_binomial, q_factorial, q_int, q_pochhammer
+from catdet.qseries import QPoly, QRat, q_binomial, q_int
 from catdet.linalg import (
     LeadingMinors,
     Matrix,
@@ -26,7 +26,6 @@ from catdet.linalg import (
     det_cofactor,
     det_condensation,
     det_hessenberg,
-    nullspace_vector_check,
 )
 
 __all__ = [
@@ -34,9 +33,7 @@ __all__ = [
     "QPoly",
     "QRat",
     "q_int",
-    "q_factorial",
     "q_binomial",
-    "q_pochhammer",
     "Matrix",
     "det",
     "det_bareiss",
@@ -44,5 +41,4 @@ __all__ = [
     "LeadingMinors",
     "det_condensation",
     "det_cofactor",
-    "nullspace_vector_check",
 ]

@@ -38,17 +38,6 @@ def choose2(a: int) -> int:
     return a * (a - 1) // 2
 
 
-def falling(x, k: int):
-    """Falling factorial ``x(x-1)...(x-k+1)`` with k >= 0 factors.
-
-    Works for any value supporting ``*`` and ``-`` with ints (int, Fraction).
-    """
-    out = x - x + 1 if not isinstance(x, int) else 1
-    for i in range(k):
-        out *= x - i
-    return out
-
-
 def gould_product(n: int, x, r: int):
     """Value of the degree-n Gould basis polynomial at x, via its product form.
 

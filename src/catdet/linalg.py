@@ -27,6 +27,8 @@ arithmetic forbids perturbation tricks) and naive cofactor expansion (the
 cross-check oracle) serve as independent routes.
 A statement "the inverse of A is B" is checked as the one exact product
 A * B == I in A's own ring: for square matrices that product alone proves it.
+``rank`` eliminates fraction-free in the matrix's own ring too, after
+clearing the rows of a q-rational matrix as ``det`` does.
 """
 
 from __future__ import annotations
@@ -55,26 +57,20 @@ __all__ = [
     "condense",
     "det_condensation",
     "det_cofactor",
-    "nullspace_vector_check",
     "matvec",
     "rank",
 ]
 
 
 class Ring:
-    """A scalar ring: constants, coercion, exact division, fraction field."""
+    """A scalar ring: constants, coercion, exact division."""
 
-    def __init__(self, name, zero, one, coerce, exact_div, field_of=None):
+    def __init__(self, name, zero, one, coerce, exact_div):
         self.name = name
         self.zero = zero
         self.one = one
         self.coerce = coerce
         self.exact_div = exact_div
-        self._field_of = field_of
-
-    @property
-    def field(self) -> "Ring":
-        return self._field_of if self._field_of is not None else self
 
     def is_zero(self, v) -> bool:
         return v == self.zero
@@ -91,7 +87,7 @@ def _int_exact_div(a: int, b: int) -> int:
 
 
 FRAC = Ring("rational", Fraction(0), Fraction(1), Fraction, lambda a, b: a / b)
-INT = Ring("integer", 0, 1, int, _int_exact_div, field_of=FRAC)
+INT = Ring("integer", 0, 1, int, _int_exact_div)
 
 
 def _qrat_coerce(v):
@@ -113,21 +109,7 @@ def _qpoly_coerce(v):
     raise TypeError(f"cannot coerce {v!r} to QPoly")
 
 
-QPOLY = Ring(
-    "q-polynomial",
-    QP_ZERO,
-    QP_ONE,
-    _qpoly_coerce,
-    lambda a, b: a.exact_div(b),
-    field_of=QRAT,
-)
-
-_FIELD_VALUE = {
-    "integer": Fraction,
-    "rational": Fraction,
-    "q-polynomial": lambda v: QRat(v),
-    "q-rational": lambda v: v,
-}
+QPOLY = Ring("q-polynomial", QP_ZERO, QP_ONE, _qpoly_coerce, lambda a, b: a.exact_div(b))
 
 
 def infer_ring(values) -> Ring:
@@ -189,12 +171,6 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix.build(self.ncols, self.nrows, lambda i, j: self[j, i], self.ring)
-
-    def to_field(self) -> "Matrix":
-        if self.ring.field is self.ring:
-            return self
-        lift = _FIELD_VALUE[self.ring.name]
-        return Matrix(self.nrows, self.ncols, [lift(v) for v in self.data], self.ring.field)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         """Exact product in this matrix's ring; zero entries of a row are skipped."""
@@ -291,8 +267,10 @@ class LeadingMinors:
     and no division.  Terms left of a zero superdiagonal entry a(s-1, s)
     vanish, so each row's sum starts at the last such s.  Each entry is
     evaluated once, when its row or column is added; only the superdiagonal
-    and the minors are kept.  Adding column c raises ``ValueError`` if one of
-    its entries above the superdiagonal is nonzero.
+    and the minors are kept.  A row lands whole or not at all: if one of its
+    entries raises, the next read evaluates the row again.  Adding column c
+    raises ``ValueError`` if one of its entries above the superdiagonal is
+    nonzero.
     """
 
     def __init__(self, entry: Callable[[int, int], object], ring: Ring):
@@ -325,14 +303,19 @@ class LeadingMinors:
                     f"not lower Hessenberg: entry ({i}, {col}) above the superdiagonal is nonzero"
                 )
         sup = self._super
+        start = self._start
         if k >= 2:
             sup.append(coerce(entry(k - 2, col)))
             if not sup[col]:
-                self._start = col
-        start = self._start
-        acc = coerce(entry(col, start)) * minors[start]
-        for j in range(start + 1, k):
-            acc = coerce(entry(col, j)) * minors[j] - sup[j] * acc
+                start = col
+        try:
+            acc = coerce(entry(col, start)) * minors[start]
+            for j in range(start + 1, k):
+                acc = coerce(entry(col, j)) * minors[j] - sup[j] * acc
+        except BaseException:
+            del sup[max(col, 1):]  # the row lands whole or not at all
+            raise
+        self._start = start
         minors.append(acc)
 
 
@@ -516,36 +499,39 @@ def matvec(m: Matrix, v: Sequence):
     return out
 
 
-def nullspace_vector_check(m: Matrix, v: Sequence) -> bool:
-    """True iff m @ v is exactly the zero vector."""
-    ring = m.ring
-    return all(ring.is_zero(x) for x in matvec(m, v))
-
-
 def rank(m: Matrix) -> int:
-    """Rank via exact Gaussian elimination over the fraction field."""
-    field = m.ring.field
-    mf = m.to_field()
+    """Rank by fraction-free elimination in the matrix's own ring.
+
+    A q-rational matrix has its rows cleared first (``_clear_rows``), which
+    keeps the rank.  After r pivot steps each entry below the pivot rows is
+    the (r+1) x (r+1) minor on the pivot rows and columns and its own row and
+    column (Bareiss, with zero columns skipped), so every division by the
+    previous pivot is exact.
+    """
+    if m.ring is QRAT:
+        m = _clear_rows(m)[0]
+    ring = m.ring
     nr, nc = m.nrows, m.ncols
-    a = [list(mf.data[i * nc:(i + 1) * nc]) for i in range(nr)]
-    is_zero = field.is_zero
+    a = [list(m.data[i * nc:(i + 1) * nc]) for i in range(nr)]
+    is_zero = ring.is_zero
+    div = ring.exact_div
+    prev = ring.one
     r = 0
     for c in range(nc):
-        pivot_row = None
-        for i in range(r, nr):
-            if not is_zero(a[i][c]):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        pivot = a[r][c]
-        for i in range(r + 1, nr):
-            if not is_zero(a[i][c]):
-                f = a[i][c] / pivot
-                for j in range(c, nc):
-                    a[i][j] = a[i][j] - f * a[r][j]
-        r += 1
         if r == nr:
             break
+        for i in range(r, nr):
+            if not is_zero(a[i][c]):
+                a[r], a[i] = a[i], a[r]
+                break
+        else:
+            continue
+        row_r = a[r]
+        pivot = row_r[c]
+        for row_i in a[r + 1:]:
+            head = row_i[c]
+            for j in range(c + 1, nc):
+                row_i[j] = div(row_i[j] * pivot - head * row_r[j], prev)
+        prev = pivot
+        r += 1
     return r

@@ -35,8 +35,6 @@ __all__ = [
     "InconsistentRecurrenceError",
     "tyson_check",
     "hankel_shift_checks",
-    "orthogonality_defect",
-    "moments_from_system",
     "system_from_moments",
     "system_from_coeff_rows",
     "fibonacci_system",
@@ -157,14 +155,6 @@ class FavardTables:
     def moment(self, n: int):
         return self.c(n, 0)
 
-    def functional(self, coeff_vec: Sequence):
-        """Pair a coefficient vector with the moment sequence."""
-        self._ensure_moments(max(len(coeff_vec) - 1, 0))
-        acc = self._zero
-        for i, v in enumerate(coeff_vec):
-            acc = acc + v * self.c(i, 0)
-        return acc
-
     # -- derived matrices ---------------------------------------------------
 
     def hankel(self, shift: int, m: int) -> Matrix:
@@ -185,13 +175,12 @@ class FavardTables:
         return Matrix.build(n, n, lambda i, j: self.p_entry(i + m, j), self.system.ring)
 
 
-def tyson_check(sys_or_tables, n: int, m: int) -> bool:
+def tyson_check(tab: FavardTables, n: int, m: int) -> bool:
     """Shifted-Hankel bridge: det(p(i+m,j)) * det(M_(i+j)) = det(M_(n+i+j)).
 
     All three determinants are m x m or n x n and exact; the base Hankel
     determinant must be nonzero (raises ArithmeticError otherwise).
     """
-    tab = sys_or_tables if isinstance(sys_or_tables, FavardTables) else sys_or_tables.tables()
     ring = tab.system.ring
     h0 = tab.hankel_det(0, m)
     if ring.is_zero(h0):
@@ -201,14 +190,13 @@ def tyson_check(sys_or_tables, n: int, m: int) -> bool:
     return p * h0 == hn
 
 
-def hankel_shift_checks(sys_or_tables, m: int) -> bool:
+def hankel_shift_checks(tab: FavardTables, m: int) -> bool:
     """Single and double shift formulas for Hankel determinants.
 
     det(M_(i+j+1)) = p(m, 0) det(M_(i+j)) and
     det(M_(i+j+2)) = v(m) det(M_(i+j)) with
     v(m) = sum_k p_k(0)^2 t(k) t(k+1) ... t(m-1).
     """
-    tab = sys_or_tables if isinstance(sys_or_tables, FavardTables) else sys_or_tables.tables()
     t = tab.system.t
     h0, h1, h2 = (tab.hankel_det(shift, m) for shift in range(3))
     if h1 != tab.p_entry(m, 0) * h0:
@@ -223,65 +211,19 @@ def hankel_shift_checks(sys_or_tables, m: int) -> bool:
     return h2 == v * h0
 
 
-def orthogonality_defect(tables: FavardTables, n: int):
-    """Lambda(p_n) computed by pairing; should be [n = 0]."""
-    return tables.functional(tables.coeff_row(n))
-
-
-def moments_from_system(system: FavardSystem, count: int) -> list:
-    """First ``count`` moments, touching only the dependency cone of column 0.
-
-    Unlike the full triangular table this needs s(j), t(j) only for
-    j <= (count-1)/2, so it also works for systems recovered from finitely
-    many moments.
-    """
-    ring = system.ring
-    zero = ring.zero
-    s, t = system.s, system.t
-    if count <= 0:
-        return []
-    out = [ring.one]
-    row = [ring.one]  # row r stored for columns 0..min(r, count-1-r)
-    for r in range(1, count):
-        width = min(r, count - 1 - r)
-        prev_width = len(row) - 1
-
-        def at(j):
-            return row[j] if 0 <= j <= prev_width else zero
-
-        new = []
-        for j in range(width + 1):
-            if j == 0:
-                v = s(0) * at(0) if 0 <= prev_width else zero
-                if 1 <= prev_width:
-                    v = v + t(0) * at(1)
-            else:
-                v = at(j - 1)
-                if j <= prev_width:
-                    v = v + s(j) * at(j)
-                if j + 1 <= prev_width:
-                    v = v + t(j) * at(j + 1)
-            new.append(v)
-        row = new
-        out.append(row[0])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # recovery of (s, t)
 # ---------------------------------------------------------------------------
 
-def system_from_moments(moments: Sequence, ring: Ring, name: str = "recovered"
-                        ) -> tuple[list, list, FavardSystem]:
-    """Recover s(n), t(n) from a moment sequence over a fraction field.
+def system_from_moments(moments: Sequence, ring: Ring) -> tuple[list, list, FavardSystem]:
+    """Recover s(n), t(n) from a moment sequence over the field ``ring``.
 
     Uses the functional pairing: s(n) = L(x p_n^2)/L(p_n^2) and
     t(n-1) = L(p_n^2)/L(p_(n-1)^2).  Raises ArithmeticError on a vanishing
     norm (non-orthogonalizable moment prefix).
     """
-    field = ring.field
-    ms = [field.coerce(v) for v in moments]
-    zero, one = field.zero, field.one
+    ms = [ring.coerce(v) for v in moments]
+    zero, one = ring.zero, ring.one
 
     def pair(vec):
         if len(vec) > len(ms):
@@ -335,10 +277,10 @@ def system_from_moments(moments: Sequence, ring: Ring, name: str = "recovered"
     def t_fn(k, _t=t_list):
         return _t[k]
 
-    return s_list, t_list, FavardSystem(s_fn, t_fn, field, name)
+    return s_list, t_list, FavardSystem(s_fn, t_fn, ring, "recovered")
 
 
-def system_from_coeff_rows(rows: Sequence[Sequence], ring: Ring, name: str = "recovered"
+def system_from_coeff_rows(rows: Sequence[Sequence], ring: Ring
                            ) -> tuple[list, list, FavardSystem]:
     """Recover s(n), t(n) from a monic true-coefficient table.
 
@@ -376,7 +318,7 @@ def system_from_coeff_rows(rows: Sequence[Sequence], ring: Ring, name: str = "re
     def t_fn(k, _t=t_list):
         return _t[k]
 
-    return s_list, t_list, FavardSystem(s_fn, t_fn, ring, name)
+    return s_list, t_list, FavardSystem(s_fn, t_fn, ring, "recovered")
 
 
 # ---------------------------------------------------------------------------
@@ -461,21 +403,21 @@ def geometric_q_coeff(n: int, j: int) -> QPoly:
     return -v if (n - j) % 2 else v
 
 
-def random_integer_system(rng, lo: int = -3, hi: int = 3) -> FavardSystem:
-    """Seeded random small-integer system with t(n) != 0."""
+def random_integer_system(rng) -> FavardSystem:
+    """Seeded random system with s(n), t(n) from -3..3 and t(n) != 0."""
     s_cache: dict[int, int] = {}
     t_cache: dict[int, int] = {}
 
     def s(n):
         if n not in s_cache:
-            s_cache[n] = rng.randint(lo, hi)
+            s_cache[n] = rng.randint(-3, 3)
         return s_cache[n]
 
     def t(n):
         if n not in t_cache:
             v = 0
             while v == 0:
-                v = rng.randint(lo, hi)
+                v = rng.randint(-3, 3)
             t_cache[n] = v
         return t_cache[n]
 

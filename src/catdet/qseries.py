@@ -14,11 +14,10 @@ exponent at 0, no common polynomial or integer factor, and a positive leading
 denominator coefficient, which makes equality a structural comparison as well.
 
 The module also provides the q-combinatorial primitives: q-integers,
-q-factorials, q-binomial coefficients (Gaussian polynomials, extended to
-negative upper index by reflection), q-Pochhammer products with monomial
-arguments, and specialization at q = 1 and q = -1.  Most of the paper's
-q-rationals (closed forms, matrix entries, products of closed forms) are
-products of factors (1 - q^e) and their inverses.  ``q_product`` takes their
+q-binomial coefficients (Gaussian polynomials, extended to negative upper
+index by reflection), and specialization at q = 1 and q = -1.  Most of the
+paper's q-rationals (closed forms, matrix entries, products of closed forms)
+are products of factors (1 - q^e) and their inverses.  ``q_product`` takes their
 exponent lists (``q_binomial_factors`` gives those of a q-binomial), splits
 each factor into cyclotomic polynomials, nets their exponents and returns the
 canonical ``QRat`` with no gcd at all (distinct cyclotomic polynomials are
@@ -45,9 +44,7 @@ __all__ = [
     "QRat",
     "ExactDivisionError",
     "q_int",
-    "q_factorial",
     "q_binomial",
-    "q_pochhammer",
     "q_lucas_value",
     "ZERO",
     "ONE",
@@ -527,10 +524,6 @@ class QRat:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den.is_one
-
     def as_poly(self) -> QPoly:
         if not self.den.is_one:
             raise ExactDivisionError(f"not a polynomial: ({self.num}) / ({self.den})")
@@ -645,7 +638,6 @@ def _as_qrat(x):
 # ---------------------------------------------------------------------------
 
 _QINT_CACHE: dict[int, QPoly] = {}
-_QFACT_CACHE: list[QPoly] = [ONE]
 _QBIN_CACHE: dict[tuple[int, int], QPoly] = {}
 _QPRODUCT_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...], int], QRat] = {}
 
@@ -664,16 +656,6 @@ def q_int(n: int) -> QPoly:
         p = QPoly._raw(n, (-1,) * -n)
     _QINT_CACHE[n] = p
     return p
-
-
-def q_factorial(n: int) -> QPoly:
-    """[n]! = [1][2]...[n]."""
-    if n < 0:
-        raise ValueError("q_factorial needs n >= 0")
-    while len(_QFACT_CACHE) <= n:
-        k = len(_QFACT_CACHE)
-        _QFACT_CACHE.append(_QFACT_CACHE[k - 1] * q_int(k))
-    return _QFACT_CACHE[n]
 
 
 def q_binomial(n: int, k: int) -> QPoly:
@@ -710,22 +692,6 @@ def q_binomial(n: int, k: int) -> QPoly:
             p = -p
     _QBIN_CACHE[key] = p
     return p
-
-
-def q_pochhammer(sign: int, a: int, count: int) -> QPoly:
-    """(x; q)_count with monomial argument x = sign * q^a.
-
-    ``sign`` is +1 or -1 and ``a`` is any integer.  The empty product
-    (count = 0) is 1.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if count < 0:
-        raise ValueError("q_pochhammer needs count >= 0")
-    out = ONE
-    for l in range(count):
-        out = out * (ONE - QPoly.monomial(a + l, sign))
-    return out
 
 
 def q_lucas_value(m: int, j: int) -> QPoly:

@@ -10,16 +10,17 @@ compares them structurally.
 Most checks are data.  A grid is a product of axes (``grid``).  A chain of
 equal values is one ``equal_check`` row, whose sides are lower Hessenberg
 families or functions of the grid point; "det of family = closed form" is its
-commonest case.  An "alternating sum = [n = 0]" is one ``sum_check`` row, and
-a null vector one ``null_check`` row; ``declare`` adds rows to ``CHECKS``.
+commonest case, and "this matrix kills this vector" is one whose sides are
+the product and the zero vector.  An "alternating sum = [n = 0]" is one
+``sum_check`` row; ``declare`` adds rows to ``CHECKS``.
 The rest are functions under ``register``: checks with extra conditions,
 cross-multiplied or differently rendered sides, inverse products, boolean
 bridges and properties, and sides that share per-point state.
 
 Every matrix is a ``families.Family`` built by ``families.build``.  A lower
 Hessenberg family is not rebuilt per grid point: ``swept_det`` keeps one
-sweep (``Family.sweep``, row-cleared for a q-rational family) per check and
-per parameters other than n, and reads each point's determinant off it, so a
+sweep (``Family.sweep``, row-cleared for a q-rational family) per family and
+parameters other than n, and reads each point's determinant off it, so a
 grid over n builds each entry of its largest matrix once.  In the same way
 each named Favard system's coefficient and moment tables (``_tables``) are
 grown once per process and shared by every orthogonal-polynomial check.
@@ -163,7 +164,7 @@ def register(id: str, anchor: str, kind: str, grid, conjecture: bool = False):
 
 
 def declare(*checks: Check) -> None:
-    """Add table rows (``equal_check``, ``sum_check``, ``null_check``) to ``CHECKS``."""
+    """Add table rows (``equal_check``, ``sum_check``) to ``CHECKS``."""
     CHECKS.update((check.id, check) for check in checks)
 
 
@@ -265,36 +266,35 @@ def _cases_grid(fast: int, full: int):
 
 
 # ---------------------------------------------------------------------------
-# the common shapes: chains of equal values, alternating sums, null vectors
+# the common shapes: chains of equal values and alternating sums
 # ---------------------------------------------------------------------------
 
-# One leading-minor sweep (``Family.sweep``) per (name, parameters other than n).
+# One leading-minor sweep (``Family.sweep``) per (family, parameters other than n).
 _SWEEPS: dict[tuple, object] = {}
 
 
-def swept_det(name: str, family: fam.Family, n: int, **params):
+def swept_det(family: fam.Family, n: int, **params):
     """det of the lower Hessenberg ``family``'s n x n matrix at ``params``.
 
-    It is D_n of the sweep kept under ``name`` and ``params``, grown on demand.
+    It is D_n of the sweep kept under ``family`` and ``params``, grown on demand.
     """
-    key = (name, *sorted(params.items()))
+    key = (family, *sorted(params.items()))
     sweep = _SWEEPS.get(key)
     if sweep is None:
         sweep = _SWEEPS[key] = family.sweep(**params)
     return sweep[n]
 
 
-def discard_sweeps(name: str) -> None:
-    """Drop every sweep kept under ``name``; its next reads recompute from scratch."""
-    for key in [key for key in _SWEEPS if key[0] == name]:
-        del _SWEEPS[key]
+def discard_sweeps() -> None:
+    """Drop every sweep; the next reads recompute from scratch."""
+    _SWEEPS.clear()
 
 
 def equal_check(id: str, anchor: str, kind: str, grid, *sides) -> Check:
     """Every side equals the first, at each point of ``grid``.
 
     A side is either a lower Hessenberg ``families.Family``, whose value at a
-    point is its determinant read off this check's sweep (``swept_det``), or a
+    point is its determinant read off the family's sweep (``swept_det``), or a
     function of the point's parameters.  The report's lhs is the first side;
     its rhs is the second side, or the rest joined by "; " when there are more.
     Side functions look module names up when called, so that rebinding a
@@ -302,7 +302,7 @@ def equal_check(id: str, anchor: str, kind: str, grid, *sides) -> Check:
     """
     def value_of(side):
         if isinstance(side, fam.Family):
-            return lambda n, **rest: swept_det(id, side, n, **rest)
+            return lambda n, **rest: swept_det(side, n, **rest)
         return side
     values = [value_of(side) for side in sides]
 
@@ -331,15 +331,6 @@ def sum_check(id: str, anchor: str, grid, term, by_j: bool = False) -> Check:
         lambda n, **rest: alternating_sum(n, lambda j: term(j, n=n, **rest), by_j),
         lambda n, **rest: kron(n == 0),
     )
-
-
-def null_check(id: str, anchor: str, grid, matrix, vector) -> Check:
-    """``matrix(n, m)`` times ``vector(n, m)`` is the zero vector."""
-    def run(n: int, m: int):
-        vec = vector(n, m)
-        out = matvec(matrix(n, m), vec)
-        return all(v == 0 for v in out), out, [0] * n
-    return Check(id, anchor, "nullspace", grid, run)
 
 
 def _at_q(qm: Matrix, value: int) -> Matrix:
@@ -462,6 +453,11 @@ def _lucas_binomial_sum(n: int) -> list[int]:
     return acc
 
 
+def _zero_vector(n: int, m: int) -> list[int]:
+    """The zero vector of length n."""
+    return [0] * n
+
+
 def _x_power(n: int) -> list[int]:
     """The coefficients of x^n, lowest first."""
     return [0] * n + [1]
@@ -481,18 +477,22 @@ declare(
               lambda j, n, k: binomial(n + k + j, n - j) * catalan_power(j, k + 1)),
     sum_check("eq33", "2.1.1 (33)", grid(n=(10, 12), k=(5, 6, 0)),
               lambda j, n, k: binomial(k + 1 + j, n - j) * catalan_power(j, k + 1)),
-    null_check("eq36", "2.1.1 (36)/(37)", _null_grid(2, 1),
-               lambda n, m: fam.build(fam.EQ35, n, x=-m),
-               lambda n, m: [lucas_value(m, j) for j in range(n)]),
-    null_check("eq39", "2.1.1 (39)", _null_grid(2, 1),
-               lambda n, m: fam.build(fam.EQ55, n, k=-m),
-               lambda n, m: [lucas_value(m, j) for j in range(n)]),
-    null_check("eq47", "2.1.1 (47)/(48)", _null_grid(1, 0),
-               lambda n, m: fam.build(fam.EQ45, n, k=-m),
-               lambda n, m: [binomial(m - j, j) for j in range(n)]),
-    null_check("eq49", "2.1.1 (49)", _null_grid(1, 0),
-               lambda n, m: fam.build(fam.EQ49, n, m=m),
-               lambda n, m: [binomial(m - j, j) for j in range(n)]),
+    equal_check("eq36", "2.1.1 (36)/(37)", "nullspace", _null_grid(2, 1),
+                lambda n, m: matvec(fam.build(fam.EQ35, n, x=-m),
+                                    [lucas_value(m, j) for j in range(n)]),
+                _zero_vector),
+    equal_check("eq39", "2.1.1 (39)", "nullspace", _null_grid(2, 1),
+                lambda n, m: matvec(fam.build(fam.EQ55, n, k=-m),
+                                    [lucas_value(m, j) for j in range(n)]),
+                _zero_vector),
+    equal_check("eq47", "2.1.1 (47)/(48)", "nullspace", _null_grid(1, 0),
+                lambda n, m: matvec(fam.build(fam.EQ45, n, k=-m),
+                                    [binomial(m - j, j) for j in range(n)]),
+                _zero_vector),
+    equal_check("eq49", "2.1.1 (49)", "nullspace", _null_grid(1, 0),
+                lambda n, m: matvec(fam.build(fam.EQ49, n, m=m),
+                                    [binomial(m - j, j) for j in range(n)]),
+                _zero_vector),
     equal_check("eq38", "2.1.1 (38)", "sum",
                 grid(n=(4, 6), r=(3, 4, 1), s=range(0, 5), t=range(-2, 4)),
                 lambda n, r, s, t: sum(gould_product(j, r, t) * binomial(s + t * n - t * j, n - j)
@@ -646,8 +646,8 @@ declare(
 
 @register("eq86", "3.2 Theorem 7 (86); also (7)", "det", grid(n=(6, 8), k=(4, 4, 1)))
 def _eq86(n: int, k: int):
-    d1 = swept_det("eq86", fam.EQ86, n, k=k, shifted=False)
-    d2 = swept_det("eq86", fam.EQ86, n, k=k, shifted=True)
+    d1 = swept_det(fam.EQ86, n, k=k, shifted=False)
+    d2 = swept_det(fam.EQ86, n, k=k, shifted=True)
     rhs = q_catalan_power(n, k)
     return d1 == rhs and d2 == rhs, d1, rhs
 
@@ -665,7 +665,7 @@ def _eq96(n: int, m: int, x: int):
 def _eq98(m: int, x: int):
     lhs = fam.thm11_w(1, x, m)
     rhs = fam.thm11_w1m(x, m)
-    det_form = swept_det("eq98", fam.EQ98, m, x=x)
+    det_form = swept_det(fam.EQ98, m, x=x)
     ok = lhs == rhs and QRat(det_form) == rhs
     return ok, lhs, rhs
 
@@ -831,7 +831,7 @@ def _thm5r(case: int, seed: int = 0):
     rng = random.Random(f"{seed}:{case}:0")
     sys = random_integer_system(rng)
     n, m = rng.randint(0, 5), rng.randint(0, 5)
-    ok = tyson_check(sys, n, m)
+    ok = tyson_check(sys.tables(), n, m)
     return ok, f"random system case {case} at (n={n}, m={m})", "holds"
 
 

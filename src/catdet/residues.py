@@ -11,13 +11,12 @@ trivial.
 A lift is itself a ``families.Family`` (``_lift``), so every lifted matrix is
 built through ``families.build``.  The lower Hessenberg lifts (eq107, eq109)
 are read off one leading-minor sweep per lift, modulus and parameters other
-than n; the banded eq110 lift (of ``EQ74`` at k = 0) and the Hankel side of
+than n (``registry.swept_det``); the banded eq110 lift (of ``EQ74`` at k = 0) and the Hankel side of
 c13b (of ``CATALAN_POWER_HANKEL`` at k = 0) are built and expanded per point.
 
 A conjecture search scans a grid and reports either the verified range or
-the first counterexample (re-verified by a recomputation that discards the
-conjecture's sweeps first); a counterexample is a report outcome, never a
-suite failure.
+the first counterexample (re-verified by a recomputation that discards every
+sweep first); a counterexample is a report outcome, never a suite failure.
 
 Its identity checks are registry rows: eq106 is a ``sum_check``, and eq104
 and eq107 are ``equal_check`` rows.  The parity bridge eq103 and the
@@ -100,27 +99,26 @@ def lucas_binomial_mod2(a: int, b: int) -> int:
     return 1
 
 
-def unique_power_index(m: int, check: bool = True) -> int:
+def unique_power_index(m: int) -> int:
     """The unique j >= 0 with binomial(m + 2^j, m + 1 - 2^j) odd.
 
     It is the position of the lowest zero bit of m (the digit argument makes
-    the flipped binomial a bit-subset pair exactly there).  With ``check``
-    the oddness and exhaustive uniqueness over the admissible j are asserted.
+    the flipped binomial a bit-subset pair exactly there).  The oddness and
+    exhaustive uniqueness over the admissible j are asserted.
     """
     if m < 0:
         raise ValueError("unique_power_index needs m >= 0")
     h = 0
     while (m >> h) & 1:
         h += 1
-    if check:
-        hits = []
-        j = 0
-        while (1 << j) <= m + 1:
-            if lucas_binomial_mod2(m + (1 << j), m + 1 - (1 << j)):
-                hits.append(j)
-            j += 1
-        if hits != [h]:
-            raise AssertionError(f"digit lemma failed at m={m}: odd positions {hits}")
+    hits = []
+    j = 0
+    while (1 << j) <= m + 1:
+        if lucas_binomial_mod2(m + (1 << j), m + 1 - (1 << j)):
+            hits.append(j)
+        j += 1
+    if hits != [h]:
+        raise AssertionError(f"digit lemma failed at m={m}: odd positions {hits}")
     return h
 
 
@@ -139,7 +137,7 @@ def lifted_det(family: str, params: dict, modulus: int) -> int:
     """Entry-wise residue lift of an integer family, then an exact integer det."""
     lift = _LIFT_FAMILIES[family]
     if family in _SWEPT_LIFTS:
-        return swept_det(family, lift, p=modulus, **params)
+        return swept_det(lift, p=modulus, **params)
     rest = {key: value for key, value in params.items() if key != "n"}
     return det(fam.build(lift, params["n"], p=modulus, **rest))
 
@@ -241,18 +239,17 @@ class Conjecture(NamedTuple):
     modulus: int
     point: Callable[..., tuple[bool, str, str]]
     grid: Callable[[Bounds], list[dict]]
-    lifts: tuple[str, ...]  # the lifted families its points take determinants of
 
 
 CONJECTURES = {
     "c12": Conjecture("4 Conjecture 12 (108)", 2, _c12_point,
-                      grid(size=(16, 32, TOP)), ()),
+                      grid(size=(16, 32, TOP))),
     "c13a": Conjecture("4 Conjecture 13 (109); also (12)", 2, _c13a_point,
-                       grid(n=(16, 32, 1), k=(4, 6, 1)), ("eq109",)),
+                       grid(n=(16, 32, 1), k=(4, 6, 1))),
     "c13b": Conjecture("4 Conjecture 13 (110); also (13)", 2, _c13b_point,
-                       grid(n=(10, 16, 1), m=(3, 4, 1)), ("eq110",)),
+                       grid(n=(10, 16, 1), m=(3, 4, 1))),
     "c14": Conjecture("4 Conjecture 14 (111); also (14)", 3, _c14_point,
-                      grid(n=(40, 81)), ("eq107",)),
+                      grid(n=(40, 81))),
 }
 
 CONJECTURE_IDS = tuple(CONJECTURES)
@@ -286,8 +283,7 @@ def conjecture_search(conjecture_id: str, bounds: Bounds | None = None) -> Conje
         if not ok:
             # a counterexample must re-verify as a genuine failure, recomputed
             # rather than read off the sweeps that gave it
-            for lift in CONJECTURES[conjecture_id].lifts:
-                discard_sweeps(lift)
+            discard_sweeps()
             again_ok, lhs2, rhs2 = point_fn(**point)
             if again_ok:
                 raise AssertionError(f"non-reproducible failure at {point}")
@@ -321,7 +317,7 @@ def _eq103(n: int, m: int):
 @register("sec4uniq", "4 digit lemma", "property", grid(m_below=(256, 512, TOP)))
 def _sec4uniq(m_below: int):
     for m in range(m_below):
-        unique_power_index(m, check=True)
+        unique_power_index(m)
     return True, f"unique odd flip index for all m < {m_below}", "unique"
 
 

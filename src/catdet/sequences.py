@@ -25,9 +25,6 @@ __all__ = [
     "catalan",
     "catalan_power",
     "ballot",
-    "gould",
-    "fib_coeff",
-    "lucas_coeff",
     "carlitz",
     "gfun",
     "q_catalan",
@@ -78,42 +75,6 @@ def ballot(i: int, j: int) -> int:
     if i < 0 or j < 0 or j > i:
         return 0
     return binomial(2 * i, i - j) - binomial(2 * i, i - j - 1)
-
-
-def gould(n: int, x: int, r: int) -> Fraction:
-    """Gould value (x/(rn+x)) * binomial(rn+x, n) as an exact rational.
-
-    Raises at the pole x = -rn (use :func:`catdet.exact.gould_product`
-    for the polynomial continuation).
-    """
-    if n < 0:
-        raise ValueError("gould needs n >= 0")
-    if n == 0:
-        return Fraction(1)
-    if r * n + x == 0:
-        raise ZeroDivisionError(f"gould pole at x = {-r * n}")
-    return Fraction(x * binomial(r * n + x, n), r * n + x)
-
-
-def fib_coeff(n: int, j: int) -> int:
-    """Signed coefficient of x^(n-2j) in the Fibonacci polynomial family."""
-    if n < 0 or j < 0 or 2 * j > n:
-        return 0
-    value = binomial(n - j, j)
-    return -value if j % 2 else value
-
-
-def lucas_coeff(n: int, j: int) -> int:
-    """Signed coefficient of x^(n-2j) in the Lucas polynomial variant.
-
-    (-1)^j (n/(n-j)) binomial(n-j, j), with the n = 0 polynomial equal to 1.
-    """
-    if n < 0 or j < 0 or 2 * j > n:
-        return 0
-    if n == 0:
-        return 1
-    value = _integer(n * binomial(n - j, j), n - j, f"lucas_coeff({n}, {j})")
-    return -value if j % 2 else value
 
 
 @cache
@@ -218,35 +179,6 @@ def andrews_moment(n: int) -> QRat:
     num, den = q_binomial_factors(2 * n, n)
     return q_plus_product([*num, 1], [*den, n + 1], n,
                           [1], [n + 1, *range(1, n + 1), *range(1, n + 1)])
-
-
-def catalan_series_power_coeff(n: int, k: int) -> int:
-    """Oracle: coefficient of z^n in the k-th power of the Catalan series,
-    computed by repeated convolution (independent of the closed form)."""
-    if n < 0:
-        return 0
-    coeffs = [1] + [0] * n
-    base = [catalan(i) for i in range(n + 1)]
-    for _ in range(k):
-        coeffs = [
-            sum(coeffs[a] * base[m - a] for a in range(m + 1)) for m in range(n + 1)
-        ]
-    return coeffs[n]
-
-
-def fib_poly_coeffs(n: int) -> list[int]:
-    """Oracle: true coefficient vector of the n-th Fibonacci polynomial from
-    the recurrence F_n = x F_(n-1) - F_(n-2), F_0 = 1, F_1 = x."""
-    prev = [1]
-    if n == 0:
-        return prev
-    cur = [0, 1]
-    for _ in range(n - 1):
-        nxt = [0] + cur
-        for i, c in enumerate(prev):
-            nxt[i] -= c
-        prev, cur = cur, nxt
-    return cur
 
 
 def lucas_poly_coeffs(n: int) -> list[int]:

@@ -305,6 +305,26 @@ def test_no_assert_statement_in_the_package():
     assert found == []
 
 
+def test_every_public_definition_is_used_in_the_package():
+    # a public top-level function or class that no code of the package names
+    # (its own body and the re-exports of __init__ aside) is a dead helper;
+    # registry.verify_range is the entry point the README documents
+    defined, used = [], set()
+    for path in sorted((SRC / "catdet").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            refs = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            refs |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                refs.discard(node.name)
+                if not node.name.startswith("_"):
+                    defined.append(f"{path.stem}.{node.name}")
+            used |= refs
+    dead = [name for name in defined if name.split(".")[1] not in used]
+    assert dead == ["registry.verify_range"]
+
+
 def test_default_command_is_fast_suite(capsys, monkeypatch):
     # trim every grid to its first point to keep the default run quick
     from catdet import registry

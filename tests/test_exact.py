@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from catdet.exact import (
     binomial,
     choose2,
-    falling,
     gould_product,
     lucas_value,
 )
+from oracles import falling
 
 
 def test_binomial_small_pascal_entry():

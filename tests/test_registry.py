@@ -6,7 +6,7 @@ import catdet.residues  # noqa: F401  (registers the modular checks)
 from catdet import families as fam
 from catdet.exact import choose2
 from catdet.linalg import QRAT, det, det_bareiss, det_cofactor
-from catdet.qseries import ONE, Q, QPoly, QRat, q_binomial, q_int, q_pochhammer
+from catdet.qseries import ONE, Q, QPoly, QRat, q_binomial, q_int
 from catdet.registry import (
     CHECKS,
     Bounds,
@@ -16,6 +16,7 @@ from catdet.registry import (
     swept_det,
     verify_range,
 )
+from oracles import q_pochhammer
 
 
 def P(*terms):
@@ -244,11 +245,25 @@ def test_equal_check_sides(monkeypatch):
             res = run_check("test-equal", n=n, k=2)
             assert res.passed and res.lhs == str(det(fam.build(fam.EQ54, n, k=2)))
     finally:
-        discard_sweeps("test-equal")
+        discard_sweeps()
     # a side that raises gives status error, not fail
     declare(lambda n: n, lambda n: 1 // (n - n))
     res = run_check("test-equal", n=3)
     assert (res.status, res.lhs) == ("error", "ZeroDivisionError")
+
+
+def test_equal_check_reads_one_sweep_per_family_side(monkeypatch):
+    from catdet.registry import equal_check
+
+    # det EQ1 is C_n and det EQ43 is C(2n, n): the row holds at n = 0 only
+    monkeypatch.setitem(CHECKS, "test-two-families", equal_check(
+        "test-two-families", "test", "det", lambda b: [], fam.EQ1, fam.EQ43))
+    try:
+        assert run_check("test-two-families", n=0).passed
+        res = run_check("test-two-families", n=3)
+        assert (res.status, res.lhs, res.rhs) == ("fail", "5", "20")
+    finally:
+        discard_sweeps()
 
 
 def test_conjecture_checks_follow_bounds(monkeypatch):
@@ -449,11 +464,11 @@ def test_q_polynomial_family_determinants_against_sympy():
     ("eq92", {"n": 3, "k": 2}, {"n": 7, "k": 2}),
 ])
 def test_run_check_equal_on_cold_and_warm_sweeps(check_id, small, large):
-    discard_sweeps(check_id)
+    discard_sweeps()
     cold = run_check(check_id, **small).to_json()
     run_check(check_id, **large)
     warm = run_check(check_id, **small).to_json()
-    discard_sweeps(check_id)
+    discard_sweeps()
     run_check(check_id, **large)
     grown_first = run_check(check_id, **small).to_json()
     assert cold == warm == grown_first
@@ -461,16 +476,17 @@ def test_run_check_equal_on_cold_and_warm_sweeps(check_id, small, large):
 
 
 def test_swept_det_keeps_one_sweep_per_name_and_parameters():
+    # the name of a sweep is its family
     from catdet import registry
 
-    assert swept_det("test-eq54", fam.EQ54, 6, k=2) == 429  # C^(2)_6
-    assert swept_det("test-eq54", fam.EQ54, 6, k=3) == 1001  # C^(3)_6
-    assert swept_det("test-eq54", fam.EQ54, 2, k=2) == 5
-    kept = {key: len(sweep) for key, sweep in registry._SWEEPS.items()
-            if key[0] == "test-eq54"}
-    assert kept == {("test-eq54", ("k", 2)): 7, ("test-eq54", ("k", 3)): 7}
-    discard_sweeps("test-eq54")
-    assert not any(key[0] == "test-eq54" for key in registry._SWEEPS)
+    discard_sweeps()
+    assert swept_det(fam.EQ54, 6, k=2) == 429  # C^(2)_6
+    assert swept_det(fam.EQ54, 6, k=3) == 1001  # C^(3)_6
+    assert swept_det(fam.EQ54, 2, k=2) == 5
+    kept = {key: len(sweep) for key, sweep in registry._SWEEPS.items()}
+    assert kept == {(fam.EQ54, ("k", 2)): 7, (fam.EQ54, ("k", 3)): 7}
+    discard_sweeps()
+    assert not registry._SWEEPS
 
 
 # The q-rational entries and products built from (1 - q^e) factor lists, next

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from catdet import registry
+from catdet import registry, residues
 from catdet.exact import binomial
 from catdet.linalg import INT, LeadingMinors, Matrix, det_bareiss
 from catdet.registry import Bounds, run_check
@@ -49,7 +49,7 @@ def test_unique_power_index():
     assert unique_power_index(2) == 0
     assert unique_power_index(3) == 2
     for m in range(512):
-        h = unique_power_index(m, check=True)  # asserts uniqueness internally
+        h = unique_power_index(m)  # asserts uniqueness internally
         assert binomial(m + 2**h, m + 1 - 2**h) % 2 == 1
 
 
@@ -61,7 +61,7 @@ def test_unique_power_index_oracle_scan():
             for j in range(0, (m + 2).bit_length() + 1)
             if m + 1 - 2**j >= 0 and binomial(m + 2**j, m + 1 - 2**j) % 2 == 1
         ]
-        assert odd == [unique_power_index(m, check=False)]
+        assert odd == [unique_power_index(m)]
 
 
 def test_mod3_displayed_determinants():
@@ -185,7 +185,7 @@ def test_counterexample_recheck_recomputes_instead_of_reading_the_sweep(monkeypa
     def entry(i, j):
         return 2 if (i, j) == (0, 0) else binomial(i + j + 1, i - j + 1) % 2
 
-    key = ("eq109", ("k", 1), ("p", 2))
+    key = (residues._LIFT_FAMILIES["eq109"], ("k", 1), ("p", 2))
     monkeypatch.setitem(registry._SWEEPS, key, LeadingMinors(entry, INT))
     with pytest.raises(AssertionError, match="non-reproducible failure"):
         conjecture_search("c13a", Bounds(n_max=2, k_max=1))

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from catdet import sequences
 from catdet.exact import binomial, gould_product
-from catdet.qseries import ONE, QPoly, QRat, q_binomial, q_int, q_pochhammer
+from catdet.qseries import ONE, QPoly, QRat, q_binomial, q_int
 from catdet.sequences import (
     andrews_c,
     andrews_moment,
@@ -12,16 +13,12 @@ from catdet.sequences import (
     carlitz,
     catalan,
     catalan_power,
-    catalan_series_power_coeff,
-    fib_coeff,
-    fib_poly_coeffs,
     gfun,
-    gould,
-    lucas_coeff,
     lucas_poly_coeffs,
     q_catalan,
     q_catalan_power,
 )
+from oracles import catalan_series_power_coeff, gould, lucas_coeff, q_pochhammer
 
 
 def P(*terms):
@@ -105,17 +102,6 @@ def test_gould_matches_product_form_off_pole():
                     assert gould(n, x, r) == gould_product(n, x, r)
 
 
-def test_fib_coeffs():
-    # F_4(x) = x^4 - 3x^2 + 1
-    coeffs = fib_poly_coeffs(4)
-    assert coeffs == [1, 0, -3, 0, 1]
-    for n in range(11):
-        oracle = fib_poly_coeffs(n)
-        for j in range(0, n // 2 + 1):
-            assert fib_coeff(n, j) == oracle[n - 2 * j]
-        assert fib_coeff(n, 0) == 1
-
-
 def test_lucas_coeffs():
     # L_2(x) = x^2 - 2
     assert lucas_poly_coeffs(2) == [-2, 0, 1]
@@ -131,6 +117,7 @@ def test_non_integral_closed_form_raises_arithmetic_error(monkeypatch):
     # a binomial of 1 makes every closed form below a proper fraction; the
     # check must survive ``python -O``, so it cannot be an ``assert``
     monkeypatch.setattr(sequences, "binomial", lambda n, k: 1)
+    monkeypatch.setattr(oracles, "binomial", lambda n, k: 1)
     catalan_power.cache_clear()
     try:
         with pytest.raises(ArithmeticError, match="not an integer"):
