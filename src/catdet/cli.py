@@ -6,6 +6,11 @@ searches).  Reports are emitted as JSON or markdown with identical pass/fail
 content; all timing data lives in a separate ``timings`` object so that
 reports from identical configurations are byte-identical apart from it.
 
+A ``verify`` or ``suite`` report is streamed, never held whole: ``config``,
+then each point's row as soon as the point returns, then ``summary`` and
+``timings`` from running counts.  ``--out PATH`` is written to a sibling file
+that replaces PATH once the report is complete.
+
 Exit codes: 0 when every non-conjecture point passes (a conjecture
 counterexample is a report outcome, not a failure); 1 when a non-conjecture
 point is false; 2 on a usage error (a bad argument, an unknown id, an empty
@@ -16,11 +21,13 @@ takes precedence over 1.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 import time
+from collections.abc import Callable, Iterator
 from json.encoder import encode_basestring_ascii
-from multiprocessing import Pool
 
 import catdet.residues  # noqa: F401  (registers the modular checks)
 from catdet import registry
@@ -64,56 +71,29 @@ def _pool_point(task: tuple[str, dict]) -> CheckResult:
     return registry.run_check(check_id, **params)
 
 
-def _run_tasks(tasks: list[tuple[str, dict]], jobs: int, fail_fast: bool
-               ) -> tuple[list[CheckResult], dict[str, float]]:
-    results: list[CheckResult] = []
-    per_check: dict[str, float] = {}
-    if jobs > 1 and not fail_fast and len(tasks) > 1:
-        with Pool(min(jobs, len(tasks))) as pool:
-            results = pool.map(_pool_point, tasks)
-    else:
-        for task in tasks:
-            res = _pool_point(task)
-            results.append(res)
-            if fail_fast and not res.passed and not registry.CHECKS[task[0]].conjecture:
-                break
-    for res in results:
-        per_check[res.check_id] = per_check.get(res.check_id, 0.0) + res.elapsed
-    return results, per_check
+def _points(tasks: list[tuple[str, dict]], jobs: int, fail_fast: bool) -> Iterator[CheckResult]:
+    """Each task's result in grid order, as soon as it returns; ``fail_fast`` runs serially."""
+    workers = min(jobs, len(tasks))
+    if workers < 2 or fail_fast:
+        yield from map(_pool_point, tasks)
+        return
+    from multiprocessing import Pool  # only here: it loads pickle and socket
+
+    with Pool(workers) as pool:
+        # pool.map's chunk size: imap's default sends one point per round trip
+        yield from pool.imap(_pool_point, tasks, -(-len(tasks) // (4 * workers)))
 
 
-def _report(results: list[CheckResult], config: dict, per_check: dict[str, float],
-            total: float) -> dict:
-    passed = sum(1 for r in results if r.passed)
-    return {
-        "config": config,
-        "results": [r.to_json() for r in results],
-        "summary": {"pass": passed, "fail": len(results) - passed},
-        "timings": {
-            "total_seconds": round(total, 6),
-            "per_check_seconds": {k: round(v, 6) for k, v in sorted(per_check.items())},
-        },
-    }
+def _median(values: list[float]) -> float:
+    """The middle value, or the mean of the two middle values of an even count."""
+    ordered = sorted(values)
+    return (ordered[len(ordered) // 2] + ordered[~(len(ordered) // 2)]) / 2
 
 
-def _render_markdown(report: dict) -> str:
-    lines = ["# catdet report", ""]
-    lines.append("| id | params | status | lhs | rhs |")
-    lines.append("|---|---|---|---|---|")
-    for r in report["results"]:
-        params = ", ".join(f"{k}={v}" for k, v in r["params"].items())
-        lhs = r["lhs"].replace("|", "\\|")
-        rhs = r["rhs"].replace("|", "\\|")
-        if len(lhs) > 60:
-            lhs = lhs[:57] + "..."
-        if len(rhs) > 60:
-            rhs = rhs[:57] + "..."
-        lines.append(f"| {r['id']} | {params} | {r['status']} | {lhs} | {rhs} |")
-    s = report["summary"]
-    lines.append("")
-    lines.append(f"**pass: {s['pass']}, fail: {s['fail']}**")
-    lines.append("")
-    return "\n".join(lines)
+def _md_cell(text: str) -> str:
+    """``text`` escaped to stay in one table cell on one line, cut to 60 characters."""
+    text = text.replace("|", "\\|").replace("\r", "\\r").replace("\n", "\\n")
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def _json_text(value, indent: str = "") -> str:
@@ -138,32 +118,26 @@ def _json_text(value, indent: str = "") -> str:
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
 
+@contextlib.contextmanager
+def _sink(out: str | None) -> Iterator[Callable[[str], object]]:
+    """``write`` of standard output, or of a sibling of ``out`` that replaces it once complete."""
+    if not out:
+        yield sys.stdout.write
+        return
+    part = f"{out}.{os.getpid()}.part"
+    try:
+        with open(part, "w") as fh:
+            yield fh.write
+        os.replace(part, out)
+    finally:
+        if os.path.exists(part):
+            os.remove(part)
+
+
 def _emit(payload: dict, fmt: str, out: str | None) -> None:
-    if fmt != "markdown":
-        text = _json_text(payload) + "\n"
-    elif "results" in payload:
-        text = _render_markdown(payload)
-    else:
-        text = "```json\n" + _json_text(payload) + "\n```\n"
-    _write(text, out)
-
-
-def _write(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _exit_code(results: list[CheckResult]) -> int:
-    """3 if a point raised, else 1 if a non-conjecture point failed, else 0."""
-    if any(r.status == "error" for r in results):
-        return 3
-    for r in results:
-        if not r.passed and not registry.CHECKS[r.check_id].conjecture:
-            return 1
-    return 0
+    text = _json_text(payload)
+    with _sink(out) as write:
+        write("```json\n" + text + "\n```\n" if fmt == "markdown" else text + "\n")
 
 
 def _cmd_list(args) -> int:
@@ -178,12 +152,13 @@ def _cmd_list(args) -> int:
                 f"| {entry['id']} | {entry['kind']}{tag} | {entry['anchor']} | "
                 f"{', '.join(entry['params'])} |"
             )
-        _write("\n".join(lines) + "\n", args.out)
+        with _sink(args.out) as write:
+            write("\n".join(lines) + "\n")
     return 0
 
 
 def _run_checks(args, command: str, ids: list[str], bounds: Bounds) -> int:
-    """Run every grid point of ``ids``; an unknown id or an empty grid exits 2."""
+    """Run and write every grid point of ``ids``; an unknown id or an empty grid exits 2."""
     t0 = time.perf_counter()
     tasks: list[tuple[str, dict]] = []
     for check_id in ids:
@@ -196,11 +171,39 @@ def _run_checks(args, command: str, ids: list[str], bounds: Bounds) -> int:
             print(f"empty grid for {check_id}", file=sys.stderr)
             return 2
         tasks += [(check_id, point) for point in points]
-    results, per_check = _run_tasks(tasks, args.jobs, args.fail_fast)
-    report = _report(results, _config_json(args, command), per_check,
-                     time.perf_counter() - t0)
-    _emit(report, args.format, args.out)
-    return _exit_code(results)
+    markdown = args.format == "markdown"
+    seconds: dict[str, list[float]] = {}
+    passed = code = 0
+    with _sink(args.out) as write:
+        write("# catdet report\n\n| id | params | status | lhs | rhs |\n|---|---|---|---|---|\n"
+              if markdown else '{\n  "config": ' + _json_text(_config_json(args, command), "  ")
+              + ',\n  "results": [')
+        sep = "\n    "
+        for res in _points(tasks, args.jobs, args.fail_fast):
+            if markdown:
+                params = ", ".join(f"{k}={v}" for k, v in res.params.items())
+                write(f"| {res.check_id} | {params} | {res.status} | {_md_cell(res.lhs)} | "
+                      f"{_md_cell(res.rhs)} |\n")
+            else:
+                write(sep + _json_text(res.to_json(), "    "))
+                sep = ",\n    "
+            seconds.setdefault(res.check_id, []).append(res.elapsed)
+            passed += res.passed
+            failing = not res.passed and not registry.CHECKS[res.check_id].conjecture
+            code = 3 if res.status == "error" else code or int(failing)
+            if failing and args.fail_fast:
+                break
+        failed = sum(map(len, seconds.values())) - passed
+        if markdown:
+            write(f"\n**pass: {passed}, fail: {failed}**\n")
+            return code
+        timings = {"total_seconds": round(time.perf_counter() - t0, 6)}
+        for key, stat in (("per_check_seconds", sum), ("per_check_median_point_seconds", _median),
+                          ("per_check_max_point_seconds", max)):
+            timings[key] = {cid: round(stat(times), 6) for cid, times in sorted(seconds.items())}
+        write('\n  ],\n  "summary": ' + _json_text({"pass": passed, "fail": failed}, "  ")
+              + ',\n  "timings": ' + _json_text(timings, "  ") + "\n}\n")
+    return code
 
 
 def _cmd_verify(args) -> int:
@@ -325,19 +328,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         # default: the fast suite
         args = parser.parse_args(["suite", "--level", "fast"])
+    run = {"list": _cmd_list, "verify": _cmd_verify, "suite": _cmd_suite,
+           "conjecture": _cmd_conjecture}[args.command]
     try:
-        if args.command == "list":
-            return _cmd_list(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "suite":
-            return _cmd_suite(args)
-        if args.command == "conjecture":
-            return _cmd_conjecture(args)
+        return run(args)
     except BrokenPipeError:
         return 0
-    parser.print_help()
-    return 2
 
 
 if __name__ == "__main__":

@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -247,6 +249,84 @@ def test_fail_fast_stops_early(monkeypatch, capsys):
     assert len(data["results"]) == 3
 
 
+@pytest.mark.parametrize("fmt, first_row", [
+    ("json", '"id": "zzstream"'),
+    ("markdown", "| zzstream | n=0 | pass | 0 | 0 |\n"),
+], ids=["json", "markdown"])
+def test_rows_are_written_as_their_points_finish(monkeypatch, fmt, first_row):
+    from catdet import registry
+
+    out = io.StringIO()
+    seen = []
+
+    def run(n):
+        seen.append(out.getvalue())
+        return True, n, n
+
+    check = registry.Check("zzstream", "synthetic", "det", lambda b: [{"n": 0}, {"n": 1}], run)
+    monkeypatch.setitem(registry.CHECKS, "zzstream", check)
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", "--id", "zzstream", "--format", fmt]) == 0
+    assert first_row not in seen[0]
+    assert first_row in seen[1]
+
+
+def test_interrupted_run_leaves_the_out_file_as_it_was(monkeypatch, tmp_path):
+    from catdet import registry
+
+    def interrupted(n):
+        if n == 1:
+            raise KeyboardInterrupt
+        return True, n, n
+
+    check = registry.Check("zzstop", "synthetic", "det", lambda b: [{"n": 0}, {"n": 1}],
+                           interrupted)
+    monkeypatch.setitem(registry.CHECKS, "zzstop", check)
+    path = tmp_path / "report.json"
+    path.write_bytes(b"old report\n")
+    with pytest.raises(KeyboardInterrupt):
+        main(["verify", "--id", "zzstop", "--out", str(path)])
+    assert path.read_bytes() == b"old report\n"
+    assert os.listdir(tmp_path) == ["report.json"]
+
+
+def test_markdown_row_stays_on_one_line(monkeypatch, capsys):
+    from catdet import registry
+
+    def crash(n):
+        raise ValueError("line one\nline two | x\r")
+
+    check = registry.Check("zzlines", "synthetic", "det", lambda b: [{"n": 0}], crash)
+    monkeypatch.setitem(registry.CHECKS, "zzlines", check)
+    code, out = run_cli(capsys, "verify", "--id", "zzlines", "--format", "markdown")
+    assert code == 3
+    assert "| zzlines | n=0 | error | ValueError | line one\\nline two \\| x\\r |\n" in out
+    assert len(out.splitlines()) == 7
+
+
+def test_timings_per_point_median_and_max(monkeypatch, capsys):
+    from catdet import registry
+    from catdet.registry import CheckResult
+
+    seconds = {("zzodd", 0): 0.125, ("zzodd", 1): 0.5, ("zzodd", 2): 0.25,
+               ("zzeven", 0): 0.25, ("zzeven", 1): 0.5, ("zzeven", 2): 2.0, ("zzeven", 3): 1.0}
+
+    def timed(check_id, n):
+        return CheckResult(check_id, {"n": n}, "pass", "1", "1", seconds[check_id, n])
+
+    for cid, size in (("zzodd", 3), ("zzeven", 4)):
+        check = registry.Check(cid, "synthetic", "det",
+                               lambda b, m=size: [{"n": i} for i in range(m)], None)
+        monkeypatch.setitem(registry.CHECKS, cid, check)
+    monkeypatch.setattr(registry, "run_check", timed)
+    code, out = run_cli(capsys, "verify", "--id", "zzodd", "--id", "zzeven")
+    assert code == 0
+    timings = json.loads(out)["timings"]
+    assert timings["per_check_seconds"] == {"zzeven": 3.75, "zzodd": 0.875}
+    assert timings["per_check_median_point_seconds"] == {"zzeven": 0.75, "zzodd": 0.25}
+    assert timings["per_check_max_point_seconds"] == {"zzeven": 2.0, "zzodd": 0.5}
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -268,6 +348,17 @@ def test_report_unchanged_under_python_O():
     plain = _report_without_timings()
     assert '"fail": 0' in plain
     assert _report_without_timings("-O") == plain
+
+
+def test_serial_cli_does_not_import_multiprocessing():
+    # multiprocessing loads pickle, socket and selectors; only --jobs > 1 needs it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, catdet.cli; print('multiprocessing' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 _NO_GCD_NO_DIVISION = """
