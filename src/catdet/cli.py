@@ -6,10 +6,8 @@ searches).  Reports are emitted as JSON or markdown with identical pass/fail
 content; all timing data lives in a separate ``timings`` object so that
 reports from identical configurations are byte-identical apart from it.
 
-A ``verify`` or ``suite`` report is streamed, never held whole: ``config``,
-then each point's row as soon as the point returns, then ``summary`` and
-``timings`` from running counts.  ``--out PATH`` is written to a sibling file
-that replaces PATH once the report is complete.
+A ``verify`` or ``suite`` report is streamed, one row as each point returns;
+``--out PATH`` receives it whole, from a sibling file renamed onto the file.
 
 Exit codes: 0 when every non-conjecture point passes (a conjecture
 counterexample is a report outcome, not a failure); 1 when a non-conjecture
@@ -24,6 +22,7 @@ import argparse
 import contextlib
 import json
 import os
+import stat
 import sys
 import time
 from collections.abc import Callable, Iterator
@@ -78,16 +77,9 @@ def _points(tasks: list[tuple[str, dict]], jobs: int, fail_fast: bool) -> Iterat
         yield from map(_pool_point, tasks)
         return
     from multiprocessing import Pool  # only here: it loads pickle and socket
-
     with Pool(workers) as pool:
         # pool.map's chunk size: imap's default sends one point per round trip
         yield from pool.imap(_pool_point, tasks, -(-len(tasks) // (4 * workers)))
-
-
-def _median(values: list[float]) -> float:
-    """The middle value, or the mean of the two middle values of an even count."""
-    ordered = sorted(values)
-    return (ordered[len(ordered) // 2] + ordered[~(len(ordered) // 2)]) / 2
 
 
 def _md_cell(text: str) -> str:
@@ -120,14 +112,19 @@ def _json_text(value, indent: str = "") -> str:
 
 @contextlib.contextmanager
 def _sink(out: str | None) -> Iterator[Callable[[str], object]]:
-    """``write`` of standard output, or of a sibling of ``out`` that replaces it once complete."""
-    if not out:
-        yield sys.stdout.write
+    """``write`` of stdout or ``out``; a regular ``out`` is swapped for a whole sibling file."""
+    mode = os.lstat(out).st_mode if out and os.path.lexists(out) else None
+    if not out or (mode is not None and not stat.S_ISREG(mode)):
+        # a symlink, a device or a FIFO is written through, as ``open`` finds it
+        with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+            yield fh.write
         return
     part = f"{out}.{os.getpid()}.part"
     try:
         with open(part, "w") as fh:
             yield fh.write
+        if mode is not None:
+            os.chmod(part, stat.S_IMODE(mode))
         os.replace(part, out)
     finally:
         if os.path.exists(part):
@@ -173,34 +170,34 @@ def _run_checks(args, command: str, ids: list[str], bounds: Bounds) -> int:
         tasks += [(check_id, point) for point in points]
     markdown = args.format == "markdown"
     seconds: dict[str, list[float]] = {}
-    passed = code = 0
+    rows = passed = code = 0
     with _sink(args.out) as write:
         write("# catdet report\n\n| id | params | status | lhs | rhs |\n|---|---|---|---|---|\n"
               if markdown else '{\n  "config": ' + _json_text(_config_json(args, command), "  ")
               + ',\n  "results": [')
-        sep = "\n    "
         for res in _points(tasks, args.jobs, args.fail_fast):
             if markdown:
                 params = ", ".join(f"{k}={v}" for k, v in res.params.items())
                 write(f"| {res.check_id} | {params} | {res.status} | {_md_cell(res.lhs)} | "
                       f"{_md_cell(res.rhs)} |\n")
             else:
-                write(sep + _json_text(res.to_json(), "    "))
-                sep = ",\n    "
+                write(("," if rows else "") + "\n    " + _json_text(res.to_json(), "    "))
+            rows += 1
             seconds.setdefault(res.check_id, []).append(res.elapsed)
             passed += res.passed
             failing = not res.passed and not registry.CHECKS[res.check_id].conjecture
             code = 3 if res.status == "error" else code or int(failing)
             if failing and args.fail_fast:
                 break
-        failed = sum(map(len, seconds.values())) - passed
+        failed = rows - passed
         if markdown:
             write(f"\n**pass: {passed}, fail: {failed}**\n")
             return code
+        from statistics import median  # only here: one median per check id, once
         timings = {"total_seconds": round(time.perf_counter() - t0, 6)}
-        for key, stat in (("per_check_seconds", sum), ("per_check_median_point_seconds", _median),
-                          ("per_check_max_point_seconds", max)):
-            timings[key] = {cid: round(stat(times), 6) for cid, times in sorted(seconds.items())}
+        for key, fn in (("per_check_seconds", sum), ("per_check_median_point_seconds", median),
+                        ("per_check_max_point_seconds", max)):
+            timings[key] = {cid: round(fn(times), 6) for cid, times in sorted(seconds.items())}
         write('\n  ],\n  "summary": ' + _json_text({"pass": passed, "fail": failed}, "  ")
               + ',\n  "timings": ' + _json_text(timings, "  ") + "\n}\n")
     return code
@@ -328,12 +325,19 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         # default: the fast suite
         args = parser.parse_args(["suite", "--level", "fast"])
-    run = {"list": _cmd_list, "verify": _cmd_verify, "suite": _cmd_suite,
-           "conjecture": _cmd_conjecture}[args.command]
     try:
-        return run(args)
+        if args.command == "list":
+            return _cmd_list(args)
+        if args.command == "verify":
+            return _cmd_verify(args)
+        if args.command == "suite":
+            return _cmd_suite(args)
+        if args.command == "conjecture":
+            return _cmd_conjecture(args)
     except BrokenPipeError:
         return 0
+    parser.print_help()
+    return 2
 
 
 if __name__ == "__main__":

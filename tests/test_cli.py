@@ -3,8 +3,10 @@ import contextlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -288,6 +290,43 @@ def test_interrupted_run_leaves_the_out_file_as_it_was(monkeypatch, tmp_path):
         main(["verify", "--id", "zzstop", "--out", str(path)])
     assert path.read_bytes() == b"old report\n"
     assert os.listdir(tmp_path) == ["report.json"]
+
+
+def test_out_onto_a_file_keeps_its_mode(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text("old report\n")
+    path.chmod(0o640)
+    code, out = run_cli(capsys, "verify", "--id", "eq1", "--n-max", "5", "--out", str(path))
+    assert code == 0 and out == ""
+    assert json.loads(path.read_text())["summary"]["pass"] == 6
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert os.listdir(tmp_path) == ["report.json"]
+
+
+def test_out_through_a_symlink_keeps_the_link(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    target.write_text("old report\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    code, out = run_cli(capsys, "verify", "--id", "eq1", "--n-max", "5", "--out", str(link))
+    assert code == 0 and out == ""
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert json.loads(target.read_text())["summary"]["pass"] == 6
+    assert sorted(os.listdir(tmp_path)) == ["link.json", "report.json"]
+
+
+def test_out_to_a_fifo_writes_through(tmp_path, capsys):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    code, out = run_cli(capsys, "list", "--format", "json", "--out", str(fifo))
+    reader.join(timeout=30)
+    assert code == 0 and out == ""
+    assert "eq1" in [entry["id"] for entry in json.loads(got[0])["checks"]]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["pipe"]
 
 
 def test_markdown_row_stays_on_one_line(monkeypatch, capsys):
