@@ -412,8 +412,8 @@ def det(m: Matrix):
     is shifted to exponent 0 and the exponents are divided by their gcd g,
     the degree is at most (sum of the row spans) / g and every coefficient
     is at most B = the product over rows of the l2 norm of the entries' l1
-    norms, and w is the least width with 2^(w-1) > B of 1, 2, 4, 8 or more
-    than 8 bytes (``_kron_width``).  Every other matrix uses ``det_bareiss``.
+    norms, and w is the least whole number of bytes with 2^(w-1) > B
+    (``_kron_width``).  Every other matrix uses ``det_bareiss``.
     """
     _square(m)
     if m.ring is QRAT:

@@ -21,8 +21,8 @@ are products of factors (1 - q^e) and their inverses.  ``q_product`` takes their
 exponent lists (``q_binomial_factors`` gives those of a q-binomial), splits
 each factor into cyclotomic polynomials, nets their exponents and returns the
 canonical ``QRat`` with no gcd at all (distinct cyclotomic polynomials are
-coprime, monic and primitive); the cyclotomic products are expanded by
-Moebius inversion, as one linear pass per factor (1 - y^e).
+coprime, monic and primitive); each side's cyclotomic product is one integer
+product of the Phi_d packed at y = 2**w, each Phi_d built once per process.
 ``q_plus_product`` adds factors 1 + q^a = (1 - q^(2a)) / (1 - q^a).  The
 q-binomials and ``q_lucas_value`` here, and the q-Catalan values of
 ``catdet.sequences``, are built this way: none of them takes a polynomial
@@ -64,14 +64,15 @@ class ExactDivisionError(ArithmeticError):
 # schoolbook rows (measured on dense coefficient tuples, see CHANGES.md).
 _KRON_MIN_TERMS = 8
 
-# array type codes by item size, for packing 1-, 2-, 4- and 8-byte digits in C
+# array type codes by item size, and for digits of 1 to 8 bytes the smallest
+# item size that holds one
 _ARRAY_CODES = {array(code).itemsize: code for code in "QLIHB"}
+_ITEM_SIZES = {n: min(s for s in _ARRAY_CODES if s >= n) for n in range(1, 9)}
 
 
 def _kron_width(bound: int) -> int:
-    """The least w > bound.bit_length() whose byte count is 1, 2, 4, 8 or above 8."""
-    nbytes = bound.bit_length() // 8 + 1
-    return 8 * (1 << (nbytes - 1).bit_length() if nbytes < 8 else nbytes)
+    """The least multiple w of 8 above bound.bit_length(), so 2**(w-1) > |bound|."""
+    return 8 * (bound.bit_length() // 8 + 1)
 
 
 def _kron_bias(width: int, count: int) -> int:
@@ -79,20 +80,37 @@ def _kron_bias(width: int, count: int) -> int:
     return int.from_bytes((1 << (width - 1)).to_bytes(width // 8, "little") * count, "little")
 
 
-def _kron_pack(vals, width: int) -> int:
-    """The polynomial with coefficients ``vals`` (|v| < 2**(width-1)) at q = 2**width.
+def _restride(data: bytes, src: int, dst: int, count: int) -> bytearray:
+    """``count`` little-endian digits of ``src`` bytes each, rewritten with ``dst`` bytes each.
 
-    Each coefficient is written once, as the width // 8 bytes of
-    v + 2**(width-1), and the packed biases are subtracted at the end.
+    One strided C copy per byte below min(src, dst): a wider digit is padded
+    with zero bytes, a narrower one drops top bytes that the caller knows are 0.
+    """
+    out = bytearray(dst * count)
+    for k in range(min(src, dst)):
+        out[k::dst] = data[k::src]
+    return out
+
+
+def _kron_pack(vals, width: int) -> int:
+    """The polynomial with coefficients ``vals`` at q = 2**width.
+
+    Each coefficient v, -2**(width-1) <= v < 2**(width-1), is written once, as
+    the width // 8 bytes of v + 2**(width-1), and the packed biases are
+    subtracted at the end.  Digits of up to 8 bytes are written as one array
+    of the smallest item size that holds them (3- and 5- to 7-byte digits
+    then narrowed by ``_restride``), wider ones by ``to_bytes`` each.
     """
     nbytes = width // 8
     half = 1 << (width - 1)
-    code = _ARRAY_CODES.get(nbytes)
-    if code:
-        digits = array(code, map(half.__add__, vals))
+    size = _ITEM_SIZES.get(nbytes)
+    if size:
+        digits = array(_ARRAY_CODES[size], map(half.__add__, vals))
         if sys.byteorder == "big":
             digits.byteswap()
         packed = digits.tobytes()
+        if size != nbytes:
+            packed = _restride(packed, size, nbytes, len(digits))
     else:
         packed = b"".join([(v + half).to_bytes(nbytes, "little") for v in vals])
     return int.from_bytes(packed, "little") - _kron_bias(width, len(vals))
@@ -102,7 +120,8 @@ def _kron_unpack_signed(n: int, width: int, count: int) -> list[int]:
     """Decode ``count`` base-2**width digits d, -2**(width-1) <= d < 2**(width-1), from n.
 
     n plus ``count`` digits 2**(width-1) has the digits d + 2**(width-1) in
-    [0, 2**width), so one ``to_bytes`` reads them all.  Raises
+    [0, 2**width), so one ``to_bytes`` reads them all (then read as one array,
+    as ``_kron_pack`` writes them).  Raises
     ``ArithmeticError`` if anything is left after the last digit: the value
     was out of the range its width and count were bounded for.
     """
@@ -111,9 +130,11 @@ def _kron_unpack_signed(n: int, width: int, count: int) -> list[int]:
         data = (n + _kron_bias(width, count)).to_bytes(nbytes * count, "little")
     except OverflowError:
         raise ArithmeticError(f"value exceeds {count} signed base-2**{width} digits") from None
-    code = _ARRAY_CODES.get(nbytes)
-    if code:
-        digits = array(code, data)
+    size = _ITEM_SIZES.get(nbytes)
+    if size:
+        if size != nbytes:
+            data = _restride(data, nbytes, size, count)
+        digits = array(_ARRAY_CODES[size], data)
         if sys.byteorder == "big":
             digits.byteswap()
     else:
@@ -764,33 +785,62 @@ def _over_one_minus(p: list[int], e: int) -> list[int]:
     return out
 
 
-def _expand(powers: dict[int, int], g: int) -> QPoly:
-    """prod Phi_d(q^g)^c over ``powers`` (d -> c > 0).
+_CYCLOTOMIC: dict[int, tuple[tuple[int, ...], int]] = {}
+_CYCLOTOMIC_PACKED: dict[tuple[int, int], int] = {}
+
+
+def _cyclotomic(d: int) -> tuple[tuple[int, ...], int]:
+    """Phi_d's dense coefficients and their l1 norm, built once per process.
 
     Moebius inversion of y^d - 1 = prod_(e | d) Phi_e(y) gives
-    Phi_d(y) = prod_(e | d) (y^e - 1)^mu(d/e).  The exponents are netted per e,
-    and the product is built on a dense coefficient list: one pass per
-    multiplication by 1 - y^e (smallest e first, so the list grows late), then
-    one exact-division pass per 1 - y^e below (largest e first).  The factors
-    (1 - y^e) = -(y^e - 1) contribute (-1)^(sum of net exponents) = (-1)^c_1,
-    since sum_(e | d) mu(d/e) is 1 for d = 1 and 0 otherwise.
+    Phi_d(y) = prod_(e | d) (y^e - 1)^mu(d/e): one pass per multiplication by
+    1 - y^e (smallest e first, so the list grows late), then one exact-division
+    pass per 1 - y^e below (largest e first).  The factors (1 - y^e) =
+    -(y^e - 1) contribute the sign (-1)^(sum of mu(d/e)), which is -1 for d = 1
+    and 1 otherwise.
     """
-    net: dict[int, int] = {}
+    entry = _CYCLOTOMIC.get(d)
+    if entry is None:
+        mus = [(e, _mobius(d // e)) for e in _divisors(d)]
+        vals = [1]
+        for e, mu in mus:
+            if mu > 0:
+                vals = _times_one_minus(vals, e)
+        for e, mu in reversed(mus):
+            if mu < 0:
+                vals = _over_one_minus(vals, e)
+        if d == 1:
+            vals = [-v for v in vals]
+        entry = _CYCLOTOMIC[d] = (tuple(vals), sum(map(abs, vals)))
+    return entry
+
+
+def _expand(powers: dict[int, int], g: int) -> QPoly:
+    """prod Phi_d(q^g)^c over ``powers`` (d -> c > 0), as one integer product.
+
+    The product P(y) = prod Phi_d(y)^c is read off the integer
+    P(2^w) = prod Phi_d(2^w)^c (Kronecker substitution), each Phi_d(2^w) packed
+    once per process and width.  Every coefficient of P is at most its l1 norm,
+    and the l1 norm of a product is at most the product of the l1 norms, so
+    |coefficient| <= B = prod |Phi_d|_1^c; with 2^(w-1) > B (``_kron_width``)
+    the signed base-2^w digits of P(2^w) are P's coefficients.  Only the
+    multiplications run per call: no division, no pass per factor.
+    """
+    if not powers:
+        return ONE
+    bound, degree = 1, 0
     for d, c in powers.items():
-        for e in _divisors(d):
-            mu = _mobius(d // e)
-            if mu:
-                net[e] = net.get(e, 0) + mu * c
-    vals = [1]
-    for e in sorted(net):
-        for _ in range(net[e]):
-            vals = _times_one_minus(vals, e)
-    for e in sorted(net, reverse=True):
-        for _ in range(-net[e]):
-            vals = _over_one_minus(vals, e)
-    if powers.get(1, 0) & 1:
-        vals = [-v for v in vals]
-    return _from_dense(vals, 0, g)
+        vals, norm = _cyclotomic(d)
+        bound *= norm ** c
+        degree += (len(vals) - 1) * c
+    width = _kron_width(bound)
+    value = 1
+    for d, c in powers.items():
+        packed = _CYCLOTOMIC_PACKED.get((d, width))
+        if packed is None:
+            packed = _CYCLOTOMIC_PACKED[d, width] = _kron_pack(_cyclotomic(d)[0], width)
+        value *= packed ** c
+    return _from_dense(_kron_unpack_signed(value, width, degree + 1), 0, g)
 
 
 def q_product(num, den=(), power: int = 0) -> QRat:
@@ -806,8 +856,8 @@ def q_product(num, den=(), power: int = 0) -> QRat:
     have constant term +-1, and share no root for distinct d (a root x of
     Phi_d(x^g) has x^g of order exactly d), so this is already the
     canonical ``QRat`` form: coprime, denominator monic with its lowest
-    exponent at 0.  No gcd is computed, and each side is expanded in one
-    linear pass per factor (1 - y^e) of its Moebius form (``_expand``).  A
+    exponent at 0.  No gcd is computed, and each side is expanded as one
+    integer product of its cached Phi_d packed at y = 2**w (``_expand``).  A
     product of ``q_product`` values is the ``q_product`` of the joined lists.
 
     The value does not depend on the order of the factors, so it is memoized

@@ -167,6 +167,24 @@ def test_kronecker_unpack_raises_on_a_leftover():
             _kron_unpack_signed(_kron_pack(vals, width), width, 4)
 
 
+def test_kronecker_pack_round_trips_at_every_width():
+    # every byte count from 1 to 17: array items of their own size (1, 2, 4, 8
+    # bytes), of the next size through strided copies (3, 5-7) and to_bytes (9+)
+    from catdet.qseries import _kron_pack, _kron_unpack_signed, _kron_width
+
+    rng = random.Random("kron-widths")
+    for width in range(8, 137, 8):
+        half = 1 << (width - 1)
+        edges = [-half, half - 1, 0]
+        for vals in (edges, edges[::-1], [0, -half, 0],
+                     [rng.randrange(-half, half) for _ in range(rng.randint(1, 40))] + edges):
+            packed = _kron_pack(vals, width)
+            assert packed == sum(v << (width * i) for i, v in enumerate(vals)), (width, vals)
+            assert _kron_unpack_signed(packed, width, len(vals)) == vals, (width, vals)
+        assert _kron_width(half - 1) == width
+        assert _kron_width(-half) == width + 8
+
+
 def test_q_int_and_factorial():
     assert q_int(0).is_zero
     assert q_int(1) == ONE
@@ -495,8 +513,10 @@ def _sympy_cyclotomic(sympy, d):
 
 def test_cyclotomic_expansion_against_sympy():
     sympy = pytest.importorskip("sympy")
-    for d in range(1, 61):
+    # from d = 105 on, Phi_d has coefficients of absolute value 2 and 3
+    for d in [*range(1, 61), 105, 165, 195, 210, 255, 385]:
         assert _expand({d: 1}, 1) == _sympy_cyclotomic(sympy, d), d
+    assert {abs(v) for _, v in _expand({385: 1}, 1).items()} == {1, 2, 3}
 
 
 def test_expand_matches_the_schoolbook_product():
@@ -513,6 +533,55 @@ def test_expand_matches_the_schoolbook_product():
                 expected = expected * phi[d]
         expected = QPoly([(g * e, v) for e, v in expected.items()])
         assert _expand(powers, g) == expected, (powers, g)
+
+
+def test_expand_with_digits_wider_than_eight_bytes(monkeypatch):
+    # (y - 1)^70 (y + 1)^40 is bounded by 2^110: 14-byte digits, packed and
+    # read through to_bytes; checked against the schoolbook product
+    monkeypatch.setattr(qseries, "_CYCLOTOMIC_PACKED", {})
+    expected = ONE
+    for phi, c in ((Q - 1, 70), (Q + 1, 40)):
+        for _ in range(c):
+            expected = expected * phi
+    assert _expand({1: 70, 2: 40}, 1) == expected
+    assert {w for _, w in qseries._CYCLOTOMIC_PACKED} == {qseries._kron_width(2**110)} == {112}
+    assert _expand({1: 70, 2: 40}, 3) == QPoly([(3 * e, v) for e, v in expected.items()])
+
+
+def test_expand_of_no_factor_is_one():
+    for g in (1, 2, 5):
+        assert _expand({}, g) is ONE
+
+
+def test_one_minus_passes_run_only_while_a_cyclotomic_is_first_cached(monkeypatch):
+    passes = []
+
+    def counted(fn):
+        def wrapper(p, e):
+            passes.append(e)
+            return fn(p, e)
+        return wrapper
+
+    monkeypatch.setattr(qseries, "_CYCLOTOMIC", {})
+    monkeypatch.setattr(qseries, "_CYCLOTOMIC_PACKED", {})
+    monkeypatch.setattr(qseries, "_times_one_minus", counted(_times_one_minus))
+    monkeypatch.setattr(qseries, "_over_one_minus", counted(_over_one_minus))
+    # Phi_6 = (1 - y^6)(1 - y) / ((1 - y^3)(1 - y^2)): two passes of each kind
+    phi6 = _expand({6: 1}, 1)
+    assert phi6 == P((0, 1), (1, -1), (2, 1))
+    assert sorted(passes) == [1, 2, 3, 6]
+    # Phi_6 again, at other powers, widths and g, and inside q_product: no pass
+    passes.clear()
+    assert _expand({6: 40}, 2) == QPoly([(2 * e, v) for e, v in (phi6 ** 40).items()])
+    assert _expand({6: 1}, 7) == QPoly([(7 * e, v) for e, v in phi6.items()])
+    monkeypatch.setattr(qseries, "_QPRODUCT_CACHE", {})
+    assert q_product([6, 1], [2, 3]) == QRat(phi6)
+    assert passes == []
+    assert set(qseries._CYCLOTOMIC) == {6}
+    # a new d runs its own passes once
+    _expand({5: 2, 6: 1}, 1)
+    _expand({5: 3}, 1)
+    assert sorted(passes) == [1, 5]
 
 
 def test_one_minus_passes_divide_exactly_or_raise():
