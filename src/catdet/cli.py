@@ -147,8 +147,7 @@ def _cmd_list(args) -> int:
     else:
         lines = ["| id | kind | anchor | params |", "|---|---|---|---|"]
         for entry in index:
-            tag = " (conjecture)" if entry["conjecture"] and entry["kind"] != "conjecture" else ""
-            lines.append(f"| {entry['id']} | {entry['kind']}{tag} | {entry['anchor']} | "
+            lines.append(f"| {entry['id']} | {entry['kind']} | {entry['anchor']} | "
                          f"{', '.join(entry['params'])} |")
         with _sink(args.out) as write:
             write("\n".join(lines) + "\n")

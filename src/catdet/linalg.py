@@ -1,21 +1,26 @@
 """Exact dense linear algebra over the scalar rings.
 
-Matrices are immutable row-major arrays tagged with a ring (integers,
-rationals, q-polynomials or q-rational functions).  Identity checks call
-``det``, which picks its route by ring and then by shape.  A q-rational matrix
-is first cleared row by row: each row is multiplied by the lcm of its
-entries' denominators (small polynomials such as q-integers), the
-q-polynomial determinant is taken, and the quotient by the product of the row
-lcms is reduced once, instead of one polynomial gcd per ring operation.
-``clear_row`` is that one row step; the q-rational sweeps of
-``catdet.families`` clear their rows with it too.  A
-lower Hessenberg matrix (every entry above the superdiagonal is zero, as in
-most of the paper's families) goes to ``det_hessenberg``.  Any other
+Matrices are immutable row-major arrays over the ring each is built with
+(integers, rationals, q-polynomials or q-rational functions); zero is falsy
+in every ring.  Identity checks call ``det``, which picks its route by ring
+and then by shape.  A q-rational matrix is first cleared row by row: each
+row is multiplied by the lcm of its entries' denominators (small polynomials
+such as q-integers), the q-polynomial determinant is taken, and the quotient
+by the product of the row lcms is reduced once, instead of one polynomial
+gcd per ring operation.  ``clear_row`` is that one row step; the q-rational
+sweeps of ``catdet.families`` clear their rows with it too.  A lower
+Hessenberg matrix (every entry above the superdiagonal is zero, as in most
+of the paper's families) goes to ``det_hessenberg``.  Any other
 q-polynomial matrix is evaluated at q = 2^w (Kronecker substitution), with w
 taken from a proven degree bound and Hadamard's coefficient bound, and its
 determinant is read off the signed base-2^w digits of one integer
-determinant.  Any other matrix goes to ``det_bareiss``, the fraction-free
-O(n^3) elimination, which also stays the second route for q-polynomials.
+determinant.  Any other matrix goes to ``det_bareiss``, which also stays the
+second route for q-polynomials.
+
+``det_bareiss`` and ``rank`` share one fraction-free O(n^3) elimination
+(Bareiss), run in the matrix's own ring: ``det_bareiss`` stops at the first
+column without a pivot, and ``rank`` counts the pivots after clearing the
+rows of a q-rational matrix as ``det`` does.
 
 ``LeadingMinors`` is the Hessenberg engine: the division-free expansion of
 every leading minor along its last row, O(n^2) ring products in all.  It
@@ -27,8 +32,7 @@ arithmetic forbids perturbation tricks) and naive cofactor expansion (the
 cross-check oracle) serve as independent routes.
 A statement "the inverse of A is B" is checked as the one exact product
 A * B == I in A's own ring: for square matrices that product alone proves it.
-``rank`` eliminates fraction-free in the matrix's own ring too, after
-clearing the rows of a q-rational matrix as ``det`` does.
+``matvec`` is that product with a one-column matrix.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ __all__ = [
     "det_hessenberg",
     "LeadingMinors",
     "clear_row",
-    "condense",
     "det_condensation",
     "det_cofactor",
     "matvec",
@@ -71,9 +74,6 @@ class Ring:
         self.one = one
         self.coerce = coerce
         self.exact_div = exact_div
-
-    def is_zero(self, v) -> bool:
-        return v == self.zero
 
     def __repr__(self):
         return f"Ring({self.name})"
@@ -112,40 +112,21 @@ def _qpoly_coerce(v):
 QPOLY = Ring("q-polynomial", QP_ZERO, QP_ONE, _qpoly_coerce, lambda a, b: a.exact_div(b))
 
 
-def infer_ring(values) -> Ring:
-    """Pick the smallest ring containing all the given values."""
-    ring = INT
-    for v in values:
-        if isinstance(v, QRat):
-            return QRAT
-        if isinstance(v, QPoly):
-            ring = QPOLY
-        elif isinstance(v, Fraction) and ring is INT:
-            ring = FRAC
-        elif isinstance(v, int):
-            pass
-        else:
-            raise TypeError(f"unsupported matrix entry {v!r}")
-    return ring
-
-
 class Matrix:
     """Immutable dense matrix over one of the exact rings."""
 
     __slots__ = ("nrows", "ncols", "data", "ring")
 
-    def __init__(self, nrows: int, ncols: int, data: Sequence, ring: Ring | None = None):
+    def __init__(self, nrows: int, ncols: int, data: Sequence, ring: Ring):
         if len(data) != nrows * ncols:
             raise ValueError("entry count does not match dimensions")
-        if ring is None:
-            ring = infer_ring(data)
         self.nrows = nrows
         self.ncols = ncols
         self.ring = ring
         self.data = tuple(ring.coerce(v) for v in data)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence], ring: Ring | None = None) -> "Matrix":
+    def from_rows(cls, rows: Sequence[Sequence], ring: Ring) -> "Matrix":
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
         flat = [v for row in rows for v in row]
@@ -153,7 +134,7 @@ class Matrix:
 
     @classmethod
     def build(cls, nrows: int, ncols: int, entry: Callable[[int, int], object],
-              ring: Ring | None = None) -> "Matrix":
+              ring: Ring) -> "Matrix":
         flat = [entry(i, j) for i in range(nrows) for j in range(ncols)]
         return cls(nrows, ncols, flat, ring)
 
@@ -208,42 +189,60 @@ def _square(m: Matrix) -> int:
     return m.nrows
 
 
+def _pivots(m: Matrix):
+    """Fraction-free (Bareiss) elimination of ``m`` in its own ring.
+
+    Yields ``(column, pivot, sign)`` for each pivot, before eliminating below
+    it; ``sign`` is the parity of the row swaps so far.  A column with no
+    nonzero entry at or below the current row has no pivot and is skipped.
+    After r pivot steps each entry below the pivot rows is the (r+1) x (r+1)
+    minor on the pivot rows and columns and its own row and column, so every
+    division by the previous pivot is exact.
+    """
+    nr, nc = m.nrows, m.ncols
+    a = [list(m.data[i * nc:(i + 1) * nc]) for i in range(nr)]
+    div = m.ring.exact_div
+    prev = m.ring.one
+    sign = 1
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            return
+        for i in range(r, nr):
+            if a[i][c]:
+                if i != r:
+                    a[r], a[i] = a[i], a[r]
+                    sign = -sign
+                break
+        else:
+            continue
+        row_r = a[r]
+        pivot = row_r[c]
+        yield c, pivot, sign
+        for row_i in a[r + 1:]:
+            head = row_i[c]
+            for j in range(c + 1, nc):
+                row_i[j] = div(row_i[j] * pivot - head * row_r[j], prev)
+        prev = pivot
+        r += 1
+
+
 def det_bareiss(m: Matrix):
     """Fraction-free determinant; all intermediate divisions are exact.
 
-    Rows are swapped (with sign tracking) when a pivot vanishes; if no
-    nonzero pivot exists in a column the determinant is zero.  The 0x0
-    matrix has determinant 1.
+    The determinant is the last pivot of the elimination, signed by its row
+    swaps, or zero at the first column without a pivot.  The 0x0 matrix has
+    determinant 1.
     """
     n = _square(m)
-    ring = m.ring
     if n == 0:
-        return ring.one
-    a = [list(m.data[i * n:(i + 1) * n]) for i in range(n)]
-    is_zero = ring.is_zero
-    div = ring.exact_div
-    sign = 1
-    prev = ring.one
-    for k in range(n - 1):
-        if is_zero(a[k][k]):
-            for r in range(k + 1, n):
-                if not is_zero(a[r][k]):
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return ring.zero
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            head = row_i[k]
-            row_k = a[k]
-            for j in range(k + 1, n):
-                row_i[j] = div(row_i[j] * pivot - head * row_k[j], prev)
-            row_i[k] = ring.zero
-        prev = pivot
-    value = a[n - 1][n - 1]
-    return value if sign == 1 else -value
+        return m.ring.one
+    for k, (c, pivot, sign) in enumerate(_pivots(m)):
+        if c != k:
+            break
+        if k == n - 1:
+            return pivot if sign == 1 else -pivot
+    return m.ring.zero
 
 
 def _is_lower_hessenberg(m: Matrix) -> bool:
@@ -319,11 +318,6 @@ class LeadingMinors:
         minors.append(acc)
 
 
-def _entries(m: Matrix) -> Callable[[int, int], object]:
-    n, data = m.ncols, m.data
-    return lambda i, j: data[i * n + j]
-
-
 def det_hessenberg(m: Matrix):
     """Determinant of a lower Hessenberg matrix (a(i, j) = 0 for j > i + 1).
 
@@ -332,7 +326,8 @@ def det_hessenberg(m: Matrix):
     Raises ``ValueError`` on a matrix that is not lower Hessenberg.
     """
     n = _square(m)
-    return LeadingMinors(_entries(m), m.ring)[n]
+    data = m.data
+    return LeadingMinors(lambda i, j: data[i * n + j], m.ring)[n]
 
 
 def clear_row(row: Sequence[QRat]) -> tuple[list[QPoly], QPoly]:
@@ -441,7 +436,7 @@ def det_cofactor(m: Matrix):
         sign = 1
         for idx, r in enumerate(rows):
             v = data[r * n + col]
-            if not ring.is_zero(v):
+            if v:
                 rest = rows[:idx] + rows[idx + 1:]
                 term = v * expand(rest, col + 1)
                 acc = acc + term if sign == 1 else acc - term
@@ -451,87 +446,41 @@ def det_cofactor(m: Matrix):
     return expand(tuple(range(n)), 0)
 
 
-def condense(m: Matrix):
-    """Dodgson condensation, or ``None`` when it meets an interior zero."""
+def det_condensation(m: Matrix):
+    """Dodgson condensation; falls back to ``det_bareiss`` on an interior zero."""
     n = _square(m)
-    ring = m.ring
+    one = m.ring.one
     if n == 0:
-        return ring.one
-    if n == 1:
-        return m.data[0]
-    prev = [[ring.one] * (n + 1) for _ in range(n + 1)]
+        return one
+    div = m.ring.exact_div
+    prev = [[one] * n for _ in range(n)]
     cur = m.rows()
-    size = n
-    while size > 1:
+    for size in range(n - 1, 0, -1):
         nxt = []
-        for i in range(size - 1):
+        for i in range(size):
             row = []
-            for j in range(size - 1):
-                num = cur[i][j] * cur[i + 1][j + 1] - cur[i][j + 1] * cur[i + 1][j]
+            for j in range(size):
                 interior = prev[i + 1][j + 1]
-                if ring.is_zero(interior):
-                    return None
-                row.append(ring.exact_div(num, interior))
+                if not interior:
+                    return det_bareiss(m)
+                num = cur[i][j] * cur[i + 1][j + 1] - cur[i][j + 1] * cur[i + 1][j]
+                row.append(div(num, interior))
             nxt.append(row)
         prev, cur = cur, nxt
-        size -= 1
     return cur[0][0]
 
 
-def det_condensation(m: Matrix):
-    """Dodgson condensation; falls back to Bareiss on interior zeros."""
-    value = condense(m)
-    return det_bareiss(m) if value is None else value
-
-
-def matvec(m: Matrix, v: Sequence):
-    """Exact matrix-vector product."""
-    if m.ncols != len(v):
-        raise ValueError("dimension mismatch")
-    ring = m.ring
-    vec = [ring.coerce(x) for x in v]
-    out = []
-    for i in range(m.nrows):
-        acc = ring.zero
-        for j in range(m.ncols):
-            acc = acc + m[i, j] * vec[j]
-        out.append(acc)
-    return out
+def matvec(m: Matrix, v: Sequence) -> list:
+    """Exact matrix-vector product: ``m`` times the column ``v`` in ``m``'s ring."""
+    return list((m * Matrix(len(v), 1, v, m.ring)).data)
 
 
 def rank(m: Matrix) -> int:
-    """Rank by fraction-free elimination in the matrix's own ring.
+    """Rank: the number of pivots of the fraction-free elimination ``_pivots``.
 
     A q-rational matrix has its rows cleared first (``_clear_rows``), which
-    keeps the rank.  After r pivot steps each entry below the pivot rows is
-    the (r+1) x (r+1) minor on the pivot rows and columns and its own row and
-    column (Bareiss, with zero columns skipped), so every division by the
-    previous pivot is exact.
+    keeps the rank, so the elimination runs over q-polynomials.
     """
     if m.ring is QRAT:
         m = _clear_rows(m)[0]
-    ring = m.ring
-    nr, nc = m.nrows, m.ncols
-    a = [list(m.data[i * nc:(i + 1) * nc]) for i in range(nr)]
-    is_zero = ring.is_zero
-    div = ring.exact_div
-    prev = ring.one
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        for i in range(r, nr):
-            if not is_zero(a[i][c]):
-                a[r], a[i] = a[i], a[r]
-                break
-        else:
-            continue
-        row_r = a[r]
-        pivot = row_r[c]
-        for row_i in a[r + 1:]:
-            head = row_i[c]
-            for j in range(c + 1, nc):
-                row_i[j] = div(row_i[j] * pivot - head * row_r[j], prev)
-        prev = pivot
-        r += 1
-    return r
+    return sum(1 for _ in _pivots(m))

@@ -181,9 +181,8 @@ def tyson_check(tab: FavardTables, n: int, m: int) -> bool:
     All three determinants are m x m or n x n and exact; the base Hankel
     determinant must be nonzero (raises ArithmeticError otherwise).
     """
-    ring = tab.system.ring
     h0 = tab.hankel_det(0, m)
-    if ring.is_zero(h0):
+    if not h0:
         raise ArithmeticError("base Hankel determinant vanishes")
     hn = tab.hankel_det(n, m)
     p = det(tab.p_matrix(m, n))
@@ -271,13 +270,7 @@ def system_from_moments(moments: Sequence, ring: Ring) -> tuple[list, list, Fava
         norm_prev = norm
         n += 1
 
-    def s_fn(k, _s=s_list):
-        return _s[k]
-
-    def t_fn(k, _t=t_list):
-        return _t[k]
-
-    return s_list, t_list, FavardSystem(s_fn, t_fn, ring, "recovered")
+    return s_list, t_list, FavardSystem(s_list.__getitem__, t_list.__getitem__, ring, "recovered")
 
 
 def system_from_coeff_rows(rows: Sequence[Sequence], ring: Ring
@@ -312,13 +305,7 @@ def system_from_coeff_rows(rows: Sequence[Sequence], ring: Ring
                     f"coefficient table breaks the three-term recurrence at (n={n}, j={j})"
                 )
 
-    def s_fn(k, _s=s_list):
-        return _s[k]
-
-    def t_fn(k, _t=t_list):
-        return _t[k]
-
-    return s_list, t_list, FavardSystem(s_fn, t_fn, ring, "recovered")
+    return s_list, t_list, FavardSystem(s_list.__getitem__, t_list.__getitem__, ring, "recovered")
 
 
 # ---------------------------------------------------------------------------

@@ -150,15 +150,18 @@ class Check:
     kind: str  # det | sum | nullspace | inverse | bridge | closed-form | property | conjecture
     grid: Callable[[Bounds], list[dict]]
     run: Callable[..., tuple[bool, object, object]]
-    conjecture: bool = False
+
+    @property
+    def conjecture(self) -> bool:
+        return self.kind == "conjecture"
 
 
 CHECKS: dict[str, Check] = {}
 
 
-def register(id: str, anchor: str, kind: str, grid, conjecture: bool = False):
+def register(id: str, anchor: str, kind: str, grid):
     def wrap(fn):
-        CHECKS[id] = Check(id, anchor, kind, grid, fn, conjecture)
+        CHECKS[id] = Check(id, anchor, kind, grid, fn)
         return fn
     return wrap
 
@@ -689,8 +692,9 @@ def _eq99(n: int, m: int, x: int):
     r1 = _w_product((n, x, m), (n - 2, x + 2, m))
     r2 = _w_product((n - 1, x + 2, m), (n - 1, x, m))
     r3 = _w_product((n - 1, x, m + 1), (n - 1, x + 2, m - 1))
-    ok = balance.is_zero and (r1 - r2 + r3).is_zero
-    return ok, f"balance {balance}; rec {r1 - r2 + r3}", "0; 0"
+    rec = r1 - r2 + r3
+    ok = balance.is_zero and rec.is_zero
+    return ok, f"balance {balance}; rec {rec}", "0; 0"
 
 
 @register("eq100", "3.2 (100)", "recurrence", grid(n=(4, 5, 1), m=(3, 3, 2), x=(4, 4, 1)))
@@ -704,8 +708,9 @@ def _eq100(n: int, m: int, x: int):
     r1 = _w_product((n, x, m), (n, x + 2, m - 2))
     r2 = _w_product((n, x + 2, m - 1), (n, x, m - 1))
     r3 = _w_product((n + 1, x, m - 1), (n - 1, x + 2, m - 1))
-    ok = balance.is_zero and (r1 - r2 + r3).is_zero
-    return ok, f"balance {balance}; rec {r1 - r2 + r3}", "0; 0"
+    rec = r1 - r2 + r3
+    ok = balance.is_zero and rec.is_zero
+    return ok, f"balance {balance}; rec {rec}", "0; 0"
 
 
 # ---------------------------------------------------------------------------

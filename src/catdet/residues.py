@@ -347,7 +347,7 @@ def _conjecture_check(cid: str, conjecture: Conjecture) -> Check:
             return True, report.status, "search completed"
         return True, f"counterexample {report.counterexample}", "search completed"
 
-    return Check(cid, conjecture.anchor, "conjecture", maxima, run, conjecture=True)
+    return Check(cid, conjecture.anchor, "conjecture", maxima, run)
 
 
 declare(*(_conjecture_check(cid, c) for cid, c in CONJECTURES.items()))

@@ -455,6 +455,28 @@ def test_every_public_definition_is_used_in_the_package():
     assert dead == ["registry.verify_range"]
 
 
+def test_every_name_in_all_is_bound_in_its_module():
+    # a deleted helper left in __all__ would break `from ... import *` only
+    # where some caller happens to star-import the module
+    listed = 0
+    for path in sorted((SRC / "catdet").glob("*.py")):
+        bound, exported = set(), []
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+                if "__all__" in names:
+                    exported = ast.literal_eval(node.value)
+                bound |= names
+        assert [name for name in exported if name not in bound] == [], path.name
+        listed += len(exported)
+    assert listed
+
+
 def test_default_command_is_fast_suite(capsys, monkeypatch):
     # trim every grid to its first point to keep the default run quick
     from catdet import registry
@@ -465,8 +487,7 @@ def test_default_command_is_fast_suite(capsys, monkeypatch):
         monkeypatch.setitem(
             registry.CHECKS, cid,
             registry.Check(c.id, c.anchor, c.kind,
-                           (lambda g: (lambda b: g(b)[:1]))(grid_fn),
-                           c.run, c.conjecture),
+                           (lambda g: (lambda b: g(b)[:1]))(grid_fn), c.run),
         )
     code, out = run_cli(capsys)
     assert code == 0

@@ -13,8 +13,8 @@ from catdet.linalg import (
     QRAT,
     LeadingMinors,
     Matrix,
+    Ring,
     _det_kronecker,
-    condense,
     det,
     det_bareiss,
     det_cofactor,
@@ -32,7 +32,8 @@ INTRO_4X4 = Matrix.from_rows(
         [1, 3, 1, 0],
         [1, 6, 5, 1],
         [1, 10, 15, 7],
-    ]
+    ],
+    INT,
 )
 
 
@@ -51,16 +52,16 @@ def random_qpoly_matrix(rng, n):
 
 def test_entry_count_must_match_dimensions():
     with pytest.raises(ValueError):
-        Matrix(2, 2, [1, 2, 3])
+        Matrix(2, 2, [1, 2, 3], INT)
     with pytest.raises(ValueError):
-        det_bareiss(Matrix(2, 3, [1, 2, 3, 4, 5, 6]))
+        det_bareiss(Matrix(2, 3, [1, 2, 3, 4, 5, 6], INT))
 
 
 def test_trivial_determinants():
-    assert det_bareiss(Matrix(0, 0, [])) == 1
-    assert det_condensation(Matrix(0, 0, [])) == 1
-    assert det_cofactor(Matrix(0, 0, [])) == 1
-    m = Matrix(1, 1, [7])
+    assert det_bareiss(Matrix(0, 0, [], INT)) == 1
+    assert det_condensation(Matrix(0, 0, [], INT)) == 1
+    assert det_cofactor(Matrix(0, 0, [], INT)) == 1
+    m = Matrix(1, 1, [7], INT)
     assert det_bareiss(m) == 7
     assert det_condensation(m) == 7
 
@@ -72,7 +73,7 @@ def test_intro_matrix_is_catalan_4():
 
 
 def test_hankel_2x2_catalan():
-    m = Matrix.from_rows([[2, 5], [5, 14]])
+    m = Matrix.from_rows([[2, 5], [5, 14]], INT)
     assert det_cofactor(m) == 3
     assert det_condensation(m) == 3
 
@@ -126,20 +127,20 @@ def test_det_multiplicativity_4x4():
 
 
 def test_zero_pivot_row_swap_and_singular():
-    m = Matrix.from_rows([[0, 1], [1, 0]])
+    m = Matrix.from_rows([[0, 1], [1, 0]], INT)
     assert det_bareiss(m) == -1
-    singular = Matrix.from_rows([[1, 2], [2, 4]])
+    singular = Matrix.from_rows([[1, 2], [2, 4]], INT)
     assert det_bareiss(singular) == 0
-    with_zero_col = Matrix.from_rows([[0, 1, 2], [0, 3, 4], [0, 5, 6]])
+    with_zero_col = Matrix.from_rows([[0, 1, 2], [0, 3, 4], [0, 5, 6]], INT)
     assert det_bareiss(with_zero_col) == 0
 
 
 def test_condensation_zero_interior_falls_back():
-    m = Matrix.from_rows([[1, 2, 3], [4, 0, 6], [7, 8, 9]])
+    m = Matrix.from_rows([[1, 2, 3], [4, 0, 6], [7, 8, 9]], INT)
     assert det_condensation(m) == det_cofactor(m)
     # 4x4 with zero in the interior minor during the second stage
     m2 = Matrix.from_rows(
-        [[1, 1, 1, 1], [1, 1, 2, 3], [2, 1, 1, 4], [3, 4, 1, 1]]
+        [[1, 1, 1, 1], [1, 1, 2, 3], [2, 1, 1, 4], [3, 4, 1, 1]], INT
     )
     assert det_condensation(m2) == det_cofactor(m2)
 
@@ -148,13 +149,13 @@ def test_inverse_identity_and_verification():
     # "the inverse of A is B" is checked as the one exact product A * B == I
     ident = Matrix.identity(4)
     assert ident * ident == ident
-    m = Matrix.from_rows([[2, 1], [1, 1]])
-    assert m * Matrix.from_rows([[1, -1], [-1, 2]]) == Matrix.identity(2)
-    assert m * Matrix.from_rows([[1, -1], [-1, 1]]) != Matrix.identity(2)
+    m = Matrix.from_rows([[2, 1], [1, 1]], INT)
+    assert m * Matrix.from_rows([[1, -1], [-1, 2]], INT) == Matrix.identity(2)
+    assert m * Matrix.from_rows([[1, -1], [-1, 1]], INT) != Matrix.identity(2)
     # det(singular * B) = 0 for every B, so no candidate passes
-    singular = Matrix.from_rows([[1, 2], [2, 4]])
+    singular = Matrix.from_rows([[1, 2], [2, 4]], INT)
     for b in ([[1, 0], [0, 1]], [[-2, 1], [1, 0]], [[1, -2], [0, 1]]):
-        assert singular * Matrix.from_rows(b) != Matrix.identity(2)
+        assert singular * Matrix.from_rows(b, INT) != Matrix.identity(2)
 
 
 def test_inverse_of_signed_binomial_is_ballot_triangle():
@@ -223,28 +224,25 @@ def test_matrix_product_against_dense_triple_loop(ring):
 
 
 def test_public_names_resolve():
+    # every module's __all__ is checked against its own bindings in test_cli
     import catdet
-    from catdet import linalg
 
-    for module in (catdet, linalg):
-        for name in module.__all__:
-            assert hasattr(module, name), f"{module.__name__}.{name}"
     namespace = {}
     exec("from catdet import *", namespace)
     assert set(catdet.__all__) <= set(namespace)
 
 
 def test_matvec_and_nullspace_check():
-    m = Matrix.from_rows([[1, 2], [2, 4]])
+    m = Matrix.from_rows([[1, 2], [2, 4]], INT)
     assert matvec(m, [2, -1]) == [0, 0]
     assert matvec(m, [1, 0]) == [1, 2]
     assert matvec(m, [0, 0]) == [0, 0]
 
 
 def test_rank():
-    assert rank(Matrix.from_rows([[1, 2], [2, 4]])) == 1
+    assert rank(Matrix.from_rows([[1, 2], [2, 4]], INT)) == 1
     assert rank(Matrix.identity(3)) == 3
-    assert rank(Matrix(2, 3, [1, 2, 3, 2, 4, 6])) == 1
+    assert rank(Matrix(2, 3, [1, 2, 3, 2, 4, 6], INT)) == 1
 
 
 def max_nonzero_minor_order(m: Matrix) -> int:
@@ -327,16 +325,16 @@ def test_hessenberg_agrees_with_bareiss_and_cofactor(ring, n_max, entry):
 
 
 def test_hessenberg_edge_cases():
-    assert det_hessenberg(Matrix(0, 0, [])) == 1
-    assert det_hessenberg(Matrix(1, 1, [7])) == 7
-    assert det_hessenberg(Matrix(1, 1, [0])) == 0
+    assert det_hessenberg(Matrix(0, 0, [], INT)) == 1
+    assert det_hessenberg(Matrix(1, 1, [7], INT)) == 7
+    assert det_hessenberg(Matrix(1, 1, [0], INT)) == 0
     # a zero superdiagonal entry splits the matrix into two diagonal blocks
-    split = Matrix.from_rows([[2, 3, 0, 0], [1, 4, 0, 0], [5, 6, 7, 1], [8, 9, 2, 3]])
+    split = Matrix.from_rows([[2, 3, 0, 0], [1, 4, 0, 0], [5, 6, 7, 1], [8, 9, 2, 3]], INT)
     assert det_hessenberg(split) == det_bareiss(split) == 5 * 19
     # zero leading minors D_1 and D_2: no pivot is needed
-    singular_lead = Matrix.from_rows([[0, 1, 0, 0], [0, 0, 1, 0], [1, 2, 3, 1], [4, 5, 6, 7]])
+    singular_lead = Matrix.from_rows([[0, 1, 0, 0], [0, 0, 1, 0], [1, 2, 3, 1], [4, 5, 6, 7]], INT)
     assert det_hessenberg(singular_lead) == det_cofactor(singular_lead) == 3
-    zero_everywhere = Matrix.from_rows([[0, 0, 0], [0, 0, 0], [1, 1, 1]])
+    zero_everywhere = Matrix.from_rows([[0, 0, 0], [0, 0, 0], [1, 1, 1]], INT)
     assert det_hessenberg(zero_everywhere) == 0
 
 
@@ -360,24 +358,75 @@ def test_det_on_dense_matrices_is_bareiss():
         m = random_int_matrix(rng, n)
         m = Matrix.build(n, n, lambda i, j: 1 if (i, j) == (0, 2) else m[i, j], INT)
         assert det(m) == det_bareiss(m)
-    hankel = Matrix.from_rows([[1, 1, 2], [1, 2, 5], [2, 5, 14]])
+    hankel = Matrix.from_rows([[1, 1, 2], [1, 2, 5], [2, 5, 14]], INT)
     assert det(hankel) == det_bareiss(hankel) == 1
 
 
-def test_condensation_reports_its_fallback():
-    interior_zero = Matrix.from_rows([[1, 2, 3], [4, 0, 6], [7, 8, 10]])
-    assert condense(interior_zero) is None
+def test_condensation_reports_its_fallback(monkeypatch):
+    from catdet import linalg
+
+    calls = []
+
+    def bareiss(m):
+        calls.append(m)
+        return det_bareiss(m)
+
+    monkeypatch.setattr(linalg, "det_bareiss", bareiss)
+    interior_zero = Matrix.from_rows([[1, 2, 3], [4, 0, 6], [7, 8, 10]], INT)
     assert det_condensation(interior_zero) == det_bareiss(interior_zero) == 52
-    assert condense(INTRO_4X4) == det_bareiss(INTRO_4X4) == 14
+    assert calls == [interior_zero]
+    calls.clear()
+    assert det_condensation(INTRO_4X4) == det_bareiss(INTRO_4X4) == 14
+    assert calls == []
+
+
+@pytest.mark.parametrize("ring,draw", RANK_RINGS, ids=[r[0].name for r in RANK_RINGS])
+def test_bareiss_det_is_zero_exactly_when_rank_is_short(ring, draw):
+    # one elimination serves both: a column without a pivot ends det_bareiss
+    # and is skipped by rank
+    rng = random.Random(f"det-rank:{ring.name}")
+    seen = set()
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        rows = [[draw(rng) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3:
+            rows[rng.randrange(n)] = [ring.zero] * n
+        if rng.random() < 0.3:
+            col = rng.randrange(n)
+            for row in rows:
+                row[col] = ring.zero
+        m = Matrix.from_rows(rows, ring)
+        d = det_bareiss(m)
+        assert d == det_cofactor(m)
+        assert (d == 0) == (rank(m) < n), m
+        seen.add(d == 0)
+    assert seen == {False, True}
+
+
+def test_bareiss_stops_at_a_zero_first_column_without_dividing():
+    divisions = []
+
+    def exact_div(a, b):
+        divisions.append((a, b))
+        return INT.exact_div(a, b)
+
+    counting = Ring("counting integer", 0, 1, int, exact_div)
+    rng = random.Random("zero-first-column")
+    for n in (2, 3, 5):
+        m = Matrix.build(n, n, lambda i, j: 0 if j == 0 else rng.randint(1, 9), counting)
+        assert det_bareiss(m) == 0
+    assert divisions == []
+    assert det_bareiss(Matrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]], counting)) == -3
+    assert divisions
 
 
 def test_hessenberg_rejects_other_matrices():
     with pytest.raises(ValueError):
-        det_hessenberg(Matrix.from_rows([[1, 0, 1], [0, 1, 0], [0, 0, 1]]))
+        det_hessenberg(Matrix.from_rows([[1, 0, 1], [0, 1, 0], [0, 0, 1]], INT))
     with pytest.raises(ValueError):
         det_hessenberg(INTRO_4X4.transpose())
     with pytest.raises(ValueError):
-        det_hessenberg(Matrix(2, 3, [1, 2, 3, 4, 5, 6]))
+        det_hessenberg(Matrix(2, 3, [1, 2, 3, 4, 5, 6], INT))
 
 
 # -- leading-minor sweeps ------------------------------------------------------
