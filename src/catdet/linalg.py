@@ -27,6 +27,14 @@ every leading minor along its last row, O(n^2) ring products in all.  It
 grows the matrix given by an entry function one row and one column at a
 time, so a family whose entries do not depend on n yields its determinant at
 every n from one sweep; ``det_hessenberg`` runs it over a matrix's entries.
+Over q-polynomials each row of the expansion runs as integers at q = 2^w:
+the minors and superdiagonal entries stay packed from row to row, the row's
+entries are packed once, and the new minor is unpacked once, with w taken
+from an l1 bound on its coefficients that the row's own recurrence carries.
+The expansion keeps its O(n^2) products and yields every minor of the sweep;
+only each product's representation changes.  Taking one Kronecker
+determinant per size instead would cost an O(n^3) integer elimination at
+every n.
 Dodgson condensation (with a Bareiss fallback on interior zeros, since exact
 arithmetic forbids perturbation tricks) and naive cofactor expansion (the
 cross-check oracle) serve as independent routes.
@@ -251,6 +259,14 @@ def _is_lower_hessenberg(m: Matrix) -> bool:
     return not any(any(data[i * n + i + 2:(i + 1) * n]) for i in range(n - 2))
 
 
+def _pack(p: QPoly, width: int) -> int:
+    """p's coefficient tuple at q = 2^width (``_kron_pack``); a monomial packs to its coefficient."""
+    vals = p._vals
+    if len(vals) > 1:
+        return _kron_pack(vals, width)
+    return vals[0] if vals else 0
+
+
 class LeadingMinors:
     """Leading principal minors D_0 = 1, D_1, ... of a lower Hessenberg matrix.
 
@@ -264,12 +280,14 @@ class LeadingMinors:
     evaluated in nested (Horner) form from the left,
     acc <- a(k-1, j) D_j - a(j-1, j) acc, so each term costs two ring products
     and no division.  Terms left of a zero superdiagonal entry a(s-1, s)
-    vanish, so each row's sum starts at the last such s.  Each entry is
-    evaluated once, when its row or column is added; only the superdiagonal
-    and the minors are kept.  A row lands whole or not at all: if one of its
-    entries raises, the next read evaluates the row again.  Adding column c
-    raises ``ValueError`` if one of its entries above the superdiagonal is
-    nonzero.
+    vanish, so each row's sum starts at the last such s.  Over ``QPOLY`` a
+    row of more than one term runs as integers at q = 2^w (``_packed_row``):
+    the minors and the superdiagonal stay packed, and D_k is unpacked once.
+    Each entry is evaluated once, when its row or column is added; only the
+    superdiagonal and the minors are kept.  A row lands whole or not at all:
+    if one of its entries raises, the next read evaluates the row again.
+    Adding column c raises ``ValueError`` if one of its entries above the
+    superdiagonal is nonzero.
     """
 
     def __init__(self, entry: Callable[[int, int], object], ring: Ring):
@@ -278,6 +296,10 @@ class LeadingMinors:
         self._minors = [ring.one]
         self._super = [ring.zero]  # _super[s] = a(s-1, s); slot 0 is unused
         self._start = 0
+        # QPOLY only: the l1 norm of each minor, and a width w with the minors
+        # and superdiagonal entries packed so far at q = 2^w, by index
+        self._norms: list[int] = []
+        self._packs: tuple[int, dict[int, int], dict[int, int]] = (0, {}, {})
 
     def __len__(self) -> int:
         """How many minors are computed so far."""
@@ -308,14 +330,83 @@ class LeadingMinors:
             if not sup[col]:
                 start = col
         try:
-            acc = coerce(entry(col, start)) * minors[start]
-            for j in range(start + 1, k):
-                acc = coerce(entry(col, j)) * minors[j] - sup[j] * acc
+            if self.ring is QPOLY:
+                acc = self._packed_row(col, start)
+            else:
+                acc = coerce(entry(col, start)) * minors[start]
+                for j in range(start + 1, k):
+                    acc = coerce(entry(col, j)) * minors[j] - sup[j] * acc
         except BaseException:
-            del sup[max(col, 1):]  # the row lands whole or not at all
+            # the row lands whole or not at all, its packed a(col-1, col) too
+            del sup[max(col, 1):]
+            self._packs[2].pop(col, None)
             raise
         self._start = start
         minors.append(acc)
+
+    def _packed_row(self, col: int, start: int) -> QPoly:
+        """D_k, k = col + 1, over ``QPOLY``: the row's recurrence as integers at q = 2^w.
+
+        Evaluation at q = 2^w is a ring homomorphism, so the recurrence runs
+        on packed values, a term's Laurent exponents aligned with the sum's by
+        a shift of w bits per exponent; only reading D_k off its signed
+        base-2^w digits needs a bound.  ||fg||_1 <= ||f||_1 ||g||_1 gives
+        ||D_k||_1 <= N_(k-1), where N_start = ||a(k-1, start)||_1 ||D_start||_1
+        and N_j = ||a(k-1, j)||_1 ||D_j||_1 + ||a(j-1, j)||_1 N_(j-1), so
+        ``_kron_width(N_(k-1))`` bits hold every coefficient.  The same bound
+        covers each packed operand: a minor is used only next to a nonzero
+        entry, and a superdiagonal entry only on a nonzero sum, where N is at
+        least 1 and does not fall.  The minors and superdiagonal entries stay
+        packed, from the first row that uses each, at a width that only grows,
+        at least doubling, so each is packed once per width (measured faster
+        than repacking them at each row's own width); the row's entries are
+        packed once.  A row of one term is one ``QPoly`` product.
+        """
+        minors, sup = self._minors, self._super
+        row = [self.ring.coerce(self.entry(col, j)) for j in range(start, col + 1)]
+        if len(row) == 1:
+            return row[0] * minors[start]
+        norms = self._norms
+        while len(norms) <= col:
+            norms.append(sum(map(abs, minors[len(norms)]._vals)))
+        bound = 0  # a(start-1, start) is zero, so N_start has no second term
+        for j, a in enumerate(row, start):
+            bound = sum(map(abs, a._vals)) * norms[j] + sum(map(abs, sup[j]._vals)) * bound
+        width, packed, packed_sup = self._packs
+        need = _kron_width(bound)
+        if need > width:
+            width, packed, packed_sup = self._packs = (max(need, 2 * width), {}, {})
+        acc = low = hi = 0  # acc is the sum of coefficient i of q^(low + i) at q = 2^w
+        for j, a in enumerate(row, start):
+            if acc:
+                s = sup[j]
+                p = packed_sup.get(j)
+                if p is None:
+                    p = packed_sup[j] = _pack(s, width)
+                acc = -acc * p
+                low += s._low
+                hi += s._low + len(s._vals) - 1
+            d = minors[j]
+            if a and d:
+                p = packed.get(j)
+                if p is None:
+                    p = packed[j] = _pack(d, width)
+                term = _pack(a, width) * p
+                t_low = a._low + d._low
+                t_hi = t_low + len(a._vals) + len(d._vals) - 2
+                if not acc:
+                    acc, low, hi = term, t_low, t_hi
+                    continue
+                if t_low < low:
+                    acc <<= width * (low - t_low)
+                    low = t_low
+                else:
+                    term <<= width * (t_low - low)
+                acc += term
+                hi = max(hi, t_hi)
+        if not acc:
+            return QP_ZERO
+        return _from_dense(_kron_unpack_signed(acc, width, hi - low + 1), low)
 
 
 def det_hessenberg(m: Matrix):
@@ -323,6 +414,8 @@ def det_hessenberg(m: Matrix):
 
     Runs ``LeadingMinors`` over the matrix's entries: O(n^2) ring products,
     no division, no pivoting, so zero leading minors need no special case.
+    Over ``QPOLY`` those products are integer products at q = 2^w, one row
+    at a time, with w from the l1 bound of ``LeadingMinors._packed_row``.
     Raises ``ValueError`` on a matrix that is not lower Hessenberg.
     """
     n = _square(m)

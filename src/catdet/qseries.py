@@ -389,25 +389,30 @@ class QPoly:
 
     # -- display ------------------------------------------------------------
 
-    @staticmethod
-    def _pow_str(e: int) -> str:
-        return "q" if e == 1 else f"q^{e}"
-
     def __str__(self) -> str:
-        if not self._vals:
-            return "0"
+        """Terms by rising exponent, as in ``-q^-1 + 3 - 2*q + q^4``.
+
+        One pass over the coefficient tuple writes each nonzero term after
+        its sign ("+ " or "- "); the first term then drops "+ " or closes
+        "- " up to "-".
+        """
         parts = []
-        for e, v in self.items():
-            if e == 0:
-                term = str(abs(v))
-            else:
-                mag = abs(v)
-                term = self._pow_str(e) if mag == 1 else f"{mag}*{self._pow_str(e)}"
-            if not parts:
-                parts.append(term if v > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if v > 0 else f"- {term}")
-        return " ".join(parts)
+        for e, v in enumerate(self._vals, self._low):
+            if v:
+                if v > 0:
+                    sign = "+"
+                else:
+                    sign, v = "-", -v
+                if not e:
+                    parts.append(f"{sign} {v}")
+                elif v == 1:
+                    parts.append(f"{sign} q" if e == 1 else f"{sign} q^{e}")
+                else:
+                    parts.append(f"{sign} {v}*q" if e == 1 else f"{sign} {v}*q^{e}")
+        if not parts:
+            return "0"
+        text = " ".join(parts)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self) -> str:
         return f"QPoly({self})"

@@ -131,3 +131,22 @@ def moments_from_system(system: FavardSystem, count: int) -> list:
         out.append(row[0])
     return out
 
+
+
+def render_qpoly(p: QPoly) -> str:
+    """``str(p)`` written term by term from ``p.items()``, the reference renderer."""
+    if not p:
+        return "0"
+    parts = []
+    for e, v in p.items():
+        mag = abs(v)
+        if e == 0:
+            term = str(mag)
+        else:
+            power = "q" if e == 1 else f"q^{e}"
+            term = power if mag == 1 else f"{mag}*{power}"
+        if not parts:
+            parts.append(term if v > 0 else f"-{term}")
+        else:
+            parts.append(f"+ {term}" if v > 0 else f"- {term}")
+    return " ".join(parts)

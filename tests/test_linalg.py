@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -15,6 +16,7 @@ from catdet.linalg import (
     Matrix,
     Ring,
     _det_kronecker,
+    _pack,
     det,
     det_bareiss,
     det_cofactor,
@@ -432,15 +434,16 @@ def test_hessenberg_rejects_other_matrices():
 # -- leading-minor sweeps ------------------------------------------------------
 
 def test_leading_minors_out_of_order_equal_fresh_values():
-    entry = fam.EQ1.entry
-    minors = LeadingMinors(entry, INT)
-    got = [minors[n] for n in (9, 3, 12)]
-    assert got == [LeadingMinors(entry, INT)[n] for n in (9, 3, 12)]
-    assert got == [det_bareiss(fam.build(fam.EQ1, n)) for n in (9, 3, 12)]
-    assert len(minors) == 13
-    assert minors[0] == 1
-    with pytest.raises(IndexError):
-        minors[-1]
+    for family in (fam.EQ1, fam.EQ83):  # integer rows, then packed q-polynomial rows
+        entry, ring = family.entry, family.ring
+        minors = LeadingMinors(entry, ring)
+        got = [minors[n] for n in (9, 3, 12)]
+        assert got == [LeadingMinors(entry, ring)[n] for n in (9, 3, 12)]
+        assert got == [det_bareiss(fam.build(family, n)) for n in (9, 3, 12)]
+        assert len(minors) == 13
+        assert minors[0] == 1
+        with pytest.raises(IndexError):
+            minors[-1]
 
 
 def test_leading_minors_grow_any_hessenberg_entries():
@@ -472,14 +475,38 @@ def test_leading_minors_reject_an_entry_above_the_superdiagonal_at_its_column():
         LeadingMinors(entry, INT)[6]
 
 
-@pytest.mark.parametrize("cell,zero_super", [((4, 2), False), ((4, 4), True)])
-def test_leading_minors_keep_no_half_row_when_an_entry_raises_once(cell, zero_super):
+def assert_packs_match(minors):
+    """The packed minors and superdiagonal entries are those values at the kept width."""
+    width, packed, packed_sup = minors._packs
+    assert all(v == _pack(minors._minors[j], width) for j, v in packed.items())
+    assert all(v == _pack(minors._super[j], width) for j, v in packed_sup.items())
+    assert max(packed_sup, default=0) < len(minors)
+
+
+def laurent_qpoly(rng, big):
+    """One to four terms q^e, -3 <= e <= 5, with coefficients of size up to ``big``."""
+    return QPoly([(rng.randint(-3, 5), rng.randint(-big, big)) for _ in range(rng.randint(1, 4))])
+
+
+@pytest.mark.parametrize(
+    "cell,zero_super,ring",
+    [((4, 2), False, INT), ((4, 4), True, INT), ((4, 2), False, QPOLY), ((4, 4), True, QPOLY)],
+    ids=["cell0-False", "cell1-True", "q-polynomial-cell0-False", "q-polynomial-cell1-True"],
+)
+def test_leading_minors_keep_no_half_row_when_an_entry_raises_once(cell, zero_super, ring):
     # the failed row is read again, whole, on the next request; with a zero
-    # superdiagonal entry (3, 4) row 4 starts at column 4
+    # superdiagonal entry (3, 4) row 4 starts at column 4.  Over QPOLY the
+    # packing width and the packed values are those of the rows that landed.
     rng = random.Random("half-row")
-    m = Matrix.build(8, 8, lambda i, j: 0 if j > i + 1 else rng.randint(1, 9), INT)
+    if ring is INT:
+        def draw(r):
+            return r.randint(1, 9)
+    else:
+        def draw(r):
+            return laurent_qpoly(r, 10 ** r.choice([1, 30])) or ONE
+    m = Matrix.build(8, 8, lambda i, j: ring.zero if j > i + 1 else draw(rng), ring)
     if zero_super:
-        m = Matrix.build(8, 8, lambda i, j: 0 if (i, j) == (3, 4) else m[i, j], INT)
+        m = Matrix.build(8, 8, lambda i, j: ring.zero if (i, j) == (3, 4) else m[i, j], ring)
     raised = []
 
     def entry(i, j):
@@ -488,12 +515,77 @@ def test_leading_minors_keep_no_half_row_when_an_entry_raises_once(cell, zero_su
             raise RuntimeError("transient")
         return m[i, j]
 
-    minors = LeadingMinors(entry, INT)
+    minors = LeadingMinors(entry, ring)
+    minors[4]
+    packs = minors._packs
     with pytest.raises(RuntimeError, match="transient"):
         minors[8]
     assert raised == [cell] and len(minors) == 5
+    assert minors._packs[0] == packs[0]
+    assert_packs_match(minors)
     for n in range(9):
-        assert minors[n] == det_bareiss(Matrix.build(n, n, lambda i, j: m[i, j], INT)), n
+        assert minors[n] == det_bareiss(Matrix.build(n, n, lambda i, j: m[i, j], ring)), n
+    assert_packs_match(minors)
+    if ring is QPOLY:
+        assert minors._packs[0] > 64  # the sweep widened past eight-byte digits
+
+
+# -- packed q-polynomial rows of LeadingMinors --------------------------------
+
+def packed_sweep_input(rng, n):
+    """A random n x n lower Hessenberg q-polynomial matrix for the packed rows.
+
+    Laurent exponents, 30-digit coefficients (digits wider than eight bytes)
+    in about half the matrices, zero entries, zero superdiagonal entries, now
+    and then a zero row, and now and then a row i equal on columns 0..i to a
+    monomial times row i - 1, so that the minor D_(i+1) cancels to zero.
+    """
+    big = 10 ** 30 if rng.random() < 0.5 else 9
+    rows = [[laurent_qpoly(rng, big) if j <= i + 1 and rng.random() > 0.2 else QPoly()
+             for j in range(n)] for i in range(n)]
+    for i in range(n - 1):
+        if rng.random() < 0.15:
+            rows[i][i + 1] = QPoly()
+    if rng.random() < 0.15:
+        rows[rng.randrange(n)] = [QPoly()] * n
+    if n > 2 and rng.random() < 0.4:
+        i = rng.randint(1, n - 1)
+        c = QPoly.monomial(rng.randint(-2, 2), rng.choice([-2, 1, 3]))
+        rows[i][:i + 1] = [c * v for v in rows[i - 1][:i + 1]]
+    return Matrix.from_rows(rows, QPOLY)
+
+
+def test_packed_leading_minors_equal_cofactor_and_bareiss():
+    rng = random.Random("packed-rows")
+    cancelled = wide = 0
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        m = packed_sweep_input(rng, n)
+        minors = LeadingMinors(lambda i, j: m[i, j], QPOLY)
+        for k in range(n + 1):
+            block = Matrix.build(k, k, lambda i, j: m[i, j], QPOLY)
+            d = det_cofactor(block)
+            assert minors[k] == d == det_bareiss(block), (n, k)
+            cancelled += not d and all(any(row) for row in block.rows())
+        assert_packs_match(minors)
+        wide += minors._packs[0] > 64
+    assert cancelled and wide
+
+
+@pytest.mark.parametrize("nbytes", [1, 2, 3, 4, 8, 9, 16])
+def test_packed_row_at_its_bound_on_a_byte_boundary(nbytes):
+    # [[c q^-1, c q^3], [-s c q^-2, s c q^2]]: D_2 = 2 s c^2 q, and the l1 bound
+    # of the packed row is 2 c^2 too, just under 2^(8 nbytes - 1): the
+    # coefficient fills its nbytes-byte digit and one byte less cannot hold it
+    c = math.isqrt(((1 << (8 * nbytes - 1)) - 1) // 2)
+    assert (2 * c * c).bit_length() == 8 * nbytes - 1
+    for sign in (1, -1):
+        rows = [[QPoly.monomial(-1, c), QPoly.monomial(3, c)],
+                [QPoly.monomial(-2, -sign * c), QPoly.monomial(2, sign * c)]]
+        minors = LeadingMinors(lambda i, j: rows[i][j] if j <= i + 1 else QPoly(), QPOLY)
+        assert minors[2] == QPoly.monomial(1, 2 * sign * c * c)
+        assert minors._packs[0] == 8 * nbytes
+        assert minors[2] == det_cofactor(Matrix.from_rows(rows, QPOLY))
 
 
 # -- q-polynomial determinants through one integer determinant ---------------

@@ -25,7 +25,7 @@ from catdet.qseries import (
     q_lucas_value,
     q_product,
 )
-from oracles import q_pochhammer
+from oracles import q_pochhammer, render_qpoly
 
 small_polys = st.builds(
     QPoly,
@@ -707,6 +707,22 @@ def test_str_forms():
     assert str(P((0, 1), (1, -1), (2, 2))) == "1 - q + 2*q^2"
     assert str(P((-3, -1), (1, 1))) == "-q^-3 + q"
     assert str(ZERO) == "0"
+
+
+def test_str_equals_the_term_by_term_renderer():
+    # exponents 0, 1 and negative, coefficients +-1 and above 2**64, zeros inside
+    rng = random.Random("render")
+    coefficients = [1, -1, 2, -7, 2**64 + 1, -(2**64) - 3, 10**30, -(10**40)]
+    seen = set()
+    for _ in range(400):
+        terms = [(rng.randint(-4, 4), rng.choice(coefficients))
+                 for _ in range(rng.randint(0, 6))]
+        p = P(*terms)
+        assert str(p) == render_qpoly(p), p.items()
+        seen.update((e if -1 <= e <= 1 else "other", abs(v) == 1) for e, v in p.items())
+    assert seen == {(e, unit) for e in (-1, 0, 1, "other") for unit in (True, False)}
+    assert str(P((0, -1))) == render_qpoly(P((0, -1))) == "-1"
+    assert str(P((1, -(2**64)))) == "-18446744073709551616*q"
 
 
 # -- the (low, coefficient tuple) normal form, against plain exponent dicts --
