@@ -11,8 +11,8 @@ a regular ``--out`` file is replaced by a whole sibling file once complete.
 Exit codes: 0 when every non-conjecture point passes (a conjecture
 counterexample is a report outcome, not a failure); 1 when a non-conjecture
 point is false; 2 on a usage error (a bad argument, an unknown id, an empty
-grid); 3 when a point or a conjecture search raised (status ``error``), which
-takes precedence over 1.
+grid, an ``--out`` that cannot be opened); 3 when a point or a conjecture
+search raised (status ``error``), which takes precedence over 1.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def _pool_point(task: tuple[str, dict]) -> CheckResult:
 
 def _points(tasks: list[tuple[str, dict]], jobs: int, fail_fast: bool) -> Iterator[CheckResult]:
     """Each task's result in grid order, as soon as it returns; ``fail_fast`` runs serially."""
-    workers = min(jobs, len(tasks))
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers < 2 or fail_fast:
         yield from map(_pool_point, tasks)
         return
@@ -114,24 +114,33 @@ def _json_text(value, indent: str = "") -> str:
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
 
+class _Unwritable(Exception):
+    """An ``--out`` path that cannot be opened for writing: a usage error."""
+
+
 @contextlib.contextmanager
 def _sink(out: str | None) -> Iterator[Callable[[str], object]]:
     """``write`` of stdout or ``out``; a regular ``out`` is swapped for a whole sibling file."""
-    mode = os.lstat(out).st_mode if out and os.path.lexists(out) else None
-    if not out or (mode is not None and not stat.S_ISREG(mode)):
-        with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
-            yield fh.write
+    if not out:
+        yield sys.stdout.write
         return
-    part = f"{out}.{os.getpid()}.part"
+    mode = os.lstat(out).st_mode if os.path.lexists(out) else None
+    # a symlink, a device or a FIFO is written through; a directory fails to open
+    path = out if mode is not None and not stat.S_ISREG(mode) else f"{out}.{os.getpid()}.part"
     try:
-        with open(part, "w") as fh:
+        fh = open(path, "w")
+    except OSError as exc:
+        raise _Unwritable(f"cannot write --out {out!r}: {exc.strerror}") from None
+    try:
+        with fh:
             yield fh.write
-        if mode is not None:
-            os.chmod(part, stat.S_IMODE(mode))
-        os.replace(part, out)
+        if path != out:
+            if mode is not None:
+                os.chmod(path, stat.S_IMODE(mode))
+            os.replace(path, out)
     finally:
-        if os.path.exists(part):
-            os.remove(part)
+        if path != out and os.path.exists(path):
+            os.remove(path)
 
 
 def _emit(payload: dict, fmt: str, out: str | None) -> None:
@@ -324,19 +333,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         # default: the fast suite
         args = parser.parse_args(["suite", "--level", "fast"])
+    commands = {"list": _cmd_list, "verify": _cmd_verify, "suite": _cmd_suite,
+                "conjecture": _cmd_conjecture}
     try:
-        if args.command == "list":
-            return _cmd_list(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "suite":
-            return _cmd_suite(args)
-        if args.command == "conjecture":
-            return _cmd_conjecture(args)
+        return commands[args.command](args)
     except BrokenPipeError:
         return 0
-    parser.print_help()
-    return 2
+    except _Unwritable as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

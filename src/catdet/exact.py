@@ -33,6 +33,14 @@ def binomial(a: int, k: int) -> int:
     return -value if k & 1 else value
 
 
+def exact_quotient(num: int, den: int, what: str = "the quotient") -> int:
+    """num / den as an int; a value that is not integral is an arithmetic fault."""
+    value, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"{what} is not an integer: {Fraction(num, den)}")
+    return value
+
+
 def choose2(a: int) -> int:
     """``a*(a-1)/2`` for any integer a (meaningful for negative a too)."""
     return a * (a - 1) // 2
@@ -70,7 +78,4 @@ def lucas_value(m: int, j: int):
     num = m
     for l in range(j - 1):
         num *= m - j - 1 - l
-    value, rem = divmod(num, math.factorial(j))
-    if rem:
-        raise ArithmeticError(f"lucas_value({m}, {j}) is not an integer")
-    return value
+    return exact_quotient(num, math.factorial(j), f"lucas_value({m}, {j})")

@@ -45,12 +45,12 @@ class Family(NamedTuple):
     No entry depends on the size, so ``build(family, n, **params)`` is the
     leading n x n block of ``build(family, N, **params)`` for every N >= n.
     That makes a sweep valid: the determinants of a lower Hessenberg family at
-    every size are the leading minors of one growing matrix.  A q-rational
-    sweep scales each row once, by the lcm of its denominators, and runs the
-    q-polynomial expansion over the scaled rows (``_ClearedMinors``).  The two
-    families whose displayed entries involve their own size take it as a
-    parameter, ``EQ74_REVERSED`` as n and ``REMARK_RHS`` as m, and are never
-    swept.
+    every size are the leading minors of one growing matrix.  A sweep over a
+    fraction ring scales each row once, by the lcm of its denominators, and
+    runs the expansion over the scaled rows in the ring's ``integral`` ring
+    (``_ClearedMinors``).  The two families whose displayed entries involve
+    their own size take it as a parameter, ``EQ74_REVERSED`` as n and
+    ``REMARK_RHS`` as m, and are never swept.
 
     The entry functions look up ``binomial``/``q_binomial`` in this module when
     called, so rebinding a module attribute (as a tracer does) reaches them.
@@ -62,43 +62,44 @@ class Family(NamedTuple):
     def sweep(self, **params) -> LeadingMinors | _ClearedMinors:
         """Every leading minor at ``params``, for a lower Hessenberg family."""
         entry = partial(self.entry, **params)
-        if self.ring is QRAT:
-            return _ClearedMinors(entry)
+        if self.ring.integral:
+            return _ClearedMinors(entry, self.ring)
         return LeadingMinors(entry, self.ring)
 
 
 class _ClearedMinors:
-    """Leading minors D_0, D_1, ... of a q-rational lower Hessenberg family.
+    """Leading minors D_0, D_1, ... of a lower Hessenberg family over a fraction ring.
 
     Row i is scaled once, by the lcm L_i of the denominators of its entries
     (i, 0..i+1) (``linalg.clear_row``).  Reading the superdiagonal entry with
     its row is valid because a family's entries exist at every size.  The
-    q-polynomial ``LeadingMinors`` of the scaled rows are
+    ``LeadingMinors`` of the scaled rows, over ``ring.integral``, are
     D'_n = L_0 ... L_(n-1) D_n, so each read reduces one quotient, as ``det``
     does for one matrix.
     """
 
-    def __init__(self, entry: Callable[[int, int], object]):
+    def __init__(self, entry: Callable[[int, int], object], ring: Ring):
         self.entry = entry
-        self._rows: list[list[QPoly]] = []
-        self._scales = [ONE]  # _scales[n] = L_0 ... L_(n-1)
-        self._minors = LeadingMinors(self._scaled, QPOLY)
+        self.ring = ring
+        self._rows: list[list] = []
+        self._scales = [ring.integral.one]  # _scales[n] = L_0 ... L_(n-1)
+        self._minors = LeadingMinors(self._scaled, ring.integral)
 
     def _scaled(self, i: int, j: int):
         if j > i + 1:
             return self.entry(i, j)  # only tested for being nonzero
-        rows = self._rows
+        rows, ring = self._rows, self.ring
         while len(rows) <= i:
             r = len(rows)
-            row, lcm = clear_row([QRAT.coerce(self.entry(r, c)) for c in range(r + 2)])
+            row, lcm = clear_row([ring.coerce(self.entry(r, c)) for c in range(r + 2)], ring)
             rows.append(row)
             self._scales.append(self._scales[-1] * lcm)
         return rows[i][j]
 
-    def __getitem__(self, n: int) -> QRat:
+    def __getitem__(self, n: int):
         """D_n, the determinant of the leading n x n block."""
         minor = self._minors[n]  # builds the rows whose lcms make up the scale
-        return QRat(minor, self._scales[n])
+        return type(self.ring.one)(minor, self._scales[n])  # Fraction or QRat, reduced once
 
 
 def build(family: Family, size: int, **params) -> Matrix:

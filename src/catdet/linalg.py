@@ -3,12 +3,12 @@
 Matrices are immutable row-major arrays over the ring each is built with
 (integers, rationals, q-polynomials or q-rational functions); zero is falsy
 in every ring.  Identity checks call ``det``, which picks its route by ring
-and then by shape.  A q-rational matrix is first cleared row by row: each
-row is multiplied by the lcm of its entries' denominators (small polynomials
-such as q-integers), the q-polynomial determinant is taken, and the quotient
-by the product of the row lcms is reduced once, instead of one polynomial
-gcd per ring operation.  ``clear_row`` is that one row step; the q-rational
-sweeps of ``catdet.families`` clear their rows with it too.  A lower
+and then by shape.  A matrix over either fraction ring is first cleared row
+by row to its ``integral`` ring, rationals to integers as q-rational functions
+to q-polynomials: each row is multiplied by the lcm of its denominators, the
+integral determinant is taken, and its quotient by the product of the row
+lcms is reduced once, instead of one gcd per ring operation.  ``clear_row``
+is that one row step, which the sweeps of ``catdet.families`` share.  A lower
 Hessenberg matrix (every entry above the superdiagonal is zero, as in most
 of the paper's families) goes to ``det_hessenberg``.  Any other
 q-polynomial matrix is evaluated at q = 2^w (Kronecker substitution), with w
@@ -20,7 +20,7 @@ second route for q-polynomials.
 ``det_bareiss`` and ``rank`` share one fraction-free O(n^3) elimination
 (Bareiss), run in the matrix's own ring: ``det_bareiss`` stops at the first
 column without a pivot, and ``rank`` counts the pivots after clearing the
-rows of a q-rational matrix as ``det`` does.
+rows of a fraction-ring matrix as ``det`` does.
 
 ``LeadingMinors`` is the Hessenberg engine: the division-free expansion of
 every leading minor along its last row, O(n^2) ring products in all.  It
@@ -49,6 +49,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from catdet.exact import exact_quotient
 from catdet.qseries import ONE as QP_ONE
 from catdet.qseries import ZERO as QP_ZERO
 from catdet.qseries import (QPoly, QRat, _from_dense, _kron_pack, _kron_unpack_signed,
@@ -74,37 +75,22 @@ __all__ = [
 
 
 class Ring:
-    """A scalar ring: constants, coercion, exact division."""
+    """A scalar ring: constants, coercion, exact division; a fraction ring's ``integral`` ring."""
 
-    def __init__(self, name, zero, one, coerce, exact_div):
+    def __init__(self, name, zero, one, coerce, exact_div, integral=None):
         self.name = name
         self.zero = zero
         self.one = one
         self.coerce = coerce
         self.exact_div = exact_div
+        self.integral = integral
 
     def __repr__(self):
         return f"Ring({self.name})"
 
 
-def _int_exact_div(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r:
-        raise ArithmeticError(f"inexact integer division {a} / {b}")
-    return q
-
-
-FRAC = Ring("rational", Fraction(0), Fraction(1), Fraction, lambda a, b: a / b)
-INT = Ring("integer", 0, 1, int, _int_exact_div)
-
-
-def _qrat_coerce(v):
-    if isinstance(v, QRat):
-        return v
-    return QRat(v)
-
-
-QRAT = Ring("q-rational", QRat(0), QRat(1), _qrat_coerce, lambda a, b: a / b)
+INT = Ring("integer", 0, 1, int, exact_quotient)
+FRAC = Ring("rational", Fraction(0), Fraction(1), Fraction, lambda a, b: a / b, INT)
 
 
 def _qpoly_coerce(v):
@@ -118,6 +104,15 @@ def _qpoly_coerce(v):
 
 
 QPOLY = Ring("q-polynomial", QP_ZERO, QP_ONE, _qpoly_coerce, lambda a, b: a.exact_div(b))
+
+
+def _qrat_coerce(v):
+    if isinstance(v, QRat):
+        return v
+    return QRat(v)
+
+
+QRAT = Ring("q-rational", QRat(0), QRat(1), _qrat_coerce, lambda a, b: a / b, QPOLY)
 
 
 class Matrix:
@@ -137,6 +132,8 @@ class Matrix:
     def from_rows(cls, rows: Sequence[Sequence], ring: Ring) -> "Matrix":
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
+        if any(len(row) != ncols for row in rows):
+            raise ValueError("rows of different lengths")
         flat = [v for row in rows for v in row]
         return cls(nrows, ncols, flat, ring)
 
@@ -423,29 +420,29 @@ def det_hessenberg(m: Matrix):
     return LeadingMinors(lambda i, j: data[i * n + j], m.ring)[n]
 
 
-def clear_row(row: Sequence[QRat]) -> tuple[list[QPoly], QPoly]:
-    """The q-rational ``row`` times the lcm of its denominators, and that lcm."""
-    lcm = QP_ONE
+def clear_row(row: Sequence, ring: Ring) -> tuple[list, object]:
+    """A fraction-ring ``row`` times its denominators' lcm, and that lcm, over ``ring.integral``."""
+    lcm = ring.integral.one
+    div = ring.integral.exact_div
     for v in row:
-        if not (v.den.is_one or v.den == lcm):
-            # lcm / den reduces to (lcm / g) / (den / g), g = gcd(lcm, den)
-            lcm = lcm * QRat(lcm, v.den).den
-    return [v.num if v.den == lcm else v.num * lcm.exact_div(v.den) for v in row], lcm
+        d = v.denominator
+        if not (d == 1 or d == lcm):
+            # lcm / d reduces to (lcm / g) / (d / g), g = gcd(lcm, d)
+            lcm = lcm * type(v)(lcm, d).denominator
+    return [v.numerator if v.denominator == lcm else v.numerator * div(lcm, v.denominator)
+            for v in row], lcm
 
 
-def _clear_rows(m: Matrix) -> tuple[Matrix, QPoly]:
-    """Scale each row of a q-rational matrix by the lcm of its denominators.
-
-    Returns the q-polynomial matrix and the product of the row scales.
-    """
-    n = m.ncols
+def _clear_rows(m: Matrix) -> tuple[Matrix, object]:
+    """``m`` with each row cleared, over ``m.ring.integral``, and the product of the row scales."""
+    ring, n = m.ring, m.ncols
     data = []
-    scale = QP_ONE
+    scale = ring.integral.one
     for i in range(m.nrows):
-        row, lcm = clear_row(m.data[i * n:(i + 1) * n])
+        row, lcm = clear_row(m.data[i * n:(i + 1) * n], ring)
         data += row
         scale = scale * lcm
-    return Matrix(m.nrows, n, data, QPOLY), scale
+    return Matrix(m.nrows, n, data, ring.integral), scale
 
 
 def _det_kronecker(m: Matrix) -> QPoly:
@@ -491,22 +488,19 @@ def _det_kronecker(m: Matrix) -> QPoly:
 def det(m: Matrix):
     """Exact determinant; the engine follows from the matrix's ring and shape.
 
-    A q-rational matrix has each row scaled by the lcm of its (small)
-    denominators; the q-polynomial determinant of the result, over the
-    product of the row scales, is reduced once, so no gcd is taken per
-    elimination step.  Then lower Hessenberg matrices use the division-free
-    expansion of ``det_hessenberg``.  Other q-polynomial matrices go through
-    one integer determinant at q = 2^w (``_det_kronecker``): after each row
-    is shifted to exponent 0 and the exponents are divided by their gcd g,
-    the degree is at most (sum of the row spans) / g and every coefficient
-    is at most B = the product over rows of the l2 norm of the entries' l1
-    norms, and w is the least whole number of bytes with 2^(w-1) > B
-    (``_kron_width``).  Every other matrix uses ``det_bareiss``.
+    A matrix over a fraction ring (``FRAC`` or ``QRAT``) has each row scaled
+    by the lcm of its (small) denominators; the integral determinant of the
+    result, over the product of the row scales, is reduced once by the
+    fraction type's constructor, so no gcd is taken per elimination step.
+    Then lower Hessenberg matrices use the division-free expansion of
+    ``det_hessenberg``.  Other q-polynomial matrices go through one integer
+    determinant at q = 2^w, with w from a proven coefficient bound
+    (``_det_kronecker``).  Every other matrix uses ``det_bareiss``.
     """
     _square(m)
-    if m.ring is QRAT:
+    if m.ring.integral:
         cleared, scale = _clear_rows(m)
-        return QRat(det(cleared), scale)
+        return type(m.ring.one)(det(cleared), scale)
     if _is_lower_hessenberg(m):
         return det_hessenberg(m)
     if m.ring is QPOLY:
@@ -571,9 +565,9 @@ def matvec(m: Matrix, v: Sequence) -> list:
 def rank(m: Matrix) -> int:
     """Rank: the number of pivots of the fraction-free elimination ``_pivots``.
 
-    A q-rational matrix has its rows cleared first (``_clear_rows``), which
-    keeps the rank, so the elimination runs over q-polynomials.
+    A fraction-ring matrix has its rows cleared first (``_clear_rows``),
+    which keeps the rank, so the elimination runs over the integral ring.
     """
-    if m.ring is QRAT:
+    if m.ring.integral:
         m = _clear_rows(m)[0]
     return sum(1 for _ in _pivots(m))

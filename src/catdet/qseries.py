@@ -550,6 +550,9 @@ class QRat:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
+    numerator = property(lambda self: self.num)  # Fraction's names, read by linalg.clear_row
+    denominator = property(lambda self: self.den)
+
     def as_poly(self) -> QPoly:
         if not self.den.is_one:
             raise ExactDivisionError(f"not a polynomial: ({self.num}) / ({self.den})")

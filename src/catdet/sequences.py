@@ -8,10 +8,9 @@ grow monotonically and results are independent of query order.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 
-from catdet.exact import binomial
+from catdet.exact import binomial, exact_quotient
 from catdet.qseries import (
     ONE,
     QPoly,
@@ -32,14 +31,6 @@ __all__ = [
     "andrews_c",
     "andrews_moment",
 ]
-
-
-def _integer(num: int, den: int, what: str) -> int:
-    """num / den as an int; a closed form that is not integral is an arithmetic fault."""
-    value, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError(f"{what} is not an integer: {Fraction(num, den)}")
-    return value
 
 
 @cache
@@ -63,7 +54,7 @@ def catalan_power(n: int, k: int) -> int:
         return 1 if n == 0 else 0
     if k < 0:
         raise ValueError("catalan_power needs k >= 0")
-    return _integer(k * binomial(2 * n + k, n), 2 * n + k, f"catalan_power({n}, {k})")
+    return exact_quotient(k * binomial(2 * n + k, n), 2 * n + k, f"catalan_power({n}, {k})")
 
 
 def ballot(i: int, j: int) -> int:

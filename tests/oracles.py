@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from catdet.exact import binomial
+from catdet.exact import binomial, exact_quotient
 from catdet.orthopoly import FavardSystem, FavardTables
 from catdet.qseries import ONE, QPoly
-from catdet.sequences import _integer, catalan
+from catdet.sequences import catalan
 
 
 def catalan_series_power_coeff(n: int, k: int) -> int:
@@ -39,7 +39,7 @@ def lucas_coeff(n: int, j: int) -> int:
         return 0
     if n == 0:
         return 1
-    value = _integer(n * binomial(n - j, j), n - j, f"lucas_coeff({n}, {j})")
+    value = exact_quotient(n * binomial(n - j, j), n - j, f"lucas_coeff({n}, {j})")
     return -value if j % 2 else value
 
 

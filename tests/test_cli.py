@@ -329,6 +329,50 @@ def test_out_to_a_fifo_writes_through(tmp_path, capsys):
     assert os.listdir(tmp_path) == ["pipe"]
 
 
+@pytest.mark.parametrize("command", [
+    ["list"], ["verify", "--id", "eq1", "--n-max", "3"], ["suite", "--id", "eq1", "--n-max", "3"],
+    ["conjecture", "--id", "c13a", "--n-max", "3"]], ids=lambda c: c[0])
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_out_that_cannot_be_opened_exits_2(tmp_path, capsys, command, where):
+    # exit 1 means a false identity; an --out that cannot be opened is a usage error
+    out = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+    (tmp_path / "keep").write_text("")
+    code = main([*command, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and str(out) in captured.err
+    assert os.listdir(tmp_path) == ["keep"]
+
+
+def test_jobs_are_capped_at_the_cpu_count(monkeypatch, capsys):
+    import multiprocessing
+
+    started = []
+
+    class FakePool:
+        # runs the points in this process and records how many workers were asked for
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, tasks, chunksize):
+            return map(func, tasks)
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    code, out = run_cli(capsys, "verify", "--id", "eq1", "--n-max", "9", "--jobs", "100000")
+    assert code == 0 and started == [3]
+    assert json.loads(out)["config"]["jobs"] == 100000
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert run_cli(capsys, "verify", "--id", "eq1", "--n-max", "9", "--jobs", "4")[0] == 0
+    assert started == [3]  # an unknown CPU count runs serially
+
+
 def test_markdown_row_stays_on_one_line(monkeypatch, capsys):
     from catdet import registry
 

@@ -234,6 +234,16 @@ def test_public_names_resolve():
     assert set(catdet.__all__) <= set(namespace)
 
 
+def test_from_rows_rejects_ragged_rows():
+    # 6 entries fit a 3 x 2 matrix, but the rows have lengths 2, 1 and 3
+    with pytest.raises(ValueError, match="rows of different lengths"):
+        Matrix.from_rows([[1, 2], [3], [4, 5, 6]], INT)
+    with pytest.raises(ValueError, match="rows of different lengths"):
+        Matrix.from_rows([[1], [2, 3]], FRAC)
+    assert Matrix.from_rows([], INT).nrows == 0
+    assert Matrix.from_rows([[1, 2], [3, 4]], INT) == Matrix(2, 2, [1, 2, 3, 4], INT)
+
+
 def test_matvec_and_nullspace_check():
     m = Matrix.from_rows([[1, 2], [2, 4]], INT)
     assert matvec(m, [2, -1]) == [0, 0]
@@ -736,3 +746,32 @@ def test_row_cleared_det_on_q_rational_families(matrix):
     m = matrix()
     assert m.ring is QRAT
     assert det(m) == det_bareiss(m)
+
+
+def test_rational_det_rank_and_sweep_run_no_fraction_arithmetic(monkeypatch):
+    # FRAC rows clear to integers as QRAT rows clear to q-polynomials, so with
+    # Fraction's +, - and * raising, det, rank and a sweep still give the
+    # values the cofactor oracle took in Fraction arithmetic beforehand
+    rng = random.Random("rational-cleared")
+
+    def draw():
+        return Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6, 35]))
+
+    dense = Matrix.build(5, 5, lambda i, j: draw(), FRAC)
+    hessenberg = Matrix.build(6, 6, lambda i, j: draw() if j <= i + 1 else 0, FRAC)
+    low_rank = (Matrix.build(4, 2, lambda i, j: draw(), FRAC)
+                * Matrix.build(2, 5, lambda i, j: draw(), FRAC))
+    table = {(i, j): fam.EQ45.entry(i, j, k=2) for i in range(8) for j in range(8)}
+    family = fam.Family(FRAC, lambda i, j: table[i, j])
+    expected = [det_cofactor(dense), det_cofactor(hessenberg),
+                det_cofactor(fam.build(family, 7)), max_nonzero_minor_order(low_rank)]
+    assert expected[3] == 2 and expected[0] and expected[1]
+    assert any(v.denominator != 1 for v in expected[:3])
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in an elimination or a sweep")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    got = [det(dense), det(hessenberg), family.sweep()[7], rank(low_rank)]
+    assert got == expected

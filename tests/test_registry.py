@@ -1,11 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 import catdet.residues  # noqa: F401  (registers the modular checks)
 from catdet import families as fam
 from catdet.exact import choose2
-from catdet.linalg import QRAT, det, det_bareiss, det_cofactor
+from catdet.linalg import FRAC, QRAT, det, det_bareiss, det_cofactor
 from catdet.qseries import ONE, Q, QPoly, QRat, q_binomial, q_int
 from catdet.registry import (
     CHECKS,
@@ -367,37 +368,49 @@ def test_swept_family_minors_equal_bareiss(family, points):
                 assert minors[n] == det_cofactor(m), (params, n)
 
 
-def _random_q_rational_hessenberg(seed):
-    """A seeded q-rational lower Hessenberg entry function, defined at every size.
+def _random_fraction_hessenberg(seed, ring):
+    """A seeded lower Hessenberg entry function over a fraction ring, defined at every size.
 
-    Denominators are shared ([2] and [2][3]), coprime ([3] and 1 + q^2) or
-    constant; some entries are zero, and so is the superdiagonal entry (3, 4).
+    Denominators are shared ([2] and [2][3]; 2, 4 and 6), coprime ([3] and
+    1 + q^2; 5 and 7) or constant; some entries are zero, and so is the
+    superdiagonal entry (3, 4).
     """
-    dens = [ONE, QPoly.const(3), QPoly.const(-2), q_int(2), q_int(2) * q_int(3),
-            q_int(3), ONE + Q * Q]
+    if ring is FRAC:
+        dens = [1, 3, -2, 2, 4, 6, 5, 7]
+    else:
+        dens = [ONE, QPoly.const(3), QPoly.const(-2), q_int(2), q_int(2) * q_int(3),
+                q_int(3), ONE + Q * Q]
 
     def entry(i, j):
         if j > i + 1 or (i, j) == (3, 4):
             return 0
         rng = random.Random(f"{seed}:{i}:{j}")
         if rng.random() < 0.2:
-            return QRat(0)
+            return ring.zero
+        if ring is FRAC:
+            return Fraction(rng.randint(-9, 9), rng.choice(dens))
         num = QPoly([(rng.randint(-2, 3), rng.randint(-4, 4)) for _ in range(rng.randint(1, 3))])
         return QRat(num, rng.choice(dens))
     return entry
 
 
-def test_q_rational_sweep_on_random_hessenberg_entries():
+FRACTION_RINGS = pytest.mark.parametrize("ring", [QRAT, FRAC], ids=lambda r: r.name)
+
+
+@FRACTION_RINGS
+def test_q_rational_sweep_on_random_hessenberg_entries(ring):
     for seed in range(6):
-        family = fam.Family(QRAT, _random_q_rational_hessenberg(seed))
+        family = fam.Family(ring, _random_fraction_hessenberg(seed, ring))
         minors = family.sweep()
         for n in range(8):
             assert minors[n] == det_cofactor(fam.build(family, n)), (seed, n)
 
 
-def test_q_rational_sweep_rejects_an_entry_above_the_superdiagonal():
-    base = _random_q_rational_hessenberg(0)
-    family = fam.Family(QRAT, lambda i, j: QRat(Q, q_int(2)) if (i, j) == (1, 4) else base(i, j))
+@FRACTION_RINGS
+def test_q_rational_sweep_rejects_an_entry_above_the_superdiagonal(ring):
+    base = _random_fraction_hessenberg(0, ring)
+    poke = QRat(Q, q_int(2)) if ring is QRAT else Fraction(1, 2)
+    family = fam.Family(ring, lambda i, j: poke if (i, j) == (1, 4) else base(i, j))
     minors = family.sweep()
     assert minors[4] == det_cofactor(fam.build(family, 4))
     with pytest.raises(ValueError, match=r"entry \(1, 4\)"):
