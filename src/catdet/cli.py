@@ -143,22 +143,21 @@ def _sink(out: str | None) -> Iterator[Callable[[str], object]]:
             os.remove(path)
 
 
-def _emit(payload: dict, fmt: str, out: str | None) -> None:
+def _emit(payload: dict, fmt: str, write: Callable[[str], object]) -> None:
     text = _json_text(payload)
-    with _sink(out) as write:
-        write("```json\n" + text + "\n```\n" if fmt == "markdown" else text + "\n")
+    write("```json\n" + text + "\n```\n" if fmt == "markdown" else text + "\n")
 
 
 def _cmd_list(args) -> int:
     index = check_index()
-    if args.format == "json":
-        _emit({"checks": index}, "json", args.out)
-    else:
-        lines = ["| id | kind | anchor | params |", "|---|---|---|---|"]
-        for entry in index:
-            lines.append(f"| {entry['id']} | {entry['kind']} | {entry['anchor']} | "
-                         f"{', '.join(entry['params'])} |")
-        with _sink(args.out) as write:
+    with _sink(args.out) as write:
+        if args.format == "json":
+            _emit({"checks": index}, "json", write)
+        else:
+            lines = ["| id | kind | anchor | params |", "|---|---|---|---|"]
+            for entry in index:
+                lines.append(f"| {entry['id']} | {entry['kind']} | {entry['anchor']} | "
+                             f"{', '.join(entry['params'])} |")
             write("\n".join(lines) + "\n")
     return 0
 
@@ -247,25 +246,26 @@ def _cmd_conjecture(args) -> int:
     reports = []
     timings = {}
     code = 0
-    for cid in ids:
-        try:
-            rep = conjecture_search(cid, bounds)
-        except Exception as exc:
-            reports.append({"conjecture": cid, "status": "error",
-                            "error": type(exc).__name__, "message": str(exc)})
-            code = 3
-            continue
-        reports.append(rep.to_json())
-        timings[cid] = round(rep.elapsed, 6)
-    _emit(
-        {
-            "config": _config_json(args, "conjecture"),
-            "reports": reports,
-            "timings": {"per_conjecture_seconds": timings},
-        },
-        args.format,
-        args.out,
-    )
+    with _sink(args.out) as write:
+        for cid in ids:
+            try:
+                rep = conjecture_search(cid, bounds)
+            except Exception as exc:
+                reports.append({"conjecture": cid, "status": "error",
+                                "error": type(exc).__name__, "message": str(exc)})
+                code = 3
+                continue
+            reports.append(rep.to_json())
+            timings[cid] = round(rep.elapsed, 6)
+        _emit(
+            {
+                "config": _config_json(args, "conjecture"),
+                "reports": reports,
+                "timings": {"per_conjecture_seconds": timings},
+            },
+            args.format,
+            write,
+        )
     return code
 
 

@@ -151,10 +151,10 @@ def _ratio_entry(i: int, j: int, x: int, m: int) -> Fraction:
         return F(0)
     if c == 0:
         return F(1)
-    num = F(x + 2 * i - 1 + 2 * m)
+    num = x + 2 * i - 1 + 2 * m
     for l in range(1, c):
         num *= x + i + j + m - 1 - l
-    return num / math.factorial(c)
+    return F(num, math.factorial(c))
 
 
 EQ10 = Family(FRAC, _ratio_entry)

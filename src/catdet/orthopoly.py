@@ -18,8 +18,12 @@ Lambda(p_n) = [n = 0].
 The module also verifies the shifted-Hankel bridge: the n x n determinant of
 p(i+m, j) equals the ratio of the m x m Hankel determinants of the moments
 shifted by n and by 0 (checked exactly, in cross-multiplied form), plus the
-two single-shift product formulas, and can recover s(n), t(n) either from a
-moment sequence or from an explicit coefficient table.
+two single-shift product formulas.  It recovers s(n), t(n) through these
+same recurrences: from a moment sequence by reading the moment-table
+recurrence backwards, one column at a time (Chebyshev's algorithm, see
+:func:`system_from_moments`), and from an explicit coefficient table by
+reading two leading columns and comparing every row with the recovered
+system's :class:`FavardTables`.
 """
 
 from __future__ import annotations
@@ -217,58 +221,41 @@ def hankel_shift_checks(tab: FavardTables, m: int) -> bool:
 def system_from_moments(moments: Sequence, ring: Ring) -> tuple[list, list, FavardSystem]:
     """Recover s(n), t(n) from a moment sequence over the field ``ring``.
 
-    Uses the functional pairing: s(n) = L(x p_n^2)/L(p_n^2) and
-    t(n-1) = L(p_n^2)/L(p_(n-1)^2).  Raises ArithmeticError on a vanishing
-    norm (non-orthogonalizable moment prefix).
+    Reads the moment-table recurrence backwards, one column at a time
+    (Chebyshev's algorithm): column 0 is c(n, 0) = M_n / M_0, column -1 is
+    zero, and from columns j-1 and j
+
+        s(j) = c(j+1, j) - c(j, j-1)
+        t(j) = c(j+2, j) - c(j+1, j-1) - s(j) c(j+1, j)
+        c(n, j+1) = (c(n+1, j) - c(n, j-1) - s(j) c(n, j)) / t(j).
+
+    M moments give s(j) for 2j + 2 <= M and t(j) for 2j + 3 <= M.  A zero
+    M_0 or t(j) is a vanishing norm L(p_n^2), n = 0 or j + 1: the moment
+    prefix is not orthogonalizable and ArithmeticError is raised.
     """
     ms = [ring.coerce(v) for v in moments]
-    zero, one = ring.zero, ring.one
-
-    def pair(vec):
-        if len(vec) > len(ms):
-            raise ValueError("moment sequence too short")
-        acc = zero
-        for i, v in enumerate(vec):
-            acc = acc + v * ms[i]
-        return acc
-
-    def mul(a, b):
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x == zero:
-                continue
-            for j, y in enumerate(b):
-                out[i + j] = out[i + j] + x * y
-        return out
-
+    zero = ring.zero
     s_list: list = []
     t_list: list = []
-    p_prev: list = []
-    p_cur: list = [one]
-    norm_prev = None
-    n = 0
-    while 2 * n + 1 <= len(ms):
-        sq = mul(p_cur, p_cur)
-        norm = pair(sq)
-        if norm == zero:
-            raise ArithmeticError(f"vanishing norm at n = {n}: moments not orthogonalizable")
-        if n >= 1:
-            t_list.append(norm / norm_prev)
-        if 2 * n + 2 > len(ms):
+    if ms and ms[0] == zero:
+        raise ArithmeticError("vanishing norm at n = 0: moments not orthogonalizable")
+    prev = [zero] * len(ms)  # column j-1, read at rows n <= len(ms) - 1 - j
+    col = [m / ms[0] for m in ms]  # column j, rows 0 .. len(ms) - 1 - j
+    j = 0
+    while 2 * j + 2 <= len(ms):
+        s = col[j + 1] - prev[j]
+        s_list.append(s)
+        if 2 * j + 3 > len(ms):
             break
-        s_n = pair([zero] + sq) / norm
-        s_list.append(s_n)
-        # p_(n+1) = (x - s_n) p_n - t_(n-1) p_(n-1)
-        shifted = [zero] + p_cur
-        nxt = [shifted[i] - (s_n * p_cur[i] if i < len(p_cur) else zero)
-               for i in range(len(shifted))]
-        if n >= 1:
-            tn1 = t_list[-1]
-            for i in range(len(p_prev)):
-                nxt[i] = nxt[i] - tn1 * p_prev[i]
-        p_prev, p_cur = p_cur, nxt
-        norm_prev = norm
-        n += 1
+        t = col[j + 2] - prev[j + 1] - s * col[j + 1]
+        if t == zero:
+            raise ArithmeticError(
+                f"vanishing norm at n = {j + 1}: moments not orthogonalizable")
+        t_list.append(t)
+        # c(n, j+1) = 0 above the diagonal, n <= j
+        prev, col = col, [zero] * (j + 1) + [(col[n + 1] - prev[n] - s * col[n]) / t
+                                             for n in range(j + 1, len(col) - 1)]
+        j += 1
 
     return s_list, t_list, FavardSystem(s_list.__getitem__, t_list.__getitem__, ring, "recovered")
 
@@ -277,8 +264,10 @@ def system_from_coeff_rows(rows: Sequence[Sequence], ring: Ring
                            ) -> tuple[list, list, FavardSystem]:
     """Recover s(n), t(n) from a monic true-coefficient table.
 
-    Reads the two leading columns, then re-verifies the full recurrence on
-    every coefficient; raises InconsistentRecurrenceError on any mismatch.
+    Reads s(n-1) and t(n-2) off the two leading columns of row n, then
+    compares every given row with ``coeff_row`` of the recovered system's
+    :class:`FavardTables` (row 0 must be [1]); raises
+    InconsistentRecurrenceError at the first (n, j) that differs.
     """
     zero = ring.zero
 
@@ -286,26 +275,18 @@ def system_from_coeff_rows(rows: Sequence[Sequence], ring: Ring
         return rows[n][j] if 0 <= j <= n else zero
 
     nmax = len(rows) - 1
-    s_list = []
-    t_list = []
-    for n in range(1, nmax + 1):
-        s_list.append(a(n - 1, n - 2) - a(n, n - 1))
-    for n in range(2, nmax + 1):
-        sn = s_list[n - 1]
-        t_list.append(a(n - 1, n - 3) - sn * a(n - 1, n - 2) - a(n, n - 2))
-    for n in range(1, nmax + 1):
-        sn = s_list[n - 1]
-        tn = t_list[n - 2] if n >= 2 else None
-        for j in range(0, n + 1):
-            expected = a(n - 1, j - 1) - sn * a(n - 1, j)
-            if tn is not None:
-                expected = expected - tn * a(n - 2, j)
-            if a(n, j) != expected:
+    s_list = [a(n - 1, n - 2) - a(n, n - 1) for n in range(1, nmax + 1)]
+    t_list = [a(n - 1, n - 3) - s_list[n - 1] * a(n - 1, n - 2) - a(n, n - 2)
+              for n in range(2, nmax + 1)]
+    system = FavardSystem(s_list.__getitem__, t_list.__getitem__, ring, "recovered")
+    tab = system.tables()
+    for n, row in enumerate(rows):
+        for j, v in enumerate(tab.coeff_row(n)):
+            if row[j] != v:
                 raise InconsistentRecurrenceError(
                     f"coefficient table breaks the three-term recurrence at (n={n}, j={j})"
                 )
-
-    return s_list, t_list, FavardSystem(s_list.__getitem__, t_list.__getitem__, ring, "recovered")
+    return s_list, t_list, system
 
 
 # ---------------------------------------------------------------------------

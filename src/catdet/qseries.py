@@ -36,7 +36,6 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate
 from operator import add, neg, sub
 
 __all__ = [
@@ -769,30 +768,6 @@ def _mobius(n: int) -> int:
     return -mu if n > 1 else mu
 
 
-def _times_one_minus(p: list[int], e: int) -> list[int]:
-    """Coefficients of (1 - y^e) p(y), one pass."""
-    pad = [0] * e
-    return [a - b for a, b in zip(p + pad, pad + p)]
-
-
-def _over_one_minus(p: list[int], e: int) -> list[int]:
-    """Coefficients of p(y) / (1 - y^e); raises ExactDivisionError on a remainder.
-
-    The quotient satisfies c_i = p_i + c_(i-e), a running sum along each residue
-    class mod e; the top e coefficients of p must then cancel the carries
-    -c_(i-e).
-    """
-    n = len(p) - e
-    if n <= 0:
-        raise ExactDivisionError("nonzero remainder in exact division")
-    out = [0] * n
-    for r in range(min(e, n)):
-        out[r::e] = accumulate(p[r:n:e])
-    if any(a + c for a, c in zip(p[n:], ([0] * e + out)[n:])):
-        raise ExactDivisionError("nonzero remainder in exact division")
-    return out
-
-
 _CYCLOTOMIC: dict[int, tuple[tuple[int, ...], int]] = {}
 _CYCLOTOMIC_PACKED: dict[tuple[int, int], int] = {}
 
@@ -801,25 +776,24 @@ def _cyclotomic(d: int) -> tuple[tuple[int, ...], int]:
     """Phi_d's dense coefficients and their l1 norm, built once per process.
 
     Moebius inversion of y^d - 1 = prod_(e | d) Phi_e(y) gives
-    Phi_d(y) = prod_(e | d) (y^e - 1)^mu(d/e): one pass per multiplication by
-    1 - y^e (smallest e first, so the list grows late), then one exact-division
-    pass per 1 - y^e below (largest e first).  The factors (1 - y^e) =
-    -(y^e - 1) contribute the sign (-1)^(sum of mu(d/e)), which is -1 for d = 1
-    and 1 otherwise.
+    Phi_d(y) = prod_(e | d) (y^e - 1)^mu(d/e), a polynomial of degree
+    phi(d) = sum_(e | d) e mu(d/e).  As a power series each factor is
+    1 - y^e or 1 / (1 - y^e) = sum_k y^(ke), so Phi_d is the product of these,
+    each series cut above y^phi(d), read up to y^phi(d): ``QPoly`` products
+    only, no division.  The factors (1 - y^e) = -(y^e - 1) contribute the
+    sign (-1)^(sum of mu(d/e)), which is -1 for d = 1 and 1 otherwise.
     """
     entry = _CYCLOTOMIC.get(d)
     if entry is None:
         mus = [(e, _mobius(d // e)) for e in _divisors(d)]
-        vals = [1]
+        top = sum(e * mu for e, mu in mus)
+        p = ONE
         for e, mu in mus:
-            if mu > 0:
-                vals = _times_one_minus(vals, e)
-        for e, mu in reversed(mus):
-            if mu < 0:
-                vals = _over_one_minus(vals, e)
-        if d == 1:
-            vals = [-v for v in vals]
-        entry = _CYCLOTOMIC[d] = (tuple(vals), sum(map(abs, vals)))
+            if mu:
+                p = p * (ONE - QPoly.monomial(e) if mu > 0
+                         else _from_dense([1] * (top // e + 1), 0, e))
+        vals = (-p if d == 1 else p)._vals[:top + 1]
+        entry = _CYCLOTOMIC[d] = (vals, sum(map(abs, vals)))
     return entry
 
 

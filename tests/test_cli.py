@@ -333,13 +333,18 @@ def test_out_to_a_fifo_writes_through(tmp_path, capsys):
     ["list"], ["verify", "--id", "eq1", "--n-max", "3"], ["suite", "--id", "eq1", "--n-max", "3"],
     ["conjecture", "--id", "c13a", "--n-max", "3"]], ids=lambda c: c[0])
 @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
-def test_out_that_cannot_be_opened_exits_2(tmp_path, capsys, command, where):
-    # exit 1 means a false identity; an --out that cannot be opened is a usage error
+def test_out_that_cannot_be_opened_exits_2(tmp_path, capsys, monkeypatch, command, where):
+    # exit 1 means a false identity; an --out that cannot be opened is a usage
+    # error, found before any search runs
+    from catdet import cli
+
+    searched = []
+    monkeypatch.setattr(cli, "conjecture_search", lambda cid, bounds: searched.append(cid))
     out = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
     (tmp_path / "keep").write_text("")
     code = main([*command, "--out", str(out)])
     captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
+    assert code == 2 and captured.out == "" and searched == []
     assert captured.err.count("\n") == 1 and str(out) in captured.err
     assert os.listdir(tmp_path) == ["keep"]
 
@@ -646,7 +651,7 @@ def test_report_writer_gives_json_dumps_bytes(results, capsys):
         "summary": {"pass": 0, "fail": 0},
         "timings": {"per_check_seconds": {}, "total_seconds": 0.5},
     }
-    _emit(report, "json", None)
+    _emit(report, "json", sys.stdout.write)
     assert capsys.readouterr().out == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
@@ -661,6 +666,6 @@ def test_every_json_payload_has_json_dumps_bytes(capsys):
     payload = {"config": {"command": "conjecture"}, "timings": {"per_conjecture_seconds": {}},
                "reports": [{"conjecture": "c1", "status": "error", "message": "a\tb"},
                            {"conjecture": "c2", "bound": 0.25, "found": False, "witness": None}]}
-    _emit(payload, "markdown", None)
+    _emit(payload, "markdown", sys.stdout.write)
     body = json.dumps(payload, indent=2, sort_keys=True)
     assert capsys.readouterr().out == "```json\n" + body + "\n```\n"

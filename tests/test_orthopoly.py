@@ -326,3 +326,83 @@ def test_lambda_moment_list_roundtrip():
     assert t_list[0] == QRat(ONE + q)
     assert t_list[1] == QRat(2 * q ** 3, ONE + q)
     assert moments_from_system(sys, len(listed)) == listed
+
+
+def _random_fraction(rng):
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+
+def _random_qrat(rng):
+    q = QPoly.monomial(1)
+    num = QPoly.const(rng.randint(-2, 2)) + rng.randint(-2, 2) * q
+    return QRat(num, ONE + rng.randint(0, 2) * q)
+
+
+@pytest.mark.parametrize("ring, draw, size", [(FRAC, _random_fraction, 6),
+                                              (QRAT, _random_qrat, 3)],
+                         ids=["rational", "q-rational"])
+def test_moment_recovery_round_trips_at_every_length(ring, draw, size):
+    # M moments of a system with t != 0 give back s(j) for 2j + 2 <= M and
+    # t(j) for 2j + 3 <= M, whatever the (nonzero) scale of the moments
+    rng = random.Random(f"moments-{ring.name}")
+    for _ in range(12 if ring is FRAC else 3):
+        s = [draw(rng) for _ in range(size + 1)]
+        t = []
+        while len(t) < size + 1:
+            t.append(draw(rng) or ring.one)
+        moments = moments_from_system(FavardSystem(s.__getitem__, t.__getitem__, ring),
+                                      2 * size + 2)
+        scale = draw(rng) or ring.one
+        for count in range(2 * size + 2):
+            for listed in (moments[:count], [scale * m for m in moments[:count]]):
+                s_list, t_list, sys = system_from_moments(listed, ring)
+                assert s_list == s[:count // 2] and t_list == t[:max(0, (count - 1) // 2)]
+                assert sys.ring is ring
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_moment_recovery_raises_on_a_vanishing_norm(n):
+    # t(n-1) = 0 makes L(p_n^2) = t(0) ... t(n-1) vanish; it is read only
+    # once 2n + 1 moments are given
+    t = [Fraction(k + 2, 3) for k in range(8)]
+    t[n - 1] = Fraction(0)
+    system = FavardSystem(lambda k: Fraction(k - 1, 2), t.__getitem__, FRAC)
+    moments = moments_from_system(system, 2 * n + 3)
+    s_list, t_list, _ = system_from_moments(moments[:2 * n], FRAC)
+    assert len(s_list) == n and t_list == t[:n - 1]
+    for count in (2 * n + 1, 2 * n + 3):
+        with pytest.raises(ArithmeticError) as info:
+            system_from_moments(moments[:count], FRAC)
+        assert str(info.value) == f"vanishing norm at n = {n}: moments not orthogonalizable"
+
+
+def test_moment_recovery_raises_on_a_zero_first_moment():
+    for moments in ([0], [0, 1, 2], [Fraction(0), Fraction(1, 2), Fraction(3)]):
+        with pytest.raises(ArithmeticError) as info:
+            system_from_moments(moments, FRAC)
+        assert str(info.value) == "vanishing norm at n = 0: moments not orthogonalizable"
+    assert system_from_moments([], FRAC)[:2] == ([], [])
+
+
+def _coefficient_tables():
+    yield [[geometric_q_coeff(n, j) for j in range(n + 1)] for n in range(7)], QPOLY, ONE
+    tab = random_integer_system(random.Random("coeff-rows")).tables()
+    yield [tab.coeff_row(n) for n in range(8)], INT, 1
+
+
+@pytest.mark.parametrize("rows, ring, unit", _coefficient_tables(), ids=["geometric-q", "random"])
+def test_coeff_row_recovery_names_the_perturbed_entry(rows, ring, unit):
+    # s(n-1) and t(n-2) are read off columns n-1 and n-2 of row n, so a change
+    # there gives another system; any other entry, row 0 and the leading 1s
+    # included, is flagged where it was changed
+    system_from_coeff_rows(rows, ring)
+    for n, row in enumerate(rows):
+        for j in [*range(n - 2), n]:
+            bad = [r[:] for r in rows]
+            bad[n][j] = bad[n][j] + unit
+            with pytest.raises(InconsistentRecurrenceError) as info:
+                system_from_coeff_rows(bad, ring)
+            assert str(info.value) == (
+                f"coefficient table breaks the three-term recurrence at (n={n}, j={j})")
+    with pytest.raises(InconsistentRecurrenceError, match=r"\(n=0, j=0\)"):
+        system_from_coeff_rows([[ring.zero]], ring)

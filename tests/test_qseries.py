@@ -18,8 +18,6 @@ from catdet.qseries import (
     QPoly,
     QRat,
     _expand,
-    _over_one_minus,
-    _times_one_minus,
     q_binomial,
     q_int,
     q_lucas_value,
@@ -554,52 +552,36 @@ def test_expand_of_no_factor_is_one():
 
 
 def test_one_minus_passes_run_only_while_a_cyclotomic_is_first_cached(monkeypatch):
-    passes = []
+    phi6 = P((0, 1), (1, -1), (2, 1))
+    phi6_40 = QPoly([(2 * e, v) for e, v in (phi6 ** 40).items()])
+    phi6_factors = [ONE - Q, ONE + Q ** 2, ONE, ONE - Q ** 6]
+    phi5_factors = [ONE + Q + Q ** 2 + Q ** 3 + Q ** 4, ONE - Q ** 5]
+    factors = []
+    mul = QPoly.__mul__
 
-    def counted(fn):
-        def wrapper(p, e):
-            passes.append(e)
-            return fn(p, e)
-        return wrapper
+    def counted(self, other):
+        factors.append(other)
+        return mul(self, other)
 
     monkeypatch.setattr(qseries, "_CYCLOTOMIC", {})
     monkeypatch.setattr(qseries, "_CYCLOTOMIC_PACKED", {})
-    monkeypatch.setattr(qseries, "_times_one_minus", counted(_times_one_minus))
-    monkeypatch.setattr(qseries, "_over_one_minus", counted(_over_one_minus))
-    # Phi_6 = (1 - y^6)(1 - y) / ((1 - y^3)(1 - y^2)): two passes of each kind
-    phi6 = _expand({6: 1}, 1)
-    assert phi6 == P((0, 1), (1, -1), (2, 1))
-    assert sorted(passes) == [1, 2, 3, 6]
-    # Phi_6 again, at other powers, widths and g, and inside q_product: no pass
-    passes.clear()
-    assert _expand({6: 40}, 2) == QPoly([(2 * e, v) for e, v in (phi6 ** 40).items()])
+    monkeypatch.setattr(QPoly, "__mul__", counted)
+    # Phi_6 = (1 - y)(1 - y^6) / ((1 - y^2)(1 - y^3)): one product per factor,
+    # each 1 / (1 - y^e) a geometric series cut above y^2
+    assert _expand({6: 1}, 1) == phi6
+    assert factors == phi6_factors
+    # Phi_6 again, at other powers, widths and g, and inside q_product: no product
+    factors.clear()
+    assert _expand({6: 40}, 2) == phi6_40
     assert _expand({6: 1}, 7) == QPoly([(7 * e, v) for e, v in phi6.items()])
     monkeypatch.setattr(qseries, "_QPRODUCT_CACHE", {})
     assert q_product([6, 1], [2, 3]) == QRat(phi6)
-    assert passes == []
+    assert factors == []
     assert set(qseries._CYCLOTOMIC) == {6}
-    # a new d runs its own passes once
+    # a new d is built once: Phi_5 = (1 - y^5) / (1 - y)
     _expand({5: 2, 6: 1}, 1)
     _expand({5: 3}, 1)
-    assert sorted(passes) == [1, 5]
-
-
-def test_one_minus_passes_divide_exactly_or_raise():
-    rng = random.Random("one-minus")
-    for _ in range(200):
-        vals = [rng.randint(-9, 9) for _ in range(rng.randint(1, 12))]
-        vals[-1] = vals[-1] or 1
-        e = rng.randint(1, 7)
-        times = _times_one_minus(vals, e)
-        expected = QPoly(list(enumerate(vals))) * (ONE - QPoly.monomial(e))
-        assert QPoly(list(enumerate(times))) == expected
-        assert _over_one_minus(times, e) == vals
-        # one more unit in the top coefficient leaves a remainder
-        bumped = times[:-1] + [times[-1] + 1]
-        with pytest.raises(ExactDivisionError):
-            _over_one_minus(bumped, e)
-    with pytest.raises(ExactDivisionError):
-        _over_one_minus([1, 1], 2)
+    assert factors == phi5_factors
 
 
 def test_constant_denominator_takes_no_polynomial_gcd(monkeypatch):
