@@ -52,8 +52,8 @@ from typing import Callable, Sequence
 from catdet.exact import exact_quotient
 from catdet.qseries import ONE as QP_ONE
 from catdet.qseries import ZERO as QP_ZERO
-from catdet.qseries import (QPoly, QRat, _from_dense, _kron_pack, _kron_unpack_signed,
-                            _kron_width)
+from catdet.qseries import (QPoly, QRat, _from_dense, _kron_pack, _kron_pack_fresh,
+                            _kron_unpack_signed, _kron_width)
 
 __all__ = [
     "Ring",
@@ -256,11 +256,11 @@ def _is_lower_hessenberg(m: Matrix) -> bool:
     return not any(any(data[i * n + i + 2:(i + 1) * n]) for i in range(n - 2))
 
 
-def _pack(p: QPoly, width: int) -> int:
-    """p's coefficient tuple at q = 2^width (``_kron_pack``); a monomial packs to its coefficient."""
+def _pack(p: QPoly, width: int, pack=_kron_pack) -> int:
+    """p's coefficient tuple at q = 2^width by ``pack``; a monomial packs to its coefficient."""
     vals = p._vals
     if len(vals) > 1:
-        return _kron_pack(vals, width)
+        return pack(vals, width)
     return vals[0] if vals else 0
 
 
@@ -357,7 +357,8 @@ class LeadingMinors:
         packed, from the first row that uses each, at a width that only grows,
         at least doubling, so each is packed once per width (measured faster
         than repacking them at each row's own width); the row's entries are
-        packed once.  A row of one term is one ``QPoly`` product.
+        packed once.  Entries go through the ``_kron_pack`` memo; a minor never
+        recurs and is packed outside it.  A row of one term is one ``QPoly`` product.
         """
         minors, sup = self._minors, self._super
         row = [self.ring.coerce(self.entry(col, j)) for j in range(start, col + 1)]
@@ -387,7 +388,7 @@ class LeadingMinors:
             if a and d:
                 p = packed.get(j)
                 if p is None:
-                    p = packed[j] = _pack(d, width)
+                    p = packed[j] = _pack(d, width, _kron_pack_fresh)
                 term = _pack(a, width) * p
                 t_low = a._low + d._low
                 t_hi = t_low + len(a._vals) + len(d._vals) - 2

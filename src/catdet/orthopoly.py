@@ -231,8 +231,11 @@ def system_from_moments(moments: Sequence, ring: Ring) -> tuple[list, list, Fava
 
     M moments give s(j) for 2j + 2 <= M and t(j) for 2j + 3 <= M.  A zero
     M_0 or t(j) is a vanishing norm L(p_n^2), n = 0 or j + 1: the moment
-    prefix is not orthogonalizable and ArithmeticError is raised.
+    prefix is not orthogonalizable and ArithmeticError is raised.  A ring that
+    is not a field (no ``integral`` ring) raises TypeError.
     """
+    if not ring.integral:
+        raise TypeError(f"moment recovery needs a field, not the {ring.name} ring")
     ms = [ring.coerce(v) for v in moments]
     zero = ring.zero
     s_list: list = []

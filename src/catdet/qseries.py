@@ -91,7 +91,22 @@ def _restride(data: bytes, src: int, dst: int, count: int) -> bytearray:
     return out
 
 
+_KRON_PACKED: dict[tuple[tuple[int, ...], int], int] = {}
+
+
 def _kron_pack(vals, width: int) -> int:
+    """``_kron_pack_fresh(vals, width)``, memoized under (tuple(vals), width).
+
+    A shift keeps the tuple, so a q-binomial or Phi_d packs once per width.
+    """
+    key = (tuple(vals), width)
+    packed = _KRON_PACKED.get(key)
+    if packed is None:
+        packed = _KRON_PACKED[key] = _kron_pack_fresh(key[0], width)
+    return packed
+
+
+def _kron_pack_fresh(vals, width: int) -> int:
     """The polynomial with coefficients ``vals`` at q = 2**width.
 
     Each coefficient v, -2**(width-1) <= v < 2**(width-1), is written once, as
@@ -393,8 +408,13 @@ class QPoly:
 
         One pass over the coefficient tuple writes each nonzero term after
         its sign ("+ " or "- "); the first term then drops "+ " or closes
-        "- " up to "-".
+        "- " up to "-".  The text is memoized under (low, coefficient tuple),
+        so equal values render once per process.
         """
+        key = (self._low, self._vals)
+        text = _QPOLY_TEXT.get(key)
+        if text is not None:
+            return text
         parts = []
         for e, v in enumerate(self._vals, self._low):
             if v:
@@ -408,15 +428,15 @@ class QPoly:
                     parts.append(f"{sign} q" if e == 1 else f"{sign} q^{e}")
                 else:
                     parts.append(f"{sign} {v}*q" if e == 1 else f"{sign} {v}*q^{e}")
-        if not parts:
-            return "0"
-        text = " ".join(parts)
-        return text[2:] if text[0] == "+" else "-" + text[2:]
+        text = " ".join(parts) or "+ 0"
+        text = _QPOLY_TEXT[key] = text[2:] if text[0] == "+" else "-" + text[2:]
+        return text
 
     def __repr__(self) -> str:
         return f"QPoly({self})"
 
 
+_QPOLY_TEXT: dict[tuple[int, tuple[int, ...]], str] = {}
 ZERO = QPoly._raw(0, ())
 ONE = QPoly.const(1)
 Q = QPoly.monomial(1)
@@ -769,7 +789,6 @@ def _mobius(n: int) -> int:
 
 
 _CYCLOTOMIC: dict[int, tuple[tuple[int, ...], int]] = {}
-_CYCLOTOMIC_PACKED: dict[tuple[int, int], int] = {}
 
 
 def _cyclotomic(d: int) -> tuple[tuple[int, ...], int]:
@@ -818,10 +837,7 @@ def _expand(powers: dict[int, int], g: int) -> QPoly:
     width = _kron_width(bound)
     value = 1
     for d, c in powers.items():
-        packed = _CYCLOTOMIC_PACKED.get((d, width))
-        if packed is None:
-            packed = _CYCLOTOMIC_PACKED[d, width] = _kron_pack(_cyclotomic(d)[0], width)
-        value *= packed ** c
+        value *= _kron_pack(_cyclotomic(d)[0], width) ** c
     return _from_dense(_kron_unpack_signed(value, width, degree + 1), 0, g)
 
 

@@ -582,6 +582,26 @@ def test_packed_leading_minors_equal_cofactor_and_bareiss():
     assert cancelled and wide
 
 
+def test_packed_rows_memoize_entry_packs_and_not_minor_packs(monkeypatch):
+    # entries recur across rows and sweeps and go through the _kron_pack memo;
+    # a minor never recurs, so none of its packs may fill the memo
+    from catdet import qseries
+
+    monkeypatch.setattr(qseries, "_KRON_PACKED", {})
+    rng = random.Random("packed-memo")
+    outside = 0
+    for _ in range(20):
+        n = rng.randint(2, 9)
+        m = packed_sweep_input(rng, n)
+        minors = LeadingMinors(lambda i, j: m[i, j], QPOLY)
+        minors[n]
+        entries = {v._vals for v in m.data}
+        assert {vals for vals, _ in qseries._KRON_PACKED} <= entries
+        outside += sum(minors[j]._vals not in entries for j in minors._packs[1])
+        qseries._KRON_PACKED.clear()
+    assert outside
+
+
 @pytest.mark.parametrize("nbytes", [1, 2, 3, 4, 8, 9, 16])
 def test_packed_row_at_its_bound_on_a_byte_boundary(nbytes):
     # [[c q^-1, c q^3], [-s c q^-2, s c q^2]]: D_2 = 2 s c^2 q, and the l1 bound

@@ -384,6 +384,28 @@ def test_moment_recovery_raises_on_a_zero_first_moment():
     assert system_from_moments([], FRAC)[:2] == ([], [])
 
 
+@pytest.mark.parametrize("ring", [INT, QPOLY], ids=["integer", "q-polynomial"])
+def test_moment_recovery_refuses_a_ring_that_is_not_a_field(ring):
+    # over INT `/` would leave exact arithmetic (s = [0.0, 0.0]); every
+    # length is refused, the empty one too, before a moment is read
+    for moments in ([1, 0, 1, 0, 2], [], [0]):
+        with pytest.raises(TypeError) as info:
+            system_from_moments(moments, ring)
+        assert str(info.value) == f"moment recovery needs a field, not the {ring.name} ring"
+
+
+def test_moment_recovery_over_the_fields_is_unchanged():
+    # moments 1, 0, 1, 0, 2 give s = 0, 0 and t = 1, 1, as Fraction
+    # over FRAC and as QRat over QRAT
+    s_list, t_list, _ = system_from_moments([1, 0, 1, 0, 2], FRAC)
+    assert s_list == [0, 0] and t_list == [1, 1]
+    assert all(type(v) is Fraction for v in s_list + t_list)
+    s_list, t_list, _ = system_from_moments([1, 0, 1, 0, 2], QRAT)
+    assert s_list == [QRat(0)] * 2 and t_list == [QRat(1)] * 2
+    assert all(type(v) is QRat for v in s_list + t_list)
+    assert system_from_moments([], QRAT)[:2] == ([], [])
+
+
 def _coefficient_tables():
     yield [[geometric_q_coeff(n, j) for j in range(n + 1)] for n in range(7)], QPOLY, ONE
     tab = random_integer_system(random.Random("coeff-rows")).tables()

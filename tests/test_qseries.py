@@ -183,6 +183,34 @@ def test_kronecker_pack_round_trips_at_every_width():
         assert _kron_width(-half) == width + 8
 
 
+def test_memoized_kronecker_pack_equals_a_fresh_pack(monkeypatch):
+    # digits of 1, 3, 7, 8, 9 and 16 bytes; a hit returns the first pack
+    from catdet.qseries import _kron_pack, _kron_pack_fresh
+
+    monkeypatch.setattr(qseries, "_KRON_PACKED", {})
+    rng = random.Random("kron-memo")
+    for width in (8, 24, 56, 64, 72, 128):
+        half = 1 << (width - 1)
+        vals = [rng.randrange(-half, half) for _ in range(9)] + [-half, -1, 0, half - 1]
+        expected = sum(v << (width * i) for i, v in enumerate(vals))
+        for listed in (vals, tuple(vals), vals, tuple(vals)):
+            assert _kron_pack(listed, width) == _kron_pack_fresh(listed, width) == expected
+    assert len(qseries._KRON_PACKED) == 6
+
+
+def test_kronecker_pack_memo_keys_on_tuple_and_width(monkeypatch):
+    from catdet.qseries import _kron_pack
+
+    monkeypatch.setattr(qseries, "_KRON_PACKED", {})
+    vals = (1, -3, 0, 2)
+    at8, at16 = _kron_pack(vals, 8), _kron_pack(vals, 16)
+    assert at8 != at16
+    assert qseries._KRON_PACKED == {(vals, 8): at8, (vals, 16): at16}
+    # a list and a tuple with equal contents share the one entry
+    assert _kron_pack(list(vals), 8) is at8
+    assert len(qseries._KRON_PACKED) == 2
+
+
 def test_q_int_and_factorial():
     assert q_int(0).is_zero
     assert q_int(1) == ONE
@@ -536,13 +564,13 @@ def test_expand_matches_the_schoolbook_product():
 def test_expand_with_digits_wider_than_eight_bytes(monkeypatch):
     # (y - 1)^70 (y + 1)^40 is bounded by 2^110: 14-byte digits, packed and
     # read through to_bytes; checked against the schoolbook product
-    monkeypatch.setattr(qseries, "_CYCLOTOMIC_PACKED", {})
     expected = ONE
     for phi, c in ((Q - 1, 70), (Q + 1, 40)):
         for _ in range(c):
             expected = expected * phi
+    monkeypatch.setattr(qseries, "_KRON_PACKED", {})
     assert _expand({1: 70, 2: 40}, 1) == expected
-    assert {w for _, w in qseries._CYCLOTOMIC_PACKED} == {qseries._kron_width(2**110)} == {112}
+    assert {w for _, w in qseries._KRON_PACKED} == {qseries._kron_width(2**110)} == {112}
     assert _expand({1: 70, 2: 40}, 3) == QPoly([(3 * e, v) for e, v in expected.items()])
 
 
@@ -564,7 +592,7 @@ def test_one_minus_passes_run_only_while_a_cyclotomic_is_first_cached(monkeypatc
         return mul(self, other)
 
     monkeypatch.setattr(qseries, "_CYCLOTOMIC", {})
-    monkeypatch.setattr(qseries, "_CYCLOTOMIC_PACKED", {})
+    monkeypatch.setattr(qseries, "_KRON_PACKED", {})
     monkeypatch.setattr(QPoly, "__mul__", counted)
     # Phi_6 = (1 - y)(1 - y^6) / ((1 - y^2)(1 - y^3)): one product per factor,
     # each 1 / (1 - y^e) a geometric series cut above y^2
@@ -705,6 +733,21 @@ def test_str_equals_the_term_by_term_renderer():
     assert seen == {(e, unit) for e in (-1, 0, 1, "other") for unit in (True, False)}
     assert str(P((0, -1))) == render_qpoly(P((0, -1))) == "-1"
     assert str(P((1, -(2**64)))) == "-18446744073709551616*q"
+
+
+def test_str_memo_is_shared_by_equal_values_and_keyed_on_the_low_exponent(monkeypatch):
+    monkeypatch.setattr(qseries, "_QPOLY_TEXT", {})
+    # a shifted cached q-binomial and the same value built term by term
+    shifted = q_binomial(6, 3).shift(-4)
+    separate = P(*((e - 4, v) for e, v in q_binomial(6, 3).items()))
+    assert shifted is not separate and shifted == separate
+    assert str(shifted) == render_qpoly(separate)
+    assert str(separate) == str(shifted)
+    assert list(qseries._QPOLY_TEXT) == [(-4, separate._vals)]
+    # q p and p share the coefficient tuple but not the text
+    p = q_binomial(5, 2)
+    assert str(Q * p) == render_qpoly(Q * p) != str(p) == render_qpoly(p)
+    assert (1, p._vals) in qseries._QPOLY_TEXT and (0, p._vals) in qseries._QPOLY_TEXT
 
 
 # -- the (low, coefficient tuple) normal form, against plain exponent dicts --
