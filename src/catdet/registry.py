@@ -192,11 +192,11 @@ def run_check(check_id: str, **params) -> CheckResult:
     try:
         ok, lhs, rhs = check.run(**params)
     except Exception as exc:
-        return CheckResult(check_id, dict(params), "error", type(exc).__name__, str(exc),
+        return CheckResult(check_id, params, "error", type(exc).__name__, str(exc),
                            time.perf_counter() - t0)
     elapsed = time.perf_counter() - t0
     return CheckResult(
-        check_id, dict(params), "pass" if ok else "fail",
+        check_id, params, "pass" if ok else "fail",
         fmt_value(lhs), fmt_value(rhs), elapsed,
     )
 

@@ -323,10 +323,12 @@ def _sec4uniq(m_below: int):
 
 @register("sec4lucas", "4 Lucas theorem", "property", grid(limit=(128, 256, TOP)))
 def _sec4lucas(limit: int):
+    row = [1]  # binomial(a, b) for b <= a; it is 0 for b > a
     for a in range(limit + 1):
         for b_ in range(limit + 1):
-            if lucas_binomial_mod2(a, b_) != binomial(a, b_) % 2:
+            if lucas_binomial_mod2(a, b_) != (row[b_] if b_ <= a else 0) % 2:
                 return False, f"mismatch at ({a}, {b_})", "parity"
+        row = [x + y for x, y in zip([0, *row], [*row, 0])]  # Pascal's rule
     return True, f"digit product equals parity for a, b <= {limit}", "agree"
 
 

@@ -655,6 +655,72 @@ def test_report_writer_gives_json_dumps_bytes(results, capsys):
     assert capsys.readouterr().out == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+_ODD_TEXT = 'a "q"\\b\nq\u00e9\u2603'
+
+
+@pytest.mark.parametrize("params", [
+    {},
+    {"n": 3, "m": -1, "k": 0, "big": -2**70},
+    {"flag": True, "off": False, "n": 2},
+    {"system": 'q-"chebyshev"', "path": "a\\b", "text": "one\ntwo", "name": "caf\u00e9 \u2603"},
+    {"grid": [1, -2, [3, []], "x", True], "empty": []},
+], ids=["empty", "ints", "bools", "strings", "lists"])
+@pytest.mark.parametrize("status, lhs, rhs", [
+    ("pass", "1", "1"),
+    ("fail", "-q^2 + 1", "q^2 - 1"),
+    ("error", "ZeroDivisionError", _ODD_TEXT),
+], ids=["pass", "fail", "error"])
+def test_row_template_gives_the_json_writer_bytes(params, status, lhs, rhs):
+    from catdet.cli import _json_text, _row_text
+    from catdet.registry import CheckResult
+
+    res = CheckResult("eq1", params, status, lhs, rhs, 0.25)
+    text = _row_text(res)
+    assert text == _json_text(res.to_json(), "    ")
+    assert text == json.dumps(res.to_json(), indent=2, sort_keys=True).replace("\n", "\n    ")
+
+
+def _mixed_check():
+    """Four points whose params mix ints, strings and lists: pass, error, fail, pass."""
+    from catdet import registry
+
+    def run(n, label, flags):
+        if n == 1:
+            raise ValueError(_ODD_TEXT)
+        return n != 2, f"{label}|{n}", n
+
+    points = [{"n": n, "label": f'r"{n}"\u00e9', "flags": [n, -n, n == 3]} for n in range(4)]
+    return registry.Check("zzmixed", "synthetic", "det", lambda b: points, run)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_mixed_rows_keep_their_json_and_markdown_bytes(monkeypatch, capsys, jobs):
+    from catdet import registry
+
+    monkeypatch.setitem(registry.CHECKS, "zzmixed", _mixed_check())
+    code, out = run_cli(capsys, "verify", "--id", "zzmixed", "--jobs", jobs)
+    assert code == 3
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert json.loads(out)["results"] == [
+        {"id": "zzmixed", "params": {"n": n, "label": f'r"{n}"\u00e9', "flags": [n, -n, n == 3]},
+         "status": status, "lhs": lhs, "rhs": rhs}
+        for n, status, lhs, rhs in [(0, "pass", 'r"0"\u00e9|0', "0"),
+                                    (1, "error", "ValueError", _ODD_TEXT),
+                                    (2, "fail", 'r"2"\u00e9|2', "2"),
+                                    (3, "pass", 'r"3"\u00e9|3', "3")]]
+    code, out = run_cli(capsys, "verify", "--id", "zzmixed", "--jobs", jobs, "--format", "markdown")
+    assert code == 3
+    assert out.splitlines()[4:] == [
+        '| zzmixed | n=0, label=r"0"\u00e9, flags=[0, 0, False] | pass | r"0"\u00e9\\|0 | 0 |',
+        '| zzmixed | n=1, label=r"1"\u00e9, flags=[1, -1, False] | error | ValueError | '
+        'a "q"\\b\\nq\u00e9\u2603 |',
+        '| zzmixed | n=2, label=r"2"\u00e9, flags=[2, -2, False] | fail | r"2"\u00e9\\|2 | 2 |',
+        '| zzmixed | n=3, label=r"3"\u00e9, flags=[3, -3, True] | pass | r"3"\u00e9\\|3 | 3 |',
+        "",
+        "**pass: 2, fail: 2**",
+    ]
+
+
 def test_every_json_payload_has_json_dumps_bytes(capsys):
     # the list index and conjecture reports go through the same writer as a
     # check report, in JSON and inside markdown's code fence

@@ -42,6 +42,17 @@ def test_lucas_against_exact_parity():
         assert lucas_binomial_mod2(a, 0) == 1
 
 
+@pytest.mark.parametrize("planted", [[(5, 3)], [(3, 7)], [(5, 3), (3, 7)]],
+                         ids=["b<=a", "b>a", "first-in-row-order"])
+def test_sec4lucas_reports_a_planted_wrong_digit_product(monkeypatch, planted):
+    # (5, 3): an even binomial read as odd; (3, 7): b > a, where the binomial is 0
+    monkeypatch.setattr(residues, "lucas_binomial_mod2",
+                        lambda a, b: lucas_binomial_mod2(a, b) ^ ((a, b) in planted))
+    res = run_check("sec4lucas", limit=8)
+    # the first mismatch in (a, b) row order is the one reported
+    assert (res.status, res.lhs, res.rhs) == ("fail", f"mismatch at {min(planted)}", "parity")
+
+
 def test_unique_power_index():
     # lowest zero bit; the flipped binomial is odd exactly there
     assert unique_power_index(1) == 1
