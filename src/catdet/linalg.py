@@ -510,16 +510,25 @@ def det(m: Matrix):
 
 
 def det_cofactor(m: Matrix):
-    """Naive cofactor expansion (exponential; used as an independent oracle)."""
+    """Laplace expansion down the first column (an independent oracle).
+
+    The minor on the last n - k columns depends only on its k-row set, so
+    each is expanded once and memoized under its rows: O(n 2^n) products,
+    not n!.
+    """
     n = _square(m)
     ring = m.ring
     if n == 0:
         return ring.one
     data = m.data
+    minors: dict[tuple[int, ...], object] = {}
 
     def expand(rows: tuple[int, ...], col: int):
         if len(rows) == 1:
             return data[rows[0] * n + col]
+        acc = minors.get(rows)
+        if acc is not None:
+            return acc
         acc = ring.zero
         sign = 1
         for idx, r in enumerate(rows):
@@ -529,6 +538,7 @@ def det_cofactor(m: Matrix):
                 term = v * expand(rest, col + 1)
                 acc = acc + term if sign == 1 else acc - term
             sign = -sign
+        minors[rows] = acc
         return acc
 
     return expand(tuple(range(n)), 0)

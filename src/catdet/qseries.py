@@ -5,13 +5,19 @@ tuple of arbitrary-precision integer coefficients, that of ``q**(low + i)``
 at index i, with no zero at either end; zero is ``(0, ())``.  So equality is
 structural, a shift only moves ``low``, and sums, products and divisions run
 over aligned slices.  Products from ``_KRON_MIN_TERMS`` terms on are one
-integer product (Kronecker substitution q = 2**w).
+integer product (Kronecker substitution q = 2**w); so is an exact quotient
+of as many terms by a divisor of as many, accepted only when an l1 bound
+proves quotient times divisor equal to the dividend, else long division.
 
-``QRat`` is the fraction field.  Values are reduced on construction with a
-content-and-primitive-part polynomial gcd (only the content gcd when the
-denominator is a constant); the canonical form has the denominator's lowest
-exponent at 0, no common polynomial or integer factor, and a positive leading
-denominator coefficient, which makes equality a structural comparison as well.
+``QRat`` is the fraction field.  Values are reduced on construction by the
+gcd in Z[q] of both sides: GCDHEU on their primitive parts (one integer gcd
+of the parts packed at q = 2**w, read back as a polynomial, and both
+cofactors read off the integer quotients under the same l1 proof), after
+three widths the primitive pseudo-remainder sequence and long division; only
+the content gcd when the denominator is a constant.  The canonical form has
+the denominator's lowest exponent at 0, no common polynomial or integer
+factor, and a positive leading denominator coefficient, which makes equality
+a structural comparison as well.
 
 The module also provides the q-combinatorial primitives: q-integers,
 q-binomial coefficients (Gaussian polynomials, extended to negative upper
@@ -168,6 +174,63 @@ def _mul_kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
                                len(a) + len(b) - 1)
 
 
+def _certified(f: list[int], g, width: int) -> bool:
+    """Whether every coefficient of the product f * g is below 2**(width-1) in size.
+
+    A coefficient of f * g is at most min(|f|_1 |g|_inf, |f|_inf |g|_1).  So
+    when the integers f(2**width) * g(2**width) and p(2**width) are equal and
+    every coefficient of p is also below 2**(width-1) in size, both sides are
+    the same signed base-2**width digits, and f * g = p as polynomials.
+    """
+    bound = min(sum(map(abs, f)) * max(map(abs, g)), max(map(abs, f)) * sum(map(abs, g)))
+    return bound < 1 << (width - 1)
+
+
+def _div_kronecker(a, b) -> list[int] | None:
+    """a / b read off one integer quotient at q = 2**w, or None when it is not proved.
+
+    With B = |a|_inf |b|_1 and 2**(w-1) > B, the quotient q of an exact
+    division has q(2**w) = a(2**w) / b(2**w); the signed digits of that integer
+    are accepted only if ``_certified`` proves q * b = a.  An inexact division,
+    or an exact one whose quotient is too large for w, gives None.
+    """
+    width = _kron_width(max(map(abs, a)) * sum(map(abs, b)))
+    quot, rem = divmod(_kron_pack_fresh(a, width), _kron_pack_fresh(b, width))
+    if rem:
+        return None
+    try:
+        q = _kron_unpack_signed(quot, width, len(a) - len(b) + 1)
+    except ArithmeticError:
+        return None
+    return q if _certified(q, b, width) else None
+
+
+def _long_div(a, b) -> list[int]:
+    """The exact quotient a / b of dense coefficient sequences by long division.
+
+    Raises ``ExactDivisionError`` on a degree mismatch or a remainder.
+    """
+    top = len(b) - 1
+    count = len(a) - top
+    if count <= 0:
+        raise ExactDivisionError("degree mismatch in exact division")
+    # from the top; the remainder is the bottom ``top`` entries
+    rem = list(a)
+    lead = b[-1]
+    quot = [0] * count
+    for k in range(count - 1, -1, -1):
+        r = rem[k + top]
+        if r:
+            qc, m = divmod(r, lead)
+            if m:
+                raise ExactDivisionError("nonzero remainder in exact division")
+            quot[k] = qc
+            rem[k:k + top] = [x - qc * v for x, v in zip(rem[k:k + top], b)]
+    if any(rem[:top]):
+        raise ExactDivisionError("nonzero remainder in exact division")
+    return quot
+
+
 class QPoly:
     """Exact Laurent polynomial in q: its lowest exponent and a coefficient tuple."""
 
@@ -233,10 +296,6 @@ class QPoly:
     def items(self):
         low = self._low
         return [(low + i, v) for i, v in enumerate(self._vals) if v]
-
-    def content(self) -> int:
-        """gcd of the coefficients (0 for the zero polynomial)."""
-        return math.gcd(*self._vals)
 
     @property
     def lead_coeff(self) -> int:
@@ -368,26 +427,12 @@ class QPoly:
             raise ZeroDivisionError("QPoly division by zero")
         if self.is_zero:
             return ZERO
-        bc = b._vals
-        top = len(bc) - 1
-        count = len(self._vals) - top
-        if count <= 0:
-            raise ExactDivisionError("degree mismatch in exact division")
-        # long division from the top; the remainder is the bottom ``top`` entries
-        rem = list(self._vals)
-        lead = bc[-1]
-        quot = [0] * count
-        for k in range(count - 1, -1, -1):
-            r = rem[k + top]
-            if r:
-                qc, m = divmod(r, lead)
-                if m:
-                    raise ExactDivisionError("nonzero remainder in exact division")
-                quot[k] = qc
-                rem[k:k + top] = [x - qc * v for x, v in zip(rem[k:k + top], bc)]
-        if any(rem[:top]):
-            raise ExactDivisionError("nonzero remainder in exact division")
-        return QPoly._raw(self._low - b._low, tuple(quot))
+        a, bc = self._vals, b._vals
+        quot = None
+        if (len(a) - len(bc) + 1 >= _KRON_MIN_TERMS
+                and len(bc) - bc.count(0) >= _KRON_MIN_TERMS):
+            quot = _div_kronecker(a, bc)
+        return QPoly._raw(self._low - b._low, tuple(quot or _long_div(a, bc)))
 
     # -- specialization -----------------------------------------------------
 
@@ -460,7 +505,8 @@ def _from_dense(vals, low: int, g: int = 1) -> QPoly:
 
 
 # ---------------------------------------------------------------------------
-# dense integer polynomial gcd (primitive pseudo-remainder sequence)
+# dense integer polynomial gcd: GCDHEU, and the primitive pseudo-remainder
+# sequence it falls back to
 # ---------------------------------------------------------------------------
 
 def _trim(r: list[int]) -> list[int]:
@@ -470,9 +516,7 @@ def _trim(r: list[int]) -> list[int]:
 
 
 def _primitive(r: list[int]) -> list[int]:
-    g = 0
-    for v in r:
-        g = math.gcd(g, v)
+    g = math.gcd(*r)
     if g > 1:
         r = [v // g for v in r]
     if r and r[-1] < 0:
@@ -510,13 +554,93 @@ def _poly_gcd_dense(a, b) -> list[int]:
     return a
 
 
+def _gcdheu(a, b) -> tuple[list[int], list[int]] | None:
+    """GCDHEU: the cofactors (a / g, b / g) of the gcd g of primitive a and b, or None.
+
+    a and b are dense coefficient sequences with nonzero ends.  The first
+    point is xi = 2**w with 2**(w-1) > 2 max(|a|_inf, |b|_inf) + 2; each of
+    two retries doubles w (Char, Geddes and Gonnet 1989; Geddes, Czapor and
+    Labahn, Algorithms for Computer Algebra, section 7.7).
+    """
+    width = _kron_width(2 * max(max(map(abs, a)), max(map(abs, b))) + 2)
+    for _ in range(3):
+        found = _gcdheu_at(a, b, width)
+        if found:
+            return found
+        width *= 2
+    return None
+
+
+def _gcdheu_at(a, b, width: int) -> tuple[list[int], list[int]] | None:
+    """GCDHEU at xi = 2**width: (a / g, b / g), or None when this xi proves nothing.
+
+    The signed base-xi digits of gcd(a(xi), b(xi)) are a polynomial G; its
+    primitive part P has P(xi) = gcd / content.  Each cofactor is read off
+    the integer quotient a(xi) / P(xi) and accepted only if ``_certified``
+    proves cofactor * P equal to the operand.  Then P divides a and b, and for
+    primitive a and b with xi > 2 min(|a|_inf, |b|_inf) + 2 a common divisor
+    read this way is their gcd (op. cit., Theorem 7.7).
+    """
+    alpha = _kron_pack_fresh(a, width)
+    beta = _kron_pack_fresh(b, width)
+    gamma = math.gcd(alpha, beta)
+    try:  # gamma divides a(xi) and b(xi), so g is no longer than a or b
+        g = _kron_unpack_signed(gamma, width, min(len(a), len(b)))
+    except ArithmeticError:
+        return None
+    while not g[-1]:
+        g.pop()
+    if len(g) == 1:
+        return a, b
+    # gamma > 0, so the top digit is positive too
+    content = math.gcd(*g)
+    if content > 1:
+        g = [v // content for v in g]
+    g_at_xi = gamma // content
+    cofactors = []
+    for p, p_at_xi in ((a, alpha), (b, beta)):
+        try:
+            f = _kron_unpack_signed(p_at_xi // g_at_xi, width, len(p) - len(g) + 1)
+        except ArithmeticError:
+            return None
+        if not _certified(f, g, width):
+            return None
+        cofactors.append(f)
+    return cofactors[0], cofactors[1]
+
+
+def _coprime_parts(a, b) -> tuple[list[int], list[int]]:
+    """a / g and b / g for dense a and b with nonzero ends, g their gcd in Z[q].
+
+    The primitive parts' cofactors by GCDHEU, or when it proves nothing by the
+    primitive pseudo-remainder sequence and long division, each times its
+    side's content over the contents' gcd.
+    """
+    ca, cb = math.gcd(*a), math.gcd(*b)
+    if ca > 1:
+        a = [v // ca for v in a]
+    if cb > 1:
+        b = [v // cb for v in b]
+    found = _gcdheu(a, b)
+    if found is None:
+        g = _poly_gcd_dense(a, b)
+        found = (_long_div(a, g), _long_div(b, g)) if len(g) > 1 else (a, b)
+    a, b = found
+    c = math.gcd(ca, cb)
+    if ca > c:
+        a = [ca // c * v for v in a]
+    if cb > c:
+        b = [cb // c * v for v in b]
+    return a, b
+
+
 class QRat:
     """Element of the fraction field of QPoly, kept in canonical reduced form.
 
-    The constructor reduces any num/den by a polynomial gcd (by the content
-    gcd alone when the denominator is a constant); a value known to be a
-    product of factors (1 - q^e) and their inverses is built without one by
-    ``q_product``.
+    The constructor divides num and den by their gcd in Z[q], reading both
+    cofactors off GCDHEU (``_coprime_parts``; by the content gcd alone when
+    the denominator is a constant); a value known to be a product of factors
+    (1 - q^e) and their inverses is built without one by ``q_product``.
     """
 
     __slots__ = ("num", "den")
@@ -535,26 +659,19 @@ class QRat:
         if sh:
             den = den.shift(-sh)
             num = num.shift(-sh)
-        nsh = num.low
-        nproper = num.shift(-nsh) if nsh else num
-        # polynomial gcd over the rationals (computed on primitive parts); a
-        # constant denominator shares no factor of positive degree
-        if den.deg:
-            g = _poly_gcd_dense(nproper._vals, den._vals)
-            if len(g) > 1:
-                gp = _from_dense(g, 0)
-                nproper = nproper.exact_div(gp)
-                den = den.exact_div(gp)
-        # integer content
-        cg = math.gcd(nproper.content(), den.content())
-        if cg > 1:
-            nproper = QPoly._raw(0, tuple([v // cg for v in nproper._vals]))
-            den = QPoly._raw(0, tuple([v // cg for v in den._vals]))
-        if den.lead_coeff < 0:
-            nproper = -nproper
-            den = -den
-        self.num = nproper.shift(nsh)
-        self.den = den
+        # each side's coefficients, read from its lowest term on, divided by
+        # their gcd in Z[q]; a constant denominator shares only integer content
+        nv, dv = num._vals, den._vals
+        if len(dv) > 1:
+            nv, dv = _coprime_parts(nv, dv)
+        else:
+            cg = math.gcd(dv[0], *nv)
+            if cg > 1:
+                nv, dv = [v // cg for v in nv], [dv[0] // cg]
+        if dv[-1] < 0:
+            nv, dv = map(neg, nv), map(neg, dv)
+        self.num = QPoly._raw(num._low, tuple(nv))
+        self.den = QPoly._raw(0, tuple(dv))
 
     @classmethod
     def _reduced(cls, num: QPoly, den: QPoly) -> "QRat":

@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -111,6 +111,46 @@ def test_engines_agree_on_fraction_matrices():
             FRAC,
         )
         assert det_bareiss(m) == det_cofactor(m)
+
+
+def _leibniz(m: Matrix):
+    """sum over permutations s of sign(s) prod_i m[i, s(i)], the sign by counting inversions."""
+    n, total = m.nrows, m.ring.zero
+    for perm in permutations(range(n)):
+        term = m.ring.one
+        for i, j in enumerate(perm):
+            term = term * m[i, j]
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def test_cofactor_expansion_equals_the_leibniz_sum():
+    rng = random.Random("cofactor-leibniz")
+    for ring in (INT, FRAC, QPOLY):
+        for n in range(7):
+            m = Matrix(n, n, [_random_entry(rng, ring) for _ in range(n * n)], ring)
+            assert det_cofactor(m) == _leibniz(m), (ring.name, n)
+
+
+def test_cofactor_expansion_expands_each_row_set_once():
+    # with every entry nonzero, each k-row minor on the last k columns
+    # (2 <= k <= n) is expanded once, in k products: n 2^(n-1) - n in all
+    products = [0]
+
+    class Counted(int):
+        def __mul__(self, other):
+            products[0] += 1
+            return int(self) * other
+
+    counted = Ring("counted integer", 0, 1, Counted, INT.exact_div)
+    rng = random.Random("cofactor-count")
+    for n in (1, 2, 5, 9):
+        products[0] = 0
+        m = Matrix(n, n, [rng.choice((-3, -1, 2, 5)) for _ in range(n * n)], counted)
+        d = det_cofactor(m)
+        assert products[0] == n * 2 ** (n - 1) - n, n
+        assert d == det_bareiss(m)
 
 
 def test_det_transpose_invariance():

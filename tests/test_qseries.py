@@ -615,7 +615,7 @@ def test_one_minus_passes_run_only_while_a_cyclotomic_is_first_cached(monkeypatc
 def test_constant_denominator_takes_no_polynomial_gcd(monkeypatch):
     # QRat(p, c) equals the gcd route QRat(p f, c f) with a planted factor f,
     # for negative c and content shared with p, and the form read off the
-    # coefficients p_e / c in lowest terms; then again with the gcd disabled
+    # coefficients p_e / c in lowest terms; then again with both gcds disabled
     rng = random.Random("qrat-constant")
     cases = []
     while len(cases) < 200:
@@ -631,9 +631,10 @@ def test_constant_denominator_takes_no_polynomial_gcd(monkeypatch):
         d = math.lcm(*(v.denominator for _, v in coeffs))
         assert (e.num, e.den) == (QPoly([(k, int(v * d)) for k, v in coeffs]), d), (p, c)
 
-    def no_gcd(a, b):
+    def no_gcd(*args):
         raise AssertionError("polynomial gcd on a constant denominator")
 
+    monkeypatch.setattr(qseries, "_gcdheu", no_gcd)
     monkeypatch.setattr(qseries, "_poly_gcd_dense", no_gcd)
     for (p, c), e in zip(cases, expected):
         r = QRat(p, c)
@@ -683,6 +684,151 @@ def test_qrat_reduction_against_sympy_cancel():
         if not r.is_zero:
             assert sympy.gcd(sympy.expand(num * q**-r.num.low), den) == 1, (a, b, f)
         checked += 1
+
+
+def _dense(rng, length, bits):
+    """A seeded dense coefficient list with nonzero ends, entries below 2**bits in size."""
+    vals = [rng.randint(-(1 << bits), 1 << bits) for _ in range(length)]
+    vals[0] = vals[0] or 1
+    vals[-1] = vals[-1] or -1
+    return vals
+
+
+def _planted_pairs(seed, count):
+    """Seeded pairs f a, f b with a planted common factor f, at coefficient sizes of 2 to 90 bits."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        bits = rng.choice((2, 5, 40, 90))
+        f = _dense(rng, rng.randint(1, 12), bits)
+        yield (_schoolbook(f, _dense(rng, rng.randint(1, 10), bits)),
+               _schoolbook(f, _dense(rng, rng.randint(1, 10), bits)))
+
+
+def _sympy_poly(sympy, x, vals):
+    return sympy.Poly(list(reversed(vals)), x)
+
+
+def test_gcdheu_against_the_pseudo_remainder_gcd_and_sympy():
+    # on primitive parts, leads of either sign kept: GCDHEU's cofactors are the
+    # operands divided by the pseudo-remainder gcd, which is sympy's up to sign;
+    # none of these pairs needs the fallback
+    sympy = pytest.importorskip("sympy")
+    from catdet.qseries import _gcdheu, _long_div, _poly_gcd_dense
+
+    x = sympy.Symbol("x")
+    negative_leads = 0
+    for fa, fb in _planted_pairs("gcdheu", 120):
+        a = [v // math.gcd(*fa) for v in fa]
+        b = [v // math.gcd(*fb) for v in fb]
+        negative_leads += a[-1] < 0
+        g = _poly_gcd_dense(a, b)
+        assert _gcdheu(a, b) == (_long_div(a, g), _long_div(b, g)), (a, b)
+        expected = sympy.gcd(_sympy_poly(sympy, x, a), _sympy_poly(sympy, x, b))
+        assert _sympy_poly(sympy, x, g) in (expected, -expected), (a, b)
+    assert negative_leads > 20
+
+
+def test_coprime_parts_divide_out_the_gcd_with_its_content():
+    # with content planted on both sides, a / b = a' / b' and sympy finds
+    # a' and b' coprime in Z[q], content included
+    sympy = pytest.importorskip("sympy")
+    from catdet.qseries import _coprime_parts
+
+    x = sympy.Symbol("x")
+    rng = random.Random("coprime-content")
+    for fa, fb in _planted_pairs("coprime-parts", 80):
+        share = rng.choice((1, 2, 6, 10**12))
+        a = [share * rng.choice((1, 3, -5)) * v for v in fa]
+        b = [share * rng.choice((1, 2, -7)) * v for v in fb]
+        ra, rb = _coprime_parts(a, b)
+        assert _schoolbook(ra, b) == _schoolbook(rb, a), (a, b)
+        assert sympy.gcd(_sympy_poly(sympy, x, ra), _sympy_poly(sympy, x, rb)) == 1, (a, b)
+
+
+# 1 + q and a cofactor b with b(-1) = 257 = 2**8 + 1: at xi = 2**8 = -1 mod 257,
+# gcd(a(xi), b(xi)) holds a spurious 257 whose digits read as 1 + q
+_SPURIOUS_A = [1, 1]
+_SPURIOUS_B = [9, -31, 31, -31, 31, -31, 31, -31, 31]
+
+
+def test_gcdheu_widens_when_its_first_point_proves_nothing():
+    from catdet.qseries import _gcdheu, _gcdheu_at, _kron_width
+
+    f = [1, 0, -1, 1]
+    a, b = _schoolbook(_SPURIOUS_A, f), _schoolbook(_SPURIOUS_B, f)
+    width = _kron_width(2 * max(map(abs, a + b)) + 2)
+    assert width == 8
+    assert _gcdheu_at(a, b, width) is None
+    assert _gcdheu_at(a, b, 2 * width) == (_SPURIOUS_A, _SPURIOUS_B)
+    assert _gcdheu(a, b) == (_SPURIOUS_A, _SPURIOUS_B)
+    r = QRat(QPoly(enumerate(a)), QPoly(enumerate(b)))
+    assert (r.num._vals, r.den._vals) == (tuple(_SPURIOUS_A), tuple(_SPURIOUS_B))
+
+
+def test_qrat_reduces_through_the_pseudo_remainder_fallback(monkeypatch):
+    # with every GCDHEU point refused, each reduction tries three widths
+    # (w, 2w, 4w), then takes the pseudo-remainder gcd, to the same values
+    rng = random.Random("prs-fallback")
+    pairs = []
+    for fa, fb in _planted_pairs("prs-fallback", 40):
+        shift = rng.randint(-3, 3)
+        pairs.append((QPoly(enumerate(fa)).shift(shift), QPoly(enumerate(fb))))
+    expected = [QRat(a, b) for a, b in pairs]
+    widths, gcds = [], []
+    pseudo_remainder = qseries._poly_gcd_dense
+    monkeypatch.setattr(qseries, "_gcdheu_at", lambda a, b, width: widths.append(width))
+    monkeypatch.setattr(qseries, "_poly_gcd_dense",
+                        lambda a, b: gcds.append(1) or pseudo_remainder(a, b))
+    for (a, b), e in zip(pairs, expected):
+        del widths[:]
+        r = QRat(a, b)
+        assert (r.num, r.den) == (e.num, e.den), (a, b)
+        if b.deg > b.low:
+            assert widths == [widths[0], 2 * widths[0], 4 * widths[0]], (a, b)
+    assert len(gcds) == sum(b.deg > b.low for _, b in pairs) > 30
+
+
+def test_packed_exact_div_equals_long_division():
+    # seeded exact quotients of at least _KRON_MIN_TERMS terms by divisors of
+    # at least as many: the packed quotient, long division and the QPoly agree
+    from catdet.qseries import _KRON_MIN_TERMS, _div_kronecker, _long_div
+
+    rng = random.Random("packed-division")
+    for _ in range(60):
+        bits = rng.choice((1, 7, 33, 100))
+        q = _dense(rng, rng.randint(_KRON_MIN_TERMS, 40), bits)
+        b = _dense(rng, rng.randint(_KRON_MIN_TERMS, 30), rng.choice((1, bits)))
+        a = _schoolbook(q, b)
+        assert _div_kronecker(a, b) == q == _long_div(a, b), (q, b)
+        low = rng.randint(-4, 4)
+        pa = QPoly(enumerate(a)).shift(low)
+        assert pa.exact_div(QPoly(enumerate(b)).shift(2)) == QPoly(enumerate(q)).shift(low - 2)
+
+
+def test_packed_exact_div_refuses_what_it_cannot_prove():
+    from catdet.qseries import _div_kronecker
+
+    # (q;q)_12 / (1 - q)^12 = [12]_q!: exact, but its coefficients exceed the
+    # packed width's bound, so the packed quotient is refused and long
+    # division returns the q-factorial
+    a = (ONE - Q)._vals
+    for e in range(2, 13):
+        a = _schoolbook(a, [1] + [0] * (e - 1) + [-1])
+    b = [binomial(12, i) * (-1) ** i for i in range(13)]
+    factorial = ONE
+    for e in range(1, 13):
+        factorial = factorial * q_int(e)
+    assert _div_kronecker(a, b) is None
+    assert QPoly(enumerate(a)).exact_div(QPoly(enumerate(b))) == factorial
+    # a remainder, in the lowest or the top coefficient, raises
+    rng = random.Random("packed-remainder")
+    for _ in range(20):
+        q, b = _dense(rng, 12, 20), _dense(rng, 9, 20)
+        a = _schoolbook(q, b)
+        a[rng.choice((0, len(a) - 1, 5))] += rng.choice((1, -1, 1 << 30))
+        assert _div_kronecker(a, b) is None
+        with pytest.raises(ExactDivisionError):
+            QPoly(enumerate(a)).exact_div(QPoly(enumerate(b)))
 
 
 def test_equal_values_hash_equal():

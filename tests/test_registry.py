@@ -312,8 +312,7 @@ SWEPT_FAMILIES = [
     (fam.EQ89, [{"k": 1}, {"k": 4}]),
     # negative k: Theorem 15 reads the family at k = -m
     (fam.EQ92, [{"k": k} for k in (1, 4, -3, -6)]),
-    # one point: its reductions at n = 10..12 take about 1 s per k
-    (fam.SEC33, [{"k": 1}]),
+    (fam.SEC33, [{"k": 1}, {"k": 4}]),
 ]
 
 # every other declared Family, with the reason its determinants stay per point
