@@ -5,8 +5,13 @@ Subcommands: ``list`` (the check index), ``verify`` (one check over a grid),
 searches).  Reports are emitted as JSON or markdown with identical pass/fail
 content; all timing data lives in a separate ``timings`` object so that
 reports from identical configurations are byte-identical apart from it.
-A ``verify`` or ``suite`` report is streamed, one row as each point returns;
-a regular ``--out`` file is replaced by a whole sibling file once complete.
+Each subcommand takes only the flags it reads (``--r``, ``--x``, ``--cases``
+and ``--fail-fast`` belong to ``verify`` and ``suite``, ``--mod`` to
+``conjecture``), and a report's ``config`` lists exactly those flags.
+``verify`` and ``suite`` run every grid point in this process, one after
+another in grid order, so the points of one family share its sweeps; the
+report is streamed, one row as each point returns, and a regular ``--out``
+file is replaced by a whole sibling file once complete.
 Each JSON row is written from one fixed template (``_row_text``) and every
 other payload by ``_json_text``; both give the bytes of
 ``json.dumps(indent=2, sort_keys=True)``.
@@ -37,51 +42,17 @@ from catdet.residues import CONJECTURE_IDS, CONJECTURES, conjecture_search
 
 
 def _bounds_from_args(args, fast: bool = False) -> Bounds:
-    return Bounds(
-        n_max=args.n_max,
-        k_max=args.k_max,
-        m_max=args.m_max,
-        r_max=args.r,
-        x_max=args.x,
-        cases=args.cases,
-        seed=args.seed,
-        fast=fast,
-    )
+    """The grid bounds in ``args``; ``conjecture`` takes no ``--r``, ``--x`` or ``--cases``."""
+    flags = vars(args)
+    return Bounds(n_max=args.n_max, k_max=args.k_max, m_max=args.m_max, r_max=flags.get("r"),
+                  x_max=flags.get("x"), cases=flags.get("cases"), seed=args.seed, fast=fast)
 
 
 def _config_json(args, command: str) -> dict:
-    return {
-        "command": command,
-        "ids": args.id,
-        "n_max": args.n_max,
-        "k_max": args.k_max,
-        "m_max": args.m_max,
-        "r": args.r,
-        "x": args.x,
-        "mod": args.mod,
-        "cases": args.cases,
-        "seed": args.seed,
-        "jobs": args.jobs,
-        "fail_fast": args.fail_fast,
-        "format": args.format,
-    }
-
-
-def _pool_point(task: tuple[str, dict]) -> CheckResult:
-    check_id, params = task
-    return registry.run_check(check_id, **params)
-
-
-def _points(tasks: list[tuple[str, dict]], jobs: int, fail_fast: bool) -> Iterator[CheckResult]:
-    """Each task's result in grid order, as soon as it returns; ``fail_fast`` runs serially."""
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers < 2 or fail_fast:
-        yield from map(_pool_point, tasks)
-        return
-    from multiprocessing import Pool  # only here: it loads pickle and socket
-    with Pool(workers) as pool:
-        # pool.map's chunk size: imap's default sends one point per round trip
-        yield from pool.imap(_pool_point, tasks, -(-len(tasks) // (4 * workers)))
+    """Every flag the subcommand takes, by its argparse name, with ``ids`` for ``--id``."""
+    flags = {key: value for key, value in vars(args).items()
+             if key not in ("command", "id", "level", "out")}
+    return {"command": command, "ids": args.id, **flags}
 
 
 def _median(values: list[float]) -> float:
@@ -205,10 +176,11 @@ def _run_checks(args, command: str, ids: list[str], bounds: Bounds) -> int:
         write("# catdet report\n\n| id | params | status | lhs | rhs |\n|---|---|---|---|---|\n"
               if markdown else '{\n  "config": ' + _json_text(_config_json(args, command), "  ")
               + ',\n  "results": [')
-        for res in _points(tasks, args.jobs, args.fail_fast):
+        for check_id, params in tasks:
+            res = registry.run_check(check_id, **params)
             if markdown:
-                params = ", ".join(f"{k}={v}" for k, v in res.params.items())
-                write(f"| {res.check_id} | {params} | {res.status} | {_md_cell(res.lhs)} | "
+                shown = ", ".join(f"{k}={v}" for k, v in res.params.items())
+                write(f"| {res.check_id} | {shown} | {res.status} | {_md_cell(res.lhs)} | "
                       f"{_md_cell(res.rhs)} |\n")
             else:
                 write(("," if rows else "") + "\n    " + _row_text(res))
@@ -299,14 +271,6 @@ def _bound(text: str) -> int:
     return value
 
 
-def _jobs(text: str) -> int:
-    """A worker count: a positive integer (argparse exits 2 on anything else)."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="catdet",
@@ -320,16 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-max", type=_bound, default=None, help="max n in the grid")
         p.add_argument("--k-max", type=_bound, default=None, help="max k in the grid")
         p.add_argument("--m-max", type=_bound, default=None, help="max m in the grid")
-        p.add_argument("--r", type=_bound, default=None, help="max r in the grid")
-        p.add_argument("--x", type=_bound, default=None, help="max x in the grid")
-        p.add_argument("--mod", type=int, default=None,
-                       help="restrict conjectures to this modulus")
-        p.add_argument("--cases", type=_bound, default=None,
-                       help="number of randomized cases")
-        p.add_argument("--jobs", type=_jobs, default=1, help="worker processes")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
         p.add_argument("--format", choices=("json", "markdown"), default="json")
-        p.add_argument("--fail-fast", action="store_true")
         p.add_argument("--out", default=None, help="write the report to this path")
 
     p_list = sub.add_parser("list", help="index of registered checks")
@@ -337,14 +293,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_list.add_argument("--out", default=None)
 
     p_verify = sub.add_parser("verify", help="run one check over its grid")
-    add_common(p_verify)
-
     p_suite = sub.add_parser("suite", help="run every registered check")
-    add_common(p_suite)
     p_suite.add_argument("--level", choices=("fast", "full"), default="fast")
+    for p in (p_verify, p_suite):
+        add_common(p)
+        p.add_argument("--r", type=_bound, default=None, help="max r in the grid")
+        p.add_argument("--x", type=_bound, default=None, help="max x in the grid")
+        p.add_argument("--cases", type=_bound, default=None,
+                       help="number of randomized cases")
+        p.add_argument("--fail-fast", action="store_true")
 
     p_conj = sub.add_parser("conjecture", help="run counterexample searches")
     add_common(p_conj)
+    p_conj.add_argument("--mod", type=int, default=None,
+                        help="restrict conjectures to this modulus")
 
     return parser
 

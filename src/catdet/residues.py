@@ -87,16 +87,12 @@ def mu(x: int) -> int:
 def lucas_binomial_mod2(a: int, b: int) -> int:
     """binomial(a, b) mod 2 via the digit product over base-2 expansions.
 
-    The digit-wise binomial is 1 exactly when every bit of b is a bit of a.
+    The product is odd exactly when every bit of b is a bit of a: of the four
+    digit binomials, binomial(0, 1) = 0 is the only even one.
     """
     if a < 0 or b < 0:
         raise ValueError("lucas_binomial_mod2 needs a, b >= 0")
-    while a or b:
-        if (b & 1) and not (a & 1):
-            return 0
-        a >>= 1
-        b >>= 1
-    return 1
+    return 0 if b & ~a else 1
 
 
 def unique_power_index(m: int) -> int:

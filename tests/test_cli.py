@@ -79,16 +79,6 @@ def test_out_file(tmp_path, capsys):
     assert data["summary"]["pass"] == 6
 
 
-def test_jobs_parallel_matches_serial(capsys):
-    # thm5, eq69 and eq103 read per-process orthogonal-polynomial tables, which
-    # each worker grows on its own
-    ids = ["--id", "eq30", "--id", "thm5", "--id", "eq69", "--id", "eq103"]
-    _, serial = run_cli(capsys, "verify", *ids, "--jobs", "1")
-    _, parallel = run_cli(capsys, "verify", *ids, "--jobs", "2")
-    d1, d2 = json.loads(serial), json.loads(parallel)
-    assert d1["results"] == d2["results"]
-
-
 def _clear_orthopoly_tables():
     from catdet import registry, residues
 
@@ -208,8 +198,7 @@ def test_exit_code_on_failure(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("command", ["verify", "suite"])
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_raising_point_is_an_error_and_exits_3(monkeypatch, capsys, command, jobs):
+def test_raising_point_is_an_error_and_exits_3(monkeypatch, capsys, command):
     from catdet import registry
 
     def crash(n):
@@ -221,7 +210,7 @@ def test_raising_point_is_an_error_and_exits_3(monkeypatch, capsys, command, job
         "zzcrash", "synthetic", "det", lambda b: [{"n": i} for i in range(4)], crash
     )
     monkeypatch.setitem(registry.CHECKS, "zzcrash", check)
-    code, out = run_cli(capsys, command, "--id", "zzcrash", "--jobs", jobs)
+    code, out = run_cli(capsys, command, "--id", "zzcrash")
     # an error outranks the false identity at n = 2, and the points after it still run
     assert code == 3
     data = json.loads(out)
@@ -349,35 +338,6 @@ def test_out_that_cannot_be_opened_exits_2(tmp_path, capsys, monkeypatch, comman
     assert os.listdir(tmp_path) == ["keep"]
 
 
-def test_jobs_are_capped_at_the_cpu_count(monkeypatch, capsys):
-    import multiprocessing
-
-    started = []
-
-    class FakePool:
-        # runs the points in this process and records how many workers were asked for
-        def __init__(self, processes):
-            started.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, func, tasks, chunksize):
-            return map(func, tasks)
-
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    code, out = run_cli(capsys, "verify", "--id", "eq1", "--n-max", "9", "--jobs", "100000")
-    assert code == 0 and started == [3]
-    assert json.loads(out)["config"]["jobs"] == 100000
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert run_cli(capsys, "verify", "--id", "eq1", "--n-max", "9", "--jobs", "4")[0] == 0
-    assert started == [3]  # an unknown CPU count runs serially
-
-
 def test_markdown_row_stays_on_one_line(monkeypatch, capsys):
     from catdet import registry
 
@@ -439,7 +399,20 @@ def test_report_unchanged_under_python_O():
 
 
 def test_serial_cli_does_not_import_multiprocessing():
-    # multiprocessing loads pickle, socket and selectors; only --jobs > 1 needs it
+    # multiprocessing loads pickle, socket and selectors; every grid point runs
+    # in this process, so no module of the package imports it, even lazily
+    found = []
+    for path in sorted((SRC / "catdet").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for module in modules
+                      if module.split(".")[0] == "multiprocessing"]
+    assert found == []
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -574,12 +547,40 @@ def test_negative_bound_exits_2(capsys, flag):
     assert "must be >= 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("jobs", ["0", "-2"])
-def test_jobs_below_one_exits_2(capsys, jobs):
+@pytest.mark.parametrize("argv", [
+    ["verify", "--id", "eq1", "--jobs", "2"],
+    ["verify", "--id", "eq1", "--mod", "3"],
+    ["suite", "--mod", "2"],
+    ["conjecture", "--fail-fast"],
+    ["conjecture", "--cases", "3"],
+    ["conjecture", "--r", "2"],
+    ["conjecture", "--x", "2"],
+], ids=["verify-jobs", "verify-mod", "suite-mod", "conjecture-fail-fast", "conjecture-cases",
+        "conjecture-r", "conjecture-x"])
+def test_a_flag_the_subcommand_does_not_read_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--id", "eq1", "--n-max", "3", "--jobs", jobs])
+        main(argv)
+    captured = capsys.readouterr()
     assert exc.value.code == 2
-    assert "must be >= 1" in capsys.readouterr().err
+    assert "unrecognized arguments" in captured.err and captured.out == ""
+
+
+def test_config_lists_exactly_the_subcommand_flags(monkeypatch, capsys):
+    from catdet import registry
+
+    check = registry.Check("zzone", "synthetic", "det", lambda b: [{"n": 0}],
+                           lambda n: (True, 1, 1))
+    monkeypatch.setitem(registry.CHECKS, "zzone", check)
+    checks = ["cases", "command", "fail_fast", "format", "ids", "k_max", "m_max", "n_max",
+              "r", "seed", "x"]
+    for argv in (["verify", "--id", "zzone"], ["suite", "--level", "full", "--id", "zzone"]):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and sorted(json.loads(out)["config"]) == checks
+    code, out = run_cli(capsys, "conjecture", "--id", "c14", "--n-max", "3", "--mod", "3")
+    config = json.loads(out)["config"]
+    assert code == 0 and sorted(config) == ["command", "format", "ids", "k_max", "m_max", "mod",
+                                            "n_max", "seed"]
+    assert (config["command"], config["ids"], config["mod"]) == ("conjecture", ["c14"], 3)
 
 
 def test_empty_grid_exits_2(capsys):
@@ -696,12 +697,11 @@ def _mixed_check():
     return registry.Check("zzmixed", "synthetic", "det", lambda b: points, run)
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_mixed_rows_keep_their_json_and_markdown_bytes(monkeypatch, capsys, jobs):
+def test_mixed_rows_keep_their_json_and_markdown_bytes(monkeypatch, capsys):
     from catdet import registry
 
     monkeypatch.setitem(registry.CHECKS, "zzmixed", _mixed_check())
-    code, out = run_cli(capsys, "verify", "--id", "zzmixed", "--jobs", jobs)
+    code, out = run_cli(capsys, "verify", "--id", "zzmixed")
     assert code == 3
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
     assert json.loads(out)["results"] == [
@@ -711,7 +711,7 @@ def test_mixed_rows_keep_their_json_and_markdown_bytes(monkeypatch, capsys, jobs
                                     (1, "error", "ValueError", _ODD_TEXT),
                                     (2, "fail", 'r"2"\u00e9|2', "2"),
                                     (3, "pass", 'r"3"\u00e9|3', "3")]]
-    code, out = run_cli(capsys, "verify", "--id", "zzmixed", "--jobs", jobs, "--format", "markdown")
+    code, out = run_cli(capsys, "verify", "--id", "zzmixed", "--format", "markdown")
     assert code == 3
     assert out.splitlines()[4:] == [
         '| zzmixed | n=0, label=r"0"\u00e9, flags=[0, 0, False] | pass | r"0"\u00e9\\|0 | 0 |',

@@ -40,6 +40,13 @@ def test_lucas_against_exact_parity():
     assert lucas_binomial_mod2(7, 3) == lucas_binomial_mod2(3, 1) == 1
     for a in range(40):
         assert lucas_binomial_mod2(a, 0) == 1
+    # above 2^64, b within a few units of 0 or a (and just past a) keeps binomial small
+    for a in (2**64 + 5, 2**65 + 2**64 + 6, 2**65 + 2, 2**100 - 1, 3**50):
+        for b in (*range(6), *range(a - 5, a + 3)):
+            assert lucas_binomial_mod2(a, b) == binomial(a, b) % 2, (a, b)
+    for a, b in ((-1, 0), (0, -1), (-5, -3), (-(2**70), 2**70)):
+        with pytest.raises(ValueError):
+            lucas_binomial_mod2(a, b)
 
 
 @pytest.mark.parametrize("planted", [[(5, 3)], [(3, 7)], [(5, 3), (3, 7)]],
