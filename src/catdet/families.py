@@ -23,11 +23,13 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from catdet.exact import binomial, choose2
-from catdet.linalg import FRAC, INT, QPOLY, QRAT, LeadingMinors, Matrix, Ring, clear_row
+from catdet.linalg import (FRAC, INT, QPOLY, QRAT, BandedMinors, LeadingMinors, Matrix, Ring,
+                           clear_row)
 from catdet.qseries import (
     ONE,
     QPoly,
     QRat,
+    _kron_pack_fresh,
     q_binomial,
     q_binomial_factors,
     q_lucas_value,
@@ -44,13 +46,17 @@ class Family(NamedTuple):
 
     No entry depends on the size, so ``build(family, n, **params)`` is the
     leading n x n block of ``build(family, N, **params)`` for every N >= n.
-    That makes a sweep valid: the determinants of a lower Hessenberg family at
-    every size are the leading minors of one growing matrix.  A sweep over a
-    fraction ring scales each row once, by the lcm of its denominators, and
-    runs the expansion over the scaled rows in the ring's ``integral`` ring
-    (``_ClearedMinors``).  The two families whose displayed entries involve
-    their own size take it as a parameter, ``EQ74_REVERSED`` as n and
-    ``REMARK_RHS`` as m, and are never swept.
+    That makes a sweep valid: the determinants of a family at every size are
+    read off one growing matrix.  A banded family names the parameter that is
+    its ``band`` m (``"m"`` for each of them): h(i, j) = 0 for j > i + m and
+    h(i, i + m) != 0, and ``linalg.BandedMinors`` sweeps it by substitution
+    against that outer diagonal.  Every other swept family is lower Hessenberg
+    and is swept by ``LeadingMinors``; over a fraction ring that sweep scales
+    each row once, by the lcm of its denominators, and runs the expansion over
+    the scaled rows in the ring's ``integral`` ring (``_ClearedMinors``).  The
+    two families whose displayed entries involve their own size take it as a
+    parameter, ``EQ74_REVERSED`` as n and ``REMARK_RHS`` as m, and are never
+    swept.
 
     The entry functions look up ``binomial``/``q_binomial`` in this module when
     called, so rebinding a module attribute (as a tracer does) reaches them.
@@ -58,10 +64,13 @@ class Family(NamedTuple):
 
     ring: Ring
     entry: Callable[..., object]
+    band: str | None = None
 
-    def sweep(self, **params) -> LeadingMinors | _ClearedMinors:
-        """Every leading minor at ``params``, for a lower Hessenberg family."""
+    def sweep(self, **params) -> LeadingMinors | BandedMinors | _ClearedMinors:
+        """det of the n x n matrix at ``params`` for every n, grown on demand."""
         entry = partial(self.entry, **params)
+        if self.band:
+            return BandedMinors(entry, self.ring, params[self.band])
         if self.ring.integral:
             return _ClearedMinors(entry, self.ring)
         return LeadingMinors(entry, self.ring)
@@ -75,7 +84,8 @@ class _ClearedMinors:
     its row is valid because a family's entries exist at every size.  The
     ``LeadingMinors`` of the scaled rows, over ``ring.integral``, are
     D'_n = L_0 ... L_(n-1) D_n, so each read reduces one quotient, as ``det``
-    does for one matrix.
+    does for one matrix.  A scaled row never recurs, so over q-polynomials
+    its entries are packed outside the ``_kron_pack`` memo.
     """
 
     def __init__(self, entry: Callable[[int, int], object], ring: Ring):
@@ -83,7 +93,7 @@ class _ClearedMinors:
         self.ring = ring
         self._rows: list[list] = []
         self._scales = [ring.integral.one]  # _scales[n] = L_0 ... L_(n-1)
-        self._minors = LeadingMinors(self._scaled, ring.integral)
+        self._minors = LeadingMinors(self._scaled, ring.integral, _kron_pack_fresh)
 
     def _scaled(self, i: int, j: int):
         if j > i + 1:
@@ -122,9 +132,9 @@ EQ58 = Family(INT, lambda i, j, k, r: binomial(i + (r - 1) * j + k, i - j + 1))
 EQ61 = Family(INT, lambda i, j, k, r: binomial((r - 1) * j + k, i - j + 1))
 # at x = -m the null-vector matrix of (36)/(37)
 EQ35 = Family(INT, lambda i, j, x: binomial(x + i + j, i - j + 1))
-# banded (support j <= i + m), so not lower Hessenberg once m > 1; at k = 0
+# banded (support j <= i + m, outer diagonal binomial(., 0) = 1); at k = 0
 # the Theorem 4 matrix (65)
-EQ74 = Family(INT, lambda i, j, m, k: binomial(i + j + k + m, i - j + m))
+EQ74 = Family(INT, lambda i, j, m, k: binomial(i + j + k + m, i - j + m), "m")
 # the row/column-reversed form binomial(2n+m+k-i-j, j-i+m) with 1-based i, j
 EQ74_REVERSED = Family(INT, lambda i, j, n, m, k:
                        binomial(2 * n + m + k - i - j - 2, j - i + m))
@@ -138,7 +148,7 @@ EQ10_RHS = Family(INT, lambda i, j, n, x: binomial(2 * n + 2 * j + x - 1, n - i 
 # binomial(L_i + A - j, L_i + j) with 1-based i, j; its size is len(L)
 KRATTENTHALER = Family(INT, lambda i, j, L, A: binomial(L[i] + A - j - 1, L[i] + j + 1))
 EQ72 = Family(FRAC, lambda i, j, m: F(binomial(i + m, j) * binomial(i + m + j, j),
-                                      binomial(2 * (i + m), i + m)))
+                                      binomial(2 * (i + m), i + m)), "m")
 # ((i+1-m)/(j-m)) binomial(i+j-m, i-j+1), defined for j < m
 EQ49 = Family(FRAC, lambda i, j, m: F(i + 1 - m, j - m) * binomial(i + j - m, i - j + 1))
 EQ46 = Family(FRAC, lambda i, j, k: F(i + k + 1, j + k) * binomial(j + k, i - j + 1))
@@ -157,7 +167,7 @@ def _ratio_entry(i: int, j: int, x: int, m: int) -> Fraction:
     return F(num, math.factorial(c))
 
 
-EQ10 = Family(FRAC, _ratio_entry)
+EQ10 = Family(FRAC, _ratio_entry, "m")
 # the row-weighted family ((2i+k+1)/(i+j+k)) binomial(i+j+k, i-j+1): EQ10 at m = 1
 EQ45 = Family(FRAC, lambda i, j, k: _ratio_entry(i, j, k, 1))
 EQ43 = Family(FRAC, lambda i, j: _ratio_entry(i, j, 1, 1))
@@ -182,11 +192,13 @@ EQ84 = Family(QPOLY, lambda i, j: _qb(i + j + 1, i - j + 1, choose2(i - j)))
 EQ86 = Family(QPOLY, lambda i, j, k, shifted:
               _qb(i + j + k, i - j + 1, choose2(i - j + (1 if shifted else 0))))
 EQ98 = Family(QPOLY, lambda i, j, x: q_binomial(2 * i + x + 1, i - j + 1))
-EQ71 = Family(QPOLY, lambda i, j, m: _qb(i + m, j, choose2(i - j)))
-EQ91 = Family(QPOLY, lambda i, j, m, k: _qb(k + i + j + m, i - j + m, choose2(i - j + m)))
+EQ71 = Family(QPOLY, lambda i, j, m: _qb(i + m, j, choose2(i - j)), "m")
+EQ91 = Family(QPOLY, lambda i, j, m, k: _qb(k + i + j + m, i - j + m, choose2(i - j + m)),
+              "m")
 EQ91_HANKEL = Family(QPOLY, lambda i, j, n, k: q_catalan_power(n - i + j, 2 * i + k + 1))
 THM11_H = Family(QPOLY, lambda i, j, x, n: q_binomial(2 * (n - i + j) + x + 2 * i - 1, n - i + j))
-REMARK = Family(QPOLY, lambda i, j, m, x: _qb(i + x + m, i - j + m, choose2(i - j + m)))
+REMARK = Family(QPOLY, lambda i, j, m, x: _qb(i + x + m, i - j + m, choose2(i - j + m)),
+                "m")
 REMARK_RHS = Family(QPOLY, lambda i, j, n, m, x: q_binomial(n - i + j + x + m - 1, n - i + j))
 # q^(j L_i) [L_i + A - j choose L_i + j] with 1-based i, j; its size is len(L)
 Q_KRATTENTHALER = Family(QPOLY, lambda i, j, L, A:
@@ -236,7 +248,7 @@ EQ89 = Family(QRAT, lambda i, j, k: _andrews_weight(i - j + 1, j + k))
 # q^C(i-j,2) ([2i+k+1]/[i+j+k]) [i+j+k choose i-j+1]; at k = -m the Theorem
 # 15 matrix B
 EQ92 = Family(QRAT, lambda i, j, k: _q_ratio_entry(i, j, k, 1, 0))
-THM11_B = Family(QRAT, lambda i, j, x, m: _q_ratio_entry(i, j, x, m, m))
+THM11_B = Family(QRAT, lambda i, j, x, m: _q_ratio_entry(i, j, x, m, m), "m")
 SEC33 = Family(QRAT, _sec33_entry)
 
 

@@ -35,6 +35,15 @@ The expansion keeps its O(n^2) products and yields every minor of the sweep;
 only each product's representation changes.  Taking one Kronecker
 determinant per size instead would cost an O(n^3) integer elimination at
 every n.
+
+``BandedMinors`` is the same kind of sweep for a banded matrix, with m
+diagonals above the main one (h(i, j) = 0 for j > i + m) and a nonzero outer
+diagonal h(i, i + m): fraction-free forward substitution against that
+diagonal leaves an m x m Schur complement per size, O(n m) products per
+size, and a fraction ring's rows are cleared once as above.  It runs over
+the integers, a q-polynomial sweep whole at one Kronecker width that only
+grows.
+
 Dodgson condensation (with a Bareiss fallback on interior zeros, since exact
 arithmetic forbids perturbation tricks) and naive cofactor expansion (the
 cross-check oracle) serve as independent routes.
@@ -45,6 +54,7 @@ A * B == I in A's own ring: for square matrices that product alone proves it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -52,8 +62,8 @@ from typing import Callable, Sequence
 from catdet.exact import exact_quotient
 from catdet.qseries import ONE as QP_ONE
 from catdet.qseries import ZERO as QP_ZERO
-from catdet.qseries import (QPoly, QRat, _from_dense, _kron_pack, _kron_pack_fresh,
-                            _kron_unpack_signed, _kron_width)
+from catdet.qseries import (QPoly, QRat, _from_dense, _kron_bias, _kron_pack, _kron_pack_fresh,
+                            _kron_unpack_signed, _kron_width, _restride)
 
 __all__ = [
     "Ring",
@@ -66,6 +76,7 @@ __all__ = [
     "det_bareiss",
     "det_hessenberg",
     "LeadingMinors",
+    "BandedMinors",
     "clear_row",
     "det_condensation",
     "det_cofactor",
@@ -284,12 +295,16 @@ class LeadingMinors:
     superdiagonal and the minors are kept.  A row lands whole or not at all:
     if one of its entries raises, the next read evaluates the row again.
     Adding column c raises ``ValueError`` if one of its entries above the
-    superdiagonal is nonzero.
+    superdiagonal is nonzero.  ``pack`` packs the entries over ``QPOLY``:
+    the ``_kron_pack`` memo, or ``_kron_pack_fresh`` for entries that never
+    recur.
     """
 
-    def __init__(self, entry: Callable[[int, int], object], ring: Ring):
+    def __init__(self, entry: Callable[[int, int], object], ring: Ring,
+                 pack: Callable[[Sequence[int], int], int] = _kron_pack):
         self.entry = entry
         self.ring = ring
+        self._pack_entry = pack
         self._minors = [ring.one]
         self._super = [ring.zero]  # _super[s] = a(s-1, s); slot 0 is unused
         self._start = 0
@@ -357,8 +372,10 @@ class LeadingMinors:
         packed, from the first row that uses each, at a width that only grows,
         at least doubling, so each is packed once per width (measured faster
         than repacking them at each row's own width); the row's entries are
-        packed once.  Entries go through the ``_kron_pack`` memo; a minor never
-        recurs and is packed outside it.  A row of one term is one ``QPoly`` product.
+        packed once.  Entries go through the ``_kron_pack`` memo unless the
+        sweep was given ``_kron_pack_fresh`` for them (cleared rows never
+        recur); a minor never recurs and is packed outside it.  A row of one
+        term is one ``QPoly`` product.
         """
         minors, sup = self._minors, self._super
         row = [self.ring.coerce(self.entry(col, j)) for j in range(start, col + 1)]
@@ -374,13 +391,14 @@ class LeadingMinors:
         need = _kron_width(bound)
         if need > width:
             width, packed, packed_sup = self._packs = (max(need, 2 * width), {}, {})
+        pack_entry = self._pack_entry
         acc = low = hi = 0  # acc is the sum of coefficient i of q^(low + i) at q = 2^w
         for j, a in enumerate(row, start):
             if acc:
                 s = sup[j]
                 p = packed_sup.get(j)
                 if p is None:
-                    p = packed_sup[j] = _pack(s, width)
+                    p = packed_sup[j] = _pack(s, width, pack_entry)
                 acc = -acc * p
                 low += s._low
                 hi += s._low + len(s._vals) - 1
@@ -389,7 +407,7 @@ class LeadingMinors:
                 p = packed.get(j)
                 if p is None:
                     p = packed[j] = _pack(d, width, _kron_pack_fresh)
-                term = _pack(a, width) * p
+                term = _pack(a, width, pack_entry) * p
                 t_low = a._low + d._low
                 t_hi = t_low + len(a._vals) + len(d._vals) - 2
                 if not acc:
@@ -419,6 +437,203 @@ def det_hessenberg(m: Matrix):
     n = _square(m)
     data = m.data
     return LeadingMinors(lambda i, j: data[i * n + j], m.ring)[n]
+
+
+def _step(s: list[int], lam: int, h: int, y: list[int]) -> list[int]:
+    """lam * s - h * y entry-wise: one substitution step of ``BandedMinors``."""
+    if h:
+        return [lam * a - h * b for a, b in zip(s, y)]
+    return s if lam == 1 else [lam * a for a in s]
+
+
+def _repack(v: int, old: int, new: int) -> int:
+    """A polynomial at q = 2^old, each coefficient below 2^(old-1) in size, at q = 2^new.
+
+    Its signed digits, biased by 2^(old-1), are widened byte-wise (``_restride``)
+    and the bias is taken off again at the new stride.
+    """
+    count = abs(v).bit_length() // old + 1
+    data = (v + _kron_bias(old, count)).to_bytes(old // 8 * count, "little")
+    wide = int.from_bytes(_restride(data, old // 8, new // 8, count), "little")
+    return wide - (_kron_bias(new, count) >> (new - old))
+
+
+# the least width of a banded q-polynomial sweep: below it an integer
+# product costs about the same, and each doubling repacks every kept value
+_BAND_WIDTH = 64
+
+
+class BandedMinors:
+    """det H_n for n = 0, 1, ... of a banded matrix: h(i, j) = 0 for j > i + m.
+
+    The matrix is given by ``entry(i, j)`` over ``ring`` and may be unbounded,
+    as for ``LeadingMinors``, and its outer diagonal lambda_k = h(k, k + m)
+    must be nonzero.  With t = n - m, rows < t of H_n on the columns >= m are
+    lower triangular with diagonal lambda_0 .. lambda_(t-1), so eliminating
+    against them leaves an m x m Schur complement (for m = 1 this is Hyman's
+    method).  Fraction-free, row r starts from the m-vector
+    s_r^(0) = h(r, 0..m-1) and takes the steps
+
+        s_r^(k+1) = lambda_k s_r^(k) - h(r, m + k) y_k,   y_k = s_k^(k),
+
+    two products and no division; up to sign, s_r^(k) is the (k+1)-minor on
+    rows 0..k-1, r and columns m..m+k-1 and one column < m.  Then
+
+        det H_n = (-1)^(m t) det S_n / D_t^(m-1),
+
+    where S_n is the m x m matrix of the rows s_r^(t), r in [t, n), and
+    D_t = lambda_0 ... lambda_(t-1) (det H_n = D_n for m = 0); the quotient
+    is exact, and ``exact_quotient`` raises on a remainder.  For n <= m,
+    det H_n is the determinant of the leading n x n block of the s_r^(0).
+    Both small determinants are memoized Laplace expansions (``det_cofactor``),
+    which take products only: a Bareiss step would divide the large values of
+    S_n.  Growing H_n by one size takes the step t on the m rows in [t, n)
+    and every step so far on the new row: O(n m) products.  The sweep keeps
+    the y_k and lambda_k, the m-vectors of the rows in [t, n), each with its
+    entries h(r, m + t .. r + m) still to be used, and every det H_n read.
+
+    The sweep runs over the integers.  A fraction ring's row r is cleared
+    once (``clear_row``, over its entries (r, 0..r+m)), and det H_n is the
+    integral value over the product of the row lcms, reduced once.  A
+    q-polynomial row (cleared or not) is divided by q to its lowest exponent
+    and evaluated at q = 2^w, so every step is an integer product.  The
+    width w holds the bounds of ``_det_kronecker`` for H_n: Hadamard's
+    product, over the rows, of the l2 norm of the l1 norms of their entries
+    in columns < max(n, m) (a factor below 1 counted as 1) bounds the
+    coefficients of det H_n and of every kept value, each a minor on those
+    columns, and the sum of the row spans bounds the degree of det H_n.  For
+    that each row in [t, n) keeps its next partial sums of squared l1 norms.  The
+    width only grows, at least doubling, and each kept value is then
+    unpacked at the old width and packed at the new one.  det H_n is read off
+    its signed base-2^w digits (a leftover raises).  Entries are packed
+    through the ``_kron_pack`` memo, except cleared rows, which never recur.
+
+    Adding column c raises ``ValueError`` if one of its entries beyond the
+    band is nonzero, and a step raises ``ValueError`` at a zero outer-diagonal
+    entry.  A size lands whole or not at all: its entries are all read, and
+    its checks made, before the kept values change.
+    """
+
+    def __init__(self, entry: Callable[[int, int], object], ring: Ring, m: int):
+        if m < 0:
+            raise ValueError(f"band {m} is negative")
+        self.entry = entry
+        self.ring = ring
+        self.m = m
+        self._pack_entry = _kron_pack_fresh if ring.integral else _kron_pack
+        self._dets = [ring.one]
+        self._ys: list[list[int]] = []
+        self._lams: list[int] = []
+        self._d = 1  # D_t
+        # for r in [t, n): s_r, the entries h(r, m + t .. r + m), and over
+        # q-polynomials the row's lowest exponent and its squared Hadamard
+        # factors at sizes n .. r + m + 1 (partial sums of squared l1 norms)
+        self._rows: list[tuple[list[int], list, int, list[int]]] = []
+        self._scale = ring.integral.one if ring.integral else None  # the row lcms' product
+        # q-polynomial rows: the width (0 over the integers), the product of
+        # the squared Hadamard factors of the rows < t, and the sums of the
+        # row shifts and of the row spans
+        self._width = _BAND_WIDTH if QPOLY in (ring, ring.integral) else 0
+        self._norm2 = 1
+        self._shift = self._span = 0
+
+    def __len__(self) -> int:
+        """How many sizes are computed so far."""
+        return len(self._dets)
+
+    def __getitem__(self, n: int):
+        """det H_n, the determinant of the leading n x n block."""
+        if n < 0:
+            raise IndexError(f"no leading block of size {n}")
+        while len(self._dets) <= n:
+            self._grow()
+        return self._dets[n]
+
+    def _grow(self) -> None:
+        """Add row and column n = len(self) - 1 and compute det H_(n+1)."""
+        entry, ring, m = self.entry, self.ring, self.m
+        n = len(self._dets) - 1
+        for i in range(n - m):
+            if entry(i, n):
+                raise ValueError(
+                    f"not banded: entry ({i}, {n}) beyond the band j <= i + {m} is nonzero")
+        row = [ring.coerce(entry(n, j)) for j in range(n + m + 1)]
+        scale = self._scale
+        if ring.integral:
+            row, lcm = clear_row(row, ring)
+            scale = scale * lcm
+        ys, lams, d, rows = self._ys, self._lams, self._d, self._rows
+        width, norm2, shift, span = self._width, self._norm2, self._shift, self._span
+        row_low, sums = 0, []
+        if width:
+            entries = [v for v in row if v]
+            if entries:
+                row_low = min(v._low for v in entries)
+                shift += row_low
+                span += max(v._low + len(v._vals) for v in entries) - 1 - row_low
+            cum = list(itertools.accumulate(sum(map(abs, v._vals)) ** 2 for v in row))
+            sums = [cum[max(j, m - 1)] for j in range(n, n + m + 1)]
+            # the Hadamard factors of H_(n+1), each row on its columns <= n and
+            # < m (those of its m-vector); the row that leaves at step t below
+            # (row t) is whole, so its factor moves into norm2
+            rows = [(s, rest, base, part[1:]) for s, rest, base, part in rows]
+            if n >= m:
+                norm2 *= max(rows[0][3][0] if m else sums[0], 1)
+            need = norm2
+            for _, _, _, part in rows[1:] if n >= m else rows:
+                need *= max(part[0], 1)
+            if m:
+                need *= max(sums[0], 1)
+            need = _kron_width(math.isqrt(need) + 1)
+            if need > width:
+                old, width = width, max(need, 2 * width)
+                ys = [[_repack(v, old, width) for v in y] for y in ys]
+                lams = [_repack(v, old, width) for v in lams]
+                d = _repack(d, old, width)
+                rows = [([_repack(v, old, width) for v in s], rest, base, part)
+                        for s, rest, base, part in rows]
+            pack_entry = self._pack_entry
+
+            def pack(v, base):
+                return _pack(v, width, pack_entry) << (width * (v._low - base)) if v else 0
+        else:
+            def pack(v, base):
+                return v
+        t = max(n - m, 0)  # the steps taken by the rows above
+        s = [pack(v, row_low) for v in row[:m]]
+        for k in range(t):
+            s = _step(s, lams[k], pack(row[m + k], row_low), ys[k])
+        rows = [*rows, (s, row[m + t:], row_low, sums)]
+        y = None
+        if n >= m:  # step t: row t leaves with y_t = s_t^(t) and lambda_t
+            y, (lam_t,), base, _ = rows[0]
+            if not lam_t:
+                raise ValueError(f"outer-diagonal entry ({t}, {t + m}) is zero")
+            lam = pack(lam_t, base)
+            rows = [(_step(s, lam, pack(rest[0], base), y), rest[1:], base, part)
+                    for s, rest, base, part in rows[1:]]
+            d *= lam
+        size = n + 1
+        if m:
+            k = min(size, m)  # S_n, or for size <= m the block itself
+            value = det_cofactor(Matrix(k, k, [v for s, *_ in rows for v in s[:k]], INT))
+            if size > m:
+                value = exact_quotient(value, d ** (m - 1), "det S_n / D_t^(m-1)")
+                if m * (size - m) % 2:
+                    value = -value
+        else:
+            value = d
+        if width:
+            value = _from_dense(_kron_unpack_signed(value, width, span + 1), shift)
+        if ring.integral:
+            value = type(ring.one)(value, scale)
+        if y is not None:
+            ys.append(y)
+            lams.append(lam)
+        self._ys, self._lams, self._d, self._rows = ys, lams, d, rows
+        self._width, self._norm2, self._shift, self._span = width, norm2, shift, span
+        self._scale = scale
+        self._dets.append(value)
 
 
 def clear_row(row: Sequence, ring: Ring) -> tuple[list, object]:

@@ -8,22 +8,24 @@ acceptance grid), and a run function that computes both sides exactly and
 compares them structurally.
 
 Most checks are data.  A grid is a product of axes (``grid``).  A chain of
-equal values is one ``equal_check`` row, whose sides are lower Hessenberg
-families or functions of the grid point; "det of family = closed form" is its
-commonest case, and "this matrix kills this vector" is one whose sides are
-the product and the zero vector.  An "alternating sum = [n = 0]" is one
+equal values is one ``equal_check`` row, whose sides are swept families
+(lower Hessenberg or banded) or functions of the grid point; "det of family
+= closed form" is its commonest case, and "this matrix kills this vector" is
+one whose sides are the product and the zero vector.  An "alternating sum = [n = 0]" is one
 ``sum_check`` row; ``declare`` adds rows to ``CHECKS``.
 The rest are functions under ``register``: checks with extra conditions,
 cross-multiplied or differently rendered sides, inverse products, boolean
 bridges and properties, and sides that share per-point state.
 
 Every matrix is a ``families.Family`` built by ``families.build``.  A lower
-Hessenberg family is not rebuilt per grid point: ``swept_det`` keeps one
-sweep (``Family.sweep``, row-cleared for a q-rational family) per family and
-parameters other than n, and reads each point's determinant off it, so a
-grid over n builds each entry of its largest matrix once.  In the same way
-each named Favard system's coefficient and moment tables (``_tables``) are
-grown once per process and shared by every orthogonal-polynomial check.
+Hessenberg or banded family is not rebuilt per grid point: ``swept_det``
+keeps one sweep (``Family.sweep``: the leading minors of a Hessenberg family,
+row-cleared over a fraction ring, or the substitution against a banded
+family's outer diagonal) per family and parameters other than n, and reads
+each point's determinant off it, so a grid over n builds each entry of its
+largest matrix once.  In the same way each named Favard system's coefficient
+and moment tables (``_tables``) are grown once per process and shared by
+every orthogonal-polynomial check.
 
 Conjecture checks are tagged; a counterexample there is a reportable
 outcome, never a suite failure.
@@ -272,12 +274,12 @@ def _cases_grid(fast: int, full: int):
 # the common shapes: chains of equal values and alternating sums
 # ---------------------------------------------------------------------------
 
-# One leading-minor sweep (``Family.sweep``) per (family, parameters other than n).
+# One sweep (``Family.sweep``) per (family, parameters other than n).
 _SWEEPS: dict[tuple, object] = {}
 
 
 def swept_det(family: fam.Family, n: int, **params):
-    """det of the lower Hessenberg ``family``'s n x n matrix at ``params``.
+    """det of the n x n matrix of ``family`` at ``params``, lower Hessenberg or banded.
 
     It is D_n of the sweep kept under ``family`` and ``params``, grown on demand.
     """
@@ -296,12 +298,13 @@ def discard_sweeps() -> None:
 def equal_check(id: str, anchor: str, kind: str, grid, *sides) -> Check:
     """Every side equals the first, at each point of ``grid``.
 
-    A side is either a lower Hessenberg ``families.Family``, whose value at a
-    point is its determinant read off the family's sweep (``swept_det``), or a
-    function of the point's parameters.  The report's lhs is the first side;
-    its rhs is the second side, or the rest joined by "; " when there are more.
-    Side functions look module names up when called, so that rebinding a
-    module attribute (as a tracer does) reaches them.
+    A side is either a lower Hessenberg or banded ``families.Family``, whose
+    value at a point is its determinant read off the family's sweep
+    (``swept_det``), or a function of the point's parameters.  The report's
+    lhs is the first side; its rhs is the second side, or the rest joined by
+    "; " when there are more.  Side functions look module names up when
+    called, so that rebinding a module attribute (as a tracer does) reaches
+    them.
     """
     def value_of(side):
         if isinstance(side, fam.Family):
@@ -398,7 +401,7 @@ declare(
                 lambda n, m: det(fam.build(fam.CATALAN_HANKEL, m, shift=n)),
                 lambda n, m: fam.catalan_hankel_product(n, m)),
     equal_check("eq71", "2.2 (71)", "det", grid(n=(5, 6), m=(4, 5)),
-                lambda n, m: det(fam.build(fam.EQ71, n, m=m)), lambda n, m: ONE),
+                fam.EQ71, lambda n, m: ONE),
     equal_check("eq73", "2.2 (73)", "closed-form", grid(n=(6, 8), m=(4, 5)),
                 lambda n, m: det(fam.build(fam.HILBERT_HANKEL, m, shift=n)),
                 lambda n, m: fam.hilbert_hankel_product(n, m)),
@@ -554,13 +557,13 @@ def _condensed(m: int, n: int, k: int):
 
 declare(
     equal_check("eq65", "2.2 Theorem 4 (65); also (5)", "bridge", grid(n=(8, 12), m=(4, 6)),
-                lambda n, m: det(fam.build(fam.EQ74, n, m=m, k=0)),
+                lambda n, m: swept_det(fam.EQ74, n, m=m, k=0),
                 lambda n, m: det(fam.build(fam.CATALAN_HANKEL, m, shift=n)),
                 lambda n, m: fam.thm4_product(n, m),
                 lambda n, m: fam.catalan_hankel_product(n, m)),
     equal_check("eq74", "2.2 Theorem 6 (74); also (9)", "bridge",
                 grid(n=(6, 10), m=(3, 4), k=(3, 4)),
-                lambda n, m, k: det(fam.build(fam.EQ74, n, m=m, k=k)),
+                fam.EQ74,
                 lambda n, m, k: det(fam.build(fam.EQ74_REVERSED, n, n=n, m=m, k=k)),
                 lambda n, m, k: det(fam.build(fam.CATALAN_POWER_HANKEL, m, n=n, k=k)),
                 lambda n, m, k: fam.krattenthaler_rhs_product(n, m, k)),
@@ -569,14 +572,14 @@ declare(
                 lambda n, m, k: _condensed(m - 1, n, k + 2) * _condensed(m - 1, n, k)
                 - _condensed(m - 1, n + 1, k) * _condensed(m - 1, n - 1, k + 2)),
     equal_check("eq10", "1 (10)", "bridge", grid(n=(4, 5), m=(3, 3), x=(4, 4, 1)),
-                lambda n, m, x: det(fam.build(fam.EQ10, n, m=m, x=x)),
+                fam.EQ10,
                 lambda n, m, x: det(fam.build(fam.EQ10_RHS, m, n=n, x=x))),
 )
 
 
 @register("eq72", "2.2 (72)", "bridge", grid(n=(6, 8), m=(4, 5)))
 def _eq72(n: int, m: int):
-    lhs = det(fam.build(fam.EQ72, n, m=m))
+    lhs = swept_det(fam.EQ72, n, m=m)
     h0 = det(fam.build(fam.HILBERT_HANKEL, m, shift=0))
     hn = det(fam.build(fam.HILBERT_HANKEL, m, shift=n))
     ok = lhs * h0 == hn
@@ -631,7 +634,7 @@ declare(
     sum_check("eq90", "3.2 Lemma 9 (90)", grid(n=(5, 6), k=(4, 4, 1)),
               lambda j, n, k: _thm8_c(n + k, j + k) * andrews_c(j, k)),
     equal_check("eq91", "3.2 Theorem 10 (91)", "bridge", grid(n=(4, 6), m=(3, 3), k=(3, 3)),
-                lambda n, m, k: det(fam.build(fam.EQ91, n, m=m, k=k)),
+                fam.EQ91,
                 lambda n, m, k: det(fam.build(fam.EQ91_HANKEL, m, n=n, k=k)),
                 lambda n, m, k: fam.q_krattenthaler_rhs(n, m, k)),
     sum_check("eq92s", "3.2 (92) companion sum", grid(n=(6, 7), k=(4, 4, 1)),
@@ -641,7 +644,7 @@ declare(
                 lambda n, x: QRat(q_binomial(2 * n + x - 1, n))),
     equal_check("remarkdet", "3.3 final remark det", "bridge",
                 grid(n=(4, 5), m=(3, 3), x=(3, 3, 1)),
-                lambda n, m, x: QRat(det(fam.build(fam.REMARK, n, m=m, x=x))),
+                lambda n, m, x: QRat(swept_det(fam.REMARK, n, m=m, x=x)),
                 lambda n, m, x: QRat(det(fam.build(fam.REMARK_RHS, m, n=n, m=m, x=x))),
                 lambda n, m, x: fam.remark_rhs_product(n, m, x)),
 )
@@ -657,7 +660,7 @@ def _eq86(n: int, k: int):
 
 @register("eq96", "3.2 Theorem 11 (96)", "bridge", grid(n=(4, 6), m=(3, 3), x=(4, 4, 1)))
 def _eq96(n: int, m: int, x: int):
-    dB = det(fam.build(fam.THM11_B, n, x=x, m=m))
+    dB = swept_det(fam.THM11_B, n, x=x, m=m)
     dH = QRat(det(fam.build(fam.THM11_H, m, x=x, n=n)))
     w = fam.thm11_w(n, x, m)
     ok = dB == w and dH == w

@@ -9,10 +9,12 @@ the integers — computing them in the residue field would make the statements
 trivial.
 
 A lift is itself a ``families.Family`` (``_lift``), so every lifted matrix is
-built through ``families.build``.  The lower Hessenberg lifts (eq107, eq109)
-are read off one leading-minor sweep per lift, modulus and parameters other
-than n (``registry.swept_det``); the banded eq110 lift (of ``EQ74`` at k = 0) and the Hankel side of
-c13b (of ``CATALAN_POWER_HANKEL`` at k = 0) are built and expanded per point.
+built through ``families.build``.  Every lifted determinant is read off one
+sweep per lift, modulus and parameters other than n (``registry.swept_det``):
+a leading-minor sweep for the lower Hessenberg lifts (eq107, eq109), and a
+banded sweep against the outer diagonal of ones for the eq110 lift (of
+``EQ74`` at k = 0), whose leading minors vanish.  The Hankel side of c13b (of
+``CATALAN_POWER_HANKEL`` at k = 0) is built and expanded per point.
 
 A conjecture search scans a grid and reports either the verified range or
 the first counterexample (re-verified by a recomputation that discards every
@@ -119,23 +121,20 @@ def unique_power_index(m: int) -> int:
 
 
 def _lift(family: fam.Family) -> fam.Family:
-    """The entry-wise residue lift of an integer family; the modulus is parameter p."""
+    """The entry-wise residue lift of an integer family; the modulus is parameter p.
+
+    The lift keeps the family's band: an outer diagonal of ones lifts to ones.
+    """
     entry = family.entry
-    return fam.Family(INT, lambda i, j, p, **params: entry(i, j, **params) % p)
+    return fam.Family(INT, lambda i, j, p, **params: entry(i, j, **params) % p, family.band)
 
 
 _LIFT_FAMILIES = {"eq107": _lift(fam.EQ1), "eq109": _lift(fam.EQ54), "eq110": _lift(fam.EQ74)}
-# the lower Hessenberg lifts, read off sweeps; eq110 is banded
-_SWEPT_LIFTS = ("eq107", "eq109")
 
 
 def lifted_det(family: str, params: dict, modulus: int) -> int:
-    """Entry-wise residue lift of an integer family, then an exact integer det."""
-    lift = _LIFT_FAMILIES[family]
-    if family in _SWEPT_LIFTS:
-        return swept_det(lift, p=modulus, **params)
-    rest = {key: value for key, value in params.items() if key != "n"}
-    return det(fam.build(lift, params["n"], p=modulus, **rest))
+    """Entry-wise residue lift of an integer family, then an exact integer det off its sweep."""
+    return swept_det(_LIFT_FAMILIES[family], p=modulus, **params)
 
 
 @functools.cache

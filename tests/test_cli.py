@@ -379,7 +379,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _report_without_timings(*flags: str, argv=("verify", "--id", "eq1", "--id", "eq96", "--id",
-                                               "c14", "--n-max", "6", "--seed", "3"),
+                                               "c14", "--id", "eq74", "--id", "c13b",
+                                               "--n-max", "6", "--seed", "3"),
                             entry=("-m", "catdet.cli")) -> str:
     """A small verify run of ``entry`` in a fresh interpreter started with ``flags``."""
     env = dict(os.environ)

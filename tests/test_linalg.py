@@ -12,11 +12,13 @@ from catdet.linalg import (
     INT,
     QPOLY,
     QRAT,
+    BandedMinors,
     LeadingMinors,
     Matrix,
     Ring,
     _det_kronecker,
     _pack,
+    clear_row,
     det,
     det_bareiss,
     det_cofactor,
@@ -25,7 +27,7 @@ from catdet.linalg import (
     matvec,
     rank,
 )
-from catdet.qseries import ONE, Q, QPoly, QRat
+from catdet.qseries import ONE, Q, QPoly, QRat, q_int
 from catdet.sequences import ballot
 
 INTRO_4X4 = Matrix.from_rows(
@@ -642,6 +644,66 @@ def test_packed_rows_memoize_entry_packs_and_not_minor_packs(monkeypatch):
     assert outside
 
 
+class RecordingMemo(dict):
+    """A ``_kron_pack`` memo that records the tuples stored outside QPoly products, and its hits."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored, self.hits = set(), set()
+        self.in_product = 0
+
+    def __setitem__(self, key, value):
+        if not self.in_product:
+            self.stored.add(key[0])
+        super().__setitem__(key, value)
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        if value is not None:
+            self.hits.add(key[0])
+        return value
+
+
+def test_cleared_rows_are_packed_outside_the_memo(monkeypatch):
+    # a cleared q-rational row never recurs, so neither the Hessenberg sweep
+    # of SEC33 nor the banded sweep of THM11_B may store its tuples in the
+    # _kron_pack memo (QPoly products pack their operands there on their own
+    # account and are not counted); the q-binomial entries of EQ86 recur
+    # across its two sweeps and hit it
+    from catdet import qseries
+
+    memo = RecordingMemo()
+    product = qseries._mul_kronecker
+
+    def counted_product(a, b):
+        memo.in_product += 1
+        try:
+            return product(a, b)
+        finally:
+            memo.in_product -= 1
+
+    monkeypatch.setattr(qseries, "_KRON_PACKED", memo)
+    monkeypatch.setattr(qseries, "_mul_kronecker", counted_product)
+    for family, params, band in ((fam.SEC33, {"k": 4}, 1), (fam.THM11_B, {"x": 4, "m": 3}, 3)):
+        # the entries first: q_product memoizes each, after packing its Phi_d,
+        # which a cleared entry such as 1 + q^2 may equal
+        cleared = set()
+        for i in range(9):
+            row = [QRAT.coerce(family.entry(i, j, **params)) for j in range(i + band + 1)]
+            cleared |= {v._vals for v in clear_row(row, QRAT)[0] if len(v._vals) > 1}
+        memo.stored.clear()
+        family.sweep(**params)[9]
+        assert cleared
+        assert not cleared & memo.stored, family
+    entries = {fam.EQ86.entry(i, j, k=3, shifted=shifted)._vals
+               for shifted in (False, True) for i in range(9) for j in range(i + 2)}
+    memo.clear()
+    for shifted in (False, True):
+        fam.EQ86.sweep(k=3, shifted=shifted)[9]
+    assert {vals for vals, _ in memo} <= entries
+    assert memo.hits & entries
+
+
 @pytest.mark.parametrize("nbytes", [1, 2, 3, 4, 8, 9, 16])
 def test_packed_row_at_its_bound_on_a_byte_boundary(nbytes):
     # [[c q^-1, c q^3], [-s c q^-2, s c q^2]]: D_2 = 2 s c^2 q, and the l1 bound
@@ -656,6 +718,159 @@ def test_packed_row_at_its_bound_on_a_byte_boundary(nbytes):
         assert minors[2] == QPoly.monomial(1, 2 * sign * c * c)
         assert minors._packs[0] == 8 * nbytes
         assert minors[2] == det_cofactor(Matrix.from_rows(rows, QPOLY))
+
+
+# -- banded sweeps ----------------------------------------------------------------
+
+def random_band_entry(rng, ring, big):
+    """One entry of ``ring``; q-polynomials have Laurent exponents and up to ``big`` in size."""
+    if ring is INT:
+        return rng.randint(-big, big)
+    if ring is FRAC:
+        return Fraction(rng.randint(-big, big), rng.choice([1, 2, 3, 4, 6, 5, 7]))
+    num = laurent_qpoly(rng, big)
+    if ring is QPOLY:
+        return num
+    return QRat(num, rng.choice([ONE, q_int(2), q_int(2) * q_int(3), ONE + Q * Q]))
+
+
+def random_banded(rng, n, m, ring, big=None):
+    """A random n x n matrix with h(i, j) = 0 for j > i + m and a nonzero outer diagonal.
+
+    Outer-diagonal entries are units (1, -1, q^s) or not; some entries in the
+    band are zero, and sometimes row 0 is zero on its columns < m, so every
+    leading block up to m x m is singular.
+    """
+    if big is None:
+        big = rng.choice([9, 10 ** 30]) if ring in (QPOLY, QRAT) else 9
+    unit = rng.random() < 0.5
+    singular = rng.random() < 0.3
+
+    def entry(i, j):
+        if j > i + m or (singular and i == 0 and j < m):
+            return ring.zero
+        if j == i + m:
+            if unit:
+                v = rng.choice([1, -1]) if ring in (INT, FRAC) else QPoly.monomial(
+                    rng.randint(-2, 3), rng.choice([1, -1]))
+                return ring.coerce(v)
+            v = ring.zero
+            while not v:
+                v = ring.coerce(random_band_entry(rng, ring, big))
+            return v
+        return ring.zero if rng.random() < 0.2 else ring.coerce(random_band_entry(rng, ring, big))
+    return Matrix.build(n, n, entry, ring)
+
+
+@pytest.mark.parametrize("ring", [INT, FRAC, QPOLY, QRAT], ids=lambda r: r.name)
+@pytest.mark.parametrize("m", range(6))
+def test_banded_minors_equal_bareiss_and_cofactor(ring, m):
+    rng = random.Random(f"banded:{ring.name}:{m}")
+    singular = 0
+    for _ in range(6 if ring is QRAT else 12):
+        size = m + rng.randint(1, 2 if ring is QRAT else 4)
+        h = random_banded(rng, size, m, ring)
+        minors = BandedMinors(lambda i, j: h[i, j] if i < size and j < size else ring.zero,
+                              ring, m)
+        for n in range(size + 1):
+            block = Matrix.build(n, n, lambda i, j: h[i, j], ring)
+            expected = det_cofactor(block)
+            assert minors[n] == expected, (m, n)
+            if ring in (INT, FRAC) or n <= 5:
+                assert expected == det_bareiss(block), (m, n)
+            singular += m > 0 and 0 < n <= m and not expected
+    assert m == 0 or singular
+
+
+def test_banded_minors_on_the_paper_families():
+    # the eq110 lift (EQ74 at k = 0, mod 2) has singular leading blocks; the
+    # outer diagonal of EQ71 is q^(m(m+1)/2); THM11_B at x < 0 is q-rational
+    lift = fam.Family(INT, lambda i, j, m: binomial(i + j + m, i - j + m) % 2, "m")
+    for m in range(1, 6):
+        minors = lift.sweep(m=m)
+        values = [minors[n] for n in range(25)]
+        assert values == [det_bareiss(fam.build(lift, n, m=m)) for n in range(25)], m
+        assert 0 in values, m
+    for m in (2, 3, 5):
+        minors = fam.EQ71.sweep(m=m)
+        for n in range(9):
+            block = fam.build(fam.EQ71, n, m=m)
+            assert minors[n] == det_bareiss(block) == det(block), (m, n)
+            if n <= 6:
+                assert minors[n] == det_cofactor(block), (m, n)
+    for x, m in ((-3, 3), (-1, 2), (-2, 4)):
+        minors = fam.THM11_B.sweep(x=x, m=m)
+        for n in range(9):
+            block = fam.build(fam.THM11_B, n, x=x, m=m)
+            assert minors[n] == det(block), (x, m, n)
+            if n <= 6:
+                assert minors[n] == det_cofactor(block), (x, m, n)
+
+
+@pytest.mark.parametrize("ring", [INT, QPOLY, QRAT], ids=lambda r: r.name)
+def test_banded_minors_raise_at_a_zero_outer_diagonal_entry(ring):
+    rng = random.Random(f"zero-outer:{ring.name}")
+    h = random_banded(rng, 9, 2, ring)
+
+    def entry(i, j):
+        return ring.zero if (i, j) == (3, 5) else h[i, j]
+    minors = BandedMinors(entry, ring, 2)
+    for n in range(6):  # H_5 holds (3, 5) but needs no step against it
+        assert minors[n] == det_cofactor(Matrix.build(n, n, entry, ring)), n
+    with pytest.raises(ValueError, match=r"outer-diagonal entry \(3, 5\) is zero"):
+        minors[6]
+    with pytest.raises(ValueError, match=r"\(3, 5\)"):
+        BandedMinors(entry, ring, 2)[8]
+    assert len(minors) == 6
+
+
+def test_banded_minors_reject_an_entry_beyond_the_band_at_its_column():
+    def entry(i, j):
+        if (i, j) == (1, 5):
+            return 3
+        return binomial(i + j + 4, i - j + 2)  # EQ74 at m = 2, k = 2
+
+    minors = BandedMinors(entry, INT, 2)
+    assert minors[5] == det_bareiss(fam.build(fam.EQ74, 5, m=2, k=2))
+    with pytest.raises(ValueError, match=r"entry \(1, 5\) beyond the band"):
+        minors[6]
+    with pytest.raises(ValueError, match=r"\(1, 5\)"):
+        BandedMinors(entry, INT, 2)[9]
+    assert len(minors) == 6
+    with pytest.raises(ValueError, match="negative"):
+        BandedMinors(entry, INT, -1)
+
+
+@pytest.mark.parametrize("cell,before", [((6, 1), 6), ((7, 9), 7), ((1, 6), 6)],
+                         ids=["row", "kept", "band"])
+@pytest.mark.parametrize("ring", [INT, QPOLY], ids=lambda r: r.name)
+def test_banded_minors_keep_no_half_size_when_an_entry_raises_once(cell, before, ring):
+    # H_7 reads row 6 and tests (1, 6) when it adds column 6; H_8 reads row 7,
+    # whose entry (7, 9) is kept for the steps of H_9 and H_10.  The failed
+    # size is built again, whole, on the next request; over QPOLY the width
+    # keeps growing past eight-byte digits afterwards
+    m = 2
+    rng = random.Random(f"half-size:{ring.name}")
+    h = random_banded(rng, 12, m, ring, 10 ** 12 if ring is QPOLY else 9)
+    raised = []
+
+    def entry(i, j):
+        if (i, j) == cell and not raised:
+            raised.append(cell)
+            raise RuntimeError("transient")
+        return h[i, j] if i < 12 and j < 12 else ring.zero
+
+    minors = BandedMinors(entry, ring, m)
+    minors[before]
+    kept = (list(minors._ys), list(minors._lams), minors._d, list(minors._rows), minors._width)
+    with pytest.raises(RuntimeError, match="transient"):
+        minors[12]
+    assert raised == [cell] and len(minors) == before + 1
+    assert (minors._ys, minors._lams, minors._d, minors._rows, minors._width) == kept
+    for n in range(13):
+        assert minors[n] == det(Matrix.build(n, n, lambda i, j: h[i, j], ring)), n
+    if ring is QPOLY:
+        assert minors._width > 64
 
 
 # -- q-polynomial determinants through one integer determinant ---------------

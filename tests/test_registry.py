@@ -313,15 +313,18 @@ SWEPT_FAMILIES = [
     # negative k: Theorem 15 reads the family at k = -m
     (fam.EQ92, [{"k": k} for k in (1, 4, -3, -6)]),
     (fam.SEC33, [{"k": 1}, {"k": 4}]),
+    # banded: support j <= i + m, swept against the outer diagonal h(i, i + m)
+    (fam.EQ74, [{"m": m, "k": k} for m in (0, 2, 4) for k in (0, 3)]),
+    (fam.EQ10, [{"m": 2, "x": 1}, {"m": 3, "x": 4}]),
+    (fam.EQ72, [{"m": m} for m in (0, 3, 5)]),
+    (fam.EQ71, [{"m": m} for m in (0, 2, 5)]),
+    (fam.EQ91, [{"m": 3, "k": 3}, {"m": 2, "k": 0}]),
+    (fam.REMARK, [{"m": 3, "x": 3}, {"m": 2, "x": 1}]),
+    (fam.THM11_B, [{"x": 4, "m": 3}, {"x": -2, "m": 2}]),
 ]
 
 # every other declared Family, with the reason its determinants stay per point
 NOT_SWEPT = (
-    (fam.EQ74, "banded: support j <= i + m"),
-    (fam.EQ10, "banded: support j <= i + m"),
-    (fam.EQ71, "banded: support j <= i + m"),
-    (fam.EQ91, "banded: support j <= i + m"),
-    (fam.REMARK, "banded: support j <= i + m"),
     (fam.EQ74_REVERSED, "size-dependent: takes its size as parameter n"),
     (fam.REMARK_RHS, "size-dependent: takes its size as parameter m"),
     (fam.CATALAN_POWER_HANKEL, "dense Hankel-type block"),
@@ -330,17 +333,15 @@ NOT_SWEPT = (
     (fam.EQ10_RHS, "dense Hankel-type block"),
     (fam.EQ91_HANKEL, "dense Hankel-type block"),
     (fam.THM11_H, "dense Hankel-type block"),
-    (fam.EQ72, "dense"),
     (fam.KRATTENTHALER, "dense, random size per case"),
     (fam.Q_KRATTENTHALER, "dense, random size per case"),
     (fam.EQ34, "only inverted"),
     (fam.EQ88, "only inverted"),
     (fam.EQ49, "only multiplied by its null vector; pole at j = m"),
-    (fam.THM11_B, "banded: support j <= i + m"),
 )
 
 
-def test_swept_families_cover_every_hessenberg_family():
+def test_swept_families_cover_every_sweepable_family():
     # a new Family lands in SWEPT_FAMILIES or in NOT_SWEPT, never in both
     declared = {id(v) for v in vars(fam).values() if isinstance(v, fam.Family)}
     swept = [id(family) for family, _ in SWEPT_FAMILIES]
@@ -474,6 +475,11 @@ def test_q_polynomial_family_determinants_against_sympy():
     ("eq58", {"n": 3, "k": 2, "r": 3}, {"n": 6, "k": 2, "r": 3}),
     ("eq86", {"n": 4, "k": 2}, {"n": 7, "k": 2}),
     ("eq92", {"n": 3, "k": 2}, {"n": 7, "k": 2}),
+    ("eq74", {"n": 3, "m": 4, "k": 2}, {"n": 9, "m": 4, "k": 2}),
+    ("eq91", {"n": 2, "m": 3, "k": 1}, {"n": 6, "m": 3, "k": 1}),
+    ("eq96", {"n": 2, "m": 3, "x": 2}, {"n": 6, "m": 3, "x": 2}),
+    ("remarkdet", {"n": 3, "m": 2, "x": 3}, {"n": 5, "m": 2, "x": 3}),
+    ("c13b", {"n": 4, "m": 3}, {"n": 12, "m": 4}),
 ])
 def test_run_check_equal_on_cold_and_warm_sweeps(check_id, small, large):
     discard_sweeps()

@@ -4,7 +4,7 @@ import pytest
 
 from catdet import registry, residues
 from catdet.exact import binomial
-from catdet.linalg import INT, LeadingMinors, Matrix, det_bareiss
+from catdet.linalg import INT, BandedMinors, LeadingMinors, Matrix, det_bareiss
 from catdet.registry import Bounds, run_check
 from catdet.residues import (
     conjecture_search,
@@ -198,13 +198,18 @@ def test_c13a_counterexample_pinned_against_bareiss():
 
 
 def test_counterexample_recheck_recomputes_instead_of_reading_the_sweep(monkeypatch):
-    # a sweep whose D_1 is wrong makes c13a fail at its first point (n = 1,
-    # k = 1); the re-check must discard it, recompute, and find no failure
+    # a sweep whose D_1 is wrong makes the search fail at its first point
+    # (n = 1 and k = 1 for c13a, m = 1 for c13b); the re-check must discard
+    # it, recompute, and find no failure.  Both lifts there are binomial(i +
+    # j + 1, i - j + 1) mod 2: EQ54 at k = 1 and EQ74 at m = 1, k = 0
     def entry(i, j):
         return 2 if (i, j) == (0, 0) else binomial(i + j + 1, i - j + 1) % 2
 
-    key = (residues._LIFT_FAMILIES["eq109"], ("k", 1), ("p", 2))
-    monkeypatch.setitem(registry._SWEEPS, key, LeadingMinors(entry, INT))
-    with pytest.raises(AssertionError, match="non-reproducible failure"):
-        conjecture_search("c13a", Bounds(n_max=2, k_max=1))
-    assert lifted_det("eq109", {"n": 1, "k": 1}, 2) == 1
+    cases = [("c13a", "eq109", {"k": 1}, LeadingMinors(entry, INT)),
+             ("c13b", "eq110", {"m": 1, "k": 0}, BandedMinors(entry, INT, 1))]
+    for cid, lift, params, sweep in cases:
+        key = (residues._LIFT_FAMILIES[lift], *sorted({**params, "p": 2}.items()))
+        monkeypatch.setitem(registry._SWEEPS, key, sweep)
+        with pytest.raises(AssertionError, match="non-reproducible failure"):
+            conjecture_search(cid, Bounds(n_max=2, k_max=1, m_max=1))
+        assert lifted_det(lift, {"n": 1, **params}, 2) == 1
