@@ -501,12 +501,13 @@ class BandedMinors:
     product, over the rows, of the l2 norm of the l1 norms of their entries
     in columns < max(n, m) (a factor below 1 counted as 1) bounds the
     coefficients of det H_n and of every kept value, each a minor on those
-    columns, and the sum of the row spans bounds the degree of det H_n.  For
-    that each row in [t, n) keeps its next partial sums of squared l1 norms.  The
-    width only grows, at least doubling, and each kept value is then
-    unpacked at the old width and packed at the new one.  det H_n is read off
-    its signed base-2^w digits (a leftover raises).  Entries are packed
-    through the ``_kron_pack`` memo, except cleared rows, which never recur.
+    columns, and the sum of the row spans bounds the degree of det H_n.  So
+    each row in [t, n) keeps the partial sums of squared l1 norms it still
+    needs.  The width only grows, at least doubling, and each kept value is
+    then unpacked at the old width and packed at the new one.  det H_n is
+    read off its signed base-2^w digits (a leftover raises).  Entries are
+    packed through the ``_kron_pack`` memo, except cleared rows, which never
+    recur.
 
     Adding column c raises ``ValueError`` if one of its entries beyond the
     band is nonzero, and a step raises ``ValueError`` at a zero outer-diagonal
