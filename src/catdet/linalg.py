@@ -730,7 +730,8 @@ def det_cofactor(m: Matrix):
 
     The minor on the last n - k columns depends only on its k-row set, so
     each is expanded once and memoized under its rows: O(n 2^n) products,
-    not n!.
+    not n!.  It takes no division, which is why ``BandedMinors`` uses it for
+    its m x m blocks of large integers.
     """
     n = _square(m)
     ring = m.ring
