@@ -23,13 +23,11 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from catdet.exact import binomial, choose2
-from catdet.linalg import (FRAC, INT, QPOLY, QRAT, BandedMinors, LeadingMinors, Matrix, Ring,
-                           clear_row)
+from catdet.linalg import FRAC, INT, QPOLY, QRAT, BandedMinors, Matrix, Ring
 from catdet.qseries import (
     ONE,
     QPoly,
     QRat,
-    _kron_pack_fresh,
     q_binomial,
     q_binomial_factors,
     q_lucas_value,
@@ -47,16 +45,17 @@ class Family(NamedTuple):
     No entry depends on the size, so ``build(family, n, **params)`` is the
     leading n x n block of ``build(family, N, **params)`` for every N >= n.
     That makes a sweep valid: the determinants of a family at every size are
-    read off one growing matrix.  A banded family names the parameter that is
-    its ``band`` m (``"m"`` for each of them): h(i, j) = 0 for j > i + m and
-    h(i, i + m) != 0, and ``linalg.BandedMinors`` sweeps it by substitution
-    against that outer diagonal.  Every other swept family is lower Hessenberg
-    and is swept by ``LeadingMinors``; over a fraction ring that sweep scales
-    each row once, by the lcm of its denominators, and runs the expansion over
-    the scaled rows in the ring's ``integral`` ring (``_ClearedMinors``).  The
-    two families whose displayed entries involve their own size take it as a
-    parameter, ``EQ74_REVERSED`` as n and ``REMARK_RHS`` as m, and are never
-    swept.
+    read off one growing matrix, a ``linalg.BandedMinors`` that substitutes
+    against the outer diagonal h(i, i + m) of a matrix with h(i, j) = 0 for
+    j > i + m.  A banded family names the parameter that is its ``band`` m
+    (``"m"`` for each of them), and needs h(i, i + m) != 0 when m >= 2.
+    Every other swept family is lower Hessenberg and is swept at m = 1
+    (Hyman's method), where a zero superdiagonal entry is allowed.  Over a
+    fraction ring the sweep scales each row once, by the lcm of its
+    denominators, and runs over the scaled rows in the ring's ``integral``
+    ring.  The two families whose displayed entries involve their own size
+    take it as a parameter, ``EQ74_REVERSED`` as n and ``REMARK_RHS`` as m,
+    and are never swept.
 
     The entry functions look up ``binomial``/``q_binomial`` in this module when
     called, so rebinding a module attribute (as a tracer does) reaches them.
@@ -66,50 +65,10 @@ class Family(NamedTuple):
     entry: Callable[..., object]
     band: str | None = None
 
-    def sweep(self, **params) -> LeadingMinors | BandedMinors | _ClearedMinors:
+    def sweep(self, **params) -> BandedMinors:
         """det of the n x n matrix at ``params`` for every n, grown on demand."""
-        entry = partial(self.entry, **params)
-        if self.band:
-            return BandedMinors(entry, self.ring, params[self.band])
-        if self.ring.integral:
-            return _ClearedMinors(entry, self.ring)
-        return LeadingMinors(entry, self.ring)
-
-
-class _ClearedMinors:
-    """Leading minors D_0, D_1, ... of a lower Hessenberg family over a fraction ring.
-
-    Row i is scaled once, by the lcm L_i of the denominators of its entries
-    (i, 0..i+1) (``linalg.clear_row``).  Reading the superdiagonal entry with
-    its row is valid because a family's entries exist at every size.  The
-    ``LeadingMinors`` of the scaled rows, over ``ring.integral``, are
-    D'_n = L_0 ... L_(n-1) D_n, so each read reduces one quotient, as ``det``
-    does for one matrix.  A scaled row never recurs, so over q-polynomials
-    its entries are packed outside the ``_kron_pack`` memo.
-    """
-
-    def __init__(self, entry: Callable[[int, int], object], ring: Ring):
-        self.entry = entry
-        self.ring = ring
-        self._rows: list[list] = []
-        self._scales = [ring.integral.one]  # _scales[n] = L_0 ... L_(n-1)
-        self._minors = LeadingMinors(self._scaled, ring.integral, _kron_pack_fresh)
-
-    def _scaled(self, i: int, j: int):
-        if j > i + 1:
-            return self.entry(i, j)  # only tested for being nonzero
-        rows, ring = self._rows, self.ring
-        while len(rows) <= i:
-            r = len(rows)
-            row, lcm = clear_row([ring.coerce(self.entry(r, c)) for c in range(r + 2)], ring)
-            rows.append(row)
-            self._scales.append(self._scales[-1] * lcm)
-        return rows[i][j]
-
-    def __getitem__(self, n: int):
-        """D_n, the determinant of the leading n x n block."""
-        minor = self._minors[n]  # builds the rows whose lcms make up the scale
-        return type(self.ring.one)(minor, self._scales[n])  # Fraction or QRat, reduced once
+        entry = partial(self.entry, **params) if params else self.entry
+        return BandedMinors(entry, self.ring, params[self.band] if self.band else 1)
 
 
 def build(family: Family, size: int, **params) -> Matrix:

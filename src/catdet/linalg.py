@@ -8,41 +8,34 @@ by row to its ``integral`` ring, rationals to integers as q-rational functions
 to q-polynomials: each row is multiplied by the lcm of its denominators, the
 integral determinant is taken, and its quotient by the product of the row
 lcms is reduced once, instead of one gcd per ring operation.  ``clear_row``
-is that one row step, which the sweeps of ``catdet.families`` share.  A lower
-Hessenberg matrix (every entry above the superdiagonal is zero, as in most
-of the paper's families) goes to ``det_hessenberg``.  Any other
-q-polynomial matrix is evaluated at q = 2^w (Kronecker substitution), with w
-taken from a proven degree bound and Hadamard's coefficient bound, and its
-determinant is read off the signed base-2^w digits of one integer
-determinant.  Any other matrix goes to ``det_bareiss``, which also stays the
-second route for q-polynomials.
+is that one row step, which ``BandedMinors`` shares.  A lower Hessenberg
+matrix (every entry above the superdiagonal is zero, as in most of the
+paper's families) goes to ``det_hessenberg``.  Any other q-polynomial matrix
+is evaluated at q = 2^w (Kronecker substitution), with w taken from a proven
+degree bound and Hadamard's coefficient bound, and its determinant is read
+off the signed base-2^w digits of one integer determinant.  Any other matrix
+goes to ``det_bareiss``, which also stays the second route for q-polynomials.
 
 ``det_bareiss`` and ``rank`` share one fraction-free O(n^3) elimination
 (Bareiss), run in the matrix's own ring: ``det_bareiss`` stops at the first
 column without a pivot, and ``rank`` counts the pivots after clearing the
 rows of a fraction-ring matrix as ``det`` does.
 
-``LeadingMinors`` is the Hessenberg engine: the division-free expansion of
-every leading minor along its last row, O(n^2) ring products in all.  It
-grows the matrix given by an entry function one row and one column at a
-time, so a family whose entries do not depend on n yields its determinant at
-every n from one sweep; ``det_hessenberg`` runs it over a matrix's entries.
-Over q-polynomials each row of the expansion runs as integers at q = 2^w:
-the minors and superdiagonal entries stay packed from row to row, the row's
-entries are packed once, and the new minor is unpacked once, with w taken
-from an l1 bound on its coefficients that the row's own recurrence carries.
-The expansion keeps its O(n^2) products and yields every minor of the sweep;
-only each product's representation changes.  Taking one Kronecker
-determinant per size instead would cost an O(n^3) integer elimination at
-every n.
-
-``BandedMinors`` is the same kind of sweep for a banded matrix, with m
-diagonals above the main one (h(i, j) = 0 for j > i + m) and a nonzero outer
-diagonal h(i, i + m): fraction-free forward substitution against that
-diagonal leaves an m x m Schur complement per size, O(n m) products per
-size, and a fraction ring's rows are cleared once as above.  It runs over
-the integers, a q-polynomial sweep whole at one Kronecker width that only
-grows.
+``BandedMinors`` is the one sweep engine.  It grows the matrix given by an
+entry function one row and one column at a time, so a family whose entries
+do not depend on n yields its determinant at every n from one sweep.  The
+matrix is banded, with m diagonals above the main one (h(i, j) = 0 for
+j > i + m): fraction-free forward substitution against the outer diagonal
+h(i, i + m) leaves an m x m Schur complement per size, O(n m) products per
+size.  At m = 1, a lower Hessenberg matrix, this is Hyman's method, the
+division-free expansion of every leading minor along its last row, and
+``det_hessenberg`` runs it over a matrix's entries.  A fraction ring's rows
+are cleared once as above.  A q-polynomial sweep runs as integers at
+q = 2^w, with w from a bound that only grows: the l1 recurrence of the
+expansion at m <= 1, Hadamard's bound at m >= 2.  The expansion keeps its
+products and yields every minor of the sweep; only each product's
+representation changes.  Taking one Kronecker determinant per size instead
+would cost an O(n^3) integer elimination at every n.
 
 Dodgson condensation (with a Bareiss fallback on interior zeros, since exact
 arithmetic forbids perturbation tricks) and naive cofactor expansion (the
@@ -56,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -75,7 +69,6 @@ __all__ = [
     "det",
     "det_bareiss",
     "det_hessenberg",
-    "LeadingMinors",
     "BandedMinors",
     "clear_row",
     "det_condensation",
@@ -267,217 +260,79 @@ def _is_lower_hessenberg(m: Matrix) -> bool:
     return not any(any(data[i * n + i + 2:(i + 1) * n]) for i in range(n - 2))
 
 
-def _pack(p: QPoly, width: int, pack=_kron_pack) -> int:
-    """p's coefficient tuple at q = 2^width by ``pack``; a monomial packs to its coefficient."""
-    vals = p._vals
-    if len(vals) > 1:
-        return pack(vals, width)
-    return vals[0] if vals else 0
+def _pack(p: QPoly, width: int, low: int = 0, pack=_kron_pack) -> int:
+    """p / q^low at q = 2^width, its coefficient tuple packed by ``pack``; zero packs to 0.
 
-
-class LeadingMinors:
-    """Leading principal minors D_0 = 1, D_1, ... of a lower Hessenberg matrix.
-
-    The matrix is given by ``entry(i, j)`` over ``ring`` and may be unbounded:
-    ``self[n]`` grows it one row and one column per minor up to n x n, so the
-    n x n determinant of a family whose entries do not depend on n is read off
-    one sweep at every n.  Expanding D_k along its last row gives
-
-        D_k = sum_j (-1)^(k-1-j) a(k-1, j) * prod_{i=j}^{k-2} a(i, i+1) * D_j,
-
-    evaluated in nested (Horner) form from the left,
-    acc <- a(k-1, j) D_j - a(j-1, j) acc, so each term costs two ring products
-    and no division.  Terms left of a zero superdiagonal entry a(s-1, s)
-    vanish, so each row's sum starts at the last such s.  Over ``QPOLY`` a
-    row of more than one term runs as integers at q = 2^w (``_packed_row``):
-    the minors and the superdiagonal stay packed, and D_k is unpacked once.
-    Each entry is evaluated once, when its row or column is added; only the
-    superdiagonal and the minors are kept.  A row lands whole or not at all:
-    if one of its entries raises, the next read evaluates the row again.
-    Adding column c raises ``ValueError`` if one of its entries above the
-    superdiagonal is nonzero.  ``pack`` packs the entries over ``QPOLY``:
-    the ``_kron_pack`` memo, or ``_kron_pack_fresh`` for entries that never
-    recur.
+    A monomial packs to its coefficient.
     """
-
-    def __init__(self, entry: Callable[[int, int], object], ring: Ring,
-                 pack: Callable[[Sequence[int], int], int] = _kron_pack):
-        self.entry = entry
-        self.ring = ring
-        self._pack_entry = pack
-        self._minors = [ring.one]
-        self._super = [ring.zero]  # _super[s] = a(s-1, s); slot 0 is unused
-        self._start = 0
-        # QPOLY only: the l1 norm of each minor, and a width w with the minors
-        # and superdiagonal entries packed so far at q = 2^w, by index
-        self._norms: list[int] = []
-        self._packs: tuple[int, dict[int, int], dict[int, int]] = (0, {}, {})
-
-    def __len__(self) -> int:
-        """How many minors are computed so far."""
-        return len(self._minors)
-
-    def __getitem__(self, n: int):
-        """D_n, the determinant of the leading n x n block."""
-        if n < 0:
-            raise IndexError(f"no leading minor of size {n}")
-        while len(self._minors) <= n:
-            self._grow()
-        return self._minors[n]
-
-    def _grow(self) -> None:
-        """Add row and column k - 1 and compute D_k, k = len(self)."""
-        entry, coerce, minors = self.entry, self.ring.coerce, self._minors
-        k = len(minors)
-        col = k - 1
-        for i in range(col - 1):
-            if entry(i, col):
-                raise ValueError(
-                    f"not lower Hessenberg: entry ({i}, {col}) above the superdiagonal is nonzero"
-                )
-        sup = self._super
-        start = self._start
-        if k >= 2:
-            sup.append(coerce(entry(k - 2, col)))
-            if not sup[col]:
-                start = col
-        try:
-            if self.ring is QPOLY:
-                acc = self._packed_row(col, start)
-            else:
-                acc = coerce(entry(col, start)) * minors[start]
-                for j in range(start + 1, k):
-                    acc = coerce(entry(col, j)) * minors[j] - sup[j] * acc
-        except BaseException:
-            # the row lands whole or not at all, its packed a(col-1, col) too
-            del sup[max(col, 1):]
-            self._packs[2].pop(col, None)
-            raise
-        self._start = start
-        minors.append(acc)
-
-    def _packed_row(self, col: int, start: int) -> QPoly:
-        """D_k, k = col + 1, over ``QPOLY``: the row's recurrence as integers at q = 2^w.
-
-        Evaluation at q = 2^w is a ring homomorphism, so the recurrence runs
-        on packed values, a term's Laurent exponents aligned with the sum's by
-        a shift of w bits per exponent; only reading D_k off its signed
-        base-2^w digits needs a bound.  ||fg||_1 <= ||f||_1 ||g||_1 gives
-        ||D_k||_1 <= N_(k-1), where N_start = ||a(k-1, start)||_1 ||D_start||_1
-        and N_j = ||a(k-1, j)||_1 ||D_j||_1 + ||a(j-1, j)||_1 N_(j-1), so
-        ``_kron_width(N_(k-1))`` bits hold every coefficient.  The same bound
-        covers each packed operand: a minor is used only next to a nonzero
-        entry, and a superdiagonal entry only on a nonzero sum, where N is at
-        least 1 and does not fall.  The minors and superdiagonal entries stay
-        packed, from the first row that uses each, at a width that only grows,
-        at least doubling, so each is packed once per width (measured faster
-        than repacking them at each row's own width); the row's entries are
-        packed once.  Entries go through the ``_kron_pack`` memo unless the
-        sweep was given ``_kron_pack_fresh`` for them (cleared rows never
-        recur); a minor never recurs and is packed outside it.  A row of one
-        term is one ``QPoly`` product.
-        """
-        minors, sup = self._minors, self._super
-        row = [self.ring.coerce(self.entry(col, j)) for j in range(start, col + 1)]
-        if len(row) == 1:
-            return row[0] * minors[start]
-        norms = self._norms
-        while len(norms) <= col:
-            norms.append(sum(map(abs, minors[len(norms)]._vals)))
-        bound = 0  # a(start-1, start) is zero, so N_start has no second term
-        for j, a in enumerate(row, start):
-            bound = sum(map(abs, a._vals)) * norms[j] + sum(map(abs, sup[j]._vals)) * bound
-        width, packed, packed_sup = self._packs
-        need = _kron_width(bound)
-        if need > width:
-            width, packed, packed_sup = self._packs = (max(need, 2 * width), {}, {})
-        pack_entry = self._pack_entry
-        acc = low = hi = 0  # acc is the sum of coefficient i of q^(low + i) at q = 2^w
-        for j, a in enumerate(row, start):
-            if acc:
-                s = sup[j]
-                p = packed_sup.get(j)
-                if p is None:
-                    p = packed_sup[j] = _pack(s, width, pack_entry)
-                acc = -acc * p
-                low += s._low
-                hi += s._low + len(s._vals) - 1
-            d = minors[j]
-            if a and d:
-                p = packed.get(j)
-                if p is None:
-                    p = packed[j] = _pack(d, width, _kron_pack_fresh)
-                term = _pack(a, width, pack_entry) * p
-                t_low = a._low + d._low
-                t_hi = t_low + len(a._vals) + len(d._vals) - 2
-                if not acc:
-                    acc, low, hi = term, t_low, t_hi
-                    continue
-                if t_low < low:
-                    acc <<= width * (low - t_low)
-                    low = t_low
-                else:
-                    term <<= width * (t_low - low)
-                acc += term
-                hi = max(hi, t_hi)
-        if not acc:
-            return QP_ZERO
-        return _from_dense(_kron_unpack_signed(acc, width, hi - low + 1), low)
+    vals = p._vals
+    if not vals:
+        return 0
+    return (pack(vals, width) if len(vals) > 1 else vals[0]) << (width * (p._low - low))
 
 
 def det_hessenberg(m: Matrix):
     """Determinant of a lower Hessenberg matrix (a(i, j) = 0 for j > i + 1).
 
-    Runs ``LeadingMinors`` over the matrix's entries: O(n^2) ring products,
-    no division, no pivoting, so zero leading minors need no special case.
-    Over ``QPOLY`` those products are integer products at q = 2^w, one row
-    at a time, with w from the l1 bound of ``LeadingMinors._packed_row``.
-    Raises ``ValueError`` on a matrix that is not lower Hessenberg.
+    Runs ``BandedMinors`` at m = 1 (Hyman's method) over the matrix's
+    entries, with zero beyond its last column: O(n^2) ring products, no
+    division, no pivoting, so zero leading minors and zero superdiagonal
+    entries need no special case.  Over ``QPOLY`` those products are integer
+    products at q = 2^w, with w from the l1 bound of the expansion.  Raises
+    ``ValueError`` on a matrix that is not lower Hessenberg.
     """
     n = _square(m)
-    data = m.data
-    return LeadingMinors(lambda i, j: data[i * n + j], m.ring)[n]
-
-
-def _step(s: list[int], lam: int, h: int, y: list[int]) -> list[int]:
-    """lam * s - h * y entry-wise: one substitution step of ``BandedMinors``."""
-    if h:
-        return [lam * a - h * b for a, b in zip(s, y)]
-    return s if lam == 1 else [lam * a for a in s]
+    data, zero = m.data, m.ring.zero
+    return BandedMinors(lambda i, j: data[i * n + j] if j < n else zero, m.ring, 1)[n]
 
 
 def _repack(v: int, old: int, new: int) -> int:
     """A polynomial at q = 2^old, each coefficient below 2^(old-1) in size, at q = 2^new.
 
     Its signed digits, biased by 2^(old-1), are widened byte-wise (``_restride``)
-    and the bias is taken off again at the new stride.
+    and the bias is taken off again at the new stride.  A constant is its own
+    digit at every width.
     """
     count = abs(v).bit_length() // old + 1
+    if count == 1 and abs(v) < 1 << (old - 1):
+        return v
     data = (v + _kron_bias(old, count)).to_bytes(old // 8 * count, "little")
     wide = int.from_bytes(_restride(data, old // 8, new // 8, count), "little")
     return wide - (_kron_bias(new, count) >> (new - old))
 
 
-# the least width of a banded q-polynomial sweep: below it an integer
-# product costs about the same, and each doubling repacks every kept value
+def _steps(a: int, lams: Sequence[int], hs: Sequence[int], ys: Sequence[int], unit: bool) -> int:
+    """a after the steps a <- lam a - h y, one per (lam, h, y); one sum if every lam is 1."""
+    if unit:
+        return a - sum(map(operator.mul, hs, ys))
+    for lam, h, y in zip(lams, hs, ys):
+        a = lam * a - h * y
+    return a
+
+
+# the least width of a sweep at m >= 2: below it an integer product costs
+# about the same, and each doubling repacks every kept value
 _BAND_WIDTH = 64
 
 
 class BandedMinors:
     """det H_n for n = 0, 1, ... of a banded matrix: h(i, j) = 0 for j > i + m.
 
-    The matrix is given by ``entry(i, j)`` over ``ring`` and may be unbounded,
-    as for ``LeadingMinors``, and its outer diagonal lambda_k = h(k, k + m)
-    must be nonzero.  With t = n - m, rows < t of H_n on the columns >= m are
-    lower triangular with diagonal lambda_0 .. lambda_(t-1), so eliminating
-    against them leaves an m x m Schur complement (for m = 1 this is Hyman's
-    method).  Fraction-free, row r starts from the m-vector
-    s_r^(0) = h(r, 0..m-1) and takes the steps
+    The matrix is given by ``entry(i, j)`` over ``ring`` and may be unbounded:
+    ``self[n]`` grows it one row and one column per size up to n x n, so the
+    n x n determinant of a family whose entries do not depend on n is read
+    off one sweep at every n.  Write lambda_k = h(k, k + m) for its outer
+    diagonal.  With t = n - m, rows < t of H_n on the columns >= m are lower
+    triangular with diagonal lambda_0 .. lambda_(t-1), so eliminating against
+    them leaves an m x m Schur complement.  Fraction-free, row r starts from
+    the m-vector s_r^(0) = h(r, 0..m-1) and takes the steps
 
         s_r^(k+1) = lambda_k s_r^(k) - h(r, m + k) y_k,   y_k = s_k^(k),
 
-    two products and no division; up to sign, s_r^(k) is the (k+1)-minor on
-    rows 0..k-1, r and columns m..m+k-1 and one column < m.  Then
+    two products per component and no division; up to sign, s_r^(k) is the
+    (k+1)-minor on rows 0..k-1, r and columns m..m+k-1 and one column < m.
+    While every lambda_k is 1 a row's steps add up to one sum of products,
+    s_r^(0) - sum_k h(r, m + k) y_k.  Then
 
         det H_n = (-1)^(m t) det S_n / D_t^(m-1),
 
@@ -485,35 +340,63 @@ class BandedMinors:
     D_t = lambda_0 ... lambda_(t-1) (det H_n = D_n for m = 0); the quotient
     is exact, and ``exact_quotient`` raises on a remainder.  For n <= m,
     det H_n is the determinant of the leading n x n block of the s_r^(0).
-    Both small determinants are memoized Laplace expansions (``det_cofactor``),
-    which take products only: a Bareiss step would divide the large values of
-    S_n.  Growing H_n by one size takes the step t on the m rows in [t, n)
-    and every step so far on the new row: O(n m) products.  The sweep keeps
-    the y_k and lambda_k, the m-vectors of the rows in [t, n), each with its
-    entries h(r, m + t .. r + m) still to be used, and every det H_n read.
+    A 1 x 1 block is its entry; a larger one is a memoized Laplace expansion
+    (``det_cofactor``), which takes products only: a Bareiss step would
+    divide the large values of S_n.
+
+    At m = 1 this is Hyman's method, the Horner form of the expansion of
+    det H_n along its last row: y_k = (-1)^k det H_(k+1), each step is the
+    Laplace expansion of a (k+2)-minor along its last column, and D_t^0 = 1
+    divides nothing, so D_t is not kept.  So at m <= 1 a zero outer-diagonal
+    entry needs no special case (at m = 0 it makes every later det H_n zero),
+    while at m >= 2 the step that reaches one raises ``ValueError``.
+
+    Growing H_n by one size takes the step t on the m rows in [t, n) and
+    every step so far on the new row: O(n m) products.  The sweep keeps the
+    y_k, one list per component, the lambda_k, the m-vectors of the rows in
+    [t, n), each with its entries h(r, m + t .. r + m) still to be used, and
+    every det H_n read.
 
     The sweep runs over the integers.  A fraction ring's row r is cleared
     once (``clear_row``, over its entries (r, 0..r+m)), and det H_n is the
     integral value over the product of the row lcms, reduced once.  A
     q-polynomial row (cleared or not) is divided by q to its lowest exponent
-    and evaluated at q = 2^w, so every step is an integer product.  The
-    width w holds the bounds of ``_det_kronecker`` for H_n: Hadamard's
-    product, over the rows, of the l2 norm of the l1 norms of their entries
-    in columns < max(n, m) (a factor below 1 counted as 1) bounds the
-    coefficients of det H_n and of every kept value, each a minor on those
-    columns, and the sum of the row spans bounds the degree of det H_n.  So
-    each row in [t, n) keeps the partial sums of squared l1 norms it still
-    needs.  The width only grows, at least doubling, and each kept value is
-    then unpacked at the old width and packed at the new one.  det H_n is
-    read off its signed base-2^w digits (a leftover raises).  Entries are
-    packed through the ``_kron_pack`` memo, except cleared rows, which never
-    recur.
+    and evaluated at q = 2^w, so every step is an integer product, and
+    det H_n is read off its signed base-2^w digits.  The width w holds every
+    coefficient of det H_n, of the kept values and of the entries packed:
+
+    - at m <= 1 it is the least width above the l1 recurrence of the
+      expansion and above every entry of the row.  ||fg||_1 <= ||f||_1
+      ||g||_1 bounds the new row's ||s^(k+1)||_1 by N_(k+1) =
+      ||lambda_k||_1 N_k + ||h(n, 1 + k)||_1 ||y_k||_1 from N_0 =
+      ||h(n, 0)||_1 (at m = 0, det H_(n+1) by ||lambda_n||_1 ||det H_n||_1),
+      with the actual l1 norms of the values read;
+    - at m >= 2 it holds the bounds of ``_det_kronecker`` for H_n:
+      Hadamard's product, over the rows, of the l2 norm of the l1 norms of
+      their entries in columns < max(n, m) (a factor below 1 counted as 1)
+      bounds the coefficients of det H_n and of every kept value, each a
+      minor on those columns.  So each row in [t, n) keeps the partial sums
+      of squared l1 norms it still needs.  w starts at 64 bits
+      (``_BAND_WIDTH``) and at least doubles when it grows.
+
+    The width only grows, and each kept value is then unpacked at the old
+    width and packed at the new one.  Entries are packed through the
+    ``_kron_pack`` memo, except cleared rows, which never recur.
 
     Adding column c raises ``ValueError`` if one of its entries beyond the
-    band is nonzero, and a step raises ``ValueError`` at a zero outer-diagonal
-    entry.  A size lands whole or not at all: its entries are all read, and
-    its checks made, before the kept values change.
+    band is nonzero.  A size lands whole or not at all: its entries are all
+    read, and its checks made, before the kept values change.
     """
+
+    _unit = True  # every lambda_k so far is 1
+    _d = 1  # D_t, at m != 1
+    _scale = None  # over a fraction ring, the product of the row lcms
+    # over q-polynomials: the width (0 over the integers), the sum of the row
+    # shifts and, at m >= 2, the product of the squared Hadamard factors of
+    # the rows < t
+    _width = 0
+    _shift = 0
+    _norm2 = 1
 
     def __init__(self, entry: Callable[[int, int], object], ring: Ring, m: int):
         if m < 0:
@@ -521,22 +404,22 @@ class BandedMinors:
         self.entry = entry
         self.ring = ring
         self.m = m
-        self._pack_entry = _kron_pack_fresh if ring.integral else _kron_pack
         self._dets = [ring.one]
-        self._ys: list[list[int]] = []
+        self._ys: list[list[int]] = [[] for _ in range(m)]  # _ys[c][k]: component c of y_k
         self._lams: list[int] = []
-        self._d = 1  # D_t
         # for r in [t, n): s_r, the entries h(r, m + t .. r + m), and over
-        # q-polynomials the row's lowest exponent and its squared Hadamard
-        # factors at sizes n .. r + m + 1 (partial sums of squared l1 norms)
+        # q-polynomials the row's lowest exponent and, at m >= 2, its squared
+        # Hadamard factors at sizes n .. r + m + 1 (partial sums of squared
+        # l1 norms)
         self._rows: list[tuple[list[int], list, int, list[int]]] = []
-        self._scale = ring.integral.one if ring.integral else None  # the row lcms' product
-        # q-polynomial rows: the width (0 over the integers), the product of
-        # the squared Hadamard factors of the rows < t, and the sums of the
-        # row shifts and of the row spans
-        self._width = _BAND_WIDTH if QPOLY in (ring, ring.integral) else 0
-        self._norm2 = 1
-        self._shift = self._span = 0
+        if ring.integral:
+            self._scale = ring.integral.one
+        if QPOLY in (ring, ring.integral):
+            self._width = _BAND_WIDTH if m > 1 else _kron_width(0)
+            self._pack_entry = _kron_pack_fresh if ring.integral else _kron_pack
+            # at m <= 1, the l1 norms of the lambda_k and of each integral det H_n read
+            self._lam_norms: list[int] = []
+            self._norms = [1]
 
     def __len__(self) -> int:
         """How many sizes are computed so far."""
@@ -558,83 +441,119 @@ class BandedMinors:
             if entry(i, n):
                 raise ValueError(
                     f"not banded: entry ({i}, {n}) beyond the band j <= i + {m} is nonzero")
-        row = [ring.coerce(entry(n, j)) for j in range(n + m + 1)]
-        scale = self._scale
+        coerce = ring.coerce
+        row = [coerce(entry(n, j)) for j in range(n + m + 1)]
+        rows = self._rows
+        if m > 1 and n >= m and not rows[0][1][0]:
+            raise ValueError(f"outer-diagonal entry ({n - m}, {n}) is zero")
+        # every entry is read and checked: from here on the kept values change
         if ring.integral:
             row, lcm = clear_row(row, ring)
-            scale = scale * lcm
-        ys, lams, d, rows = self._ys, self._lams, self._d, self._rows
-        width, norm2, shift, span = self._width, self._norm2, self._shift, self._span
-        row_low, sums = 0, []
+            self._scale *= lcm
+        ys, lams, width = self._ys, self._lams, self._width
+        low = part = None
         if width:
-            entries = [v for v in row if v]
-            if entries:
-                row_low = min(v._low for v in entries)
-                shift += row_low
-                span += max(v._low + len(v._vals) for v in entries) - 1 - row_low
-            cum = list(itertools.accumulate(sum(map(abs, v._vals)) ** 2 for v in row))
-            sums = [cum[max(j, m - 1)] for j in range(n, n + m + 1)]
-            # the Hadamard factors of H_(n+1), each row on its columns <= n and
-            # < m (those of its m-vector); the row that leaves at step t below
-            # (row t) is whole, so its factor moves into norm2
-            rows = [(s, rest, base, part[1:]) for s, rest, base, part in rows]
-            if n >= m:
-                norm2 *= max(rows[0][3][0] if m else sums[0], 1)
-            need = norm2
-            for _, _, _, part in rows[1:] if n >= m else rows:
-                need *= max(part[0], 1)
-            if m:
-                need *= max(sums[0], 1)
-            need = _kron_width(math.isqrt(need) + 1)
-            if need > width:
-                old, width = width, max(need, 2 * width)
-                ys = [[_repack(v, old, width) for v in y] for y in ys]
-                lams = [_repack(v, old, width) for v in lams]
-                d = _repack(d, old, width)
-                rows = [([_repack(v, old, width) for v in s], rest, base, part)
-                        for s, rest, base, part in rows]
-            pack_entry = self._pack_entry
-
-            def pack(v, base):
-                return _pack(v, width, pack_entry) << (width * (v._low - base)) if v else 0
+            low, part = self._fit(row, n)
+            ys, lams, rows, width = self._ys, self._lams, self._rows, self._width
+            pack = self._pack_entry
+        if m == 1:  # Hyman's method: the m-vectors are scalars
+            ys = ys[0]
+            if n:  # row n - 1 leaves with y_(n-1) and lambda_(n-1)
+                ((y,), (lam,), base, _), = rows
+                if width:
+                    lam = _pack(lam, width, base, pack)
+                ys.append(y)
+                lams.append(lam)
+                self._unit = self._unit and lam == 1
+            head = [_pack(v, width, low, pack) for v in row[:n + 1]] if width else row
+            value = _steps(head[0], lams, head[1:n + 1], ys, self._unit)
+            self._rows = [([value], row[n + 1:], low, part)]
+            if n % 2:
+                value = -value
+        elif not m:  # det H_(n+1) = lambda_0 ... lambda_n
+            value = self._d = self._d * (_pack(row[n], width, low, pack) if width else row[n])
         else:
-            def pack(v, base):
-                return v
-        t = max(n - m, 0)  # the steps taken by the rows above
-        s = [pack(v, row_low) for v in row[:m]]
-        for k in range(t):
-            s = _step(s, lams[k], pack(row[m + k], row_low), ys[k])
-        rows = [*rows, (s, row[m + t:], row_low, sums)]
-        y = None
-        if n >= m:  # step t: row t leaves with y_t = s_t^(t) and lambda_t
-            y, (lam_t,), base, _ = rows[0]
-            if not lam_t:
-                raise ValueError(f"outer-diagonal entry ({t}, {t + m}) is zero")
-            lam = pack(lam_t, base)
-            rows = [(_step(s, lam, pack(rest[0], base), y), rest[1:], base, part)
-                    for s, rest, base, part in rows[1:]]
-            d *= lam
-        size = n + 1
-        if m:
-            k = min(size, m)  # S_n, or for size <= m the block itself
-            value = det_cofactor(Matrix(k, k, [v for s, *_ in rows for v in s[:k]], INT))
-            if size > m:
-                value = exact_quotient(value, d ** (m - 1), "det S_n / D_t^(m-1)")
-                if m * (size - m) % 2:
+            if n >= m:  # step t = n - m: row t leaves, the rows in (t, n) take the step
+                (y, (lam,), base, _), *rows = rows
+                if width:
+                    lam = _pack(lam, width, base, pack)
+                for col, v in zip(ys, y):
+                    col.append(v)
+                lams.append(lam)
+                self._unit = self._unit and lam == 1
+                self._d *= lam
+                stepped = []
+                for s, rest, base, p in rows:
+                    h = _pack(rest[0], width, base, pack) if width else rest[0]
+                    stepped.append(([lam * a - h * b for a, b in zip(s, y)], rest[1:], base, p))
+                rows = stepped
+            # the new row: s_n^(0), then a step against every row that has left
+            steps = m + len(lams)
+            head = [_pack(v, width, low, pack) for v in row[:steps]] if width else row
+            hs, unit = head[m:steps], self._unit
+            s = [_steps(head[c], lams, hs, yc, unit) for c, yc in enumerate(ys)]
+            rows.append((s, row[steps:], low, part))
+            self._rows = rows
+            if n < m:  # the leading block of the s_r^(0)
+                value = det_cofactor(
+                    Matrix(n + 1, n + 1, [v for s, *_ in rows for v in s[:n + 1]], INT))
+            else:  # det S_n / D_t^(m-1), signed
+                value = exact_quotient(
+                    det_cofactor(Matrix(m, m, [v for s, *_ in rows for v in s], INT)),
+                    self._d ** (m - 1), "det S_n / D_t^(m-1)")
+                if m * (n + 1 - m) % 2:
                     value = -value
-        else:
-            value = d
         if width:
-            value = _from_dense(_kron_unpack_signed(value, width, span + 1), shift)
+            digits = _kron_unpack_signed(value, width, abs(value).bit_length() // width + 1)
+            if m < 2:
+                self._norms.append(sum(map(abs, digits)))
+            value = _from_dense(digits, self._shift)
         if ring.integral:
-            value = type(ring.one)(value, scale)
-        if y is not None:
-            ys.append(y)
-            lams.append(lam)
-        self._ys, self._lams, self._d, self._rows = ys, lams, d, rows
-        self._width, self._norm2, self._shift, self._span = width, norm2, shift, span
-        self._scale = scale
+            value = type(ring.one)(value, self._scale)
         self._dets.append(value)
+
+    def _fit(self, row: list, n: int) -> tuple[int, list[int]]:
+        """Widen the sweep, if need be, for the q-polynomial ``row`` n.
+
+        Returns the row's lowest exponent and, at m >= 2, its partial sums of
+        squared l1 norms, and adds the exponent to the shift of det H_(n+1).
+        A wider width repacks every kept value.
+        """
+        m = self.m
+        low = min([v._low for v in row if v], default=0)
+        self._shift += low
+        norms = [sum(map(abs, v._vals)) for v in row]
+        part = []
+        if m > 1:
+            # the Hadamard factors of H_(n+1), each row on its columns <= n
+            # and < m (those of its m-vector); row t = n - m, which leaves, is
+            # whole, so its factor moves into norm2
+            cum = list(itertools.accumulate(v * v for v in norms))
+            part = [cum[max(j, m - 1)] for j in range(n, n + m + 1)]
+            rows = self._rows = [(s, rest, base, p[1:]) for s, rest, base, p in self._rows]
+            if n >= m:
+                self._norm2 *= max(rows[0][3][0], 1)
+            bound = self._norm2 * max(part[0], 1)
+            for *_, p in rows[1:] if n >= m else rows:
+                bound *= max(p[0], 1)
+            need = _kron_width(math.isqrt(bound) + 1)
+        elif m:
+            bound = norms[0]
+            for lam_norm, h_norm, y_norm in zip(self._lam_norms, norms[1:], self._norms[1:]):
+                bound = lam_norm * bound + h_norm * y_norm
+            self._lam_norms.append(norms[-1])
+            need = _kron_width(max(bound, *norms))
+        else:
+            need = _kron_width(max(norms[n] * self._norms[n], *norms))
+        old = self._width
+        if need > old:
+            new = self._width = max(need, 2 * old) if m > 1 else need
+            self._ys = [[_repack(v, old, new) for v in y] for y in self._ys]
+            self._lams = [_repack(v, old, new) for v in self._lams]
+            self._d = _repack(self._d, old, new)
+            self._rows = [([_repack(v, old, new) for v in s], rest, base, p)
+                          for s, rest, base, p in self._rows]
+        return low, part
 
 
 def clear_row(row: Sequence, ring: Ring) -> tuple[list, object]:
@@ -705,16 +624,19 @@ def _det_kronecker(m: Matrix) -> QPoly:
 def det(m: Matrix):
     """Exact determinant; the engine follows from the matrix's ring and shape.
 
-    A matrix over a fraction ring (``FRAC`` or ``QRAT``) has each row scaled
-    by the lcm of its (small) denominators; the integral determinant of the
-    result, over the product of the row scales, is reduced once by the
-    fraction type's constructor, so no gcd is taken per elimination step.
-    Then lower Hessenberg matrices use the division-free expansion of
-    ``det_hessenberg``.  Other q-polynomial matrices go through one integer
+    A 0 x 0 or 1 x 1 matrix is its own determinant.  A larger matrix over a
+    fraction ring (``FRAC`` or ``QRAT``) has each row scaled by the lcm of
+    its (small) denominators; the integral determinant of the result, over
+    the product of the row scales, is reduced once by the fraction type's
+    constructor, so no gcd is taken per elimination step.  Then lower
+    Hessenberg matrices use the division-free expansion of ``det_hessenberg``
+    (``BandedMinors`` at m = 1, where a zero superdiagonal entry needs no
+    special case).  Other q-polynomial matrices go through one integer
     determinant at q = 2^w, with w from a proven coefficient bound
     (``_det_kronecker``).  Every other matrix uses ``det_bareiss``.
     """
-    _square(m)
+    if _square(m) < 2:
+        return m.data[0] if m.data else m.ring.one
     if m.ring.integral:
         cleared, scale = _clear_rows(m)
         return type(m.ring.one)(det(cleared), scale)

@@ -19,11 +19,11 @@ bridges and properties, and sides that share per-point state.
 
 Every matrix is a ``families.Family`` built by ``families.build``.  A lower
 Hessenberg or banded family is not rebuilt per grid point: ``swept_det``
-keeps one sweep (``Family.sweep``: the leading minors of a Hessenberg family,
-row-cleared over a fraction ring, or the substitution against a banded
-family's outer diagonal) per family and parameters other than n, and reads
-each point's determinant off it, so a grid over n builds each entry of its
-largest matrix once.  In the same way each named Favard system's coefficient
+keeps one sweep (``Family.sweep``, a ``linalg.BandedMinors``: substitution
+against the family's outer diagonal, at m = 1 for a lower Hessenberg family,
+row-cleared over a fraction ring) per family and parameters other than n,
+and reads each point's determinant off it, so a grid over n builds each
+entry of its largest matrix once.  In the same way each named Favard system's coefficient
 and moment tables (``_tables``) are grown once per process and shared by
 every orthogonal-polynomial check.
 

@@ -11,9 +11,9 @@ trivial.
 A lift is itself a ``families.Family`` (``_lift``), so every lifted matrix is
 built through ``families.build``.  Every lifted determinant is read off one
 sweep per lift, modulus and parameters other than n (``registry.swept_det``):
-a leading-minor sweep for the lower Hessenberg lifts (eq107, eq109), and a
-banded sweep against the outer diagonal of ones for the eq110 lift (of
-``EQ74`` at k = 0), whose leading minors vanish.  The Hankel side of c13b (of
+a ``linalg.BandedMinors`` that substitutes against the outer diagonal of
+ones, at m = 1 for the lower Hessenberg lifts (eq107, eq109) and at the
+lift's m for eq110 (of ``EQ74`` at k = 0), whose leading minors vanish.  The Hankel side of c13b (of
 ``CATALAN_POWER_HANKEL`` at k = 0) is built and expanded per point.
 
 A conjecture search scans a grid and reports either the verified range or

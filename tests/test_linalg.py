@@ -13,7 +13,6 @@ from catdet.linalg import (
     QPOLY,
     QRAT,
     BandedMinors,
-    LeadingMinors,
     Matrix,
     Ring,
     _det_kronecker,
@@ -488,9 +487,9 @@ def test_hessenberg_rejects_other_matrices():
 def test_leading_minors_out_of_order_equal_fresh_values():
     for family in (fam.EQ1, fam.EQ83):  # integer rows, then packed q-polynomial rows
         entry, ring = family.entry, family.ring
-        minors = LeadingMinors(entry, ring)
+        minors = BandedMinors(entry, ring, 1)
         got = [minors[n] for n in (9, 3, 12)]
-        assert got == [LeadingMinors(entry, ring)[n] for n in (9, 3, 12)]
+        assert got == [BandedMinors(entry, ring, 1)[n] for n in (9, 3, 12)]
         assert got == [det_bareiss(fam.build(family, n)) for n in (9, 3, 12)]
         assert len(minors) == 13
         assert minors[0] == 1
@@ -503,7 +502,7 @@ def test_leading_minors_grow_any_hessenberg_entries():
     rng = random.Random("leading-minors")
     for ring, _, draw in HESSENBERG_RINGS:
         m = random_hessenberg(rng, 7, ring, draw)
-        minors = LeadingMinors(lambda i, j: m[i, j], ring)
+        minors = BandedMinors(lambda i, j: m[i, j] if j < 7 else ring.zero, ring, 1)
         for n in (7, 0, 4):
             block = Matrix.build(n, n, lambda i, j: m[i, j], ring)
             assert minors[n] == det_cofactor(block)
@@ -515,7 +514,7 @@ def test_leading_minors_reject_an_entry_above_the_superdiagonal_at_its_column():
             return 5
         return binomial(i + j + 1, i - j + 1)
 
-    minors = LeadingMinors(entry, INT)
+    minors = BandedMinors(entry, INT, 1)
     assert minors[4] == det_bareiss(fam.build(fam.EQ1, 4))
     with pytest.raises(ValueError, match=r"\(1, 4\)"):
         minors[5]
@@ -524,15 +523,30 @@ def test_leading_minors_reject_an_entry_above_the_superdiagonal_at_its_column():
     assert minors[4] == 14
     # a request past the column fails even when nothing was read before it
     with pytest.raises(ValueError, match=r"\(1, 4\)"):
-        LeadingMinors(entry, INT)[6]
+        BandedMinors(entry, INT, 1)[6]
 
 
 def assert_packs_match(minors):
-    """The packed minors and superdiagonal entries are those values at the kept width."""
-    width, packed, packed_sup = minors._packs
-    assert all(v == _pack(minors._minors[j], width) for j, v in packed.items())
-    assert all(v == _pack(minors._super[j], width) for j, v in packed_sup.items())
-    assert max(packed_sup, default=0) < len(minors)
+    """The kept minors and superdiagonal entries of a sweep at m = 1 are those values.
+
+    After D_0 .. D_n, the sweep keeps y_k = (-1)^k D_(k+1) and lambda_k = h(k, k + 1) for
+    k < n - 1 and row n - 1's vector, (-1)^(n-1) D_n.  Over q-polynomials each is packed at
+    the kept width, with rows 0..k divided by q to their lowest exponents.
+    """
+    width, entry = minors._width, minors.entry
+    kept = minors._ys[0] + [s for (s,), *_ in minors._rows]
+    assert len(minors._ys[0]) == len(minors._lams) == max(len(minors) - 2, 0)
+    assert len(kept) == len(minors) - 1
+    shift = 0
+    for k, v in enumerate(kept):
+        value, lam = minors[k + 1], entry(k, k + 1)
+        if width:
+            low = min((h._low for h in map(entry, [k] * (k + 2), range(k + 2)) if h), default=0)
+            shift += low
+            value, lam = _pack(value, width, shift), _pack(lam, width, low)
+        assert v == (-1) ** k * value, k
+        if k < len(minors._lams):
+            assert minors._lams[k] == lam, k
 
 
 def laurent_qpoly(rng, big):
@@ -565,24 +579,24 @@ def test_leading_minors_keep_no_half_row_when_an_entry_raises_once(cell, zero_su
         if (i, j) == cell and not raised:
             raised.append(cell)
             raise RuntimeError("transient")
-        return m[i, j]
+        return m[i, j] if j < 8 else ring.zero
 
-    minors = LeadingMinors(entry, ring)
+    minors = BandedMinors(entry, ring, 1)
     minors[4]
-    packs = minors._packs
+    width = minors._width
     with pytest.raises(RuntimeError, match="transient"):
         minors[8]
     assert raised == [cell] and len(minors) == 5
-    assert minors._packs[0] == packs[0]
+    assert minors._width == width
     assert_packs_match(minors)
     for n in range(9):
         assert minors[n] == det_bareiss(Matrix.build(n, n, lambda i, j: m[i, j], ring)), n
     assert_packs_match(minors)
     if ring is QPOLY:
-        assert minors._packs[0] > 64  # the sweep widened past eight-byte digits
+        assert minors._width > 64  # the sweep widened past eight-byte digits
 
 
-# -- packed q-polynomial rows of LeadingMinors --------------------------------
+# -- packed q-polynomial rows of the sweep at m = 1 -----------------------------
 
 def packed_sweep_input(rng, n):
     """A random n x n lower Hessenberg q-polynomial matrix for the packed rows.
@@ -613,14 +627,14 @@ def test_packed_leading_minors_equal_cofactor_and_bareiss():
     for _ in range(60):
         n = rng.randint(1, 9)
         m = packed_sweep_input(rng, n)
-        minors = LeadingMinors(lambda i, j: m[i, j], QPOLY)
+        minors = BandedMinors(lambda i, j: m[i, j] if j < n else QPoly(), QPOLY, 1)
         for k in range(n + 1):
             block = Matrix.build(k, k, lambda i, j: m[i, j], QPOLY)
             d = det_cofactor(block)
             assert minors[k] == d == det_bareiss(block), (n, k)
             cancelled += not d and all(any(row) for row in block.rows())
         assert_packs_match(minors)
-        wide += minors._packs[0] > 64
+        wide += minors._width > 64
     assert cancelled and wide
 
 
@@ -635,11 +649,11 @@ def test_packed_rows_memoize_entry_packs_and_not_minor_packs(monkeypatch):
     for _ in range(20):
         n = rng.randint(2, 9)
         m = packed_sweep_input(rng, n)
-        minors = LeadingMinors(lambda i, j: m[i, j], QPOLY)
+        minors = BandedMinors(lambda i, j: m[i, j] if j < n else QPoly(), QPOLY, 1)
         minors[n]
         entries = {v._vals for v in m.data}
         assert {vals for vals, _ in qseries._KRON_PACKED} <= entries
-        outside += sum(minors[j]._vals not in entries for j in minors._packs[1])
+        outside += sum(minors[k + 1]._vals not in entries for k in range(len(minors._ys[0])))
         qseries._KRON_PACKED.clear()
     assert outside
 
@@ -714,10 +728,25 @@ def test_packed_row_at_its_bound_on_a_byte_boundary(nbytes):
     for sign in (1, -1):
         rows = [[QPoly.monomial(-1, c), QPoly.monomial(3, c)],
                 [QPoly.monomial(-2, -sign * c), QPoly.monomial(2, sign * c)]]
-        minors = LeadingMinors(lambda i, j: rows[i][j] if j <= i + 1 else QPoly(), QPOLY)
+        minors = BandedMinors(lambda i, j: rows[i][j] if j < 2 else QPoly(), QPOLY, 1)
         assert minors[2] == QPoly.monomial(1, 2 * sign * c * c)
-        assert minors._packs[0] == 8 * nbytes
+        assert minors._width == 8 * nbytes
         assert minors[2] == det_cofactor(Matrix.from_rows(rows, QPOLY))
+
+
+@pytest.mark.parametrize("nbytes", [1, 2, 8])
+def test_packed_row_past_its_byte_boundary(nbytes):
+    # the same rows with c^2 just under 2^(8 nbytes - 1) and 2 c^2 past it:
+    # each of the row's two terms fits nbytes-byte digits, their sum, the l1
+    # bound, needs one byte more
+    c = math.isqrt(1 << (8 * nbytes - 2)) + 1
+    assert (c * c).bit_length() == 8 * nbytes - 1 and (2 * c * c).bit_length() == 8 * nbytes
+    for sign in (1, -1):
+        rows = [[QPoly.monomial(-1, c), QPoly.monomial(3, c)],
+                [QPoly.monomial(-2, -sign * c), QPoly.monomial(2, sign * c)]]
+        minors = BandedMinors(lambda i, j: rows[i][j] if j < 2 else QPoly(), QPOLY, 1)
+        assert minors[2] == QPoly.monomial(1, 2 * sign * c * c)
+        assert minors._width == 8 * nbytes + 8
 
 
 # -- banded sweeps ----------------------------------------------------------------
@@ -805,6 +834,31 @@ def test_banded_minors_on_the_paper_families():
             assert minors[n] == det(block), (x, m, n)
             if n <= 6:
                 assert minors[n] == det_cofactor(block), (x, m, n)
+
+
+@pytest.mark.parametrize("ring", [INT, FRAC, QPOLY, QRAT], ids=lambda r: r.name)
+@pytest.mark.parametrize("m", [0, 1])
+def test_banded_minors_take_zero_outer_diagonal_entries_at_m_up_to_1(ring, m):
+    # nothing is divided at m <= 1: the outer-diagonal entries (1, 1 + m),
+    # (3, 3 + m) and (4, 4 + m) are zero, and so is row 6; a zero diagonal
+    # entry of the random matrix is made 1
+    size = 7 if ring is QRAT else 8
+    rng = random.Random(f"zero-outer-low:{ring.name}:{m}")
+    h = random_banded(rng, size, m, ring)
+    zeros = {(1, 1 + m), (3, 3 + m), (4, 4 + m)}
+
+    def entry(i, j):
+        if (i, j) in zeros or i == 6 or j >= size:
+            return ring.zero
+        return h[i, j] or (ring.one if i == j else ring.zero)
+    minors = BandedMinors(entry, ring, m)
+    values = [minors[n] for n in range(size + 1)]
+    for n, value in enumerate(values):
+        assert value == det_cofactor(Matrix.build(n, n, entry, ring)), n
+    assert not any(values[7:])  # row 6 is zero
+    # at m = 1 the sizes between the zero superdiagonal entries do not all
+    # vanish; at m = 0 every size from 2 on holds the zero entry (1, 1)
+    assert any(values[2:7]) == (m == 1)
 
 
 @pytest.mark.parametrize("ring", [INT, QPOLY, QRAT], ids=lambda r: r.name)

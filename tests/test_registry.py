@@ -1,12 +1,15 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import catdet.residues  # noqa: F401  (registers the modular checks)
 from catdet import families as fam
 from catdet.exact import choose2
-from catdet.linalg import FRAC, QRAT, det, det_bareiss, det_cofactor
+from catdet.linalg import (FRAC, QRAT, BandedMinors, _clear_rows, _det_kronecker, det, det_bareiss,
+                           det_cofactor)
 from catdet.qseries import ONE, Q, QPoly, QRat, q_binomial, q_int
 from catdet.registry import (
     CHECKS,
@@ -18,6 +21,8 @@ from catdet.registry import (
     verify_range,
 )
 from oracles import q_pochhammer
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def P(*terms):
@@ -362,10 +367,36 @@ def test_swept_family_minors_equal_bareiss(family, points):
                 assert minors[n] == det_bareiss(m), (params, n)
                 continue
             # q-rational Bareiss takes a gcd per step, too slow at n = 12: det
-            # clears each matrix's rows itself, and cofactors are a second route
+            # clears each matrix's rows itself, and cofactors are a second
+            # route.  Past them, det of a lower Hessenberg matrix runs the
+            # sweep's own engine, so Bareiss of the cleared rows at q = 2^w
+            # is the second route (det of a banded one already is it);
+            # SEC33 takes it to n = 10 (n = 11, 12 take 0.4-1.6 s each)
             assert minors[n] == det(m), (params, n)
             if n <= 6:
                 assert minors[n] == det_cofactor(m), (params, n)
+            elif family.band is None and (family is not fam.SEC33 or n <= 10):
+                cleared, scale = _clear_rows(m)
+                assert minors[n] == QRat(_det_kronecker(cleared), scale), (params, n)
+
+
+def test_every_swept_family_sweeps_through_banded_minors():
+    # one sweep engine: each swept family is read off a BandedMinors (at m = 1
+    # when lower Hessenberg), and no module of the package defines a second
+    # class that grows a matrix and reads its sizes by index
+    for family, points in SWEPT_FAMILIES:
+        for params in points:
+            sweep = family.sweep(**params)
+            assert type(sweep) is BandedMinors, family
+            assert sweep.m == (params[family.band] if family.band else 1), family
+    found = []
+    for path in sorted((SRC / "catdet").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                methods = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+                if {"__getitem__", "__len__"} <= methods or "_grow" in methods:
+                    found.append(f"{path.name}:{node.name}")
+    assert found == ["linalg.py:BandedMinors"]
 
 
 def _random_fraction_hessenberg(seed, ring):

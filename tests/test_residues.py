@@ -4,7 +4,7 @@ import pytest
 
 from catdet import registry, residues
 from catdet.exact import binomial
-from catdet.linalg import INT, BandedMinors, LeadingMinors, Matrix, det_bareiss
+from catdet.linalg import INT, BandedMinors, Matrix, det_bareiss
 from catdet.registry import Bounds, run_check
 from catdet.residues import (
     conjecture_search,
@@ -205,7 +205,7 @@ def test_counterexample_recheck_recomputes_instead_of_reading_the_sweep(monkeypa
     def entry(i, j):
         return 2 if (i, j) == (0, 0) else binomial(i + j + 1, i - j + 1) % 2
 
-    cases = [("c13a", "eq109", {"k": 1}, LeadingMinors(entry, INT)),
+    cases = [("c13a", "eq109", {"k": 1}, BandedMinors(entry, INT, 1)),
              ("c13b", "eq110", {"m": 1, "k": 0}, BandedMinors(entry, INT, 1))]
     for cid, lift, params, sweep in cases:
         key = (residues._LIFT_FAMILIES[lift], *sorted({**params, "p": 2}.items()))
