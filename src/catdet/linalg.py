@@ -381,21 +381,28 @@ class BandedMinors:
 
     The width only grows, and each kept value is then unpacked at the old
     width and packed at the new one.  Entries are packed through the
-    ``_kron_pack`` memo, except cleared rows, which never recur.
+    ``_kron_pack`` memo, except cleared rows, which never recur.  det H_n
+    is unpacked with as many digits as its bit length needs; more digits
+    than its degree bound (the sum of the rows' spans) plus one mean that a
+    carry left its top coefficient, so the width was too narrow, and raise
+    ``ArithmeticError``.
 
     Adding column c raises ``ValueError`` if one of its entries beyond the
-    band is nonzero.  A size lands whole or not at all: its entries are all
-    read, and its checks made, before the kept values change.
+    band is nonzero.  A size lands whole or not at all: it is built in
+    locals, except that y_t and lambda_t join the kept lists before the new
+    row's steps, and those two are taken off again if anything raises
+    before det H_(n+1) is read, so the sweep is left as it was.
     """
 
     _unit = True  # every lambda_k so far is 1
-    _d = 1  # D_t, at m != 1
+    _d = 1  # D_t, at m >= 2; at m = 0, det H_n
     _scale = None  # over a fraction ring, the product of the row lcms
-    # over q-polynomials: the width (0 over the integers), the sum of the row
-    # shifts and, at m >= 2, the product of the squared Hadamard factors of
-    # the rows < t
+    # over q-polynomials: the width (0 over the integers), the sums of the
+    # row shifts and of the row spans and, at m >= 2, the product of the
+    # squared Hadamard factors of the rows < t
     _width = 0
     _shift = 0
+    _span = 0
     _norm2 = 1
 
     def __init__(self, entry: Callable[[int, int], object], ring: Ring, m: int):
@@ -443,97 +450,106 @@ class BandedMinors:
                     f"not banded: entry ({i}, {n}) beyond the band j <= i + {m} is nonzero")
         coerce = ring.coerce
         row = [coerce(entry(n, j)) for j in range(n + m + 1)]
-        rows = self._rows
+        ys, lams, d, rows, width = self._ys, self._lams, self._d, self._rows, self._width
         if m > 1 and n >= m and not rows[0][1][0]:
             raise ValueError(f"outer-diagonal entry ({n - m}, {n}) is zero")
-        # every entry is read and checked: from here on the kept values change
+        scale = self._scale
         if ring.integral:
             row, lcm = clear_row(row, ring)
-            self._scale *= lcm
-        ys, lams, width = self._ys, self._lams, self._width
+            scale *= lcm
         low = part = None
         if width:
-            low, part = self._fit(row, n)
-            ys, lams, rows, width = self._ys, self._lams, self._rows, self._width
+            width, low, span, part, rows, norm2, lam_norm = self._fit(row, n)
+            old = self._width
+            if width > old:  # every kept value, at the new width
+                ys = [[_repack(v, old, width) for v in y] for y in ys]
+                lams = [_repack(v, old, width) for v in lams]
+                d = _repack(d, old, width)
+                rows = [([_repack(v, old, width) for v in s], rest, base, p)
+                        for s, rest, base, p in rows]
             pack = self._pack_entry
-        if m == 1:  # Hyman's method: the m-vectors are scalars
-            ys = ys[0]
-            if n:  # row n - 1 leaves with y_(n-1) and lambda_(n-1)
-                ((y,), (lam,), base, _), = rows
-                if width:
-                    lam = _pack(lam, width, base, pack)
-                ys.append(y)
-                lams.append(lam)
-                self._unit = self._unit and lam == 1
-            head = [_pack(v, width, low, pack) for v in row[:n + 1]] if width else row
-            value = _steps(head[0], lams, head[1:n + 1], ys, self._unit)
-            self._rows = [([value], row[n + 1:], low, part)]
-            if n % 2:
-                value = -value
-        elif not m:  # det H_(n+1) = lambda_0 ... lambda_n
-            value = self._d = self._d * (_pack(row[n], width, low, pack) if width else row[n])
-        else:
-            if n >= m:  # step t = n - m: row t leaves, the rows in (t, n) take the step
-                (y, (lam,), base, _), *rows = rows
-                if width:
-                    lam = _pack(lam, width, base, pack)
-                for col, v in zip(ys, y):
-                    col.append(v)
-                lams.append(lam)
-                self._unit = self._unit and lam == 1
-                self._d *= lam
-                stepped = []
-                for s, rest, base, p in rows:
-                    h = _pack(rest[0], width, base, pack) if width else rest[0]
-                    stepped.append(([lam * a - h * b for a, b in zip(s, y)], rest[1:], base, p))
-                rows = stepped
-            # the new row: s_n^(0), then a step against every row that has left
-            steps = m + len(lams)
-            head = [_pack(v, width, low, pack) for v in row[:steps]] if width else row
-            hs, unit = head[m:steps], self._unit
-            s = [_steps(head[c], lams, hs, yc, unit) for c, yc in enumerate(ys)]
-            rows.append((s, row[steps:], low, part))
-            self._rows = rows
-            if n < m:  # the leading block of the s_r^(0)
-                value = det_cofactor(
-                    Matrix(n + 1, n + 1, [v for s, *_ in rows for v in s[:n + 1]], INT))
-            else:  # det S_n / D_t^(m-1), signed
-                value = exact_quotient(
-                    det_cofactor(Matrix(m, m, [v for s, *_ in rows for v in s], INT)),
-                    self._d ** (m - 1), "det S_n / D_t^(m-1)")
-                if m * (n + 1 - m) % 2:
-                    value = -value
+        unit, t = self._unit, len(lams)
+        try:
+            if not m:  # det H_(n+1) = lambda_0 ... lambda_n
+                value = d = d * (_pack(row[n], width, low, pack) if width else row[n])
+            else:
+                if n >= m:  # step t = n - m: row t leaves, the rows in (t, n) take the step
+                    (y, (lam,), base, _), *rows = rows
+                    if width:
+                        lam = _pack(lam, width, base, pack)
+                    for col, v in zip(ys, y):
+                        col.append(v)
+                    lams.append(lam)
+                    stepped = []
+                    for s, rest, base, p in rows:
+                        h = _pack(rest[0], width, base, pack) if width else rest[0]
+                        stepped.append(([lam * a - h * b for a, b in zip(s, y)], rest[1:], base, p))
+                    rows = stepped
+                    unit = unit and lam == 1
+                    if m > 1:
+                        d *= lam
+                # the new row: s_n^(0), then a step against every row that has left
+                steps = m + len(lams)
+                head = [_pack(v, width, low, pack) for v in row[:steps]] if width else row
+                hs = head[m:steps]
+                s = [_steps(a, lams, hs, yc, unit) for a, yc in zip(head, ys)]
+                rows = [*rows, (s, row[steps:], low, part)]
+                k = min(n + 1, m)  # the rows of S_n, or for n < m the leading block
+                value = rows[0][0][0] if k == 1 else det_cofactor(
+                    Matrix(k, k, [v for s, *_ in rows for v in s[:k]], INT))
+                if n >= m:
+                    if m > 1:  # det S_n / D_t^(m-1)
+                        value = exact_quotient(value, d ** (m - 1), "det S_n / D_t^(m-1)")
+                    if m * (n + 1 - m) % 2:
+                        value = -value
+            if width:
+                count = abs(value).bit_length() // width + 1
+                if count > span + 1:
+                    raise ArithmeticError(
+                        f"det H_{n + 1} has {count} digits at width {width}, past its degree {span}")
+                digits = _kron_unpack_signed(value, width, count)
+                shift = self._shift + low
+                value = _from_dense(digits, shift)
+            if ring.integral:
+                value = type(ring.one)(value, scale)
+        except BaseException:  # y_t and lambda_t leave the kept lists again
+            del self._lams[t:]
+            for col in self._ys:
+                del col[t:]
+            raise
+        # keep the new size
+        self._ys, self._lams, self._d, self._rows, self._scale = ys, lams, d, rows, scale
+        self._unit = unit
         if width:
-            digits = _kron_unpack_signed(value, width, abs(value).bit_length() // width + 1)
+            self._width, self._span, self._shift, self._norm2 = width, span, shift, norm2
             if m < 2:
                 self._norms.append(sum(map(abs, digits)))
-            value = _from_dense(digits, self._shift)
-        if ring.integral:
-            value = type(ring.one)(value, self._scale)
+                self._lam_norms.append(lam_norm)
         self._dets.append(value)
 
-    def _fit(self, row: list, n: int) -> tuple[int, list[int]]:
-        """Widen the sweep, if need be, for the q-polynomial ``row`` n.
+    def _fit(self, row: list, n: int):
+        """With the q-polynomial ``row`` n: the sweep's width and the new bookkeeping.
 
-        Returns the row's lowest exponent and, at m >= 2, its partial sums of
-        squared l1 norms, and adds the exponent to the shift of det H_(n+1).
-        A wider width repacks every kept value.
+        That is the width, the row's lowest exponent, the sum of the row
+        spans, the row's and the kept rows' squared Hadamard factors (these
+        advanced by one size), norm2, and the l1 norm of the row's last entry.
         """
         m = self.m
         low = min([v._low for v in row if v], default=0)
-        self._shift += low
+        high = max([v._low + len(v._vals) for v in row if v], default=low + 1)
+        span = self._span + high - 1 - low
         norms = [sum(map(abs, v._vals)) for v in row]
-        part = []
+        rows, norm2, part = self._rows, self._norm2, []
         if m > 1:
             # the Hadamard factors of H_(n+1), each row on its columns <= n
             # and < m (those of its m-vector); row t = n - m, which leaves, is
             # whole, so its factor moves into norm2
             cum = list(itertools.accumulate(v * v for v in norms))
             part = [cum[max(j, m - 1)] for j in range(n, n + m + 1)]
-            rows = self._rows = [(s, rest, base, p[1:]) for s, rest, base, p in self._rows]
+            rows = [(s, rest, base, p[1:]) for s, rest, base, p in rows]
             if n >= m:
-                self._norm2 *= max(rows[0][3][0], 1)
-            bound = self._norm2 * max(part[0], 1)
+                norm2 *= max(rows[0][3][0], 1)
+            bound = norm2 * max(part[0], 1)
             for *_, p in rows[1:] if n >= m else rows:
                 bound *= max(p[0], 1)
             need = _kron_width(math.isqrt(bound) + 1)
@@ -541,19 +557,12 @@ class BandedMinors:
             bound = norms[0]
             for lam_norm, h_norm, y_norm in zip(self._lam_norms, norms[1:], self._norms[1:]):
                 bound = lam_norm * bound + h_norm * y_norm
-            self._lam_norms.append(norms[-1])
             need = _kron_width(max(bound, *norms))
         else:
             need = _kron_width(max(norms[n] * self._norms[n], *norms))
         old = self._width
-        if need > old:
-            new = self._width = max(need, 2 * old) if m > 1 else need
-            self._ys = [[_repack(v, old, new) for v in y] for y in self._ys]
-            self._lams = [_repack(v, old, new) for v in self._lams]
-            self._d = _repack(self._d, old, new)
-            self._rows = [([_repack(v, old, new) for v in s], rest, base, p)
-                          for s, rest, base, p in self._rows]
-        return low, part
+        width = old if need <= old else max(need, 2 * old) if m > 1 else need
+        return width, low, span, part, rows, norm2, norms[-1]
 
 
 def clear_row(row: Sequence, ring: Ring) -> tuple[list, object]:

@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ from itertools import combinations, permutations
 import pytest
 
 from catdet import families as fam
+from catdet import linalg
 from catdet.exact import binomial
 from catdet.linalg import (
     FRAC,
@@ -416,8 +418,6 @@ def test_det_on_dense_matrices_is_bareiss():
 
 
 def test_condensation_reports_its_fallback(monkeypatch):
-    from catdet import linalg
-
     calls = []
 
     def bareiss(m):
@@ -925,6 +925,74 @@ def test_banded_minors_keep_no_half_size_when_an_entry_raises_once(cell, before,
         assert minors[n] == det(Matrix.build(n, n, lambda i, j: h[i, j], ring)), n
     if ring is QPOLY:
         assert minors._width > 64
+
+
+def sweep_state(minors):
+    """A deep copy of everything a sweep keeps between sizes."""
+    names = ["_dets", "_ys", "_lams", "_d", "_rows", "_unit", "_scale", "_width", "_shift",
+             "_span", "_norm2", "_norms", "_lam_norms"]
+    return copy.deepcopy({name: getattr(minors, name, None) for name in names})
+
+
+@pytest.mark.parametrize("ring,m,late", [
+    (INT, 2, "exact_quotient"), (FRAC, 2, "exact_quotient"), (QPOLY, 2, "exact_quotient"),
+    (QPOLY, 1, "_from_dense"), (QRAT, 1, "_from_dense"), (QPOLY, 0, "_from_dense"),
+], ids=lambda v: getattr(v, "name", v))
+def test_banded_minors_keep_no_half_size_when_a_late_step_raises_once(ring, m, late, monkeypatch):
+    # the size's entries are read and its steps taken, over QPOLY at a size
+    # whose width grows, and then the quotient by D_t^(m-1) or the reading
+    # of det H_n raises: the size is built again, whole, on the next request.
+    # Over a fraction ring the row's lcm is taken before the raise
+    rng = random.Random(f"late-raise:{ring.name}:{m}")
+    h = random_banded(rng, 12, m, ring, 10 ** 12 if ring in (QPOLY, QRAT) else 9)
+
+    def entry(i, j):
+        return h[i, j] if i < 12 and j < 12 else ring.zero
+    target = 6
+    if ring in (QPOLY, QRAT):
+        ref, widths = BandedMinors(entry, ring, m), []
+        for n in range(13):
+            ref[n]
+            widths.append(ref._width)
+        target = next(n for n in range(m + 2, 13) if widths[n] > widths[n - 1])
+    minors = BandedMinors(entry, ring, m)
+    minors[target - 1]
+    kept = sweep_state(minors)
+    real, raised = getattr(linalg, late), []
+
+    def once(*args):
+        if not raised:
+            raised.append(len(minors))
+            raise RuntimeError("transient")
+        return real(*args)
+    monkeypatch.setattr(linalg, late, once)
+    with pytest.raises(RuntimeError, match="transient"):
+        minors[12]
+    assert raised == [target]
+    assert sweep_state(minors) == kept
+    for n in range(13):
+        assert minors[n] == det(Matrix.build(n, n, lambda i, j: h[i, j], ring)), n
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_banded_minors_raise_on_a_width_too_narrow(m, monkeypatch):
+    # constant q-polynomial entries have degree 0, so at a width held at one
+    # byte det H_n reads right while |det H_n| < 128 and must raise from the
+    # first size past it, whose base-2^8 digits spill past degree 0
+    monkeypatch.setattr(linalg, "_kron_width", lambda bound: 8)
+    monkeypatch.setattr(linalg, "_BAND_WIDTH", 8)
+
+    def entry(i, j):
+        return 0 if j > i + m else 3 + (i * j) % 4
+    values = BandedMinors(entry, INT, m)
+    first = next(n for n in range(20) if abs(values[n]) >= 128)
+    minors = BandedMinors(lambda i, j: QPoly.monomial(0, entry(i, j)), QPOLY, m)
+    for n in range(first):
+        assert minors[n] == QPoly.monomial(0, values[n]), n
+    assert minors._width == 8
+    with pytest.raises(ArithmeticError, match=f"det H_{first} .* past its degree 0"):
+        minors[first]
+    assert len(minors) == first
 
 
 # -- q-polynomial determinants through one integer determinant ---------------
