@@ -508,6 +508,7 @@ class BandedMinors:
                     raise ArithmeticError(
                         f"det H_{n + 1} has {count} digits at width {width}, past its degree {span}")
                 digits = _kron_unpack_signed(value, width, count)
+                norm = sum(map(abs, digits))  # kept at m <= 1
                 shift = self._shift + low
                 value = _from_dense(digits, shift)
             if ring.integral:
@@ -523,7 +524,7 @@ class BandedMinors:
         if width:
             self._width, self._span, self._shift, self._norm2 = width, span, shift, norm2
             if m < 2:
-                self._norms.append(sum(map(abs, digits)))
+                self._norms.append(norm)
                 self._lam_norms.append(lam_norm)
         self._dets.append(value)
 
