@@ -2,19 +2,19 @@
 
 Matrices are immutable row-major arrays over the ring each is built with
 (integers, rationals, q-polynomials or q-rational functions); zero is falsy
-in every ring.  Identity checks call ``det``, which picks its route by ring
-and then by shape.  A matrix over either fraction ring is first cleared row
-by row to its ``integral`` ring, rationals to integers as q-rational functions
-to q-polynomials: each row is multiplied by the lcm of its denominators, the
-integral determinant is taken, and its quotient by the product of the row
-lcms is reduced once, instead of one gcd per ring operation.  ``clear_row``
-is that one row step, which ``BandedMinors`` shares.  A lower Hessenberg
-matrix (every entry above the superdiagonal is zero, as in most of the
-paper's families) goes to ``det_hessenberg``.  Any other q-polynomial matrix
-is evaluated at q = 2^w (Kronecker substitution), with w taken from a proven
-degree bound and Hadamard's coefficient bound, and its determinant is read
-off the signed base-2^w digits of one integer determinant.  Any other matrix
-goes to ``det_bareiss``, which also stays the second route for q-polynomials.
+in every ring.  Identity checks call ``det``, which takes one route per
+ring, whatever the matrix's shape.  A matrix over either fraction ring is
+first cleared row by row to its ``integral`` ring, rationals to integers as
+q-rational functions to q-polynomials: each row is multiplied by the lcm of
+its denominators, the integral determinant is taken, and its quotient by the
+product of the row lcms is reduced once, instead of one gcd per ring
+operation.  ``clear_row`` is that one row step, which ``BandedMinors``
+shares.  A q-polynomial matrix is evaluated at q = 2^w (Kronecker
+substitution), with w taken from a proven degree bound and Hadamard's
+coefficient bound, and its determinant is read off the signed base-2^w
+digits of one integer determinant.  Every other matrix, an integer one
+after clearing, goes to ``det_bareiss``, which also stays the second route
+for q-polynomials.
 
 ``det_bareiss`` and ``rank`` share one fraction-free O(n^3) elimination
 (Bareiss), run in the matrix's own ring: ``det_bareiss`` stops at the first
@@ -28,9 +28,10 @@ matrix is banded, with m diagonals above the main one (h(i, j) = 0 for
 j > i + m): fraction-free forward substitution against the outer diagonal
 h(i, i + m) leaves an m x m Schur complement per size, O(n m) products per
 size.  At m = 1, a lower Hessenberg matrix, this is Hyman's method, the
-division-free expansion of every leading minor along its last row, and
-``det_hessenberg`` runs it over a matrix's entries.  A fraction ring's rows
-are cleared once as above.  A q-polynomial sweep runs as integers at
+division-free expansion of every leading minor along its last row.  Only
+``families.Family.sweep`` builds one, so a swept family's determinants and
+``det`` of its built matrices stay two routes.  A fraction ring's rows are
+cleared once as above.  A q-polynomial sweep runs as integers at
 q = 2^w, with w from a bound that only grows: the l1 recurrence of the
 expansion at m <= 1, Hadamard's bound at m >= 2.  The expansion keeps its
 products and yields every minor of the sweep; only each product's
@@ -68,7 +69,6 @@ __all__ = [
     "Matrix",
     "det",
     "det_bareiss",
-    "det_hessenberg",
     "BandedMinors",
     "clear_row",
     "det_condensation",
@@ -254,12 +254,6 @@ def det_bareiss(m: Matrix):
     return m.ring.zero
 
 
-def _is_lower_hessenberg(m: Matrix) -> bool:
-    """True iff every entry above the superdiagonal is zero (zero is falsy in every ring)."""
-    n, data = m.ncols, m.data
-    return not any(any(data[i * n + i + 2:(i + 1) * n]) for i in range(n - 2))
-
-
 def _pack(p: QPoly, width: int, low: int = 0, pack=_kron_pack) -> int:
     """p / q^low at q = 2^width, its coefficient tuple packed by ``pack``; zero packs to 0.
 
@@ -269,21 +263,6 @@ def _pack(p: QPoly, width: int, low: int = 0, pack=_kron_pack) -> int:
     if not vals:
         return 0
     return (pack(vals, width) if len(vals) > 1 else vals[0]) << (width * (p._low - low))
-
-
-def det_hessenberg(m: Matrix):
-    """Determinant of a lower Hessenberg matrix (a(i, j) = 0 for j > i + 1).
-
-    Runs ``BandedMinors`` at m = 1 (Hyman's method) over the matrix's
-    entries, with zero beyond its last column: O(n^2) ring products, no
-    division, no pivoting, so zero leading minors and zero superdiagonal
-    entries need no special case.  Over ``QPOLY`` those products are integer
-    products at q = 2^w, with w from the l1 bound of the expansion.  Raises
-    ``ValueError`` on a matrix that is not lower Hessenberg.
-    """
-    n = _square(m)
-    data, zero = m.data, m.ring.zero
-    return BandedMinors(lambda i, j: data[i * n + j] if j < n else zero, m.ring, 1)[n]
 
 
 def _repack(v: int, old: int, new: int) -> int:
@@ -632,26 +611,24 @@ def _det_kronecker(m: Matrix) -> QPoly:
 
 
 def det(m: Matrix):
-    """Exact determinant; the engine follows from the matrix's ring and shape.
+    """Exact determinant; the engine follows from the matrix's ring alone.
 
     A 0 x 0 or 1 x 1 matrix is its own determinant.  A larger matrix over a
     fraction ring (``FRAC`` or ``QRAT``) has each row scaled by the lcm of
     its (small) denominators; the integral determinant of the result, over
     the product of the row scales, is reduced once by the fraction type's
-    constructor, so no gcd is taken per elimination step.  Then lower
-    Hessenberg matrices use the division-free expansion of ``det_hessenberg``
-    (``BandedMinors`` at m = 1, where a zero superdiagonal entry needs no
-    special case).  Other q-polynomial matrices go through one integer
-    determinant at q = 2^w, with w from a proven coefficient bound
-    (``_det_kronecker``).  Every other matrix uses ``det_bareiss``.
+    constructor, so no gcd is taken per elimination step.  A q-polynomial
+    matrix goes through one integer determinant at q = 2^w, with w from a
+    proven coefficient bound (``_det_kronecker``).  Every other matrix uses
+    ``det_bareiss``.  A lower Hessenberg matrix takes the same route as any
+    other: the sweep of ``BandedMinors`` pays off only on families read at
+    many sizes.
     """
     if _square(m) < 2:
         return m.data[0] if m.data else m.ring.one
     if m.ring.integral:
         cleared, scale = _clear_rows(m)
         return type(m.ring.one)(det(cleared), scale)
-    if _is_lower_hessenberg(m):
-        return det_hessenberg(m)
     if m.ring is QPOLY:
         return _det_kronecker(m)
     return det_bareiss(m)

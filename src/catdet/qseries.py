@@ -12,10 +12,10 @@ proves quotient times divisor equal to the dividend, else long division.
 ``QRat`` is the fraction field.  Values are reduced on construction by the
 gcd in Z[q] of both sides: GCDHEU on their primitive parts (one integer gcd
 of the parts packed at q = 2**w, read back as a polynomial, and both
-cofactors read off the integer quotients under the same l1 proof), after
-three widths the primitive pseudo-remainder sequence and long division; only
-the content gcd when the denominator is a constant.  The canonical form has
-the denominator's lowest exponent at 0, no common polynomial or integer
+cofactors read off the integer quotients under the same l1 proof), w
+doubling until a gcd is proved, which a resultant bound shows it must be;
+only the content gcd when the denominator is a constant.  The canonical
+form has the denominator's lowest exponent at 0, no common polynomial or integer
 factor, and a positive leading denominator coefficient, which makes equality
 a structural comparison as well.
 
@@ -505,70 +505,45 @@ def _from_dense(vals, low: int, g: int = 1) -> QPoly:
 
 
 # ---------------------------------------------------------------------------
-# dense integer polynomial gcd: GCDHEU, and the primitive pseudo-remainder
-# sequence it falls back to
+# dense integer polynomial gcd: GCDHEU
 # ---------------------------------------------------------------------------
 
-def _trim(r: list[int]) -> list[int]:
-    while r and not r[-1]:
-        r.pop()
-    return r
+def _gcdheu(a, b) -> tuple[list[int], list[int]]:
+    """GCDHEU: the cofactors (a / g, b / g) of the gcd g of primitive a and b.
 
+    a and b are dense coefficient sequences with nonzero ends, of degrees da
+    and db, da + db >= 1.  The first point is xi = 2**w with 2**(w-1) >
+    2 max(|a|_inf, |b|_inf) + 2, and w doubles until ``_gcdheu_at`` proves
+    a gcd (Char, Geddes and Gonnet 1989; Geddes, Czapor and Labahn,
+    Algorithms for Computer Algebra, section 7.7).
 
-def _primitive(r: list[int]) -> list[int]:
-    g = math.gcd(*r)
-    if g > 1:
-        r = [v // g for v in r]
-    if r and r[-1] < 0:
-        r = [-v for v in r]
-    return r
-
-
-def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    db = len(b) - 1
-    lb = b[-1]
-    r = a[:]
-    while r and len(r) - 1 >= db:
-        dr = len(r) - 1
-        lr = r[-1]
-        nr = [lb * c for c in r[:dr]]
-        off = dr - db
-        for i in range(db):
-            nr[off + i] -= lr * b[i]
-        r = _trim(nr)
-    return r
-
-
-def _poly_gcd_dense(a, b) -> list[int]:
-    a = _primitive(_trim(list(a)))
-    b = _primitive(_trim(list(b)))
-    if not a:
-        return b
-    if not b:
-        return a
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _pseudo_rem(a, b)
-        a, b = b, _primitive(r)
-    return a
-
-
-def _gcdheu(a, b) -> tuple[list[int], list[int]] | None:
-    """GCDHEU: the cofactors (a / g, b / g) of the gcd g of primitive a and b, or None.
-
-    a and b are dense coefficient sequences with nonzero ends.  The first
-    point is xi = 2**w with 2**(w-1) > 2 max(|a|_inf, |b|_inf) + 2; each of
-    two retries doubles w (Char, Geddes and Gonnet 1989; Geddes, Czapor and
-    Labahn, Algorithms for Computer Algebra, section 7.7).
+    The doubling ends.  Write a = g A and b = g B.  Then gcd(a(xi), b(xi)) is
+    |g(xi)| d with d = gcd(A(xi), B(xi)), and d divides the resultant R of A
+    and B: R = s A + t B for some s and t in Z[q], and R != 0 as A and B are
+    coprime.  So once 2**(w-1) exceeds |R| |g|_inf, the signed digits of the
+    gcd are those of d g up to sign, with content d, and g is read back; once
+    2**(w-1) also exceeds |A|_1 |g|_inf and |B|_1 |g|_inf, both cofactors
+    are certified.  With N = 2**(da+db) |a|_2 |b|_2, Mignotte's bound gives
+    |g|_1, |A|_1 and |B|_1 <= N, and Hadamard's bound on the Sylvester
+    matrix |R| <= |A|_2**deg B |B|_2**deg A <= N**(da+db).  Every bound
+    above is at most N**(da+db+1), so every width from the cap on, the bit
+    length of 2 N**(da+db+1) (taken here as (da+db+1) times the bit length
+    of N, plus one), proves the gcd.  A width past the cap that proves
+    nothing raises ``ArithmeticError``.
     """
     width = _kron_width(2 * max(max(map(abs, a)), max(map(abs, b))) + 2)
-    for _ in range(3):
+    cap = 0
+    while True:
         found = _gcdheu_at(a, b, width)
         if found:
             return found
+        if not cap:  # needed only on a retry, which few calls take
+            da, db = len(a) - 1, len(b) - 1
+            norm = (math.isqrt(sum(v * v for v in a) * sum(v * v for v in b)) + 1) << (da + db)
+            cap = (da + db + 1) * norm.bit_length() + 1
+        if width >= cap:
+            raise ArithmeticError(f"GCDHEU proved no gcd at {width} bits, past its cap of {cap}")
         width *= 2
-    return None
 
 
 def _gcdheu_at(a, b, width: int) -> tuple[list[int], list[int]] | None:
@@ -612,20 +587,15 @@ def _gcdheu_at(a, b, width: int) -> tuple[list[int], list[int]] | None:
 def _coprime_parts(a, b) -> tuple[list[int], list[int]]:
     """a / g and b / g for dense a and b with nonzero ends, g their gcd in Z[q].
 
-    The primitive parts' cofactors by GCDHEU, or when it proves nothing by the
-    primitive pseudo-remainder sequence and long division, each times its
-    side's content over the contents' gcd.
+    b is not a constant.  The primitive parts' cofactors by GCDHEU, each
+    times its side's content over the contents' gcd.
     """
     ca, cb = math.gcd(*a), math.gcd(*b)
     if ca > 1:
         a = [v // ca for v in a]
     if cb > 1:
         b = [v // cb for v in b]
-    found = _gcdheu(a, b)
-    if found is None:
-        g = _poly_gcd_dense(a, b)
-        found = (_long_div(a, g), _long_div(b, g)) if len(g) > 1 else (a, b)
-    a, b = found
+    a, b = _gcdheu(a, b)
     c = math.gcd(ca, cb)
     if ca > c:
         a = [ca // c * v for v in a]
@@ -638,8 +608,9 @@ class QRat:
     """Element of the fraction field of QPoly, kept in canonical reduced form.
 
     The constructor divides num and den by their gcd in Z[q], reading both
-    cofactors off GCDHEU (``_coprime_parts``; by the content gcd alone when
-    the denominator is a constant); a value known to be a product of factors
+    cofactors off GCDHEU, which doubles its width until it proves the gcd
+    (``_coprime_parts``; by the content gcd alone when the denominator
+    is a constant); a value known to be a product of factors
     (1 - q^e) and their inverses is built without one by ``q_product``.
     """
 

@@ -14,8 +14,8 @@ equal values is one ``equal_check`` row, whose sides are swept families
 one whose sides are the product and the zero vector.  An "alternating sum = [n = 0]" is one
 ``sum_check`` row; ``declare`` adds rows to ``CHECKS``.
 The rest are functions under ``register``: checks with extra conditions,
-cross-multiplied or differently rendered sides, inverse products, boolean
-bridges and properties, and sides that share per-point state.
+differently rendered sides, inverse products, boolean bridges and
+properties, and sides that share per-point state.
 
 Every matrix is a ``families.Family`` built by ``families.build``.  A lower
 Hessenberg or banded family is not rebuilt per grid point: ``swept_det``
@@ -574,16 +574,12 @@ declare(
     equal_check("eq10", "1 (10)", "bridge", grid(n=(4, 5), m=(3, 3), x=(4, 4, 1)),
                 fam.EQ10,
                 lambda n, m, x: det(fam.build(fam.EQ10_RHS, m, n=n, x=x))),
+    # the Hilbert Hankel determinants are nonzero
+    equal_check("eq72", "2.2 (72)", "bridge", grid(n=(6, 8), m=(4, 5)),
+                fam.EQ72,
+                lambda n, m: det(fam.build(fam.HILBERT_HANKEL, m, shift=n))
+                / det(fam.build(fam.HILBERT_HANKEL, m, shift=0))),
 )
-
-
-@register("eq72", "2.2 (72)", "bridge", grid(n=(6, 8), m=(4, 5)))
-def _eq72(n: int, m: int):
-    lhs = swept_det(fam.EQ72, n, m=m)
-    h0 = det(fam.build(fam.HILBERT_HANKEL, m, shift=0))
-    hn = det(fam.build(fam.HILBERT_HANKEL, m, shift=n))
-    ok = lhs * h0 == hn
-    return ok, lhs, hn / h0
 
 
 @register("eq75", "2.2 (75)", "closed-form", grid(n=(10, 12), k=(5, 6, 0)))
@@ -867,24 +863,16 @@ declare(
     equal_check("eq29", "2.1.1 (29)", "closed-form", grid(n=(7, 8), k=(6, 6, 0)),
                 lambda n, k: _tables("fibonacci").c(2 * n + k, k),
                 lambda n, k: catalan_power(n, k + 1)),
+    sum_check("eq24", "2.1.1 (24)", grid(n=(6, 8), k=(4, 4, 0)),
+              lambda j, n, k: _tables("fibonacci").p_entry(n + k, j + k)
+              * _tables("fibonacci").c(j + k, k)),
+    equal_check("eq25", "2.1.1 (25)", "det",
+                grid(system=["fibonacci", "lucas-variant"], n=(5, 6), k=(3, 3)),
+                lambda system, n, k: det(Matrix.build(
+                    n, n, lambda i, j: _tables(system).p_entry(i + k + 1, j + k),
+                    _tables(system).system.ring)),
+                lambda system, n, k: _tables(system).c(n + k, k)),
 )
-
-
-@register("eq24", "2.1.1 (24)", "sum", grid(n=(6, 8), k=(4, 4, 0)))
-def _eq24(n: int, k: int):
-    tab = _tables("fibonacci")
-    total = alternating_sum(n, lambda j: tab.p_entry(n + k, j + k) * tab.c(j + k, k))
-    return total == kron(n == 0), total, kron(n == 0)
-
-
-@register("eq25", "2.1.1 (25)", "det",
-          grid(system=["fibonacci", "lucas-variant"], n=(5, 6), k=(3, 3)))
-def _eq25(system: str, n: int, k: int):
-    tab = _tables(system)
-    matrix = Matrix.build(n, n, lambda i, j: tab.p_entry(i + k + 1, j + k), tab.system.ring)
-    lhs = det(matrix)
-    rhs = tab.c(n + k, k)
-    return lhs == rhs, lhs, rhs
 
 
 @register("eq26", "2.1.1 (26)", "closed-form", grid(n=(5, 6)))

@@ -1,13 +1,15 @@
 """Independent reference values the tests compare the library against.
 
 Each oracle takes a route of its own (a convolution, a falling factorial, a
-plain product, a pairing with the moment table), so that a test that checks
+plain product, a pairing with the moment table, a pseudo-remainder
+sequence), so that a test that checks
 a library value against it checks two routes against each other.  Nothing in
 ``catdet`` uses them.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from catdet.exact import binomial, exact_quotient
@@ -150,3 +152,46 @@ def render_qpoly(p: QPoly) -> str:
         else:
             parts.append(f"+ {term}" if v > 0 else f"- {term}")
     return " ".join(parts)
+
+
+def _primitive(r: list[int]) -> list[int]:
+    """r over its content, with a positive leading coefficient."""
+    g = math.gcd(*r)
+    if g > 1:
+        r = [v // g for v in r]
+    if r and r[-1] < 0:
+        r = [-v for v in r]
+    return r
+
+
+def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    """The pseudo-remainder of a by b, dense lowest first, with no zero on top."""
+    db = len(b) - 1
+    lb = b[-1]
+    r = a[:]
+    while r and len(r) - 1 >= db:
+        dr = len(r) - 1
+        lr = r[-1]
+        nr = [lb * c for c in r[:dr]]
+        off = dr - db
+        for i in range(db):
+            nr[off + i] -= lr * b[i]
+        while nr and not nr[-1]:
+            nr.pop()
+        r = nr
+    return r
+
+
+def poly_gcd_prs(a, b) -> list[int]:
+    """The primitive gcd in Z[q] of dense a and b with nonzero ends, lead positive.
+
+    The primitive pseudo-remainder sequence: each pseudo-remainder is divided
+    by its content, so its coefficients stay small, and the last nonzero one
+    is the gcd.  It shares no step with GCDHEU's evaluation at q = 2**w.
+    """
+    a, b = _primitive(list(a)), _primitive(list(b))
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive(_pseudo_rem(a, b))
+    return a

@@ -432,7 +432,6 @@ def refuse(*args):
     raise AssertionError("polynomial gcd or exact division")
 
 qseries._gcdheu = refuse
-qseries._poly_gcd_dense = refuse
 qseries.QPoly.exact_div = refuse
 qseries._long_div = refuse
 sys.exit(main(sys.argv[1:]))
@@ -441,9 +440,9 @@ sys.exit(main(sys.argv[1:]))
 
 def test_q_ring_checks_take_no_gcd_and_no_long_division():
     # the q-binomial and q-Catalan checks build every value from its factor
-    # list: with both polynomial gcds (heuristic and pseudo-remainder) and
-    # both exact divisions (packed and long) refusing, a fresh run (every
-    # cache cold) still exits 0 with the same report
+    # list: with the polynomial gcd (GCDHEU) and both exact divisions (packed
+    # and long) refusing, a fresh run (every cache cold) still exits 0 with
+    # the same report
     argv = ("verify", "--id", "eq83", "--id", "eq84", "--id", "eq86", "--id", "eq87", "--id",
             "eq91", "--seed", "5")
     plain = _report_without_timings(argv=argv)

@@ -24,7 +24,6 @@ from catdet.linalg import (
     det_bareiss,
     det_cofactor,
     det_condensation,
-    det_hessenberg,
     matvec,
     rank,
 )
@@ -346,6 +345,13 @@ def test_qpoly_matrix_det():
 
 # -- lower Hessenberg expansion, with Bareiss as the independent route --------
 
+def hessenberg_det(m):
+    """det of a square lower Hessenberg matrix: its sweep at m = 1 (Hyman's method), read at its size."""
+    n = linalg._square(m)
+    data, zero = m.data, m.ring.zero
+    return BandedMinors(lambda i, j: data[i * n + j] if j < n else zero, m.ring, 1)[n]
+
+
 def random_hessenberg(rng, n, ring, entry):
     """Random n x n lower Hessenberg matrix; about one entry in four is zero."""
     return Matrix.build(
@@ -375,22 +381,37 @@ def test_hessenberg_agrees_with_bareiss_and_cofactor(ring, n_max, entry):
     for _ in range(40):
         m = random_hessenberg(rng, rng.randint(0, n_max), ring, entry)
         d = det_cofactor(m)
-        assert det_hessenberg(m) == det_bareiss(m) == d
+        assert hessenberg_det(m) == det_bareiss(m) == d
         assert det(m) == d
 
 
+@pytest.mark.parametrize("ring,n_max,entry", HESSENBERG_RINGS,
+                         ids=[r[0].name for r in HESSENBERG_RINGS])
+def test_det_of_a_hessenberg_matrix_takes_no_sweep(monkeypatch, ring, n_max, entry):
+    # det has one route per ring, whatever the shape: with the sweep engine
+    # refusing, lower Hessenberg matrices still get their cofactor value
+    def refuse(*args):
+        raise AssertionError("det built a sweep")
+
+    monkeypatch.setattr(linalg, "BandedMinors", refuse)
+    rng = random.Random(f"hessenberg-det:{ring.name}")
+    for _ in range(40):
+        m = random_hessenberg(rng, rng.randint(0, n_max + 2), ring, entry)
+        assert det(m) == det_cofactor(m)
+
+
 def test_hessenberg_edge_cases():
-    assert det_hessenberg(Matrix(0, 0, [], INT)) == 1
-    assert det_hessenberg(Matrix(1, 1, [7], INT)) == 7
-    assert det_hessenberg(Matrix(1, 1, [0], INT)) == 0
+    assert hessenberg_det(Matrix(0, 0, [], INT)) == 1
+    assert hessenberg_det(Matrix(1, 1, [7], INT)) == 7
+    assert hessenberg_det(Matrix(1, 1, [0], INT)) == 0
     # a zero superdiagonal entry splits the matrix into two diagonal blocks
     split = Matrix.from_rows([[2, 3, 0, 0], [1, 4, 0, 0], [5, 6, 7, 1], [8, 9, 2, 3]], INT)
-    assert det_hessenberg(split) == det_bareiss(split) == 5 * 19
+    assert hessenberg_det(split) == det_bareiss(split) == 5 * 19
     # zero leading minors D_1 and D_2: no pivot is needed
     singular_lead = Matrix.from_rows([[0, 1, 0, 0], [0, 0, 1, 0], [1, 2, 3, 1], [4, 5, 6, 7]], INT)
-    assert det_hessenberg(singular_lead) == det_cofactor(singular_lead) == 3
+    assert hessenberg_det(singular_lead) == det_cofactor(singular_lead) == 3
     zero_everywhere = Matrix.from_rows([[0, 0, 0], [0, 0, 0], [1, 1, 1]], INT)
-    assert det_hessenberg(zero_everywhere) == 0
+    assert hessenberg_det(zero_everywhere) == 0
 
 
 @pytest.mark.parametrize("matrix", [
@@ -403,7 +424,7 @@ def test_hessenberg_edge_cases():
 ])
 def test_hessenberg_on_largest_family_points(matrix):
     m = matrix()
-    assert det_hessenberg(m) == det_bareiss(m)
+    assert hessenberg_det(m) == det_bareiss(m)
 
 
 def test_det_on_dense_matrices_is_bareiss():
@@ -475,11 +496,11 @@ def test_bareiss_stops_at_a_zero_first_column_without_dividing():
 
 def test_hessenberg_rejects_other_matrices():
     with pytest.raises(ValueError):
-        det_hessenberg(Matrix.from_rows([[1, 0, 1], [0, 1, 0], [0, 0, 1]], INT))
+        hessenberg_det(Matrix.from_rows([[1, 0, 1], [0, 1, 0], [0, 0, 1]], INT))
     with pytest.raises(ValueError):
-        det_hessenberg(INTRO_4X4.transpose())
+        hessenberg_det(INTRO_4X4.transpose())
     with pytest.raises(ValueError):
-        det_hessenberg(Matrix(2, 3, [1, 2, 3, 4, 5, 6], INT))
+        hessenberg_det(Matrix(2, 3, [1, 2, 3, 4, 5, 6], INT))
 
 
 # -- leading-minor sweeps ------------------------------------------------------
@@ -1098,11 +1119,11 @@ def test_det_routes_dense_q_polynomial_matrices_to_one_integer_determinant(monke
     assert det(dense) == det_bareiss(dense)
     assert det(cleared) == det_bareiss(cleared)
     assert rings == ["integer", "integer"]
-    # lower Hessenberg matrices keep the division-free expansion
+    # a lower Hessenberg matrix takes the same route as any other
     hessenberg = fam.build(fam.EQ83, 6)
     assert hessenberg.ring is QPOLY
     assert det(hessenberg) == det_bareiss(hessenberg)
-    assert rings == ["integer", "integer"]
+    assert rings == ["integer", "integer", "integer"]
 
 
 # -- q-rational determinants by row clearing, against Bareiss over QRat -------

@@ -23,7 +23,7 @@ from catdet.qseries import (
     q_lucas_value,
     q_product,
 )
-from oracles import q_pochhammer, render_qpoly
+from oracles import poly_gcd_prs, q_pochhammer, render_qpoly
 
 small_polys = st.builds(
     QPoly,
@@ -635,7 +635,6 @@ def test_constant_denominator_takes_no_polynomial_gcd(monkeypatch):
         raise AssertionError("polynomial gcd on a constant denominator")
 
     monkeypatch.setattr(qseries, "_gcdheu", no_gcd)
-    monkeypatch.setattr(qseries, "_poly_gcd_dense", no_gcd)
     for (p, c), e in zip(cases, expected):
         r = QRat(p, c)
         assert (r.num, r.den) == (e.num, e.den), (p, c)
@@ -710,10 +709,10 @@ def _sympy_poly(sympy, x, vals):
 
 def test_gcdheu_against_the_pseudo_remainder_gcd_and_sympy():
     # on primitive parts, leads of either sign kept: GCDHEU's cofactors are the
-    # operands divided by the pseudo-remainder gcd, which is sympy's up to sign;
-    # none of these pairs needs the fallback
+    # operands divided by the pseudo-remainder gcd of the oracle, which is
+    # sympy's up to sign
     sympy = pytest.importorskip("sympy")
-    from catdet.qseries import _gcdheu, _long_div, _poly_gcd_dense
+    from catdet.qseries import _gcdheu, _long_div
 
     x = sympy.Symbol("x")
     negative_leads = 0
@@ -721,7 +720,7 @@ def test_gcdheu_against_the_pseudo_remainder_gcd_and_sympy():
         a = [v // math.gcd(*fa) for v in fa]
         b = [v // math.gcd(*fb) for v in fb]
         negative_leads += a[-1] < 0
-        g = _poly_gcd_dense(a, b)
+        g = poly_gcd_prs(a, b)
         assert _gcdheu(a, b) == (_long_div(a, g), _long_div(b, g)), (a, b)
         expected = sympy.gcd(_sympy_poly(sympy, x, a), _sympy_poly(sympy, x, b))
         assert _sympy_poly(sympy, x, g) in (expected, -expected), (a, b)
@@ -765,27 +764,64 @@ def test_gcdheu_widens_when_its_first_point_proves_nothing():
     assert (r.num._vals, r.den._vals) == (tuple(_SPURIOUS_A), tuple(_SPURIOUS_B))
 
 
-def test_qrat_reduces_through_the_pseudo_remainder_fallback(monkeypatch):
-    # with every GCDHEU point refused, each reduction tries three widths
-    # (w, 2w, 4w), then takes the pseudo-remainder gcd, to the same values
+def _proof_bits(a, b) -> int:
+    """The bit length of 2 N**(da+db+1), N = 2**(da+db) |a|_2 |b|_2: every width from it on proves."""
+    da, db = len(a) - 1, len(b) - 1
+    norm = math.isqrt(sum(v * v for v in a) * sum(v * v for v in b) << 2 * (da + db)) + 1
+    return (2 * norm ** (da + db + 1)).bit_length()
+
+
+def test_qrat_reduces_through_gcdheu_at_doubled_widths(monkeypatch):
+    # with the first four GCDHEU points refused, each reduction doubles its
+    # width and reads the same value at 16w, or raises ArithmeticError when
+    # 8w already passed the proven cap
     rng = random.Random("prs-fallback")
     pairs = []
     for fa, fb in _planted_pairs("prs-fallback", 40):
         shift = rng.randint(-3, 3)
         pairs.append((QPoly(enumerate(fa)).shift(shift), QPoly(enumerate(fb))))
     expected = [QRat(a, b) for a, b in pairs]
-    widths, gcds = [], []
-    pseudo_remainder = qseries._poly_gcd_dense
-    monkeypatch.setattr(qseries, "_gcdheu_at", lambda a, b, width: widths.append(width))
-    monkeypatch.setattr(qseries, "_poly_gcd_dense",
-                        lambda a, b: gcds.append(1) or pseudo_remainder(a, b))
+    widths = []
+    gcdheu_at = qseries._gcdheu_at
+
+    def refuse_four(a, b, width):
+        widths.append((width, a, b))
+        return None if len(widths) <= 4 else gcdheu_at(a, b, width)
+
+    monkeypatch.setattr(qseries, "_gcdheu_at", refuse_four)
+    read = raised = 0
     for (a, b), e in zip(pairs, expected):
         del widths[:]
-        r = QRat(a, b)
+        try:
+            r = QRat(a, b)
+        except ArithmeticError:
+            w, pa, pb = widths[-1]
+            assert len(widths) == 4 and w >= _proof_bits(pa, pb), (a, b)
+            raised += 1
+            continue
         assert (r.num, r.den) == (e.num, e.den), (a, b)
         if b.deg > b.low:
-            assert widths == [widths[0], 2 * widths[0], 4 * widths[0]], (a, b)
-    assert len(gcds) == sum(b.deg > b.low for _, b in pairs) > 30
+            assert [w for w, _, _ in widths] == [widths[0][0] << i for i in range(5)], (a, b)
+            read += 1
+    assert read > 30 and raised == 1
+
+
+def test_gcdheu_raises_past_its_cap_when_no_width_proves(monkeypatch):
+    # a _gcdheu_at that proves nothing at any width fails loudly, once the
+    # width has passed the bound from which every width proves the gcd
+    widths = []
+    monkeypatch.setattr(qseries, "_gcdheu_at", lambda a, b, width: widths.append(width))
+    for fa, fb in _planted_pairs("gcdheu-cap", 30):
+        a = [v // math.gcd(*fa) for v in fa]
+        b = [v // math.gcd(*fb) for v in fb]
+        if len(a) + len(b) < 3:
+            continue
+        del widths[:]
+        with pytest.raises(ArithmeticError):
+            qseries._gcdheu(a, b)
+        bits = _proof_bits(a, b)
+        assert widths == [widths[0] << i for i in range(len(widths))], (a, b)
+        assert bits <= widths[-1] < 4 * bits and len(widths) < 12, (a, b)
 
 
 def test_packed_exact_div_equals_long_division():

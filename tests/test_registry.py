@@ -8,8 +8,7 @@ import pytest
 import catdet.residues  # noqa: F401  (registers the modular checks)
 from catdet import families as fam
 from catdet.exact import choose2
-from catdet.linalg import (FRAC, QRAT, BandedMinors, _clear_rows, _det_kronecker, det, det_bareiss,
-                           det_cofactor)
+from catdet.linalg import FRAC, QRAT, BandedMinors, det, det_bareiss, det_cofactor
 from catdet.qseries import ONE, Q, QPoly, QRat, q_binomial, q_int
 from catdet.registry import (
     CHECKS,
@@ -367,17 +366,11 @@ def test_swept_family_minors_equal_bareiss(family, points):
                 assert minors[n] == det_bareiss(m), (params, n)
                 continue
             # q-rational Bareiss takes a gcd per step, too slow at n = 12: det
-            # clears each matrix's rows itself, and cofactors are a second
-            # route.  Past them, det of a lower Hessenberg matrix runs the
-            # sweep's own engine, so Bareiss of the cleared rows at q = 2^w
-            # is the second route (det of a banded one already is it);
-            # SEC33 takes it to n = 10 (n = 11, 12 take 0.4-1.6 s each)
+            # clears each matrix's rows and takes one integer determinant at
+            # q = 2^w, and cofactors are a third route
             assert minors[n] == det(m), (params, n)
             if n <= 6:
                 assert minors[n] == det_cofactor(m), (params, n)
-            elif family.band is None and (family is not fam.SEC33 or n <= 10):
-                cleared, scale = _clear_rows(m)
-                assert minors[n] == QRat(_det_kronecker(cleared), scale), (params, n)
 
 
 def test_every_swept_family_sweeps_through_banded_minors():
@@ -397,6 +390,30 @@ def test_every_swept_family_sweeps_through_banded_minors():
                 if {"__getitem__", "__len__"} <= methods or "_grow" in methods:
                     found.append(f"{path.name}:{node.name}")
     assert found == ["linalg.py:BandedMinors"]
+
+
+def _calls_by_scope(tree: ast.AST, name: str, scope: str = "") -> list[str]:
+    """The dotted class and function scopes of every call of ``name`` or ``x.name`` in ``tree``."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                found.append(scope or "<module>")
+        found += _calls_by_scope(node, name, inner)
+    return found
+
+
+def test_only_family_sweep_builds_a_banded_minors():
+    # det and every check reach the sweep engine through Family.sweep alone,
+    # so a swept family's value and det of its built matrix stay two routes
+    found = [f"{path.name}:{where}"
+             for path in sorted((SRC / "catdet").glob("*.py"))
+             for where in _calls_by_scope(ast.parse(path.read_text()), "BandedMinors")]
+    assert found == ["families.py:Family.sweep"]
 
 
 def _random_fraction_hessenberg(seed, ring):
