@@ -67,25 +67,11 @@ def _md_cell(text: str) -> str:
 
 
 def _json_text(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` written at ``indent``, byte for byte.
+    """``json.dumps(value, indent=2, sort_keys=True)`` written at ``indent``.
 
-    Every payload but the report rows (``_row_text``) is written here.  Strings
-    go through the C escaper: ``indent`` makes ``json.dumps`` fall back to the
-    pure-Python encoder, which is slow on a large payload.
+    Every payload but the report rows (``_row_text``) is written here, and
+    none of them is large.
     """
-    kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return repr(value)
-    inner = indent + "  "
-    if kind is dict and value:
-        return "{\n" + ",\n".join(
-            f"{inner}{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
-            for key, item in sorted(value.items())) + f"\n{indent}}}"
-    if kind is list and value:
-        return "[\n" + ",\n".join(
-            inner + _json_text(item, inner) for item in value) + f"\n{indent}]"
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
 

@@ -32,10 +32,11 @@ division-free expansion of every leading minor along its last row.  Only
 ``families.Family.sweep`` builds one, so a swept family's determinants and
 ``det`` of its built matrices stay two routes.  A fraction ring's rows are
 cleared once as above.  A q-polynomial sweep runs as integers at
-q = 2^w, with w from a bound that only grows: the l1 recurrence of the
-expansion at m <= 1, Hadamard's bound at m >= 2.  The expansion keeps its
-products and yields every minor of the sweep; only each product's
-representation changes.  Taking one Kronecker determinant per size instead
+q = 2^w, with w the least whole number of bytes above a bound, and never
+narrower than before: the l1 recurrence of the expansion at m <= 1,
+Hadamard's bound over every entry of every row read at m >= 2.  The
+expansion keeps its products and yields every minor of the sweep; only
+each product's representation changes.  Taking one Kronecker determinant per size instead
 would cost an O(n^3) integer elimination at every n.
 
 Dodgson condensation (with a Bareiss fallback on interior zeros, since exact
@@ -48,7 +49,6 @@ A * B == I in A's own ring: for square matrices that product alone proves it.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from fractions import Fraction
@@ -289,11 +289,6 @@ def _steps(a: int, lams: Sequence[int], hs: Sequence[int], ys: Sequence[int], un
     return a
 
 
-# the least width of a sweep at m >= 2: below it an integer product costs
-# about the same, and each doubling repacks every kept value
-_BAND_WIDTH = 64
-
-
 class BandedMinors:
     """det H_n for n = 0, 1, ... of a banded matrix: h(i, j) = 0 for j > i + m.
 
@@ -350,21 +345,24 @@ class BandedMinors:
       ||lambda_k||_1 N_k + ||h(n, 1 + k)||_1 ||y_k||_1 from N_0 =
       ||h(n, 0)||_1 (at m = 0, det H_(n+1) by ||lambda_n||_1 ||det H_n||_1),
       with the actual l1 norms of the values read;
-    - at m >= 2 it holds the bounds of ``_det_kronecker`` for H_n:
-      Hadamard's product, over the rows, of the l2 norm of the l1 norms of
-      their entries in columns < max(n, m) (a factor below 1 counted as 1)
-      bounds the coefficients of det H_n and of every kept value, each a
-      minor on those columns.  So each row in [t, n) keeps the partial sums
-      of squared l1 norms it still needs.  w starts at 64 bits
-      (``_BAND_WIDTH``) and at least doubles when it grows.
+    - at m >= 2 it is the least width above Hadamard's bound over every
+      entry read: the product, over the rows read, of the l2 norm of the l1
+      norms of all their entries (j <= i + m), a factor below 1 counted as
+      1.  Every value the sweep keeps (an entry, lambda_k, D_t, y_k and each
+      s_r) and det H_(n+1) is a minor of the rows read, on some of their
+      columns.  On |q| = 1 Hadamard bounds each, hence each of its
+      coefficients, by that product over its own rows and columns, and
+      taking every entry of every row read can only raise it.  Dividing a
+      row by q to its lowest exponent leaves |h(q)| unchanged on |q| = 1.
 
-    The width only grows, and each kept value is then unpacked at the old
-    width and packed at the new one.  Entries are packed through the
-    ``_kron_pack`` memo, except cleared rows, which never recur.  det H_n
-    is unpacked with as many digits as its bit length needs; more digits
-    than its degree bound (the sum of the rows' spans) plus one mean that a
-    carry left its top coefficient, so the width was too narrow, and raise
-    ``ArithmeticError``.
+    At every m the width starts at one byte and is the larger of the
+    bound's width and the old one, so it only grows, by whole bytes; each
+    kept value is then unpacked at the old width and packed at the new one.
+    Entries are packed through the ``_kron_pack`` memo, except cleared
+    rows, which never recur.  det H_n is unpacked with as many digits as its
+    bit length needs; more digits than its degree bound (the sum of the
+    rows' spans) plus one mean that a carry left its top coefficient, so
+    the width was too narrow, and raise ``ArithmeticError``.
 
     Adding column c raises ``ValueError`` if one of its entries beyond the
     band is nonzero.  A size lands whole or not at all: it is built in
@@ -378,7 +376,7 @@ class BandedMinors:
     _scale = None  # over a fraction ring, the product of the row lcms
     # over q-polynomials: the width (0 over the integers), the sums of the
     # row shifts and of the row spans and, at m >= 2, the product of the
-    # squared Hadamard factors of the rows < t
+    # squared Hadamard factors of every row read
     _width = 0
     _shift = 0
     _span = 0
@@ -394,14 +392,12 @@ class BandedMinors:
         self._ys: list[list[int]] = [[] for _ in range(m)]  # _ys[c][k]: component c of y_k
         self._lams: list[int] = []
         # for r in [t, n): s_r, the entries h(r, m + t .. r + m), and over
-        # q-polynomials the row's lowest exponent and, at m >= 2, its squared
-        # Hadamard factors at sizes n .. r + m + 1 (partial sums of squared
-        # l1 norms)
-        self._rows: list[tuple[list[int], list, int, list[int]]] = []
+        # q-polynomials the row's lowest exponent
+        self._rows: list[tuple[list[int], list, int]] = []
         if ring.integral:
             self._scale = ring.integral.one
         if QPOLY in (ring, ring.integral):
-            self._width = _BAND_WIDTH if m > 1 else _kron_width(0)
+            self._width = _kron_width(0)
             self._pack_entry = _kron_pack_fresh if ring.integral else _kron_pack
             # at m <= 1, the l1 norms of the lambda_k and of each integral det H_n read
             self._lam_norms: list[int] = []
@@ -436,16 +432,16 @@ class BandedMinors:
         if ring.integral:
             row, lcm = clear_row(row, ring)
             scale *= lcm
-        low = part = None
+        low = None
         if width:
-            width, low, span, part, rows, norm2, lam_norm = self._fit(row, n)
+            width, low, span, norm2, lam_norm = self._fit(row, n)
             old = self._width
             if width > old:  # every kept value, at the new width
                 ys = [[_repack(v, old, width) for v in y] for y in ys]
                 lams = [_repack(v, old, width) for v in lams]
                 d = _repack(d, old, width)
-                rows = [([_repack(v, old, width) for v in s], rest, base, p)
-                        for s, rest, base, p in rows]
+                rows = [([_repack(v, old, width) for v in s], rest, base)
+                        for s, rest, base in rows]
             pack = self._pack_entry
         unit, t = self._unit, len(lams)
         try:
@@ -453,16 +449,16 @@ class BandedMinors:
                 value = d = d * (_pack(row[n], width, low, pack) if width else row[n])
             else:
                 if n >= m:  # step t = n - m: row t leaves, the rows in (t, n) take the step
-                    (y, (lam,), base, _), *rows = rows
+                    (y, (lam,), base), *rows = rows
                     if width:
                         lam = _pack(lam, width, base, pack)
                     for col, v in zip(ys, y):
                         col.append(v)
                     lams.append(lam)
                     stepped = []
-                    for s, rest, base, p in rows:
+                    for s, rest, base in rows:
                         h = _pack(rest[0], width, base, pack) if width else rest[0]
-                        stepped.append(([lam * a - h * b for a, b in zip(s, y)], rest[1:], base, p))
+                        stepped.append(([lam * a - h * b for a, b in zip(s, y)], rest[1:], base))
                     rows = stepped
                     unit = unit and lam == 1
                     if m > 1:
@@ -472,7 +468,7 @@ class BandedMinors:
                 head = [_pack(v, width, low, pack) for v in row[:steps]] if width else row
                 hs = head[m:steps]
                 s = [_steps(a, lams, hs, yc, unit) for a, yc in zip(head, ys)]
-                rows = [*rows, (s, row[steps:], low, part)]
+                rows = [*rows, (s, row[steps:], low)]
                 k = min(n + 1, m)  # the rows of S_n, or for n < m the leading block
                 value = rows[0][0][0] if k == 1 else det_cofactor(
                     Matrix(k, k, [v for s, *_ in rows for v in s[:k]], INT))
@@ -511,28 +507,17 @@ class BandedMinors:
         """With the q-polynomial ``row`` n: the sweep's width and the new bookkeeping.
 
         That is the width, the row's lowest exponent, the sum of the row
-        spans, the row's and the kept rows' squared Hadamard factors (these
-        advanced by one size), norm2, and the l1 norm of the row's last entry.
+        spans, norm2 and the l1 norm of the row's last entry.
         """
         m = self.m
         low = min([v._low for v in row if v], default=0)
         high = max([v._low + len(v._vals) for v in row if v], default=low + 1)
         span = self._span + high - 1 - low
         norms = [sum(map(abs, v._vals)) for v in row]
-        rows, norm2, part = self._rows, self._norm2, []
-        if m > 1:
-            # the Hadamard factors of H_(n+1), each row on its columns <= n
-            # and < m (those of its m-vector); row t = n - m, which leaves, is
-            # whole, so its factor moves into norm2
-            cum = list(itertools.accumulate(v * v for v in norms))
-            part = [cum[max(j, m - 1)] for j in range(n, n + m + 1)]
-            rows = [(s, rest, base, p[1:]) for s, rest, base, p in rows]
-            if n >= m:
-                norm2 *= max(rows[0][3][0], 1)
-            bound = norm2 * max(part[0], 1)
-            for *_, p in rows[1:] if n >= m else rows:
-                bound *= max(p[0], 1)
-            need = _kron_width(math.isqrt(bound) + 1)
+        norm2 = self._norm2
+        if m > 1:  # Hadamard's factor of the whole row joins those of the rows before it
+            norm2 *= max(sum(v * v for v in norms), 1)
+            need = _kron_width(math.isqrt(norm2) + 1)
         elif m:
             bound = norms[0]
             for lam_norm, h_norm, y_norm in zip(self._lam_norms, norms[1:], self._norms[1:]):
@@ -540,9 +525,7 @@ class BandedMinors:
             need = _kron_width(max(bound, *norms))
         else:
             need = _kron_width(max(norms[n] * self._norms[n], *norms))
-        old = self._width
-        width = old if need <= old else max(need, 2 * old) if m > 1 else need
-        return width, low, span, part, rows, norm2, norms[-1]
+        return max(need, self._width), low, span, norm2, norms[-1]
 
 
 def clear_row(row: Sequence, ring: Ring) -> tuple[list, object]:
@@ -573,20 +556,20 @@ def _clear_rows(m: Matrix) -> tuple[Matrix, object]:
 def _det_kronecker(m: Matrix) -> QPoly:
     """Determinant of a q-polynomial matrix through one integer determinant.
 
-    Each row is divided by q to its lowest exponent, and every exponent by the
-    gcd g of all the shifted ones, so the entries become polynomials in
-    t = q^g.  Their determinant has degree at most (sum of the row spans) / g,
-    and on |t| = 1 Hadamard's inequality bounds it, hence each of its
-    coefficients, by the product over rows of the l2 norm of the entries' l1
-    norms.  With 2^(w-1) above that bound, the integer determinant of the
-    matrix at t = 2^w holds the coefficients as its signed base-2^w digits.
+    Each row is divided by q to its lowest exponent, which leaves |h(q)|
+    unchanged on |q| = 1.  The determinant then has degree at most the sum
+    of the row spans, and on |q| = 1 Hadamard's inequality bounds it, hence
+    each of its coefficients, by the product over rows of the l2 norm of the
+    entries' l1 norms.  With 2^(w-1) above that bound, the integer
+    determinant of the matrix at q = 2^w (each entry packed by ``_pack``)
+    holds the coefficients as its signed base-2^w digits.
     """
     n = _square(m)
     if n == 0:
         return QP_ONE
     rows = [m.data[i * n:(i + 1) * n] for i in range(n)]
     lows = []
-    g = degree = 0
+    degree = 0
     norm2 = 1
     for row in rows:
         entries = [v for v in row if v]
@@ -595,19 +578,11 @@ def _det_kronecker(m: Matrix) -> QPoly:
         low = min(v._low for v in entries)
         lows.append(low)
         degree += max(v._low + len(v._vals) for v in entries) - 1 - low
-        for v in entries:
-            if g != 1:
-                g = math.gcd(g, v._low - low, *[i for i, c in enumerate(v._vals) if c])
         norm2 *= sum(sum(map(abs, v._vals)) ** 2 for v in entries)
-    g = g or 1
-    bound = math.isqrt(norm2) + 1
-    width = _kron_width(bound)
-    # each entry at t = 2^w, its coefficients in t packed from its own tuple
-    packed = [_kron_pack(v._vals[::g], width) << (width * ((v._low - low) // g)) if v else 0
-              for row, low in zip(rows, lows) for v in row]
+    width = _kron_width(math.isqrt(norm2) + 1)
+    packed = [_pack(v, width, low) for row, low in zip(rows, lows) for v in row]
     value = det_bareiss(Matrix(n, n, packed, INT))
-    digits = _kron_unpack_signed(value, width, degree // g + 1)
-    return _from_dense(digits, sum(lows), g)
+    return _from_dense(_kron_unpack_signed(value, width, degree + 1), sum(lows))
 
 
 def det(m: Matrix):

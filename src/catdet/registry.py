@@ -237,7 +237,6 @@ def _sign(parity: int) -> int:
 AXIS_BOUNDS = {
     "n": "n_max", "size": "n_max", "i": "n_max", "m_below": "n_max", "limit": "n_max",
     "k": "k_max", "m": "m_max", "r": "r_max", "x": "x_max", "x2": "x_max",
-    "case": "cases",
 }
 
 # Lower limit of a bounded axis that keeps only its maximum.
@@ -249,25 +248,27 @@ def grid(**axes) -> Callable[[Bounds], list[dict]]:
 
     An axis is ``(fast, full)`` or ``(fast, full, lo)``: the values ``lo`` (0
     when omitted; the maximum itself when ``TOP``) up to the maximum, which is
-    the axis's ``AXIS_BOUNDS`` override, else its fast or full default.  Any
-    other axis is a fixed sequence of values.
+    the axis's ``AXIS_BOUNDS`` override, else its fast or full default.  A
+    callable axis is ``axis(b, **earlier)``, its values at the bounds ``b``
+    and at the values of the axes before it.  Any other axis is a fixed
+    sequence of values.
     """
     def build(b: Bounds) -> list[dict]:
-        values = []
+        points = [{}]
         for name, axis in axes.items():
             if isinstance(axis, tuple):
                 fast, full, lo = (axis + (0,))[:3]
                 top = b.get(AXIS_BOUNDS[name], fast, full)
                 axis = range(top if lo is TOP else lo, top + 1)
-            values.append(axis)
-        return [dict(zip(axes, point)) for point in itertools.product(*values)]
+            points = [{**point, name: v} for point in points
+                      for v in (axis(b, **point) if callable(axis) else axis)]
+        return points
     return build
 
 
 def _cases_grid(fast: int, full: int):
-    def build(b: Bounds) -> list[dict]:
-        return [{"case": c, "seed": b.seed} for c in range(b.get("cases", fast, full))]
-    return build
+    """``cases`` random cases (by default ``fast`` or ``full``), each with the run's seed."""
+    return grid(case=lambda b: range(b.get("cases", fast, full)), seed=lambda b, case: (b.seed,))
 
 
 # ---------------------------------------------------------------------------
@@ -358,21 +359,14 @@ def _krattenthaler_matrix(family: fam.Family, seed: int, case: int) -> Matrix:
     return fam.build(family, len(L), L=L, A=A)
 
 
-def _eq35_grid(b: Bounds) -> list[dict]:
-    out = []
-    for n in range(b.get("n_max", 5, 6) + 1):
-        span = b.get("x_max", 2 * n + 2, 2 * n + 2)
-        for x in range(-span, span + 1):
-            out.append({"n": n, "x": x})
-    return out
-
-
 declare(
     equal_check("eq1", "1 (1)", "det", grid(n=(12, 40)),
                 fam.EQ1, lambda n: catalan(n)),
     equal_check("eq1b", "1 (1)", "det", grid(n=(12, 40)),
                 fam.EQ1B, lambda n: catalan(n)),
-    equal_check("eq35", "2.1.1 (35)", "det", _eq35_grid,
+    equal_check("eq35", "2.1.1 (35)", "det",
+                grid(n=(5, 6), x=lambda b, n: range(-(s := b.get("x_max", 2 * n + 2, 2 * n + 2)),
+                                                    s + 1)),
                 fam.EQ35, lambda n, x: gould_product(n, x, 2)),
     equal_check("eq43", "2.1.1 (43)", "det", grid(n=(10, 10)),
                 fam.EQ43, lambda n: binomial(2 * n, n)),
@@ -440,13 +434,7 @@ declare(
 
 def _null_grid(n_lo: int, m_offset: int, fast: int = 6, full: int = 8):
     """n from ``n_lo`` up to the bound, and m from n + ``m_offset`` to 2n - 1."""
-    def build(b: Bounds) -> list[dict]:
-        return [
-            {"n": n, "m": m}
-            for n in range(n_lo, b.get("n_max", fast, full) + 1)
-            for m in range(n + m_offset, 2 * n)
-        ]
-    return build
+    return grid(n=(fast, full, n_lo), m=lambda b, n: range(n + m_offset, 2 * n))
 
 
 def _lucas_binomial_sum(n: int) -> list[int]:
@@ -812,13 +800,10 @@ def _tables(system: str) -> FavardTables:
 
 
 def _thm5_grid(b: Bounds) -> list[dict]:
-    out = []
-    for name in _SYSTEMS:
-        if name in ("geometric-q", "carlitz", "q-chebyshev"):
-            out += grid(system=[name], n=(3, 4), m=(3, 3))(b)
-        else:
-            out += grid(system=[name], n=(5, 8), m=(4, 5))(b)
-    return out
+    # the classical systems come first in _SYSTEMS, then the q systems
+    classical, q_systems = list(_SYSTEMS)[:4], list(_SYSTEMS)[4:]
+    return (grid(system=classical, n=(5, 8), m=(4, 5))(b)
+            + grid(system=q_systems, n=(3, 4), m=(3, 3))(b))
 
 
 @register("thm5", "2.2 Theorem 5 (68); also (6)", "bridge", _thm5_grid)

@@ -480,6 +480,48 @@ def test_every_public_definition_is_used_in_the_package():
     assert dead == ["registry.verify_range"]
 
 
+def test_every_private_definition_and_every_import_is_used():
+    # a private top-level function, class or constant that no code of the
+    # package names (its own body aside) is dead, and so is an import that
+    # its own module never names (``__all__`` counts); a decorated function
+    # is reached through its decorator (the @register runners), and an
+    # import marked "# noqa: F401" is kept for what importing it does
+    private, used, dead = [], set(), []
+    for path in sorted((SRC / "catdet").glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        local = set()
+        for node in tree.body:
+            refs = {n.id for n in ast.walk(node)
+                    if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+            refs |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                refs.discard(node.name)
+                if node.name.startswith("_") and not node.decorator_list:
+                    private.append((path.stem, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                private += [(path.stem, name) for name in names
+                            if name.startswith("_") and not name.startswith("__")]
+                if "__all__" in names:
+                    refs |= set(ast.literal_eval(node.value))
+            local |= refs
+        used |= local
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__":
+                continue
+            if "# noqa: F401" in " ".join(lines[node.lineno - 1:node.end_lineno]):
+                continue
+            dead += [f"{path.stem}: import {alias.name}" for alias in node.names
+                     if (alias.asname or alias.name).split(".")[0] not in local]
+    dead += [f"{stem}.{name}" for stem, name in private if name not in used]
+    assert dead == []
+
+
 def test_every_name_in_all_is_bound_in_its_module():
     # a deleted helper left in __all__ would break `from ... import *` only
     # where some caller happens to star-import the module

@@ -27,7 +27,7 @@ from catdet.linalg import (
     matvec,
     rank,
 )
-from catdet.qseries import ONE, Q, QPoly, QRat, q_int
+from catdet.qseries import ONE, Q, ExactDivisionError, QPoly, QRat, q_int
 from catdet.sequences import ballot
 
 INTRO_4X4 = Matrix.from_rows(
@@ -274,6 +274,14 @@ def test_public_names_resolve():
     namespace = {}
     exec("from catdet import *", namespace)
     assert set(catdet.__all__) <= set(namespace)
+
+
+def test_q_polynomial_matrix_coerces_a_polynomial_qrat_and_refuses_others():
+    assert Matrix(1, 1, [QRat(Q)], QPOLY).data == (Q,)
+    with pytest.raises(ExactDivisionError):
+        Matrix(1, 1, [QRat(ONE, ONE + Q)], QPOLY)
+    with pytest.raises(TypeError):
+        Matrix(1, 1, ["x"], QPOLY)
 
 
 def test_from_rows_rejects_ragged_rows():
@@ -1001,7 +1009,6 @@ def test_banded_minors_raise_on_a_width_too_narrow(m, monkeypatch):
     # byte det H_n reads right while |det H_n| < 128 and must raise from the
     # first size past it, whose base-2^8 digits spill past degree 0
     monkeypatch.setattr(linalg, "_kron_width", lambda bound: 8)
-    monkeypatch.setattr(linalg, "_BAND_WIDTH", 8)
 
     def entry(i, j):
         return 0 if j > i + m else 3 + (i * j) % 4
@@ -1014,6 +1021,50 @@ def test_banded_minors_raise_on_a_width_too_narrow(m, monkeypatch):
     with pytest.raises(ArithmeticError, match=f"det H_{first} .* past its degree 0"):
         minors[first]
     assert len(minors) == first
+
+
+@pytest.mark.parametrize("nbytes", [2, 3, 9])
+def test_banded_width_is_the_least_byte_above_the_whole_row_hadamard_bound(nbytes):
+    # at m = 2, the width after size n is the least whole byte w with 2^(w-1)
+    # above isqrt(N) + 1, N the product over the rows i < n of the squared l1
+    # norms of all their entries j <= i + 2 (a factor below 1 counted as 1).
+    # Row 3's outer-diagonal coefficient c is the least that takes the bound
+    # at size 4 past 2^(8 nbytes - 1): with c - 1 the width stays a byte less
+    def inner(i, j):
+        if (i + j) % 4 == 3:
+            return QPoly()
+        return QPoly([(j - i, 1 + (i + j) % 3), (j + 1, -1 - j % 2)])
+
+    def row_norm2(i, c):
+        entries = [inner(i, j) for j in range(i + 2)] + [QPoly.monomial(i % 3 - 1, c)]
+        return max(sum(sum(map(abs, v._vals)) ** 2 for v in entries), 1)
+
+    outer = {i: 3 + i for i in range(7)}
+    product = math.prod(row_norm2(i, outer[i]) for i in range(3))
+    rest = row_norm2(3, 0)
+    target = ((1 << (8 * nbytes - 1)) - 1) ** 2  # isqrt(N) + 1 reaches 2^(8 nbytes - 1)
+    c = math.isqrt(-(-target // product) - rest - 1) + 1
+    assert product * (rest + c * c) >= target > product * (rest + (c - 1) ** 2)
+    for last, width in ((c - 1, 8 * nbytes), (c, 8 * nbytes + 8)):
+        outer[3] = last
+
+        def entry(i, j):
+            if j > i + 2:
+                return QPoly()
+            return QPoly.monomial(i % 3 - 1, outer[i]) if j == i + 2 else inner(i, j)
+        minors = BandedMinors(entry, QPOLY, 2)
+        norm2, widths, expected = 1, [], []
+        for n in range(7):
+            if n:
+                norm2 *= row_norm2(n - 1, outer[n - 1])
+            w = 8
+            while 1 << (w - 1) <= math.isqrt(norm2) + 1:
+                w += 8
+            expected.append(w)
+            assert minors[n] == det_cofactor(Matrix.build(n, n, entry, QPOLY)), n
+            widths.append(minors._width)
+        assert widths == expected
+        assert widths[4] == width
 
 
 # -- q-polynomial determinants through one integer determinant ---------------

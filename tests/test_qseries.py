@@ -1030,3 +1030,19 @@ def test_every_construction_keeps_the_normal_form():
         _assert_normal(r.den, dict(r.den.items()))
         assert r.den.low == 0 and r.den.lead_coeff > 0
         assert _d_mul(dict(r.num.items()), den) == _d_mul(num, dict(r.den.items()))
+
+
+def test_reflected_operators_and_refused_arguments_of_the_q_types():
+    # an int on the left of - and / meets QRat's reflected operators
+    assert 1 - QRat(Q) == QRat(ONE - Q)
+    assert 1 / QRat(Q) == QRat(ONE, Q)
+    with pytest.raises(ValueError, match="negative powers"):
+        Q ** -1
+    with pytest.raises(ZeroDivisionError):
+        QRat(0) ** -1
+    with pytest.raises(ZeroDivisionError):
+        QRat(1, ONE - Q).specialize(1)
+    with pytest.raises(TypeError):
+        QRat("x")
+    with pytest.raises(TypeError):
+        Q.exact_div("x")

@@ -7,6 +7,7 @@ import pytest
 
 import catdet.residues  # noqa: F401  (registers the modular checks)
 from catdet import families as fam
+from catdet import sequences as seq
 from catdet.exact import choose2
 from catdet.linalg import FRAC, QRAT, BandedMinors, det, det_bareiss, det_cofactor
 from catdet.qseries import ONE, Q, QPoly, QRat, q_binomial, q_int
@@ -751,3 +752,24 @@ def test_thm5_and_eq69_take_each_hankel_determinant_once(monkeypatch):
         registry._tables.cache_clear()
     assert len(taken) == len(set(taken)) == len(set(reads))
     assert len(reads) > len(taken)
+
+
+@pytest.mark.parametrize("guarded", [
+    lambda: seq.catalan_power(1, -1),
+    lambda: seq.gfun(1, 0),
+    lambda: seq.q_catalan_power(1, -1),
+    lambda: seq.andrews_c(1, 0),
+    lambda: seq.andrews_moment(-1),
+    lambda: fam.thm11_w(-1, 0, 1),
+    lambda: fam.sec33_rhs(-1, 1),
+    lambda: catdet.residues.unique_power_index(-1),
+], ids=["catalan_power", "gfun", "q_catalan_power", "andrews_c", "andrews_moment", "thm11_w",
+        "sec33_rhs", "unique_power_index"])
+def test_domain_guards_raise_value_error(guarded):
+    with pytest.raises(ValueError, match="needs"):
+        guarded()
+
+
+def test_q_pochhammer_with_a_negative_count_at_its_pole_raises():
+    with pytest.raises(ZeroDivisionError, match="pole"):
+        fam._q_poch([], [], 1, -2)
