@@ -33,7 +33,7 @@ division-free expansion of every leading minor along its last row.  Only
 ``det`` of its built matrices stay two routes.  A fraction ring's rows are
 cleared once as above.  A q-polynomial sweep runs as integers at
 q = 2^w, with w the least whole number of bytes above a bound, and never
-narrower than before: the l1 recurrence of the expansion at m <= 1,
+narrower than before: the l1 recurrence of the expansion at m = 1,
 Hadamard's bound over every entry of every row read at m >= 2.  The
 expansion keeps its products and yields every minor of the sweep; only
 each product's representation changes.  Taking one Kronecker determinant per size instead
@@ -57,8 +57,8 @@ from typing import Callable, Sequence
 from catdet.exact import exact_quotient
 from catdet.qseries import ONE as QP_ONE
 from catdet.qseries import ZERO as QP_ZERO
-from catdet.qseries import (QPoly, QRat, _from_dense, _kron_bias, _kron_pack, _kron_pack_fresh,
-                            _kron_unpack_signed, _kron_width, _restride)
+from catdet.qseries import (QPoly, QRat, _from_dense, _kron_pack, _kron_pack_fresh,
+                            _kron_unpack_signed, _kron_width, _repack)
 
 __all__ = [
     "Ring",
@@ -265,21 +265,6 @@ def _pack(p: QPoly, width: int, low: int = 0, pack=_kron_pack) -> int:
     return (pack(vals, width) if len(vals) > 1 else vals[0]) << (width * (p._low - low))
 
 
-def _repack(v: int, old: int, new: int) -> int:
-    """A polynomial at q = 2^old, each coefficient below 2^(old-1) in size, at q = 2^new.
-
-    Its signed digits, biased by 2^(old-1), are widened byte-wise (``_restride``)
-    and the bias is taken off again at the new stride.  A constant is its own
-    digit at every width.
-    """
-    count = abs(v).bit_length() // old + 1
-    if count == 1 and abs(v) < 1 << (old - 1):
-        return v
-    data = (v + _kron_bias(old, count)).to_bytes(old // 8 * count, "little")
-    wide = int.from_bytes(_restride(data, old // 8, new // 8, count), "little")
-    return wide - (_kron_bias(new, count) >> (new - old))
-
-
 def _steps(a: int, lams: Sequence[int], hs: Sequence[int], ys: Sequence[int], unit: bool) -> int:
     """a after the steps a <- lam a - h y, one per (lam, h, y); one sum if every lam is 1."""
     if unit:
@@ -311,19 +296,20 @@ class BandedMinors:
         det H_n = (-1)^(m t) det S_n / D_t^(m-1),
 
     where S_n is the m x m matrix of the rows s_r^(t), r in [t, n), and
-    D_t = lambda_0 ... lambda_(t-1) (det H_n = D_n for m = 0); the quotient
-    is exact, and ``exact_quotient`` raises on a remainder.  For n <= m,
-    det H_n is the determinant of the leading n x n block of the s_r^(0).
-    A 1 x 1 block is its entry; a larger one is a memoized Laplace expansion
+    D_t = lambda_0 ... lambda_(t-1); the quotient is exact, and
+    ``exact_quotient`` raises on a remainder.  For n <= m, det H_n is the
+    determinant of the leading n x n block of the s_r^(0).  A 1 x 1 block
+    is its entry; a larger one is a memoized Laplace expansion
     (``det_cofactor``), which takes products only: a Bareiss step would
     divide the large values of S_n.
 
     At m = 1 this is Hyman's method, the Horner form of the expansion of
     det H_n along its last row: y_k = (-1)^k det H_(k+1), each step is the
     Laplace expansion of a (k+2)-minor along its last column, and D_t^0 = 1
-    divides nothing, so D_t is not kept.  So at m <= 1 a zero outer-diagonal
-    entry needs no special case (at m = 0 it makes every later det H_n zero),
-    while at m >= 2 the step that reaches one raises ``ValueError``.
+    divides nothing, so D_t is not kept.  So at m = 1 a zero outer-diagonal
+    entry needs no special case, while at m >= 2 the step that reaches one
+    raises ``ValueError``.  A band m = 0, a lower triangular matrix, is
+    taken as m = 1: its superdiagonal is zero.
 
     Growing H_n by one size takes the step t on the m rows in [t, n) and
     every step so far on the new row: O(n m) products.  The sweep keeps the
@@ -339,12 +325,11 @@ class BandedMinors:
     det H_n is read off its signed base-2^w digits.  The width w holds every
     coefficient of det H_n, of the kept values and of the entries packed:
 
-    - at m <= 1 it is the least width above the l1 recurrence of the
+    - at m = 1 it is the least width above the l1 recurrence of the
       expansion and above every entry of the row.  ||fg||_1 <= ||f||_1
       ||g||_1 bounds the new row's ||s^(k+1)||_1 by N_(k+1) =
       ||lambda_k||_1 N_k + ||h(n, 1 + k)||_1 ||y_k||_1 from N_0 =
-      ||h(n, 0)||_1 (at m = 0, det H_(n+1) by ||lambda_n||_1 ||det H_n||_1),
-      with the actual l1 norms of the values read;
+      ||h(n, 0)||_1, with the actual l1 norms of the values read;
     - at m >= 2 it is the least width above Hadamard's bound over every
       entry read: the product, over the rows read, of the l2 norm of the l1
       norms of all their entries (j <= i + m), a factor below 1 counted as
@@ -372,7 +357,7 @@ class BandedMinors:
     """
 
     _unit = True  # every lambda_k so far is 1
-    _d = 1  # D_t, at m >= 2; at m = 0, det H_n
+    _d = 1  # D_t, at m >= 2
     _scale = None  # over a fraction ring, the product of the row lcms
     # over q-polynomials: the width (0 over the integers), the sums of the
     # row shifts and of the row spans and, at m >= 2, the product of the
@@ -385,6 +370,7 @@ class BandedMinors:
     def __init__(self, entry: Callable[[int, int], object], ring: Ring, m: int):
         if m < 0:
             raise ValueError(f"band {m} is negative")
+        m = max(m, 1)  # lower triangular is lower Hessenberg with a zero superdiagonal
         self.entry = entry
         self.ring = ring
         self.m = m
@@ -399,7 +385,7 @@ class BandedMinors:
         if QPOLY in (ring, ring.integral):
             self._width = _kron_width(0)
             self._pack_entry = _kron_pack_fresh if ring.integral else _kron_pack
-            # at m <= 1, the l1 norms of the lambda_k and of each integral det H_n read
+            # at m = 1, the l1 norms of the lambda_k and of each integral det H_n read
             self._lam_norms: list[int] = []
             self._norms = [1]
 
@@ -434,7 +420,7 @@ class BandedMinors:
             scale *= lcm
         low = None
         if width:
-            width, low, span, norm2, lam_norm = self._fit(row, n)
+            width, low, span, norm2, lam_norm = self._fit(row)
             old = self._width
             if width > old:  # every kept value, at the new width
                 ys = [[_repack(v, old, width) for v in y] for y in ys]
@@ -445,45 +431,42 @@ class BandedMinors:
             pack = self._pack_entry
         unit, t = self._unit, len(lams)
         try:
-            if not m:  # det H_(n+1) = lambda_0 ... lambda_n
-                value = d = d * (_pack(row[n], width, low, pack) if width else row[n])
-            else:
-                if n >= m:  # step t = n - m: row t leaves, the rows in (t, n) take the step
-                    (y, (lam,), base), *rows = rows
-                    if width:
-                        lam = _pack(lam, width, base, pack)
-                    for col, v in zip(ys, y):
-                        col.append(v)
-                    lams.append(lam)
-                    stepped = []
-                    for s, rest, base in rows:
-                        h = _pack(rest[0], width, base, pack) if width else rest[0]
-                        stepped.append(([lam * a - h * b for a, b in zip(s, y)], rest[1:], base))
-                    rows = stepped
-                    unit = unit and lam == 1
-                    if m > 1:
-                        d *= lam
-                # the new row: s_n^(0), then a step against every row that has left
-                steps = m + len(lams)
-                head = [_pack(v, width, low, pack) for v in row[:steps]] if width else row
-                hs = head[m:steps]
-                s = [_steps(a, lams, hs, yc, unit) for a, yc in zip(head, ys)]
-                rows = [*rows, (s, row[steps:], low)]
-                k = min(n + 1, m)  # the rows of S_n, or for n < m the leading block
-                value = rows[0][0][0] if k == 1 else det_cofactor(
-                    Matrix(k, k, [v for s, *_ in rows for v in s[:k]], INT))
-                if n >= m:
-                    if m > 1:  # det S_n / D_t^(m-1)
-                        value = exact_quotient(value, d ** (m - 1), "det S_n / D_t^(m-1)")
-                    if m * (n + 1 - m) % 2:
-                        value = -value
+            if n >= m:  # step t = n - m: row t leaves, the rows in (t, n) take the step
+                (y, (lam,), base), *rows = rows
+                if width:
+                    lam = _pack(lam, width, base, pack)
+                for col, v in zip(ys, y):
+                    col.append(v)
+                lams.append(lam)
+                stepped = []
+                for s, rest, base in rows:
+                    h = _pack(rest[0], width, base, pack) if width else rest[0]
+                    stepped.append(([lam * a - h * b for a, b in zip(s, y)], rest[1:], base))
+                rows = stepped
+                unit = unit and lam == 1
+                if m > 1:
+                    d *= lam
+            # the new row: s_n^(0), then a step against every row that has left
+            steps = m + len(lams)
+            head = [_pack(v, width, low, pack) for v in row[:steps]] if width else row
+            hs = head[m:steps]
+            s = [_steps(a, lams, hs, yc, unit) for a, yc in zip(head, ys)]
+            rows = [*rows, (s, row[steps:], low)]
+            k = min(n + 1, m)  # the rows of S_n, or for n < m the leading block
+            value = rows[0][0][0] if k == 1 else det_cofactor(
+                Matrix(k, k, [v for s, *_ in rows for v in s[:k]], INT))
+            if n >= m:
+                if m > 1:  # det S_n / D_t^(m-1)
+                    value = exact_quotient(value, d ** (m - 1), "det S_n / D_t^(m-1)")
+                if m * (n + 1 - m) % 2:
+                    value = -value
             if width:
                 count = abs(value).bit_length() // width + 1
                 if count > span + 1:
                     raise ArithmeticError(
                         f"det H_{n + 1} has {count} digits at width {width}, past its degree {span}")
                 digits = _kron_unpack_signed(value, width, count)
-                norm = sum(map(abs, digits))  # kept at m <= 1
+                norm = sum(map(abs, digits))  # kept at m = 1
                 shift = self._shift + low
                 value = _from_dense(digits, shift)
             if ring.integral:
@@ -498,33 +481,30 @@ class BandedMinors:
         self._unit = unit
         if width:
             self._width, self._span, self._shift, self._norm2 = width, span, shift, norm2
-            if m < 2:
+            if m == 1:
                 self._norms.append(norm)
                 self._lam_norms.append(lam_norm)
         self._dets.append(value)
 
-    def _fit(self, row: list, n: int):
-        """With the q-polynomial ``row`` n: the sweep's width and the new bookkeeping.
+    def _fit(self, row: list):
+        """With the next q-polynomial ``row``: the sweep's width and the new bookkeeping.
 
         That is the width, the row's lowest exponent, the sum of the row
         spans, norm2 and the l1 norm of the row's last entry.
         """
-        m = self.m
         low = min([v._low for v in row if v], default=0)
         high = max([v._low + len(v._vals) for v in row if v], default=low + 1)
         span = self._span + high - 1 - low
         norms = [sum(map(abs, v._vals)) for v in row]
         norm2 = self._norm2
-        if m > 1:  # Hadamard's factor of the whole row joins those of the rows before it
+        if self.m > 1:  # Hadamard's factor of the whole row joins those of the rows before it
             norm2 *= max(sum(v * v for v in norms), 1)
             need = _kron_width(math.isqrt(norm2) + 1)
-        elif m:
+        else:
             bound = norms[0]
             for lam_norm, h_norm, y_norm in zip(self._lam_norms, norms[1:], self._norms[1:]):
                 bound = lam_norm * bound + h_norm * y_norm
             need = _kron_width(max(bound, *norms))
-        else:
-            need = _kron_width(max(norms[n] * self._norms[n], *norms))
         return max(need, self._width), low, span, norm2, norms[-1]
 
 

@@ -6,18 +6,18 @@ at index i, with no zero at either end; zero is ``(0, ())``.  So equality is
 structural, a shift only moves ``low``, and sums, products and divisions run
 over aligned slices.  Products from ``_KRON_MIN_TERMS`` terms on are one
 integer product (Kronecker substitution q = 2**w); so is an exact quotient
-of as many terms by a divisor of as many, accepted only when an l1 bound
-proves quotient times divisor equal to the dividend, else long division.
+of as many terms by a divisor of as many, else long division.  Only this
+module knows the byte layout of packed digits.
 
 ``QRat`` is the fraction field.  Values are reduced on construction by the
 gcd in Z[q] of both sides: GCDHEU on their primitive parts (one integer gcd
-of the parts packed at q = 2**w, read back as a polynomial, and both
-cofactors read off the integer quotients under the same l1 proof), w
-doubling until a gcd is proved, which a resultant bound shows it must be;
-only the content gcd when the denominator is a constant.  The canonical
-form has the denominator's lowest exponent at 0, no common polynomial or integer
-factor, and a positive leading denominator coefficient, which makes equality
-a structural comparison as well.
+of the parts packed at q = 2**w, read back as a polynomial), w doubling
+until a gcd is proved, which a resultant bound shows it must be; only the
+content gcd when the denominator is a constant.  That exact quotient and
+both cofactors are read off integer quotients by ``_kron_quotient``, under
+one l1 proof.  The canonical form has the denominator's lowest exponent at 0,
+no common polynomial or integer factor, and a positive leading denominator
+coefficient, which makes equality a structural comparison as well.
 
 The module also provides the q-combinatorial primitives: q-integers,
 q-binomial coefficients (Gaussian polynomials, extended to negative upper
@@ -97,6 +97,21 @@ def _restride(data: bytes, src: int, dst: int, count: int) -> bytearray:
     return out
 
 
+def _repack(v: int, old: int, new: int) -> int:
+    """A polynomial at q = 2**old, each coefficient below 2**(old-1) in size, at q = 2**new.
+
+    Its signed digits, biased by 2**(old-1), are widened byte-wise (``_restride``)
+    and the bias is taken off again at the new stride.  A constant is its own
+    digit at every width.
+    """
+    count = abs(v).bit_length() // old + 1
+    if count == 1 and abs(v) < 1 << (old - 1):
+        return v
+    data = (v + _kron_bias(old, count)).to_bytes(old // 8 * count, "little")
+    wide = int.from_bytes(_restride(data, old // 8, new // 8, count), "little")
+    return wide - (_kron_bias(new, count) >> (new - old))
+
+
 _KRON_PACKED: dict[tuple[tuple[int, ...], int], int] = {}
 
 
@@ -174,35 +189,25 @@ def _mul_kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
                                len(a) + len(b) - 1)
 
 
-def _certified(f: list[int], g, width: int) -> bool:
-    """Whether every coefficient of the product f * g is below 2**(width-1) in size.
+def _kron_quotient(a_at: int, b_at: int, b, width: int, count: int) -> list[int] | None:
+    """f = a / b, ``count`` coefficients read off a(2**w) / b(2**w), or None unless proved.
 
-    A coefficient of f * g is at most min(|f|_1 |g|_inf, |f|_inf |g|_1).  So
-    when the integers f(2**width) * g(2**width) and p(2**width) are equal and
-    every coefficient of p is also below 2**(width-1) in size, both sides are
-    the same signed base-2**width digits, and f * g = p as polynomials.
+    ``a_at`` and ``b_at`` are a and b packed at w = ``width``, and every
+    coefficient of a is below 2**(w-1) in size.  f is refused on a remainder,
+    on more than ``count`` signed base-2**w digits, and unless
+    min(|f|_1 |b|_inf, |f|_inf |b|_1) < 2**(w-1).  That bounds every
+    coefficient of f * b, so f(2**w) b(2**w) = a(2**w) has the same signed
+    base-2**w digits on both sides, and f * b = a as polynomials.
     """
-    bound = min(sum(map(abs, f)) * max(map(abs, g)), max(map(abs, f)) * sum(map(abs, g)))
-    return bound < 1 << (width - 1)
-
-
-def _div_kronecker(a, b) -> list[int] | None:
-    """a / b read off one integer quotient at q = 2**w, or None when it is not proved.
-
-    With B = |a|_inf |b|_1 and 2**(w-1) > B, the quotient q of an exact
-    division has q(2**w) = a(2**w) / b(2**w); the signed digits of that integer
-    are accepted only if ``_certified`` proves q * b = a.  An inexact division,
-    or an exact one whose quotient is too large for w, gives None.
-    """
-    width = _kron_width(max(map(abs, a)) * sum(map(abs, b)))
-    quot, rem = divmod(_kron_pack_fresh(a, width), _kron_pack_fresh(b, width))
+    quot, rem = divmod(a_at, b_at)
     if rem:
         return None
     try:
-        q = _kron_unpack_signed(quot, width, len(a) - len(b) + 1)
+        f = _kron_unpack_signed(quot, width, count)
     except ArithmeticError:
         return None
-    return q if _certified(q, b, width) else None
+    bound = min(sum(map(abs, f)) * max(map(abs, b)), max(map(abs, f)) * sum(map(abs, b)))
+    return f if bound < 1 << (width - 1) else None
 
 
 def _long_div(a, b) -> list[int]:
@@ -428,10 +433,13 @@ class QPoly:
         if self.is_zero:
             return ZERO
         a, bc = self._vals, b._vals
+        count = len(a) - len(bc) + 1
         quot = None
-        if (len(a) - len(bc) + 1 >= _KRON_MIN_TERMS
-                and len(bc) - bc.count(0) >= _KRON_MIN_TERMS):
-            quot = _div_kronecker(a, bc)
+        if count >= _KRON_MIN_TERMS and len(bc) - bc.count(0) >= _KRON_MIN_TERMS:
+            # 2**(w-1) above |a|_inf |b|_1: above a's coefficients, with room for the quotient's
+            width = _kron_width(max(map(abs, a)) * sum(map(abs, bc)))
+            quot = _kron_quotient(_kron_pack_fresh(a, width), _kron_pack_fresh(bc, width), bc,
+                                  width, count)
         return QPoly._raw(self._low - b._low, tuple(quot or _long_div(a, bc)))
 
     # -- specialization -----------------------------------------------------
@@ -551,10 +559,11 @@ def _gcdheu_at(a, b, width: int) -> tuple[list[int], list[int]] | None:
 
     The signed base-xi digits of gcd(a(xi), b(xi)) are a polynomial G; its
     primitive part P has P(xi) = gcd / content.  Each cofactor is read off
-    the integer quotient a(xi) / P(xi) and accepted only if ``_certified``
-    proves cofactor * P equal to the operand.  Then P divides a and b, and for
-    primitive a and b with xi > 2 min(|a|_inf, |b|_inf) + 2 a common divisor
-    read this way is their gcd (op. cit., Theorem 7.7).
+    the integer quotient a(xi) / P(xi) by ``_kron_quotient``, which accepts
+    it only when it proves cofactor * P equal to the operand.  Then P
+    divides a and b, and for primitive a and b with xi > 2 min(|a|_inf,
+    |b|_inf) + 2 a common divisor read this way is their gcd (op. cit.,
+    Theorem 7.7).
     """
     alpha = _kron_pack_fresh(a, width)
     beta = _kron_pack_fresh(b, width)
@@ -572,16 +581,9 @@ def _gcdheu_at(a, b, width: int) -> tuple[list[int], list[int]] | None:
     if content > 1:
         g = [v // content for v in g]
     g_at_xi = gamma // content
-    cofactors = []
-    for p, p_at_xi in ((a, alpha), (b, beta)):
-        try:
-            f = _kron_unpack_signed(p_at_xi // g_at_xi, width, len(p) - len(g) + 1)
-        except ArithmeticError:
-            return None
-        if not _certified(f, g, width):
-            return None
-        cofactors.append(f)
-    return cofactors[0], cofactors[1]
+    fa = _kron_quotient(alpha, g_at_xi, g, width, len(a) - len(g) + 1)
+    fb = _kron_quotient(beta, g_at_xi, g, width, len(b) - len(g) + 1)
+    return None if fa is None or fb is None else (fa, fb)
 
 
 def _coprime_parts(a, b) -> tuple[list[int], list[int]]:
@@ -773,7 +775,6 @@ def _as_qrat(x):
 # q-combinatorial primitives
 # ---------------------------------------------------------------------------
 
-_QINT_CACHE: dict[int, QPoly] = {}
 _QBIN_CACHE: dict[tuple[int, int], QPoly] = {}
 _QPRODUCT_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...], int], QRat] = {}
 
@@ -783,15 +784,9 @@ def q_int(n: int) -> QPoly:
 
     For negative n returns the Laurent value -q^n [ -n ].
     """
-    p = _QINT_CACHE.get(n)
-    if p is not None:
-        return p
     if n >= 0:
-        p = QPoly._raw(0, (1,) * n)
-    else:
-        p = QPoly._raw(n, (-1,) * -n)
-    _QINT_CACHE[n] = p
-    return p
+        return QPoly._raw(0, (1,) * n)
+    return QPoly._raw(n, (-1,) * -n)
 
 
 def q_binomial(n: int, k: int) -> QPoly:

@@ -309,7 +309,9 @@ def _eq103(n: int, m: int):
     return ok, f"parity bridge at (n={n}, m={m})", "holds"
 
 
-@register("sec4uniq", "4 digit lemma", "property", grid(m_below=(256, 512, TOP)))
+# the bound alone, and no point at 0: no m is below 0
+@register("sec4uniq", "4 digit lemma", "property",
+          grid(m_below=lambda b: range(1, b.get("n_max", 256, 512) + 1)[-1:]))
 def _sec4uniq(m_below: int):
     for m in range(m_below):
         unique_power_index(m)

@@ -522,6 +522,33 @@ def test_every_private_definition_and_every_import_is_used():
     assert dead == []
 
 
+def test_only_qseries_knows_the_byte_layout_of_packed_digits():
+    # the one module that imports private names from another is linalg, and
+    # only these, from qseries; the biased byte layout of packed digits
+    # (``_kron_bias``, ``_restride``) is named in qseries alone
+    imported, layout = [], []
+    for path in sorted((SRC / "catdet").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("catdet"):
+                imported += [(path.stem, node.module, alias.name) for alias in node.names
+                             if alias.name.startswith("_")]
+                if node.module == "catdet":
+                    modules |= {alias.asname or alias.name for alias in node.names}
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        imported += [(path.stem, n.value.id, n.attr) for n in ast.walk(tree)
+                     if isinstance(n, ast.Attribute) and n.attr.startswith("_")
+                     and isinstance(n.value, ast.Name) and n.value.id in modules]
+        if path.stem != "qseries":
+            layout += [(path.stem, name) for name in sorted(names & {"_kron_bias", "_restride"})]
+    assert imported == [("linalg", "catdet.qseries", name) for name in (
+        "_from_dense", "_kron_pack", "_kron_pack_fresh", "_kron_unpack_signed", "_kron_width",
+        "_repack")]
+    assert layout == []
+
+
 def test_every_name_in_all_is_bound_in_its_module():
     # a deleted helper left in __all__ would break `from ... import *` only
     # where some caller happens to star-import the module
@@ -626,12 +653,14 @@ def test_config_lists_exactly_the_subcommand_flags(monkeypatch, capsys):
 
 
 def test_empty_grid_exits_2(capsys):
-    for command in ("verify", "suite"):
-        code = main([command, "--id", "eq46", "--k-max", "0"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "empty grid for eq46" in captured.err
-        assert captured.out == ""
+    # sec4uniq checks every m below its bound, so at bound 0 it has no point
+    for check_id, flag in (("eq46", "--k-max"), ("sec4uniq", "--n-max")):
+        for command in ("verify", "suite"):
+            code = main([command, "--id", check_id, flag, "0"])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert f"empty grid for {check_id}" in captured.err
+            assert captured.out == ""
 
 
 def test_conjecture_empty_grid_exits_2(capsys):

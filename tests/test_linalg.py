@@ -890,6 +890,24 @@ def test_banded_minors_take_zero_outer_diagonal_entries_at_m_up_to_1(ring, m):
     assert any(values[2:7]) == (m == 1)
 
 
+@pytest.mark.parametrize("ring", [INT, FRAC, QPOLY, QRAT], ids=lambda r: r.name)
+def test_banded_minors_take_band_0_as_band_1(ring):
+    # a lower triangular matrix is lower Hessenberg with a zero superdiagonal,
+    # so band 0 sweeps at m = 1; a nonzero superdiagonal entry, beyond band 0,
+    # is then read as one more entry of the band
+    size = 7 if ring is QRAT else 9
+    rng = random.Random(f"band-0:{ring.name}")
+    lower = random_banded(rng, size, 0, ring)
+    upper = random_banded(rng, size, 1, ring)
+    for h in (lower, upper):
+        def entry(i, j):
+            return h[i, j] if i < size and j < size else ring.zero
+        minors = BandedMinors(entry, ring, 0)
+        assert minors.m == 1
+        for n in range(size + 1):
+            assert minors[n] == det_cofactor(Matrix.build(n, n, entry, ring)), n
+
+
 @pytest.mark.parametrize("ring", [INT, QPOLY, QRAT], ids=lambda r: r.name)
 def test_banded_minors_raise_at_a_zero_outer_diagonal_entry(ring):
     rng = random.Random(f"zero-outer:{ring.name}")

@@ -824,10 +824,19 @@ def test_gcdheu_raises_past_its_cap_when_no_width_proves(monkeypatch):
         assert bits <= widths[-1] < 4 * bits and len(widths) < 12, (a, b)
 
 
+def _packed_quotient(a, b):
+    """``_kron_quotient`` of a by b, packed at the width ``QPoly.exact_div`` packs them at."""
+    from catdet.qseries import _kron_pack_fresh, _kron_quotient, _kron_width
+
+    width = _kron_width(max(map(abs, a)) * sum(map(abs, b)))
+    return _kron_quotient(_kron_pack_fresh(a, width), _kron_pack_fresh(b, width), b, width,
+                          len(a) - len(b) + 1)
+
+
 def test_packed_exact_div_equals_long_division():
     # seeded exact quotients of at least _KRON_MIN_TERMS terms by divisors of
     # at least as many: the packed quotient, long division and the QPoly agree
-    from catdet.qseries import _KRON_MIN_TERMS, _div_kronecker, _long_div
+    from catdet.qseries import _KRON_MIN_TERMS, _long_div
 
     rng = random.Random("packed-division")
     for _ in range(60):
@@ -835,15 +844,13 @@ def test_packed_exact_div_equals_long_division():
         q = _dense(rng, rng.randint(_KRON_MIN_TERMS, 40), bits)
         b = _dense(rng, rng.randint(_KRON_MIN_TERMS, 30), rng.choice((1, bits)))
         a = _schoolbook(q, b)
-        assert _div_kronecker(a, b) == q == _long_div(a, b), (q, b)
+        assert _packed_quotient(a, b) == q == _long_div(a, b), (q, b)
         low = rng.randint(-4, 4)
         pa = QPoly(enumerate(a)).shift(low)
         assert pa.exact_div(QPoly(enumerate(b)).shift(2)) == QPoly(enumerate(q)).shift(low - 2)
 
 
 def test_packed_exact_div_refuses_what_it_cannot_prove():
-    from catdet.qseries import _div_kronecker
-
     # (q;q)_12 / (1 - q)^12 = [12]_q!: exact, but its coefficients exceed the
     # packed width's bound, so the packed quotient is refused and long
     # division returns the q-factorial
@@ -854,7 +861,7 @@ def test_packed_exact_div_refuses_what_it_cannot_prove():
     factorial = ONE
     for e in range(1, 13):
         factorial = factorial * q_int(e)
-    assert _div_kronecker(a, b) is None
+    assert _packed_quotient(a, b) is None
     assert QPoly(enumerate(a)).exact_div(QPoly(enumerate(b))) == factorial
     # a remainder, in the lowest or the top coefficient, raises
     rng = random.Random("packed-remainder")
@@ -862,7 +869,7 @@ def test_packed_exact_div_refuses_what_it_cannot_prove():
         q, b = _dense(rng, 12, 20), _dense(rng, 9, 20)
         a = _schoolbook(q, b)
         a[rng.choice((0, len(a) - 1, 5))] += rng.choice((1, -1, 1 << 30))
-        assert _div_kronecker(a, b) is None
+        assert _packed_quotient(a, b) is None
         with pytest.raises(ExactDivisionError):
             QPoly(enumerate(a)).exact_div(QPoly(enumerate(b)))
 
